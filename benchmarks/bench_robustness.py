@@ -167,7 +167,8 @@ def test_algorithm1_contention_sensitivity(benchmark, contention):
 def test_shard_scaling_report(benchmark, capsys):
     """SHARD table: whole-pipeline check, monolithic vs component-sharded.
 
-    The acceptance criterion of the sharding layer (``--shard``): a
+    The acceptance criterion of the sharding layer (the default path;
+    the monolithic side passes ``context=AnalysisContext(wl)``): a
     bit-identical verdict at a measured speedup on multi-component
     workloads, where the monolithic path pays the ``O(|T|^2)`` conflict
     index and full-width kernel rows while the sharded path pays
@@ -178,6 +179,7 @@ def test_shard_scaling_report(benchmark, capsys):
     ``transactions``; ``min_s`` is the *sharded* time, so the CI perf
     gate guards the fast path).
     """
+    from repro.core.context import AnalysisContext
     from repro.core.robustness import check_robustness
     from repro.core.sharding import conflict_components
     from repro.workloads.generator import clustered_workload
@@ -202,11 +204,11 @@ def test_shard_scaling_report(benchmark, capsys):
             assert alloc is not None
 
             t0 = time.perf_counter()
-            mono = check_robustness(wl, alloc)
+            mono = check_robustness(wl, alloc, context=AnalysisContext(wl))
             mono_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            sharded = check_robustness(wl, alloc, shard=True)
+            sharded = check_robustness(wl, alloc)
             sharded_s = time.perf_counter() - t0
 
             assert mono.robust and sharded.robust

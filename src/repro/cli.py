@@ -66,11 +66,11 @@ from .core.allocation import optimal_allocation
 from .core.isolation import Allocation, IsolationLevel
 from .core.robustness import check_robustness
 from .core.serialization import is_conflict_serializable
+from .core.sharding import ShardedContext
 from .core.workload import Workload
 from .observability import Tracer, current_tracer, use_tracer
 from .service.handlers import (
     CommandError,
-    build_context as _build_context,
     load_workload_file as _load_workload,
     parse_jobs_value,
     shard_report_line as _shard_report,
@@ -94,6 +94,13 @@ def _parse_allocation(
 def _parse_levels(spec: str) -> List[IsolationLevel]:
     try:
         return _handlers.parse_levels_spec(spec)
+    except CommandError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _parse_level(text: str) -> IsolationLevel:
+    try:
+        return _handlers.parse_level(text)
     except CommandError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -124,7 +131,7 @@ def _print_phase_timings() -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     allocation = _parse_allocation(workload, args.allocation, args.uniform)
-    context = _build_context(workload, args.shard)
+    context = ShardedContext(workload)
     result = check_robustness(
         workload,
         allocation,
@@ -149,9 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"Serialization graph written to {args.dot}")
     if args.stats:
         print()
-        shard_line = _shard_report(context)
-        if shard_line:
-            print(shard_line)
+        print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return 0 if result.robust else 1
@@ -228,14 +233,15 @@ def _cmd_templates(args: argparse.Namespace) -> int:
         return 0
     # action == "check"
     if args.uniform:
-        allocation = {t.name: IsolationLevel.parse(args.uniform) for t in templates}
+        level = _parse_level(args.uniform)
+        allocation = {t.name: level for t in templates}
     else:
         allocation = {}
         for part in (args.allocation or "").split(","):
             name, _, level = part.partition("=")
             if not name:
                 raise SystemExit("provide --allocation Name=LEVEL,... or --uniform")
-            allocation[name.strip()] = IsolationLevel.parse(level)
+            allocation[name.strip()] = _parse_level(level)
     static = static_mixed_check(templates, allocation)
     print(f"Static sufficient check: {static}")
     result = check_template_robustness(
@@ -256,8 +262,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     levels = _parse_levels(args.levels)
     # One shared context for the report's Algorithm 2 run and the final
-    # existence probe: the conflict index is built exactly once.
-    context = _build_context(workload, args.shard)
+    # existence probe: each component's conflict index is built once.
+    context = ShardedContext(workload)
     print(
         allocation_report(
             workload,
@@ -269,9 +275,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     )
     if args.stats:
         print()
-        shard_line = _shard_report(context)
-        if shard_line:
-            print(shard_line)
+        print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return (
@@ -655,20 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitset",
         help="robustness engine (default bitset; all three are bit-identical)",
     )
-    check.add_argument(
-        "--shard",
-        dest="shard",
-        action="store_true",
-        help="analyze per conflict component and compose (bit-identical, "
-        "faster on multi-component workloads)",
-    )
-    check.add_argument(
-        "--no-shard",
-        dest="shard",
-        action="store_false",
-        help="force the monolithic analysis path (the default)",
-    )
-    check.set_defaults(shard=False)
     _add_trace_flag(check)
     check.set_defaults(func=_cmd_check)
 
@@ -739,20 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitset",
         help="robustness engine (default bitset; all three are bit-identical)",
     )
-    allocate.add_argument(
-        "--shard",
-        dest="shard",
-        action="store_true",
-        help="analyze per conflict component and compose (bit-identical, "
-        "faster on multi-component workloads)",
-    )
-    allocate.add_argument(
-        "--no-shard",
-        dest="shard",
-        action="store_false",
-        help="force the monolithic analysis path (the default)",
-    )
-    allocate.set_defaults(shard=False)
     _add_trace_flag(allocate)
     allocate.set_defaults(func=_cmd_allocate)
 

@@ -13,11 +13,14 @@ a robust allocation may not exist.  Proposition 5.4 reduces existence to
 robustness against ``A_SI``; when it holds, the optimal {RC, SI} allocation
 is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
-Every entry point accepts an optional
-:class:`~repro.core.context.AnalysisContext` so the allocation-independent
-structure (conflict index, reachability oracles) is built exactly once per
-workload across the ``O(|T| * levels)`` robustness checks a full run
-issues.  The refinement additionally keeps a *witness cache* on the
+Every entry point analyzes per connected component of the conflict
+graph (:mod:`repro.core.sharding`) and accepts an optional context, so
+the allocation-independent structure (conflict index, reachability
+oracles) is built exactly once per component across the
+``O(|T| * levels)`` robustness checks a full run issues.  An explicit
+:class:`~repro.core.context.AnalysisContext` refines the workload as one
+unit instead — the per-component core, with the identical optimum
+(Proposition 4.2).  The refinement additionally keeps a *witness cache* on the
 context: counterexample chains discovered while probing one candidate are
 revalidated (cheap Definition 3.1 condition check) against later
 candidates, skipping the full Algorithm 1 search whenever a cached chain
@@ -47,11 +50,12 @@ from .isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from .robustness import (
-    _sharded_requested,
-    check_robustness,
-    first_witness_spec,
-    is_robust,
+from .robustness import Context, check_robustness, first_witness_spec, is_robust
+from .sharding import (
+    ShardedContext,
+    _resolve_jobs,
+    optimal_allocation_sharded,
+    refine_allocation_sharded,
 )
 from .workload import Workload
 
@@ -64,16 +68,6 @@ def _normalized_levels(
     if not unique:
         raise ValueError("the class of isolation levels must not be empty")
     return tuple(unique)
-
-
-def _resolve_context(
-    workload: Workload, context: Optional[AnalysisContext]
-) -> AnalysisContext:
-    """The caller's context (validated) or a fresh one for ``workload``."""
-    if context is None:
-        return AnalysisContext(workload)
-    context.ensure(workload)
-    return context
 
 
 def _robust_with_warm_start(
@@ -115,10 +109,9 @@ def refine_allocation(
     start: Allocation,
     levels: Sequence[IsolationLevel],
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
     floors: Optional[Dict[int, IsolationLevel]] = None,
-    shard: bool = False,
 ) -> Allocation:
     """Refine a robust allocation to the optimum below it (Algorithm 2 core).
 
@@ -138,8 +131,10 @@ def refine_allocation(
         levels: the class of levels, in any order.
         method: robustness engine, forwarded to
             :func:`repro.core.robustness.check_robustness`.
-        context: shared :class:`~repro.core.context.AnalysisContext`;
-            built fresh when omitted.
+        context: a shared :class:`~repro.core.sharding.ShardedContext`
+            (built fresh when omitted) refines per conflict component;
+            an :class:`~repro.core.context.AnalysisContext` refines the
+            workload as one unit.  Same optimum either way.
         n_jobs: ``1`` (default) runs in-process; ``>= 2`` fans the
             independent per-transaction downgrade probes out over the
             process pool of :mod:`repro.parallel` (delta-restricted
@@ -150,34 +145,22 @@ def refine_allocation(
             manager passes the previous optimum, which the new optimum
             dominates pointwise).  A pure acceleration, never changing
             the result.
-        shard: refine per conflict component and compose (see
-            :mod:`repro.core.sharding`) — identical optimum.  Implied
-            when ``context`` is a
-            :class:`~repro.core.sharding.ShardedContext`.
     """
-    if _sharded_requested(shard, context):
-        from .sharding import refine_allocation_sharded
-
+    if not isinstance(context, AnalysisContext):
         return refine_allocation_sharded(
             workload, start, levels, method=method, context=context,
             n_jobs=n_jobs, floors=floors,
         )
     ordered = _normalized_levels(levels)
-    ctx = _resolve_context(workload, context)
-    if n_jobs != 1:
-        from ..parallel.engine import refine_allocation_parallel, resolve_jobs
+    context.ensure(workload)
+    jobs = _resolve_jobs(n_jobs, workload, method)
+    if jobs > 1:
+        from ..parallel.engine import refine_allocation_parallel
 
-        jobs = resolve_jobs(n_jobs, len(workload))
-        if jobs > 1:
-            if method == "paper":
-                raise ValueError(
-                    "the verbatim paper engine is sequential-only; use "
-                    "method='bitset' or 'components' with n_jobs > 1"
-                )
-            return refine_allocation_parallel(
-                workload, start, ordered, n_jobs=jobs, context=ctx,
-                floors=floors, method=method,
-            )
+        return refine_allocation_parallel(
+            workload, start, ordered, n_jobs=jobs, context=context,
+            floors=floors, method=method,
+        )
     tracer = current_tracer()
     current = start
     with tracer.span(
@@ -194,7 +177,7 @@ def refine_allocation(
                     candidate = current.with_level(tid, level)
                     with tracer.span("allocation.probe", tid=tid, level=level.name):
                         lowered = _robust_with_warm_start(
-                            workload, candidate, method, ctx
+                            workload, candidate, method, context
                         )
                     if lowered:
                         current = candidate
@@ -207,9 +190,8 @@ def optimal_allocation(
     workload: Workload,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
-    shard: bool = False,
 ) -> Optional[Allocation]:
     """The unique optimal robust allocation over ``levels``, if one exists.
 
@@ -218,12 +200,15 @@ def optimal_allocation(
     is ``None`` when the workload is not robustly allocatable
     (Proposition 5.4 / Theorem 5.5).
 
-    The whole run shares one :class:`~repro.core.context.AnalysisContext`
-    (the caller's, or a private one), so the conflict index is built
-    exactly once regardless of how many robustness checks the refinement
-    issues.  With ``n_jobs`` other than ``1`` the refinement probes run
-    on the process pool of :mod:`repro.parallel` (identical result, per
-    the uniqueness of the optimum — Proposition 4.2).
+    The run is per conflict component: a
+    :class:`~repro.core.sharding.ShardedContext` (the caller's, or a
+    private one) builds each component's conflict index exactly once
+    regardless of how many robustness checks the refinement issues.  An
+    explicit :class:`~repro.core.context.AnalysisContext` runs the
+    workload as one unit.  With ``n_jobs`` other than ``1`` the
+    refinement probes run on the process pool of :mod:`repro.parallel`.
+    Every path returns the identical optimum, by its uniqueness
+    (Proposition 4.2).
 
     Examples:
         >>> from repro.core.workload import workload
@@ -233,14 +218,12 @@ def optimal_allocation(
         >>> str(optimal_allocation(workload("R1[a] W1[b]", "R2[c] W2[d]")))
         'T1:RC, T2:RC'
     """
-    if _sharded_requested(shard, context):
-        from .sharding import optimal_allocation_sharded
-
+    if not isinstance(context, AnalysisContext):
         return optimal_allocation_sharded(
             workload, levels, method=method, context=context, n_jobs=n_jobs
         )
     ordered = _normalized_levels(levels)
-    ctx = _resolve_context(workload, context)
+    context.ensure(workload)
     top = ordered[-1]
     start = Allocation.uniform(workload, top)
     with current_tracer().span(
@@ -249,11 +232,12 @@ def optimal_allocation(
         levels=[level.name for level in ordered],
     ):
         if top is not IsolationLevel.SSI and not is_robust(
-            workload, start, method=method, context=ctx, n_jobs=n_jobs
+            workload, start, method=method, context=context, n_jobs=n_jobs
         ):
             return None
         return refine_allocation(
-            workload, start, ordered, method=method, context=ctx, n_jobs=n_jobs
+            workload, start, ordered, method=method, context=context,
+            n_jobs=n_jobs,
         )
 
 
@@ -261,9 +245,8 @@ def is_robustly_allocatable(
     workload: Workload,
     levels: Sequence[IsolationLevel] = ORACLE_LEVELS,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
-    shard: bool = False,
 ) -> bool:
     """Whether some allocation over ``levels`` is robust (Definition 5.3).
 
@@ -280,7 +263,6 @@ def is_robustly_allocatable(
         method=method,
         context=context,
         n_jobs=n_jobs,
-        shard=shard,
     )
 
 
@@ -289,9 +271,8 @@ def upgrade_to_robust(
     allocation: Allocation,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
-    shard: bool = False,
 ) -> Optional[Allocation]:
     """The least robust allocation pointwise above ``allocation``, if any.
 
@@ -309,12 +290,7 @@ def upgrade_to_robust(
     ``None`` once an optimum exists (a debug assertion documents the
     invariant instead of a dead error branch).
     """
-    if _sharded_requested(shard, context):
-        from .sharding import _resolve_sharded
-
-        ctx = _resolve_sharded(workload, context)
-    else:
-        ctx = _resolve_context(workload, context)
+    ctx = ShardedContext(workload) if context is None else context
     optimum = optimal_allocation(
         workload, levels, method=method, context=ctx, n_jobs=n_jobs
     )

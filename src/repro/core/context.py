@@ -48,18 +48,10 @@ class ConflictIndex:
     Allocation-independent: depends only on the read/write sets of the
     transactions.  Build accounting lives on
     :attr:`ContextStats.index_builds` (one per context, merged from
-    workers by the parallel engine); assert on that counter, not on the
-    process-wide class attribute.
+    workers by the parallel engine).
     """
 
-    #: .. deprecated:: 1.1
-    #:    Process-wide construction counter.  Order-dependent across
-    #:    tests and racy under threads; kept for one release so external
-    #:    callers migrate to ``ContextStats.index_builds``.
-    total_builds: int = 0
-
     def __init__(self, workload: Workload):
-        type(self).total_builds += 1
         self.workload = workload
         self.transactions = workload.transactions
         self._conflicts: Dict[int, Set[int]] = {t.tid: set() for t in self.transactions}
@@ -189,7 +181,8 @@ class ContextStats:
 
     Attributes:
         checks: robustness checks executed through the context.
-        index_builds: conflict indexes built (always 1 per context).
+        index_builds: conflict indexes built (1 per context — so one per
+            analyzed component under a sharded context).
         oracle_builds: reachability oracles built (at most one per ``T_1``).
         oracle_hits: oracle requests served from the cache.
         pair_builds: conflicting-operation tables built (per ordered pair).

@@ -27,12 +27,18 @@ All three return bit-identical results — the same verdicts, the same
 witness specs, the same enumeration order (asserted by the test suite
 and the ``tests/properties/test_kernel_equivalence.py`` property suite).
 
-All allocation-independent structure (conflict index, reachability
-oracles, candidate-partner lists, conflicting-pair tables) lives in
-:class:`~repro.core.context.AnalysisContext`.  Pass an existing context
-to amortize it across many checks of the same workload (Algorithm 2
-issues ``O(|T| * levels)`` of them); without one, each call builds a
-private context, reproducing the one-shot behaviour.
+Every public entry point analyzes per connected component of the
+conflict graph (:mod:`repro.core.sharding`): a counterexample chain only
+links conflicting transactions, so verdicts and witnesses decompose
+exactly over components.  All allocation-independent structure
+(conflict index, reachability oracles, candidate-partner lists,
+conflicting-pair tables) lives in
+:class:`~repro.core.context.AnalysisContext`, one per component inside
+a :class:`~repro.core.sharding.ShardedContext`.  Pass an existing
+sharded context to amortize it across many checks of the same workload
+(Algorithm 2 issues ``O(|T| * levels)`` of them); pass an
+``AnalysisContext`` to analyze the workload as one unit — the
+per-component core the sharded composition runs on each component.
 
 Two further accelerations live here:
 
@@ -54,7 +60,7 @@ Two further accelerations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
@@ -70,9 +76,23 @@ from .isolation import Allocation, IsolationLevel
 from .kernel import iter_witness_triples
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
+from .sharding import (
+    ShardedContext,
+    _resolve_jobs,
+    _resolve_sharded,
+    _validate,
+    check_robustness_sharded,
+    enumerate_specs_sharded,
+    first_witness_spec_sharded,
+)
 from .split_schedule import SplitScheduleSpec, materialize, operation_order
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
+
+#: What the public entry points accept as ``context``: a sharded context
+#: (the default per-component composition) or an ``AnalysisContext``
+#: (the workload analyzed as one unit).
+Context = Union[AnalysisContext, ShardedContext]
 
 # Backwards-compatible aliases: these classes moved to repro.core.context.
 _ConflictIndex = ConflictIndex
@@ -130,23 +150,6 @@ def _resolve_context(
         return AnalysisContext(workload)
     context.ensure(workload)
     return context
-
-
-def _sharded_requested(shard: bool, context) -> bool:
-    """Whether a call should route to the per-component sharded pipeline.
-
-    Either the caller asked (``shard=True``) or handed over a
-    :class:`~repro.core.sharding.ShardedContext` — a sharded context is
-    only usable by the sharded path, so its presence is an implicit
-    request.
-    """
-    if shard:
-        return True
-    if context is None:
-        return False
-    from .sharding import ShardedContext
-
-    return isinstance(context, ShardedContext)
 
 
 def _ww_conflict_free(
@@ -327,9 +330,8 @@ def check_robustness(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
-    shard: bool = False,
 ) -> RobustnessResult:
     """Decide robustness of ``workload`` against ``allocation`` (Algorithm 1).
 
@@ -346,22 +348,21 @@ def check_robustness(
             graph reachability, the reference engine) or ``"paper"``
             (verbatim Algorithm 1 loop structure).  All three are
             bit-identical in verdicts and witnesses.
-        context: an :class:`~repro.core.context.AnalysisContext` built for
-            ``workload``; sharing one across checks amortizes the conflict
-            index and per-``T_1`` reachability structure, which are
-            allocation-independent.  Built fresh when omitted.
+        context: omitted (or a
+            :class:`~repro.core.sharding.ShardedContext`), the check runs
+            per connected component of the conflict graph and composes
+            the results (see :mod:`repro.core.sharding`); an
+            :class:`~repro.core.context.AnalysisContext` analyzes the
+            workload as one unit.  Both give bit-identical results;
+            sharing a context across checks amortizes the
+            allocation-independent structure.
         n_jobs: ``1`` (default) runs fully in-process; an integer ``> 1``
-            fans the per-``T_1`` searches out across that many worker
-            processes (``components`` method only); ``None`` picks
+            fans the per-``T_1`` searches (or whole components) out
+            across that many worker processes; ``None`` picks
             automatically — sequential below a workload-size threshold,
             one worker per CPU otherwise (see
             :func:`repro.parallel.engine.resolve_jobs`).  The verdict and
             the counterexample are bit-identical for every setting.
-        shard: decide robustness per connected component of the conflict
-            graph and compose (see :mod:`repro.core.sharding`) —
-            bit-identical results, asymptotically cheaper on
-            multi-component workloads.  Implied when ``context`` is a
-            :class:`~repro.core.sharding.ShardedContext`.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -372,47 +373,50 @@ def check_robustness(
         >>> check_robustness(skew, Allocation.ssi(skew)).robust
         True
     """
-    if _sharded_requested(shard, context):
-        from .sharding import check_robustness_sharded
-
+    if not isinstance(context, AnalysisContext):
         return check_robustness_sharded(
             workload, allocation, method=method, context=context,
             n_jobs=n_jobs,
         )
-    if not allocation.covers(workload):
-        raise WorkloadError("allocation does not cover the workload")
-    if method not in ("bitset", "components", "paper"):
-        raise ValueError(f"unknown method {method!r}")
-    if n_jobs != 1:
-        from ..parallel.engine import check_robustness_parallel, resolve_jobs
+    _validate(workload, allocation, method)
+    jobs = _resolve_jobs(n_jobs, workload, method)
+    if jobs > 1:
+        from ..parallel.engine import check_robustness_parallel
 
-        jobs = resolve_jobs(n_jobs, len(workload))
-        if jobs > 1:
-            if method == "paper":
-                raise ValueError(
-                    "the verbatim paper engine is sequential-only; use"
-                    " method='bitset' or 'components' with n_jobs > 1"
-                )
-            return check_robustness_parallel(
-                workload, allocation, n_jobs=jobs, context=context, method=method
-            )
-    ctx = _resolve_context(workload, context)
-    ctx.record_check()
+        return check_robustness_parallel(
+            workload, allocation, n_jobs=jobs, context=context, method=method
+        )
+    spec = _first_witness(workload, allocation, method, context)
+    if spec is None:
+        return RobustnessResult(True)
+    schedule = materialize(spec, workload, allocation)
+    return RobustnessResult(False, Counterexample(spec, schedule, allocation))
+
+
+def _first_witness(
+    workload: Workload,
+    allocation: Allocation,
+    method: str,
+    context: AnalysisContext,
+) -> Optional[SplitScheduleSpec]:
+    """Algorithm 1's ascending-``T_1`` scan over one context.
+
+    Stops at the first witness; counts one check on the context.
+    """
+    context.ensure(workload)
+    context.record_check()
     tracer = current_tracer()
     with tracer.span(
         "robustness.check", transactions=len(workload), method=method, jobs=1
     ) as check_span:
         for t1 in workload:
             with tracer.span("robustness.scan_t1", t1=t1.tid):
-                spec = next(_scan_t1(ctx, allocation, t1, method), None)
+                spec = next(_scan_t1(context, allocation, t1, method), None)
             if spec is not None:
                 check_span.set(robust=False)
-                schedule = materialize(spec, workload, allocation)
-                return RobustnessResult(
-                    False, Counterexample(spec, schedule, allocation)
-                )
+                return spec
         check_span.set(robust=True)
-    return RobustnessResult(True)
+    return None
 
 
 def check_robustness_delta(
@@ -511,8 +515,7 @@ def first_witness_spec(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
-    shard: bool = False,
+    context: Optional[Context] = None,
 ) -> Optional[SplitScheduleSpec]:
     """The first counterexample spec, or ``None`` when robust — no schedule.
 
@@ -521,41 +524,23 @@ def first_witness_spec(
     is skipped entirely.  This is what the boolean callers — Algorithm
     2's downgrade probes, :func:`is_robust` — use: they never read the
     schedule, and materialization dominates the cost of a failed probe
-    on mid-sized workloads.
+    on mid-sized workloads.  ``context`` dispatches as in
+    :func:`check_robustness`.
     """
-    if _sharded_requested(shard, context):
-        from .sharding import first_witness_spec_sharded
-
+    if not isinstance(context, AnalysisContext):
         return first_witness_spec_sharded(
             workload, allocation, method=method, context=context
         )
-    if not allocation.covers(workload):
-        raise WorkloadError("allocation does not cover the workload")
-    if method not in ("bitset", "components", "paper"):
-        raise ValueError(f"unknown method {method!r}")
-    ctx = _resolve_context(workload, context)
-    ctx.record_check()
-    tracer = current_tracer()
-    with tracer.span(
-        "robustness.check", transactions=len(workload), method=method, jobs=1
-    ) as check_span:
-        for t1 in workload:
-            with tracer.span("robustness.scan_t1", t1=t1.tid):
-                spec = next(_scan_t1(ctx, allocation, t1, method), None)
-            if spec is not None:
-                check_span.set(robust=False)
-                return spec
-        check_span.set(robust=True)
-    return None
+    _validate(workload, allocation, method)
+    return _first_witness(workload, allocation, method, context)
 
 
 def is_robust(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
-    shard: bool = False,
 ) -> bool:
     """Boolean shorthand for :func:`check_robustness` (Algorithm 1).
 
@@ -570,13 +555,9 @@ def is_robust(
         (False, True)
     """
     if n_jobs == 1:
-        return (
-            first_witness_spec(workload, allocation, method, context, shard)
-            is None
-        )
+        return first_witness_spec(workload, allocation, method, context) is None
     return check_robustness(
-        workload, allocation, method=method, context=context, n_jobs=n_jobs,
-        shard=shard,
+        workload, allocation, method=method, context=context, n_jobs=n_jobs
     ).robust
 
 
@@ -602,10 +583,9 @@ def enumerate_counterexamples(
     workload: Workload,
     allocation: Allocation,
     materialize_schedules: bool = True,
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     n_jobs: Optional[int] = 1,
     method: str = "bitset",
-    shard: bool = False,
 ) -> Iterable[Counterexample]:
     """Yield one counterexample per problematic triple ``(T_1, T_2, T_m)``.
 
@@ -627,57 +607,52 @@ def enumerate_counterexamples(
         allocation: an isolation level for every transaction.
         materialize_schedules: build (and re-verify) the concrete schedule
             for each witness; disable for cheap surveys of large spaces.
-        context: an :class:`~repro.core.context.AnalysisContext` built for
-            ``workload``, shared across calls; built fresh when omitted.
+        context: dispatches as in :func:`check_robustness` — per
+            conflict component when omitted or a
+            :class:`~repro.core.sharding.ShardedContext`, as one unit for
+            an :class:`~repro.core.context.AnalysisContext`; the yielded
+            sequence is identical either way.
         n_jobs: ``1`` (default) in-process; ``> 1`` fans the per-``T_1``
             scans out; ``None`` picks automatically.
         method: ``"bitset"`` (default), ``"components"`` or ``"paper"``
             (the latter sequential-only); the yielded sequence is
             identical for every engine.
-        shard: scan per conflict component and re-merge in ascending
-            ``T_1`` order (see :mod:`repro.core.sharding`) — the yielded
-            sequence is identical.  Implied when ``context`` is a
-            :class:`~repro.core.sharding.ShardedContext`.
     """
-    if _sharded_requested(shard, context):
-        from .sharding import _resolve_sharded, enumerate_specs_sharded
-
-        if not allocation.covers(workload):
-            raise WorkloadError("allocation does not cover the workload")
-        sctx = _resolve_sharded(workload, context)
-        sctx.record_check()
-        for spec in enumerate_specs_sharded(
-            workload, allocation, method=method, context=sctx, n_jobs=n_jobs
-        ):
-            yield _spec_to_counterexample(
-                spec, workload, allocation, materialize_schedules
-            )
-        return
-    if not allocation.covers(workload):
-        raise WorkloadError("allocation does not cover the workload")
-    if method not in ("bitset", "components", "paper"):
-        raise ValueError(f"unknown method {method!r}")
-    if n_jobs != 1:
-        from ..parallel.engine import enumerate_specs_parallel, resolve_jobs
-
-        jobs = resolve_jobs(n_jobs, len(workload))
-        if jobs > 1:
-            if method == "paper":
-                raise ValueError(
-                    "the verbatim paper engine is sequential-only; use"
-                    " method='bitset' or 'components' with n_jobs > 1"
-                )
-            ctx = _resolve_context(workload, context)
-            ctx.record_check()
-            for spec in enumerate_specs_parallel(
-                workload, allocation, n_jobs=jobs, context=ctx, method=method
-            ):
-                yield _spec_to_counterexample(
-                    spec, workload, allocation, materialize_schedules
-                )
-            return
-    ctx = _resolve_context(workload, context)
+    if isinstance(context, AnalysisContext):
+        context.ensure(workload)
+        ctx, enumerate_specs = context, _enumerate_specs
+    else:
+        ctx, enumerate_specs = (
+            _resolve_sharded(workload, context), enumerate_specs_sharded
+        )
+    _validate(workload, allocation, method)
     ctx.record_check()
+    for spec in enumerate_specs(workload, allocation, method, ctx, n_jobs):
+        yield _spec_to_counterexample(
+            spec, workload, allocation, materialize_schedules
+        )
+
+
+def _enumerate_specs(
+    workload: Workload,
+    allocation: Allocation,
+    method: str,
+    context: AnalysisContext,
+    n_jobs: Optional[int],
+) -> Iterator[SplitScheduleSpec]:
+    """Every witness spec over one context, in ascending ``T_1`` order.
+
+    Does not count a robustness check — the caller owns
+    :meth:`~repro.core.context.AnalysisContext.record_check`.
+    """
+    jobs = _resolve_jobs(n_jobs, workload, method)
+    if jobs > 1:
+        from ..parallel.engine import enumerate_specs_parallel
+
+        yield from enumerate_specs_parallel(
+            workload, allocation, n_jobs=jobs, context=context, method=method
+        )
+        return
     tracer = current_tracer()
     for t1 in workload:
         if tracer.recording:
@@ -685,10 +660,7 @@ def enumerate_counterexamples(
             # scan time, not consumer time between yields.  The yielded
             # sequence is identical either way.
             with tracer.span("robustness.scan_t1", t1=t1.tid, survey=True):
-                specs = list(_scan_t1(ctx, allocation, t1, method))
+                specs = list(_scan_t1(context, allocation, t1, method))
         else:
-            specs = _scan_t1(ctx, allocation, t1, method)
-        for spec in specs:
-            yield _spec_to_counterexample(
-                spec, workload, allocation, materialize_schedules
-            )
+            specs = _scan_t1(context, allocation, t1, method)
+        yield from specs

@@ -24,8 +24,15 @@ conflict index is built to *find* the components), a
 single :class:`~repro.core.context.ContextStats`, so ``--stats`` totals
 stay truthful), and the ``*_sharded`` entry points compose per-shard
 results into global verdicts, witnesses, enumerations and allocations
-that are *bit-identical* to the monolithic path (asserted by
-``tests/properties/test_shard_equivalence.py``).
+that are *bit-identical* to analyzing the workload as one unit (asserted
+by ``tests/properties/test_shard_equivalence.py``).
+
+This composition is what every public entry point of
+:mod:`repro.core.robustness` and :mod:`repro.core.allocation` runs when
+``context`` is omitted or a :class:`ShardedContext`; an explicit
+:class:`~repro.core.context.AnalysisContext` selects the per-component
+core instead, over the whole workload.  A one-shard plan hands the
+caller's workload straight to that core (see :func:`_sole_shard`).
 
 The payoff is asymptotic: a monolithic context costs ``O(|T|^2)``
 pairwise conflict tests before any scan starts, and every kernel row
@@ -557,10 +564,17 @@ class ShardedContext:
 
     # -- per-shard structure -------------------------------------------
     def shard_workload(self, index: int) -> Workload:
-        """The (cached) sub-workload of shard ``index``."""
+        """The (cached) sub-workload of shard ``index``.
+
+        A one-shard plan's sub-workload is the workload itself — no
+        copy — so the per-component core runs on the caller's object.
+        """
         cached = self._workloads.get(index)
         if cached is None:
-            cached = self.workload.restricted_to(self.plan.shards[index])
+            if len(self.plan) == 1:
+                cached = self.workload
+            else:
+                cached = self.workload.restricted_to(self.plan.shards[index])
             self._workloads[index] = cached
         return cached
 
@@ -624,8 +638,9 @@ def _resolve_sharded(
         return ShardedContext(workload)
     if not isinstance(context, ShardedContext):
         raise WorkloadError(
-            "shard=True requires a ShardedContext (or None); got a"
-            f" {type(context).__name__} — pass shard=False to use it"
+            "the sharded pipeline requires a ShardedContext (or None); got a"
+            f" {type(context).__name__} — pass an AnalysisContext to the"
+            " public entry point to analyze the workload as one unit"
         )
     context.ensure(workload)
     return context
@@ -638,7 +653,7 @@ def _validate(workload: Workload, allocation: Allocation, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _resolve_shard_jobs(
+def _resolve_jobs(
     n_jobs: Optional[int], workload: Workload, method: str
 ) -> int:
     """Effective worker count, with the paper-engine restriction."""
@@ -707,6 +722,18 @@ def _first_spec(
     return _first_spec_sequential(sctx, allocation, method)
 
 
+def _sole_shard(sctx: ShardedContext) -> Optional[AnalysisContext]:
+    """The only shard's context when the plan has exactly one, else ``None``.
+
+    A single-component workload goes straight to the per-component core:
+    over the caller's own workload object (see
+    :meth:`ShardedContext.shard_workload`) and with ``n_jobs`` forwarded,
+    so it keeps the core's per-``T_1`` pool fan-out and pays only the
+    ``O(total operations)`` plan on top.
+    """
+    return sctx.shard_context(0) if len(sctx.plan) == 1 else None
+
+
 def check_robustness_sharded(
     workload: Workload,
     allocation: Allocation,
@@ -716,33 +743,28 @@ def check_robustness_sharded(
 ):
     """Algorithm 1 decided per conflict component, composed globally.
 
-    Returns exactly what the monolithic
-    :func:`~repro.core.robustness.check_robustness` returns — the same
+    Returns exactly what the per-component core (an explicit
+    :class:`~repro.core.context.AnalysisContext` passed to
+    :func:`~repro.core.robustness.check_robustness`) returns — the same
     verdict and, on non-robustness, the same counterexample (the
     smallest-``T_1`` witness, materialized against the *full* workload:
     the split-schedule shape appends the other components' transactions
     serially at the end, where they carry no conditions).
     """
-    from .robustness import Counterexample, RobustnessResult
+    from .robustness import Counterexample, RobustnessResult, check_robustness
     from .split_schedule import materialize
 
-    _validate(workload, allocation, method)
     sctx = _resolve_sharded(workload, context)
-    jobs = _resolve_shard_jobs(n_jobs, workload, method)
-    sctx.record_check()
-    tracer = current_tracer()
-    with tracer.span(
-        "robustness.check",
-        transactions=len(workload),
-        method=method,
-        jobs=jobs,
-        shards=len(sctx.plan),
-    ) as check_span:
-        best = _first_spec(sctx, allocation, method, jobs)
-        check_span.set(robust=best is None)
-    if best is None:
+    sole = _sole_shard(sctx)
+    if sole is not None:
+        return check_robustness(
+            workload, allocation, method=method, context=sole, n_jobs=n_jobs
+        )
+    spec = first_witness_spec_sharded(
+        workload, allocation, method, context=sctx, n_jobs=n_jobs
+    )
+    if spec is None:
         return RobustnessResult(True)
-    spec = best[1]
     schedule = materialize(spec, workload, allocation)
     return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
@@ -759,9 +781,19 @@ def first_witness_spec_sharded(
     The lean core of :func:`check_robustness_sharded`, mirroring
     :func:`~repro.core.robustness.first_witness_spec`.
     """
-    _validate(workload, allocation, method)
+    from .robustness import check_robustness, first_witness_spec
+
     sctx = _resolve_sharded(workload, context)
-    jobs = _resolve_shard_jobs(n_jobs, workload, method)
+    sole = _sole_shard(sctx)
+    if sole is not None:
+        if n_jobs == 1:
+            return first_witness_spec(workload, allocation, method, context=sole)
+        result = check_robustness(
+            workload, allocation, method=method, context=sole, n_jobs=n_jobs
+        )
+        return None if result.robust else result.counterexample.spec
+    _validate(workload, allocation, method)
+    jobs = _resolve_jobs(n_jobs, workload, method)
     sctx.record_check()
     tracer = current_tracer()
     with tracer.span(
@@ -783,20 +815,24 @@ def enumerate_specs_sharded(
     context: Optional[ShardedContext] = None,
     n_jobs: Optional[int] = 1,
 ) -> Iterator:
-    """Every counterexample chain, in the monolithic enumeration order.
+    """Every counterexample chain, in the per-component core's order.
 
     Iterates split candidates in ascending global id, dispatching each
     to its owning shard's sub-context — the yielded sequence is
-    element-for-element the monolithic
-    :func:`~repro.core.robustness.enumerate_counterexamples` order.
-    Does not count a robustness check itself — the caller owns
-    :meth:`ShardedContext.record_check`.
+    element-for-element what
+    :func:`~repro.core.robustness.enumerate_counterexamples` yields for
+    the workload analyzed as one unit.  Does not count a robustness
+    check itself — the caller owns :meth:`ShardedContext.record_check`.
     """
-    from .robustness import _scan_t1
+    from .robustness import _enumerate_specs, _scan_t1
 
-    _validate(workload, allocation, method)
     sctx = _resolve_sharded(workload, context)
-    jobs = _resolve_shard_jobs(n_jobs, workload, method)
+    sole = _sole_shard(sctx)
+    if sole is not None:
+        yield from _enumerate_specs(workload, allocation, method, sole, n_jobs)
+        return
+    _validate(workload, allocation, method)
+    jobs = _resolve_jobs(n_jobs, workload, method)
     if jobs > 1 and len(sctx.plan) > 1:
         from ..parallel.engine import enumerate_specs_shards_parallel
 
@@ -833,8 +869,9 @@ def refine_allocation_sharded(
     component, so the refinement decomposes: each shard's sub-workload is
     refined against ``start`` restricted to it, and the per-shard optima
     compose into the unique global optimum below ``start`` — the same
-    allocation (and the same number of robustness probes) as the
-    monolithic refinement.
+    allocation, and the same robustness checks and witness-cache hits,
+    as refining the workload as one unit (pinned by
+    ``tests/properties/test_shard_equivalence.py``).
     """
     from .allocation import _normalized_levels, refine_allocation
 
@@ -842,7 +879,13 @@ def refine_allocation_sharded(
         raise WorkloadError("allocation does not cover the workload")
     ordered = _normalized_levels(levels)
     sctx = _resolve_sharded(workload, context)
-    jobs = _resolve_shard_jobs(n_jobs, workload, method)
+    sole = _sole_shard(sctx)
+    if sole is not None:
+        return refine_allocation(
+            workload, start, ordered, method=method, context=sole,
+            n_jobs=n_jobs, floors=floors,
+        )
+    jobs = _resolve_jobs(n_jobs, workload, method)
     if jobs > 1 and len(sctx.plan) > 1:
         from ..parallel.engine import refine_allocation_shards_parallel
 
@@ -866,7 +909,6 @@ def refine_allocation_sharded(
                 ordered,
                 method=method,
                 context=sctx.shard_context(index),
-                n_jobs=jobs if len(sctx.plan) == 1 else 1,
                 floors=sub_floors,
             )
         for tid in shard:

@@ -16,17 +16,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..core.context import AnalysisContext
 from ..core.isolation import Allocation, IsolationLevel
 from ..core.sharding import ShardedContext
 from ..core.workload import Workload, parse_workload
 
 __all__ = [
     "CommandError",
-    "build_context",
     "load_workload_file",
     "parse_allocation_spec",
     "parse_jobs_value",
+    "parse_level",
     "parse_levels_spec",
     "shard_report_line",
 ]
@@ -63,28 +62,27 @@ def parse_allocation_spec(
                 raise CommandError(
                     f"bad allocation entry {part!r}; use T<i>=LEVEL"
                 )
-            try:
-                levels[int(key)] = IsolationLevel.parse(value)
-            except ValueError as exc:
-                raise CommandError(str(exc)) from None
+            levels[int(key)] = parse_level(value)
         missing = set(workload.tids) - set(levels)
         if missing:
             raise CommandError(
                 f"allocation misses transactions {sorted(missing)}"
             )
         return Allocation(levels)
+    return Allocation.uniform(workload, parse_level(uniform or "SI"))
+
+
+def parse_level(text: str) -> IsolationLevel:
+    """One isolation level by name, e.g. ``"SI"``."""
     try:
-        return Allocation.uniform(workload, IsolationLevel.parse(uniform or "SI"))
+        return IsolationLevel.parse(text)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
 
 
 def parse_levels_spec(spec: str) -> List[IsolationLevel]:
     """A level class from a comma list, e.g. ``"RC,SI"`` or ``"RC,SI,SSI"``."""
-    try:
-        return [IsolationLevel.parse(part) for part in spec.split(",")]
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
+    return [parse_level(part) for part in spec.split(",")]
 
 
 def parse_jobs_value(value: Union[str, int]) -> Optional[int]:
@@ -105,24 +103,8 @@ def parse_jobs_value(value: Union[str, int]) -> Optional[int]:
     return jobs
 
 
-def build_context(
-    workload: Workload, shard: bool
-) -> Union[AnalysisContext, ShardedContext]:
-    """The analysis context for one run: sharded or monolithic.
-
-    A :class:`~repro.core.sharding.ShardedContext` routes every core
-    entry point through the per-component pipeline (bit-identical
-    results; see ``docs/architecture.md``, "Component sharding").
-    """
-    if shard:
-        return ShardedContext(workload)
-    return AnalysisContext(workload)
-
-
-def shard_report_line(context: object) -> Optional[str]:
-    """The ``--stats`` shard line for a sharded context, else ``None``."""
-    if not isinstance(context, ShardedContext):
-        return None
+def shard_report_line(context: ShardedContext) -> str:
+    """The ``--stats`` shard line: component count and sizes."""
     sizes = context.plan.sizes
     rendered = ", ".join(str(size) for size in sizes) if sizes else "-"
     return f"Shards: {len(sizes)} (sizes: {rendered})"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.allocation import optimal_allocation, refine_allocation
-from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.workload import WorkloadError, workload
@@ -41,13 +41,6 @@ class TestConflictIndexAccounting:
             ctx = AnalysisContext(write_skew)  # one cold context per check
             check_robustness(write_skew, alloc, context=ctx)
             assert ctx.stats.index_builds == 1
-
-    def test_total_builds_alias_still_increments(self, write_skew):
-        """Deprecated process-wide alias; asserted-on stats live on
-        ``ContextStats.index_builds`` now."""
-        before = ConflictIndex.total_builds
-        AnalysisContext(write_skew)
-        assert ConflictIndex.total_builds == before + 1
 
 
 class TestContextCaching:

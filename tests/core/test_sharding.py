@@ -158,6 +158,6 @@ class TestShardedContext:
 
     def test_resolve_sharded_rejects_monolithic_context(self):
         wl = workload("R1[x]")
-        with pytest.raises(WorkloadError, match="shard=False"):
+        with pytest.raises(WorkloadError, match="AnalysisContext.*one unit"):
             _resolve_sharded(wl, AnalysisContext(wl))
         assert isinstance(_resolve_sharded(wl, None), ShardedContext)

@@ -309,14 +309,17 @@ def test_more_jobs_than_transactions_matches_sequential():
 
 
 def test_shard_dispatch_matches_sequential_sharded():
+    """Whole-shard pool dispatch matches both sequential paths."""
     from repro.workloads.generator import clustered_workload
 
     wl = clustered_workload(components=3, per_component=4, seed=2)
     for level in (IsolationLevel.RC, IsolationLevel.SI):
         alloc = Allocation.uniform(wl, level)
-        seq = check_robustness(wl, alloc, shard=True)
-        par = check_robustness(wl, alloc, n_jobs=2, shard=True)
-        _assert_same_result(seq, par)
+        one_unit = check_robustness(wl, alloc, context=AnalysisContext(wl))
+        seq = check_robustness(wl, alloc)
+        par = check_robustness(wl, alloc, n_jobs=2)
+        _assert_same_result(one_unit, seq)
+        _assert_same_result(one_unit, par)
 
 
 def test_shard_dispatch_falls_back_on_broken_pool(broken_pool):
@@ -324,9 +327,9 @@ def test_shard_dispatch_falls_back_on_broken_pool(broken_pool):
 
     wl = clustered_workload(components=3, per_component=3, seed=2)
     alloc = Allocation.uniform(wl, IsolationLevel.SI)
-    expected = check_robustness(wl, alloc, shard=True)
+    expected = check_robustness(wl, alloc, context=AnalysisContext(wl))
     with pytest.warns(RuntimeWarning, match="falling back"):
-        got = check_robustness(wl, alloc, n_jobs=2, shard=True)
+        got = check_robustness(wl, alloc, n_jobs=2)
     assert expected.robust == got.robust
     if not expected.robust:
         assert expected.counterexample.spec == got.counterexample.spec

@@ -1,15 +1,18 @@
-"""Property tests: the sharded pipeline is bit-identical to monolithic.
+"""Property tests: the default sharded pipeline equals one-unit analysis.
 
 The acceptance contract of component sharding (``repro.core.sharding``):
-on any (workload, allocation) pair, ``shard=True`` must return the
-*same* verdict, the *same* witness ``SplitScheduleSpec``, the *same*
+every public entry point analyzes per conflict component by default, and
+on any (workload, allocation) pair it must return the *same* verdict,
+the *same* witness ``SplitScheduleSpec``, the *same*
 ``enumerate_counterexamples`` spec sequence (order included) and the
-*same* optimal allocation as the monolithic path — for every engine
-(``bitset``, ``components``, ``paper``) and with ``n_jobs > 1``.
-Identity is at the *spec* level: ``MVSchedule`` objects compare by
-identity, and two independent materializations of the same spec are
-distinct objects even monolithic-vs-monolithic (matching the
-kernel-equivalence suite's contract).
+*same* optimal allocation as an explicit
+``context=AnalysisContext(wl)`` run, which analyzes the workload as one
+unit — for every engine (``bitset``, ``components``, ``paper``) and with
+``n_jobs > 1``.  Algorithm 2 must also issue the same robustness checks
+and warm-start witness hits on both paths.  Identity is at the *spec*
+level: ``MVSchedule`` objects compare by identity, and two independent
+materializations of the same spec are distinct objects even
+one-unit-vs-one-unit (matching the kernel-equivalence suite's contract).
 
 Extremes are covered explicitly: a single-component workload (the shard
 pipeline degenerates to exactly one monolithic run) and an all-singleton
@@ -27,6 +30,7 @@ from repro.core.allocation import (
     optimal_allocation,
     upgrade_to_robust,
 )
+from repro.core.context import AnalysisContext
 from repro.core.isolation import (
     Allocation,
     IsolationLevel,
@@ -36,6 +40,7 @@ from repro.core.isolation import (
 from repro.core.robustness import check_robustness, enumerate_counterexamples
 from repro.core.sharding import ShardedContext, conflict_components
 from repro.core.split_schedule import is_valid_split_schedule
+from repro.observability import Tracer, use_tracer
 from repro.workloads.generator import clustered_workload
 from repro.workloads.paper_examples import (
     example26_workload,
@@ -58,10 +63,10 @@ def workload_and_allocation(draw):
 
 
 def assert_check_matches(wl, alloc, method="bitset", n_jobs=1):
-    mono = check_robustness(wl, alloc, method=method)
-    sharded = check_robustness(
-        wl, alloc, method=method, n_jobs=n_jobs, shard=True
+    mono = check_robustness(
+        wl, alloc, method=method, context=AnalysisContext(wl)
     )
+    sharded = check_robustness(wl, alloc, method=method, n_jobs=n_jobs)
     assert mono.robust == sharded.robust
     if not mono.robust:
         assert mono.counterexample.spec == sharded.counterexample.spec
@@ -72,28 +77,27 @@ def assert_enumeration_matches(wl, alloc, method="bitset", n_jobs=1):
     mono = [
         ce.spec
         for ce in enumerate_counterexamples(
-            wl, alloc, materialize_schedules=False, method=method
+            wl,
+            alloc,
+            materialize_schedules=False,
+            method=method,
+            context=AnalysisContext(wl),
         )
     ]
     sharded = [
         ce.spec
         for ce in enumerate_counterexamples(
-            wl,
-            alloc,
-            materialize_schedules=False,
-            method=method,
-            n_jobs=n_jobs,
-            shard=True,
+            wl, alloc, materialize_schedules=False, method=method, n_jobs=n_jobs
         )
     ]
     assert mono == sharded
 
 
 def assert_allocation_matches(wl, levels, method="bitset", n_jobs=1):
-    mono = optimal_allocation(wl, levels, method=method)
-    sharded = optimal_allocation(
-        wl, levels, method=method, n_jobs=n_jobs, shard=True
+    mono = optimal_allocation(
+        wl, levels, method=method, context=AnalysisContext(wl)
     )
+    sharded = optimal_allocation(wl, levels, method=method, n_jobs=n_jobs)
     assert mono == sharded
 
 
@@ -129,11 +133,61 @@ def test_sharded_optimal_allocation_matches_monolithic(wl):
 def test_sharded_upgrade_and_allocatability_match_monolithic(pair):
     wl, alloc = pair
     assert upgrade_to_robust(wl, alloc) == upgrade_to_robust(
-        wl, alloc, shard=True
+        wl, alloc, context=AnalysisContext(wl)
     )
     assert is_robustly_allocatable(wl) == is_robustly_allocatable(
-        wl, shard=True
+        wl, context=AnalysisContext(wl)
     )
+
+
+def assert_counters_match(wl, levels, method="bitset"):
+    """Same optimum, same ``checks`` and ``witness_hits`` on both paths.
+
+    Every refinement probe is either a full robustness check or a
+    warm-start hit on a cached chain.  The sharded refinement issues
+    exactly the one-unit run's probes, each component's in the same
+    relative order.  A cached chain names only its own component's
+    transactions, whose levels in the current allocation are robust, so
+    it never revalidates for a probe in another component: the hits
+    agree too.  ``index_builds`` legitimately differs — one conflict
+    index per analyzed component against exactly one for the one-unit
+    run — and is pinned separately below.
+    """
+    one_unit = AnalysisContext(wl)
+    expected = optimal_allocation(wl, levels, method=method, context=one_unit)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        default = optimal_allocation(wl, levels, method=method)
+    sharded = ShardedContext(wl)
+    assert default == expected
+    assert optimal_allocation(wl, levels, method=method, context=sharded) == expected
+    assert sharded.stats.checks == one_unit.stats.checks
+    assert sharded.stats.witness_hits == one_unit.stats.witness_hits
+    counters = tracer.registry.counters
+    assert counters.get("robustness.checks", 0) == one_unit.stats.checks
+    assert counters.get("context.witness_hits", 0) == one_unit.stats.witness_hits
+    assert one_unit.stats.index_builds == 1
+    assert sharded.stats.index_builds <= len(sharded.plan)
+    if expected is not None:  # every component was refined
+        assert sharded.stats.index_builds == len(sharded.plan)
+
+
+@given(sts.workloads(min_transactions=1, max_transactions=5))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sharded_counters_match_one_unit(wl):
+    for method in ENGINES:
+        assert_counters_match(wl, POSTGRES_LEVELS, method=method)
+        assert_counters_match(wl, ORACLE_LEVELS, method=method)
+
+
+@pytest.mark.parametrize("seed", [3, 8, 13])
+def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
+    wl = clustered_workload(
+        components=4, per_component=4, objects_per_component=5, seed=seed
+    )
+    assert len(conflict_components(wl)) >= 4
+    assert_counters_match(wl, POSTGRES_LEVELS)
+    assert_counters_match(wl, ORACLE_LEVELS)
 
 
 @pytest.mark.parametrize(
@@ -159,12 +213,16 @@ def test_paper_examples_sharded_equivalence(make):
 
 
 def test_single_component_workload_degenerates_cleanly():
-    """One conflict component: sharding is a no-op wrapper."""
+    """One conflict component: the core runs on the caller's workload."""
     wl = figure2_workload()
     assert len(conflict_components(wl)) == 1
     for level in IsolationLevel:
         assert_check_matches(wl, Allocation.uniform(wl, level))
     assert_allocation_matches(wl, POSTGRES_LEVELS)
+    sctx = ShardedContext(wl)
+    assert sctx.shard_workload(0) is wl  # no restricted copy
+    optimal_allocation(wl, context=sctx)
+    assert sctx.stats.index_builds == 1
 
 
 def test_all_singleton_workload():
@@ -178,14 +236,14 @@ def test_all_singleton_workload():
         assert_check_matches(wl, alloc)
         assert_enumeration_matches(wl, alloc)
     assert_allocation_matches(wl, POSTGRES_LEVELS)
-    assert optimal_allocation(wl, shard=True) == Allocation.uniform(
+    assert optimal_allocation(wl) == Allocation.uniform(
         wl, IsolationLevel.RC
     )
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_parallel_sharded_equivalence(seed):
-    """Whole-shard dispatch (``n_jobs=2``) matches the sequential result."""
+    """Whole-shard dispatch (``n_jobs=2``) matches the one-unit result."""
     wl = clustered_workload(
         components=3, per_component=4, objects_per_component=5, seed=seed
     )
@@ -201,13 +259,7 @@ def test_parallel_sharded_equivalence(seed):
 def test_paper_engine_rejects_parallel_sharding():
     wl = clustered_workload(components=2, per_component=2, seed=0)
     with pytest.raises(ValueError, match="sequential-only"):
-        check_robustness(
-            wl,
-            Allocation.si(wl),
-            method="paper",
-            n_jobs=2,
-            shard=True,
-        )
+        check_robustness(wl, Allocation.si(wl), method="paper", n_jobs=2)
 
 
 def test_shared_context_reuse_matches_fresh():
@@ -216,8 +268,8 @@ def test_shared_context_reuse_matches_fresh():
     sctx = ShardedContext(wl)
     for level in IsolationLevel:
         alloc = Allocation.uniform(wl, level)
-        fresh = check_robustness(wl, alloc, shard=True)
-        reused = check_robustness(wl, alloc, context=sctx)  # auto-detected
+        fresh = check_robustness(wl, alloc)
+        reused = check_robustness(wl, alloc, context=sctx)
         assert fresh.robust == reused.robust
         if not fresh.robust:
             assert fresh.counterexample.spec == reused.counterexample.spec

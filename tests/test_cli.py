@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,33 @@ class TestAllocate:
         main(["allocate", disjoint_file])
         out = capsys.readouterr().out
         assert "T1: RC" in out and "T2: RC" in out
+
+
+class TestSharding:
+    @pytest.fixture
+    def multi_file(self, tmp_path):
+        path = tmp_path / "multi.txt"
+        path.write_text(
+            "T1: R[x] W[y]\nT2: R[y] W[x]\nT3: R[a] W[b]\n"
+            "T4: R[b] W[a]\nT5: R[p] W[q]\n"
+        )
+        return str(path)
+
+    def test_stats_always_print_the_shard_line(self, multi_file, capsys):
+        assert main(["allocate", multi_file, "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "Shards: 3 (sizes: 2, 2, 1)" in out
+        assert "T5: RC" in out
+
+    def test_check_stats_print_the_shard_line(self, skew_file, capsys):
+        main(["check", skew_file, "--uniform", "SI", "--stats"])
+        assert "Shards: 1 (sizes: 2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--shard", "--no-shard"])
+    def test_shard_flags_are_gone(self, multi_file, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["allocate", multi_file, flag])
+        assert excinfo.value.code == 2  # argparse usage error
 
 
 class TestSimulate:
@@ -201,6 +231,22 @@ class TestTemplates:
         )
         assert code == 1
         assert "No robust" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--uniform", "BOGUS"), ("--allocation", "Balance=BOGUS")]
+    )
+    def test_bad_level_exits_cleanly(self, template_file, flag, value):
+        """A bad level name is a clean message and exit 1, no traceback."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "templates", "check", template_file,
+             flag, value],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "unknown isolation level 'BOGUS'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_custom_bounds(self, template_file, capsys):
         main(
