@@ -30,9 +30,10 @@ caches) *and sub-workloads* across mutations verbatim, and re-analyzes
 only the merged or split components — churn cost tracks the largest
 affected component, not ``|T|``.  The partition itself is maintained
 incrementally by a :class:`~repro.core.sharding.DynamicShardPlan` (no
-per-mutation union-find over the whole workload), and
-:meth:`AllocationManager.apply_batch` coalesces a batch of mutations
-into **one** floors-aware re-analysis per touched component.  Witness
+per-mutation union-find over the whole workload), and every mutation —
+a single add or remove is a batch of one — goes through
+:meth:`AllocationManager.apply_batch`, which coalesces a batch into
+**one** floors-aware re-analysis per touched component.  Witness
 chains from retired contexts are adopted by their successors after
 pruning chains that reference removed transactions
 (:meth:`~repro.core.context.AnalysisContext.adopt_witnesses`), so a
@@ -130,7 +131,7 @@ class AllocationManager:
 
     @property
     def context(self) -> Optional[ShardedContext]:
-        """The sharded analysis context of the last add/remove.
+        """The sharded analysis context of the last mutation.
 
         ``None`` before the first mutation.  Usable wherever a context is
         accepted — the core entry points route a
@@ -141,7 +142,7 @@ class AllocationManager:
 
     @property
     def last_check_count(self) -> int:
-        """Robustness checks actually executed by the last add/remove.
+        """Robustness checks actually executed by the last mutation.
 
         An exact count read off the mutation's stats — every check of a
         mutation runs through the freshly (re)built shard contexts, which
@@ -174,12 +175,6 @@ class AllocationManager:
         return dict(self._plan_totals)
 
     # ------------------------------------------------------------------
-    def _begin_mutation(self) -> ContextStats:
-        """A fresh stats object, bound to the plan for this mutation."""
-        stats = ContextStats()
-        self._plan.stats = stats
-        return stats
-
     def _rebuild_context(
         self, stats: ContextStats, dirty: Set[int]
     ) -> Tuple[
@@ -194,11 +189,14 @@ class AllocationManager:
         ``dirty`` is the set of transaction ids whose component
         assignment (or content) the mutation may have changed: newly
         added transactions plus the survivors of every removal-hit
-        component.  Shards disjoint from ``dirty`` carry their
+        component.  A shard disjoint from ``dirty`` carries its
         sub-workload *and* context over by identity — O(1) per shard,
-        no dict compares, no conflict-index rebuilds.  Shards touching
-        ``dirty`` come back in ``fresh`` and get new contexts seeded
-        with every overlapping retired context's witness cache
+        no dict compares, no conflict-index rebuilds — and so does a
+        dirty shard whose members and operations ended up unchanged (a
+        batch removed and re-added the same transaction), which keeps
+        its optimum.  Every other shard comes back in ``fresh`` with a
+        new context seeded with every overlapping retired context's
+        witness cache
         (:meth:`~repro.core.context.AnalysisContext.adopt_witnesses`
         prunes chains referencing transactions no longer present, so
         warm starts never trust a chain naming a removed transaction).
@@ -210,34 +208,26 @@ class AllocationManager:
         fresh: List[int] = []
         for index, shard in enumerate(sctx.plan.shards):
             carried_wl = self._shard_workloads.get(shard)
-            old_ctx = self._shard_contexts.get(shard)
-            if carried_wl is not None and old_ctx is not None and (
-                old_ctx.workload is carried_wl
+            ctx = self._shard_contexts.get(shard)
+            if (
+                ctx is not None
+                and ctx.workload is carried_wl
+                and (
+                    dirty.isdisjoint(shard)
+                    or carried_wl == sctx.shard_workload(index)
+                )
             ):
-                if dirty.isdisjoint(shard):
-                    sctx.adopt_workload(index, carried_wl)
-                    sctx.adopt_context(index, old_ctx)
-                    new_map[shard] = old_ctx
-                    new_workloads[shard] = carried_wl
-                    continue
-                # A dirty shard whose members AND operations ended up
-                # unchanged (e.g. a batch removed and re-added the same
-                # transaction) keeps its optimum — carry by content.
-                if carried_wl == sctx.shard_workload(index):
-                    sctx.adopt_workload(index, carried_wl)
-                    sctx.adopt_context(index, old_ctx)
-                    new_map[shard] = old_ctx
-                    new_workloads[shard] = carried_wl
-                    continue
-            fresh.append(index)
-        for index in fresh:
-            ctx = sctx.shard_context(index)
-            members = set(sctx.plan.shards[index])
-            for key, old_ctx in self._shard_contexts.items():
-                if not members.isdisjoint(key):
-                    ctx.adopt_witnesses(old_ctx.witnesses)
-            new_map[sctx.plan.shards[index]] = ctx
-            new_workloads[sctx.plan.shards[index]] = sctx.shard_workload(index)
+                sctx.adopt_workload(index, carried_wl)
+                sctx.adopt_context(index, ctx)
+            else:
+                fresh.append(index)
+                ctx = sctx.shard_context(index)
+                members = set(shard)
+                for key, retired in self._shard_contexts.items():
+                    if not members.isdisjoint(key):
+                        ctx.adopt_witnesses(retired.witnesses)
+            new_map[shard] = ctx
+            new_workloads[shard] = sctx.shard_workload(index)
         return workload, sctx, new_map, new_workloads, fresh
 
     def _finish(
@@ -261,154 +251,46 @@ class AllocationManager:
     def add(self, transaction: Transaction) -> Allocation:
         """Add a transaction; returns the new optimal allocation.
 
-        The shard plan absorbs the newcomer incrementally — only the
-        components reachable from its objects are merged, in
-        ``O(ops of transaction)`` — and only the resulting component is
-        re-analyzed; all other components keep their sub-workloads,
-        contexts and levels untouched.  Within the touched component the
-        warm start is the same as ever: if the old levels still suffice
-        with the newcomer at the top level, only the newcomer is
-        refined; otherwise the component's refinement reruns with each
-        old transaction's search floored at its previous optimal level
-        (pointwise monotonicity).  Counterexamples discovered along the
-        way are cached on the component's context and revalidated
-        against later candidates before any full search.
+        A batch of one (:meth:`apply_batch`).  Only the component the
+        newcomer merges into is re-analyzed; when the old levels still
+        suffice with the newcomer at the top level, the floored
+        refinement probes the newcomer alone.
         """
-        if transaction.tid in self._transactions:
-            raise WorkloadError(f"transaction {transaction.tid} already present")
-        stats = self._begin_mutation()
-        self._transactions[transaction.tid] = transaction
-        self._plan.add(transaction)
-        with current_tracer().span(
-            "incremental.add", tid=transaction.tid, size=len(self._transactions)
-        ) as add_span:
-            allocation = self._add(transaction, stats)
-            add_span.set(
-                checks=self._last_check_count,
-                shards=len(self._sctx.plan),
-                touched=len(self._sctx.plan.shards[
-                    self._plan.shard_index(transaction.tid)
-                ]),
-            )
-        return allocation
-
-    def _add(self, transaction: Transaction, stats: ContextStats) -> Allocation:
-        """The :meth:`add` refinement body (spanned by the wrapper)."""
-        workload, sctx, new_map, new_workloads, fresh = self._rebuild_context(
-            stats, {transaction.tid}
-        )
-        touched = self._plan.shard_index(transaction.tid)
-        assert fresh == [touched], "add must touch exactly the merged shard"
-        ctx = sctx.shard_context(touched)
-        shard = sctx.plan.shards[touched]
-        sub_workload = sctx.shard_workload(touched)
-        top = self._levels[-1]
-        old = self._allocation
-        candidate = Allocation(
-            {
-                **{tid: old[tid] for tid in shard if tid != transaction.tid},
-                transaction.tid: top,
-            }
-        )
-        if _robust_with_warm_start(
-            sub_workload, candidate, self._method, ctx, n_jobs=self._n_jobs
-        ):
-            # Old levels still optimal; refine only the newcomer.
-            current = candidate
-            for level in self._levels[:-1]:
-                lowered = current.with_level(transaction.tid, level)
-                if _robust_with_warm_start(
-                    sub_workload, lowered, self._method, ctx
-                ):
-                    current = lowered
-                    break
-        else:
-            # Some old transaction of the merged component must rise:
-            # rerun its refinement with the old optimum as floor.
-            floors = {tid: old[tid] for tid in shard if tid != transaction.tid}
-            floors[transaction.tid] = self._levels[0]
-            current = refine_allocation(
-                sub_workload,
-                Allocation.uniform(sub_workload, top),
-                self._levels,
-                method=self._method,
-                context=ctx,
-                n_jobs=self._n_jobs,
-                floors=floors,
-            )
-        levels = {tid: old[tid] for tid in workload.tids if tid in old}
-        for tid in shard:
-            levels[tid] = current[tid]
-        self._finish(sctx, stats, new_map, new_workloads, Allocation(levels))
-        return self._allocation
+        return self.apply_batch([("add", transaction)])
 
     def remove(self, tid: int) -> Allocation:
         """Remove a transaction; returns the new optimal allocation.
 
-        Removal preserves robustness, so the remaining levels are still
-        robust — but possibly no longer minimal.  The plan re-checks
-        connectivity only over the departed component's survivors (a
-        singleton or leaf departure skips even that), and only the
-        resulting fragments are refined (downward, from their previous
-        levels); every other component's optimum is untouched by
-        construction, so its sub-workload, context and levels carry
-        over with zero work — a departing singleton costs no robustness
-        check and no conflict-index build at all.
+        A batch of one (:meth:`apply_batch`).  Only the departed
+        component's fragments are refined, downward from their previous
+        levels; a departing singleton costs no robustness check and no
+        conflict-index build at all.
         """
-        if tid not in self._transactions:
-            raise WorkloadError(f"no transaction with id {tid}")
-        stats = self._begin_mutation()
-        del self._transactions[tid]
-        survivors = self._plan.remove(tid)
-        with current_tracer().span(
-            "incremental.remove", tid=tid, size=len(self._transactions)
-        ) as remove_span:
-            workload, sctx, new_map, new_workloads, fresh = (
-                self._rebuild_context(stats, set(survivors))
-            )
-            old = self._allocation
-            levels = {t: old[t] for t in workload.tids}
-            for index in fresh:
-                shard = sctx.plan.shards[index]
-                sub_workload = sctx.shard_workload(index)
-                start = Allocation({t: old[t] for t in shard})
-                refined = refine_allocation(
-                    sub_workload,
-                    start,
-                    self._levels,
-                    method=self._method,
-                    context=sctx.shard_context(index),
-                    n_jobs=self._n_jobs,
-                )
-                for t in shard:
-                    levels[t] = refined[t]
-            self._finish(sctx, stats, new_map, new_workloads, Allocation(levels))
-            remove_span.set(
-                checks=self._last_check_count, shards=len(sctx.plan)
-            )
-        return self._allocation
+        return self.apply_batch([("remove", tid)])
 
     def apply_batch(self, mutations: Iterable[BatchMutation]) -> Allocation:
         """Apply a batch of mutations with one re-analysis per touched shard.
 
         ``mutations`` is an ordered sequence of ``("add", Transaction)``
-        / ``("remove", tid)`` entries.  The whole batch is validated
-        first (a duplicate add or a remove of an absent tid raises
+        / ``("remove", tid)`` entries; :meth:`add` and :meth:`remove`
+        are batches of one.  The whole batch is validated first (a
+        duplicate add or a remove of an absent tid raises
         :class:`~repro.core.workload.WorkloadError` *before* any state
-        changes), then every plan update is applied, and finally each
-        touched component is re-analyzed **once** against the coalesced
-        membership instead of once per mutation:
+        changes), then every plan update is applied — the plan merges
+        only the components a newcomer's objects reach and re-checks
+        connectivity only over a departed component's survivors — and
+        finally each touched component is re-analyzed **once** against
+        the coalesced membership.  Untouched components keep their
+        sub-workloads, contexts and levels.
 
-        * a component that only absorbed newcomers starts from the old
-          levels with the newcomers at the top, floored at the old
-          optimum (pointwise monotonicity — valid because none of its
-          prior members departed);
-        * a component that only lost members starts from the old levels
-          (robust by removal monotonicity) and refines downward;
-        * a component that both gained and lost members warm-starts
-          from the old-levels-plus-newcomers candidate when that is
-          robust, and from uniform top otherwise (no floors — removals
-          may have freed capacity below the old optimum).
+        A touched component starts from its old levels with its
+        newcomers at the top level — robust by removal monotonicity
+        when it gained nobody, otherwise checked, falling back to
+        uniform top.  When none of its prior members departed, the old
+        optimum floors the refinement (pointwise monotonicity), so a
+        component whose old levels still suffice probes only its
+        newcomers; removals may free capacity below the old optimum,
+        so a removal-hit component refines without floors.
 
         Because the optimum is unique (Proposition 4.2) the resulting
         allocation is bit-identical to applying the same mutations one
@@ -439,9 +321,11 @@ class AllocationManager:
             ops.append((kind, value))
         if not ops:
             return self._allocation
-        stats = self._begin_mutation()
+        stats = ContextStats()
+        self._plan.stats = stats
+        adds = sum(1 for kind, _ in ops if kind == "add")
         with current_tracer().span(
-            "incremental.batch", mutations=len(ops)
+            "incremental.batch", adds=adds, removes=len(ops) - adds
         ) as batch_span:
             dirty: Set[int] = set()
             newcomers: Set[int] = set()
@@ -461,64 +345,41 @@ class AllocationManager:
                     removal_hit.update(survivors)
                     dirty.discard(tid)
                     newcomers.discard(tid)
-            dirty &= set(self._transactions)
-            removal_hit &= set(self._transactions)
             workload, sctx, new_map, new_workloads, fresh = (
                 self._rebuild_context(stats, dirty)
             )
             old = self._allocation
-            top = self._levels[-1]
+            bottom, top = self._levels[0], self._levels[-1]
             levels = {t: old[t] for t in workload.tids if t in old}
             for index in fresh:
                 shard = sctx.plan.shards[index]
                 sub_workload = sctx.shard_workload(index)
                 ctx = sctx.shard_context(index)
-                shard_new = [t for t in shard if t in newcomers]
-                survivors_old = {
-                    t: old[t] for t in shard if t not in newcomers
-                }
-                candidate = Allocation(
-                    {**survivors_old, **{t: top for t in shard_new}}
+                start = Allocation(
+                    {t: top if t in newcomers else old[t] for t in shard}
                 )
-                if not shard_new:
-                    # Pure shrinkage: the old levels are a robust start.
-                    refined = refine_allocation(
-                        sub_workload,
-                        candidate,
-                        self._levels,
-                        method=self._method,
-                        context=ctx,
+                floors = None
+                if removal_hit.isdisjoint(shard):
+                    floors = {
+                        t: bottom if t in newcomers else old[t] for t in shard
+                    }
+                if not newcomers.isdisjoint(shard) and not (
+                    _robust_with_warm_start(
+                        sub_workload, start, self._method, ctx,
                         n_jobs=self._n_jobs,
                     )
-                else:
-                    floors = None
-                    if not any(t in removal_hit for t in shard):
-                        # Growth only: nobody departed, so the old
-                        # optimum floors the survivors (monotonicity).
-                        floors = dict(survivors_old)
-                        for t in shard_new:
-                            floors[t] = self._levels[0]
-                    if _robust_with_warm_start(
-                        sub_workload,
-                        candidate,
-                        self._method,
-                        ctx,
-                        n_jobs=self._n_jobs,
-                    ):
-                        start = candidate
-                    else:
-                        start = Allocation.uniform(sub_workload, top)
-                    refined = refine_allocation(
-                        sub_workload,
-                        start,
-                        self._levels,
-                        method=self._method,
-                        context=ctx,
-                        n_jobs=self._n_jobs,
-                        floors=floors,
-                    )
-                for t in shard:
-                    levels[t] = refined[t]
+                ):
+                    start = Allocation.uniform(sub_workload, top)
+                refined = refine_allocation(
+                    sub_workload,
+                    start,
+                    self._levels,
+                    method=self._method,
+                    context=ctx,
+                    n_jobs=self._n_jobs,
+                    floors=floors,
+                )
+                levels.update(refined.items())
             self._finish(sctx, stats, new_map, new_workloads, Allocation(levels))
             batch_span.set(
                 checks=self._last_check_count,
@@ -644,14 +505,11 @@ class AllocationManager:
         if plan is None:
             plan = DynamicShardPlan(workload, stats=stats)
         manager._plan = plan
-        sctx = ShardedContext(manager.workload, stats=stats, plan=plan.freeze())
-        new_map: Dict[Tuple[int, ...], AnalysisContext] = {}
-        new_workloads: Dict[Tuple[int, ...], Workload] = {}
-        for index, shard in enumerate(sctx.plan.shards):
-            ctx = sctx.shard_context(index)
+        _workload, sctx, new_map, new_workloads, _fresh = (
+            manager._rebuild_context(stats, set(workload.tids))
+        )
+        for ctx in new_map.values():
             ctx.adopt_witnesses(specs)
-            new_map[shard] = ctx
-            new_workloads[shard] = sctx.shard_workload(index)
         manager._finish(sctx, stats, new_map, new_workloads, allocation)
         if verify and not manager.check(allocation):
             raise WorkloadError(

@@ -7,25 +7,26 @@ socket layer only frames lines and calls :meth:`ServiceCore.handle`, so
 everything here is unit-testable without sockets and reusable in-process
 (the churn benchmark drives it directly).
 
-Three service-level behaviours live on top of the manager:
+Four service-level behaviours live on top of the manager:
 
+* **One mutation path** — single ``add``/``remove`` envelopes, the
+  mutation entries of a ``batch`` and queue retries all run through one
+  method: entries are checked against the evolving tid set (a bad entry
+  gets the error it would get if sent alone), the valid ones run as ONE
+  :meth:`~repro.core.incremental.AllocationManager.apply_batch` (one
+  re-analysis per touched conflict component), and the admission policy
+  is evaluated once on the outcome.
 * **Admission control** — an :class:`AdmissionPolicy` rejects (or
   queues) a transaction whose admission would force a *downgrade storm*:
   more than ``max_promotions`` already-admitted transactions pushed to a
   higher level, or the fraction of transactions still enjoying a level
   below the top dropping under ``floor``.  The rejection envelope
   carries the witness chain proving the old levels cannot survive the
-  newcomer, and the rejected transaction is rolled back via
-  :meth:`~repro.core.incremental.AllocationManager.remove` — the unique
-  optimum (Proposition 4.2) guarantees the roll-back restores the exact
-  pre-admission allocation.
-* **Batch coalescing** — a ``batch`` envelope's consecutive
-  add/remove entries execute as ONE
-  :meth:`~repro.core.incremental.AllocationManager.apply_batch` (one
-  re-analysis per touched conflict component) with admission evaluated
-  against the coalesced outcome; any per-entry error or policy
-  violation falls back to the exact sequential path (pass
-  ``"coalesce": false`` to force it).
+  newcomer, and the rejected transaction is rolled back by the inverse
+  batch — the unique optimum (Proposition 4.2) guarantees the roll-back
+  restores the exact pre-admission allocation.  The policy judges each
+  admission against the state just before it, so under a policy that
+  can reject, a batch holding an add runs entry by entry.
 * **Warm snapshots** — :meth:`snapshot`/:meth:`restore` wrap
   ``save_state``/``load_state`` in the atomic on-disk envelope of
   :mod:`repro.service.snapshot`; ``snapshot_every`` auto-snapshots after
@@ -34,7 +35,8 @@ Three service-level behaviours live on top of the manager:
   :class:`~repro.observability.MetricsRegistry` (``service.<op>``
   timers), admission decisions and per-mutation analysis counters
   (checks, witness hits, ...) are folded into its counters, and the
-  ``metrics`` envelope / HTTP ``/metrics`` endpoint export the lot.
+  ``metrics`` envelope / HTTP ``/metrics`` endpoint export the lot
+  through :meth:`ServiceCore.metrics_snapshot`.
 
 All command execution is serialized under one lock: the manager is a
 single-writer structure, and correctness of the warm-start chain
@@ -43,15 +45,15 @@ single-writer structure, and correctness of the warm-start chain
 
 from __future__ import annotations
 
-import json
 import time
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from ..core.incremental import AllocationManager
+from ..core.incremental import AllocationManager, BatchMutation
 from ..core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from ..core.robustness import check_robustness
+from ..core.split_schedule import SplitScheduleSpec
 from ..core.transactions import Transaction, TransactionError, parse_transaction
 from ..core.workload import WorkloadError
 from ..observability import (
@@ -72,6 +74,7 @@ from .protocol import (
     error_response,
     ok_response,
     parse_request,
+    validate_envelope,
 )
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 
@@ -105,6 +108,11 @@ class AdmissionPolicy:
             raise ValueError("max_promotions must be >= 0 (or None)")
         if self.mode not in ("reject", "queue"):
             raise ValueError('admission mode must be "reject" or "queue"')
+
+    @property
+    def active(self) -> bool:
+        """Whether this policy can ever refuse an admission."""
+        return self.max_promotions is not None or self.floor > 0.0
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,7 @@ class ServiceCore:
         self.config = config
         self.registry = MetricsRegistry()
         self._lock = threading.RLock()
-        self._queue: List[Transaction] = []
+        self._queue: List[Dict[str, Any]] = []  # parked add envelopes
         self._started = time.monotonic()
         self._mutations = 0
         self._since_snapshot = 0
@@ -205,8 +213,8 @@ class ServiceCore:
         self._handlers: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {
             "hello": self._cmd_hello,
             "status": self._cmd_status,
-            "add": self._cmd_add,
-            "remove": self._cmd_remove,
+            "add": self._cmd_mutate,
+            "remove": self._cmd_mutate,
             "check": self._cmd_check,
             "allocate": self._cmd_allocate,
             "batch": self._cmd_batch,
@@ -249,7 +257,7 @@ class ServiceCore:
     @property
     def queued_tids(self) -> Tuple[int, ...]:
         """Transaction ids parked by queue-mode admission control."""
-        return tuple(txn.tid for txn in self._queue)
+        return tuple(sub["tid"] for sub in self._queue)
 
     # ------------------------------------------------------------------
     def handle_line(self, line: str) -> Dict[str, Any]:
@@ -266,68 +274,42 @@ class ServiceCore:
 
         Every request gets a fresh ``request_id`` (stamped on the
         response, on its spans, and on its events), runs under the core
-        lock and a per-request flight-recorder tracer (depth-capped, so
+        lock and the reusable flight-recorder tracer (depth-capped, so
         the deep analysis instrumentation stays cheap), and lands its
         latency in the ``service.<op>`` / ``service.request`` timers
         and their streaming histograms plus the windowed rate series.
         The finished span tree goes to the :class:`TraceRetainer`
         (``dump-traces``); when the daemon itself traces, the batch is
-        also absorbed into the installed tracer.
+        also absorbed into the installed tracer.  A ``batch`` is one
+        request: its entries run inside it, not through here.
         """
         op = str(envelope.get("op"))
         request_id = new_request_id()
         start = time.perf_counter()
         with self._lock:
             handler = self._handlers.get(op)
+            tracer = self._request_tracer
             if handler is None:
                 response = error_response(
                     envelope, "unknown-op", f"unknown command {op!r}"
                 )
-                request_tracer = None
             else:
-                request_tracer = self._request_tracer
-                if current_tracer() is request_tracer:
-                    # Nested request (a batch entry dispatched back
-                    # through handle()): the shared tracer is holding
-                    # the outer request's open span, so this one pays
-                    # for its own.
-                    request_tracer = Tracer(
-                        origin="main",
-                        max_depth=self.config.retain_depth,
-                        record_metrics=False,
-                    )
-                else:
-                    request_tracer.reset()
-                previous = set_tracer(request_tracer)
+                tracer.reset()
+                previous = set_tracer(tracer)
                 try:
-                    with request_tracer.span(
+                    with tracer.span(
                         "service.request", op=op, request_id=request_id
                     ) as root:
-                        try:
-                            response = handler(envelope)
-                        except ProtocolError as exc:
-                            response = error_response(envelope, exc.code, str(exc))
-                        except (CommandError, TransactionError) as exc:
-                            response = error_response(envelope, "bad-request", str(exc))
-                        except SnapshotError as exc:
-                            response = error_response(
-                                envelope, "snapshot-error", str(exc)
-                            )
-                        except WorkloadError as exc:
-                            response = error_response(envelope, "conflict", str(exc))
-                        except Exception as exc:  # the daemon must never die mid-line
-                            response = error_response(
-                                envelope, "internal", f"{type(exc).__name__}: {exc}"
-                            )
+                        response = self._run(handler, envelope)
                         root.set(ok=bool(response.get("ok")))
                 finally:
                     set_tracer(previous)
                 if previous.enabled:
-                    previous.absorb(request_tracer.batch())
+                    previous.absorb(tracer.batch())
             elapsed = time.perf_counter() - start
             response["request_id"] = request_id
             self._observe_request(op, request_id, envelope, response, elapsed)
-            if request_tracer is not None:
+            if handler is not None:
                 self.retainer.add(
                     RetainedTrace(
                         request_id=request_id,
@@ -335,12 +317,21 @@ class ServiceCore:
                         ts=time.time(),
                         duration_s=elapsed,
                         ok=bool(response.get("ok")),
-                        spans=[
-                            record.as_event() for record in request_tracer.spans
-                        ],
+                        spans=[record.as_event() for record in tracer.spans],
                     )
                 )
         return response
+
+    @staticmethod
+    def _run(
+        handler: Callable[[Mapping[str, Any]], Dict[str, Any]],
+        envelope: Mapping[str, Any],
+    ) -> Dict[str, Any]:
+        """``handler(envelope)``, with any exception as its error envelope."""
+        try:
+            return handler(envelope)
+        except Exception as exc:  # the daemon must never die mid-line
+            return _error_for(envelope, exc)
 
     def _observe_request(
         self,
@@ -360,15 +351,14 @@ class ServiceCore:
         if not ok:
             self.registry.incr("service.errors")
             self.series["errors"].record(now)
-        checks = response.get("checks")
-        if isinstance(checks, int) and not isinstance(checks, bool):
-            self.series["checks"].record(now, float(checks))
         event: Dict[str, Any] = {
             "op": op,
             "ok": ok,
             "latency_ms": round(elapsed * 1e3, 3),
         }
+        checks = response.get("checks")
         if isinstance(checks, int) and not isinstance(checks, bool):
+            self.series["checks"].record(now, float(checks))
             event["checks"] = checks
         error = response.get("error")
         if isinstance(error, dict) and "code" in error:
@@ -388,20 +378,13 @@ class ServiceCore:
             return
         p99_ms = histogram.quantile(0.99) * 1e3
         breached = p99_ms > threshold_ms
-        if breached and not self._slo_breached:
-            self.registry.incr("service.slo_breaches")
+        if breached != self._slo_breached:
+            if breached:
+                self.registry.incr("service.slo_breaches")
             self.events.emit(
                 "alert",
                 request_id=request_id,
-                breached=True,
-                p99_ms=round(p99_ms, 3),
-                slo_p99_ms=threshold_ms,
-            )
-        elif not breached and self._slo_breached:
-            self.events.emit(
-                "alert",
-                request_id=request_id,
-                breached=False,
+                breached=breached,
                 p99_ms=round(p99_ms, 3),
                 slo_p99_ms=threshold_ms,
             )
@@ -433,13 +416,25 @@ class ServiceCore:
             if value:
                 self.registry.incr(f"context.{name}", value)
 
-    def _cheap_fraction(self, allocation: Allocation) -> float:
-        """Fraction of transactions allocated strictly below the top level."""
-        total = len(allocation)
-        if total == 0:
-            return 1.0
+    def _policy_reasons(
+        self, promotions: List[int], allocation: Allocation
+    ) -> List[str]:
+        """Why the admission policy refuses an outcome (empty: admitted)."""
+        policy = self.config.admission
+        reasons = []
+        if policy.max_promotions is not None and len(promotions) > policy.max_promotions:
+            reasons.append(
+                f"admission promotes {len(promotions)} transactions"
+                f" (> max_promotions={policy.max_promotions})"
+            )
         below = sum(1 for _tid, level in allocation.items() if level < self._top)
-        return below / total
+        fraction = below / len(allocation) if len(allocation) else 1.0
+        if fraction < policy.floor - 1e-12:
+            reasons.append(
+                f"fraction below {self._top.name} would drop to {fraction:.3f}"
+                f" (< floor={policy.floor})"
+            )
+        return reasons
 
     def _witness_payload(self, old: Allocation, txn: Transaction) -> Optional[Dict[str, Any]]:
         """The chain proving the pre-admission levels cannot absorb ``txn``.
@@ -449,12 +444,10 @@ class ServiceCore:
         that candidate is exactly what forces existing transactions to
         rise, and (delta lemma) its witness chain involves the newcomer
         plus currently-admitted transactions only — never a retired tid,
-        extending PR 6's stale-chain pruning guarantee to the service
-        boundary.
+        extending the manager's stale-chain pruning guarantee to the
+        service boundary.
         """
-        candidate = Allocation(
-            {**{tid: level for tid, level in old.items()}, txn.tid: self._top}
-        )
+        candidate = Allocation({**dict(old.items()), txn.tid: self._top})
         result = check_robustness(
             self._manager.workload,
             candidate,
@@ -463,85 +456,152 @@ class ServiceCore:
         )
         if result.robust or result.counterexample is None:
             return None
-        spec = result.counterexample.spec
-        return {
-            "split_tid": spec.split_tid,
-            "tids": sorted(
-                {quad.tid_i for quad in spec.chain}
-                | {quad.tid_j for quad in spec.chain}
-            ),
-            "chain": [
-                [quad.tid_i, str(quad.b), str(quad.a), quad.tid_j]
-                for quad in spec.chain
-            ],
-        }
+        return _chain_payload(result.counterexample.spec)
 
-    def _admit(self, txn: Transaction) -> Dict[str, Any]:
-        """Run one admission attempt; returns the add-response payload.
+    def _parse_mutation(
+        self, sub: Mapping[str, Any], present: Set[int]
+    ) -> BatchMutation:
+        """One add/remove envelope as a manager mutation.
 
-        The transaction is added for real, the policy is evaluated on
-        the resulting optimum, and a violating admission is rolled back
-        (unique optimum => the pre-admission allocation returns
-        exactly).
+        Checked against — and applied to — the evolving tid set
+        ``present``; raises exactly what the envelope would raise if it
+        were sent alone.
         """
-        policy = self.config.admission
-        old = self._manager.allocation
-        new = self._manager.add(txn)
-        checks = self._manager.last_check_count
+        validate_envelope(sub)
+        op, tid = sub["op"], sub.get("tid")
+        if op == "add" and not isinstance(sub["transaction"], str):
+            raise ProtocolError('"transaction" must be a string')
+        if not isinstance(tid, int) and (tid is not None or op == "remove"):
+            raise ProtocolError('"tid" must be an integer')
+        if op == "remove":
+            if tid not in present:
+                raise ProtocolError(f"no transaction with id {tid}", code="not-found")
+            present.discard(tid)
+            return ("remove", tid)
+        txn = parse_transaction(sub["transaction"], tid=tid)
+        if txn.tid in present:
+            raise WorkloadError(f"transaction {txn.tid} already present")
+        present.add(txn.tid)
+        return ("add", txn)
+
+    def _mutate(
+        self, entries: List[Mapping[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], int, int]:
+        """Execute add/remove envelopes: the one path every mutation takes.
+
+        Single ``add``/``remove`` envelopes, the mutation runs of a
+        ``batch`` and queue retries all land here.  Every entry is
+        checked against the evolving tid set first, so a bad entry gets
+        the error it would get if sent alone; the valid ones run as ONE
+        :meth:`~repro.core.incremental.AllocationManager.apply_batch`
+        and the admission policy is evaluated once on the outcome.  A
+        refused add is rolled back by the inverse batch (exact: the
+        optimum is unique), reported with its witness chain and, in
+        queue mode, parked.  A single mutation answers with the new
+        allocation (a remove also retries the queue); the entries of a
+        larger batch are marked ``"coalesced": true``.
+
+        The policy judges each admission against the state just before
+        it, which a coalesced outcome does not show — a later add may
+        promote an earlier newcomer, a removal may hide a promotion —
+        and removals must retry a non-empty queue.  So when the policy
+        can reject and the entries hold an add, or when the queue is
+        non-empty, each entry runs alone through this method instead.
+
+        Returns the per-entry responses, the robustness checks spent and
+        the number of coalesced mutations.
+        """
+        if len(entries) > 1 and (
+            self._queue
+            or (
+                self.config.admission.active
+                and any(sub.get("op") == "add" for sub in entries)
+            )
+        ):
+            results, checks = [], 0
+            for sub in entries:
+                (response,), spent, _ = self._mutate([sub])
+                results.append(response)
+                checks += spent
+            return results, checks, 0
+        manager = self._manager
+        present = set(manager.allocation.tids)
+        results = [{} for _ in entries]
+        ops: List[Tuple[int, BatchMutation]] = []
+        for slot, sub in enumerate(entries):
+            try:
+                ops.append((slot, self._parse_mutation(sub, present)))
+            except (ProtocolError, TransactionError, WorkloadError) as exc:
+                results[slot] = _error_for(sub, exc)
+        if not ops:
+            return results, 0, 0
+        old = manager.allocation
+        new = manager.apply_batch([op for _slot, op in ops])
+        checks = manager.last_check_count
+        adds = [(slot, value) for slot, (kind, value) in ops if kind == "add"]
         promotions = sorted(
-            tid for tid, level in old.items() if new[tid] > level
+            tid for tid, level in old.items() if tid in new and new[tid] > level
         )
-        reasons = []
-        if policy.max_promotions is not None and len(promotions) > policy.max_promotions:
-            reasons.append(
-                f"admission promotes {len(promotions)} transactions"
-                f" (> max_promotions={policy.max_promotions})"
+        reasons = self._policy_reasons(promotions, new) if adds else []
+        if reasons:  # only a lone add can be refused here
+            [(slot, txn)] = adds
+            witness = self._witness_payload(old, txn)
+            self._merge_mutation_stats()  # the add's work plus the witness check
+            manager.apply_batch([("remove", txn.tid)])
+            self._merge_mutation_stats()  # the rollback's work
+            queued = self.config.admission.mode == "queue"
+            self.registry.incr("service.rejected")
+            self.series["rejections"].record(time.monotonic() - self._started)
+            self.events.emit(
+                "admission",
+                admitted=False,
+                tid=txn.tid,
+                reason="; ".join(reasons),
+                queued=queued,
             )
-        fraction = self._cheap_fraction(new)
-        if fraction < policy.floor - 1e-12:
-            reasons.append(
-                f"fraction below {self._top.name} would drop to {fraction:.3f}"
-                f" (< floor={policy.floor})"
+            if queued:
+                self._queue.append(
+                    {"op": "add", "transaction": entries[slot]["transaction"], "tid": txn.tid}
+                )
+                self.registry.incr("service.queued")
+            results[slot] = ok_response(
+                entries[slot],
+                admitted=False,
+                tid=txn.tid,
+                queued=queued,
+                reason="; ".join(reasons),
+                promotions=promotions,
+                checks=checks,
+                witness=witness,
+                allocation=self._allocation_payload(manager.allocation),
             )
-        if not reasons:
-            self._merge_mutation_stats()
-            self._record_mutation()
-            self.registry.incr("service.admitted")
-            return {
-                "admitted": True,
-                "tid": txn.tid,
-                "level": new[txn.tid].name,
-                "promotions": promotions,
+            return results, checks, 0
+        self._merge_mutation_stats()
+        self._record_mutation(len(ops))
+        self.registry.incr("service.admitted", len(adds))
+        retried: Tuple[List[int], List[int]] = ([], [])
+        if len(adds) < len(ops):
+            retried = self._retry_queue()
+        coalesced = len(ops) if len(ops) > 1 else 0
+        extra: Dict[str, Any] = {"coalesced": True}
+        if not coalesced:
+            extra = {
                 "checks": checks,
-                "allocation": self._allocation_payload(new),
+                "allocation": self._allocation_payload(manager.allocation),
             }
-        witness = self._witness_payload(old, txn)
-        self._merge_mutation_stats()  # the add's work plus the witness check
-        self._manager.remove(txn.tid)
-        self._merge_mutation_stats()  # the rollback's work
-        self.registry.incr("service.rejected")
-        self.series["rejections"].record(time.monotonic() - self._started)
-        self.events.emit(
-            "admission",
-            admitted=False,
-            tid=txn.tid,
-            reason="; ".join(reasons),
-            queued=policy.mode == "queue",
-        )
-        queued = policy.mode == "queue"
-        if queued:
-            self._queue.append(txn)
-            self.registry.incr("service.queued")
-        return {
-            "admitted": False,
-            "tid": txn.tid,
-            "queued": queued,
-            "reason": "; ".join(reasons),
-            "promotions": promotions,
-            "checks": checks,
-            "witness": witness,
-            "allocation": self._allocation_payload(self._manager.allocation),
-        }
+        for slot, (kind, value) in ops:
+            if kind == "remove":
+                fields = {"tid": value, "retried": retried[0], "dropped": retried[1]}
+            else:
+                fields = {
+                    "admitted": True,
+                    "tid": value.tid,
+                    "level": new[value.tid].name if value.tid in new else None,
+                }
+                if not coalesced:
+                    fields["promotions"] = promotions
+            results[slot] = ok_response(entries[slot], **fields, **extra)
+        return results, checks, coalesced
 
     def _record_mutation(self, n: int = 1) -> None:
         self._mutations += n
@@ -557,31 +617,35 @@ class ServiceCore:
             self._write_snapshot(self.config.snapshot_path)
             self.registry.incr("service.autosnapshots")
 
-    def _write_snapshot(self, path: str) -> int:
+    def _write_snapshot(self, path: str) -> Tuple[int, Dict[str, Any]]:
+        """Persist the warm state at ``path``; returns ``(bytes, state)``."""
         with current_tracer().span("service.snapshot", path=path):
-            size = write_snapshot(path, self._manager.save_state())
+            state = self._manager.save_state()
+            size = write_snapshot(path, state)
         self._since_snapshot = 0
         self.registry.incr("service.snapshots")
-        return size
+        return size, state
 
-    def _retry_queue(self) -> Dict[str, List[int]]:
-        """Re-attempt queued admissions after capacity freed up."""
+    def _retry_queue(self) -> Tuple[List[int], List[int]]:
+        """Re-attempt queued admissions; returns ``(admitted, dropped)``.
+
+        A queued tid that was reused meanwhile is dropped; one refused
+        again is parked again, in its original arrival order.
+        """
         admitted: List[int] = []
         dropped: List[int] = []
-        still: List[Transaction] = []
+        still: List[Dict[str, Any]] = []
         pending, self._queue = self._queue, []
-        for txn in pending:
-            if txn.tid in self._manager.workload:
-                dropped.append(txn.tid)  # the tid was reused meanwhile
-                continue
-            outcome = self._admit(txn)
-            if outcome["admitted"]:
-                admitted.append(txn.tid)
+        for sub in pending:
+            (response,), _checks, _ = self._mutate([sub])
+            if not response["ok"]:
+                dropped.append(sub["tid"])
+            elif response["admitted"]:
+                admitted.append(sub["tid"])
             else:
-                still.append(txn)
-        # _admit re-queued the failures; keep original arrival order.
+                still.append(sub)
         self._queue = still
-        return {"admitted": admitted, "dropped": dropped}
+        return admitted, dropped
 
     # -- command handlers ----------------------------------------------
     def _cmd_hello(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
@@ -610,39 +674,9 @@ class ServiceCore:
             stopping=self._stopping,
         )
 
-    def _cmd_add(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        text = envelope["transaction"]
-        if not isinstance(text, str):
-            raise ProtocolError('"transaction" must be a string')
-        tid = envelope.get("tid")
-        if tid is not None and not isinstance(tid, int):
-            raise ProtocolError('"tid" must be an integer')
-        txn = parse_transaction(text, tid=tid)
-        if txn.tid in self._manager.workload:
-            raise WorkloadError(f"transaction {txn.tid} already present")
-        return ok_response(envelope, **self._admit(txn))
-
-    def _cmd_remove(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        tid = envelope["tid"]
-        if not isinstance(tid, int):
-            raise ProtocolError('"tid" must be an integer')
-        if tid not in self._manager.workload:
-            return error_response(
-                envelope, "not-found", f"no transaction with id {tid}"
-            )
-        allocation = self._manager.remove(tid)
-        checks = self._manager.last_check_count
-        self._merge_mutation_stats()
-        self._record_mutation()
-        retried = self._retry_queue()
-        return ok_response(
-            envelope,
-            tid=tid,
-            checks=checks,
-            allocation=self._allocation_payload(self._manager.allocation),
-            retried=retried["admitted"],
-            dropped=retried["dropped"],
-        )
+    def _cmd_mutate(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
+        (response,), _checks, _coalesced = self._mutate([envelope])
+        return response
 
     def _parse_check_allocation(self, envelope: Mapping[str, Any]) -> Allocation:
         workload = self._manager.workload
@@ -687,17 +721,8 @@ class ServiceCore:
         if not result.robust and result.counterexample is not None:
             from ..analysis.anomalies import classify_counterexample
 
-            spec = result.counterexample.spec
             payload["counterexample"] = {
-                "split_tid": spec.split_tid,
-                "tids": sorted(
-                {quad.tid_i for quad in spec.chain}
-                | {quad.tid_j for quad in spec.chain}
-            ),
-                "chain": [
-                    [quad.tid_i, str(quad.b), str(quad.a), quad.tid_j]
-                    for quad in spec.chain
-                ],
+                **_chain_payload(result.counterexample.spec),
                 "anomaly": str(classify_counterexample(result.counterexample)),
             }
         return ok_response(envelope, **payload)
@@ -711,161 +736,51 @@ class ServiceCore:
             histogram=self._histogram(allocation),
         )
 
-    def _run_coalesced(
-        self,
-        run: List[Tuple[int, Mapping[str, Any]]],
-        results: List[Optional[Dict[str, Any]]],
-    ) -> Optional[Dict[str, int]]:
-        """Execute a run of add/remove envelopes as ONE manager batch.
-
-        Pre-validates every entry against the evolving tid set without
-        touching state; any entry that would error (bad field, duplicate
-        tid, unknown tid) aborts coalescing and returns ``None`` — the
-        caller replays the run sequentially so per-entry error envelopes
-        are exactly the non-coalesced ones.  On a clean batch the
-        admission policy is evaluated once against the coalesced
-        outcome; a violation rolls the whole batch back (inverse
-        mutations in reverse order restore the exact prior allocation —
-        unique optimum) and again returns ``None``, so the sequential
-        replay decides per-entry which admissions survive and carries
-        the per-entry witness payloads.  On success the per-entry
-        responses are synthesized (marked ``"coalesced": true``) and a
-        ``{"checks", "coalesced"}`` summary is returned.
-        """
-        manager = self._manager
-        workload = manager.workload
-        present = set(workload.tids)
-        ops: List[Tuple[str, Any]] = []
-        inverse: List[Tuple[str, Any]] = []
-        live: Dict[int, Transaction] = {}
-        for _slot, sub in run:
-            if sub.get("op") == "add":
-                text = sub.get("transaction")
-                tid = sub.get("tid")
-                if not isinstance(text, str) or (
-                    tid is not None and not isinstance(tid, int)
-                ):
-                    return None
-                try:
-                    txn = parse_transaction(text, tid=tid)
-                except TransactionError:
-                    return None
-                if txn.tid in present:
-                    return None
-                present.add(txn.tid)
-                live[txn.tid] = txn
-                ops.append(("add", txn))
-                inverse.append(("remove", txn.tid))
-            else:
-                tid = sub.get("tid")
-                if not isinstance(tid, int) or tid not in present:
-                    return None
-                present.discard(tid)
-                victim = live.pop(tid, None) or workload[tid]
-                ops.append(("remove", tid))
-                inverse.append(("add", victim))
-        inverse.reverse()
-        old = manager.allocation
-        new = manager.apply_batch(ops)
-        checks = manager.last_check_count
-        self._merge_mutation_stats()
-        promotions: List[int] = []
-        if any(kind == "add" for kind, _ in ops):
-            policy = self.config.admission
-            promotions = sorted(
-                tid for tid, level in old.items()
-                if tid in new and new[tid] > level
-            )
-            reasons = []
-            if (
-                policy.max_promotions is not None
-                and len(promotions) > policy.max_promotions
-            ):
-                reasons.append("too many promotions")
-            if self._cheap_fraction(new) < policy.floor - 1e-12:
-                reasons.append("floor violated")
-            if reasons:
-                manager.apply_batch(inverse)
-                self._merge_mutation_stats()  # the probe + rollback's work
-                return None
-        for (slot, sub), (kind, value) in zip(run, ops):
-            if kind == "add":
-                results[slot] = ok_response(
-                    sub,
-                    admitted=True,
-                    tid=value.tid,
-                    level=new[value.tid].name if value.tid in new else None,
-                    coalesced=True,
-                )
-                self.registry.incr("service.admitted")
-            else:
-                results[slot] = ok_response(
-                    sub, tid=value, coalesced=True, retried=[], dropped=[]
-                )
-        if ops:
-            self._record_mutation(len(ops))
-        return {"checks": checks, "coalesced": len(ops)}
-
     def _cmd_batch(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         commands = envelope["commands"]
         if not isinstance(commands, list):
             raise ProtocolError('"commands" must be an array of envelopes')
-        coalesce = envelope.get("coalesce", True)
-        if not isinstance(coalesce, bool):
-            raise ProtocolError('"coalesce" must be a boolean')
-        results: List[Optional[Dict[str, Any]]] = [None] * len(commands)
-        checks = 0
-        coalesced = 0
-        run: List[Tuple[int, Mapping[str, Any]]] = []
+        results: List[Dict[str, Any]] = []
+        checks = coalesced = 0
+        run: List[Mapping[str, Any]] = []
 
         def flush() -> None:
             nonlocal checks, coalesced
-            if not run:
-                return
-            if coalesce and len(run) > 1 and not self._queue:
-                summary = self._run_coalesced(run, results)
-                if summary is not None:
-                    checks += summary["checks"]
-                    coalesced += summary["coalesced"]
-                    run.clear()
-                    return
-            for slot, sub in run:
-                response = self.handle_line(json.dumps(sub))
-                results[slot] = response
-                if isinstance(response.get("checks"), int):
-                    checks += response["checks"]
-            run.clear()
+            if run:
+                responses, spent, merged = self._mutate(run)
+                results.extend(responses)
+                checks += spent
+                coalesced += merged
+                run.clear()
 
-        for slot, sub in enumerate(commands):
-            if not isinstance(sub, dict):
-                flush()
-                results[slot] = error_response(
-                    None, "bad-request", "batch entry must be an object"
-                )
-                continue
-            if sub.get("op") in ("batch", "shutdown"):
-                flush()
-                results[slot] = error_response(
-                    sub, "bad-request", f'{sub.get("op")!r} cannot nest in a batch'
-                )
-                continue
-            if sub.get("op") in ("add", "remove"):
-                run.append((slot, sub))
+        for sub in commands:
+            if isinstance(sub, dict) and sub.get("op") in ("add", "remove"):
+                run.append(sub)
                 continue
             flush()  # reads must observe the preceding mutations
-            response = self.handle_line(json.dumps(sub))
-            results[slot] = response
-            if isinstance(response.get("checks"), int):
-                checks += response["checks"]
+            if isinstance(sub, dict):
+                results.append(self._run(self._batch_command, sub))
+            else:
+                results.append(
+                    error_response(None, "bad-request", "batch entry must be an object")
+                )
         flush()
+        failed = sum(1 for response in results if not response.get("ok"))
         return ok_response(
             envelope,
             results=results,
-            succeeded=sum(1 for r in results if r and r.get("ok")),
-            failed=sum(1 for r in results if not (r and r.get("ok"))),
+            succeeded=len(results) - failed,
+            failed=failed,
             checks=checks,
             coalesced=coalesced,
         )
+
+    def _batch_command(self, sub: Mapping[str, Any]) -> Dict[str, Any]:
+        """A batch entry other than add/remove, run in place (not a request)."""
+        if sub.get("op") in ("batch", "shutdown"):
+            raise ProtocolError(f'{sub.get("op")!r} cannot nest in a batch')
+        validate_envelope(sub)
+        return self._handlers[sub["op"]](sub)
 
     def _resolve_snapshot_path(self, envelope: Mapping[str, Any]) -> str:
         path = envelope.get("path") or self.config.snapshot_path
@@ -877,11 +792,7 @@ class ServiceCore:
 
     def _cmd_snapshot(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         path = self._resolve_snapshot_path(envelope)
-        state = self._manager.save_state()
-        with current_tracer().span("service.snapshot", path=path):
-            size = write_snapshot(path, state)
-        self._since_snapshot = 0
-        self.registry.incr("service.snapshots")
+        size, state = self._write_snapshot(path)
         return ok_response(
             envelope,
             path=path,
@@ -939,12 +850,21 @@ class ServiceCore:
             gauges[name] = float(value)
         return gauges
 
+    def metrics_snapshot(self) -> Tuple[Dict[str, float], MetricsRegistry]:
+        """The gauges and a copy of the registry, read under the core lock.
+
+        The daemon's HTTP thread scrapes while the command thread
+        mutates the manager and the registry; reading either unlocked
+        can fail mid-iteration or tear a counter from its timer.
+        """
+        with self._lock:
+            registry = MetricsRegistry()
+            registry.merge(self.registry)
+            return self.gauges(), registry
+
     def _cmd_metrics(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        return ok_response(
-            envelope,
-            gauges=self.gauges(),
-            **self.registry.as_dict(),
-        )
+        gauges, registry = self.metrics_snapshot()
+        return ok_response(envelope, gauges=gauges, **registry.as_dict())
 
     def _cmd_dump_traces(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         """The flight recorder's retained request span trees.
@@ -980,3 +900,31 @@ class ServiceCore:
             snapshot=snapshot_path,
             transactions=len(self._manager.workload),
         )
+
+
+def _chain_payload(spec: SplitScheduleSpec) -> Dict[str, Any]:
+    """A witness chain as JSON: split tid, the tids it names, quadruples."""
+    return {
+        "split_tid": spec.split_tid,
+        "tids": sorted(
+            {quad.tid_i for quad in spec.chain} | {quad.tid_j for quad in spec.chain}
+        ),
+        "chain": [
+            [quad.tid_i, str(quad.b), str(quad.a), quad.tid_j] for quad in spec.chain
+        ],
+    }
+
+
+def _error_for(envelope: Mapping[str, Any], exc: Exception) -> Dict[str, Any]:
+    """The error envelope of an exception raised while executing ``envelope``."""
+    if isinstance(exc, ProtocolError):
+        code = exc.code
+    elif isinstance(exc, (CommandError, TransactionError)):
+        code = "bad-request"
+    elif isinstance(exc, SnapshotError):
+        code = "snapshot-error"
+    elif isinstance(exc, WorkloadError):
+        code = "conflict"
+    else:
+        return error_response(envelope, "internal", f"{type(exc).__name__}: {exc}")
+    return error_response(envelope, code, str(exc))

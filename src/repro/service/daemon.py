@@ -12,7 +12,9 @@ A :class:`ServiceServer` binds up to three listeners around one
 * optionally an HTTP metrics port (``--metrics-port``) serving
   ``GET /metrics`` (prometheus text, via
   :func:`~repro.observability.prometheus_text`) and ``/metrics.json``
-  (the raw registry plus gauges) — the ``start_metrics_server`` idiom.
+  (the raw registry plus gauges) — the ``start_metrics_server`` idiom;
+  both read :meth:`~repro.service.core.ServiceCore.metrics_snapshot`,
+  which takes the core lock.
 
 Connection threads only frame lines; every envelope funnels into
 ``core.handle_line``, which serializes execution under the core lock
@@ -98,19 +100,20 @@ class _MetricsHandler(http.server.BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         owner: "ServiceServer" = self.server.owner  # type: ignore[attr-defined]
-        core = owner.core
-        if self.path.split("?")[0] == "/metrics":
-            body = prometheus_text(
-                core.registry, core.gauges(), helps=METRIC_HELP
-            ).encode("utf-8")
-            ctype = "text/plain; version=0.0.4; charset=utf-8"
-        elif self.path.split("?")[0] == "/metrics.json":
-            payload = {"gauges": core.gauges(), **core.registry.as_dict()}
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-            ctype = "application/json"
-        else:
+        path = self.path.split("?")[0]
+        if path not in ("/metrics", "/metrics.json"):
             self.send_error(404, "try /metrics or /metrics.json")
             return
+        gauges, registry = owner.core.metrics_snapshot()
+        if path == "/metrics":
+            body = prometheus_text(registry, gauges, helps=METRIC_HELP).encode(
+                "utf-8"
+            )
+            ctype = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            payload = {"gauges": gauges, **registry.as_dict()}
+            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            ctype = "application/json"
         self.send_response(200)
         self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))

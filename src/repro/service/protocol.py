@@ -33,11 +33,13 @@ __all__ = [
     "error_response",
     "ok_response",
     "parse_request",
+    "validate_envelope",
 ]
 
 #: Version of the command envelope.  Bump on incompatible changes;
 #: ``hello`` reports it so clients can refuse to talk to a stranger.
-PROTOCOL_VERSION = 1
+#: Version 2: ``batch`` takes ``commands`` only.
+PROTOCOL_VERSION = 2
 
 #: Error codes carried by ``error.code``:
 #:
@@ -66,7 +68,7 @@ COMMANDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "remove": (("tid",), ()),
     "check": ((), ("allocation", "uniform")),
     "allocate": ((), ()),
-    "batch": (("commands",), ("coalesce",)),
+    "batch": (("commands",), ()),
     "snapshot": ((), ("path",)),
     "restore": ((), ("path", "verify")),
     "metrics": ((), ()),
@@ -93,9 +95,8 @@ def parse_request(line: str) -> Dict[str, Any]:
     """Parse and validate one request line into an envelope dict.
 
     Raises:
-        ProtocolError: on non-JSON input, a non-object envelope, a
-            missing/unknown ``op``, or missing/unexpected fields for the
-            named command.
+        ProtocolError: on non-JSON input, a non-object envelope, or
+            anything :func:`validate_envelope` refuses.
     """
     try:
         envelope = json.loads(line)
@@ -103,6 +104,19 @@ def parse_request(line: str) -> Dict[str, Any]:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
     if not isinstance(envelope, dict):
         raise ProtocolError("request must be a JSON object")
+    return validate_envelope(envelope)
+
+
+def validate_envelope(envelope: Dict[str, Any]) -> Dict[str, Any]:
+    """Check an envelope object's ``op`` and field names; returns it.
+
+    The line-independent half of :func:`parse_request`, also applied to
+    every entry of a ``batch``.
+
+    Raises:
+        ProtocolError: on a missing/unknown ``op``, or missing/unexpected
+            fields for the named command.
+    """
     op = envelope.get("op")
     if not isinstance(op, str):
         raise ProtocolError('request misses the "op" field')

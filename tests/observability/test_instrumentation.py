@@ -88,11 +88,14 @@ class TestSequentialSpans:
             for txn in write_skew:
                 manager.add(txn)
             manager.remove(1)
-        names = _span_names(tracer)
-        assert names.count("incremental.add") == len(write_skew)
-        assert names.count("incremental.remove") == 1
-        add = next(s for s in tracer.spans if s.name == "incremental.add")
-        assert add.attrs["checks"] >= 1
+        batches = [s for s in tracer.spans if s.name == "incremental.batch"]
+        assert len(batches) == len(write_skew) + 1  # add/remove: batches of one
+        adds = [s for s in batches if s.attrs["adds"] == 1]
+        assert len(adds) == len(write_skew)
+        assert all(s.attrs["removes"] == 0 for s in adds)
+        assert batches[-1].attrs["adds"] == 0
+        assert batches[-1].attrs["removes"] == 1
+        assert adds[0].attrs["checks"] >= 1
 
     def test_mvcc_run_span(self, write_skew):
         tracer = Tracer()

@@ -12,8 +12,14 @@ is still in the system.
 A second pack of properties checks rejection is side-effect free: the
 allocation after a rejected admission is value-identical to the one
 before (unique optimum, Proposition 4.2).
+
+A last property pins the one mutation path: a ``batch`` of adds and
+removes ends in exactly the state — workload, allocation, queue and
+per-entry verdicts — that the same entries reach sent one envelope
+each, with and without an admission policy that can reject.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +131,64 @@ def test_queue_mode_never_loses_transactions(script):
             assert response["queued"]
     accounted = set(core.manager.workload.tids) | set(core.queued_tids)
     assert accounted == set(range(1, len(script) + 1))
+
+
+@st.composite
+def batch_entries(draw, first_tid):
+    """Add/remove envelopes: fresh adds, removes of any earlier tid
+    (present, removed, refused or unknown) and duplicate adds."""
+    entries = []
+    tids = list(range(1, first_tid))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        roll = draw(st.integers(min_value=0, max_value=9))
+        if roll < 3 and tids:
+            entries.append({"op": "remove", "tid": draw(st.sampled_from(tids))})
+        elif roll == 3 and tids:
+            tid = draw(st.sampled_from(tids))
+            entries.append({"op": "add", "transaction": "R[x]", "tid": tid})
+        else:
+            tid = first_tid + len(entries)
+            tids.append(tid)
+            text = draw(transaction_texts())
+            entries.append({"op": "add", "transaction": text, "tid": tid})
+    return entries
+
+
+def _state(core):
+    return (
+        core.manager.workload.tids,
+        dict(core.manager.allocation.items()),
+        core.queued_tids,
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        AdmissionPolicy(),
+        AdmissionPolicy(max_promotions=0),
+        AdmissionPolicy(max_promotions=0, mode="queue"),
+    ],
+    ids=["no-policy", "reject", "queue"],
+)
+@settings(max_examples=30, deadline=None)
+@given(script=churn_scripts(), data=st.data())
+def test_batch_equals_separate_envelopes(policy, script, data):
+    cores = [ServiceCore(ServiceConfig(admission=policy)) for _ in range(2)]
+    for core in cores:
+        for tid, (text, keep) in enumerate(script, start=1):
+            core.handle({"op": "add", "transaction": text, "tid": tid})
+            if not keep:
+                core.handle({"op": "remove", "tid": tid})
+    entries = data.draw(batch_entries(len(script) + 1))
+    batched, separate = cores
+    response = batched.handle({"op": "batch", "commands": entries})
+    singles = [separate.handle(dict(entry)) for entry in entries]
+
+    def verdicts(responses):
+        return [(r["ok"], r.get("admitted"), r.get("queued")) for r in responses]
+
+    assert verdicts(response["results"]) == verdicts(singles)
+    assert _state(batched) == _state(separate)
+    if response["coalesced"] == 0:  # entry by entry: the very same work
+        assert response["checks"] == sum(r.get("checks", 0) for r in singles)

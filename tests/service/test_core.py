@@ -155,6 +155,52 @@ class TestBatch:
         )
         assert response["failed"] == 1
 
+    @pytest.mark.parametrize(
+        "policy, commands, coalesced",
+        [
+            (
+                AdmissionPolicy(),
+                [
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
+                    {"op": "add", "transaction": "R[q] W[q]", "tid": 3},
+                ],
+                2,
+            ),
+            (  # T2 promotes T1: the batch runs entry by entry
+                AdmissionPolicy(max_promotions=0),
+                [
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
+                    {"op": "add", "transaction": "R[q] W[q]", "tid": 3},
+                ],
+                0,
+            ),
+            (
+                AdmissionPolicy(),
+                [
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
+                    {"op": "status"},
+                    {"op": "remove", "tid": 1},
+                    {"op": "allocate"},
+                    {"op": "nope"},
+                ],
+                0,
+            ),
+        ],
+        ids=["coalesced", "split", "reads"],
+    )
+    def test_batch_is_one_request(self, policy, commands, coalesced):
+        """Batch entries are not separate requests: one count, one
+        latency sample, however the entries ran."""
+        core = _core(admission=policy)
+        _add(core, "R[x] W[y]", 1)
+        requests = core.registry.counters["service.requests"]
+        samples = core.registry.histograms["service.request"].count
+        response = core.handle({"op": "batch", "commands": commands})
+        assert response["ok"] and response["coalesced"] == coalesced
+        assert core.registry.counters["service.requests"] == requests + 1
+        assert core.registry.histograms["service.request"].count == samples + 1
+        assert "request_id" not in response["results"][0]
+
 
 class TestBatchCoalescing:
     """Runs of adds/removes collapse into ONE manager batch per run."""
@@ -180,25 +226,6 @@ class TestBatchCoalescing:
             "2": "SSI",
         }
 
-    def test_coalesce_false_forces_sequential(self):
-        core = _core()
-        response = core.handle(
-            {
-                "op": "batch",
-                "coalesce": False,
-                "commands": [
-                    {"op": "add", "transaction": "R[x] W[y]", "tid": 1},
-                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
-                ],
-            }
-        )
-        assert response["coalesced"] == 0
-        assert all("coalesced" not in r for r in response["results"])
-        assert core.handle({"op": "allocate"})["allocation"] == {
-            "1": "SSI",
-            "2": "SSI",
-        }
-
     def test_coalesced_state_equals_sequential(self):
         commands = [
             {"op": "add", "transaction": "R[x] W[y]", "tid": 1},
@@ -207,8 +234,9 @@ class TestBatchCoalescing:
             {"op": "add", "transaction": "R[a] W[b]", "tid": 3},
         ]
         fast, slow = _core(), _core()
-        fast.handle({"op": "batch", "commands": commands})
-        slow.handle({"op": "batch", "commands": commands, "coalesce": False})
+        assert fast.handle({"op": "batch", "commands": commands})["coalesced"] == 4
+        for command in commands:  # the same entries, one envelope each
+            assert slow.handle(command)["ok"]
         assert (
             fast.handle({"op": "allocate"})["allocation"]
             == slow.handle({"op": "allocate"})["allocation"]

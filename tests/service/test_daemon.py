@@ -1,10 +1,13 @@
 """The socket layer: TCP/unix line protocol, metrics HTTP, lifecycle."""
 
 import json
+import sys
+import threading
 import urllib.request
 
 import pytest
 
+from repro.observability import prometheus_text
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.client import ServiceError
 
@@ -83,6 +86,57 @@ class TestMetricsHTTP:
             )
             assert doc["counters"]["service.admitted"] == 1
             assert doc["gauges"]["transactions"] == 1.0
+
+    def test_scrapes_during_churn_are_consistent(self):
+        """Scrapes read a snapshot taken under the core lock: scrapers
+        looping while the command thread churns never fail, and the
+        request counter each one sees only grows."""
+        config = ServiceConfig(port=0, metrics_port=0)
+        with ServiceServer(config) as srv:
+            seen = {0: [], 1: []}
+            failures = []
+            stop = threading.Event()
+
+            def scrape(key):
+                while not stop.is_set():
+                    try:
+                        gauges, registry = srv.core.metrics_snapshot()
+                        prometheus_text(registry, gauges)
+                        counters = registry.as_dict()["counters"]
+                    except Exception as exc:  # any failure fails the test
+                        failures.append(exc)
+                        return
+                    seen[key].append(counters.get("service.requests", 0))
+
+            scrapers = [threading.Thread(target=scrape, args=(k,)) for k in seen]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for scraper in scrapers:
+                    scraper.start()
+                for tid in range(1, 401):
+                    srv.core.handle(
+                        {
+                            "op": "add",
+                            "transaction": f"R[o{tid % 5}] W[p{tid % 3}]",
+                            "tid": tid,
+                        }
+                    )
+                    if tid > 6:
+                        srv.core.handle({"op": "remove", "tid": tid - 6})
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
+                for scraper in scrapers:
+                    scraper.join(timeout=30)
+            assert not any(scraper.is_alive() for scraper in scrapers)
+            base = f"http://127.0.0.1:{srv.metrics_port}"
+            raw = urllib.request.urlopen(f"{base}/metrics.json").read()
+            final = json.loads(raw)["counters"]["service.requests"]
+        assert not failures, failures
+        for values in seen.values():
+            assert len(values) >= 2
+            assert values == sorted(values) and values[-1] <= final == 794
 
     def test_unknown_path_404(self):
         with ServiceServer(ServiceConfig(port=0, metrics_port=0)) as srv:

@@ -75,7 +75,7 @@ class TestFlightRecorder:
         slowest = response["slowest"][0]
         names = [span["name"] for span in slowest["spans"]]
         assert "service.request" in names
-        assert "incremental.add" in names  # depth 2 keeps the handler span
+        assert "incremental.batch" in names  # depth 2 keeps the handler span
 
     def test_dump_traces_limits_validated(self):
         core = _core()
