@@ -15,15 +15,15 @@ is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
 Every entry point analyzes per connected component of the conflict
 graph (:mod:`repro.core.sharding`) and accepts an optional context, so
-the allocation-independent structure (conflict index, reachability
-oracles) is built exactly once per component across the
+the allocation-independent structure (conflict index, bitset kernel)
+is built exactly once per component across the
 ``O(|T| * levels)`` robustness checks a full run issues.  An explicit
 :class:`~repro.core.context.AnalysisContext` refines the workload as one
 unit instead — the per-component core, with the identical optimum
 (Proposition 4.2).  The refinement additionally keeps a *witness cache* on the
 context: counterexample chains discovered while probing one candidate are
-revalidated (cheap Definition 3.1 condition check) against later
-candidates, skipping the full Algorithm 1 search whenever a cached chain
+revalidated (one lookup in each chain's compiled Definition 3.1 level
+table) against later candidates, skipping the full Algorithm 1 search whenever a cached chain
 still applies.  Both are pure accelerations — the returned allocations
 are identical to the uncached computation (asserted by the property
 suite).

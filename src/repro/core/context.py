@@ -17,11 +17,14 @@ The context additionally carries a *witness cache* for
 counterexample-guided warm starts: when lowering a transaction's level
 produces a counterexample, the witness chain is recorded, and later
 candidate allocations that leave the chain's conditions intact are
-rejected by re-running the cheap Definition 3.1 condition check
-(:func:`~repro.core.split_schedule.condition_failures`) instead of the
-full Algorithm 1 search.  This is sound by Theorem 3.2: a chain
-satisfying all conditions *is* a multiversion split schedule, hence a
-proof of non-robustness, for any allocation.
+rejected without the full Algorithm 1 search.  Definition 3.1 mentions
+the allocation only through the levels of ``T_1``, ``T_2`` and ``T_m``,
+so each chain is compiled once, on entry, into those three ids and a
+27-bit table of the level triples it holds under
+(:func:`~repro.core.split_schedule.level_mask`); revalidating it is
+three level lookups and one shift.  This is sound by Theorem 3.2: a
+chain satisfying all conditions *is* a multiversion split schedule,
+hence a proof of non-robustness, for any allocation.
 
 All counters (checks issued, cache hits, index builds) are exposed on
 the context, replacing ad-hoc per-caller accounting.
@@ -38,6 +41,7 @@ from ..observability import current_tracer
 from .conflicts import conflicting_pairs, transactions_conflict
 from .isolation import Allocation
 from .operations import Operation
+from .split_schedule import LEVEL_SHIFTS, SplitScheduleSpec, level_mask
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
 
@@ -183,12 +187,15 @@ class ContextStats:
         checks: robustness checks executed through the context.
         index_builds: conflict indexes built (1 per context — so one per
             analyzed component under a sharded context).
-        oracle_builds: reachability oracles built (at most one per ``T_1``).
+        oracle_builds: reachability oracles built (at most one per
+            ``T_1``) — only by the ``components`` and ``paper`` engines;
+            the default ``bitset`` engine builds its witness chains from
+            the kernel rows and never builds an oracle.
         oracle_hits: oracle requests served from the cache.
         pair_builds: conflicting-operation tables built (per ordered pair).
         pair_hits: conflicting-operation tables served from the cache.
-        witness_hits: candidate allocations rejected by revalidating a
-            cached counterexample chain instead of a full search.
+        witness_hits: candidate allocations rejected by a cached
+            counterexample chain's level table instead of a full search.
         kernel_builds: bitset kernels built (at most 1 per context).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
@@ -293,7 +300,9 @@ class AnalysisContext:
         self._kernel = None  # BitKernel, built lazily by kernel()
         self._candidates: Dict[Tuple[int, str], Tuple[Transaction, ...]] = {}
         self._pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
-        self._witnesses: List = []  # SplitScheduleSpec, kept untyped to avoid a cycle
+        # Compiled chains ``(spec, tid_1, tid_2, tid_m, level_mask)``,
+        # most recently hit first.
+        self._witnesses: List[Tuple[SplitScheduleSpec, int, int, int, int]] = []
         self._witness_set: set = set()  # shadow set: O(1) add_witness dedup
 
     # -- validation ----------------------------------------------------
@@ -388,16 +397,29 @@ class AnalysisContext:
         current_tracer().count("robustness.checks")
 
     # -- counterexample-guided warm starts -----------------------------
-    def add_witness(self, spec) -> None:
+    def add_witness(self, spec: SplitScheduleSpec) -> None:
         """Remember a counterexample chain for warm-start revalidation.
 
-        Deduplication is O(1) via a shadow set (specs are frozen and
-        hashable), not a list scan — Algorithm 2 on a contended workload
-        records hundreds of chains.
+        The chain is compiled once, here, against this context's
+        workload: its ``T_1``/``T_2``/``T_m`` ids and its
+        :func:`~repro.core.split_schedule.level_mask`.  Deduplication is
+        O(1) via a shadow set (specs are frozen and hashable), not a list
+        scan — Algorithm 2 on a contended workload records hundreds of
+        chains.
         """
-        if spec not in self._witness_set:
-            self._witness_set.add(spec)
-            self._witnesses.append(spec)
+        if spec in self._witness_set:
+            return
+        self._witness_set.add(spec)
+        middle = spec.middle_tids
+        self._witnesses.append(
+            (
+                spec,
+                spec.split_tid,
+                middle[0],
+                middle[-1],
+                level_mask(spec, self.workload),
+            )
+        )
 
     def spec_applies(self, spec) -> bool:
         """Whether a chain's transactions (and their operations) exist here.
@@ -426,7 +448,8 @@ class AnalysisContext:
         Chains referencing transactions absent from (or changed in) this
         context's workload are dropped — without the pruning, a later
         warm start could reject a candidate allocation with a chain
-        naming a transaction that no longer exists.
+        naming a transaction that no longer exists.  The survivors are
+        compiled against this context's workload (:meth:`add_witness`).
         """
         for spec in specs:
             if self.spec_applies(spec):
@@ -441,31 +464,41 @@ class AnalysisContext:
         rejections probe the chain that worked last time before any
         stale ones.
         """
-        return tuple(self._witnesses)
+        return tuple(entry[0] for entry in self._witnesses)
 
-    def known_witness(self, allocation: Allocation):
+    def known_witness(self, allocation: Allocation) -> Optional[SplitScheduleSpec]:
         """A cached chain proving ``allocation`` non-robust, if one revalidates.
 
-        Re-runs the Definition 3.1 condition check for every cached chain
-        against the *new* allocation; a chain whose conditions all hold is
-        a multiversion split schedule for ``(workload, allocation)`` and
-        hence (Theorem 3.2) a proof of non-robustness — no full Algorithm 1
-        search is needed.  Returns ``None`` when no cached chain applies,
-        in which case the caller must fall back to the full search.
+        Tests every cached chain against the *new* allocation, in cache
+        order: the levels ``allocation`` gives the chain's ``T_1``,
+        ``T_2`` and ``T_m`` pick one bit of its compiled
+        :func:`~repro.core.split_schedule.level_mask`, which is set iff
+        :func:`~repro.core.split_schedule.condition_failures` would find
+        nothing.  Such a chain is a multiversion split schedule for
+        ``(workload, allocation)`` and hence (Theorem 3.2) a proof of
+        non-robustness — no full Algorithm 1 search is needed.  Returns
+        ``None`` when no cached chain applies, in which case the caller
+        must fall back to the full search.
 
         A hit promotes the chain to the front of the cache (MRU):
         neighbouring candidate allocations tend to be rejected by the
         same chain, so the next lookup usually succeeds on its first
-        condition check instead of re-checking stale chains.
+        test instead of re-checking stale chains.
         """
-        from .split_schedule import condition_failures
-
-        for pos, spec in enumerate(self._witnesses):
-            if not condition_failures(spec, self.workload, allocation):
+        shift1, shift2, shiftm = LEVEL_SHIFTS
+        witnesses = self._witnesses
+        for pos, entry in enumerate(witnesses):
+            spec, tid1, tid2, tidm, mask = entry
+            bit = (
+                shift1[allocation[tid1]]
+                + shift2[allocation[tid2]]
+                + shiftm[allocation[tidm]]
+            )
+            if (mask >> bit) & 1:
                 self.stats.witness_hits += 1
                 current_tracer().count("context.witness_hits")
                 if pos:
-                    del self._witnesses[pos]
-                    self._witnesses.insert(0, spec)
+                    del witnesses[pos]
+                    witnesses.insert(0, entry)
                 return spec
         return None

@@ -16,11 +16,13 @@ over two bit tables (tid -> bit index, object -> bit index):
 * **conflict rows** — per-tid neighbour masks, so ``conflict`` and
   ``conflict_neighbours`` are single ``&`` / shift tests;
 * **reachability rows** — per ``T_1``, the connected components of the
-  mixed-iso-graph (union-find, no graph object) and one
-  *attached-components bitmask per candidate*, so
-  ``reachable(T_2, T_m)`` collapses to
+  mixed-iso-graph as tid bitmasks (a flood fill over the conflict rows,
+  no graph object) and one *attached-components bitmask per
+  candidate*, so ``reachable(T_2, T_m)`` collapses to
   ``tid_2 == tid_m or (nbr_mask[t2] >> bit_m) & 1 or
-  (att[t2] & att[tm]) != 0`` with zero allocations;
+  (att[t2] & att[tm]) != 0`` with zero allocations, and a witness's
+  connecting chain ``T_3 ... T_{m-1}`` is a breadth-first search inside
+  one component mask (:meth:`BitKernel.connecting_path`);
 * **split tables** — per ``(T_1, T_2)``, the viable ``b_1`` choices of
   condition (4), each stored with its position and the
   write-objects-in-prefix mask, so conditions (2)/(3) reduce to one
@@ -39,9 +41,11 @@ candidate classes are skipped instead of re-testing per triple.
 :func:`iter_witness_triples` yields exactly the triples (with their
 ``(b_1, a_2, b_m, a_1)`` operation choice) that the ``components``
 engine's :func:`~repro.core.robustness._scan_t1` discovers, in the same
-deterministic order — the property suite
-(``tests/properties/test_kernel_equivalence.py``) asserts bit-identical
-verdicts, witness specs and enumeration order.
+deterministic order, and :meth:`BitKernel.connecting_path` returns the
+same intermediates as the graph-backed
+:meth:`~repro.core.context.ReachabilityOracle.connecting_path` — the
+property suite (``tests/properties/test_kernel_equivalence.py``)
+asserts bit-identical verdicts, witness specs and enumeration order.
 
 The kernel is allocation-independent and lives on the analysis context
 (:meth:`~repro.core.context.AnalysisContext.kernel`); the parallel
@@ -59,41 +63,7 @@ from .operations import Operation
 from .transactions import Transaction
 from .workload import Workload
 
-__all__ = ["BitKernel", "UnionFind", "iter_witness_triples"]
-
-
-class UnionFind:
-    """Union-find over integer keys with path compression.
-
-    Extracted from the kernel's per-``T_1`` row builder so the
-    component-sharding layer (:mod:`repro.core.sharding`) can partition
-    the conflict graph with the same machinery.  Roots are stable under
-    the union order used here: ``union(a, b)`` parents ``b``'s root under
-    ``a``'s, so iterating keys in a deterministic order yields
-    deterministic components.
-    """
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, keys):
-        self._parent: Dict[int, int] = {key: key for key in keys}
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._parent
+__all__ = ["BitKernel", "iter_witness_triples"]
 
 
 #: A split-table entry: ``(b_1, a_2, split_pos, prefix_write_mask)``.
@@ -117,7 +87,10 @@ class _T1Row:
     ``candidates`` is the same ascending-tid tuple the ``components``
     engine iterates; the aligned lists hold, per candidate, its tid, its
     tid-bit, its object write mask and its attached-components bitmask
-    over this row's mixed-iso-graph components.
+    over this row's mixed-iso-graph components.  ``comps`` holds each
+    component's tid-bit mask, numbered in the order ``networkx``
+    discovers them (by lowest member bit), which the attached-components
+    bits index.
     """
 
     __slots__ = (
@@ -127,6 +100,7 @@ class _T1Row:
         "cand_wmasks",
         "cand_nbrs",
         "att",
+        "comps",
     )
 
     def __init__(
@@ -137,6 +111,7 @@ class _T1Row:
         cand_wmasks: Tuple[int, ...],
         cand_nbrs: Tuple[int, ...],
         att: Tuple[int, ...],
+        comps: Tuple[int, ...],
     ):
         self.candidates = candidates
         self.cand_tids = cand_tids
@@ -144,6 +119,7 @@ class _T1Row:
         self.cand_wmasks = cand_wmasks
         self.cand_nbrs = cand_nbrs
         self.att = att
+        self.comps = comps
 
 
 class BitKernel:
@@ -162,6 +138,7 @@ class BitKernel:
         self.index = index
         self.stats = stats
         tids = workload.tids
+        self.tids = tids  # bit index -> tid
         self.tid_bit: Dict[int, int] = {tid: i for i, tid in enumerate(tids)}
         objects = sorted(
             {obj for txn in workload for obj in (txn.read_set | txn.write_set)}
@@ -185,6 +162,7 @@ class BitKernel:
             for other in index.conflict_neighbours(txn.tid):
                 nbrs |= 1 << tid_bit[other]
             self.nbr_mask[txn.tid] = nbrs
+        self._bit_nbrs = tuple(self.nbr_mask[tid] for tid in tids)
         self._rows: Dict[int, _T1Row] = {}
         # Split-table caches: per-T1 read entries, specialized per (T1, T2).
         self._read_entries: Dict[int, Tuple[Tuple[Operation, int, int], ...]] = {}
@@ -212,39 +190,41 @@ class BitKernel:
         return row
 
     def _build_row(self, t1_tid: int) -> _T1Row:
-        index = self.index
-        workload = self.workload
-        neighbours = index.conflict_neighbours(t1_tid)
-        candidates = tuple(workload[tid] for tid in sorted(neighbours))
-        # Mixed-iso-graph nodes: everything not conflicting with T_1.
-        nodes = [
-            t.tid
-            for t in index.transactions
-            if t.tid != t1_tid and t.tid not in neighbours
-        ]
-        node_set = set(nodes)
-        # Union-find over conflict edges among the nodes.
-        uf = UnionFind(nodes)
-        find = uf.find
-        for u in nodes:
-            for v in index.conflict_neighbours(u):
-                if v in node_set and v > u:
-                    uf.union(u, v)
-        comp_bit: Dict[int, int] = {}
-        for tid in nodes:
-            root = find(tid)
-            if root not in comp_bit:
-                comp_bit[root] = len(comp_bit)
-        tid_bit = self.tid_bit
-        write_mask = self.write_mask
         nbr_mask = self.nbr_mask
+        bit_nbrs = self._bit_nbrs
+        candidates = tuple(
+            self.workload[tid]
+            for tid in sorted(self.index.conflict_neighbours(t1_tid))
+        )
+        # Mixed-iso-graph nodes: everything but T_1 and its neighbours.
+        remaining = ((1 << len(self.tids)) - 1) & ~(
+            nbr_mask[t1_tid] | 1 << self.tid_bit[t1_tid]
+        )
+        # Flood-fill the components, each seeded at the lowest remaining
+        # bit — the order networkx's connected_components finds them in.
+        comps: List[int] = []
+        while remaining:
+            comp = frontier = remaining & -remaining
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= bit_nbrs[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & remaining & ~comp
+                comp |= frontier
+            remaining &= ~comp
+            comps.append(comp)
         att: List[int] = []
         for cand in candidates:
+            nbrs = nbr_mask[cand.tid]
             mask = 0
-            for other in index.conflict_neighbours(cand.tid):
-                if other in node_set:
-                    mask |= 1 << comp_bit[find(other)]
+            for k, comp in enumerate(comps):
+                if nbrs & comp:
+                    mask |= 1 << k
             att.append(mask)
+        tid_bit = self.tid_bit
+        write_mask = self.write_mask
         return _T1Row(
             candidates,
             tuple(c.tid for c in candidates),
@@ -252,7 +232,72 @@ class BitKernel:
             tuple(write_mask[c.tid] for c in candidates),
             tuple(nbr_mask[c.tid] for c in candidates),
             tuple(att),
+            tuple(comps),
         )
+
+    def connecting_path(
+        self, t1_tid: int, t2_tid: int, tm_tid: int
+    ) -> Optional[List[int]]:
+        """Intermediate transactions ``T_3 ... T_{m-1}`` linking ``T_2`` to ``T_m``.
+
+        The bitset twin of
+        :meth:`ReachabilityOracle.connecting_path
+        <repro.core.context.ReachabilityOracle.connecting_path>`, with
+        the identical result: an empty list for a direct conflict (or
+        ``t2_tid == tm_tid``), ``None`` when the pair is not reachable,
+        and otherwise the same breadth-first path through the lowest
+        shared component — starts taken in the iteration order of
+        ``index.conflict_neighbours(t2_tid)``, neighbours visited in
+        ascending tid order (how ``networkx`` stores the
+        mixed-iso-graph's adjacency).  Reads ``T_1``'s row without
+        counting a row hit: the scan that found the witness just fetched
+        it.
+        """
+        nbr_mask = self.nbr_mask
+        if t2_tid == tm_tid or self.conflict(t2_tid, tm_tid):
+            return []
+        row = self._rows.get(t1_tid) or self.row(t1_tid)
+        nbr2 = nbr_mask[t2_tid]
+        ends = nbr_mask[tm_tid]
+        for comp in row.comps:
+            if nbr2 & comp and ends & comp:
+                break
+        else:
+            return None
+        ends &= comp
+        tid_bit = self.tid_bit
+        tids = self.tids
+        starts = [
+            tid
+            for tid in self.index.conflict_neighbours(t2_tid)
+            if (comp >> tid_bit[tid]) & 1
+        ]
+        parents: Dict[int, Optional[int]] = {tid: None for tid in starts}
+        goal = next((tid for tid in starts if (ends >> tid_bit[tid]) & 1), None)
+        frontier = starts
+        while frontier and goal is None:
+            next_frontier: List[int] = []
+            for node in frontier:
+                nbrs = nbr_mask[node] & comp
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    neighbour = tids[low.bit_length() - 1]
+                    if neighbour in parents:
+                        continue
+                    parents[neighbour] = node
+                    if ends & low:
+                        goal = neighbour
+                        break
+                    next_frontier.append(neighbour)
+                if goal is not None:
+                    break
+            frontier = next_frontier
+        path = [goal]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        path.reverse()
+        return path
 
     # -- split tables ----------------------------------------------------
     def _t1_read_entries(

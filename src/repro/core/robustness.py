@@ -31,8 +31,8 @@ Every public entry point analyzes per connected component of the
 conflict graph (:mod:`repro.core.sharding`): a counterexample chain only
 links conflicting transactions, so verdicts and witnesses decompose
 exactly over components.  All allocation-independent structure
-(conflict index, reachability oracles, candidate-partner lists,
-conflicting-pair tables) lives in
+(conflict index, bitset kernel, reachability oracles, candidate-partner
+lists, conflicting-pair tables) lives in
 :class:`~repro.core.context.AnalysisContext`, one per component inside
 a :class:`~repro.core.sharding.ShardedContext`.  Pass an existing
 sharded context to amortize it across many checks of the same workload
@@ -66,12 +66,7 @@ import networkx as nx
 
 from ..observability import current_tracer
 from .conflicts import ConflictQuadruple, rw_conflicting
-from .context import (
-    AnalysisContext,
-    ConflictIndex,
-    ReachabilityOracle,
-    mixed_iso_graph,
-)
+from .context import AnalysisContext, ConflictIndex, mixed_iso_graph
 from .isolation import Allocation, IsolationLevel
 from .kernel import iter_witness_triples
 from .operations import Operation
@@ -93,10 +88,6 @@ from .workload import Workload, WorkloadError
 #: (the default per-component composition) or an ``AnalysisContext``
 #: (the workload analyzed as one unit).
 Context = Union[AnalysisContext, ShardedContext]
-
-# Backwards-compatible aliases: these classes moved to repro.core.context.
-_ConflictIndex = ConflictIndex
-_ReachabilityOracle = ReachabilityOracle
 
 __all__ = [
     "Counterexample",
@@ -212,17 +203,20 @@ def _search_operations(
 
 def _build_chain(
     ctx: AnalysisContext,
-    oracle: ReachabilityOracle,
     t1: Transaction,
     t2: Transaction,
     tm: Transaction,
     ops: Tuple[Operation, Operation, Operation, Operation],
+    path: Optional[List[int]],
 ) -> SplitScheduleSpec:
-    """Assemble the quadruple chain ``C`` for a discovered counterexample."""
+    """Assemble the quadruple chain ``C`` for a discovered counterexample.
+
+    ``path`` is the connecting chain ``T_3 ... T_{m-1}`` from the
+    engine's reachability structure (the kernel row or the oracle).
+    """
     b1, a2, bm, a1 = ops
     chain: List[ConflictQuadruple] = [ConflictQuadruple(t1.tid, b1, a2, t2.tid)]
     if t2.tid != tm.tid:
-        path = oracle.connecting_path(t2.tid, tm.tid)
         assert path is not None
         hops = [t2.tid, *path, tm.tid]
         for left, right in zip(hops, hops[1:]):
@@ -250,17 +244,15 @@ def _scan_t1(
     the sequential ones.
 
     The ``bitset`` engine runs the whole triple scan on the kernel's
-    integer rows; the graph-backed oracle is only touched when a witness
-    is actually found (to assemble its connecting chain), so robust
-    workloads never build a graph at all.
+    integer rows and builds each witness's connecting chain from the
+    same row (:meth:`~repro.core.kernel.BitKernel.connecting_path`), so
+    it never builds a graph at all.
     """
     if method == "bitset":
         kernel = ctx.kernel()
-        oracle = None
         for t2, tm, ops in iter_witness_triples(kernel, allocation, t1):
-            if oracle is None:
-                oracle = ctx.oracle(t1)
-            yield _build_chain(ctx, oracle, t1, t2, tm, ops)
+            path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
+            yield _build_chain(ctx, t1, t2, tm, ops, path)
         return
     candidates = ctx.candidates(t1, method)
     oracle = ctx.oracle(t1)
@@ -278,7 +270,8 @@ def _scan_t1(
             ops = _search_operations(ctx, allocation, t1, t2, tm)
             if ops is None:
                 continue
-            yield _build_chain(ctx, oracle, t1, t2, tm, ops)
+            path = oracle.connecting_path(t2.tid, tm.tid)
+            yield _build_chain(ctx, t1, t2, tm, ops, path)
 
 
 def _scan_t1_delta(
@@ -301,13 +294,11 @@ def _scan_t1_delta(
         return
     if method == "bitset":
         kernel = ctx.kernel()
-        oracle = None
         for t2, tm, ops in iter_witness_triples(
             kernel, allocation, t1, delta_tid=delta_tid
         ):
-            if oracle is None:
-                oracle = ctx.oracle(t1)
-            yield _build_chain(ctx, oracle, t1, t2, tm, ops)
+            path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
+            yield _build_chain(ctx, t1, t2, tm, ops, path)
         return
     candidates = ctx.candidates(t1, "components")
     oracle = ctx.oracle(t1)
@@ -323,7 +314,8 @@ def _scan_t1_delta(
             ops = _search_operations(ctx, allocation, t1, t2, tm)
             if ops is None:
                 continue
-            yield _build_chain(ctx, oracle, t1, t2, tm, ops)
+            path = oracle.connecting_path(t2.tid, tm.tid)
+            yield _build_chain(ctx, t1, t2, tm, ops, path)
 
 
 def check_robustness(

@@ -16,7 +16,7 @@ Consequently
   destroys witnesses inside its own component.
 
 This module hoists that decomposition to the top of the pipeline: a
-:class:`ShardPlan` partitions the workload with the kernel's union-find
+:class:`ShardPlan` partitions the workload with a :class:`UnionFind`
 (object-grouped, ``O(total operations)`` — no ``O(|T|^2)`` pairwise
 conflict index is built to *find* the components), a
 :class:`ShardedContext` keeps one
@@ -51,7 +51,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..observability import current_tracer
 from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel
-from .kernel import UnionFind
 from .workload import Workload, WorkloadError
 
 __all__ = [
@@ -68,6 +67,37 @@ __all__ = [
 ]
 
 
+class UnionFind:
+    """Union-find over integer keys with path compression.
+
+    Partitions transactions into conflict components, both from scratch
+    (:func:`conflict_components`) and locally when a removal may split a
+    component (:meth:`DynamicShardPlan.remove`).  Roots are stable under
+    the union order used here: ``union(a, b)`` parents ``b``'s root under
+    ``a``'s, so iterating keys in a deterministic order yields
+    deterministic components.
+    """
+
+    __slots__ = ("_parent",)
+
+    def __init__(self, keys):
+        self._parent: Dict[int, int] = {key: key for key in keys}
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
+
+
 def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
     """Connected components of the conflict graph, without building it.
 
@@ -76,9 +106,9 @@ def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
     for every object with at least one writer, all its writers and
     readers belong to one component (readers are linked *through* a
     writer; readers of an object nobody writes do not conflict).  One
-    union per access — ``O(total operations)`` with the kernel's
-    union-find, instead of the ``O(|T|^2)`` pairwise sweep the conflict
-    index performs.
+    union per access — ``O(total operations)`` with a :class:`UnionFind`,
+    instead of the ``O(|T|^2)`` pairwise sweep the conflict index
+    performs.
 
     Components are ordered by their smallest transaction id; members are
     in ascending id order.

@@ -4,7 +4,7 @@ Each worker process keeps a small cache of
 :class:`~repro.core.context.AnalysisContext` objects keyed by the
 *workload encoding* it receives with every task (the context-rebuild
 handshake): the first task for a workload pays one context build, every
-later task for the same workload reuses the warm caches — oracles,
+later task for the same workload reuses the warm caches — kernel rows,
 candidate lists, conflicting-pair tables and witness chains accumulate
 across tasks exactly as they do in a sequential run.
 
@@ -168,8 +168,8 @@ def probe_chunk(
     robust, using the delta-restricted check; ``start`` must be robust
     (Algorithm 2 starts from ``A_SSI`` / a previously verified ``A_SI``).
     Witness chains found by failed probes are cached on the worker
-    context and revalidated against later candidates (cheap Definition
-    3.1 condition scan) before any full search — the same
+    context and revalidated against later candidates (one lookup in
+    each chain's compiled level table) before any full search — the same
     counterexample-guided warm start the sequential refinement uses.
 
     Returns ``{tid: chosen-level-name}`` for the chunk; with ``trace``

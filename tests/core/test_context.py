@@ -153,6 +153,16 @@ class TestWitnessCache:
         assert ctx.known_witness(ssi12) == spec34
         assert list(ctx.witnesses) == [spec34, spec12]
 
+    def test_known_witness_missing_tid_raises_workload_error(self, write_skew):
+        """A chain tid the allocation lacks is a WorkloadError, not a KeyError."""
+        ctx = AnalysisContext(write_skew)
+        spec = check_robustness(
+            write_skew, Allocation.si(write_skew), context=ctx
+        ).counterexample.spec
+        ctx.add_witness(spec)
+        with pytest.raises(WorkloadError, match="no isolation level"):
+            ctx.known_witness(Allocation({1: "RC"}))
+
     def test_witnesses_report_most_recently_hit_first(self, write_skew):
         ctx = AnalysisContext(write_skew)
         spec = check_robustness(
@@ -170,33 +180,71 @@ class TestCounterexampleAllocation:
         assert result.counterexample.allocation == si
 
 
+@pytest.fixture
+def chained_workload():
+    # T2 and T4 both conflict with T1 but not with each other; T3 is
+    # the only mixed-iso-graph node and links them (a-, then b-edge).
+    return workload(
+        "R1[x] W1[y]",
+        "W2[x] R2[a]",
+        "W3[a] R3[b]",
+        "W4[b] R4[y]",
+        "W5[y]",
+    )
+
+
+class _KernelPaths:
+    """The bitset kernel's connecting chains for one ``T_1``, with the
+    oracle's interface."""
+
+    def __init__(self, ctx, t1_tid):
+        self.kernel = ctx.kernel()
+        self.index = ctx.index
+        self.t1_tid = t1_tid
+
+    def connecting_path(self, tid_2, tid_m):
+        return self.kernel.connecting_path(self.t1_tid, tid_2, tid_m)
+
+    def reachable(self, tid_2, tid_m):
+        row = self.kernel.row(self.t1_tid)
+        att = dict(zip(row.cand_tids, row.att))
+        return (
+            tid_2 == tid_m
+            or self.kernel.conflict(tid_2, tid_m)
+            or bool(att[tid_2] & att[tid_m])
+        )
+
+
+@pytest.fixture(params=["oracle", "kernel"])
+def paths(request):
+    """Build the chain finder for ``T_1`` of a workload: the graph-backed
+    oracle (``components``/``paper``) or the kernel (``bitset``)."""
+
+    def build(wl, t1_tid):
+        ctx = AnalysisContext(wl)
+        if request.param == "oracle":
+            return ctx.oracle(wl[t1_tid])
+        return _KernelPaths(ctx, t1_tid)
+
+    return build
+
+
 class TestConnectingPath:
-    """Direct coverage of ``ReachabilityOracle.connecting_path`` — the
-    witness-chain bridge of Theorem 3.2, otherwise only reached through
-    ``_build_chain``."""
+    """Direct coverage of ``connecting_path`` — the witness-chain bridge
+    of Theorem 3.2, otherwise only reached through ``_build_chain`` —
+    on the oracle and on the kernel."""
 
     @pytest.fixture
-    def chained(self):
-        # T2 and T4 both conflict with T1 but not with each other; T3 is
-        # the only mixed-iso-graph node and links them (a-, then b-edge).
-        wl = workload(
-            "R1[x] W1[y]",
-            "W2[x] R2[a]",
-            "W3[a] R3[b]",
-            "W4[b] R4[y]",
-            "W5[y]",
-        )
-        ctx = AnalysisContext(wl)
-        return ctx.oracle(wl[1])
+    def chained(self, chained_workload, paths):
+        return paths(chained_workload, 1)
 
     def test_same_tid_yields_empty_path(self, chained):
         assert chained.connecting_path(2, 2) == []
 
-    def test_direct_conflict_yields_empty_path(self):
+    def test_direct_conflict_yields_empty_path(self, paths):
         wl = workload("R1[x] W1[y]", "W2[x] R2[z]", "R3[y] W3[z]")
-        ctx = AnalysisContext(wl)
-        oracle = ctx.oracle(wl[1])
-        assert oracle.connecting_path(2, 3) == []
+        finder = paths(wl, 1)
+        assert finder.connecting_path(2, 3) == []
 
     def test_multi_hop_path_is_conflict_linked(self, chained):
         path = chained.connecting_path(2, 4)
@@ -246,6 +294,16 @@ class TestKernelCaching:
             context=ctx,
         )
         assert ctx.stats.kernel_builds == 0
+
+    def test_bitset_check_builds_no_oracle(self, chained_workload):
+        """A multi-hop witness's chain comes from the kernel row."""
+        wl = chained_workload
+        ctx = AnalysisContext(wl)
+        result = check_robustness(wl, Allocation.si(wl), method="bitset", context=ctx)
+        assert result.counterexample.spec.intermediate_tids == (3,)
+        assert ctx.stats.oracle_builds == 0
+        assert ctx.stats.oracle_hits == 0
+        assert ctx.stats.kernel_row_builds >= 1
 
 
 class TestStats:

@@ -6,8 +6,14 @@ allocation) pair, ``method="bitset"`` must return the *same*
 and the *same* ``enumerate_counterexamples`` sequence (order included)
 as ``method="components"`` — the kernel reorganizes the scan's data
 layout, never its decisions.  The suite also pins the delta-restricted
-scan, Algorithm 2 end to end, and the parallel (``n_jobs > 1``) paths.
+scan, Algorithm 2 end to end, the parallel (``n_jobs > 1``) paths, and
+the two shortcuts the bitset path takes instead of the reference code:
+the per-chain level table behind the witness cache against
+``condition_failures``, and the kernel's connecting chains against the
+graph-backed oracle.
 """
+
+import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,11 +25,18 @@ from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.robustness import (
+    _enumerate_specs,
     check_robustness,
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.split_schedule import is_valid_split_schedule
+from repro.core.split_schedule import (
+    LEVEL_SHIFTS,
+    condition_failures,
+    is_valid_split_schedule,
+    level_mask,
+)
+from repro.workloads.generator import random_workload
 from repro.workloads.paper_examples import (
     example26_workload,
     example52_workload,
@@ -94,6 +107,65 @@ def test_bitset_optimal_allocation_matches_components(wl):
     assert optimal_allocation(wl, method="bitset") == optimal_allocation(
         wl, method="components"
     )
+
+
+@given(
+    sts.allocated_workloads(min_transactions=2, max_transactions=5),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_level_mask_matches_condition_failures(pair):
+    """The compiled table agrees with Definition 3.1 on all 27 level triples.
+
+    Every spec the scan yields is re-checked under every assignment of
+    levels to its ``T_1``, ``T_2`` and ``T_m`` (only the consistent ones
+    when ``T_2`` is ``T_m``); the rest of the allocation stays as drawn.
+    """
+    wl, alloc = pair
+    ctx = AnalysisContext(wl)
+    shift1, shift2, shiftm = LEVEL_SHIFTS
+    for spec in _enumerate_specs(wl, alloc, "bitset", ctx, 1):
+        mask = level_mask(spec, wl)
+        tid1, tid2, tidm = spec.split_tid, spec.middle_tids[0], spec.middle_tids[-1]
+        for level1, level2, levelm in itertools.product(IsolationLevel, repeat=3):
+            if tid2 == tidm and level2 is not levelm:
+                continue
+            trial = (
+                alloc.with_level(tid1, level1)
+                .with_level(tid2, level2)
+                .with_level(tidm, levelm)
+            )
+            bit = shift1[level1] + shift2[level2] + shiftm[levelm]
+            holds = (mask >> bit) & 1 == 1
+            assert holds == (not condition_failures(spec, wl, trial)), (
+                str(spec), level1, level2, levelm
+            )
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=4, max_value=14),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_kernel_connecting_path_matches_oracle(seed, size):
+    """Kernel chains equal the oracle's for every candidate pair of every T_1.
+
+    Sparse random workloads give mixed-iso-graphs with several components
+    and multi-hop, branching paths, where the breadth-first search's
+    start and neighbour order decide which path comes back.
+    """
+    wl = random_workload(
+        transactions=size, objects=size + 2, min_ops=2, max_ops=3, seed=seed
+    )
+    ctx = AnalysisContext(wl)
+    kernel = ctx.kernel()
+    for t1 in wl:
+        oracle = ctx.oracle(t1)
+        candidates = ctx.candidates(t1, "components")
+        for t2 in candidates:
+            for tm in candidates:
+                assert kernel.connecting_path(
+                    t1.tid, t2.tid, tm.tid
+                ) == oracle.connecting_path(t2.tid, tm.tid), (t1.tid, t2.tid, tm.tid)
 
 
 @pytest.mark.parametrize(
