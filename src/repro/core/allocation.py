@@ -28,14 +28,16 @@ still applies.  Both are pure accelerations — the returned allocations
 are identical to the uncached computation (asserted by the property
 suite).
 
-Every entry point also accepts ``n_jobs``: with a value other than ``1``
-the independent downgrade probes run on the process pool of
-:mod:`repro.parallel` using the delta-restricted scan of
-:func:`repro.core.robustness.check_robustness_delta`.  The result is
-again identical — the optimum is unique (Proposition 4.2) and each
-transaction's final level depends only on the robust start allocation
-(Proposition 4.1) — as asserted by the parallel-equivalence property
-suite.
+Every downgrade probe lowers one transaction ``t`` of a robust
+allocation, so its cache lookup and scan visit only chains and triples
+through ``t`` (the delta lemma of
+:func:`repro.core.robustness.check_robustness_delta`), with the full
+scan's result.  With ``n_jobs`` other than ``1`` the same probes run on
+the process pool of :mod:`repro.parallel`, each from the robust start
+allocation.  The result is again identical — the optimum is unique
+(Proposition 4.2) and each transaction's final level depends only on
+the robust start allocation (Proposition 4.1) — as asserted by the
+parallel-equivalence property suite.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from .isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from .robustness import Context, check_robustness, first_witness_spec, is_robust
+from .robustness import Context, _first_witness, check_robustness, is_robust
 from .sharding import (
     ShardedContext,
     _resolve_jobs,
+    _validate,
     optimal_allocation_sharded,
     refine_allocation_sharded,
 )
@@ -76,6 +79,7 @@ def _robust_with_warm_start(
     method: str,
     ctx: AnalysisContext,
     n_jobs: Optional[int] = 1,
+    delta_tid: Optional[int] = None,
 ) -> bool:
     """Robustness of ``candidate``, trying cached witness chains first.
 
@@ -84,14 +88,17 @@ def _robust_with_warm_start(
     proof of non-robustness — the full Algorithm 1 search is skipped.
     Otherwise the full check runs, and a fresh counterexample (if any) is
     added to the cache for later candidates.  Probes only need the spec,
-    so the sequential path runs the lean
-    :func:`~repro.core.robustness.first_witness_spec` scan — no schedule
-    is materialized for a verdict the refinement discards.
+    so the sequential path runs the lean first-witness scan — no
+    schedule is materialized for a verdict the refinement discards.
+
+    ``delta_tid`` marks ``candidate`` as one step below a robust
+    allocation at that transaction: the lookup and the scan then visit
+    only chains and triples through it, with the same result.
     """
-    if ctx.known_witness(candidate) is not None:
+    if ctx.known_witness(candidate, delta_tid) is not None:
         return False
     if n_jobs == 1:
-        spec = first_witness_spec(workload, candidate, method, context=ctx)
+        spec = _first_witness(workload, candidate, method, ctx, delta_tid)
         if spec is not None:
             ctx.add_witness(spec)
         return spec is None
@@ -122,8 +129,10 @@ def refine_allocation(
 
     Failed lowerings warm-start later probes: each counterexample chain is
     recorded on the context and revalidated against subsequent candidate
-    allocations before falling back to the full search (see
-    :meth:`~repro.core.context.AnalysisContext.known_witness`).
+    allocations before falling back to the search (see
+    :meth:`~repro.core.context.AnalysisContext.known_witness`); both
+    are scoped to the lowered transaction, as the current allocation is
+    robust.
 
     Args:
         workload: the set of transactions.
@@ -137,8 +146,8 @@ def refine_allocation(
             workload as one unit.  Same optimum either way.
         n_jobs: ``1`` (default) runs in-process; ``>= 2`` fans the
             independent per-transaction downgrade probes out over the
-            process pool of :mod:`repro.parallel` (delta-restricted
-            checks, same result — Propositions 4.1/4.2); ``None`` or
+            process pool of :mod:`repro.parallel` (same probes, same
+            result — Propositions 4.1/4.2); ``None`` or
             negative picks automatically by workload size.
         floors: optional per-transaction lower bounds — probe levels
             below a transaction's floor are skipped (the incremental
@@ -153,6 +162,7 @@ def refine_allocation(
         )
     ordered = _normalized_levels(levels)
     context.ensure(workload)
+    _validate(workload, start, method)
     jobs = _resolve_jobs(n_jobs, workload, method)
     if jobs > 1:
         from ..parallel.engine import refine_allocation_parallel
@@ -177,7 +187,7 @@ def refine_allocation(
                     candidate = current.with_level(tid, level)
                     with tracer.span("allocation.probe", tid=tid, level=level.name):
                         lowered = _robust_with_warm_start(
-                            workload, candidate, method, context
+                            workload, candidate, method, context, delta_tid=tid
                         )
                     if lowered:
                         current = candidate

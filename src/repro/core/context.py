@@ -184,7 +184,10 @@ class ContextStats:
     """Counters exposed by :class:`AnalysisContext`.
 
     Attributes:
-        checks: robustness checks executed through the context.
+        checks: robustness checks executed through the context.  Each
+            Algorithm 2 probe is a check or a ``witness_hits`` hit, so the
+            sum counts probes; ``n_jobs > 1`` issues the same probes
+            (Proposition 4.1) but answers more of them from cached chains.
         index_builds: conflict indexes built (1 per context — so one per
             analyzed component under a sharded context).
         oracle_builds: reachability oracles built (at most one per
@@ -466,7 +469,9 @@ class AnalysisContext:
         """
         return tuple(entry[0] for entry in self._witnesses)
 
-    def known_witness(self, allocation: Allocation) -> Optional[SplitScheduleSpec]:
+    def known_witness(
+        self, allocation: Allocation, delta_tid: Optional[int] = None
+    ) -> Optional[SplitScheduleSpec]:
         """A cached chain proving ``allocation`` non-robust, if one revalidates.
 
         Tests every cached chain against the *new* allocation, in cache
@@ -480,6 +485,10 @@ class AnalysisContext:
         ``None`` when no cached chain applies, in which case the caller
         must fall back to the full search.
 
+        ``delta_tid`` marks ``allocation`` as one step below a robust one
+        at that transaction: chains avoiding it read the robust levels,
+        where their bit is clear, so they are skipped (same result).
+
         A hit promotes the chain to the front of the cache (MRU):
         neighbouring candidate allocations tend to be rejected by the
         same chain, so the next lookup usually succeeds on its first
@@ -489,6 +498,8 @@ class AnalysisContext:
         witnesses = self._witnesses
         for pos, entry in enumerate(witnesses):
             spec, tid1, tid2, tidm, mask = entry
+            if delta_tid is not None and delta_tid not in (tid1, tid2, tidm):
+                continue
             bit = (
                 shift1[allocation[tid1]]
                 + shift2[allocation[tid2]]

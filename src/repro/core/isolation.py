@@ -137,12 +137,14 @@ class Allocation:
     def with_level(
         self, tid: int, level: Union[str, IsolationLevel]
     ) -> "Allocation":
-        """``A[T -> I]``: this allocation with transaction ``tid`` reassigned."""
+        """``A[T -> I]``: this allocation with ``tid`` reassigned (one level parsed)."""
         if tid not in self._levels:
             raise WorkloadError(f"no isolation level allocated to transaction {tid}")
         updated = dict(self._levels)
         updated[tid] = IsolationLevel.parse(level)
-        return Allocation(updated)
+        candidate = object.__new__(Allocation)
+        candidate._levels = updated
+        return candidate
 
     def tids_at(self, level: Union[str, IsolationLevel]) -> Tuple[int, ...]:
         """The transactions allocated exactly ``level``."""

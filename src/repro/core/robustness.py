@@ -49,8 +49,8 @@ Two further accelerations live here:
   witness for the candidate that avoids the changed transaction would
   already have been a witness for the robust base — contradiction.  The
   scan therefore only visits triples involving the changed transaction,
-  an ``O(|T|^2)`` sweep instead of ``O(|T|^3)``.  This is the unit of
-  work of the parallel allocation engine (:mod:`repro.parallel`).
+  an ``O(|T|^2)`` sweep instead of ``O(|T|^3)``.  Every downgrade probe
+  of Algorithm 2, sequential or pooled, runs this same scoped scan.
 * ``n_jobs`` — :func:`check_robustness` and
   :func:`enumerate_counterexamples` fan the outer per-``T_1`` loop out
   across a process pool when ``n_jobs > 1``, with results bit-identical
@@ -131,16 +131,6 @@ class RobustnessResult:
 
     def __bool__(self) -> bool:
         return self.robust
-
-
-def _resolve_context(
-    workload: Workload, context: Optional[AnalysisContext]
-) -> AnalysisContext:
-    """The caller's context (validated against ``workload``) or a fresh one."""
-    if context is None:
-        return AnalysisContext(workload)
-    context.ensure(workload)
-    return context
 
 
 def _ww_conflict_free(
@@ -231,6 +221,7 @@ def _scan_t1(
     allocation: Allocation,
     t1: Transaction,
     method: str = "bitset",
+    delta_tid: Optional[int] = None,
 ) -> Iterator[SplitScheduleSpec]:
     """Algorithm 1's inner loops for a fixed split candidate ``T_1``.
 
@@ -238,10 +229,17 @@ def _scan_t1(
     problematic triple ``(T_1, T_2, T_m)``, in the deterministic
     ``(T_2, T_m)`` candidate order.  This generator is the single source
     of truth for the per-``T_1`` search: :func:`check_robustness` takes
-    its first element, :func:`enumerate_counterexamples` drains it, and
+    its first element, :func:`enumerate_counterexamples` drains it, every
+    downgrade probe of Algorithm 2 runs it with ``delta_tid`` set, and
     the process-pool workers of :mod:`repro.parallel` run it remotely —
     which is what makes the parallel engine's results bit-identical to
     the sequential ones.
+
+    With a ``delta_tid`` other than ``T_1`` only the triples having it as
+    ``T_2`` or ``T_m`` are visited: the subsequence of the full output
+    through the changed transaction, which is all of it when
+    ``allocation`` is one step below a robust one (the delta lemma of
+    :func:`check_robustness_delta`).
 
     The ``bitset`` engine runs the whole triple scan on the kernel's
     integer rows and builds each witness's connecting chain from the
@@ -250,64 +248,23 @@ def _scan_t1(
     """
     if method == "bitset":
         kernel = ctx.kernel()
-        for t2, tm, ops in iter_witness_triples(kernel, allocation, t1):
+        for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
             path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
             yield _build_chain(ctx, t1, t2, tm, ops, path)
         return
     candidates = ctx.candidates(t1, method)
     oracle = ctx.oracle(t1)
     index = ctx.index
+    scoped = delta_tid not in (None, t1.tid)
     for t2 in candidates:
         for tm in candidates:
+            if scoped and delta_tid not in (t2.tid, tm.tid):
+                continue
             if method == "paper":
                 reachable = _paper_reachable(index, t1, t2, tm)
             else:
                 reachable = oracle.reachable(t2.tid, tm.tid)
             if not reachable:
-                continue
-            if not _triple_passes_ssi_conditions(allocation, t1, t2, tm):
-                continue
-            ops = _search_operations(ctx, allocation, t1, t2, tm)
-            if ops is None:
-                continue
-            path = oracle.connecting_path(t2.tid, tm.tid)
-            yield _build_chain(ctx, t1, t2, tm, ops, path)
-
-
-def _scan_t1_delta(
-    ctx: AnalysisContext,
-    allocation: Allocation,
-    t1: Transaction,
-    delta_tid: int,
-    method: str = "bitset",
-) -> Iterator[SplitScheduleSpec]:
-    """:func:`_scan_t1` restricted to triples involving ``delta_tid``.
-
-    Sound for allocations differing from a robust base only at
-    ``delta_tid`` (see :func:`check_robustness_delta`): the yielded specs
-    are exactly the subsequence of ``_scan_t1``'s output whose triple
-    mentions the changed transaction — and by the delta lemma that
-    subsequence is everything ``_scan_t1`` would yield.
-    """
-    if t1.tid == delta_tid:
-        yield from _scan_t1(ctx, allocation, t1, method)
-        return
-    if method == "bitset":
-        kernel = ctx.kernel()
-        for t2, tm, ops in iter_witness_triples(
-            kernel, allocation, t1, delta_tid=delta_tid
-        ):
-            path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
-            yield _build_chain(ctx, t1, t2, tm, ops, path)
-        return
-    candidates = ctx.candidates(t1, "components")
-    oracle = ctx.oracle(t1)
-    for t2 in candidates:
-        t2_is_delta = t2.tid == delta_tid
-        for tm in candidates:
-            if not (t2_is_delta or tm.tid == delta_tid):
-                continue
-            if not oracle.reachable(t2.tid, tm.tid):
                 continue
             if not _triple_passes_ssi_conditions(allocation, t1, t2, tm):
                 continue
@@ -390,20 +347,30 @@ def _first_witness(
     allocation: Allocation,
     method: str,
     context: AnalysisContext,
+    delta_tid: Optional[int] = None,
 ) -> Optional[SplitScheduleSpec]:
     """Algorithm 1's ascending-``T_1`` scan over one context.
 
-    Stops at the first witness; counts one check on the context.
+    Stops at the first witness; counts one check on the context.  With
+    ``delta_tid`` only the triples through it are scanned
+    (:func:`check_robustness_delta`): ``T_1`` ranges over ``delta_tid``
+    and its conflict neighbours, and :func:`_scan_t1` skips the rest.
     """
     context.ensure(workload)
     context.record_check()
     tracer = current_tracer()
-    with tracer.span(
-        "robustness.check", transactions=len(workload), method=method, jobs=1
-    ) as check_span:
-        for t1 in workload:
+    name, t1s = "robustness.check", workload
+    attrs = dict(transactions=len(workload), method=method, jobs=1)
+    if delta_tid is not None:
+        scope = context.index.conflict_neighbours(delta_tid) | {delta_tid}
+        name, t1s = "robustness.check_delta", [workload[t] for t in sorted(scope)]
+        attrs["delta_tid"] = delta_tid
+    with tracer.span(name, **attrs) as check_span:
+        for t1 in t1s:
             with tracer.span("robustness.scan_t1", t1=t1.tid):
-                spec = next(_scan_t1(context, allocation, t1, method), None)
+                spec = next(
+                    _scan_t1(context, allocation, t1, method, delta_tid), None
+                )
             if spec is not None:
                 check_span.set(robust=False)
                 return spec
@@ -415,7 +382,7 @@ def check_robustness_delta(
     workload: Workload,
     allocation: Allocation,
     delta_tid: int,
-    context: Optional[AnalysisContext] = None,
+    context: Optional[Context] = None,
     method: str = "bitset",
 ) -> RobustnessResult:
     """Robustness of an allocation one step away from a robust one.
@@ -424,9 +391,10 @@ def check_robustness_delta(
     agrees with ``allocation`` everywhere except possibly at
     ``delta_tid`` (callers typically lower one transaction of a robust
     allocation, as Algorithm 2's refinement does).  Under that
-    precondition the verdict equals :func:`check_robustness`, but the
-    scan only visits triples involving ``delta_tid`` — ``O(|T|^2)``
-    instead of ``O(|T|^3)`` triples.
+    precondition the verdict and the counterexample equal
+    :func:`check_robustness`'s, but the scan only visits triples
+    involving ``delta_tid`` — ``O(|T|^2)`` instead of ``O(|T|^3)``
+    triples.
 
     Why this is sound (the *delta lemma*): every condition of
     Definition 3.1 that mentions isolation levels — (2)/(3) via the RC
@@ -438,7 +406,14 @@ def check_robustness_delta(
     Theorem 3.2 for the base.  Hence every witness involves
     ``delta_tid`` in one of the three roles, and ``T_1`` ranges over
     ``delta_tid`` and its conflict neighbours only (``T_2``/``T_m`` must
-    conflict with ``T_1``).
+    conflict with ``T_1``).  The full scan's first witness therefore
+    already runs through ``delta_tid``, and the scoped scan returns it.
+
+    ``context`` dispatches as in :func:`check_robustness`: omitted or a
+    :class:`~repro.core.sharding.ShardedContext`, only the component of
+    ``delta_tid`` (which holds every witness) is scanned and the
+    counterexample is materialized against the full workload; an
+    ``AnalysisContext`` scans the workload as one unit.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -452,29 +427,19 @@ def check_robustness_delta(
         >>> check_robustness_delta(private, lowered, 2).robust
         True
     """
-    if not allocation.covers(workload):
-        raise WorkloadError("allocation does not cover the workload")
+    _validate(workload, allocation, method)
     if delta_tid not in workload:
         raise WorkloadError(f"no transaction with id {delta_tid}")
-    if method not in ("bitset", "components"):
-        raise ValueError(f"unknown delta-scan method {method!r}")
-    ctx = _resolve_context(workload, context)
-    ctx.record_check()
-    with current_tracer().span(
-        "robustness.check_delta", transactions=len(workload), delta_tid=delta_tid
-    ) as check_span:
-        neighbours = ctx.index.conflict_neighbours(delta_tid)
-        for t1 in workload:
-            if t1.tid != delta_tid and t1.tid not in neighbours:
-                continue
-            for spec in _scan_t1_delta(ctx, allocation, t1, delta_tid, method):
-                check_span.set(robust=False)
-                schedule = materialize(spec, workload, allocation)
-                return RobustnessResult(
-                    False, Counterexample(spec, schedule, allocation)
-                )
-        check_span.set(robust=True)
-    return RobustnessResult(True)
+    if isinstance(context, AnalysisContext):
+        ctx, scanned = context, workload
+    else:
+        ctx = _resolve_sharded(workload, context).context_of(delta_tid)
+        scanned = ctx.workload
+    spec = _first_witness(scanned, allocation, method, ctx, delta_tid)
+    if spec is None:
+        return RobustnessResult(True)
+    schedule = materialize(spec, workload, allocation)
+    return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
 def _paper_reachable(
@@ -514,10 +479,10 @@ def first_witness_spec(
     The lean core of :func:`check_robustness`: identical scan, identical
     verdict, identical spec, but Theorem 3.2's schedule materialization
     is skipped entirely.  This is what the boolean callers — Algorithm
-    2's downgrade probes, :func:`is_robust` — use: they never read the
-    schedule, and materialization dominates the cost of a failed probe
-    on mid-sized workloads.  ``context`` dispatches as in
-    :func:`check_robustness`.
+    2's downgrade probes (scoped to the lowered transaction),
+    :func:`is_robust` — use: they never read the schedule, and
+    materialization dominates the cost of a failed probe on mid-sized
+    workloads.  ``context`` dispatches as in :func:`check_robustness`.
     """
     if not isinstance(context, AnalysisContext):
         return first_witness_spec_sharded(

@@ -26,10 +26,9 @@ counterpart in :mod:`repro.core` —
   the pointwise combination of these per-transaction answers equals the
   sequential refinement's result (the set of robust allocations above the
   optimum is closed under pointwise minimum — Proposition 4.1).  Each
-  probe uses the delta-restricted scan of
-  :func:`repro.core.robustness.check_robustness_delta`, which is also
-  what makes the decomposition *faster* than the sequential loop rather
-  than merely concurrent.
+  probe is the sequential refinement's own delta-scoped probe (the scan
+  of :func:`repro.core.robustness.check_robustness_delta`), so the pool
+  adds concurrency and warm worker caches, not a cheaper scan.
 
 If the pool breaks (a worker killed by the OS, an unpicklable object —
 never expected with our encodings), the engine falls back to the

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
+from ..core.allocation import _robust_with_warm_start
 from ..core.context import AnalysisContext
-from ..core.robustness import _scan_t1, _scan_t1_delta
-from ..core.split_schedule import SplitScheduleSpec
+from ..core.robustness import _scan_t1
 from ..observability import SpanBatch, use_tracer, worker_tracer
 from .encoding import (
     AllocationEncoding,
@@ -135,25 +135,6 @@ def scan_chunk(
     return result, delta, encode_span_batch(tracer)
 
 
-def _first_delta_witness(
-    ctx: AnalysisContext, allocation, delta_tid: int, method: str = "bitset"
-) -> Optional[SplitScheduleSpec]:
-    """First witness of the delta-restricted scan, or ``None`` if robust.
-
-    The lean (no materialization) core of
-    :func:`~repro.core.robustness.check_robustness_delta`; sound under
-    the same precondition (``allocation`` one step below a robust base).
-    """
-    ctx.record_check()
-    neighbours = ctx.index.conflict_neighbours(delta_tid)
-    for t1 in ctx.workload:
-        if t1.tid != delta_tid and t1.tid not in neighbours:
-            continue
-        for spec in _scan_t1_delta(ctx, allocation, t1, delta_tid, method):
-            return spec
-    return None
-
-
 def probe_chunk(
     workload_enc: WorkloadEncoding,
     start_enc: AllocationEncoding,
@@ -165,12 +146,12 @@ def probe_chunk(
 
     Each probe ``(tid, levels)`` finds the lowest of ``levels`` (ascending,
     all below ``start[tid]``) such that ``start[tid -> level]`` stays
-    robust, using the delta-restricted check; ``start`` must be robust
-    (Algorithm 2 starts from ``A_SSI`` / a previously verified ``A_SI``).
-    Witness chains found by failed probes are cached on the worker
-    context and revalidated against later candidates (one lookup in
-    each chain's compiled level table) before any full search — the same
-    counterexample-guided warm start the sequential refinement uses.
+    robust; ``start`` must be robust (Algorithm 2 starts from ``A_SSI`` /
+    a previously verified ``A_SI``).  Each candidate is one step below
+    ``start``, so each probe is the sequential refinement's scoped probe
+    (``_robust_with_warm_start`` with ``delta_tid=tid``): chains found by
+    failed probes are cached on the worker context and revalidated
+    against later candidates before any scan.
 
     Returns ``{tid: chosen-level-name}`` for the chunk; with ``trace``
     the chunk and each downgrade probe are shipped back as spans.
@@ -191,15 +172,13 @@ def probe_chunk(
                         with tracer.span(
                             "allocation.probe", tid=tid, level=name
                         ):
-                            if ctx.known_witness(candidate) is not None:
-                                continue  # cached chain: non-robust
-                            witness = _first_delta_witness(
-                                ctx, candidate, tid, method
+                            lowered = _robust_with_warm_start(
+                                ctx.workload, candidate, method, ctx,
+                                delta_tid=tid,
                             )
-                        if witness is None:
+                        if lowered:
                             final = name
                             break
-                        ctx.add_witness(witness)
                     txn_span.set(level=final)
                 chosen[tid] = final
     delta = _stats_delta(before, ctx.stats.as_dict())

@@ -52,6 +52,9 @@ def test_delta_check_equals_full_check(case):
     # downgrade must break robustness — and the delta check must see it.
     assert not full.robust
     assert not delta.robust
+    # The full scan's first witness already runs through the changed
+    # transaction, so the scoped scan returns the very same chain.
+    assert delta.counterexample.spec == full.counterexample.spec
     assert is_valid_split_schedule(delta.counterexample.spec, wl, candidate)
     chain_tids = {quad.tid_i for quad in delta.counterexample.spec.chain}
     assert tid in chain_tids  # the witness involves the changed transaction

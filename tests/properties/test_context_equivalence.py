@@ -9,7 +9,10 @@ Three implementations must agree everywhere:
 
 And the warm-started :func:`~repro.core.allocation.refine_allocation`
 must return the identical allocation as the seed refinement loop (no
-witness cache, a fresh conflict index per robustness check).
+witness cache, a fresh conflict index per robustness check).  Its
+probes, scoped to the lowered transaction, must match a warm refinement
+whose probes test every cached chain and scan every triple — optimum,
+witness cache and counters alike.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -18,9 +21,15 @@ from hypothesis import strategies as st
 import strategies as sts
 from repro.core.allocation import optimal_allocation, refine_allocation
 from repro.core.context import AnalysisContext
-from repro.core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
-from repro.core.robustness import check_robustness
+from repro.core.isolation import (
+    Allocation,
+    IsolationLevel,
+    ORACLE_LEVELS,
+    POSTGRES_LEVELS,
+)
+from repro.core.robustness import check_robustness, first_witness_spec, is_robust
 from repro.core.split_schedule import is_valid_split_schedule
+from repro.workloads.generator import random_workload
 
 
 @st.composite
@@ -81,6 +90,43 @@ def _seed_refine(workload, start, levels, method="components"):
     return current
 
 
+def _warm_full_scan_refine(workload, start, levels, ctx):
+    """The warm-started refinement with unscoped probes.
+
+    Every probe tests every cached chain, then scans every triple of
+    every ``T_1`` — what the refinement did before its probes were
+    scoped to the lowered transaction.
+    """
+    ordered = tuple(sorted(set(levels)))
+    current = start
+    for tid in workload.tids:
+        for level in ordered:
+            if level >= current[tid]:
+                break
+            candidate = current.with_level(tid, level)
+            if ctx.known_witness(candidate) is not None:
+                continue
+            spec = first_witness_spec(workload, candidate, context=ctx)
+            if spec is None:
+                current = candidate
+                break
+            ctx.add_witness(spec)
+    return current
+
+
+@st.composite
+def mid_sized_workloads(draw):
+    """8-14 transactions, dense to sparse: large enough for the scope to prune."""
+    size = draw(st.integers(min_value=8, max_value=14))
+    return random_workload(
+        transactions=size,
+        objects=draw(st.integers(min_value=size, max_value=3 * size)),
+        min_ops=2,
+        max_ops=4,
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
 @given(sts.workloads(min_transactions=1, max_transactions=4))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_warm_started_refinement_matches_seed(wl):
@@ -100,3 +146,20 @@ def test_context_backed_optimum_matches_seed(wl):
     assert optimal_allocation(wl, context=ctx) == _seed_refine(
         wl, Allocation.ssi(wl), POSTGRES_LEVELS
     )
+
+
+@given(mid_sized_workloads())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_scoped_probes_match_full_scan_refinement(wl):
+    """Scoped probes ≡ full-scan probes: optimum, witness cache, counters."""
+    for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
+        start = Allocation.uniform(wl, max(levels))
+        if not is_robust(wl, start):
+            continue  # {RC, SI} without a robust allocation: nothing to refine
+        scoped_ctx, full_ctx = AnalysisContext(wl), AnalysisContext(wl)
+        scoped = refine_allocation(wl, start, levels, context=scoped_ctx)
+        full = _warm_full_scan_refine(wl, start, levels, full_ctx)
+        assert scoped == full
+        assert scoped_ctx.witnesses == full_ctx.witnesses
+        assert scoped_ctx.stats.checks == full_ctx.stats.checks
+        assert scoped_ctx.stats.witness_hits == full_ctx.stats.witness_hits

@@ -6,7 +6,8 @@ allocation) pair, ``method="bitset"`` must return the *same*
 and the *same* ``enumerate_counterexamples`` sequence (order included)
 as ``method="components"`` — the kernel reorganizes the scan's data
 layout, never its decisions.  The suite also pins the delta-restricted
-scan, Algorithm 2 end to end, the parallel (``n_jobs > 1``) paths, and
+scan (the scoped kernel loop against the filtered full loop),
+Algorithm 2 end to end, the parallel (``n_jobs > 1``) paths, and
 the two shortcuts the bitset path takes instead of the reference code:
 the per-chain level table behind the witness cache against
 ``condition_failures``, and the kernel's connecting chains against the
@@ -24,6 +25,7 @@ import strategies as sts
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
+from repro.core.kernel import iter_witness_triples
 from repro.core.robustness import (
     _enumerate_specs,
     check_robustness,
@@ -139,6 +141,37 @@ def test_level_mask_matches_condition_failures(pair):
             assert holds == (not condition_failures(spec, wl, trial)), (
                 str(spec), level1, level2, levelm
             )
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.lists(st.sampled_from(list(IsolationLevel)), min_size=12, max_size=12),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
+    """The scoped kernel loop yields the full loop's triples through ``d``.
+
+    For every ``T_1`` and every tid ``d`` — ``T_1`` itself, a conflict
+    neighbour of ``T_1``, or a transaction it does not conflict with —
+    the scoped scan is exactly the full scan's triples having ``d`` as
+    ``T_1``, ``T_2`` or ``T_m``, in the same order.
+    """
+    wl = random_workload(
+        transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
+    )
+    alloc = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
+    kernel = AnalysisContext(wl).kernel()
+    for t1 in wl:
+        full = list(iter_witness_triples(kernel, alloc, t1))
+        for d in wl.tids:
+            expected = [
+                triple
+                for triple in full
+                if d in (t1.tid, triple[0].tid, triple[1].tid)
+            ]
+            scoped = list(iter_witness_triples(kernel, alloc, t1, delta_tid=d))
+            assert scoped == expected, (t1.tid, d)
 
 
 @given(

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from repro.core.allocation import optimal_allocation
-from repro.core.isolation import Allocation, IsolationLevel
+from repro.core.context import AnalysisContext
+from repro.core.isolation import Allocation, IsolationLevel, ORACLE_LEVELS, POSTGRES_LEVELS
 from repro.core.robustness import check_robustness, enumerate_counterexamples
 from repro.core.workload import workload
 
@@ -57,6 +58,28 @@ def test_parallel_enumeration_equals_sequential(pair):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_parallel_optimum_equals_sequential(wl):
     assert optimal_allocation(wl) == optimal_allocation(wl, n_jobs=2)
+
+
+@given(sts.workloads(min_transactions=1, max_transactions=5))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parallel_probe_count_equals_sequential(wl):
+    """``checks + witness_hits`` counts the probes, the same on both paths.
+
+    Each transaction ends at the same level either way (Proposition
+    4.1), so both refinements probe the same (transaction, level) pairs.
+    The pool answers more of them from cached chains — every probe
+    lowers one transaction of the one start allocation — so ``checks``
+    alone may differ.
+    """
+    for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
+        seq_ctx, par_ctx = AnalysisContext(wl), AnalysisContext(wl)
+        seq = optimal_allocation(wl, levels, context=seq_ctx)
+        par = optimal_allocation(wl, levels, context=par_ctx, n_jobs=2)
+        assert seq == par
+        assert (
+            seq_ctx.stats.checks + seq_ctx.stats.witness_hits
+            == par_ctx.stats.checks + par_ctx.stats.witness_hits
+        )
 
 
 @given(sts.workloads(min_transactions=1, max_transactions=4))

@@ -37,7 +37,11 @@ from repro.core.isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from repro.core.robustness import check_robustness, enumerate_counterexamples
+from repro.core.robustness import (
+    check_robustness,
+    check_robustness_delta,
+    enumerate_counterexamples,
+)
 from repro.core.sharding import ShardedContext, conflict_components
 from repro.core.split_schedule import is_valid_split_schedule
 from repro.observability import Tracer, use_tracer
@@ -188,6 +192,50 @@ def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
     assert len(conflict_components(wl)) >= 4
     assert_counters_match(wl, POSTGRES_LEVELS)
     assert_counters_match(wl, ORACLE_LEVELS)
+
+
+def assert_delta_checks_match(wl, method="bitset"):
+    """Every one-step candidate: sharded delta check ≡ one-unit delta check.
+
+    The candidates lower one transaction of a robust allocation (all-SSI
+    and the optimum).  The default and the ``ShardedContext`` dispatch
+    scan only the lowered transaction's component and must return the
+    one-unit verdict and spec.
+    """
+    for base in (Allocation.ssi(wl), optimal_allocation(wl, method=method)):
+        for tid in wl.tids:
+            for level in IsolationLevel:
+                if level >= base[tid]:
+                    continue
+                candidate = base.with_level(tid, level)
+                one_unit = check_robustness_delta(
+                    wl, candidate, tid, context=AnalysisContext(wl), method=method
+                )
+                for context in (None, ShardedContext(wl)):
+                    sharded = check_robustness_delta(
+                        wl, candidate, tid, context=context, method=method
+                    )
+                    assert sharded.robust == one_unit.robust
+                    if not one_unit.robust:
+                        spec = sharded.counterexample.spec
+                        assert spec == one_unit.counterexample.spec
+                        assert is_valid_split_schedule(spec, wl, candidate)
+
+
+@given(sts.workloads(min_transactions=1, max_transactions=5))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sharded_delta_check_matches_one_unit(wl):
+    for method in ENGINES:
+        assert_delta_checks_match(wl, method=method)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
+    wl = clustered_workload(
+        components=4, per_component=4, objects_per_component=5, seed=seed
+    )
+    assert len(conflict_components(wl)) >= 4
+    assert_delta_checks_match(wl)
 
 
 @pytest.mark.parametrize(
