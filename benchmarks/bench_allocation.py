@@ -157,7 +157,6 @@ def test_context_speedup_report(benchmark, capsys):
                     f"{warm_s * 1000:.1f}ms",
                     f"{cold_s / warm_s:.1f}x",
                     ctx.stats.checks,
-                    ctx.stats.witness_hits,
                 )
             )
         return rows
@@ -166,7 +165,7 @@ def test_context_speedup_report(benchmark, capsys):
     with capsys.disabled():
         print_table(
             "CTX: shared analysis context vs cold start (Algorithm 2)",
-            ["|T|", "cold", "context", "speedup", "checks", "witness hits"],
+            ["|T|", "cold", "context", "speedup", "checks"],
             rows,
         )
 

@@ -76,11 +76,10 @@ def test_incremental_report(benchmark, capsys):
         for contention in ("sparse", "contended"):
             arrivals = _arrivals(contention)
             manager = AllocationManager()
-            warm = witness_hits = 0
+            warm = 0
             for txn in arrivals:
                 manager.add(txn)
                 warm += manager.last_check_count
-                witness_hits += manager.last_stats.witness_hits
             cold = 0
             seen = []
             for txn in arrivals:
@@ -92,7 +91,7 @@ def test_incremental_report(benchmark, capsys):
             # Verify the stream landed on the true optimum.
             assert manager.allocation == optimal_allocation(Workload(arrivals))
             rows.append(
-                (contention, warm, witness_hits, cold, f"{cold / warm:.1f}x")
+                (contention, warm, cold, f"{cold / warm:.1f}x")
             )
         return rows
 
@@ -100,6 +99,6 @@ def test_incremental_report(benchmark, capsys):
     with capsys.disabled():
         print_table(
             "INC: robustness checks across 12 arrivals",
-            ["contention", "warm-start", "witness hits", "from-scratch", "saving"],
+            ["contention", "warm-start", "from-scratch", "saving"],
             rows,
         )

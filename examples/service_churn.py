@@ -88,8 +88,7 @@ def main() -> None:
             snapshot = client.call("snapshot")
             print(
                 f"  snapshot: {snapshot['bytes']} bytes,"
-                f" {snapshot['transactions']} transactions,"
-                f" {snapshot['witnesses']} witness chains"
+                f" {snapshot['transactions']} transactions"
             )
             client.call("remove", tid=2)
             print(f"  after retiring T2: {client.call('allocate')['allocation']}")

@@ -8,7 +8,7 @@ Subcommands:
 * ``allocate <workload-file> [--levels RC,SI | RC,SI,SSI]`` — compute the
   optimal robust allocation (Algorithm 2 / Theorem 5.5).  Both ``check``
   and ``allocate`` accept ``--stats`` to print the shared analysis
-  context's counters (checks executed, cache and witness hits) and
+  context's counters (checks executed, index builds, cache hits) and
   ``--jobs N`` to fan the analysis out over N worker processes
   (``--jobs auto`` picks by workload size; results are identical to the
   sequential engine).
@@ -36,9 +36,12 @@ Subcommands:
   ``docs/service.md`` for the operator guide.
 
 The input-parsing helpers shared with the daemon live in
-:mod:`repro.service.handlers`; this module only translates their
-:class:`~repro.service.handlers.CommandError` into the CLI's
-``SystemExit`` style.
+:mod:`repro.service.handlers`.  A
+:class:`~repro.service.handlers.CommandError` that reaches :func:`main`
+— an unreadable, non-UTF-8 or malformed workload file, an unreadable or
+invalid trace file — prints ``repro: error: <message>`` to stderr and
+exits 2; bad level and allocation specs keep their one-line exit-1
+messages.
 
 Workload files use the text format of
 :func:`repro.core.workload.parse_workload`::
@@ -412,23 +415,24 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
-    from .observability import profile_trace_file, render_trace_report
+    from .observability import build_profile, render_trace_report
 
     key_attrs = tuple(
         part.strip() for part in (args.group_by or "").split(",") if part.strip()
     )
-    data, root = profile_trace_file(args.file, key_attrs=key_attrs)
+    data = _handlers.load_trace_file(args.file)
+    root = build_profile(data, key_attrs=key_attrs)
     print(render_trace_report(data, root, path=args.file, max_depth=args.depth))
     return 0
 
 
 def _cmd_trace_flame(args: argparse.Namespace) -> int:
-    from .observability import folded_stacks, profile_trace_file
+    from .observability import build_profile, folded_stacks
 
     key_attrs = tuple(
         part.strip() for part in (args.group_by or "").split(",") if part.strip()
     )
-    _data, root = profile_trace_file(args.file, key_attrs=key_attrs)
+    root = build_profile(_handlers.load_trace_file(args.file), key_attrs=key_attrs)
     stacks = folded_stacks(root)
     if args.output:
         Path(args.output).write_text(stacks, encoding="utf-8")
@@ -439,11 +443,11 @@ def _cmd_trace_flame(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    from .observability import diff_trace_files
+    from .observability import diff_traces
 
-    report = diff_trace_files(
-        args.baseline,
-        args.current,
+    report = diff_traces(
+        _handlers.load_trace_file(args.baseline),
+        _handlers.load_trace_file(args.current),
         max_regress=args.max_regress / 100.0,
         abs_floor_s=args.abs_floor_ms / 1e3,
     )
@@ -1056,9 +1060,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     allocation deltas on the top-level spans.  Without the flags the
     no-op tracer stays installed and all output is byte-identical to a
     build without tracing.
+
+    A :class:`~repro.service.handlers.CommandError` from any subcommand
+    prints ``repro: error: <message>`` to stderr and returns 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except CommandError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed subcommand, under a tracer when ``--trace`` asks."""
     trace_path = getattr(args, "trace", None)
     trace_memory = bool(getattr(args, "trace_memory", False))
     if not trace_path:

@@ -20,19 +20,14 @@ is built exactly once per component across the
 ``O(|T| * levels)`` robustness checks a full run issues.  An explicit
 :class:`~repro.core.context.AnalysisContext` refines the workload as one
 unit instead — the per-component core, with the identical optimum
-(Proposition 4.2).  The refinement additionally keeps a *witness cache* on the
-context: counterexample chains discovered while probing one candidate are
-revalidated (one lookup in each chain's compiled Definition 3.1 level
-table) against later candidates, skipping the full Algorithm 1 search whenever a cached chain
-still applies.  Both are pure accelerations — the returned allocations
-are identical to the uncached computation (asserted by the property
-suite).
+(Proposition 4.2).
 
 Every downgrade probe lowers one transaction ``t`` of a robust
-allocation, so its cache lookup and scan visit only chains and triples
-through ``t`` (the delta lemma of
-:func:`repro.core.robustness.check_robustness_delta`), with the full
-scan's result.  With ``n_jobs`` other than ``1`` the same probes run on
+allocation, so its scan visits only the triples through ``t`` (the
+delta lemma of :func:`repro.core.robustness.check_robustness_delta`),
+with the full scan's verdict, and it asks only whether a witness
+exists: no chain is built for a verdict the refinement reads as one
+bit.  With ``n_jobs`` other than ``1`` the same probes run on
 the process pool of :mod:`repro.parallel`, each from the robust start
 allocation.  The result is again identical — the optimum is unique
 (Proposition 4.2) and each transaction's final level depends only on
@@ -52,7 +47,7 @@ from .isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from .robustness import Context, _first_witness, check_robustness, is_robust
+from .robustness import Context, _witness_exists, check_robustness, is_robust
 from .sharding import (
     ShardedContext,
     _resolve_jobs,
@@ -73,7 +68,7 @@ def _normalized_levels(
     return tuple(unique)
 
 
-def _robust_with_warm_start(
+def _probe_robust(
     workload: Workload,
     candidate: Allocation,
     method: str,
@@ -81,34 +76,20 @@ def _robust_with_warm_start(
     n_jobs: Optional[int] = 1,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Robustness of ``candidate``, trying cached witness chains first.
+    """One Algorithm 2 probe: is ``candidate`` robust?
 
-    A cached chain whose Definition 3.1 conditions all hold under
-    ``candidate`` is a multiversion split schedule, hence (Theorem 3.2) a
-    proof of non-robustness — the full Algorithm 1 search is skipped.
-    Otherwise the full check runs, and a fresh counterexample (if any) is
-    added to the cache for later candidates.  Probes only need the spec,
-    so the sequential path runs the lean first-witness scan — no
-    schedule is materialized for a verdict the refinement discards.
-
-    ``delta_tid`` marks ``candidate`` as one step below a robust
-    allocation at that transaction: the lookup and the scan then visit
-    only chains and triples through it, with the same result.
+    Only the verdict matters, so the sequential path asks whether the
+    scan finds a witness (:func:`~repro.core.robustness._witness_exists`)
+    and builds no chain and no schedule.  ``delta_tid`` marks
+    ``candidate`` as one step below a robust allocation at that
+    transaction: the scan then visits only triples through it, with the
+    same verdict.  Every probe counts one check.
     """
-    if ctx.known_witness(candidate, delta_tid) is not None:
-        return False
     if n_jobs == 1:
-        spec = _first_witness(workload, candidate, method, ctx, delta_tid)
-        if spec is not None:
-            ctx.add_witness(spec)
-        return spec is None
-    result = check_robustness(
+        return not _witness_exists(workload, candidate, method, ctx, delta_tid)
+    return check_robustness(
         workload, candidate, method=method, context=ctx, n_jobs=n_jobs
-    )
-    if not result.robust:
-        assert result.counterexample is not None
-        ctx.add_witness(result.counterexample.spec)
-    return result.robust
+    ).robust
 
 
 def refine_allocation(
@@ -127,12 +108,9 @@ def refine_allocation(
     independent of the iteration order and equals the unique optimal robust
     allocation below ``start`` (the test suite checks order invariance).
 
-    Failed lowerings warm-start later probes: each counterexample chain is
-    recorded on the context and revalidated against subsequent candidate
-    allocations before falling back to the search (see
-    :meth:`~repro.core.context.AnalysisContext.known_witness`); both
-    are scoped to the lowered transaction, as the current allocation is
-    robust.
+    Each probe lowers one transaction of the current, robust allocation,
+    so it scans only the triples through that transaction and asks only
+    whether a witness exists (:func:`_probe_robust`).
 
     Args:
         workload: the set of transactions.
@@ -186,7 +164,7 @@ def refine_allocation(
                         break
                     candidate = current.with_level(tid, level)
                     with tracer.span("allocation.probe", tid=tid, level=level.name):
-                        lowered = _robust_with_warm_start(
+                        lowered = _probe_robust(
                             workload, candidate, method, context, delta_tid=tid
                         )
                     if lowered:

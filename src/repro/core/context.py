@@ -1,30 +1,22 @@
 """Shared, allocation-independent analysis structure for Algorithm 1/2.
 
 Algorithm 2 (and the incremental :class:`~repro.core.incremental.AllocationManager`)
-decide optimality by issuing ``O(|T| * levels)`` robustness checks.  The
-expensive parts of each check — the transaction-level conflict index
-(``O(|T|^2)`` pairwise conflict tests), the mixed-iso-graph connected
-components of every ``T_1``, the candidate-partner lists and the
-per-pair conflicting-operation tables — depend only on the *workload*,
-never on the allocation being probed.  :class:`AnalysisContext`
-precomputes them once per workload and is threaded through
-:func:`~repro.core.robustness.check_robustness`,
+decide optimality by issuing ``O(|T| * levels)`` robustness probes.  The
+expensive parts of each probe — the transaction-level conflict index,
+the mixed-iso-graph connected components of every ``T_1``, the
+candidate-partner lists and the per-pair conflicting-operation tables —
+depend only on the *workload*, never on the allocation being probed.
+:class:`AnalysisContext` precomputes them once per workload and is
+threaded through :func:`~repro.core.robustness.check_robustness`,
 :func:`~repro.core.allocation.refine_allocation`,
 :func:`~repro.core.allocation.optimal_allocation` and friends, so a full
 Algorithm 2 run builds the structure exactly once.
 
-The context additionally carries a *witness cache* for
-counterexample-guided warm starts: when lowering a transaction's level
-produces a counterexample, the witness chain is recorded, and later
-candidate allocations that leave the chain's conditions intact are
-rejected without the full Algorithm 1 search.  Definition 3.1 mentions
-the allocation only through the levels of ``T_1``, ``T_2`` and ``T_m``,
-so each chain is compiled once, on entry, into those three ids and a
-27-bit table of the level triples it holds under
-(:func:`~repro.core.split_schedule.level_mask`); revalidating it is
-three level lookups and one shift.  This is sound by Theorem 3.2: a
-chain satisfying all conditions *is* a multiversion split schedule,
-hence a proof of non-robustness, for any allocation.
+The conflict index is built on tid bits (bit order = ascending tid): one
+``readers`` and one ``writers`` mask per object, and from them one
+neighbour mask per transaction, in ``O(total operations)`` big-integer
+ORs.  The bitset kernel (:mod:`repro.core.kernel`) evaluates Definition
+3.1 directly on these masks.
 
 All counters (checks issued, cache hits, index builds) are exposed on
 the context, replacing ad-hoc per-caller accounting.
@@ -32,47 +24,78 @@ the context, replacing ad-hoc per-caller accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs, transactions_conflict
-from .isolation import Allocation
 from .operations import Operation
-from .split_schedule import LEVEL_SHIFTS, SplitScheduleSpec, level_mask
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
 
 
 class ConflictIndex:
-    """Precomputed transaction-level conflict structure for a workload.
+    """Transaction-level conflict structure of a workload, on tid bits.
 
-    Allocation-independent: depends only on the read/write sets of the
-    transactions.  Build accounting lives on
-    :attr:`ContextStats.index_builds` (one per context, merged from
-    workers by the parallel engine).
+    Bit ``i`` stands for the ``i``-th smallest tid (:attr:`tids`), so
+    ascending bit order is ascending tid order — the candidate order of
+    every engine.  ``readers[o]`` / ``writers[o]`` hold the transactions
+    reading / writing object ``o``; ``nbr[t]`` the transactions
+    conflicting with ``t`` (a shared object written on at least one
+    side).  Allocation-independent; build accounting lives on
+    :attr:`ContextStats.index_builds`.
     """
 
     def __init__(self, workload: Workload):
         self.workload = workload
         self.transactions = workload.transactions
-        self._conflicts: Dict[int, Set[int]] = {t.tid: set() for t in self.transactions}
-        txns = self.transactions
-        for i, ti in enumerate(txns):
-            for tj in txns[i + 1 :]:
-                if transactions_conflict(ti, tj):
-                    self._conflicts[ti.tid].add(tj.tid)
-                    self._conflicts[tj.tid].add(ti.tid)
+        self.tids: Tuple[int, ...] = workload.tids
+        self.bit: Dict[int, int] = {tid: i for i, tid in enumerate(self.tids)}
+        readers: Dict[str, int] = {}
+        writers: Dict[str, int] = {}
+        for txn in self.transactions:
+            flag = 1 << self.bit[txn.tid]
+            for obj in txn.read_set:
+                readers[obj] = readers.get(obj, 0) | flag
+            for obj in txn.write_set:
+                writers[obj] = writers.get(obj, 0) | flag
+        self.readers = readers
+        self.writers = writers
+        self.nbr: Dict[int, int] = {}
+        for txn in self.transactions:
+            mask = 0
+            for obj in txn.write_set:
+                mask |= readers.get(obj, 0) | writers[obj]
+            for obj in txn.read_set:
+                mask |= writers.get(obj, 0)
+            self.nbr[txn.tid] = mask & ~(1 << self.bit[txn.tid])
+        self._neighbours: Dict[int, Set[int]] = {}
 
     def conflict_neighbours(self, tid: int) -> Set[int]:
-        """Transactions having an operation conflicting with one of ``tid``."""
-        return self._conflicts[tid]
+        """Transactions having an operation conflicting with one of ``tid``.
+
+        Built on first request by inserting in ascending tid order, which
+        gives the set the iteration order a pairwise build would; the
+        kernel's connecting chains take their breadth-first starts in
+        that order.
+        """
+        cached = self._neighbours.get(tid)
+        if cached is None:
+            cached = set()
+            tids = self.tids
+            mask = self.nbr[tid]
+            while mask:
+                low = mask & -mask
+                cached.add(tids[low.bit_length() - 1])
+                mask ^= low
+            self._neighbours[tid] = cached
+        return cached
 
     def conflict(self, tid_i: int, tid_j: int) -> bool:
         """Whether the two transactions have conflicting operations."""
-        return tid_j in self._conflicts[tid_i]
+        return (self.nbr[tid_i] >> self.bit[tid_j]) & 1 == 1
 
 
 def mixed_iso_graph(t1: Transaction, others) -> nx.Graph:
@@ -184,10 +207,10 @@ class ContextStats:
     """Counters exposed by :class:`AnalysisContext`.
 
     Attributes:
-        checks: robustness checks executed through the context.  Each
-            Algorithm 2 probe is a check or a ``witness_hits`` hit, so the
-            sum counts probes; ``n_jobs > 1`` issues the same probes
-            (Proposition 4.1) but answers more of them from cached chains.
+        checks: robustness checks executed through the context — every
+            Algorithm 2 probe is one, so this is the probe count, the
+            same for every path that issues the same probes (sharded or
+            one-unit, sequential or pooled).
         index_builds: conflict indexes built (1 per context — so one per
             analyzed component under a sharded context).
         oracle_builds: reachability oracles built (at most one per
@@ -195,10 +218,10 @@ class ContextStats:
             the default ``bitset`` engine builds its witness chains from
             the kernel rows and never builds an oracle.
         oracle_hits: oracle requests served from the cache.
-        pair_builds: conflicting-operation tables built (per ordered pair).
-        pair_hits: conflicting-operation tables served from the cache.
-        witness_hits: candidate allocations rejected by a cached
-            counterexample chain's level table instead of a full search.
+        pair_builds: the context's conflicting-operation tables built (per
+            ordered pair; :meth:`AnalysisContext.conflicting_pairs`, read
+            by the reference engines and by witness-chain assembly).
+        pair_hits: those tables served from the cache.
         kernel_builds: bitset kernels built (at most 1 per context).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
@@ -223,7 +246,6 @@ class ContextStats:
     oracle_hits: int = 0
     pair_builds: int = 0
     pair_hits: int = 0
-    witness_hits: int = 0
     kernel_builds: int = 0
     kernel_row_builds: int = 0
     kernel_row_hits: int = 0
@@ -241,7 +263,6 @@ class ContextStats:
             "oracle_hits": self.oracle_hits,
             "pair_builds": self.pair_builds,
             "pair_hits": self.pair_hits,
-            "witness_hits": self.witness_hits,
             "kernel_builds": self.kernel_builds,
             "kernel_row_builds": self.kernel_row_builds,
             "kernel_row_hits": self.kernel_row_hits,
@@ -276,8 +297,7 @@ class AnalysisContext:
 
         ctx = AnalysisContext(wl)
         optimum = optimal_allocation(wl, context=ctx)
-        ctx.stats.checks        # robustness checks actually executed
-        ctx.stats.witness_hits  # candidates rejected by cached witnesses
+        ctx.stats.checks        # robustness checks (probes) executed
 
     The context is *read-only with respect to the workload*: it must not
     be reused after the workload changes (``check_robustness`` raises
@@ -303,10 +323,6 @@ class AnalysisContext:
         self._kernel = None  # BitKernel, built lazily by kernel()
         self._candidates: Dict[Tuple[int, str], Tuple[Transaction, ...]] = {}
         self._pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
-        # Compiled chains ``(spec, tid_1, tid_2, tid_m, level_mask)``,
-        # most recently hit first.
-        self._witnesses: List[Tuple[SplitScheduleSpec, int, int, int, int]] = []
-        self._witness_set: set = set()  # shadow set: O(1) add_witness dedup
 
     # -- validation ----------------------------------------------------
     def matches(self, workload: Workload) -> bool:
@@ -356,13 +372,11 @@ class AnalysisContext:
     def candidates(self, t1: Transaction, method: str) -> Tuple[Transaction, ...]:
         """Candidate ``T_2``/``T_m`` partners for ``t1`` under ``method``.
 
-        The paper iterates over all of ``T \\ {T_1}``; the optimized engines
-        restrict to transactions conflicting with ``T_1``, which is sound
+        The paper iterates over all of ``T \\ {T_1}``; ``components``
+        restricts to transactions conflicting with ``T_1``, which is sound
         because ``b_1``/``a_2`` and ``b_m``/``a_1`` require such conflicts
-        (``bitset`` shares the ``components`` candidate list).
+        (the ``bitset`` kernel takes the same set as its row's ``C``).
         """
-        if method == "bitset":
-            method = "components"
         key = (t1.tid, method)
         cached = self._candidates.get(key)
         if cached is not None:
@@ -395,121 +409,6 @@ class AnalysisContext:
 
     # -- check accounting ----------------------------------------------
     def record_check(self) -> None:
-        """Count one full robustness check executed through the context."""
+        """Count one robustness check (a full check or one probe)."""
         self.stats.checks += 1
         current_tracer().count("robustness.checks")
-
-    # -- counterexample-guided warm starts -----------------------------
-    def add_witness(self, spec: SplitScheduleSpec) -> None:
-        """Remember a counterexample chain for warm-start revalidation.
-
-        The chain is compiled once, here, against this context's
-        workload: its ``T_1``/``T_2``/``T_m`` ids and its
-        :func:`~repro.core.split_schedule.level_mask`.  Deduplication is
-        O(1) via a shadow set (specs are frozen and hashable), not a list
-        scan — Algorithm 2 on a contended workload records hundreds of
-        chains.
-        """
-        if spec in self._witness_set:
-            return
-        self._witness_set.add(spec)
-        middle = spec.middle_tids
-        self._witnesses.append(
-            (
-                spec,
-                spec.split_tid,
-                middle[0],
-                middle[-1],
-                level_mask(spec, self.workload),
-            )
-        )
-
-    def spec_applies(self, spec) -> bool:
-        """Whether a chain's transactions (and their operations) exist here.
-
-        A cached chain is only meaningful for this context's workload when
-        every quadruple references transactions that are present *with the
-        operations the chain embeds* — a transaction that was removed, or
-        removed and re-added under the same id with different operations,
-        invalidates the chain.  :meth:`adopt_witnesses` uses this to prune
-        stale chains when witness caches are carried across workload
-        mutations (the :class:`~repro.core.incremental.AllocationManager`
-        hands witnesses from a retired shard context to its successors).
-        """
-        for quad in spec.chain:
-            if quad.tid_i not in self.workload or quad.tid_j not in self.workload:
-                return False
-            if quad.b not in self.workload[quad.tid_i]:
-                return False
-            if quad.a not in self.workload[quad.tid_j]:
-                return False
-        return True
-
-    def adopt_witnesses(self, specs) -> None:
-        """Carry cached chains over from a predecessor context.
-
-        Chains referencing transactions absent from (or changed in) this
-        context's workload are dropped — without the pruning, a later
-        warm start could reject a candidate allocation with a chain
-        naming a transaction that no longer exists.  The survivors are
-        compiled against this context's workload (:meth:`add_witness`).
-        """
-        for spec in specs:
-            if self.spec_applies(spec):
-                self.add_witness(spec)
-
-    @property
-    def witnesses(self) -> Tuple:
-        """The recorded counterexample chains, most-recently-hit first.
-
-        New chains are appended; every :meth:`known_witness` hit moves
-        the revalidated chain to the front (MRU), so repeated warm-start
-        rejections probe the chain that worked last time before any
-        stale ones.
-        """
-        return tuple(entry[0] for entry in self._witnesses)
-
-    def known_witness(
-        self, allocation: Allocation, delta_tid: Optional[int] = None
-    ) -> Optional[SplitScheduleSpec]:
-        """A cached chain proving ``allocation`` non-robust, if one revalidates.
-
-        Tests every cached chain against the *new* allocation, in cache
-        order: the levels ``allocation`` gives the chain's ``T_1``,
-        ``T_2`` and ``T_m`` pick one bit of its compiled
-        :func:`~repro.core.split_schedule.level_mask`, which is set iff
-        :func:`~repro.core.split_schedule.condition_failures` would find
-        nothing.  Such a chain is a multiversion split schedule for
-        ``(workload, allocation)`` and hence (Theorem 3.2) a proof of
-        non-robustness — no full Algorithm 1 search is needed.  Returns
-        ``None`` when no cached chain applies, in which case the caller
-        must fall back to the full search.
-
-        ``delta_tid`` marks ``allocation`` as one step below a robust one
-        at that transaction: chains avoiding it read the robust levels,
-        where their bit is clear, so they are skipped (same result).
-
-        A hit promotes the chain to the front of the cache (MRU):
-        neighbouring candidate allocations tend to be rejected by the
-        same chain, so the next lookup usually succeeds on its first
-        test instead of re-checking stale chains.
-        """
-        shift1, shift2, shiftm = LEVEL_SHIFTS
-        witnesses = self._witnesses
-        for pos, entry in enumerate(witnesses):
-            spec, tid1, tid2, tidm, mask = entry
-            if delta_tid is not None and delta_tid not in (tid1, tid2, tidm):
-                continue
-            bit = (
-                shift1[allocation[tid1]]
-                + shift2[allocation[tid2]]
-                + shiftm[allocation[tidm]]
-            )
-            if (mask >> bit) & 1:
-                self.stats.witness_hits += 1
-                current_tracer().count("context.witness_hits")
-                if pos:
-                    del witnesses[pos]
-                    witnesses.insert(0, entry)
-                return spec
-        return None

@@ -25,19 +25,17 @@ robustness and optima decompose over the connected components of the
 conflict graph, and a single add/remove only reshapes the components that
 touch the mutated transaction.  :class:`AllocationManager` therefore keeps
 one :class:`~repro.core.context.AnalysisContext` *per component*, carries
-untouched components' contexts (conflict indexes, kernels, witness
-caches) *and sub-workloads* across mutations verbatim, and re-analyzes
+untouched components' contexts (conflict indexes, kernels) *and
+sub-workloads* across mutations verbatim, and re-analyzes
 only the merged or split components — churn cost tracks the largest
 affected component, not ``|T|``.  The partition itself is maintained
 incrementally by a :class:`~repro.core.sharding.DynamicShardPlan` (no
 per-mutation union-find over the whole workload), and every mutation —
 a single add or remove is a batch of one — goes through
 :meth:`AllocationManager.apply_batch`, which coalesces a batch into
-**one** floors-aware re-analysis per touched component.  Witness
-chains from retired contexts are adopted by their successors after
-pruning chains that reference removed transactions
-(:meth:`~repro.core.context.AnalysisContext.adopt_witnesses`), so a
-warm start can never act on a chain naming a transaction that is gone.
+**one** floors-aware re-analysis per touched component.  A re-analyzed
+component gets a fresh context: nothing a probe reads survives from a
+retired one, so no state can name a transaction that is gone.
 
 Every mutation binds one fresh :class:`~repro.core.context.ContextStats`
 to the components it actually (re)builds, so
@@ -51,7 +49,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..observability import current_tracer
-from .allocation import _robust_with_warm_start, refine_allocation
+from .allocation import _probe_robust, refine_allocation
 from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from .robustness import Counterexample, check_robustness
@@ -195,11 +193,7 @@ class AllocationManager:
         dirty shard whose members and operations ended up unchanged (a
         batch removed and re-added the same transaction), which keeps
         its optimum.  Every other shard comes back in ``fresh`` with a
-        new context seeded with every overlapping retired context's
-        witness cache
-        (:meth:`~repro.core.context.AnalysisContext.adopt_witnesses`
-        prunes chains referencing transactions no longer present, so
-        warm starts never trust a chain naming a removed transaction).
+        new context.
         """
         workload = Workload(self._transactions.values())
         sctx = ShardedContext(workload, stats=stats, plan=self._plan.freeze())
@@ -222,10 +216,6 @@ class AllocationManager:
             else:
                 fresh.append(index)
                 ctx = sctx.shard_context(index)
-                members = set(shard)
-                for key, retired in self._shard_contexts.items():
-                    if not members.isdisjoint(key):
-                        ctx.adopt_witnesses(retired.witnesses)
             new_map[shard] = ctx
             new_workloads[shard] = sctx.shard_workload(index)
         return workload, sctx, new_map, new_workloads, fresh
@@ -364,7 +354,7 @@ class AllocationManager:
                         t: bottom if t in newcomers else old[t] for t in shard
                     }
                 if not newcomers.isdisjoint(shard) and not (
-                    _robust_with_warm_start(
+                    _probe_robust(
                         sub_workload, start, self._method, ctx,
                         n_jobs=self._n_jobs,
                     )
@@ -400,22 +390,11 @@ class AllocationManager:
         after a restart *warm*: the workload (text format), the current
         optimal allocation, the class of levels, the engine method, the
         shard plan (so a restore resumes the dynamic partition without a
-        full union-find build), and every shard context's witness cache
-        (chains in MRU order, so a restored manager probes the most
-        recently useful chain first).
+        full union-find build).
         Pure data — no pickled objects — so snapshots survive version
         skew and can be inspected with any JSON tool.
         """
-        from .split_schedule import spec_to_state
-
         workload = self.workload
-        witnesses: List[List[List[int]]] = []
-        seen = set()
-        for shard in sorted(self._shard_contexts):
-            for spec in self._shard_contexts[shard].witnesses:
-                if spec not in seen:
-                    seen.add(spec)
-                    witnesses.append(spec_to_state(spec, workload))
         return {
             "version": self.STATE_VERSION,
             "levels": [level.name for level in self._levels],
@@ -424,7 +403,6 @@ class AllocationManager:
             "allocation": {
                 str(tid): level.name for tid, level in self._allocation.items()
             },
-            "witnesses": witnesses,
             "plan": [list(shard) for shard in self._plan.shards],
         }
 
@@ -437,15 +415,11 @@ class AllocationManager:
     ) -> "AllocationManager":
         """Rebuild a manager from :meth:`save_state` output.
 
-        The restored manager resumes *warm*: per-shard contexts are
-        rebuilt for the snapshot's workload and every witness chain that
-        still applies to its shard is re-adopted
-        (:meth:`~repro.core.context.AnalysisContext.adopt_witnesses`
-        prunes the rest), so the next mutation's warm-start behaviour —
-        checks executed, witness hits — is identical to a manager that
-        never restarted.  Chains that fail to decode are dropped
-        silently: the witness cache is an acceleration, never a
-        correctness input.
+        The restored manager resumes *warm*: the shard plan is resumed
+        and per-shard contexts are rebuilt for the snapshot's workload,
+        so the next mutation's work — checks executed, plan upkeep — is
+        identical to a manager that never restarted.  A ``witnesses``
+        field, written by builds that cached witness chains, is ignored.
 
         ``verify=True`` additionally re-checks that the snapshot's
         allocation is robust for its workload and raises
@@ -457,8 +431,6 @@ class AllocationManager:
             WorkloadError: on a malformed workload/allocation pair, or
                 (with ``verify=True``) a non-robust allocation.
         """
-        from .split_schedule import spec_from_state
-
         if state.get("version") != cls.STATE_VERSION:
             raise ValueError(
                 f"unsupported manager state version {state.get('version')!r};"
@@ -483,12 +455,6 @@ class AllocationManager:
             raise WorkloadError(
                 "state allocation uses levels outside the state's class"
             )
-        specs = []
-        for encoded in state.get("witnesses", ()):  # type: ignore[union-attr]
-            try:
-                specs.append(spec_from_state(encoded, workload))
-            except (ValueError, TypeError):
-                continue  # stale or corrupt chain: drop, never trust
         manager._transactions = {txn.tid: txn for txn in workload}
         stats = ContextStats()
         plan: Optional[DynamicShardPlan] = None
@@ -508,8 +474,6 @@ class AllocationManager:
         _workload, sctx, new_map, new_workloads, _fresh = (
             manager._rebuild_context(stats, set(workload.tids))
         )
-        for ctx in new_map.values():
-            ctx.adopt_witnesses(specs)
         manager._finish(sctx, stats, new_map, new_workloads, allocation)
         if verify and not manager.check(allocation):
             raise WorkloadError(

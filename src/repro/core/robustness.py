@@ -10,10 +10,11 @@ candidate triples ``(T_1, T_2, T_m)``, checks reachability from ``T_2`` to
 
 Three interchangeable engines are provided:
 
-* ``method="bitset"`` (default) — the dense bitset kernel of
-  :mod:`repro.core.kernel`: reachability, the SSI conditions (6)-(8) and
-  the split-point conditions (2)/(3)/(4)/(5) all reduce to integer
-  bitmask tests over precomputed tables.
+* ``method="bitset"`` (default) — the bitset kernel of
+  :mod:`repro.core.kernel`: every condition of Definition 3.1 is
+  evaluated for all candidates at once, as intersections of tid-bit
+  masks, and an Algorithm 2 probe only asks whether a witness exists
+  (:func:`_witness_exists`).
 * ``method="components"`` — computes the mixed-iso-graph of each
   ``T_1`` once and answers reachability questions via connected components.
   Sound because ``T_2`` and ``T_m`` must conflict with ``T_1`` for the
@@ -50,7 +51,8 @@ Two further accelerations live here:
   already have been a witness for the robust base — contradiction.  The
   scan therefore only visits triples involving the changed transaction,
   an ``O(|T|^2)`` sweep instead of ``O(|T|^3)``.  Every downgrade probe
-  of Algorithm 2, sequential or pooled, runs this same scoped scan.
+  of Algorithm 2, sequential or pooled, runs this same scoped scan and
+  asks only whether it finds a witness.
 * ``n_jobs`` — :func:`check_robustness` and
   :func:`enumerate_counterexamples` fan the outer per-``T_1`` loop out
   across a process pool when ``n_jobs > 1``, with results bit-identical
@@ -60,7 +62,7 @@ Two further accelerations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -68,7 +70,7 @@ from ..observability import current_tracer
 from .conflicts import ConflictQuadruple, rw_conflicting
 from .context import AnalysisContext, ConflictIndex, mixed_iso_graph
 from .isolation import Allocation, IsolationLevel
-from .kernel import iter_witness_triples
+from .kernel import has_witness, iter_witness_triples
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .sharding import (
@@ -342,6 +344,28 @@ def check_robustness(
     return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
+def _check_scope(
+    workload: Workload,
+    method: str,
+    context: AnalysisContext,
+    delta_tid: Optional[int],
+) -> Tuple[str, Dict[str, object], Sequence[int]]:
+    """A check's span name and attributes, and its split candidates.
+
+    The candidates ascend: every ``T_1`` of the workload, or with
+    ``delta_tid`` only it and its conflict neighbours
+    (:func:`check_robustness_delta`).
+    """
+    attrs: Dict[str, object] = dict(
+        transactions=len(workload), method=method, jobs=1
+    )
+    if delta_tid is None:
+        return "robustness.check", attrs, workload.tids
+    attrs["delta_tid"] = delta_tid
+    scope = sorted(context.index.conflict_neighbours(delta_tid) | {delta_tid})
+    return "robustness.check_delta", attrs, scope
+
+
 def _first_witness(
     workload: Workload,
     allocation: Allocation,
@@ -359,23 +383,56 @@ def _first_witness(
     context.ensure(workload)
     context.record_check()
     tracer = current_tracer()
-    name, t1s = "robustness.check", workload
-    attrs = dict(transactions=len(workload), method=method, jobs=1)
-    if delta_tid is not None:
-        scope = context.index.conflict_neighbours(delta_tid) | {delta_tid}
-        name, t1s = "robustness.check_delta", [workload[t] for t in sorted(scope)]
-        attrs["delta_tid"] = delta_tid
+    name, attrs, t1s = _check_scope(workload, method, context, delta_tid)
     with tracer.span(name, **attrs) as check_span:
-        for t1 in t1s:
-            with tracer.span("robustness.scan_t1", t1=t1.tid):
+        for tid in t1s:
+            with tracer.span("robustness.scan_t1", t1=tid):
                 spec = next(
-                    _scan_t1(context, allocation, t1, method, delta_tid), None
+                    _scan_t1(context, allocation, workload[tid], method, delta_tid),
+                    None,
                 )
             if spec is not None:
                 check_span.set(robust=False)
                 return spec
         check_span.set(robust=True)
     return None
+
+
+def _witness_exists(
+    workload: Workload,
+    allocation: Allocation,
+    method: str,
+    context: AnalysisContext,
+    delta_tid: Optional[int] = None,
+) -> bool:
+    """Whether :func:`_first_witness` would find a witness — existence only.
+
+    The Algorithm 2 probe: the same scan and the same verdict, one
+    check counted, but the ``bitset`` engine stops at the first
+    ``(T_2, T_m)`` pair whose masks survive
+    (:func:`~repro.core.kernel.has_witness`) without resolving
+    operations or building a chain.  The per-``T_1`` spans are opened
+    only under a recording tracer: a probe's scans are too short to pay
+    for them otherwise.  The reference engines build the first chain and
+    drop it.
+    """
+    if method != "bitset":
+        spec = _first_witness(workload, allocation, method, context, delta_tid)
+        return spec is not None
+    context.ensure(workload)
+    context.record_check()
+    tracer = current_tracer()
+    name, attrs, t1s = _check_scope(workload, method, context, delta_tid)
+    kernel = context.kernel()
+    scan = has_witness
+    if tracer.recording:
+        def scan(kernel, allocation, tid, delta_tid):
+            with tracer.span("robustness.scan_t1", t1=tid):
+                return has_witness(kernel, allocation, tid, delta_tid)
+    with tracer.span(name, **attrs) as check_span:
+        found = any(scan(kernel, allocation, tid, delta_tid) for tid in t1s)
+        check_span.set(robust=not found)
+    return found
 
 
 def check_robustness_delta(

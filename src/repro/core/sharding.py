@@ -17,8 +17,7 @@ Consequently
 
 This module hoists that decomposition to the top of the pipeline: a
 :class:`ShardPlan` partitions the workload with a :class:`UnionFind`
-(object-grouped, ``O(total operations)`` — no ``O(|T|^2)`` pairwise
-conflict index is built to *find* the components), a
+(object-grouped, ``O(total operations)``), a
 :class:`ShardedContext` keeps one
 :class:`~repro.core.context.AnalysisContext` per shard (sharing a
 single :class:`~repro.core.context.ContextStats`, so ``--stats`` totals
@@ -34,11 +33,10 @@ This composition is what every public entry point of
 core instead, over the whole workload.  A one-shard plan hands the
 caller's workload straight to that core (see :func:`_sole_shard`).
 
-The payoff is asymptotic: a monolithic context costs ``O(|T|^2)``
-pairwise conflict tests before any scan starts, and every kernel row
-spans all of ``|T|``; with ``c`` components of size ``s = |T| / c`` the
-sharded pipeline pays ``O(c * s^2) = O(|T| * s)`` instead, and each
-per-``T_1`` structure is built over ``s`` transactions.  With
+The payoff is in the per-component structure: with ``c`` components of
+size ``s = |T| / c``, each context's tid masks are ``s`` bits wide and
+each per-``T_1`` kernel row (its flood fill and its ``reach`` masks) is
+built over ``s`` transactions instead of all of ``|T|``.  With
 ``n_jobs > 1`` whole shards are dispatched to the worker pool
 (:mod:`repro.parallel.engine`), with no shared-witness coordination
 between chunks — shards are independent by construction.
@@ -106,9 +104,8 @@ def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
     for every object with at least one writer, all its writers and
     readers belong to one component (readers are linked *through* a
     writer; readers of an object nobody writes do not conflict).  One
-    union per access — ``O(total operations)`` with a :class:`UnionFind`,
-    instead of the ``O(|T|^2)`` pairwise sweep the conflict index
-    performs.
+    union per access — ``O(total operations)`` with a
+    :class:`UnionFind`.
 
     Components are ordered by their smallest transaction id; members are
     in ascending id order.
@@ -899,8 +896,7 @@ def refine_allocation_sharded(
     component, so the refinement decomposes: each shard's sub-workload is
     refined against ``start`` restricted to it, and the per-shard optima
     compose into the unique global optimum below ``start`` — the same
-    allocation, and the same robustness checks and witness-cache hits,
-    as refining the workload as one unit (pinned by
+    allocation, and the same robustness checks, as refining the workload as one unit (pinned by
     ``tests/properties/test_shard_equivalence.py``).
     """
     from .allocation import _normalized_levels, refine_allocation

@@ -24,7 +24,7 @@ forced choices under {RC, SI, SSI}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .conflicts import (
     ConflictQuadruple,
@@ -101,53 +101,6 @@ class SplitScheduleSpec:
         return " ".join(str(quad) for quad in self.chain)
 
 
-def spec_to_state(spec: SplitScheduleSpec, workload: Workload) -> List[List[int]]:
-    """A JSON-ready form of a chain: ``[tid_i, pos_b, pos_a, tid_j]`` rows.
-
-    Operations are identified by their program-order position inside
-    their transaction, which round-trips exactly through the workload
-    text format — the snapshot layer
-    (:meth:`repro.core.incremental.AllocationManager.save_state`) stores
-    chains this way so a restored manager warm-starts from the same
-    witness cache.
-    """
-    return [
-        [
-            quad.tid_i,
-            workload[quad.tid_i].position(quad.b),
-            workload[quad.tid_j].position(quad.a),
-            quad.tid_j,
-        ]
-        for quad in spec.chain
-    ]
-
-
-def spec_from_state(
-    state: Sequence[Sequence[int]], workload: Workload
-) -> SplitScheduleSpec:
-    """Rebuild a chain from :func:`spec_to_state` output.
-
-    Raises:
-        ValueError: when the encoded chain does not describe a valid
-            conflicting-quadruple cycle over ``workload`` (snapshot from
-            a different workload, or corrupted rows) — callers restoring
-            a witness *cache* should drop such chains rather than fail.
-    """
-    quads = []
-    for row in state:
-        tid_i, pos_b, pos_a, tid_j = (int(part) for part in row)
-        if tid_i not in workload or tid_j not in workload:
-            raise ValueError(f"chain references unknown transaction in {row!r}")
-        ops_i = workload[tid_i].operations
-        ops_j = workload[tid_j].operations
-        if not (0 <= pos_b < len(ops_i)) or not (0 <= pos_a < len(ops_j)):
-            raise ValueError(f"chain references out-of-range operation in {row!r}")
-        quads.append(
-            ConflictQuadruple(tid_i, ops_i[pos_b], ops_j[pos_a], tid_j)
-        )
-    return SplitScheduleSpec(tuple(quads))
-
-
 def condition_failures(
     spec: SplitScheduleSpec, workload: Workload, allocation: Allocation
 ) -> List[str]:
@@ -209,73 +162,6 @@ def condition_failures(
             failures.append("(8) an operation of T1 rw-conflicts with one of Tm")
 
     return failures
-
-
-#: Per role (``T_1``, ``T_2``, ``T_m``), each level's offset into the
-#: :func:`level_mask` table: the triple ``(level1, level2, levelm)`` is
-#: bit ``9 * level1.rank + 3 * level2.rank + levelm.rank``.
-LEVEL_SHIFTS: Tuple[Dict[IsolationLevel, int], ...] = tuple(
-    {level: weight * level.rank for level in IsolationLevel}
-    for weight in (9, 3, 1)
-)
-
-
-def level_mask(spec: SplitScheduleSpec, workload: Workload) -> int:
-    """Definition 3.1 for ``spec`` as a 27-bit table over three levels.
-
-    The conditions mention the allocation only through the levels of
-    ``T_1``, ``T_2`` and ``T_m`` (the fact behind
-    :func:`~repro.core.robustness.check_robustness_delta`'s delta
-    lemma), so the bit of ``(level1, level2, levelm)`` (see
-    :data:`LEVEL_SHIFTS`) is set iff :func:`condition_failures` is empty
-    for every allocation giving the three transactions those levels.
-    Conditions (1) and (4) clear the whole table; (2)/(3) and (5) depend
-    on whether ``T_1`` runs at RC; (6)-(8) on which of the three run at
-    SSI.  When ``T_2`` is ``T_m`` only the bits with
-    ``level2 == levelm`` are meaningful.
-    """
-    t1 = workload[spec.split_tid]
-    middle = spec.middle_tids
-    t2 = workload[middle[0]]
-    tm = workload[middle[-1]]
-    # (1) and (4) do not mention levels.
-    for tid in spec.intermediate_tids:
-        if transactions_conflict(t1, workload[tid]):
-            return 0
-    if not rw_conflicting(spec.b1, spec.a2):
-        return 0
-    # (2)/(3): a clash in the prefix always counts; one in the postfix
-    # only when T_1 is not at RC.
-    split_pos = t1.position(spec.b1)
-    blocked = t2.write_set | tm.write_set
-    postfix_clash = False
-    for c1 in t1.body:
-        if c1.is_write and c1.obj in blocked:
-            if t1.position(c1) <= split_pos:
-                return 0
-            postfix_clash = True
-    # (5): b_m rw-conflicting with a_1, or T_1 at RC with b_1 before a_1.
-    rw_close = rw_conflicting(spec.bm, spec.a1)
-    rc_ok = rw_close or t1.before(spec.b1, spec.a1)
-    other_ok = rw_close and not postfix_clash
-    # (7) and (8): the conflicts that forbid an SSI pair.
-    wr_12 = bool(t1.write_set & t2.read_set)
-    rw_1m = bool(t1.read_set & tm.write_set)
-    ssi = IsolationLevel.SSI
-    shift1, shift2, shiftm = LEVEL_SHIFTS
-    mask = 0
-    for level1, offset1 in shift1.items():
-        if not (rc_ok if level1 is IsolationLevel.RC else other_ok):
-            continue
-        for level2, offset2 in shift2.items():
-            for levelm, offsetm in shiftm.items():
-                if level1 is ssi and (
-                    (level2 is ssi and (levelm is ssi or wr_12))  # (6), (7)
-                    or (levelm is ssi and rw_1m)  # (8)
-                ):
-                    continue
-                mask |= 1 << (offset1 + offset2 + offsetm)
-    return mask
 
 
 def is_valid_split_schedule(

@@ -566,10 +566,10 @@ def refine_allocation_shards_parallel(
     """Algorithm 2's refinement with one probe task per conflict component.
 
     Each shard's downgrade probes run against its own sub-workload (the
-    delta-restricted scans never needed other components anyway), so
-    witness chains warm-start probes *within* a shard without any
-    cross-chunk coordination.  The composed result is the unique global
-    optimum below ``start`` — identical to the monolithic refinement.
+    delta-restricted scans never needed other components anyway), with
+    no cross-chunk coordination.  The composed result is the unique
+    global optimum below ``start`` — identical to the monolithic
+    refinement.
     """
     if not start.covers(workload):
         raise WorkloadError("allocation does not cover the workload")

@@ -5,8 +5,8 @@ Each worker process keeps a small cache of
 *workload encoding* it receives with every task (the context-rebuild
 handshake): the first task for a workload pays one context build, every
 later task for the same workload reuses the warm caches — kernel rows,
-candidate lists, conflicting-pair tables and witness chains accumulate
-across tasks exactly as they do in a sequential run.
+candidate lists and conflicting-pair tables accumulate across tasks
+exactly as they do in a sequential run.
 
 Every task returns its *stats delta* — the worker context's counters
 before/after difference — so the parent can merge truthful totals into
@@ -28,7 +28,7 @@ import os
 from collections import OrderedDict
 from typing import Dict, Tuple
 
-from ..core.allocation import _robust_with_warm_start
+from ..core.allocation import _probe_robust
 from ..core.context import AnalysisContext
 from ..core.robustness import _scan_t1
 from ..observability import SpanBatch, use_tracer, worker_tracer
@@ -148,10 +148,8 @@ def probe_chunk(
     all below ``start[tid]``) such that ``start[tid -> level]`` stays
     robust; ``start`` must be robust (Algorithm 2 starts from ``A_SSI`` /
     a previously verified ``A_SI``).  Each candidate is one step below
-    ``start``, so each probe is the sequential refinement's scoped probe
-    (``_robust_with_warm_start`` with ``delta_tid=tid``): chains found by
-    failed probes are cached on the worker context and revalidated
-    against later candidates before any scan.
+    ``start``, so each probe is the sequential refinement's scoped
+    existence probe (``_probe_robust`` with ``delta_tid=tid``).
 
     Returns ``{tid: chosen-level-name}`` for the chunk; with ``trace``
     the chunk and each downgrade probe are shipped back as spans.
@@ -172,7 +170,7 @@ def probe_chunk(
                         with tracer.span(
                             "allocation.probe", tid=tid, level=name
                         ):
-                            lowered = _robust_with_warm_start(
+                            lowered = _probe_robust(
                                 ctx.workload, candidate, method, ctx,
                                 delta_tid=tid,
                             )

@@ -34,13 +34,13 @@ Four service-level behaviours live on top of the manager:
 * **Metrics** — every request is timed into a
   :class:`~repro.observability.MetricsRegistry` (``service.<op>``
   timers), admission decisions and per-mutation analysis counters
-  (checks, witness hits, ...) are folded into its counters, and the
+  (checks, index builds, ...) are folded into its counters, and the
   ``metrics`` envelope / HTTP ``/metrics`` endpoint export the lot
   through :meth:`ServiceCore.metrics_snapshot`.
 
 All command execution is serialized under one lock: the manager is a
-single-writer structure, and correctness of the warm-start chain
-(witness caches, shard contexts) depends on mutations being ordered.
+single-writer structure, and correctness of the warm state (shard
+plan, shard contexts) depends on mutations being ordered.
 """
 
 from __future__ import annotations
@@ -617,14 +617,13 @@ class ServiceCore:
             self._write_snapshot(self.config.snapshot_path)
             self.registry.incr("service.autosnapshots")
 
-    def _write_snapshot(self, path: str) -> Tuple[int, Dict[str, Any]]:
-        """Persist the warm state at ``path``; returns ``(bytes, state)``."""
+    def _write_snapshot(self, path: str) -> int:
+        """Persist the warm state at ``path``; returns its size in bytes."""
         with current_tracer().span("service.snapshot", path=path):
-            state = self._manager.save_state()
-            size = write_snapshot(path, state)
+            size = write_snapshot(path, self._manager.save_state())
         self._since_snapshot = 0
         self.registry.incr("service.snapshots")
-        return size, state
+        return size
 
     def _retry_queue(self) -> Tuple[List[int], List[int]]:
         """Re-attempt queued admissions; returns ``(admitted, dropped)``.
@@ -792,13 +791,12 @@ class ServiceCore:
 
     def _cmd_snapshot(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         path = self._resolve_snapshot_path(envelope)
-        size, state = self._write_snapshot(path)
+        size = self._write_snapshot(path)
         return ok_response(
             envelope,
             path=path,
             bytes=size,
             transactions=len(self._manager.workload),
-            witnesses=len(state["witnesses"]),
         )
 
     def _cmd_restore(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:

@@ -1,27 +1,29 @@
 """Reusable command plumbing shared by the CLI and the daemon.
 
 ``repro``'s subcommands and ``repro serve``'s envelopes accept the same
-inputs — workload files, ``T1=RC,T2=SSI`` allocation specs, ``RC,SI``
-level classes, ``--jobs N|auto`` worker counts.  The parsing lived as
+inputs — workload files, trace files, ``T1=RC,T2=SSI`` allocation
+specs, ``RC,SI`` level classes, ``--jobs N|auto`` worker counts.  The parsing lived as
 private helpers inside :mod:`repro.cli`; the daemon needs the exact same
 semantics without the CLI's ``SystemExit`` error style, so the logic
 moved here (the ROADMAP's "factor the CLI's command handlers into a
 reusable service layer" note).  Errors are :class:`CommandError` —
-frontends translate: the CLI to ``SystemExit``/argparse errors, the
-daemon to ``bad-request`` envelopes.
+frontends translate: the CLI to a one-line message, the daemon to
+``bad-request`` envelopes.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.isolation import Allocation, IsolationLevel
 from ..core.sharding import ShardedContext
 from ..core.workload import Workload, parse_workload
+from ..observability import validate_trace_file
 
 __all__ = [
     "CommandError",
+    "load_trace_file",
     "load_workload_file",
     "parse_allocation_spec",
     "parse_jobs_value",
@@ -36,9 +38,33 @@ class CommandError(ValueError):
 
 
 def load_workload_file(path: str) -> Workload:
-    """Parse the workload text file at ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_workload(text)
+    """Parse the workload text file at ``path``.
+
+    A missing or unreadable file, bytes that are not UTF-8 and a
+    malformed workload all raise :class:`CommandError`.
+    """
+    try:
+        return parse_workload(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CommandError(f"cannot read workload {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise CommandError(f"workload {path} is not UTF-8 text") from None
+    except ValueError as exc:  # WorkloadError, or a non-positive tid
+        raise CommandError(f"bad workload {path}: {exc}") from None
+
+
+def load_trace_file(path: str) -> Dict[str, object]:
+    """Load and validate the ``--trace`` export at ``path``.
+
+    A missing or unreadable file, non-JSON content and a document that
+    fails the trace schema all raise :class:`CommandError`.
+    """
+    try:
+        return validate_trace_file(path)
+    except OSError as exc:
+        raise CommandError(f"cannot read trace {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or not a trace
+        raise CommandError(f"bad trace {path}: {exc}") from None
 
 
 def parse_allocation_spec(

@@ -13,8 +13,9 @@ a small on-disk envelope::
 
 Writes are atomic in the ``atomic_map_save`` idiom: the document is
 written to a same-directory temporary file, fsynced, then ``os.replace``d
-over the target — a crash mid-snapshot leaves the previous snapshot
-intact, never a torn file.  Loads are corruption-safe: wrong kind, wrong
+over the target, and the directory is fsynced so the rename itself is
+durable — a crash mid-snapshot leaves the previous snapshot intact,
+never a torn file.  Loads are corruption-safe: wrong kind, wrong
 schema, bad JSON, or a checksum mismatch raise :class:`SnapshotError`
 with a precise reason instead of resuming from garbage.
 """
@@ -57,8 +58,9 @@ def write_snapshot(path: Union[str, Path], state: Dict[str, Any]) -> int:
     """Atomically write ``state`` to ``path``; returns the byte size.
 
     The temporary file lives in the target's directory (``os.replace``
-    must not cross filesystems) and is fsynced before the rename, so
-    after a crash either the old or the new snapshot is fully present.
+    must not cross filesystems) and is fsynced before the rename, and
+    the directory is fsynced after it, so after a crash or a power loss
+    either the old or the new snapshot is fully present.
     """
     target = Path(path)
     document = {
@@ -75,10 +77,20 @@ def write_snapshot(path: Union[str, Path], state: Dict[str, Any]) -> int:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
+        _fsync_directory(target.parent)
     finally:
         if tmp.exists():  # replace failed; never leave droppings
             tmp.unlink()
     return len(payload.encode("utf-8"))
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Persist a rename inside ``directory`` (its entry table)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_snapshot(path: Union[str, Path]) -> Dict[str, Any]:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.allocation import optimal_allocation, refine_allocation
+from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
-from repro.core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
+from repro.core.isolation import Allocation
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.workload import WorkloadError, workload
 from repro.workloads.paper_examples import example26_workload, figure2_workload
@@ -89,27 +89,8 @@ class TestContextCaching:
 
 
 class TestWitnessCache:
-    def test_witness_recorded_and_revalidated(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        si = Allocation.si(write_skew)
-        result = check_robustness(write_skew, si, context=ctx)
-        assert not result.robust
-        ctx.add_witness(result.counterexample.spec)
-        # RC everywhere also admits the same chain: revalidation hits.
-        assert ctx.known_witness(Allocation.rc(write_skew)) is not None
-        assert ctx.stats.witness_hits == 1
-        # All-SSI kills the chain (condition 6): no witness applies.
-        assert ctx.known_witness(Allocation.ssi(write_skew)) is None
-
-    def test_refinement_uses_witnesses(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        start = Allocation.ssi(write_skew)
-        refined = refine_allocation(write_skew, start, POSTGRES_LEVELS, context=ctx)
-        assert refined == Allocation.ssi(write_skew)
-        # T1's failed RC and SI probes seed the cache; T2's probes are
-        # answered from it without a full search.
-        assert ctx.stats.witness_hits >= 1
-        assert len(ctx.witnesses) >= 1
+    """The context caches no witnesses: a shared context answers exactly
+    what a private one does."""
 
     def test_warm_start_does_not_change_result(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[x] W3[x]", "R4[q]")
@@ -117,60 +98,6 @@ class TestWitnessCache:
         with_cache = optimal_allocation(wl, context=ctx)
         cold = optimal_allocation(wl)  # private context per call
         assert with_cache == cold
-
-    def test_duplicate_witness_not_stored_twice(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        result = check_robustness(write_skew, Allocation.si(write_skew), context=ctx)
-        ctx.add_witness(result.counterexample.spec)
-        ctx.add_witness(result.counterexample.spec)
-        assert len(ctx.witnesses) == 1
-
-    def test_known_witness_promotes_hit_to_front(self):
-        """A revalidated chain moves to the front of the cache (MRU)."""
-        wl = workload(
-            "R1[x] W1[y]",
-            "R2[y] W2[x]",
-            "R3[p] W3[q]",
-            "R4[q] W4[p]",
-        )
-        ctx = AnalysisContext(wl)
-        si = Allocation.si(wl)
-        spec12 = check_robustness(
-            wl, si, context=ctx
-        ).counterexample.spec  # the T1/T2 write-skew chain
-        # A chain over the independent T3/T4 skew, recorded later.
-        ssi12 = Allocation(
-            {1: "SSI", 2: "SSI", 3: "SI", 4: "SI"}
-        )
-        spec34 = check_robustness(wl, ssi12, context=ctx).counterexample.spec
-        ctx.add_witness(spec12)
-        ctx.add_witness(spec34)
-        assert list(ctx.witnesses) == [spec12, spec34]
-        # Only spec34 applies under ssi12: the hit moves to the front.
-        assert ctx.known_witness(ssi12) == spec34
-        assert list(ctx.witnesses) == [spec34, spec12]
-        # And re-hitting the (new) front chain keeps the order stable.
-        assert ctx.known_witness(ssi12) == spec34
-        assert list(ctx.witnesses) == [spec34, spec12]
-
-    def test_known_witness_missing_tid_raises_workload_error(self, write_skew):
-        """A chain tid the allocation lacks is a WorkloadError, not a KeyError."""
-        ctx = AnalysisContext(write_skew)
-        spec = check_robustness(
-            write_skew, Allocation.si(write_skew), context=ctx
-        ).counterexample.spec
-        ctx.add_witness(spec)
-        with pytest.raises(WorkloadError, match="no isolation level"):
-            ctx.known_witness(Allocation({1: "RC"}))
-
-    def test_witnesses_report_most_recently_hit_first(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        spec = check_robustness(
-            write_skew, Allocation.si(write_skew), context=ctx
-        ).counterexample.spec
-        ctx.add_witness(spec)
-        assert ctx.known_witness(Allocation.rc(write_skew)) == spec
-        assert ctx.witnesses[0] == spec
 
 
 class TestCounterexampleAllocation:
@@ -207,12 +134,8 @@ class _KernelPaths:
 
     def reachable(self, tid_2, tid_m):
         row = self.kernel.row(self.t1_tid)
-        att = dict(zip(row.cand_tids, row.att))
-        return (
-            tid_2 == tid_m
-            or self.kernel.conflict(tid_2, tid_m)
-            or bool(att[tid_2] & att[tid_m])
-        )
+        bit = self.index.bit
+        return (row.reach[bit[tid_2]] >> bit[tid_m]) & 1 == 1
 
 
 @pytest.fixture(params=["oracle", "kernel"])
@@ -327,5 +250,4 @@ class TestStats:
             "plan_merges",
             "plan_reuse",
             "plan_splits",
-            "witness_hits",
         }

@@ -5,14 +5,14 @@ Three implementations must agree everywhere:
 * ``check_robustness(method="components")`` — cached reachability;
 * ``check_robustness(method="paper")`` — verbatim Algorithm 1;
 * either of the above driven through a shared
-  :class:`~repro.core.context.AnalysisContext` (caching + warm starts).
+  :class:`~repro.core.context.AnalysisContext` (cached structure).
 
-And the warm-started :func:`~repro.core.allocation.refine_allocation`
-must return the identical allocation as the seed refinement loop (no
-witness cache, a fresh conflict index per robustness check).  Its
-probes, scoped to the lowered transaction, must match a warm refinement
-whose probes test every cached chain and scan every triple — optimum,
-witness cache and counters alike.
+And :func:`~repro.core.allocation.refine_allocation` must return the
+identical allocation as the seed refinement loop (a fresh conflict
+index per robustness check), counting one check per probe the seed loop
+issues.  Its existence probes, scoped to the lowered transaction, must
+match a refinement whose probes scan every triple — optimum and
+counters alike.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +27,8 @@ from repro.core.isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from repro.core.robustness import check_robustness, first_witness_spec, is_robust
+from repro.core.robustness import _witness_exists, check_robustness, is_robust
+from repro.core.sharding import ShardedContext
 from repro.core.split_schedule import is_valid_split_schedule
 from repro.workloads.generator import random_workload
 
@@ -63,20 +64,19 @@ def test_shared_context_is_stateless_across_allocations(pair):
     """Probing other allocations through the context never changes answers."""
     wl, alloc = pair
     ctx = AnalysisContext(wl)
-    # Warm the caches (and the witness list) with unrelated allocations.
+    # Warm the caches with unrelated allocations.
     for level in IsolationLevel:
-        result = check_robustness(wl, Allocation.uniform(wl, level), context=ctx)
-        if not result.robust:
-            ctx.add_witness(result.counterexample.spec)
+        check_robustness(wl, Allocation.uniform(wl, level), context=ctx)
     fresh = check_robustness(wl, alloc)
     via_ctx = check_robustness(wl, alloc, context=ctx)
     assert fresh.robust == via_ctx.robust
 
 
-def _seed_refine(workload, start, levels, method="components"):
-    """The pre-context refinement loop, verbatim (no caching, no warm starts)."""
-    from repro.core.robustness import is_robust
+def _seed_refine(workload, start, levels, method="components", probes=None):
+    """The pre-context refinement loop, verbatim (no caching).
 
+    Appends each probed candidate to ``probes`` when given.
+    """
     ordered = tuple(sorted(set(levels)))
     current = start
     for tid in workload.tids:
@@ -84,17 +84,19 @@ def _seed_refine(workload, start, levels, method="components"):
             if level >= current[tid]:
                 break
             candidate = current.with_level(tid, level)
+            if probes is not None:
+                probes.append(candidate)
             if is_robust(workload, candidate, method=method):
                 current = candidate
                 break
     return current
 
 
-def _warm_full_scan_refine(workload, start, levels, ctx):
-    """The warm-started refinement with unscoped probes.
+def _full_scan_refine(workload, start, levels, ctx):
+    """The refinement with unscoped probes.
 
-    Every probe tests every cached chain, then scans every triple of
-    every ``T_1`` — what the refinement did before its probes were
+    Every probe asks whether a scan of every triple of every ``T_1``
+    finds a witness — what the refinement did before its probes were
     scoped to the lowered transaction.
     """
     ordered = tuple(sorted(set(levels)))
@@ -104,13 +106,9 @@ def _warm_full_scan_refine(workload, start, levels, ctx):
             if level >= current[tid]:
                 break
             candidate = current.with_level(tid, level)
-            if ctx.known_witness(candidate) is not None:
-                continue
-            spec = first_witness_spec(workload, candidate, context=ctx)
-            if spec is None:
+            if not _witness_exists(workload, candidate, "bitset", ctx):
                 current = candidate
                 break
-            ctx.add_witness(spec)
     return current
 
 
@@ -130,7 +128,7 @@ def mid_sized_workloads(draw):
 @given(sts.workloads(min_transactions=1, max_transactions=4))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_warm_started_refinement_matches_seed(wl):
-    """refine_allocation with witness warm starts ≡ the seed refinement."""
+    """refine_allocation through a shared context ≡ the seed refinement."""
     start = Allocation.ssi(wl)
     ctx = AnalysisContext(wl)
     warm = refine_allocation(wl, start, POSTGRES_LEVELS, context=ctx)
@@ -151,15 +149,37 @@ def test_context_backed_optimum_matches_seed(wl):
 @given(mid_sized_workloads())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_scoped_probes_match_full_scan_refinement(wl):
-    """Scoped probes ≡ full-scan probes: optimum, witness cache, counters."""
+    """Scoped probes ≡ full-scan existence probes: optimum and checks."""
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
         start = Allocation.uniform(wl, max(levels))
         if not is_robust(wl, start):
             continue  # {RC, SI} without a robust allocation: nothing to refine
         scoped_ctx, full_ctx = AnalysisContext(wl), AnalysisContext(wl)
         scoped = refine_allocation(wl, start, levels, context=scoped_ctx)
-        full = _warm_full_scan_refine(wl, start, levels, full_ctx)
+        full = _full_scan_refine(wl, start, levels, full_ctx)
         assert scoped == full
-        assert scoped_ctx.witnesses == full_ctx.witnesses
         assert scoped_ctx.stats.checks == full_ctx.stats.checks
-        assert scoped_ctx.stats.witness_hits == full_ctx.stats.witness_hits
+
+
+@given(
+    st.one_of(
+        sts.workloads(min_transactions=1, max_transactions=5),
+        mid_sized_workloads(),
+    )
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_checks_count_the_seed_refinement_probes(wl):
+    """``checks`` after a refinement is the seed loop's probe count.
+
+    Sharded and one-unit alike: the sharded refinement probes the same
+    (transaction, level) pairs, and every probe counts one check.
+    """
+    for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
+        start = Allocation.uniform(wl, max(levels))
+        if not is_robust(wl, start):
+            continue
+        probes = []
+        expected = _seed_refine(wl, start, levels, probes=probes)
+        for ctx in (AnalysisContext(wl), ShardedContext(wl)):
+            assert refine_allocation(wl, start, levels, context=ctx) == expected
+            assert ctx.stats.checks == len(probes)

@@ -8,13 +8,8 @@ as ``method="components"`` — the kernel reorganizes the scan's data
 layout, never its decisions.  The suite also pins the delta-restricted
 scan (the scoped kernel loop against the filtered full loop),
 Algorithm 2 end to end, the parallel (``n_jobs > 1``) paths, and
-the two shortcuts the bitset path takes instead of the reference code:
-the per-chain level table behind the witness cache against
-``condition_failures``, and the kernel's connecting chains against the
-graph-backed oracle.
+the kernel's connecting chains against the graph-backed oracle.
 """
-
-import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,22 +17,20 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
-from repro.core.allocation import optimal_allocation
-from repro.core.context import AnalysisContext
+from repro.core.allocation import optimal_allocation, upgrade_to_robust
+from repro.core.conflicts import transactions_conflict
+from repro.core.context import AnalysisContext, ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.kernel import iter_witness_triples
 from repro.core.robustness import (
-    _enumerate_specs,
+    _first_witness,
+    _witness_exists,
     check_robustness,
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.split_schedule import (
-    LEVEL_SHIFTS,
-    condition_failures,
-    is_valid_split_schedule,
-    level_mask,
-)
+from repro.core.split_schedule import is_valid_split_schedule
+from repro.core.workload import Workload
 from repro.workloads.generator import random_workload
 from repro.workloads.paper_examples import (
     example26_workload,
@@ -112,38 +105,6 @@ def test_bitset_optimal_allocation_matches_components(wl):
 
 
 @given(
-    sts.allocated_workloads(min_transactions=2, max_transactions=5),
-)
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_level_mask_matches_condition_failures(pair):
-    """The compiled table agrees with Definition 3.1 on all 27 level triples.
-
-    Every spec the scan yields is re-checked under every assignment of
-    levels to its ``T_1``, ``T_2`` and ``T_m`` (only the consistent ones
-    when ``T_2`` is ``T_m``); the rest of the allocation stays as drawn.
-    """
-    wl, alloc = pair
-    ctx = AnalysisContext(wl)
-    shift1, shift2, shiftm = LEVEL_SHIFTS
-    for spec in _enumerate_specs(wl, alloc, "bitset", ctx, 1):
-        mask = level_mask(spec, wl)
-        tid1, tid2, tidm = spec.split_tid, spec.middle_tids[0], spec.middle_tids[-1]
-        for level1, level2, levelm in itertools.product(IsolationLevel, repeat=3):
-            if tid2 == tidm and level2 is not levelm:
-                continue
-            trial = (
-                alloc.with_level(tid1, level1)
-                .with_level(tid2, level2)
-                .with_level(tidm, levelm)
-            )
-            bit = shift1[level1] + shift2[level2] + shiftm[levelm]
-            holds = (mask >> bit) & 1 == 1
-            assert holds == (not condition_failures(spec, wl, trial)), (
-                str(spec), level1, level2, levelm
-            )
-
-
-@given(
     st.integers(min_value=0, max_value=2**31 - 1),
     st.integers(min_value=2, max_value=12),
     st.lists(st.sampled_from(list(IsolationLevel)), min_size=12, max_size=12),
@@ -172,6 +133,79 @@ def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
             ]
             scoped = list(iter_witness_triples(kernel, alloc, t1, delta_tid=d))
             assert scoped == expected, (t1.tid, d)
+
+
+@st.composite
+def sparse_tid_workloads(draw):
+    """Up to 40 transactions with non-contiguous tids below 5,000."""
+    tids = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=40)))
+    return Workload(draw(sts.transactions(tid, max_accesses=4)) for tid in tids)
+
+
+def _pairwise_neighbours(wl):
+    """Conflict neighbours by the O(|T|^2) pairwise build, in its set order."""
+    neighbours = {t.tid: set() for t in wl.transactions}
+    txns = wl.transactions
+    for i, ti in enumerate(txns):
+        for tj in txns[i + 1 :]:
+            if transactions_conflict(ti, tj):
+                neighbours[ti.tid].add(tj.tid)
+                neighbours[tj.tid].add(ti.tid)
+    return neighbours
+
+
+@given(sparse_tid_workloads())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mask_conflict_index_matches_pairwise_build(wl):
+    """Same neighbours, in the same set iteration order, as a pairwise build.
+
+    Large non-contiguous tids collide in small hash tables, so the
+    iteration order of a set is not ascending — the mask build must
+    still reproduce it, since connecting chains start their search in
+    that order.
+    """
+    index = ConflictIndex(wl)
+    expected = _pairwise_neighbours(wl)
+    for tid in wl.tids:
+        neighbours = index.conflict_neighbours(tid)
+        assert neighbours == expected[tid]
+        assert list(neighbours) == list(expected[tid]), tid
+        for other in wl.tids:
+            assert index.conflict(tid, other) == (other in expected[tid])
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=14),
+    st.lists(st.sampled_from(list(IsolationLevel)), min_size=14, max_size=14),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_existence_probe_matches_components_first_witness(seed, size, levels):
+    """The probe's verdict is the reference engine's, on every lowering.
+
+    A random allocation is lifted to a robust one; every one-step
+    lowering of it is probed scoped to the lowered transaction and
+    unscoped, and each verdict must equal whether ``components`` finds a
+    first witness.
+    """
+    wl = random_workload(
+        transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
+    )
+    drawn = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
+    robust = upgrade_to_robust(wl, drawn)
+    ctx, reference = AnalysisContext(wl), AnalysisContext(wl)
+    ladder = sorted(IsolationLevel)
+    for tid in wl.tids:
+        rank = ladder.index(robust[tid])
+        if not rank:
+            continue
+        lowered = robust.with_level(tid, ladder[rank - 1])
+        for delta_tid in (tid, None):
+            expected = _first_witness(
+                wl, lowered, "components", reference, delta_tid
+            )
+            found = _witness_exists(wl, lowered, "bitset", ctx, delta_tid)
+            assert found == (expected is not None), (tid, delta_tid)
 
 
 @given(

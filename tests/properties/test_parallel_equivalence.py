@@ -63,23 +63,18 @@ def test_parallel_optimum_equals_sequential(wl):
 @given(sts.workloads(min_transactions=1, max_transactions=5))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_parallel_probe_count_equals_sequential(wl):
-    """``checks + witness_hits`` counts the probes, the same on both paths.
+    """``checks`` counts the probes, the same on both paths.
 
     Each transaction ends at the same level either way (Proposition
-    4.1), so both refinements probe the same (transaction, level) pairs.
-    The pool answers more of them from cached chains — every probe
-    lowers one transaction of the one start allocation — so ``checks``
-    alone may differ.
+    4.1), so both refinements probe the same (transaction, level) pairs,
+    and every probe counts one check.
     """
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
         seq_ctx, par_ctx = AnalysisContext(wl), AnalysisContext(wl)
         seq = optimal_allocation(wl, levels, context=seq_ctx)
         par = optimal_allocation(wl, levels, context=par_ctx, n_jobs=2)
         assert seq == par
-        assert (
-            seq_ctx.stats.checks + seq_ctx.stats.witness_hits
-            == par_ctx.stats.checks + par_ctx.stats.witness_hits
-        )
+        assert seq_ctx.stats.checks == par_ctx.stats.checks
 
 
 @given(sts.workloads(min_transactions=1, max_transactions=4))

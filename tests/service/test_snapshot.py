@@ -51,6 +51,33 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
 
+    def test_directory_fsynced_after_replace(self, tmp_path, state, monkeypatch):
+        """File fsync, then the rename, then an fsync of the directory."""
+        import os
+        import stat
+
+        from repro.service import snapshot as snapshot_module
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(snapshot_module.os, "fsync", fsync)
+        monkeypatch.setattr(snapshot_module.os, "replace", replace)
+        path = tmp_path / "snap.json"
+        write_snapshot(path, state)
+        assert events == ["fsync file", "replace", "fsync dir"]
+        assert read_snapshot(path) == state
+
+
 class TestCorruptionSafety:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="no snapshot at"):

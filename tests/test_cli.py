@@ -463,8 +463,10 @@ class TestTraceAnalysisCommands:
     def test_trace_report_rejects_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            main(["trace", "report", str(bad)])
+        assert main(["trace", "report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: bad trace")
+        assert "invalid trace" in err
 
     def test_trace_flame_stdout(self, trace_file, capsys):
         assert main(["trace", "flame", trace_file]) == 0
@@ -604,11 +606,56 @@ class TestBenchCompare:
             main(["bench", "compare", str(bad), str(bad)])
 
 
+class TestBadInputFiles:
+    """Bad input files give one ``repro: error:`` line and exit 2."""
+
+    @pytest.fixture
+    def bad_workload(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("T1: R[x] Q[y]\n")
+        return str(path)
+
+    def _error_line(self, capsys):
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: error: ")
+        return lines[0]
+
+    def test_allocate_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.txt")
+        assert main(["allocate", missing]) == 2
+        assert missing in self._error_line(capsys)
+
+    def test_allocate_malformed_workload(self, bad_workload, capsys):
+        assert main(["allocate", bad_workload]) == 2
+        assert "Q[y]" in self._error_line(capsys)
+
+    def test_allocate_non_utf8_bytes(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"T1: R[x] \xff\xfe W[y]\n")
+        assert main(["allocate", str(path)]) == 2
+        assert "UTF-8" in self._error_line(capsys)
+
+    def test_check_malformed_workload(self, bad_workload, capsys):
+        assert main(["check", bad_workload, "--uniform", "SI"]) == 2
+        assert "Q[y]" in self._error_line(capsys)
+
+    def test_trace_report_on_non_json_file(self, skew_file, capsys):
+        assert main(["trace", "report", skew_file]) == 2
+        assert skew_file in self._error_line(capsys)
+
+
 class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
 
-    def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            main(["check", "/nonexistent/workload.txt"])
+    def test_missing_file(self, capsys):
+        assert main(["check", "/nonexistent/workload.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: error: cannot read workload /nonexistent/workload.txt:"
+            " No such file or directory\n"
+        )
