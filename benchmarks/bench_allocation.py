@@ -17,7 +17,6 @@ from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, ORACLE_LEVELS, POSTGRES_LEVELS
 from repro.core.robustness import check_robustness
 from repro.observability import Tracer, use_tracer
-from repro.parallel import shutdown_pool
 from repro.workloads.generator import random_workload
 
 
@@ -198,53 +197,3 @@ def test_phase_timing_report(benchmark, capsys):
         )
     assert "allocation.optimal" in tracer.registry.timers
     assert "robustness.scan_t1" in tracer.registry.timers
-
-
-def test_jobs_sweep_report(benchmark, capsys):
-    """PAR table: Algorithm 2 over n_jobs on the |T|=30 workload.
-
-    The acceptance criterion of the parallel engine: the allocations must
-    be identical at every ``n_jobs`` (Proposition 4.2 — the optimum is
-    unique), and the sweep shows what the pool adds over the sequential
-    refinement (recorded in EXPERIMENTS.md, PAR section).  Both sides
-    run the same delta-scoped probes, so the pool adds only concurrency
-    and worker contexts kept warm across calls.
-
-    The pool is warmed with a throwaway run first so the sweep times the
-    steady state, not worker spawn (the pool persists across calls).
-    """
-    wl = random_workload(
-        transactions=30, objects=36, min_ops=2, max_ops=4, seed=13
-    )
-
-    def sweep():
-        # Warm the pool at the sweep's widest width (growing the pool
-        # mid-sweep would re-spawn workers) and the per-worker contexts.
-        optimal_allocation(wl, n_jobs=4)
-        rows = []
-        results = {}
-        base_s = None
-        for jobs in (1, 2, 4):
-            t0 = time.perf_counter()
-            results[jobs] = optimal_allocation(
-                wl, context=AnalysisContext(wl), n_jobs=jobs
-            )
-            elapsed = time.perf_counter() - t0
-            if jobs == 1:
-                base_s = elapsed
-            rows.append(
-                (jobs, f"{elapsed * 1000:.1f}ms", f"{base_s / elapsed:.2f}x")
-            )
-        assert results[1] == results[2] == results[4], (
-            "parallel optimum diverged across n_jobs"
-        )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    shutdown_pool()
-    with capsys.disabled():
-        print_table(
-            "PAR: Algorithm 2 jobs sweep (|T|=30, identical allocations)",
-            ["n_jobs", "wall clock", "speedup vs n_jobs=1"],
-            rows,
-        )

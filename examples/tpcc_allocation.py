@@ -40,13 +40,11 @@ def main() -> None:
     for (tid, level), name in zip(optimum.items(), TPCC_PROGRAMS):
         print(f"  T{tid} {name:13s} -> {level}")
 
-    # The result is stable across larger randomized mixes.  At this size
-    # the analysis is also worth fanning out: n_jobs=2 runs Algorithm 2's
-    # probes on the process pool (identical result, see repro.parallel).
+    # The result is stable across larger randomized mixes.
     big = tpcc_workload(20, seed=4)
     big_ctx = AnalysisContext(big)
     print(f"\n20-transaction TPC-C mix: robust vs A_SI? {is_robust(big, Allocation.si(big), context=big_ctx)}")
-    mix = optimal_allocation(big, context=big_ctx, n_jobs=2)
+    mix = optimal_allocation(big, context=big_ctx)
     counts = {name: len(mix.tids_at(name)) for name in ("RC", "SI", "SSI")}
     print(f"Optimal mix: {counts}")
 

@@ -1,8 +1,11 @@
 """Human-readable robustness and allocation reports.
 
 These back the CLI (``repro check`` / ``repro allocate`` / ``repro
-explain``) and the examples: they turn the algorithmic results into the
+report``) and the examples: they turn the algorithmic results into the
 kind of output a DBA acting on an allocation would want to read.
+``--stats`` adds the analysis counters (:func:`analysis_stats_report`)
+and, under ``--trace``, the per-phase timings of the run
+(:func:`phase_timing_report`).
 """
 
 from __future__ import annotations
@@ -141,9 +144,7 @@ def phase_timing_report(registry: "MetricsRegistry") -> str:
 
     One line per span name (count / total / mean / max, in milliseconds)
     plus the event counters — the per-phase breakdown ``--stats`` prints
-    when tracing is on.  Worker time is included: the parent re-records
-    absorbed worker spans into its registry, so totals reflect work done
-    wherever it ran (and can exceed wall-clock time under ``--jobs``).
+    when tracing is on.
     """
     lines = ["Phase timings:"]
     timers = registry.timers
@@ -171,20 +172,16 @@ def allocation_report(
     workload: Workload,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     context: Optional[AnalysisContext] = None,
-    n_jobs: Optional[int] = 1,
     method: str = "bitset",
 ) -> str:
     """A report on the optimal robust allocation of a workload.
 
     Pass a shared :class:`~repro.core.context.AnalysisContext` to amortize
     the conflict index with other checks (and to read the counters back).
-    ``n_jobs`` and ``method`` are forwarded to Algorithm 2 (the CLI's
-    ``--jobs`` / ``--method`` flags).
+    ``method`` is forwarded to Algorithm 2 (the CLI's ``--method`` flag).
     """
     lines = ["Workload:", render_workload(workload), ""]
-    optimum = optimal_allocation(
-        workload, levels, method=method, context=context, n_jobs=n_jobs
-    )
+    optimum = optimal_allocation(workload, levels, method=method, context=context)
     class_name = "{" + ", ".join(level.name for level in sorted(set(levels))) + "}"
     if optimum is None:
         lines.append(

@@ -9,9 +9,7 @@ Subcommands:
   optimal robust allocation (Algorithm 2 / Theorem 5.5).  Both ``check``
   and ``allocate`` accept ``--stats`` to print the shared analysis
   context's counters (checks executed, index builds, cache hits) and
-  ``--jobs N`` to fan the analysis out over N worker processes
-  (``--jobs auto`` picks by workload size; results are identical to the
-  sequential engine).
+  ``--method`` to pick a reference engine (results are identical).
 * ``simulate <workload-file> [--uniform SI] [--seed N] [--runs N]`` — run
   the workload on the MVCC engine and report commits/aborts and whether
   the executions were serializable.  ``--engine events`` runs the
@@ -39,9 +37,10 @@ The input-parsing helpers shared with the daemon live in
 :mod:`repro.service.handlers`.  A
 :class:`~repro.service.handlers.CommandError` that reaches :func:`main`
 — an unreadable, non-UTF-8 or malformed workload file, an unreadable or
-invalid trace file — prints ``repro: error: <message>`` to stderr and
-exits 2; bad level and allocation specs keep their one-line exit-1
-messages.
+invalid trace file, a bad level, level class or allocation spec —
+prints ``repro: error: <message>`` to stderr and exits 2, which no
+verdict uses: ``check`` exits 1 for "not robust" and ``allocate`` for
+"no robust allocation exists".
 
 Workload files use the text format of
 :func:`repro.core.workload.parse_workload`::
@@ -57,7 +56,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .analysis.report import (
     allocation_report,
@@ -66,56 +65,19 @@ from .analysis.report import (
     robustness_report,
 )
 from .core.allocation import optimal_allocation
-from .core.isolation import Allocation, IsolationLevel
 from .core.robustness import check_robustness
 from .core.serialization import is_conflict_serializable
 from .core.sharding import ShardedContext
-from .core.workload import Workload
 from .observability import Tracer, current_tracer, use_tracer
 from .service.handlers import (
     CommandError,
     load_workload_file as _load_workload,
-    parse_jobs_value,
+    parse_allocation_spec,
+    parse_level,
+    parse_levels_spec,
     shard_report_line as _shard_report,
 )
 from .service import handlers as _handlers
-
-
-def _parse_allocation(
-    workload: Workload, spec: Optional[str], uniform: Optional[str]
-) -> Allocation:
-    try:
-        return _handlers.parse_allocation_spec(workload, spec, uniform)
-    except CommandError as exc:
-        raise SystemExit(
-            str(exc).replace("an allocation spec", "--allocation").replace(
-                "a uniform level", "--uniform"
-            )
-        ) from None
-
-
-def _parse_levels(spec: str) -> List[IsolationLevel]:
-    try:
-        return _handlers.parse_levels_spec(spec)
-    except CommandError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _parse_level(text: str) -> IsolationLevel:
-    try:
-        return _handlers.parse_level(text)
-    except CommandError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _parse_jobs(value: str) -> Optional[int]:
-    """``--jobs`` argument: a positive worker count or ``auto``."""
-    try:
-        return parse_jobs_value(value)
-    except CommandError as exc:
-        raise argparse.ArgumentTypeError(
-            str(exc).replace("jobs", "--jobs", 1)
-        ) from None
 
 
 def _print_phase_timings() -> None:
@@ -133,14 +95,10 @@ def _print_phase_timings() -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
-    allocation = _parse_allocation(workload, args.allocation, args.uniform)
+    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     context = ShardedContext(workload)
     result = check_robustness(
-        workload,
-        allocation,
-        method=args.method,
-        context=context,
-        n_jobs=args.jobs,
+        workload, allocation, method=args.method, context=context
     )
     print(robustness_report(workload, allocation, result))
     if not result.robust:
@@ -185,7 +143,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     from .analysis.blame import blame_report, minimal_promotion_sets
 
     workload = _load_workload(args.workload)
-    allocation = _parse_allocation(workload, args.allocation, args.uniform)
+    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     report = blame_report(workload, allocation)
     print(f"Allocation: {allocation}")
     print(report)
@@ -204,7 +162,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     from .enumeration.sampling import estimate_anomaly_rate
 
     workload = _load_workload(args.workload)
-    allocation = _parse_allocation(workload, args.allocation, args.uniform)
+    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     estimate = estimate_anomaly_rate(
         workload, allocation, samples=args.samples, seed=args.seed
     )
@@ -223,7 +181,7 @@ def _cmd_templates(args: argparse.Namespace) -> int:
 
     templates = parse_templates(Path(args.templates).read_text(encoding="utf-8"))
     if args.action == "allocate":
-        levels = _parse_levels(args.levels)
+        levels = parse_levels_spec(args.levels)
         optimum = optimal_template_allocation(
             templates, levels, domain_size=args.domain, copies=args.copies
         )
@@ -236,15 +194,15 @@ def _cmd_templates(args: argparse.Namespace) -> int:
         return 0
     # action == "check"
     if args.uniform:
-        level = _parse_level(args.uniform)
+        level = parse_level(args.uniform)
         allocation = {t.name: level for t in templates}
     else:
         allocation = {}
         for part in (args.allocation or "").split(","):
             name, _, level = part.partition("=")
             if not name:
-                raise SystemExit("provide --allocation Name=LEVEL,... or --uniform")
-            allocation[name.strip()] = _parse_level(level)
+                raise CommandError("provide --allocation Name=LEVEL,... or --uniform")
+            allocation[name.strip()] = parse_level(level)
     static = static_mixed_check(templates, allocation)
     print(f"Static sufficient check: {static}")
     result = check_template_robustness(
@@ -263,36 +221,20 @@ def _cmd_templates(args: argparse.Namespace) -> int:
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
-    levels = _parse_levels(args.levels)
+    levels = parse_levels_spec(args.levels)
     # One shared context for the report's Algorithm 2 run and the final
     # existence probe: each component's conflict index is built once.
     context = ShardedContext(workload)
-    print(
-        allocation_report(
-            workload,
-            levels,
-            context=context,
-            n_jobs=args.jobs,
-            method=args.method,
-        )
-    )
+    print(allocation_report(workload, levels, context=context, method=args.method))
     if args.stats:
         print()
         print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
-    return (
-        0
-        if optimal_allocation(
-            workload,
-            levels,
-            method=args.method,
-            context=context,
-            n_jobs=args.jobs,
-        )
-        is not None
-        else 1
+    optimum = optimal_allocation(
+        workload, levels, method=args.method, context=context
     )
+    return 0 if optimum is not None else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -303,7 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .mvcc import run_workload, trace_to_schedule
 
     workload = _load_workload(args.workload)
-    allocation = _parse_allocation(workload, args.allocation, args.uniform)
+    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     serializable_runs = 0
     commits = aborts = 0
     blocked = retries = 0
@@ -334,7 +276,7 @@ def _cmd_simulate_events(args: argparse.Namespace) -> int:
     from .mvcc import SimConfig, simulate_workload, trace_to_schedule
 
     workload = _load_workload(args.workload)
-    allocation = _parse_allocation(workload, args.allocation, args.uniform)
+    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     config = SimConfig(sessions=args.sessions, seed=args.seed)
     trace, stats = simulate_workload(
         workload, allocation, config, repeat=args.repeat
@@ -534,30 +476,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import serve as _run_daemon
 
     try:
-        levels = tuple(_parse_levels(args.levels))
         admission = AdmissionPolicy(
             floor=args.admission_floor,
             max_promotions=args.max_promotions,
             mode=args.admission_mode,
         )
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            socket_path=args.socket,
-            metrics_port=args.metrics_port,
-            port_file=args.port_file,
-            snapshot_path=args.snapshot,
-            snapshot_every=args.snapshot_every,
-            resume=not args.no_resume,
-            levels=levels,
-            method=args.method,
-            n_jobs=args.jobs,
-            admission=admission,
-            eventlog_path=args.eventlog,
-            slo_p99_ms=args.slo_p99_ms,
-        )
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise CommandError(str(exc)) from None
+    config = ServiceConfig(
+        host=args.host,
+        port=args.port,
+        socket_path=args.socket,
+        metrics_port=args.metrics_port,
+        port_file=args.port_file,
+        snapshot_path=args.snapshot,
+        snapshot_every=args.snapshot_every,
+        resume=not args.no_resume,
+        levels=tuple(parse_levels_spec(args.levels)),
+        admission=admission,
+        eventlog_path=args.eventlog,
+        slo_p99_ms=args.slo_p99_ms,
+    )
     _run_daemon(config)
     return 0
 
@@ -651,13 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print analysis-context counters (checks, cache hits)",
     )
     check.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=1,
-        metavar="N|auto",
-        help="worker processes for the T1 scan (default 1: in-process)",
-    )
-    check.add_argument(
         "--method",
         choices=("bitset", "components", "paper"),
         default="bitset",
@@ -721,13 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print analysis-context counters (checks, cache hits)",
     )
     allocate.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=1,
-        metavar="N|auto",
-        help="worker processes for Algorithm 2's probes (default 1: in-process)",
-    )
-    allocate.add_argument(
         "--method",
         choices=("bitset", "components", "paper"),
         default="bitset",
@@ -750,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ATTRS",
         help=(
             "comma-separated span attributes to refine grouping by"
-            " (e.g. origin, pid, t1); 'origin' splits per worker"
+            " (e.g. t1, shard)"
         ),
     )
     trace_report.add_argument(
@@ -886,19 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels",
         default="RC,SI,SSI",
         help="class of levels the daemon allocates over (default RC,SI,SSI)",
-    )
-    serve.add_argument(
-        "--method",
-        choices=("bitset", "components", "paper"),
-        default="bitset",
-        help="robustness engine (default bitset)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=1,
-        metavar="N|auto",
-        help="worker processes for re-analysis (default 1: in-process)",
     )
     serve.add_argument(
         "--admission-floor",

@@ -27,12 +27,7 @@ allocation, so its scan visits only the triples through ``t`` (the
 delta lemma of :func:`repro.core.robustness.check_robustness_delta`),
 with the full scan's verdict, and it asks only whether a witness
 exists: no chain is built for a verdict the refinement reads as one
-bit.  With ``n_jobs`` other than ``1`` the same probes run on
-the process pool of :mod:`repro.parallel`, each from the robust start
-allocation.  The result is again identical — the optimum is unique
-(Proposition 4.2) and each transaction's final level depends only on
-the robust start allocation (Proposition 4.1) — as asserted by the
-parallel-equivalence property suite.
+bit.
 """
 
 from __future__ import annotations
@@ -47,10 +42,9 @@ from .isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from .robustness import Context, _witness_exists, check_robustness, is_robust
+from .robustness import Context, _witness_exists, is_robust
 from .sharding import (
     ShardedContext,
-    _resolve_jobs,
     _validate,
     optimal_allocation_sharded,
     refine_allocation_sharded,
@@ -68,37 +62,12 @@ def _normalized_levels(
     return tuple(unique)
 
 
-def _probe_robust(
-    workload: Workload,
-    candidate: Allocation,
-    method: str,
-    ctx: AnalysisContext,
-    n_jobs: Optional[int] = 1,
-    delta_tid: Optional[int] = None,
-) -> bool:
-    """One Algorithm 2 probe: is ``candidate`` robust?
-
-    Only the verdict matters, so the sequential path asks whether the
-    scan finds a witness (:func:`~repro.core.robustness._witness_exists`)
-    and builds no chain and no schedule.  ``delta_tid`` marks
-    ``candidate`` as one step below a robust allocation at that
-    transaction: the scan then visits only triples through it, with the
-    same verdict.  Every probe counts one check.
-    """
-    if n_jobs == 1:
-        return not _witness_exists(workload, candidate, method, ctx, delta_tid)
-    return check_robustness(
-        workload, candidate, method=method, context=ctx, n_jobs=n_jobs
-    ).robust
-
-
 def refine_allocation(
     workload: Workload,
     start: Allocation,
     levels: Sequence[IsolationLevel],
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
     floors: Optional[Dict[int, IsolationLevel]] = None,
 ) -> Allocation:
     """Refine a robust allocation to the optimum below it (Algorithm 2 core).
@@ -110,7 +79,9 @@ def refine_allocation(
 
     Each probe lowers one transaction of the current, robust allocation,
     so it scans only the triples through that transaction and asks only
-    whether a witness exists (:func:`_probe_robust`).
+    whether a witness exists
+    (:func:`~repro.core.robustness._witness_exists`): no chain and no
+    schedule are built, and every probe counts one check.
 
     Args:
         workload: the set of transactions.
@@ -122,11 +93,6 @@ def refine_allocation(
             (built fresh when omitted) refines per conflict component;
             an :class:`~repro.core.context.AnalysisContext` refines the
             workload as one unit.  Same optimum either way.
-        n_jobs: ``1`` (default) runs in-process; ``>= 2`` fans the
-            independent per-transaction downgrade probes out over the
-            process pool of :mod:`repro.parallel` (same probes, same
-            result — Propositions 4.1/4.2); ``None`` or
-            negative picks automatically by workload size.
         floors: optional per-transaction lower bounds — probe levels
             below a transaction's floor are skipped (the incremental
             manager passes the previous optimum, which the new optimum
@@ -136,24 +102,14 @@ def refine_allocation(
     if not isinstance(context, AnalysisContext):
         return refine_allocation_sharded(
             workload, start, levels, method=method, context=context,
-            n_jobs=n_jobs, floors=floors,
+            floors=floors,
         )
     ordered = _normalized_levels(levels)
     context.ensure(workload)
     _validate(workload, start, method)
-    jobs = _resolve_jobs(n_jobs, workload, method)
-    if jobs > 1:
-        from ..parallel.engine import refine_allocation_parallel
-
-        return refine_allocation_parallel(
-            workload, start, ordered, n_jobs=jobs, context=context,
-            floors=floors, method=method,
-        )
     tracer = current_tracer()
     current = start
-    with tracer.span(
-        "allocation.refine", transactions=len(workload), jobs=1
-    ):
+    with tracer.span("allocation.refine", transactions=len(workload)):
         for tid in workload.tids:
             floor = floors.get(tid) if floors is not None else None
             with tracer.span("allocation.refine_txn", tid=tid) as txn_span:
@@ -164,8 +120,8 @@ def refine_allocation(
                         break
                     candidate = current.with_level(tid, level)
                     with tracer.span("allocation.probe", tid=tid, level=level.name):
-                        lowered = _probe_robust(
-                            workload, candidate, method, context, delta_tid=tid
+                        lowered = not _witness_exists(
+                            workload, candidate, method, context, tid
                         )
                     if lowered:
                         current = candidate
@@ -179,7 +135,6 @@ def optimal_allocation(
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
 ) -> Optional[Allocation]:
     """The unique optimal robust allocation over ``levels``, if one exists.
 
@@ -193,10 +148,8 @@ def optimal_allocation(
     private one) builds each component's conflict index exactly once
     regardless of how many robustness checks the refinement issues.  An
     explicit :class:`~repro.core.context.AnalysisContext` runs the
-    workload as one unit.  With ``n_jobs`` other than ``1`` the
-    refinement probes run on the process pool of :mod:`repro.parallel`.
-    Every path returns the identical optimum, by its uniqueness
-    (Proposition 4.2).
+    workload as one unit.  Both return the identical optimum, by its
+    uniqueness (Proposition 4.2).
 
     Examples:
         >>> from repro.core.workload import workload
@@ -208,7 +161,7 @@ def optimal_allocation(
     """
     if not isinstance(context, AnalysisContext):
         return optimal_allocation_sharded(
-            workload, levels, method=method, context=context, n_jobs=n_jobs
+            workload, levels, method=method, context=context
         )
     ordered = _normalized_levels(levels)
     context.ensure(workload)
@@ -220,12 +173,11 @@ def optimal_allocation(
         levels=[level.name for level in ordered],
     ):
         if top is not IsolationLevel.SSI and not is_robust(
-            workload, start, method=method, context=context, n_jobs=n_jobs
+            workload, start, method=method, context=context
         ):
             return None
         return refine_allocation(
-            workload, start, ordered, method=method, context=context,
-            n_jobs=n_jobs,
+            workload, start, ordered, method=method, context=context
         )
 
 
@@ -234,7 +186,6 @@ def is_robustly_allocatable(
     levels: Sequence[IsolationLevel] = ORACLE_LEVELS,
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
 ) -> bool:
     """Whether some allocation over ``levels`` is robust (Definition 5.3).
 
@@ -250,7 +201,6 @@ def is_robustly_allocatable(
         Allocation.uniform(workload, top),
         method=method,
         context=context,
-        n_jobs=n_jobs,
     )
 
 
@@ -260,7 +210,6 @@ def upgrade_to_robust(
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
 ) -> Optional[Allocation]:
     """The least robust allocation pointwise above ``allocation``, if any.
 
@@ -279,9 +228,7 @@ def upgrade_to_robust(
     invariant instead of a dead error branch).
     """
     ctx = ShardedContext(workload) if context is None else context
-    optimum = optimal_allocation(
-        workload, levels, method=method, context=ctx, n_jobs=n_jobs
-    )
+    optimum = optimal_allocation(workload, levels, method=method, context=ctx)
     if optimum is None:
         return None
     lifted = {

@@ -272,32 +272,21 @@ class ContextStats:
             "plan_reuse": self.plan_reuse,
         }
 
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Add another stats snapshot (a worker's delta) into these counters.
-
-        The parallel engine collects each worker task's before/after
-        counter difference and folds it in here, so ``--stats`` totals
-        stay truthful — they report work actually done, wherever it ran.
-
-        Examples:
-            >>> stats = ContextStats(checks=2)
-            >>> stats.merge({"checks": 3, "oracle_builds": 1})
-            >>> stats.checks, stats.oracle_builds
-            (5, 1)
-        """
-        for name, value in delta.items():
-            setattr(self, name, getattr(self, name) + value)
-
 
 class AnalysisContext:
     """Cached allocation-independent analysis structure for one workload.
 
     Build once per workload, pass to every robustness/allocation call
-    probing that workload::
+    probing that workload:
 
-        ctx = AnalysisContext(wl)
-        optimum = optimal_allocation(wl, context=ctx)
-        ctx.stats.checks        # robustness checks (probes) executed
+        >>> from repro.core.allocation import optimal_allocation
+        >>> from repro.core.workload import workload
+        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        >>> ctx = AnalysisContext(wl)
+        >>> str(optimal_allocation(wl, context=ctx))
+        'T1:SSI, T2:SSI'
+        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one index
+        (4, 1)
 
     The context is *read-only with respect to the workload*: it must not
     be reused after the workload changes (``check_robustness`` raises
@@ -355,9 +344,7 @@ class AnalysisContext:
 
         Allocation-independent like the rest of the context; built on
         the first ``method="bitset"`` scan and shared by every later
-        check of the workload.  Parallel workers call this on their own
-        per-process contexts, so kernel rows are rebuilt per worker and
-        never pickled.
+        check of the workload.
         """
         if self._kernel is None:
             from .kernel import BitKernel

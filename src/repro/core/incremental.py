@@ -49,10 +49,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..observability import current_tracer
-from .allocation import _probe_robust, refine_allocation
+from .allocation import refine_allocation
 from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
-from .robustness import Counterexample, check_robustness
+from .robustness import Counterexample, _witness_exists, check_robustness
 from .sharding import DynamicShardPlan, ShardedContext, same_shard
 from .transactions import Transaction
 from .workload import Workload, WorkloadError, parse_workload as _parse_workload_text
@@ -64,10 +64,10 @@ BatchMutation = Tuple[str, Union[Transaction, int]]
 class AllocationManager:
     """Maintains the optimal robust allocation of an evolving workload.
 
-    ``n_jobs`` (default ``1``) is forwarded to every robustness check and
-    refinement the manager issues; values other than ``1`` fan the work
-    out over the process pool of :mod:`repro.parallel` (identical
-    allocations — the optimum is unique per Proposition 4.2).
+    Every check and refinement runs the default ``bitset`` engine; the
+    reference engines stay on the library functions
+    (:func:`~repro.core.robustness.check_robustness` and
+    :func:`~repro.core.allocation.optimal_allocation` take ``method=``).
 
     Examples:
         >>> from repro.core.transactions import parse_transaction
@@ -80,12 +80,7 @@ class AllocationManager:
         Allocation({T2:RC})
     """
 
-    def __init__(
-        self,
-        levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
-        method: str = "bitset",
-        n_jobs: Optional[int] = 1,
-    ):
+    def __init__(self, levels: Sequence[IsolationLevel] = POSTGRES_LEVELS):
         self._levels = tuple(sorted(set(levels)))
         if not self._levels:
             raise ValueError("the class of isolation levels must not be empty")
@@ -94,13 +89,6 @@ class AllocationManager:
                 "AllocationManager requires SSI in the class (an optimum must"
                 " always exist); use optimal_allocation() for {RC, SI}"
             )
-        if method == "paper" and n_jobs != 1:
-            raise ValueError(
-                "the verbatim paper engine is sequential-only; use "
-                "method='bitset' or 'components' with n_jobs > 1"
-            )
-        self._method = method
-        self._n_jobs = n_jobs
         self._transactions: Dict[int, Transaction] = {}
         self._allocation = Allocation({})
         self._sctx: Optional[ShardedContext] = None
@@ -353,21 +341,12 @@ class AllocationManager:
                     floors = {
                         t: bottom if t in newcomers else old[t] for t in shard
                     }
-                if not newcomers.isdisjoint(shard) and not (
-                    _probe_robust(
-                        sub_workload, start, self._method, ctx,
-                        n_jobs=self._n_jobs,
-                    )
+                if not newcomers.isdisjoint(shard) and _witness_exists(
+                    sub_workload, start, "bitset", ctx
                 ):
                     start = Allocation.uniform(sub_workload, top)
                 refined = refine_allocation(
-                    sub_workload,
-                    start,
-                    self._levels,
-                    method=self._method,
-                    context=ctx,
-                    n_jobs=self._n_jobs,
-                    floors=floors,
+                    sub_workload, start, self._levels, context=ctx, floors=floors
                 )
                 levels.update(refined.items())
             self._finish(sctx, stats, new_map, new_workloads, Allocation(levels))
@@ -388,9 +367,9 @@ class AllocationManager:
 
         Captures everything needed to resume allocation maintenance
         after a restart *warm*: the workload (text format), the current
-        optimal allocation, the class of levels, the engine method, the
-        shard plan (so a restore resumes the dynamic partition without a
-        full union-find build).
+        optimal allocation, the class of levels and the shard plan (so a
+        restore resumes the dynamic partition without a full union-find
+        build).
         Pure data — no pickled objects — so snapshots survive version
         skew and can be inspected with any JSON tool.
         """
@@ -398,7 +377,6 @@ class AllocationManager:
         return {
             "version": self.STATE_VERSION,
             "levels": [level.name for level in self._levels],
-            "method": self._method,
             "workload": str(workload),
             "allocation": {
                 str(tid): level.name for tid, level in self._allocation.items()
@@ -410,7 +388,6 @@ class AllocationManager:
     def load_state(
         cls,
         state: Dict[str, object],
-        n_jobs: Optional[int] = 1,
         verify: bool = False,
     ) -> "AllocationManager":
         """Rebuild a manager from :meth:`save_state` output.
@@ -418,8 +395,9 @@ class AllocationManager:
         The restored manager resumes *warm*: the shard plan is resumed
         and per-shard contexts are rebuilt for the snapshot's workload,
         so the next mutation's work — checks executed, plan upkeep — is
-        identical to a manager that never restarted.  A ``witnesses``
-        field, written by builds that cached witness chains, is ignored.
+        identical to a manager that never restarted.  Two fields written
+        by earlier builds are ignored: ``witnesses`` (cached witness
+        chains) and ``method`` (the manager's engine choice).
 
         ``verify=True`` additionally re-checks that the snapshot's
         allocation is robust for its workload and raises
@@ -439,7 +417,7 @@ class AllocationManager:
         levels = tuple(
             IsolationLevel.parse(name) for name in state["levels"]  # type: ignore[union-attr]
         )
-        manager = cls(levels=levels, method=str(state["method"]), n_jobs=n_jobs)
+        manager = cls(levels=levels)
         workload = _parse_workload_text(str(state["workload"]))
         allocation = Allocation(
             {
@@ -497,13 +475,7 @@ class AllocationManager:
                 workload, stats=self._last_stats, plan=self._plan.freeze()
             )
             self._sctx = sctx
-        return check_robustness(
-            workload,
-            allocation,
-            method=self._method,
-            context=sctx,
-            n_jobs=self._n_jobs,
-        ).robust
+        return check_robustness(workload, allocation, context=sctx).robust
 
 
 def incremental_counterexample(

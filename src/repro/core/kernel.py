@@ -48,8 +48,7 @@ property suite (``tests/properties/test_kernel_equivalence.py``)
 asserts bit-identical verdicts, witness specs and enumeration order.
 
 The kernel is allocation-independent and lives on the analysis context
-(:meth:`~repro.core.context.AnalysisContext.kernel`); the parallel
-workers rebuild it lazily per process (it is never pickled).
+(:meth:`~repro.core.context.AnalysisContext.kernel`).
 """
 
 from __future__ import annotations

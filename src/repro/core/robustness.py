@@ -41,22 +41,16 @@ sharded context to amortize it across many checks of the same workload
 ``AnalysisContext`` to analyze the workload as one unit — the
 per-component core the sharded composition runs on each component.
 
-Two further accelerations live here:
-
-* :func:`check_robustness_delta` — a restricted check for allocations
-  that differ from a *known-robust* base at exactly one transaction.
-  Every side condition of Definition 3.1 that mentions isolation levels
-  mentions only the levels of the triple ``(T_1, T_2, T_m)``, so a
-  witness for the candidate that avoids the changed transaction would
-  already have been a witness for the robust base — contradiction.  The
-  scan therefore only visits triples involving the changed transaction,
-  an ``O(|T|^2)`` sweep instead of ``O(|T|^3)``.  Every downgrade probe
-  of Algorithm 2, sequential or pooled, runs this same scoped scan and
-  asks only whether it finds a witness.
-* ``n_jobs`` — :func:`check_robustness` and
-  :func:`enumerate_counterexamples` fan the outer per-``T_1`` loop out
-  across a process pool when ``n_jobs > 1``, with results bit-identical
-  to the sequential scan (see :mod:`repro.parallel.engine`).
+One further acceleration lives here: :func:`check_robustness_delta`, a
+restricted check for allocations that differ from a *known-robust* base
+at exactly one transaction.  Every side condition of Definition 3.1 that
+mentions isolation levels mentions only the levels of the triple
+``(T_1, T_2, T_m)``, so a witness for the candidate that avoids the
+changed transaction would already have been a witness for the robust
+base — contradiction.  The scan therefore only visits triples involving
+the changed transaction, an ``O(|T|^2)`` sweep instead of
+``O(|T|^3)``.  Every downgrade probe of Algorithm 2 runs this same
+scoped scan and asks only whether it finds a witness.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .sharding import (
     ShardedContext,
-    _resolve_jobs,
     _resolve_sharded,
     _validate,
     check_robustness_sharded,
@@ -232,10 +225,8 @@ def _scan_t1(
     ``(T_2, T_m)`` candidate order.  This generator is the single source
     of truth for the per-``T_1`` search: :func:`check_robustness` takes
     its first element, :func:`enumerate_counterexamples` drains it, every
-    downgrade probe of Algorithm 2 runs it with ``delta_tid`` set, and
-    the process-pool workers of :mod:`repro.parallel` run it remotely —
-    which is what makes the parallel engine's results bit-identical to
-    the sequential ones.
+    and every downgrade probe of Algorithm 2 runs it with ``delta_tid``
+    set.
 
     With a ``delta_tid`` other than ``T_1`` only the triples having it as
     ``T_2`` or ``T_m`` are visited: the subsequence of the full output
@@ -282,7 +273,6 @@ def check_robustness(
     allocation: Allocation,
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
 ) -> RobustnessResult:
     """Decide robustness of ``workload`` against ``allocation`` (Algorithm 1).
 
@@ -307,13 +297,6 @@ def check_robustness(
             workload as one unit.  Both give bit-identical results;
             sharing a context across checks amortizes the
             allocation-independent structure.
-        n_jobs: ``1`` (default) runs fully in-process; an integer ``> 1``
-            fans the per-``T_1`` searches (or whole components) out
-            across that many worker processes; ``None`` picks
-            automatically — sequential below a workload-size threshold,
-            one worker per CPU otherwise (see
-            :func:`repro.parallel.engine.resolve_jobs`).  The verdict and
-            the counterexample are bit-identical for every setting.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -326,17 +309,9 @@ def check_robustness(
     """
     if not isinstance(context, AnalysisContext):
         return check_robustness_sharded(
-            workload, allocation, method=method, context=context,
-            n_jobs=n_jobs,
+            workload, allocation, method=method, context=context
         )
     _validate(workload, allocation, method)
-    jobs = _resolve_jobs(n_jobs, workload, method)
-    if jobs > 1:
-        from ..parallel.engine import check_robustness_parallel
-
-        return check_robustness_parallel(
-            workload, allocation, n_jobs=jobs, context=context, method=method
-        )
     spec = _first_witness(workload, allocation, method, context)
     if spec is None:
         return RobustnessResult(True)
@@ -356,9 +331,7 @@ def _check_scope(
     ``delta_tid`` only it and its conflict neighbours
     (:func:`check_robustness_delta`).
     """
-    attrs: Dict[str, object] = dict(
-        transactions=len(workload), method=method, jobs=1
-    )
+    attrs: Dict[str, object] = dict(transactions=len(workload), method=method)
     if delta_tid is None:
         return "robustness.check", attrs, workload.tids
     attrs["delta_tid"] = delta_tid
@@ -554,12 +527,11 @@ def is_robust(
     allocation: Allocation,
     method: str = "bitset",
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
 ) -> bool:
     """Boolean shorthand for :func:`check_robustness` (Algorithm 1).
 
-    Sequentially this runs the lean :func:`first_witness_spec` scan — no
-    counterexample schedule is built for a verdict the caller discards.
+    Runs the lean :func:`first_witness_spec` scan — no counterexample
+    schedule is built for a verdict the caller discards.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -568,11 +540,7 @@ def is_robust(
         >>> is_robust(w, Allocation.si(w)), is_robust(w, Allocation.ssi(w))
         (False, True)
     """
-    if n_jobs == 1:
-        return first_witness_spec(workload, allocation, method, context) is None
-    return check_robustness(
-        workload, allocation, method=method, context=context, n_jobs=n_jobs
-    ).robust
+    return first_witness_spec(workload, allocation, method, context) is None
 
 
 def _spec_to_counterexample(
@@ -598,7 +566,6 @@ def enumerate_counterexamples(
     allocation: Allocation,
     materialize_schedules: bool = True,
     context: Optional[Context] = None,
-    n_jobs: Optional[int] = 1,
     method: str = "bitset",
 ) -> Iterable[Counterexample]:
     """Yield one counterexample per problematic triple ``(T_1, T_2, T_m)``.
@@ -610,11 +577,8 @@ def enumerate_counterexamples(
     yielded counterexamples is at most ``|T|^3``.
 
     The enumeration order is deterministic: ascending ``T_1`` id, then
-    the nested ``(T_2, T_m)`` candidate order of Algorithm 1.  Running
-    with ``n_jobs > 1`` distributes the per-``T_1`` scans over worker
-    processes and re-assembles the results in that exact order, so the
-    yielded sequence is identical for every ``n_jobs`` (asserted by
-    ``tests/parallel/test_parallel_engine.py`` and the property suite).
+    the nested ``(T_2, T_m)`` candidate order of Algorithm 1 (asserted
+    by ``tests/core/test_robustness.py`` and the property suite).
 
     Args:
         workload: the set of transactions.
@@ -626,11 +590,8 @@ def enumerate_counterexamples(
             :class:`~repro.core.sharding.ShardedContext`, as one unit for
             an :class:`~repro.core.context.AnalysisContext`; the yielded
             sequence is identical either way.
-        n_jobs: ``1`` (default) in-process; ``> 1`` fans the per-``T_1``
-            scans out; ``None`` picks automatically.
-        method: ``"bitset"`` (default), ``"components"`` or ``"paper"``
-            (the latter sequential-only); the yielded sequence is
-            identical for every engine.
+        method: ``"bitset"`` (default), ``"components"`` or ``"paper"``;
+            the yielded sequence is identical for every engine.
     """
     if isinstance(context, AnalysisContext):
         context.ensure(workload)
@@ -641,7 +602,7 @@ def enumerate_counterexamples(
         )
     _validate(workload, allocation, method)
     ctx.record_check()
-    for spec in enumerate_specs(workload, allocation, method, ctx, n_jobs):
+    for spec in enumerate_specs(workload, allocation, method, ctx):
         yield _spec_to_counterexample(
             spec, workload, allocation, materialize_schedules
         )
@@ -652,21 +613,12 @@ def _enumerate_specs(
     allocation: Allocation,
     method: str,
     context: AnalysisContext,
-    n_jobs: Optional[int],
 ) -> Iterator[SplitScheduleSpec]:
     """Every witness spec over one context, in ascending ``T_1`` order.
 
     Does not count a robustness check — the caller owns
     :meth:`~repro.core.context.AnalysisContext.record_check`.
     """
-    jobs = _resolve_jobs(n_jobs, workload, method)
-    if jobs > 1:
-        from ..parallel.engine import enumerate_specs_parallel
-
-        yield from enumerate_specs_parallel(
-            workload, allocation, n_jobs=jobs, context=context, method=method
-        )
-        return
     tracer = current_tracer()
     for t1 in workload:
         if tracer.recording:

@@ -36,10 +36,7 @@ caller's workload straight to that core (see :func:`_sole_shard`).
 The payoff is in the per-component structure: with ``c`` components of
 size ``s = |T| / c``, each context's tid masks are ``s`` bits wide and
 each per-``T_1`` kernel row (its flood fill and its ``reach`` masks) is
-built over ``s`` transactions instead of all of ``|T|``.  With
-``n_jobs > 1`` whole shards are dispatched to the worker pool
-(:mod:`repro.parallel.engine`), with no shared-witness coordination
-between chunks — shards are independent by construction.
+built over ``s`` transactions instead of all of ``|T|``.
 """
 
 from __future__ import annotations
@@ -163,8 +160,8 @@ class ShardPlan:
         shards: the components, ordered by smallest transaction id,
             members ascending.
         shard_of: transaction id -> shard index (built lazily — the
-            sequential scan and the parallel engine only walk
-            ``shards``, so most plans never pay for the mapping).
+            first-witness scan only walks ``shards``, so most plans
+            never pay for the mapping).
     """
 
     __slots__ = ("shards", "_shard_of")
@@ -680,26 +677,7 @@ def _validate(workload: Workload, allocation: Allocation, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _resolve_jobs(
-    n_jobs: Optional[int], workload: Workload, method: str
-) -> int:
-    """Effective worker count, with the paper-engine restriction."""
-    if n_jobs == 1:
-        return 1
-    from ..parallel.engine import resolve_jobs
-
-    jobs = resolve_jobs(n_jobs, len(workload))
-    if jobs > 1 and method == "paper":
-        raise ValueError(
-            "the verbatim paper engine is sequential-only; use"
-            " method='bitset' or 'components' with n_jobs > 1"
-        )
-    return jobs
-
-
-def _first_spec_sequential(
-    sctx: ShardedContext, allocation: Allocation, method: str
-):
+def _first_spec(sctx: ShardedContext, allocation: Allocation, method: str):
     """The earliest-``T_1`` witness across shards, or ``None``.
 
     Each shard is scanned in ascending ``T_1`` order and stops at its
@@ -707,8 +685,7 @@ def _first_spec_sequential(
     ``T_1`` id wins — exactly the witness the monolithic ascending-tid
     scan finds first.  Shards whose smallest member exceeds the current
     best ``T_1`` are skipped entirely (they can only contain later
-    candidates), which is the sequential form of the parallel engine's
-    shard cancellation.
+    candidates).
     """
     from .robustness import _scan_t1
 
@@ -733,29 +710,12 @@ def _first_spec_sequential(
     return best
 
 
-def _first_spec(
-    sctx: ShardedContext,
-    allocation: Allocation,
-    method: str,
-    n_jobs: int,
-):
-    """Dispatch the first-witness scan, parallel over whole shards if asked."""
-    if n_jobs > 1 and len(sctx.plan) > 1:
-        from ..parallel.engine import first_spec_shards_parallel
-
-        return first_spec_shards_parallel(
-            sctx.workload, allocation, sctx, n_jobs=n_jobs, method=method
-        )
-    return _first_spec_sequential(sctx, allocation, method)
-
-
 def _sole_shard(sctx: ShardedContext) -> Optional[AnalysisContext]:
     """The only shard's context when the plan has exactly one, else ``None``.
 
-    A single-component workload goes straight to the per-component core:
+    A single-component workload goes straight to the per-component core,
     over the caller's own workload object (see
-    :meth:`ShardedContext.shard_workload`) and with ``n_jobs`` forwarded,
-    so it keeps the core's per-``T_1`` pool fan-out and pays only the
+    :meth:`ShardedContext.shard_workload`), and pays only the
     ``O(total operations)`` plan on top.
     """
     return sctx.shard_context(0) if len(sctx.plan) == 1 else None
@@ -766,7 +726,6 @@ def check_robustness_sharded(
     allocation: Allocation,
     method: str = "bitset",
     context: Optional[ShardedContext] = None,
-    n_jobs: Optional[int] = 1,
 ):
     """Algorithm 1 decided per conflict component, composed globally.
 
@@ -784,12 +743,8 @@ def check_robustness_sharded(
     sctx = _resolve_sharded(workload, context)
     sole = _sole_shard(sctx)
     if sole is not None:
-        return check_robustness(
-            workload, allocation, method=method, context=sole, n_jobs=n_jobs
-        )
-    spec = first_witness_spec_sharded(
-        workload, allocation, method, context=sctx, n_jobs=n_jobs
-    )
+        return check_robustness(workload, allocation, method=method, context=sole)
+    spec = first_witness_spec_sharded(workload, allocation, method, context=sctx)
     if spec is None:
         return RobustnessResult(True)
     schedule = materialize(spec, workload, allocation)
@@ -801,36 +756,28 @@ def first_witness_spec_sharded(
     allocation: Allocation,
     method: str = "bitset",
     context: Optional[ShardedContext] = None,
-    n_jobs: Optional[int] = 1,
 ):
     """The first counterexample spec across shards, or ``None`` — no schedule.
 
     The lean core of :func:`check_robustness_sharded`, mirroring
     :func:`~repro.core.robustness.first_witness_spec`.
     """
-    from .robustness import check_robustness, first_witness_spec
+    from .robustness import first_witness_spec
 
     sctx = _resolve_sharded(workload, context)
     sole = _sole_shard(sctx)
     if sole is not None:
-        if n_jobs == 1:
-            return first_witness_spec(workload, allocation, method, context=sole)
-        result = check_robustness(
-            workload, allocation, method=method, context=sole, n_jobs=n_jobs
-        )
-        return None if result.robust else result.counterexample.spec
+        return first_witness_spec(workload, allocation, method, context=sole)
     _validate(workload, allocation, method)
-    jobs = _resolve_jobs(n_jobs, workload, method)
     sctx.record_check()
     tracer = current_tracer()
     with tracer.span(
         "robustness.check",
         transactions=len(workload),
         method=method,
-        jobs=jobs,
         shards=len(sctx.plan),
     ) as check_span:
-        best = _first_spec(sctx, allocation, method, jobs)
+        best = _first_spec(sctx, allocation, method)
         check_span.set(robust=best is None)
     return None if best is None else best[1]
 
@@ -840,7 +787,6 @@ def enumerate_specs_sharded(
     allocation: Allocation,
     method: str = "bitset",
     context: Optional[ShardedContext] = None,
-    n_jobs: Optional[int] = 1,
 ) -> Iterator:
     """Every counterexample chain, in the per-component core's order.
 
@@ -856,17 +802,9 @@ def enumerate_specs_sharded(
     sctx = _resolve_sharded(workload, context)
     sole = _sole_shard(sctx)
     if sole is not None:
-        yield from _enumerate_specs(workload, allocation, method, sole, n_jobs)
+        yield from _enumerate_specs(workload, allocation, method, sole)
         return
     _validate(workload, allocation, method)
-    jobs = _resolve_jobs(n_jobs, workload, method)
-    if jobs > 1 and len(sctx.plan) > 1:
-        from ..parallel.engine import enumerate_specs_shards_parallel
-
-        yield from enumerate_specs_shards_parallel(
-            workload, allocation, sctx, n_jobs=jobs, method=method
-        )
-        return
     tracer = current_tracer()
     for t1 in workload:
         ctx = sctx.context_of(t1.tid)
@@ -887,7 +825,6 @@ def refine_allocation_sharded(
     levels: Sequence[IsolationLevel],
     method: str = "bitset",
     context: Optional[ShardedContext] = None,
-    n_jobs: Optional[int] = 1,
     floors: Optional[Dict[int, IsolationLevel]] = None,
 ) -> Allocation:
     """Algorithm 2's refinement, shard by shard (Propositions 4.1/4.2).
@@ -908,16 +845,7 @@ def refine_allocation_sharded(
     sole = _sole_shard(sctx)
     if sole is not None:
         return refine_allocation(
-            workload, start, ordered, method=method, context=sole,
-            n_jobs=n_jobs, floors=floors,
-        )
-    jobs = _resolve_jobs(n_jobs, workload, method)
-    if jobs > 1 and len(sctx.plan) > 1:
-        from ..parallel.engine import refine_allocation_shards_parallel
-
-        return refine_allocation_shards_parallel(
-            workload, start, ordered, sctx,
-            n_jobs=jobs, floors=floors, method=method,
+            workload, start, ordered, method=method, context=sole, floors=floors
         )
     tracer = current_tracer()
     pieces: Dict[int, IsolationLevel] = {}
@@ -947,7 +875,6 @@ def optimal_allocation_sharded(
     levels: Sequence[IsolationLevel],
     method: str = "bitset",
     context: Optional[ShardedContext] = None,
-    n_jobs: Optional[int] = 1,
 ) -> Optional[Allocation]:
     """Algorithm 2 end to end over shards (Theorem 4.3 / Theorem 5.5).
 
@@ -970,13 +897,10 @@ def optimal_allocation_sharded(
         shards=len(sctx.plan),
     ):
         if top is not IsolationLevel.SSI and (
-            first_witness_spec_sharded(
-                workload, start, method, context=sctx, n_jobs=n_jobs
-            )
+            first_witness_spec_sharded(workload, start, method, context=sctx)
             is not None
         ):
             return None
         return refine_allocation_sharded(
-            workload, start, ordered,
-            method=method, context=sctx, n_jobs=n_jobs,
+            workload, start, ordered, method=method, context=sctx
         )

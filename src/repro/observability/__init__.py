@@ -7,7 +7,7 @@ profiling hooks build on:
   a no-op stand-in installed by default (zero behavior change, near-zero
   cost when disabled);
 * :class:`MetricsRegistry` — per-phase timers plus named counters,
-  aggregated from the span stream and from worker counter deltas;
+  aggregated from the span stream;
   :func:`prometheus_text` renders a registry for the daemon's
   ``/metrics`` endpoint;
 * :func:`use_tracer` / :func:`current_tracer` — the module-global
@@ -22,8 +22,7 @@ profiling hooks build on:
   verdicts between two traces or two ``--bench-json`` baselines
   (``repro trace diff`` / ``repro bench compare``, the CI gate).
 
-See ``docs/architecture.md`` (Observability section) for the span model
-and the worker batch merge.
+See ``docs/observability.md`` for the span model and the trace format.
 """
 
 from .diff import (
@@ -64,9 +63,7 @@ from .profile import (
 from .tracer import (
     NULL_TRACER,
     NullTracer,
-    SpanBatch,
     SpanRecord,
-    SpanTuple,
     TRACE_VERSION,
     Tracer,
     current_tracer,
@@ -74,7 +71,6 @@ from .tracer import (
     use_tracer,
     validate_trace,
     validate_trace_file,
-    worker_tracer,
 )
 
 __all__ = [
@@ -90,9 +86,7 @@ __all__ = [
     "ProfileNode",
     "ROOT_KEY",
     "RetainedTrace",
-    "SpanBatch",
     "SpanRecord",
-    "SpanTuple",
     "StreamingHistogram",
     "TRACE_VERSION",
     "TimerStat",
@@ -122,5 +116,4 @@ __all__ = [
     "validate_eventlog_file",
     "validate_trace",
     "validate_trace_file",
-    "worker_tracer",
 ]

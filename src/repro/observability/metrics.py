@@ -4,19 +4,19 @@ The registry is the *aggregate* view of the span stream: every finished
 span records its duration under its name, so ``--stats`` can print a
 per-phase breakdown (count / total / mean / max) without replaying the
 trace.  Counters are plain named integers — the tracer counts events
-(cache hits, MVCC commits, worker dispatches) that have no duration.
+(robustness checks, MVCC commits) that have no duration.
 Every :meth:`MetricsRegistry.record` additionally feeds a
 :class:`~repro.observability.telemetry.StreamingHistogram` sibling of
 the timer, so quantiles (p50/p90/p99) are available for every timed
 phase without retaining raw samples.
 
-Workers aggregate into their own registries; the parent folds them in
-via :meth:`MetricsRegistry.merge` when span batches come back with the
-results, so totals always report work actually done, wherever it ran.
-Histograms merge bucket-wise (see :meth:`StreamingHistogram.merge`),
-and because :meth:`~repro.observability.Tracer.absorb` re-records each
-absorbed span's duration, worker-merged histograms equal the histogram
-a single process would have built over the same durations.
+Registries fold into one another via :meth:`MetricsRegistry.merge`
+(the daemon copies its registry this way for every ``/metrics``
+scrape).  Histograms merge bucket-wise (see
+:meth:`StreamingHistogram.merge`), and because
+:meth:`~repro.observability.Tracer.absorb` re-records each absorbed
+span's duration, the histograms of a tracer that absorbed another equal
+those of one tracer that recorded every span itself.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TimerStat:
         self.total_s += seconds
 
     def merge(self, other: "TimerStat") -> None:
-        """Fold another aggregate (a worker's) into this one."""
+        """Fold another aggregate into this one."""
         if other.count == 0:
             return
         if self.count == 0 or other.min_s < self.min_s:
@@ -143,7 +143,7 @@ class MetricsRegistry:
         histogram.record(value)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry (typically a worker's) into this one."""
+        """Fold another registry into this one."""
         for name, timer in other._timers.items():
             mine = self._timers.get(name)
             if mine is None:
@@ -159,7 +159,7 @@ class MetricsRegistry:
         self.merge_counters(other._counters)
 
     def merge_counters(self, counters: Mapping[str, int]) -> None:
-        """Fold a plain counter mapping (a shipped worker delta) in."""
+        """Fold a plain counter mapping in."""
         for name, value in counters.items():
             self.incr(name, value)
 

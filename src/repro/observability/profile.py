@@ -5,39 +5,20 @@ order.  This module turns it back into the call structure and answers
 the questions a performance investigation actually asks:
 
 * **where does the time go?** — the *profile tree* groups spans by name
-  (optionally refined by salient attributes like ``t1``, ``origin`` or
-  ``pid``) along their ancestry path, with call counts, *inclusive* time
-  (the span's own duration) and *exclusive/self* time (inclusive minus
-  the time spent in child spans, clamped at zero — parallel children
-  can overlap their parent);
+  (optionally refined by salient attributes like ``t1`` or ``shard``)
+  along their ancestry path, with call counts, *inclusive* time (the
+  span's own duration) and *exclusive/self* time (inclusive minus the
+  time spent in child spans, clamped at zero);
 * **what bounds the wall clock?** — the *critical path* descends from
-  the root through the heaviest child at every level, crossing the
-  ``parallel.dispatch``/``parallel.chunk`` boundary (see below);
+  the root through the heaviest child at every level;
 * **what does the flamegraph look like?** — :func:`folded_stacks`
   exports Brendan-Gregg-style folded stacks (``a;b;c <self-µs>``),
   directly consumable by ``flamegraph.pl``, speedscope, or any folded
   stack tooling.
 
-The parallel boundary
----------------------
-
-The parallel engine dispatches worker chunks under a
-``parallel.dispatch`` span but, because chunks finish while the parent
-sits in ``parallel.merge``, :meth:`~repro.observability.Tracer.absorb`
-re-parents the shipped ``parallel.chunk`` spans under the *enclosing*
-span (``robustness.check`` / ``allocation.refine``).  For profiling
-that placement is misleading — the chunks are the dispatch's fan-out —
-so the profile builder re-homes every ``parallel.chunk`` under its
-parent's ``parallel.dispatch`` child when one exists.  Inclusive
-per-name totals are unaffected (each span still contributes its own
-duration exactly once — they match the trace's ``metrics.timers``
-aggregates to float tolerance); self times become *more* truthful,
-since chunk wall time overlaps the merge wait, not the enclosing span's
-own work.
-
-Worker clocks are monotonic per process, so the profile never compares
-``start_s`` across origins — only durations and parentage, which are
-origin-independent.
+The profile reads only durations and parentage, never ``start_s``, so
+traces written by older builds, whose worker spans carry their own
+``origin`` and clock, aggregate the same way.
 """
 
 from __future__ import annotations
@@ -63,12 +44,6 @@ __all__ = [
 #: The display key of the synthetic root holding the trace's root spans.
 ROOT_KEY = "(trace)"
 
-#: Span name of the parent-side fan-out span chunks are re-homed under.
-_DISPATCH = "parallel.dispatch"
-
-#: Span name of the worker task spans shipped back by the workers.
-_CHUNK = "parallel.chunk"
-
 
 @dataclass
 class ProfileNode:
@@ -76,14 +51,14 @@ class ProfileNode:
 
     Attributes:
         key: display key — the span name, plus the selected grouping
-            attributes (e.g. ``"parallel.chunk [origin=worker-17]"``).
+            attributes (e.g. ``"robustness.scan_t1 [t1=3]"``).
         name: the bare span name (aggregation across the tree sums by
             this, regardless of grouping attributes).
         count: spans aggregated into this node.
         inclusive_s: summed span durations (wall time inside the span,
             children included).
         self_s: summed exclusive time — duration minus child durations,
-            clamped at zero per span (parallel children may overlap).
+            clamped at zero per span.
         children: child nodes by display key, in first-seen order.
     """
 
@@ -110,8 +85,8 @@ def _span_key(span: Dict[str, object], key_attrs: Sequence[str]) -> str:
     """The tree key of one span: its name plus the selected attributes.
 
     ``origin`` is a span field, not an attribute, but is accepted as a
-    grouping key because splitting worker time per origin is the natural
-    way to see parallel imbalance; every other key is looked up in the
+    grouping key, which splits the worker spans of traces written by
+    older builds per process; every other key is looked up in the
     span's ``attrs``.  Attributes absent on a span are skipped, so
     grouping by ``t1`` refines only the spans that carry it.
     """
@@ -132,13 +107,7 @@ def _span_key(span: Dict[str, object], key_attrs: Sequence[str]) -> str:
 def _forest(
     spans: Sequence[Dict[str, object]],
 ) -> Tuple[List[int], Dict[int, List[int]]]:
-    """Concrete root positions and children lists (by span position).
-
-    Children are re-homed through the parallel boundary: a
-    ``parallel.chunk`` child of a span that also has a
-    ``parallel.dispatch`` child is moved under the (first) dispatch —
-    see the module docstring.
-    """
+    """Concrete root positions and children lists (by span position)."""
     position_of = {span["span_id"]: i for i, span in enumerate(spans)}
     children: Dict[int, List[int]] = {i: [] for i in range(len(spans))}
     roots: List[int] = []
@@ -148,18 +117,6 @@ def _forest(
             roots.append(position)
         else:
             children[position_of[parent]].append(position)
-    for position in range(len(spans)):
-        kids = children[position]
-        dispatch = next(
-            (k for k in kids if spans[k]["name"] == _DISPATCH), None
-        )
-        if dispatch is None:
-            continue
-        chunks = [k for k in kids if spans[k]["name"] == _CHUNK]
-        if not chunks:
-            continue
-        children[position] = [k for k in kids if spans[k]["name"] != _CHUNK]
-        children[dispatch].extend(chunks)
     return roots, children
 
 
@@ -173,8 +130,8 @@ def build_profile(
     of the root spans' durations and its ``self_s`` is zero.
 
     ``key_attrs`` refines grouping below the span name — e.g.
-    ``("origin",)`` splits worker chunks per worker process so parallel
-    imbalance is visible, ``("t1",)`` splits the per-``T_1`` scans.
+    ``("t1",)`` splits the per-``T_1`` scans and ``("shard",)`` the
+    per-component work.
 
     Examples:
         >>> trace = {"spans": [
@@ -244,10 +201,8 @@ def inclusive_totals(root: ProfileNode) -> Dict[str, float]:
 def critical_path(root: ProfileNode) -> List[ProfileNode]:
     """The heaviest root-to-leaf chain of the profile tree.
 
-    At every level the child with the largest inclusive time is taken —
-    after re-homing, the path crosses the parallel boundary as
-    ``... -> parallel.dispatch -> parallel.chunk -> ...``, pointing at
-    the slowest phase wherever it ran.  The synthetic root is excluded.
+    At every level the child with the largest inclusive time is taken,
+    pointing at the slowest phase.  The synthetic root is excluded.
     """
     path: List[ProfileNode] = []
     node = root

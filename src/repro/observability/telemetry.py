@@ -8,9 +8,8 @@ record into:
   index clamp, quantile estimates carry at most one bucket's relative
   error (the ``growth`` factor), and :meth:`StreamingHistogram.merge`
   follows the same fold-in contract as
-  :class:`~repro.observability.TimerStat` — parallel workers aggregate
-  privately and the parent merges, with the merged result independent
-  of partitioning and order (bucket counts are plain sums).
+  :class:`~repro.observability.TimerStat`: the merged result is
+  independent of partitioning and order (bucket counts are plain sums).
 * :class:`WindowedSeries` — a ring buffer of fixed-width time windows,
   each holding an event count and a value sum.  Recording is O(1); the
   ring keeps the most recent ``windows`` windows and serves rolling
@@ -105,7 +104,7 @@ class StreamingHistogram:
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another histogram (a worker's) into this one.
+        """Fold another histogram into this one.
 
         Same contract as :meth:`TimerStat.merge`: the result equals a
         histogram that recorded both value streams directly, in any

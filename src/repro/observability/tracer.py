@@ -1,32 +1,32 @@
 """Span-based tracing for the analysis engines.
 
 A *span* is one timed phase of work — a robustness check, one ``T_1``
-split-schedule scan, one Algorithm 2 downgrade probe, one parallel chunk
-on a worker, one MVCC simulation run.  Spans nest (each records its
-parent), so an exported trace is a forest mirroring the call structure:
+split-schedule scan, one Algorithm 2 downgrade probe, one MVCC
+simulation run.  Spans nest (each records its parent), so an exported
+trace is a forest mirroring the call structure:
 
-    robustness.check
-      robustness.scan_t1 (t1=1)
-      robustness.scan_t1 (t1=2)
-      parallel.dispatch
-      parallel.merge
-      parallel.chunk (origin=worker-4711)
-        robustness.scan_t1 (t1=3)
+    allocation.optimal
+      robustness.check
+        robustness.scan_t1 (t1=1)
+        robustness.scan_t1 (t1=2)
+      allocation.refine
+        allocation.refine_txn (tid=1)
+          allocation.probe (tid=1, level=RC)
+            robustness.check_delta
 
 The module-global *current tracer* is a :class:`NullTracer` by default:
 every instrumentation point in the hot paths costs one attribute lookup
 and a no-op method call, and — the contract the equivalence tests pin —
 **no behavior changes whether tracing is on or off**.  Enable tracing by
 installing a recording :class:`Tracer` (the CLI's ``--trace`` flag does
-this via :func:`use_tracer`).
+this via :func:`use_tracer`).  :meth:`Tracer.absorb` copies another
+tracer's spans in; the daemon uses it to fold each request's tracer into
+the ``--trace`` tracer.
 
-Worker processes cannot share the parent's tracer.  Instead the parallel
-engine passes a ``trace`` flag with each task; the worker records into a
-private tracer and ships the finished spans back with its result as a
-compact picklable *batch* (see :mod:`repro.parallel.encoding`), which the
-parent re-parents under its own dispatching span via
-:meth:`Tracer.absorb`.  Worker clocks are monotonic per process, so span
-*starts* are only comparable within one ``origin``; durations always are.
+Every span is recorded in the exporting process, so its ``origin`` is
+``"main"``.  The field stays in the format because traces written by
+older builds also hold spans of worker processes, whose clocks are not
+comparable with the parent's.
 
 The exported JSON schema is documented on :data:`TRACE_VERSION` /
 :func:`validate_trace` and checked by CI's trace-export smoke step.
@@ -35,27 +35,20 @@ The exported JSON schema is documented on :data:`TRACE_VERSION` /
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from .metrics import MetricsRegistry
 
 #: Version stamp of the exported JSON trace format (see :func:`validate_trace`).
 TRACE_VERSION = 1
 
-#: Wire form of one span: ``(span_id, parent_id, name, start_s,
-#: duration_s, origin, ((attr, value), ...))`` — plain ints, floats and
-#: strings, cheap to pickle across the worker handshake.
-SpanTuple = Tuple[int, Optional[int], str, float, float, str, tuple]
-
-#: A worker's shipped trace: its finished span tuples plus its counter
-#: table.  ``()`` when the task ran with tracing disabled.
-SpanBatch = Union[Tuple[()], Tuple[Tuple[SpanTuple, ...], Tuple[Tuple[str, int], ...]]]
+#: The ``origin`` of every exported span and of the trace itself.
+_ORIGIN = "main"
 
 
 @dataclass
@@ -66,11 +59,9 @@ class SpanRecord:
         span_id: unique id within the owning tracer.
         parent_id: enclosing span's id, ``None`` for a root.
         name: phase name (dotted, e.g. ``"robustness.scan_t1"``).
-        start_s: start on the origin's monotonic clock (perf_counter).
+        start_s: start on the process's monotonic clock (perf_counter).
         duration_s: wall-clock duration in seconds.
-        origin: ``"main"`` or ``"worker-<pid>"`` — whose clock ``start_s``
-            belongs to.
-        attrs: scalar annotations (transaction ids, worker counts, ...).
+        attrs: scalar annotations (transaction ids, levels, ...).
     """
 
     span_id: int
@@ -78,26 +69,7 @@ class SpanRecord:
     name: str
     start_s: float
     duration_s: float
-    origin: str
     attrs: Dict[str, object] = field(default_factory=dict)
-
-    def as_tuple(self) -> SpanTuple:
-        """The compact picklable wire form (see :data:`SpanTuple`)."""
-        return (
-            self.span_id,
-            self.parent_id,
-            self.name,
-            self.start_s,
-            self.duration_s,
-            self.origin,
-            tuple(sorted(self.attrs.items())),
-        )
-
-    @classmethod
-    def from_tuple(cls, data: SpanTuple) -> "SpanRecord":
-        """Rebuild a record from :meth:`as_tuple` output."""
-        span_id, parent_id, name, start_s, duration_s, origin, attrs = data
-        return cls(span_id, parent_id, name, start_s, duration_s, origin, dict(attrs))
 
     def as_event(self) -> Dict[str, object]:
         """The JSON event object of the exported trace."""
@@ -107,7 +79,7 @@ class SpanRecord:
             "name": self.name,
             "start_s": self.start_s,
             "duration_s": self.duration_s,
-            "origin": self.origin,
+            "origin": _ORIGIN,
             "attrs": dict(self.attrs),
         }
 
@@ -117,7 +89,7 @@ class _NullSpan:
 
     __slots__ = ()
 
-    #: Null spans have no identity; ``absorb`` callers must not use this.
+    #: Null spans have no identity.
     span_id: Optional[int] = None
 
     def __enter__(self) -> "_NullSpan":
@@ -183,15 +155,8 @@ class NullTracer:
     def count(self, name: str, n: int = 1) -> None:
         """Discard the event count."""
 
-    def absorb(self, batch: SpanBatch, parent_id: Optional[int] = None) -> None:
-        """Discard a worker batch."""
 
-    def batch(self) -> SpanBatch:
-        """Nothing to ship."""
-        return ()
-
-
-#: The process-wide disabled tracer (also what workers use by default).
+#: The process-wide disabled tracer.
 NULL_TRACER = NullTracer()
 
 
@@ -249,7 +214,6 @@ class _ActiveSpan:
                 self._name,
                 self._start,
                 duration,
-                tracer.origin,
                 self._attrs,
             )
         )
@@ -262,7 +226,7 @@ class Tracer:
     """A recording tracer: spans, plus the aggregate metrics registry.
 
     Examples:
-        >>> tracer = Tracer(origin="doctest")
+        >>> tracer = Tracer()
         >>> with tracer.span("outer", size=2):
         ...     with tracer.span("inner"):
         ...         tracer.count("events")
@@ -278,17 +242,15 @@ class Tracer:
 
     def __init__(
         self,
-        origin: Optional[str] = None,
         trace_memory: bool = False,
         max_depth: int = 0,
         record_metrics: bool = True,
     ):
-        self.origin = origin if origin is not None else "main"
         #: With ``record_metrics=False`` finished spans skip the
         #: per-span timer/histogram update.  The service's per-request
         #: tracer uses this: its registry is never read (the core keeps
         #: its own, and ``absorb`` re-records durations when an outer
-        #: ``--trace`` tracer takes the batch), so updating it per span
+        #: ``--trace`` tracer takes the spans), so updating it per span
         #: would be pure overhead on every request.
         self.record_metrics = bool(record_metrics)
         #: With ``trace_memory`` (and :mod:`tracemalloc` started by the
@@ -331,7 +293,7 @@ class Tracer:
     def reset(self) -> None:
         """Clear recorded state so the tracer can take the next request.
 
-        Keeps configuration (origin, depth cap, flags) and the registry
+        Keeps configuration (depth cap, flags) and the registry
         object; drops spans, the skip count and the id/stack state.  The
         service reuses one request tracer per core through this instead
         of allocating a tracer per envelope.
@@ -354,52 +316,38 @@ class Tracer:
         return _ActiveSpan(self, name, attrs)
 
     def count(self, name: str, n: int = 1) -> None:
-        """Count an event with no duration (cache hit, commit, dispatch)."""
+        """Count an event with no duration (robustness check, commit)."""
         self.registry.incr(name, n)
 
-    # -- the worker handshake ------------------------------------------
-    def batch(self) -> SpanBatch:
-        """The finished spans + counters in picklable wire form.
+    def absorb(self, other: "Tracer", parent_id: Optional[int] = None) -> None:
+        """Copy ``other``'s finished spans and counters into this tracer.
 
-        What a worker returns alongside its task result; the parent folds
-        it in with :meth:`absorb`.  Timer aggregates are *not* shipped —
-        the parent re-derives them from the span durations, so nothing is
-        double-counted.
+        The copies get fresh ids (ids are tracer-local) and keep their
+        parent/child structure; ``other``'s roots are attached under
+        ``parent_id``.  ``other`` itself is left unchanged.  Durations
+        land in this registry; counters merge.
         """
-        return (
-            tuple(record.as_tuple() for record in self.spans),
-            tuple(sorted(self.registry.counters.items())),
-        )
-
-    def absorb(self, batch: SpanBatch, parent_id: Optional[int] = None) -> None:
-        """Fold a worker's shipped batch into this tracer.
-
-        Incoming spans are re-identified (ids are tracer-local), their
-        internal parent/child structure is preserved, and batch roots are
-        attached under ``parent_id`` (typically the span that dispatched
-        the chunk).  Durations land in the registry; counters merge.
-        """
-        if not batch:
-            return
-        span_tuples, counters = batch
-        records = [SpanRecord.from_tuple(data) for data in span_tuples]
-        # Two passes: spans arrive in completion order, so a child precedes
-        # its parent — all fresh ids must be assigned before any parent
-        # reference can be remapped.
-        id_map: Dict[int, int] = {}
-        for record in records:
-            id_map[record.span_id] = self._next_id
-            record.span_id = self._next_id
-            self._next_id += 1
-        for record in records:
-            if record.parent_id in id_map:
-                record.parent_id = id_map[record.parent_id]
-            else:
-                record.parent_id = parent_id
-            self.spans.append(record)
+        # Spans are in completion order, so a child precedes its parent:
+        # every fresh id is assigned before any parent link is remapped.
+        id_map = {
+            record.span_id: self._next_id + offset
+            for offset, record in enumerate(other.spans)
+        }
+        self._next_id += len(id_map)
+        for record in other.spans:
+            self.spans.append(
+                SpanRecord(
+                    id_map[record.span_id],
+                    id_map.get(record.parent_id, parent_id),
+                    record.name,
+                    record.start_s,
+                    record.duration_s,
+                    dict(record.attrs),
+                )
+            )
             if self.record_metrics:
                 self.registry.record(record.name, record.duration_s)
-        self.registry.merge_counters(dict(counters))
+        self.registry.merge_counters(other.registry.counters)
 
     # -- export --------------------------------------------------------
     def export(self) -> Dict[str, object]:
@@ -407,7 +355,7 @@ class Tracer:
         return {
             "version": TRACE_VERSION,
             "clock": "perf_counter",
-            "origin": self.origin,
+            "origin": _ORIGIN,
             "spans": [record.as_event() for record in self.spans],
             "metrics": self.registry.as_dict(),
         }
@@ -457,13 +405,6 @@ def use_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[Union[Tracer, Null
         yield tracer
     finally:
         set_tracer(previous)
-
-
-def worker_tracer(trace: bool) -> Union[Tracer, NullTracer]:
-    """The tracer a worker task records into: per-pid origin, or the null one."""
-    if not trace:
-        return NULL_TRACER
-    return Tracer(origin=f"worker-{os.getpid()}")
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +462,9 @@ def validate_trace(data: object) -> None:
       span that references it (this also rules out self-parenting and
       parent cycles);
     * a child's ``[start, end]`` window must lie within its parent's —
-      checked only when both share an ``origin``, since worker clocks
-      are not comparable with the parent's;
+      checked only when both share an ``origin``: traces from older
+      builds hold worker spans, whose clocks are not comparable with
+      the parent's;
     * durations and starts are non-negative (``perf_counter`` is
       monotonic from a non-negative reference on every platform we run).
 

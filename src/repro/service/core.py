@@ -132,8 +132,9 @@ class ServiceConfig:
         snapshot_every: auto-snapshot after every N successful
             mutations (0 disables).
         resume: load ``snapshot_path`` at startup when it exists.
-        levels/method/n_jobs: forwarded to the
-            :class:`~repro.core.incremental.AllocationManager`.
+        levels: the class of levels the
+            :class:`~repro.core.incremental.AllocationManager` allocates
+            over.
         admission: the :class:`AdmissionPolicy`.
         eventlog_path: append structured JSON-lines events here (the
             in-memory event ring is always on).
@@ -159,8 +160,6 @@ class ServiceConfig:
     snapshot_every: int = 0
     resume: bool = True
     levels: Tuple[IsolationLevel, ...] = POSTGRES_LEVELS
-    method: str = "bitset"
-    n_jobs: Optional[int] = 1
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     eventlog_path: Optional[str] = None
     slo_p99_ms: Optional[float] = None
@@ -200,9 +199,7 @@ class ServiceCore:
         # envelope, and updating its never-read registry per span, is
         # measurable overhead at churn rates.
         self._request_tracer = Tracer(
-            origin="main",
-            max_depth=config.retain_depth,
-            record_metrics=False,
+            max_depth=config.retain_depth, record_metrics=False
         )
         self.series: Dict[str, WindowedSeries] = {
             name: WindowedSeries(config.window_s, config.window_count)
@@ -238,10 +235,8 @@ class ServiceCore:
                 else:
                     raise  # a *corrupt* snapshot must fail loudly
             else:
-                return AllocationManager.load_state(state, n_jobs=config.n_jobs)
-        return AllocationManager(
-            levels=config.levels, method=config.method, n_jobs=config.n_jobs
-        )
+                return AllocationManager.load_state(state)
+        return AllocationManager(levels=config.levels)
 
     # ------------------------------------------------------------------
     @property
@@ -265,9 +260,17 @@ class ServiceCore:
         try:
             envelope = parse_request(line)
         except ProtocolError as exc:
-            self.registry.incr("service.errors")
-            return error_response(None, exc.code, str(exc))
+            return self.reject(exc)
         return self.handle(envelope)
+
+    def reject(self, exc: ProtocolError) -> Dict[str, Any]:
+        """The error response to a line that is no envelope.
+
+        Counted in ``service.errors``; nothing executes.
+        """
+        with self._lock:
+            self.registry.incr("service.errors")
+        return error_response(None, exc.code, str(exc))
 
     def handle(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         """Execute one (already parsed) envelope; never raises.
@@ -279,9 +282,9 @@ class ServiceCore:
         latency in the ``service.<op>`` / ``service.request`` timers
         and their streaming histograms plus the windowed rate series.
         The finished span tree goes to the :class:`TraceRetainer`
-        (``dump-traces``); when the daemon itself traces, the batch is
-        also absorbed into the installed tracer.  A ``batch`` is one
-        request: its entries run inside it, not through here.
+        (``dump-traces``); when the daemon itself traces, the request's
+        spans are also copied into the installed tracer.  A ``batch`` is
+        one request: its entries run inside it, not through here.
         """
         op = str(envelope.get("op"))
         request_id = new_request_id()
@@ -305,7 +308,7 @@ class ServiceCore:
                 finally:
                     set_tracer(previous)
                 if previous.enabled:
-                    previous.absorb(tracer.batch())
+                    previous.absorb(tracer)
             elapsed = time.perf_counter() - start
             response["request_id"] = request_id
             self._observe_request(op, request_id, envelope, response, elapsed)
@@ -449,10 +452,7 @@ class ServiceCore:
         """
         candidate = Allocation({**dict(old.items()), txn.tid: self._top})
         result = check_robustness(
-            self._manager.workload,
-            candidate,
-            method=self.config.method,
-            context=self._manager.context,
+            self._manager.workload, candidate, context=self._manager.context
         )
         if result.robust or result.counterexample is None:
             return None
@@ -653,7 +653,6 @@ class ServiceCore:
             server="repro-serve",
             protocol=PROTOCOL_VERSION,
             levels=[level.name for level in sorted(self.config.levels)],
-            method=self.config.method,
             transactions=len(self._manager.workload),
         )
 
@@ -713,9 +712,7 @@ class ServiceCore:
         allocation = self._parse_check_allocation(envelope)
         sctx = self._manager.context
         context = sctx if sctx is not None and sctx.matches(workload) else None
-        result = check_robustness(
-            workload, allocation, method=self.config.method, context=context
-        )
+        result = check_robustness(workload, allocation, context=context)
         payload: Dict[str, Any] = {"robust": result.robust}
         if not result.robust and result.counterexample is not None:
             from ..analysis.anomalies import classify_counterexample
@@ -804,9 +801,7 @@ class ServiceCore:
         verify = bool(envelope.get("verify", False))
         state = read_snapshot(path)
         with current_tracer().span("service.restore", path=path):
-            manager = AllocationManager.load_state(
-                state, n_jobs=self.config.n_jobs, verify=verify
-            )
+            manager = AllocationManager.load_state(state, verify=verify)
         self._manager = manager
         self._queue.clear()
         self._since_snapshot = 0

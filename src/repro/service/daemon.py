@@ -19,9 +19,12 @@ A :class:`ServiceServer` binds up to three listeners around one
 Connection threads only frame lines; every envelope funnels into
 ``core.handle_line``, which serializes execution under the core lock
 (the manager — and the tracer's span stack — are single-writer
-structures).  A ``shutdown`` envelope flips ``core.stopping``; the
-handler that observed it kicks off an orderly stop of all listeners
-after flushing its response.
+structures).  A line longer than
+:data:`~repro.service.protocol.MAX_LINE_BYTES` is never buffered whole:
+it gets one ``too-large`` error and its connection closes.  A
+``shutdown`` envelope flips ``core.stopping``; the handler that
+observed it kicks off an orderly stop of all listeners after flushing
+its response.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Any, List, Optional
 
 from ..observability import prometheus_text
 from .core import ServiceConfig, ServiceCore
-from .protocol import encode_response
+from .protocol import MAX_LINE_BYTES, ProtocolError, encode_response
 
 __all__ = ["METRIC_HELP", "ServiceServer", "serve"]
 
@@ -64,16 +67,30 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         owner: "ServiceServer" = self.server.owner  # type: ignore[attr-defined]
         core = owner.core
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = core.handle_line(line)
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            too_large = len(raw) > MAX_LINE_BYTES
+            if too_large:
+                response = core.reject(
+                    ProtocolError(
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        code="too-large",
+                    )
+                )
+            else:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                response = core.handle_line(line)
             try:
                 self.wfile.write(encode_response(response))
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 return
+            if too_large:
+                return  # the rest of the line cannot be framed
             if core.stopping:
                 owner.request_stop()
                 return

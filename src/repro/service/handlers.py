@@ -2,19 +2,16 @@
 
 ``repro``'s subcommands and ``repro serve``'s envelopes accept the same
 inputs — workload files, trace files, ``T1=RC,T2=SSI`` allocation
-specs, ``RC,SI`` level classes, ``--jobs N|auto`` worker counts.  The parsing lived as
-private helpers inside :mod:`repro.cli`; the daemon needs the exact same
-semantics without the CLI's ``SystemExit`` error style, so the logic
-moved here (the ROADMAP's "factor the CLI's command handlers into a
-reusable service layer" note).  Errors are :class:`CommandError` —
-frontends translate: the CLI to a one-line message, the daemon to
-``bad-request`` envelopes.
+specs and ``RC,SI`` level classes — and parse them here.  Errors are
+:class:`CommandError`; frontends translate it: the CLI to one
+``repro: error:`` line and exit status 2, the daemon to a
+``bad-request`` envelope.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..core.isolation import Allocation, IsolationLevel
 from ..core.sharding import ShardedContext
@@ -26,7 +23,6 @@ __all__ = [
     "load_trace_file",
     "load_workload_file",
     "parse_allocation_spec",
-    "parse_jobs_value",
     "parse_level",
     "parse_levels_spec",
     "shard_report_line",
@@ -109,24 +105,6 @@ def parse_level(text: str) -> IsolationLevel:
 def parse_levels_spec(spec: str) -> List[IsolationLevel]:
     """A level class from a comma list, e.g. ``"RC,SI"`` or ``"RC,SI,SSI"``."""
     return [parse_level(part) for part in spec.split(",")]
-
-
-def parse_jobs_value(value: Union[str, int]) -> Optional[int]:
-    """A worker count: a positive integer or ``"auto"`` (size heuristic)."""
-    if isinstance(value, int):
-        jobs = value
-    else:
-        if value.strip().lower() == "auto":
-            return None  # the engine's size-based heuristic
-        try:
-            jobs = int(value)
-        except ValueError:
-            raise CommandError(
-                f"bad jobs value {value!r}; use a positive integer or 'auto'"
-            ) from None
-    if jobs < 1:
-        raise CommandError("jobs must be >= 1 (or 'auto')")
-    return jobs
 
 
 def shard_report_line(context: ShardedContext) -> str:

@@ -28,6 +28,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "COMMANDS",
+    "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "error_response",
@@ -41,6 +42,11 @@ __all__ = [
 #: Version 2: ``batch`` takes ``commands`` only.
 PROTOCOL_VERSION = 2
 
+#: The longest request line the daemon reads, newline included.  A
+#: longer line gets one ``too-large`` error and its connection closes:
+#: the rest of the line cannot be framed.
+MAX_LINE_BYTES = 1 << 20
+
 #: Error codes carried by ``error.code``:
 #:
 #: * ``bad-request`` — unparsable line, missing/invalid fields;
@@ -48,6 +54,7 @@ PROTOCOL_VERSION = 2
 #: * ``conflict`` — the mutation is impossible (duplicate tid, ...);
 #: * ``not-found`` — the named transaction/path does not exist;
 #: * ``snapshot-error`` — snapshot file missing, corrupt or incompatible;
+#: * ``too-large`` — the request line exceeds :data:`MAX_LINE_BYTES`;
 #: * ``internal`` — unexpected server-side failure (bug; check the logs).
 ERROR_CODES = (
     "bad-request",
@@ -55,6 +62,7 @@ ERROR_CODES = (
     "conflict",
     "not-found",
     "snapshot-error",
+    "too-large",
     "internal",
 )
 

@@ -116,6 +116,11 @@ class TestRefinement:
         refined = refine_allocation(lost_update, start, POSTGRES_LEVELS)
         assert refined == Allocation.si(lost_update)
 
+    def test_refine_with_nothing_to_lower_returns_start(self):
+        wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        start = Allocation.uniform(wl, IsolationLevel.RC)
+        assert refine_allocation(wl, start, [IsolationLevel.RC]) == start
+
 
 class TestUpgrade:
     def test_upgrade_respects_floor(self, lost_update):

@@ -12,7 +12,7 @@ from repro.core.incremental import AllocationManager
 from repro.core.isolation import IsolationLevel
 from repro.core.transactions import parse_transaction
 from repro.core.workload import WorkloadError
-from repro.workloads.generator import clustered_workload
+from repro.workloads.generator import clustered_workload, random_workload
 
 
 def _filled_manager():
@@ -40,18 +40,37 @@ class TestRoundTrip:
         assert json.loads(json.dumps(state)) == state
 
     def test_levels_and_method_survive(self):
-        manager = AllocationManager(
-            levels=(IsolationLevel.RC, IsolationLevel.SSI), method="components"
-        )
+        manager = AllocationManager(levels=(IsolationLevel.RC, IsolationLevel.SSI))
         manager.add(parse_transaction("R1[x] W1[x]"))
-        restored = AllocationManager.load_state(manager.save_state())
+        state = manager.save_state()
+        assert "method" not in state
+        # Earlier builds also wrote the manager's engine; it is ignored.
+        restored = AllocationManager.load_state(dict(state, method="components"))
         next_alloc = restored.add(parse_transaction("R2[x] W2[x]"))
         # The restored class excludes SI: every level is RC or SSI.
         assert all(
             level in (IsolationLevel.RC, IsolationLevel.SSI)
             for _tid, level in next_alloc.items()
         )
-        assert restored.save_state()["method"] == "components"
+        assert "method" not in restored.save_state()
+
+    def test_snapshot_with_method_restores_verified(self):
+        """A state from a build whose manager took ``method=`` still loads.
+
+        Such a state is today's document plus ``"method"``.  It restores
+        with ``verify=True``, and the restored manager finds the same
+        next optima, with the same checks, as the manager that saved it.
+        """
+        txns = list(
+            random_workload(transactions=24, objects=30, min_ops=2, max_ops=3, seed=17)
+        )
+        manager = AllocationManager()
+        manager.apply_batch([("add", txn) for txn in txns[:20]])
+        legacy = dict(manager.save_state(), method="components")
+        restored = AllocationManager.load_state(legacy, verify=True)
+        for txn in txns[20:]:
+            assert restored.add(txn) == manager.add(txn)
+            assert restored.last_check_count == manager.last_check_count
 
     def test_empty_manager_round_trips(self):
         restored = AllocationManager.load_state(AllocationManager().save_state())

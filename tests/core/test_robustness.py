@@ -3,15 +3,19 @@
 import pytest
 
 from repro.core.allowed import is_allowed
-from repro.core.isolation import Allocation
+from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.robustness import (
     check_robustness,
+    enumerate_counterexamples,
     is_robust,
     mixed_iso_graph,
 )
 from repro.core.serialization import is_conflict_serializable
 from repro.core.transactions import parse_transaction
 from repro.core.workload import WorkloadError, workload
+from repro.workloads.paper_examples import example26_workload, figure2_workload
+from repro.workloads.smallbank import smallbank_workload
+from repro.workloads.tpcc import tpcc_workload
 
 
 class TestMixedIsoGraph:
@@ -178,3 +182,23 @@ class TestSsiInteractions:
         assert not is_robust(wl, Allocation({1: "SSI", 2: "RC", 3: "SSI"}))
         assert not is_robust(wl, Allocation({1: "RC", 2: "SSI", 3: "SSI"}))
         assert is_robust(wl, Allocation.ssi(wl))
+
+
+@pytest.mark.parametrize(
+    "wl_factory",
+    [
+        figure2_workload,
+        example26_workload,
+        lambda: smallbank_workload(transactions=8, seed=3),
+        lambda: tpcc_workload(transactions=8, seed=3),
+    ],
+    ids=["paper-figure2", "paper-example26", "smallbank", "tpcc"],
+)
+@pytest.mark.parametrize("level", [IsolationLevel.RC, IsolationLevel.SI])
+def test_enumeration_order_is_stable(wl_factory, level):
+    """Two enumerations yield the same sequence, not just the same set."""
+    wl = wl_factory()
+    alloc = Allocation.uniform(wl, level)
+    first = [c.spec for c in enumerate_counterexamples(wl, alloc)]
+    second = [c.spec for c in enumerate_counterexamples(wl, alloc)]
+    assert first == second

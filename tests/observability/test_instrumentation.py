@@ -4,9 +4,7 @@ Two contracts are pinned here:
 
 * **Coverage** — a traced run produces the spans the observability design
   promises: ``robustness.check`` with nested ``robustness.scan_t1``,
-  Algorithm 2's refine/probe hierarchy, ``mvcc.run``, and (with
-  ``n_jobs > 1``) worker-origin ``parallel.chunk`` spans absorbed under
-  the parent's spans.
+  Algorithm 2's refine/probe hierarchy and ``mvcc.run``.
 * **Zero cost when disabled** — running under a tracer changes no
   result: verdicts, counterexamples, allocations, simulation traces and
   ``ContextStats`` counters are identical traced and untraced.
@@ -118,75 +116,27 @@ class TestSequentialSpans:
 
 
 class TestParallelSpans:
-    def test_worker_chunks_absorbed_under_check(self):
-        wl = random_workload(transactions=10, objects=8, min_ops=2, max_ops=4, seed=5)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            check_robustness(wl, Allocation.si(wl), n_jobs=2)
-        check = next(s for s in tracer.spans if s.name == "robustness.check")
-        assert check.attrs["parallel"] is True
-        chunks = [s for s in tracer.spans if s.name == "parallel.chunk"]
-        assert chunks, "no worker chunk spans came back"
-        for chunk in chunks:
-            assert chunk.origin.startswith("worker-")
-            assert chunk.parent_id == check.span_id
-        chunk_ids = {c.span_id for c in chunks}
-        worker_scans = [
-            s
-            for s in tracer.spans
-            if s.name == "robustness.scan_t1" and s.origin.startswith("worker-")
-        ]
-        assert worker_scans, "per-T1 scans did not ride back with the chunks"
-        assert all(s.parent_id in chunk_ids for s in worker_scans)
-        assert {"parallel.dispatch", "parallel.merge"} <= set(_span_names(tracer))
-
-    def test_refine_probe_chunks_absorbed(self):
-        wl = random_workload(transactions=10, objects=8, min_ops=2, max_ops=4, seed=5)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            optimal_allocation(wl, n_jobs=2)
-        refine = next(s for s in tracer.spans if s.name == "allocation.refine")
-        assert refine.attrs["jobs"] == 2
-        chunks = [s for s in tracer.spans if s.name == "parallel.chunk"]
-        assert any(c.attrs.get("kind") == "probe" for c in chunks)
-        worker_probes = [
-            s
-            for s in tracer.spans
-            if s.name == "allocation.probe" and s.origin.startswith("worker-")
-        ]
-        assert worker_probes, "downgrade probes did not ride back with the chunks"
+    """Whole Algorithm 1 and 2 runs, traced: export and counters."""
 
     def test_traced_export_validates(self):
         wl = random_workload(transactions=10, objects=8, min_ops=2, max_ops=4, seed=5)
         tracer = Tracer()
         with use_tracer(tracer):
-            check_robustness(wl, Allocation.si(wl), n_jobs=2)
-            optimal_allocation(wl, n_jobs=2)
+            check_robustness(wl, Allocation.si(wl))
+            optimal_allocation(wl)
         validate_trace(tracer.export())
 
     def test_merged_counters_equal_worker_delta_sum(self):
-        # The tracer's counters come back with the span batches, the
-        # context's come back with the stats deltas — two independent
-        # channels that must agree on the total work done under n_jobs>1.
+        # The tracer counts checks as events, the context counts them in
+        # its stats: two independent channels that must agree on the
+        # total work done.
         wl = random_workload(transactions=10, objects=8, min_ops=2, max_ops=4, seed=5)
         tracer = Tracer()
         ctx = AnalysisContext(wl)
         with use_tracer(tracer):
-            optimal_allocation(wl, n_jobs=2, context=ctx)
+            optimal_allocation(wl, context=ctx)
         assert ctx.stats.checks > 0
         assert tracer.registry.counters["robustness.checks"] == ctx.stats.checks
-
-    def test_worker_chunks_carry_pid(self):
-        wl = random_workload(transactions=10, objects=8, min_ops=2, max_ops=4, seed=5)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            check_robustness(wl, Allocation.si(wl), n_jobs=2)
-            optimal_allocation(wl, n_jobs=2)
-        chunks = [s for s in tracer.spans if s.name == "parallel.chunk"]
-        assert chunks
-        for chunk in chunks:
-            assert chunk.attrs["pid"] > 0
-            assert chunk.attrs["size"] >= 1
 
 
 class TestTracingChangesNothing:
@@ -231,17 +181,6 @@ class TestTracingChangesNothing:
         with use_tracer(Tracer()):
             optimal_allocation(wl, context=ctx_traced)
         assert ctx_plain.stats.as_dict() == ctx_traced.stats.as_dict()
-
-    def test_parallel_results_identical_traced(self):
-        wl = random_workload(transactions=12, objects=9, min_ops=2, max_ops=4, seed=7)
-        alloc = Allocation.si(wl)
-        plain = check_robustness(wl, alloc, n_jobs=2)
-        with use_tracer(Tracer()):
-            traced = check_robustness(wl, alloc, n_jobs=2)
-        assert plain.robust == traced.robust
-        if not plain.robust:
-            assert plain.counterexample.spec == traced.counterexample.spec
-        assert optimal_allocation(wl, n_jobs=2) == optimal_allocation(wl)
 
     def test_simulation_trace_identical(self, write_skew):
         alloc = Allocation.si(write_skew)

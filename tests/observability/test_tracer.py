@@ -8,8 +8,6 @@ import pytest
 from repro.observability import (
     NULL_TRACER,
     MetricsRegistry,
-    NullTracer,
-    SpanRecord,
     TRACE_VERSION,
     TimerStat,
     Tracer,
@@ -18,7 +16,6 @@ from repro.observability import (
     use_tracer,
     validate_trace,
     validate_trace_file,
-    worker_tracer,
 )
 
 
@@ -31,15 +28,8 @@ class TestNullTracer:
             span.set(more=2)
         assert span.span_id is None
 
-    def test_count_and_batch_are_noops(self):
-        NULL_TRACER.count("events", 5)
-        assert NULL_TRACER.batch() == ()
-
-    def test_absorb_discards_batches(self):
-        live = Tracer()
-        with live.span("work"):
-            pass
-        NullTracer().absorb(live.batch())  # no-op, nothing retained
+    def test_count_is_noop(self):
+        assert NULL_TRACER.count("events", 5) is None
 
     def test_default_tracer_is_null(self):
         assert current_tracer().enabled is False
@@ -141,67 +131,74 @@ class TestUseTracer:
         finally:
             set_tracer(previous)
 
-    def test_worker_tracer_modes(self):
-        assert worker_tracer(False) is NULL_TRACER
-        live = worker_tracer(True)
-        assert live.enabled and live.origin.startswith("worker-")
-
 
 class TestBatchAbsorb:
-    def _worker_batch(self):
-        worker = Tracer(origin="worker-test")
-        with worker.span("parallel.chunk", size=2):
-            with worker.span("robustness.scan_t1", t1=1):
+    def _child(self):
+        child = Tracer()
+        with child.span("robustness.check", transactions=2):
+            with child.span("robustness.scan_t1", t1=1):
                 pass
-            with worker.span("robustness.scan_t1", t1=2):
+            with child.span("robustness.scan_t1", t1=2):
                 pass
-        worker.count("robustness.checks", 2)
-        return worker.batch()
+        child.count("robustness.checks", 2)
+        return child
 
     def test_absorb_reparents_roots(self):
         parent = Tracer()
-        with parent.span("robustness.check") as check:
-            parent.absorb(self._worker_batch(), parent_id=check.span_id)
+        with parent.span("service.request") as request:
+            parent.absorb(self._child(), parent_id=request.span_id)
         by_name = {}
         for span in parent.spans:
             by_name.setdefault(span.name, []).append(span)
-        chunk = by_name["parallel.chunk"][0]
-        assert chunk.parent_id == check.span_id
+        check = by_name["robustness.check"][0]
+        assert check.parent_id == request.span_id
         for scan in by_name["robustness.scan_t1"]:
-            assert scan.parent_id == chunk.span_id
+            assert scan.parent_id == check.span_id
 
-    def test_absorb_keeps_worker_origin(self):
+    def test_absorb_copies_span_fields(self):
+        child = self._child()
         parent = Tracer()
-        parent.absorb(self._worker_batch())
-        origins = {s.origin for s in parent.spans}
-        assert origins == {"worker-test"}
+        parent.absorb(child)
+        fields = [
+            (s.name, s.start_s, s.duration_s, s.attrs) for s in child.spans
+        ]
+        assert [
+            (s.name, s.start_s, s.duration_s, s.attrs) for s in parent.spans
+        ] == fields
+        assert {s["origin"] for s in parent.export()["spans"]} == {"main"}
 
     def test_absorb_assigns_fresh_ids(self):
         parent = Tracer()
         with parent.span("local"):
             pass
-        parent.absorb(self._worker_batch())
+        parent.absorb(self._child())
         ids = [s.span_id for s in parent.spans]
         assert len(ids) == len(set(ids))
 
     def test_absorb_merges_counters_and_timers(self):
         parent = Tracer()
-        parent.absorb(self._worker_batch())
+        parent.absorb(self._child())
         assert parent.registry.counters["robustness.checks"] == 2
-        assert parent.registry.timers["parallel.chunk"].count == 1
+        assert parent.registry.timers["robustness.check"].count == 1
         assert parent.registry.timers["robustness.scan_t1"].count == 2
 
     def test_absorb_empty_batch_is_noop(self):
         parent = Tracer()
-        parent.absorb(())
+        parent.absorb(Tracer())
         assert parent.spans == []
+        assert parent.registry.counters == {}
 
-    def test_round_trip_through_tuples(self):
-        batch = self._worker_batch()
-        span_tuples, _counters = batch
-        for data in span_tuples:
-            record = SpanRecord.from_tuple(data)
-            assert record.as_tuple() == data
+    def test_absorb_leaves_the_child_unchanged(self):
+        child = self._child()
+        links = [(s.span_id, s.parent_id) for s in child.spans]
+        parent = Tracer()
+        with parent.span("local"):
+            pass
+        with parent.span("service.request") as request:
+            parent.absorb(child, parent_id=request.span_id)
+        assert [(s.span_id, s.parent_id) for s in child.spans] == links
+        copies = parent.spans[1 : 1 + len(links)]
+        assert all(copy is not own for copy, own in zip(copies, child.spans))
 
 
 class TestExportValidate:
@@ -314,28 +311,27 @@ class TestStructuralValidation:
             validate_trace(data)
 
     def test_cross_origin_windows_not_compared(self):
-        # Worker clocks are per-origin monotonic: a worker chunk's
-        # start_s is not comparable with the parent's window, so absorb
-        # output must validate even when the raw numbers disagree.
-        parent = Tracer()
-        worker = Tracer(origin="worker-clock")
-        with worker.span("parallel.chunk"):
-            pass
-        with parent.span("robustness.check") as check:
-            parent.absorb(worker.batch(), parent_id=check.span_id)
-        data = json.loads(json.dumps(parent.export()))
+        # Traces from older builds hold worker spans on their own
+        # clocks: a span whose origin differs from its parent's is not
+        # held to the parent's window.
+        tracer = Tracer()
+        with tracer.span("robustness.check"):
+            with tracer.span("parallel.chunk"):
+                pass
+        data = json.loads(json.dumps(tracer.export()))
         chunk = next(s for s in data["spans"] if s["name"] == "parallel.chunk")
+        chunk["origin"] = "worker-clock"
         chunk["start_s"] = 1e6  # far outside the parent's window
         validate_trace(data)
 
     def test_absorbed_batches_validate(self):
         parent = Tracer()
-        worker = Tracer(origin="worker-9")
-        with worker.span("parallel.chunk", size=1):
-            with worker.span("robustness.scan_t1", t1=1):
-                pass
-        with parent.span("robustness.check") as check:
-            parent.absorb(worker.batch(), parent_id=check.span_id)
+        with parent.span("service.request") as request:
+            child = Tracer()
+            with child.span("robustness.check", transactions=1):
+                with child.span("robustness.scan_t1", t1=1):
+                    pass
+            parent.absorb(child, parent_id=request.span_id)
         validate_trace(json.loads(json.dumps(parent.export())))
 
 

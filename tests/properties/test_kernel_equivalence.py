@@ -7,8 +7,8 @@ and the *same* ``enumerate_counterexamples`` sequence (order included)
 as ``method="components"`` — the kernel reorganizes the scan's data
 layout, never its decisions.  The suite also pins the delta-restricted
 scan (the scoped kernel loop against the filtered full loop),
-Algorithm 2 end to end, the parallel (``n_jobs > 1``) paths, and
-the kernel's connecting chains against the graph-backed oracle.
+Algorithm 2 end to end, two fixed mid-sized workloads, and the
+kernel's connecting chains against the graph-backed oracle.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -271,14 +271,12 @@ def test_paper_examples_agree_across_engines(factory):
     )
 
 
-def test_bitset_parallel_matches_sequential():
-    """n_jobs=2 with the bitset engine equals n_jobs=1, both engines.
+def test_bitset_fixed_workload_matches_components():
+    """Check and survey of one fixed mixed-allocation workload.
 
-    Fixed seed: one mixed-allocation workload large enough to split into
-    several chunks, checked and surveyed through the pool.
+    Fixed seed: an 18-transaction workload under a mixed allocation,
+    checked and surveyed by both engines.
     """
-    from repro.workloads.generator import random_workload
-
     wl = random_workload(
         transactions=18, objects=12, min_ops=2, max_ops=4, seed=7
     )
@@ -286,39 +284,29 @@ def test_bitset_parallel_matches_sequential():
     alloc = Allocation(
         {tid: levels[tid % len(levels)] for tid in wl.tids}
     )
-    seq = check_robustness(wl, alloc, method="bitset", n_jobs=1)
-    par = check_robustness(wl, alloc, method="bitset", n_jobs=2)
-    comp = check_robustness(wl, alloc, method="components", n_jobs=1)
-    assert seq.robust == par.robust == comp.robust
-    if not seq.robust:
-        assert (
-            seq.counterexample.spec
-            == par.counterexample.spec
-            == comp.counterexample.spec
-        )
-    seq_specs = [
+    bitset = check_robustness(wl, alloc, method="bitset")
+    comp = check_robustness(wl, alloc, method="components")
+    assert bitset.robust == comp.robust
+    if not bitset.robust:
+        assert bitset.counterexample.spec == comp.counterexample.spec
+    bit_specs = [
         c.spec for c in enumerate_counterexamples(wl, alloc, method="bitset")
     ]
-    par_specs = [
+    comp_specs = [
         c.spec
-        for c in enumerate_counterexamples(
-            wl, alloc, method="bitset", n_jobs=2
-        )
+        for c in enumerate_counterexamples(wl, alloc, method="components")
     ]
-    assert seq_specs == par_specs
+    assert bit_specs == comp_specs
 
 
-def test_bitset_parallel_allocation_matches_sequential():
-    """Algorithm 2 over the pool with the bitset probes: identical optimum."""
-    from repro.workloads.generator import random_workload
-
+def test_bitset_fixed_allocation_matches_components():
+    """Algorithm 2 on one fixed 18-transaction workload: identical optimum."""
     wl = random_workload(
         transactions=18, objects=12, min_ops=2, max_ops=4, seed=11
     )
-    seq = optimal_allocation(wl, method="bitset", n_jobs=1)
-    par = optimal_allocation(wl, method="bitset", n_jobs=2)
-    comp = optimal_allocation(wl, method="components", n_jobs=1)
-    assert seq == par == comp
+    assert optimal_allocation(wl, method="bitset") == optimal_allocation(
+        wl, method="components"
+    )
 
 
 def test_unknown_method_rejected():
@@ -328,10 +316,3 @@ def test_unknown_method_rejected():
         check_robustness(wl, alloc, method="bitmask")
     with pytest.raises(ValueError):
         list(enumerate_counterexamples(wl, alloc, method="bitmask"))
-
-
-def test_paper_method_rejected_with_jobs():
-    wl = figure2_workload()
-    alloc = Allocation.si(wl)
-    with pytest.raises(ValueError, match="sequential-only"):
-        check_robustness(wl, alloc, method="paper", n_jobs=2)

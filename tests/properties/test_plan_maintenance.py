@@ -11,13 +11,7 @@ The two non-negotiable equivalences of the dynamic plan work
   to the batch Algorithm 2 optimum, and the coalesced ``apply_batch``
   path lands on exactly the same state as replaying the same mutations
   one by one through ``add``/``remove``.
-
-A fixed-seed deterministic run repeats the same churn at ``n_jobs=2``
-(the process-pool fan-out) and requires identical allocations — the
-optimum is unique (Proposition 4.2), so parallelism must not change it.
 """
-
-import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -122,53 +116,3 @@ TestPlanMaintenanceMachine.settings = settings(
     max_examples=15, stateful_step_count=8, deadline=None
 )
 
-
-def _scripted_churn(manager, seed=2026, steps=30):
-    """A fixed-seed add/remove/batch script; returns allocation snapshots."""
-    rng = random.Random(seed)
-    objects = ("x", "y", "z", "u", "v")
-    next_tid = 1
-    live = set()
-    snapshots = []
-    for step in range(steps):
-        roll = rng.random()
-        if live and roll < 0.3:
-            tid = rng.choice(sorted(live))
-            live.discard(tid)
-            manager.remove(tid)
-        elif roll < 0.6 or not live:
-            ops = []
-            for obj in rng.sample(objects, rng.randint(1, 2)):
-                if rng.random() < 0.7:
-                    ops.append(read(next_tid, obj))
-                if rng.random() < 0.7 or not ops:
-                    ops.append(write(next_tid, obj))
-            manager.add(Transaction(next_tid, ops))
-            live.add(next_tid)
-            next_tid += 1
-        else:
-            mutations = []
-            batch_live = set(live)
-            for _ in range(rng.randint(1, 3)):
-                if batch_live and rng.random() < 0.5:
-                    tid = rng.choice(sorted(batch_live))
-                    batch_live.discard(tid)
-                    mutations.append(("remove", tid))
-                else:
-                    ops = [write(next_tid, rng.choice(objects))]
-                    mutations.append(("add", Transaction(next_tid, ops)))
-                    batch_live.add(next_tid)
-                    next_tid += 1
-            manager.apply_batch(mutations)
-            live = batch_live
-        snapshots.append(
-            {tid: level.name for tid, level in manager.allocation.items()}
-        )
-    return snapshots
-
-
-def test_n_jobs_two_is_bit_identical():
-    """The same scripted churn at n_jobs=1 and n_jobs=2 never diverges."""
-    serial = _scripted_churn(AllocationManager(n_jobs=1))
-    parallel = _scripted_churn(AllocationManager(n_jobs=2))
-    assert serial == parallel

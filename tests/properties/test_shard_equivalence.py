@@ -7,8 +7,8 @@ the *same* witness ``SplitScheduleSpec``, the *same*
 ``enumerate_counterexamples`` spec sequence (order included) and the
 *same* optimal allocation as an explicit
 ``context=AnalysisContext(wl)`` run, which analyzes the workload as one
-unit — for every engine (``bitset``, ``components``, ``paper``) and with
-``n_jobs > 1``.  Algorithm 2 must also issue the same robustness checks
+unit — for every engine (``bitset``, ``components``, ``paper``).
+Algorithm 2 must also issue the same robustness checks
 on both paths.  Identity is at the *spec*
 level: ``MVSchedule`` objects compare by identity, and two independent
 materializations of the same spec are distinct objects even
@@ -66,18 +66,18 @@ def workload_and_allocation(draw):
     return wl, Allocation(levels)
 
 
-def assert_check_matches(wl, alloc, method="bitset", n_jobs=1):
+def assert_check_matches(wl, alloc, method="bitset"):
     mono = check_robustness(
         wl, alloc, method=method, context=AnalysisContext(wl)
     )
-    sharded = check_robustness(wl, alloc, method=method, n_jobs=n_jobs)
+    sharded = check_robustness(wl, alloc, method=method)
     assert mono.robust == sharded.robust
     if not mono.robust:
         assert mono.counterexample.spec == sharded.counterexample.spec
         assert is_valid_split_schedule(sharded.counterexample.spec, wl, alloc)
 
 
-def assert_enumeration_matches(wl, alloc, method="bitset", n_jobs=1):
+def assert_enumeration_matches(wl, alloc, method="bitset"):
     mono = [
         ce.spec
         for ce in enumerate_counterexamples(
@@ -91,17 +91,17 @@ def assert_enumeration_matches(wl, alloc, method="bitset", n_jobs=1):
     sharded = [
         ce.spec
         for ce in enumerate_counterexamples(
-            wl, alloc, materialize_schedules=False, method=method, n_jobs=n_jobs
+            wl, alloc, materialize_schedules=False, method=method
         )
     ]
     assert mono == sharded
 
 
-def assert_allocation_matches(wl, levels, method="bitset", n_jobs=1):
+def assert_allocation_matches(wl, levels, method="bitset"):
     mono = optimal_allocation(
         wl, levels, method=method, context=AnalysisContext(wl)
     )
-    sharded = optimal_allocation(wl, levels, method=method, n_jobs=n_jobs)
+    sharded = optimal_allocation(wl, levels, method=method)
     assert mono == sharded
 
 
@@ -284,24 +284,18 @@ def test_all_singleton_workload():
 
 
 @pytest.mark.parametrize("seed", [7, 11])
-def test_parallel_sharded_equivalence(seed):
-    """Whole-shard dispatch (``n_jobs=2``) matches the one-unit result."""
+def test_clustered_sharded_equivalence(seed):
+    """A three-component clustered workload matches the one-unit result."""
     wl = clustered_workload(
         components=3, per_component=4, objects_per_component=5, seed=seed
     )
     assert len(conflict_components(wl)) >= 3
     for level in IsolationLevel:
         alloc = Allocation.uniform(wl, level)
-        assert_check_matches(wl, alloc, n_jobs=2)
-        assert_enumeration_matches(wl, alloc, n_jobs=2)
-    assert_allocation_matches(wl, POSTGRES_LEVELS, n_jobs=2)
-    assert_allocation_matches(wl, ORACLE_LEVELS, n_jobs=2)
-
-
-def test_paper_engine_rejects_parallel_sharding():
-    wl = clustered_workload(components=2, per_component=2, seed=0)
-    with pytest.raises(ValueError, match="sequential-only"):
-        check_robustness(wl, Allocation.si(wl), method="paper", n_jobs=2)
+        assert_check_matches(wl, alloc)
+        assert_enumeration_matches(wl, alloc)
+    assert_allocation_matches(wl, POSTGRES_LEVELS)
+    assert_allocation_matches(wl, ORACLE_LEVELS)
 
 
 def test_shared_context_reuse_matches_fresh():

@@ -4,16 +4,15 @@ Three promises the live service's quantiles stand on:
 
 * :meth:`StreamingHistogram.merge` is associative and commutative, and
   merging any partition of a value stream equals recording the stream
-  directly — worker partitioning and merge order cannot change what
+  directly — partitioning and merge order cannot change what
   ``/metrics`` reports;
 * a quantile estimate brackets the exact nearest-rank empirical
   quantile within one bucket's relative error (the ``growth`` factor),
   over the histogram's documented value range;
-* a registry assembled by absorbing worker span batches holds the same
+* a registry assembled by absorbing other tracers holds the same
   histograms as one whose tracer recorded every span itself — the
-  ``repro service top`` quantiles of a ``--jobs N`` daemon are the
-  single-process truth (the histogram face of the parallel-equivalence
-  suite next door).
+  daemon's ``--trace`` tracer, which absorbs every request's tracer,
+  reports the same quantiles as direct recording.
 
 :class:`WindowedSeries` rides along with its own order-independence
 property: the per-window series is a function of the event multiset.
@@ -125,16 +124,16 @@ class TestQuantileBracketing:
         assert max(values) <= top <= max(values) * hist.growth * (1.0 + 1e-12)
 
 
-def _batches(partition):
-    """Worker-style span batches from a partition of (name, duration)s."""
+def _tracers(partition):
+    """One tracer per part, holding its (name, duration) spans."""
     out = []
     for part in partition:
-        spans = tuple(
-            SpanRecord(i + 1, None, name, 0.0, duration, "worker-test", {})
-            .as_tuple()
+        tracer = Tracer()
+        tracer.spans.extend(
+            SpanRecord(i + 1, None, name, 0.0, duration)
             for i, (name, duration) in enumerate(part)
         )
-        out.append((spans, ()))
+        out.append(tracer)
     return out
 
 
@@ -165,9 +164,9 @@ class TestWorkerMergeEquivalence:
         direct = MetricsRegistry()
         for name, duration in spans:
             direct.record(name, duration)
-        parent = Tracer(origin="main")
-        for batch in _batches(parts):
-            parent.absorb(batch)
+        parent = Tracer()
+        for child in _tracers(parts):
+            parent.absorb(child)
         assert set(parent.registry.histograms) == set(direct.histograms)
         for name, hist in direct.histograms.items():
             _assert_same(parent.registry.histograms[name], hist)

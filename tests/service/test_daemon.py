@@ -10,6 +10,7 @@ import pytest
 from repro.observability import prometheus_text
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.client import ServiceError
+from repro.service.protocol import MAX_LINE_BYTES
 
 
 @pytest.fixture
@@ -59,6 +60,40 @@ class TestTCP:
         with ServiceServer(config) as srv:
             assert int(port_file.read_text().strip()) == srv.port
         assert not port_file.exists()  # cleaned up on close
+
+
+class TestLineBound:
+    """Request lines are read at most ``MAX_LINE_BYTES`` at a time."""
+
+    def test_over_long_line_gets_too_large_then_eof(self, server):
+        with ServiceClient(port=server.port) as client:
+            client._file.write(b"x" * MAX_LINE_BYTES + b"\n")
+            client._file.flush()
+            error = json.loads(client._file.readline().decode("utf-8"))
+            assert error["ok"] is False
+            assert error["error"]["code"] == "too-large"
+            assert client._file.readline() == b""  # the server closed it
+        assert server.core.registry.counters["service.errors"] == 1
+
+    def test_daemon_keeps_serving_after_too_large(self, server):
+        with ServiceClient(port=server.port) as client:
+            client._file.write(b"{" * (MAX_LINE_BYTES + 1))
+            client._file.flush()
+            error = json.loads(client._file.readline().decode("utf-8"))
+            assert error["error"]["code"] == "too-large"
+        with ServiceClient(port=server.port) as client:
+            assert client.call("hello")["server"] == "repro-serve"
+
+    def test_line_of_exactly_the_bound_is_answered(self, server):
+        envelope = b'{"op": "hello", "id": 1}'
+        line = envelope + b" " * (MAX_LINE_BYTES - len(envelope) - 1) + b"\n"
+        assert len(line) == MAX_LINE_BYTES
+        with ServiceClient(port=server.port) as client:
+            client._file.write(line)
+            client._file.flush()
+            response = json.loads(client._file.readline().decode("utf-8"))
+            assert response["ok"] and response["id"] == 1
+            assert client.call("status")["ok"]  # the connection stays open
 
 
 class TestUnixSocket:

@@ -110,6 +110,23 @@ class TestFlightRecorder:
         assert "service.request" in names  # --trace daemon keeps seeing all
         assert core.retainer.added >= 1
 
+    def test_flight_recorder_keeps_spans_the_trace_absorbed(self):
+        """Absorbing a request into ``--trace`` leaves the retained tree whole."""
+        tracer = Tracer()
+        with use_tracer(tracer):
+            core = _core()
+            with tracer.span("startup"):
+                pass
+            _add(core, "R[x] W[y]", 1)
+        retained = core.retainer.last_traces()[-1].spans
+        ids = [span["span_id"] for span in retained]
+        assert retained[-1]["name"] == "service.request"
+        assert retained[-1]["span_id"] == 1  # the request tracer's own ids
+        assert retained[-1]["parent_id"] is None
+        assert all(span["parent_id"] in ids for span in retained[:-1])
+        copies = [s for s in tracer.spans if s.name == "service.request"]
+        assert len(copies) == 1 and copies[0].span_id != 1
+
     def test_render_trace_dump_shows_span_tree(self):
         core = _core()
         _add(core, "R[x] W[y]", 1)

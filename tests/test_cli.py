@@ -24,6 +24,16 @@ def disjoint_file(tmp_path):
     return str(path)
 
 
+def _error_line(capsys):
+    """The one ``repro: error:`` line on stderr (no traceback)."""
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("repro: error: ")
+    return lines[0]
+
+
 class TestCheck:
     def test_non_robust_exit_code_and_output(self, skew_file, capsys):
         code = main(["check", skew_file, "--uniform", "SI"])
@@ -44,19 +54,38 @@ class TestCheck:
     def test_default_uniform_is_si(self, skew_file):
         assert main(["check", skew_file]) == 1
 
-    def test_allocation_and_uniform_conflict(self, skew_file):
-        with pytest.raises(SystemExit):
-            main(
-                ["check", skew_file, "--allocation", "T1=RC,T2=RC", "--uniform", "SI"]
-            )
+    def test_allocation_and_uniform_conflict(self, skew_file, capsys):
+        code = main(
+            ["check", skew_file, "--allocation", "T1=RC,T2=RC", "--uniform", "SI"]
+        )
+        assert code == 2
+        assert "not both" in _error_line(capsys)
 
-    def test_incomplete_allocation_rejected(self, skew_file):
-        with pytest.raises(SystemExit):
-            main(["check", skew_file, "--allocation", "T1=RC"])
+    def test_incomplete_allocation_rejected(self, skew_file, capsys):
+        assert main(["check", skew_file, "--allocation", "T1=RC"]) == 2
+        assert "misses transactions [2]" in _error_line(capsys)
 
-    def test_malformed_allocation_rejected(self, skew_file):
-        with pytest.raises(SystemExit):
-            main(["check", skew_file, "--allocation", "banana"])
+    def test_malformed_allocation_rejected(self, skew_file, capsys):
+        assert main(["check", skew_file, "--allocation", "banana"]) == 2
+        assert "banana" in _error_line(capsys)
+
+    def test_bad_level_is_not_a_verdict(self, skew_file, capsys):
+        """A bad level exits 2; only a non-robust verdict exits 1."""
+        assert main(["check", skew_file, "--uniform", "BOGUS"]) == 2
+        assert "BOGUS" in _error_line(capsys)
+        assert main(["check", skew_file, "--uniform", "SI"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--allocation", "T1=BOGUS,T2=SI"],
+            ["allocate", "--levels", "RC,BOGUS"],
+        ],
+        ids=["check-allocation", "allocate-levels"],
+    )
+    def test_bad_level_in_spec_exits_2(self, skew_file, argv, capsys):
+        assert main([argv[0], skew_file, *argv[1:]]) == 2
+        assert "unknown isolation level 'BOGUS'" in _error_line(capsys)
 
 
 class TestAllocate:
@@ -103,6 +132,28 @@ class TestSharding:
         with pytest.raises(SystemExit) as excinfo:
             main(["allocate", multi_file, flag])
         assert excinfo.value.code == 2  # argparse usage error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{wl}", "--jobs", "2"],
+            ["allocate", "{wl}", "--jobs", "2"],
+            ["serve", "--jobs", "2"],
+            ["serve", "--method", "paper"],
+        ],
+        ids=["check-jobs", "allocate-jobs", "serve-jobs", "serve-method"],
+    )
+    def test_worker_and_serve_engine_flags_are_gone(
+        self, multi_file, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(wl=multi_file) for arg in argv])
+        assert excinfo.value.code == 2  # argparse usage error
+
+    def test_method_flag_still_picks_a_reference_engine(self, multi_file, capsys):
+        assert main(["check", multi_file, "--method", "components"]) == 1
+        assert main(["allocate", multi_file, "--method", "paper"]) == 0
+        assert "T5: RC" in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -215,9 +266,9 @@ class TestTemplates:
         assert code == 0
         assert "ROBUST" in capsys.readouterr().out
 
-    def test_check_requires_allocation(self, template_file):
-        with pytest.raises(SystemExit):
-            main(["templates", "check", template_file])
+    def test_check_requires_allocation(self, template_file, capsys):
+        assert main(["templates", "check", template_file]) == 2
+        assert "provide --allocation" in _error_line(capsys)
 
     def test_allocate(self, template_file, capsys):
         code = main(["templates", "allocate", template_file])
@@ -236,7 +287,7 @@ class TestTemplates:
         "flag, value", [("--uniform", "BOGUS"), ("--allocation", "Balance=BOGUS")]
     )
     def test_bad_level_exits_cleanly(self, template_file, flag, value):
-        """A bad level name is a clean message and exit 1, no traceback."""
+        """A bad level name is one error line and exit 2, no traceback."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
@@ -244,7 +295,9 @@ class TestTemplates:
              flag, value],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro: error: ")
+        assert proc.stderr.count("\n") == 1
         assert "unknown isolation level 'BOGUS'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -265,22 +318,6 @@ class TestTemplates:
         assert "domain=3, copies=1" in capsys.readouterr().out
 
 
-class TestJobsAuto:
-    def test_check_jobs_auto(self, skew_file, capsys):
-        """``--jobs auto`` resolves through the size heuristic (sequential
-        for this 2-transaction workload) and decides identically."""
-        code = main(["check", skew_file, "--uniform", "SI", "--jobs", "auto"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "NOT ROBUST" in out
-
-    def test_allocate_jobs_auto(self, skew_file, capsys):
-        code = main(["allocate", skew_file, "--jobs", "auto"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "T1: SSI" in out
-
-
 class TestTrace:
     def test_check_trace_exports_valid_json(self, skew_file, tmp_path, capsys):
         from repro.observability import validate_trace_file
@@ -294,29 +331,6 @@ class TestTrace:
         names = {span["name"] for span in data["spans"]}
         assert "robustness.check" in names
         assert "robustness.scan_t1" in names
-
-    def test_check_trace_with_jobs_has_worker_chunks(
-        self, skew_file, tmp_path, capsys
-    ):
-        from repro.observability import validate_trace_file
-
-        trace_path = tmp_path / "trace.json"
-        main(
-            [
-                "check",
-                skew_file,
-                "--uniform",
-                "SI",
-                "--jobs",
-                "2",
-                "--trace",
-                str(trace_path),
-            ]
-        )
-        data = validate_trace_file(str(trace_path))
-        chunks = [s for s in data["spans"] if s["name"] == "parallel.chunk"]
-        assert chunks
-        assert all(c["origin"].startswith("worker-") for c in chunks)
 
     def test_allocate_trace(self, skew_file, tmp_path, capsys):
         from repro.observability import validate_trace_file
@@ -433,18 +447,7 @@ class TestTraceAnalysisCommands:
     @pytest.fixture()
     def trace_file(self, skew_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        main(
-            [
-                "check",
-                skew_file,
-                "--uniform",
-                "SI",
-                "--jobs",
-                "2",
-                "--trace",
-                str(trace_path),
-            ]
-        )
+        main(["check", skew_file, "--uniform", "SI", "--trace", str(trace_path)])
         capsys.readouterr()
         return str(trace_path)
 
@@ -454,11 +457,11 @@ class TestTraceAnalysisCommands:
         assert "Profile tree:" in out
         assert "Critical path" in out
         assert "robustness.check" in out
-        assert "parallel.chunk" in out
+        assert "robustness.scan_t1" in out
 
     def test_trace_report_group_by_origin(self, trace_file, capsys):
         assert main(["trace", "report", trace_file, "--group-by", "origin"]) == 0
-        assert "[origin=worker-" in capsys.readouterr().out
+        assert "[origin=main]" in capsys.readouterr().out
 
     def test_trace_report_rejects_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -615,36 +618,28 @@ class TestBadInputFiles:
         path.write_text("T1: R[x] Q[y]\n")
         return str(path)
 
-    def _error_line(self, capsys):
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err + captured.out
-        lines = captured.err.splitlines()
-        assert len(lines) == 1, captured.err
-        assert lines[0].startswith("repro: error: ")
-        return lines[0]
-
     def test_allocate_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent.txt")
         assert main(["allocate", missing]) == 2
-        assert missing in self._error_line(capsys)
+        assert missing in _error_line(capsys)
 
     def test_allocate_malformed_workload(self, bad_workload, capsys):
         assert main(["allocate", bad_workload]) == 2
-        assert "Q[y]" in self._error_line(capsys)
+        assert "Q[y]" in _error_line(capsys)
 
     def test_allocate_non_utf8_bytes(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"T1: R[x] \xff\xfe W[y]\n")
         assert main(["allocate", str(path)]) == 2
-        assert "UTF-8" in self._error_line(capsys)
+        assert "UTF-8" in _error_line(capsys)
 
     def test_check_malformed_workload(self, bad_workload, capsys):
         assert main(["check", bad_workload, "--uniform", "SI"]) == 2
-        assert "Q[y]" in self._error_line(capsys)
+        assert "Q[y]" in _error_line(capsys)
 
     def test_trace_report_on_non_json_file(self, skew_file, capsys):
         assert main(["trace", "report", skew_file]) == 2
-        assert skew_file in self._error_line(capsys)
+        assert skew_file in _error_line(capsys)
 
 
 class TestParser:

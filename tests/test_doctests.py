@@ -20,8 +20,6 @@ MODULE_NAMES = [
     "repro.core.transactions",
     "repro.core.workload",
     "repro.observability.metrics",
-    "repro.parallel.encoding",
-    "repro.parallel.engine",
     "repro.service.core",
     "repro.templates.allocation",
     "repro.templates.robustness",
