@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..core.allocation import optimal_allocation
-from ..core.context import AnalysisContext, ContextStats
+from ..core.context import ContextStats
 from ..core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from ..core.robustness import Counterexample, RobustnessResult, check_robustness
 from ..core.serialization import SerializationGraph
@@ -170,18 +170,17 @@ def phase_timing_report(registry: "MetricsRegistry") -> str:
 
 def allocation_report(
     workload: Workload,
+    optimum: Optional[Allocation],
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
-    context: Optional[AnalysisContext] = None,
-    method: str = "bitset",
 ) -> str:
     """A report on the optimal robust allocation of a workload.
 
-    Pass a shared :class:`~repro.core.context.AnalysisContext` to amortize
-    the conflict index with other checks (and to read the counters back).
-    ``method`` is forwarded to Algorithm 2 (the CLI's ``--method`` flag).
+    ``optimum`` is what :func:`~repro.core.allocation.optimal_allocation`
+    returned for ``levels``: ``None`` when no robust allocation over them
+    exists.  The caller runs Algorithm 2, so it can read the optimum (and
+    its context's counters) without running it again.
     """
     lines = ["Workload:", render_workload(workload), ""]
-    optimum = optimal_allocation(workload, levels, method=method, context=context)
     class_name = "{" + ", ".join(level.name for level in sorted(set(levels))) + "}"
     if optimum is None:
         lines.append(

@@ -36,11 +36,12 @@ Subcommands:
 The input-parsing helpers shared with the daemon live in
 :mod:`repro.service.handlers`.  A
 :class:`~repro.service.handlers.CommandError` that reaches :func:`main`
-— an unreadable, non-UTF-8 or malformed workload file, an unreadable or
-invalid trace file, a bad level, level class or allocation spec —
-prints ``repro: error: <message>`` to stderr and exits 2, which no
-verdict uses: ``check`` exits 1 for "not robust" and ``allocate`` for
-"no robust allocation exists".
+— an unreadable, non-UTF-8 or malformed workload or template file, an
+unreadable or invalid trace file, a bad level, level class or
+allocation spec, bad sweep points or a non-positive ``service top``
+interval — prints ``repro: error: <message>`` to stderr and exits 2,
+which no verdict uses: ``check`` exits 1 for "not robust" and
+``allocate`` for "no robust allocation exists".
 
 Workload files use the text format of
 :func:`repro.core.workload.parse_workload`::
@@ -173,13 +174,9 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def _cmd_templates(args: argparse.Namespace) -> int:
     from .static_analysis import static_mixed_check
-    from .templates import (
-        check_template_robustness,
-        optimal_template_allocation,
-        parse_templates,
-    )
+    from .templates import check_template_robustness, optimal_template_allocation
 
-    templates = parse_templates(Path(args.templates).read_text(encoding="utf-8"))
+    templates = _handlers.load_templates_file(args.templates)
     if args.action == "allocate":
         levels = parse_levels_spec(args.levels)
         optimum = optimal_template_allocation(
@@ -222,18 +219,16 @@ def _cmd_templates(args: argparse.Namespace) -> int:
 def _cmd_allocate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     levels = parse_levels_spec(args.levels)
-    # One shared context for the report's Algorithm 2 run and the final
-    # existence probe: each component's conflict index is built once.
     context = ShardedContext(workload)
-    print(allocation_report(workload, levels, context=context, method=args.method))
+    optimum = optimal_allocation(
+        workload, levels, method=args.method, context=context
+    )
+    print(allocation_report(workload, optimum, levels))
     if args.stats:
         print()
         print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
-    optimum = optimal_allocation(
-        workload, levels, method=args.method, context=context
-    )
     return 0 if optimum is not None else 1
 
 
@@ -336,7 +331,7 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
             strategies=strategies,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise CommandError(str(exc)) from None
     print(result.table())
     print(
         f"\n{result.total_operations} simulated operations across"
@@ -468,7 +463,7 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
             **_daemon_endpoint(args),  # type: ignore[arg-type]
         )
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise CommandError(str(exc)) from None
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -42,7 +42,8 @@ from .isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from .robustness import Context, _witness_exists, is_robust
+from .kernel import level_list
+from .robustness import Context, _probe, _witness_exists, is_robust
 from .sharding import (
     ShardedContext,
     _validate,
@@ -79,9 +80,16 @@ def refine_allocation(
 
     Each probe lowers one transaction of the current, robust allocation,
     so it scans only the triples through that transaction and asks only
-    whether a witness exists
-    (:func:`~repro.core.robustness._witness_exists`): no chain and no
-    schedule are built, and every probe counts one check.
+    whether a witness exists: no chain and no schedule are built, and
+    every probe counts one check.  The allocation being refined is a
+    level list in bit order plus its SSI tid mask
+    (:func:`~repro.core.kernel.level_list`): a probe sets one entry, an
+    adopted lowering clears one bit of the mask, and one
+    :class:`Allocation` is built when the loop ends.  Under ``bitset`` a
+    probe is one kernel call (:func:`~repro.core.robustness._probe`);
+    under a reference engine it builds its candidate allocation and runs
+    :func:`~repro.core.robustness._witness_exists`.  The per-transaction
+    and per-probe spans are opened only under a recording tracer.
 
     Args:
         workload: the set of transactions.
@@ -105,29 +113,55 @@ def refine_allocation(
             floors=floors,
         )
     ordered = _normalized_levels(levels)
+    ranks = [level.rank for level in ordered]
     context.ensure(workload)
     _validate(workload, start, method)
+    tids = workload.tids
+    current, ssi = level_list(start, tids)
     tracer = current_tracer()
-    current = start
+
+    def witness(tid: int, probe_ssi: int) -> bool:
+        if method == "bitset":
+            return _probe(workload, context, current, probe_ssi, tid)
+        candidate = Allocation(dict(zip(tids, current)))
+        return _witness_exists(workload, candidate, method, context, tid)
+
+    def lower(bit: int, tid: int, probe_ssi: int) -> bool:
+        """Adopt the lowest level that keeps the allocation robust."""
+        level_now = current[bit]
+        floor = floors.get(tid) if floors is not None else None
+        low = -1 if floor is None else floor.rank
+        high = level_now.rank
+        for level, rank in zip(ordered, ranks):
+            if rank < low:
+                continue
+            if rank >= high:
+                break
+            current[bit] = level
+            if tracer.recording:
+                with tracer.span("allocation.probe", tid=tid, level=level.name):
+                    found = witness(tid, probe_ssi)
+            else:
+                found = witness(tid, probe_ssi)
+            if not found:
+                return True
+        current[bit] = level_now
+        return False
+
     with tracer.span("allocation.refine", transactions=len(workload)):
-        for tid in workload.tids:
-            floor = floors.get(tid) if floors is not None else None
-            with tracer.span("allocation.refine_txn", tid=tid) as txn_span:
-                for level in ordered:
-                    if floor is not None and level < floor:
-                        continue
-                    if level >= current[tid]:
-                        break
-                    candidate = current.with_level(tid, level)
-                    with tracer.span("allocation.probe", tid=tid, level=level.name):
-                        lowered = not _witness_exists(
-                            workload, candidate, method, context, tid
-                        )
-                    if lowered:
-                        current = candidate
-                        break
-                txn_span.set(level=current[tid].name)
-    return current
+        for bit, tid in enumerate(tids):
+            probe_ssi = ssi & ~(1 << bit)  # a lowered level is below SSI
+            if tracer.recording:
+                with tracer.span("allocation.refine_txn", tid=tid) as txn_span:
+                    lowered = lower(bit, tid, probe_ssi)
+                    txn_span.set(level=current[bit].name)
+            else:
+                lowered = lower(bit, tid, probe_ssi)
+            if lowered:
+                ssi = probe_ssi
+    refined = dict(start.items())
+    refined.update(zip(tids, current))
+    return Allocation(refined)
 
 
 def optimal_allocation(

@@ -72,6 +72,27 @@ class ConflictIndex:
                 mask |= writers.get(obj, 0)
             self.nbr[txn.tid] = mask & ~(1 << self.bit[txn.tid])
         self._neighbours: Dict[int, Set[int]] = {}
+        self._scopes: Dict[int, Tuple[int, ...]] = {}
+
+    def scope(self, tid: int) -> Tuple[int, ...]:
+        """``tid`` and its conflict neighbours (``nbr[t] | bit(t)``), ascending.
+
+        The split candidates ``T_1`` of a check scoped to ``tid``
+        (:func:`~repro.core.robustness.check_robustness_delta`): every
+        engine scans them, and every Algorithm 2 probe of ``tid`` reads
+        the same tuple, so it is built once per transaction.
+        """
+        cached = self._scopes.get(tid)
+        if cached is None:
+            tids = self.tids
+            mask = self.nbr[tid] | 1 << self.bit[tid]
+            members = []
+            while mask:
+                low = mask & -mask
+                members.append(tids[low.bit_length() - 1])
+                mask ^= low
+            cached = self._scopes[tid] = tuple(members)
+        return cached
 
     def conflict_neighbours(self, tid: int) -> Set[int]:
         """Transactions having an operation conflicting with one of ``tid``.
@@ -83,13 +104,7 @@ class ConflictIndex:
         """
         cached = self._neighbours.get(tid)
         if cached is None:
-            cached = set()
-            tids = self.tids
-            mask = self.nbr[tid]
-            while mask:
-                low = mask & -mask
-                cached.add(tids[low.bit_length() - 1])
-                mask ^= low
+            cached = {other for other in self.scope(tid) if other != tid}
             self._neighbours[tid] = cached
         return cached
 

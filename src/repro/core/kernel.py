@@ -28,19 +28,24 @@ ascending tid = candidate order).  Per ``T_1`` it builds one row
 
   A read whose masks cannot both be non-empty is dropped at build time.
 
-Per allocation the only input is the mask ``S`` of SSI transactions:
-when ``T_1`` is SSI, condition (7) removes ``S & R_W1`` from the
-``T_2``\\ s, (8) removes ``S & W_R1`` (writers of what ``T_1`` reads)
-from the ``T_m``\\ s, and (6) removes ``S`` from the ``T_m``\\ s of an SSI
-``T_2``.
+Per allocation the inputs are ``T_1``'s level and the mask ``S`` of SSI
+transactions: when ``T_1`` is SSI, condition (7) removes ``S & R_W1``
+from the ``T_2``\\ s, (8) removes ``S & W_R1`` (writers of what ``T_1``
+reads) from the ``T_m``\\ s, and (6) removes ``S`` from the ``T_m``\\ s of
+an SSI ``T_2``.  :func:`_first_pair` is the one place these conditions
+are evaluated: it returns the first ``(T_2, T_m)`` pair that survives
+them, after a given ``T_2``.
 
-:func:`iter_witness_triples` walks ``T_2`` and then ``T_m`` in ascending
-bit order and takes ``b_1`` as the first read, in body order, whose masks
-hold both — exactly the triples and operation choices, in exactly the
-order, of the ``components`` engine's
-:func:`~repro.core.robustness._scan_t1`; ``(b_m, a_1)`` is resolved only
-for an emitted triple.  :func:`has_witness` answers whether that scan
-yields anything, which is all an Algorithm 2 probe needs.
+:func:`iter_witness_triples` calls it for ``T_2`` after ``T_2`` in
+ascending bit order, walks each pair's ``T_m`` in ascending bit order
+and takes ``b_1`` as the first read, in body order, whose masks hold
+both — exactly the triples and operation choices, in exactly the order,
+of the ``components`` engine's :func:`~repro.core.robustness._scan_t1`;
+``(b_m, a_1)`` is resolved only for an emitted triple.
+:func:`has_witness` is an Algorithm 2 probe: it asks only whether some
+``T_1`` of a scope has a first pair, on the allocation as a level list
+and an SSI mask (:func:`level_list`), so it needs no
+:class:`~repro.core.isolation.Allocation`.
 :meth:`BitKernel.connecting_path` returns the same intermediates as the
 graph-backed
 :meth:`~repro.core.context.ReachabilityOracle.connecting_path`.  The
@@ -53,7 +58,7 @@ The kernel is allocation-independent and lives on the analysis context
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs, rw_conflicting
@@ -62,10 +67,12 @@ from .operations import Operation
 from .transactions import Transaction
 from .workload import Workload
 
-__all__ = ["BitKernel", "has_witness", "iter_witness_triples"]
+__all__ = ["BitKernel", "has_witness", "iter_witness_triples", "level_list"]
 
 #: A read of ``T_1`` that can split it: ``(b_1, position, t2s, tms)``.
 SplitRead = Tuple[Operation, int, int, int]
+
+_RC, _SSI = IsolationLevel.RC, IsolationLevel.SSI
 
 
 class _T1Row:
@@ -113,7 +120,6 @@ class BitKernel:
         self.index = index
         self.stats = stats
         self._bit_nbrs = tuple(index.nbr[tid] for tid in index.tids)
-        self._flag = {tid: 1 << i for i, tid in enumerate(index.tids)}
         self._rows: Dict[int, _T1Row] = {}
         self._ssi_of: Optional[Allocation] = None
         self._ssi = 0
@@ -125,13 +131,8 @@ class BitKernel:
         one check reads the same mask.
         """
         if allocation is not self._ssi_of:
-            flag = self._flag
-            ssi = IsolationLevel.SSI
-            mask = 0
-            for tid, level in allocation.items():
-                if level is ssi:
-                    mask |= flag.get(tid, 0)
-            self._ssi_of, self._ssi = allocation, mask
+            self._ssi_of = allocation
+            self._ssi = level_list(allocation, self.index.tids)[1]
         return self._ssi
 
     # -- rows ------------------------------------------------------------
@@ -292,40 +293,58 @@ class BitKernel:
         return path
 
 
-def _t2_scan(
-    kernel: BitKernel,
-    allocation: Allocation,
-    t1_tid: int,
-    delta_tid: Optional[int],
-) -> Iterator[Tuple[int, int, Tuple[SplitRead, ...]]]:
-    """``(T_2 bit, T_m mask, split reads)`` per ``T_2`` with a ``T_m``.
+def level_list(
+    allocation: Allocation, tids: Sequence[int]
+) -> Tuple[List[IsolationLevel], int]:
+    """``allocation`` as :func:`has_witness` reads it.
 
-    ``T_2`` ascends; the ``T_m`` mask is non-empty and already holds
-    every condition but the choice of ``b_1``.  With a ``delta_tid``
-    other than ``T_1`` only pairs through it remain: ``T_2`` is it or
-    reaches it, and every other ``T_2`` keeps only it as ``T_m``.
+    The levels of ``tids`` (a kernel's ascending tids) as a list in bit
+    order, and the tid mask of those at SSI.
     """
-    row = kernel.row(t1_tid)
-    level1 = allocation[t1_tid]
-    if level1 is IsolationLevel.RC:
+    levels = [allocation[tid] for tid in tids]
+    ssi = 0
+    for bit, level in enumerate(levels):
+        if level is _SSI:
+            ssi |= 1 << bit
+    return levels, ssi
+
+
+def _first_pair(
+    row: _T1Row,
+    level1: IsolationLevel,
+    ssi: int,
+    scoped: int,
+    after: int = 0,
+) -> Optional[Tuple[int, int]]:
+    """The first ``(T_2 flag, T_m mask)`` of ``row`` whose ``T_2`` is above ``after``.
+
+    The one copy of Definition 3.1's mask conditions: ``T_2`` ascends
+    from the bit above the flag ``after`` (from the lowest bit when 0),
+    and the ``T_m`` mask is non-empty and already holds every condition
+    but the choice of ``b_1``.  ``level1`` is ``T_1``'s level and ``ssi``
+    the allocation's SSI tid mask, read only when ``T_1`` is SSI.  With
+    ``scoped`` the flag of a ``delta_tid`` other than ``T_1``, only pairs
+    through it remain: ``T_2`` is it or reaches it, and every other
+    ``T_2`` keeps only it as ``T_m``; with 0 every pair counts.
+    """
+    if level1 is _RC:
         reads, t2_set = row.rc_reads, row.rc_t2s
     else:
         reads, t2_set = row.si_reads, row.si_t2s
-    scoped = -1  # the T_m of a T_2 other than delta_tid: any
-    if delta_tid is not None and delta_tid != t1_tid:
-        d_bit = kernel.index.bit[delta_tid]
-        if not (row.cands >> d_bit) & 1:
-            return
-        t2_set &= row.reach[d_bit]
-        scoped = 1 << d_bit
-    if not t2_set:
-        return
-    ssi = no_tm = 0
-    if level1 is IsolationLevel.SSI:
-        ssi = kernel.ssi_mask(allocation) & row.cands
-        t2_set &= ~(ssi & row.r_w1)  # (7)
-        no_tm = ssi & row.w_r1  # (8)
     reach = row.reach
+    if scoped:
+        if not row.cands & scoped:
+            return None
+        t2_set &= reach[scoped.bit_length() - 1]
+    if after:
+        t2_set &= -(after << 1)
+    if not t2_set:
+        return None
+    ssi_cands = no_tm = 0
+    if level1 is _SSI:
+        ssi_cands = ssi & row.cands
+        t2_set &= ~(ssi_cands & row.r_w1)  # (7)
+        no_tm = ssi_cands & row.w_r1  # (8)
     while t2_set:
         low = t2_set & -t2_set
         t2_set ^= low
@@ -333,28 +352,42 @@ def _t2_scan(
         for read in reads:
             if read[2] & low:
                 tms |= read[3]
-        if low & ssi:
-            tms &= ~ssi  # (6)
+        if low & ssi_cands:
+            tms &= ~ssi_cands  # (6)
         tms &= reach[low.bit_length() - 1] & ~no_tm
-        if low != scoped:
+        if scoped and low != scoped:
             tms &= scoped
         if tms:
-            yield low, tms, reads
+            return low, tms
+    return None
 
 
 def has_witness(
     kernel: BitKernel,
-    allocation: Allocation,
-    t1_tid: int,
+    levels: Sequence[IsolationLevel],
+    ssi: int,
+    t1s: Iterable[int],
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether :func:`iter_witness_triples` would yield anything.
+    """Whether :func:`iter_witness_triples` yields anything for some ``T_1``.
 
-    The Algorithm 2 probe: only existence matters, so no operation is
-    resolved and no chain built.
+    The Algorithm 2 probe, one call per probe: the allocation is the
+    level list ``levels`` in bit order (``levels[i]`` belongs to the
+    ``i``-th smallest tid) and its SSI tid mask ``ssi``.  ``t1s`` are
+    scanned in order and the scan stops at the first ``T_1`` with a
+    witness pair, so exactly the rows a scan of
+    :func:`iter_witness_triples` would fetch are fetched (and counted).
+    Only existence matters: no operation is resolved and no chain built.
     """
-    for _found in _t2_scan(kernel, allocation, t1_tid, delta_tid):
-        return True
+    bit = kernel.index.bit
+    scoped = 0 if delta_tid is None else 1 << bit[delta_tid]
+    row = kernel.row
+    for t1 in t1s:
+        pair = _first_pair(
+            row(t1), levels[bit[t1]], ssi, 0 if t1 == delta_tid else scoped
+        )
+        if pair is not None:
+            return True
     return False
 
 
@@ -379,8 +412,20 @@ def iter_witness_triples(
     """
     workload = kernel.workload
     tids = kernel.index.tids
-    rc = allocation[t1.tid] is IsolationLevel.RC
-    for low2, tms, reads in _t2_scan(kernel, allocation, t1.tid, delta_tid):
+    row = kernel.row(t1.tid)
+    level1 = allocation[t1.tid]
+    rc = level1 is _RC
+    reads = row.rc_reads if rc else row.si_reads
+    ssi = kernel.ssi_mask(allocation) if level1 is _SSI else 0
+    scoped = 0
+    if delta_tid is not None and delta_tid != t1.tid:
+        scoped = 1 << kernel.index.bit[delta_tid]
+    low2 = 0
+    while True:
+        pair = _first_pair(row, level1, ssi, scoped, low2)
+        if pair is None:
+            return
+        low2, tms = pair
         t2 = workload[tids[low2.bit_length() - 1]]
         while tms:
             low_m = tms & -tms

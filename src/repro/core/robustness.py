@@ -14,7 +14,8 @@ Three interchangeable engines are provided:
   :mod:`repro.core.kernel`: every condition of Definition 3.1 is
   evaluated for all candidates at once, as intersections of tid-bit
   masks, and an Algorithm 2 probe only asks whether a witness exists
-  (:func:`_witness_exists`).
+  (:func:`_probe`, on a level list; :func:`_witness_exists` for a
+  caller holding an :class:`Allocation`).
 * ``method="components"`` — computes the mixed-iso-graph of each
   ``T_1`` once and answers reachability questions via connected components.
   Sound because ``T_2`` and ``T_m`` must conflict with ``T_1`` for the
@@ -64,7 +65,7 @@ from ..observability import current_tracer
 from .conflicts import ConflictQuadruple, rw_conflicting
 from .context import AnalysisContext, ConflictIndex, mixed_iso_graph
 from .isolation import Allocation, IsolationLevel
-from .kernel import has_witness, iter_witness_triples
+from .kernel import has_witness, iter_witness_triples, level_list
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .sharding import (
@@ -224,9 +225,10 @@ def _scan_t1(
     problematic triple ``(T_1, T_2, T_m)``, in the deterministic
     ``(T_2, T_m)`` candidate order.  This generator is the single source
     of truth for the per-``T_1`` search: :func:`check_robustness` takes
-    its first element, :func:`enumerate_counterexamples` drains it, every
-    and every downgrade probe of Algorithm 2 runs it with ``delta_tid``
-    set.
+    its first element, :func:`enumerate_counterexamples` drains it, and
+    :func:`check_robustness_delta` and the reference engines' Algorithm 2
+    probes run it with ``delta_tid`` set.  A ``bitset`` probe asks the
+    kernel for existence only (:func:`_probe`).
 
     With a ``delta_tid`` other than ``T_1`` only the triples having it as
     ``T_2`` or ``T_m`` are visited: the subsequence of the full output
@@ -320,23 +322,35 @@ def check_robustness(
 
 
 def _check_scope(
-    workload: Workload,
-    method: str,
-    context: AnalysisContext,
-    delta_tid: Optional[int],
-) -> Tuple[str, Dict[str, object], Sequence[int]]:
-    """A check's span name and attributes, and its split candidates.
+    workload: Workload, context: AnalysisContext, delta_tid: Optional[int]
+) -> Sequence[int]:
+    """A check's split candidates ``T_1``, ascending.
 
-    The candidates ascend: every ``T_1`` of the workload, or with
-    ``delta_tid`` only it and its conflict neighbours
-    (:func:`check_robustness_delta`).
+    Every transaction of the workload, or with ``delta_tid`` only it and
+    its conflict neighbours (:func:`check_robustness_delta`), a tuple
+    cached on the conflict index
+    (:meth:`~repro.core.context.ConflictIndex.scope`).
     """
-    attrs: Dict[str, object] = dict(transactions=len(workload), method=method)
     if delta_tid is None:
-        return "robustness.check", attrs, workload.tids
-    attrs["delta_tid"] = delta_tid
-    scope = sorted(context.index.conflict_neighbours(delta_tid) | {delta_tid})
-    return "robustness.check_delta", attrs, scope
+        return workload.tids
+    return context.index.scope(delta_tid)
+
+
+def _check_span(
+    tracer, workload: Workload, method: str, delta_tid: Optional[int]
+):
+    """A check's span: ``robustness.check``, or ``robustness.check_delta``
+    with the ``delta_tid`` it is scoped to."""
+    if delta_tid is None:
+        return tracer.span(
+            "robustness.check", transactions=len(workload), method=method
+        )
+    return tracer.span(
+        "robustness.check_delta",
+        transactions=len(workload),
+        method=method,
+        delta_tid=delta_tid,
+    )
 
 
 def _first_witness(
@@ -356,9 +370,8 @@ def _first_witness(
     context.ensure(workload)
     context.record_check()
     tracer = current_tracer()
-    name, attrs, t1s = _check_scope(workload, method, context, delta_tid)
-    with tracer.span(name, **attrs) as check_span:
-        for tid in t1s:
+    with _check_span(tracer, workload, method, delta_tid) as check_span:
+        for tid in _check_scope(workload, context, delta_tid):
             with tracer.span("robustness.scan_t1", t1=tid):
                 spec = next(
                     _scan_t1(context, allocation, workload[tid], method, delta_tid),
@@ -371,6 +384,42 @@ def _first_witness(
     return None
 
 
+def _probe(
+    workload: Workload,
+    context: AnalysisContext,
+    levels: Sequence[IsolationLevel],
+    ssi: int,
+    delta_tid: Optional[int] = None,
+) -> bool:
+    """Whether the ``bitset`` scan finds a witness against ``levels``.
+
+    The Algorithm 2 probe: the allocation is a level list in bit order
+    and its SSI tid mask, as
+    :func:`~repro.core.allocation.refine_allocation` keeps it, and the
+    scan is one :func:`~repro.core.kernel.has_witness` call over the
+    check's candidates.  It counts one check, and it gives the verdict
+    :func:`_first_witness` gives, without resolving operations or
+    building a chain.  The check's span and its per-``T_1`` spans are
+    opened only under a recording tracer: a probe is too short to pay
+    for them otherwise.
+    """
+    context.record_check()
+    kernel = context.kernel()
+    t1s = _check_scope(workload, context, delta_tid)
+    tracer = current_tracer()
+    if not tracer.recording:
+        return has_witness(kernel, levels, ssi, t1s, delta_tid)
+    found = False
+    with _check_span(tracer, workload, "bitset", delta_tid) as check_span:
+        for tid in t1s:
+            with tracer.span("robustness.scan_t1", t1=tid):
+                found = has_witness(kernel, levels, ssi, (tid,), delta_tid)
+            if found:
+                break
+        check_span.set(robust=not found)
+    return found
+
+
 def _witness_exists(
     workload: Workload,
     allocation: Allocation,
@@ -380,32 +429,18 @@ def _witness_exists(
 ) -> bool:
     """Whether :func:`_first_witness` would find a witness — existence only.
 
-    The Algorithm 2 probe: the same scan and the same verdict, one
-    check counted, but the ``bitset`` engine stops at the first
-    ``(T_2, T_m)`` pair whose masks survive
-    (:func:`~repro.core.kernel.has_witness`) without resolving
-    operations or building a chain.  The per-``T_1`` spans are opened
-    only under a recording tracer: a probe's scans are too short to pay
-    for them otherwise.  The reference engines build the first chain and
-    drop it.
+    The probe for a caller that holds an :class:`Allocation` (the
+    manager's start check, and Algorithm 2's probes under a reference
+    engine): one check counted.  The ``bitset`` engine runs
+    :func:`_probe` on the allocation's level list; the reference engines
+    build the first chain and drop it.
     """
     if method != "bitset":
         spec = _first_witness(workload, allocation, method, context, delta_tid)
         return spec is not None
     context.ensure(workload)
-    context.record_check()
-    tracer = current_tracer()
-    name, attrs, t1s = _check_scope(workload, method, context, delta_tid)
-    kernel = context.kernel()
-    scan = has_witness
-    if tracer.recording:
-        def scan(kernel, allocation, tid, delta_tid):
-            with tracer.span("robustness.scan_t1", t1=tid):
-                return has_witness(kernel, allocation, tid, delta_tid)
-    with tracer.span(name, **attrs) as check_span:
-        found = any(scan(kernel, allocation, tid, delta_tid) for tid in t1s)
-        check_span.set(robust=not found)
-    return found
+    levels, ssi = level_list(allocation, workload.tids)
+    return _probe(workload, context, levels, ssi, delta_tid)
 
 
 def check_robustness_delta(

@@ -11,15 +11,19 @@ specs and ``RC,SI`` level classes — and parse them here.  Errors are
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.isolation import Allocation, IsolationLevel
 from ..core.sharding import ShardedContext
 from ..core.workload import Workload, parse_workload
 from ..observability import validate_trace_file
 
+if TYPE_CHECKING:
+    from ..templates import TransactionTemplate
+
 __all__ = [
     "CommandError",
+    "load_templates_file",
     "load_trace_file",
     "load_workload_file",
     "parse_allocation_spec",
@@ -33,20 +37,47 @@ class CommandError(ValueError):
     """A malformed command input (bad spec, missing transaction, ...)."""
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``.
+
+    A missing or unreadable file and bytes that are not UTF-8 raise
+    :class:`CommandError`.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CommandError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise CommandError(f"{what} {path} is not UTF-8 text") from None
+
+
 def load_workload_file(path: str) -> Workload:
     """Parse the workload text file at ``path``.
 
     A missing or unreadable file, bytes that are not UTF-8 and a
     malformed workload all raise :class:`CommandError`.
     """
+    text = _read_text(path, "workload")
     try:
-        return parse_workload(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CommandError(f"cannot read workload {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise CommandError(f"workload {path} is not UTF-8 text") from None
+        return parse_workload(text)
     except ValueError as exc:  # WorkloadError, or a non-positive tid
         raise CommandError(f"bad workload {path}: {exc}") from None
+
+
+def load_templates_file(path: str) -> List[TransactionTemplate]:
+    """Parse the transaction-template file at ``path``.
+
+    Read like :func:`load_workload_file`: a missing or unreadable file,
+    bytes that are not UTF-8 and malformed templates all raise
+    :class:`CommandError`.
+    """
+    from ..templates import parse_templates
+
+    text = _read_text(path, "template file")
+    try:
+        return parse_templates(text)
+    except ValueError as exc:  # TemplateError
+        raise CommandError(f"bad template file {path}: {exc}") from None
 
 
 def load_trace_file(path: str) -> Dict[str, object]:

@@ -6,6 +6,7 @@ from repro.analysis.report import (
     explain_counterexample,
     robustness_report,
 )
+from repro.core.allocation import optimal_allocation
 from repro.core.isolation import Allocation, ORACLE_LEVELS
 from repro.core.robustness import check_robustness
 from repro.core.workload import workload
@@ -46,15 +47,17 @@ class TestRobustnessReport:
 
 class TestAllocationReport:
     def test_postgres_class(self, write_skew):
-        text = allocation_report(write_skew)
+        text = allocation_report(write_skew, optimal_allocation(write_skew))
         assert "Optimal robust allocation" in text
         assert "T1: SSI" in text
         assert "2 x SSI" in text
 
     def test_oracle_class_unallocatable(self, write_skew):
-        text = allocation_report(write_skew, ORACLE_LEVELS)
+        optimum = optimal_allocation(write_skew, ORACLE_LEVELS)
+        text = allocation_report(write_skew, optimum, ORACLE_LEVELS)
         assert "No robust allocation over {RC, SI}" in text
 
     def test_oracle_class_allocatable(self, lost_update):
-        text = allocation_report(lost_update, ORACLE_LEVELS)
+        optimum = optimal_allocation(lost_update, ORACLE_LEVELS)
+        text = allocation_report(lost_update, optimum, ORACLE_LEVELS)
         assert "T1: SI" in text and "T2: SI" in text

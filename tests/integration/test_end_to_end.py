@@ -112,6 +112,6 @@ class TestMixedScenario:
 
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
         print(robustness_report(wl, Allocation.rc(wl)))
-        print(allocation_report(wl))
+        print(allocation_report(wl, optimal_allocation(wl)))
         out = capsys.readouterr().out
         assert "NOT ROBUST" in out and "Optimal robust allocation" in out

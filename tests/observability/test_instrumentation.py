@@ -21,6 +21,7 @@ from repro.core.robustness import (
     check_robustness_delta,
     enumerate_counterexamples,
 )
+from repro.core.sharding import ShardedContext
 from repro.core.workload import workload
 from repro.enumeration.sampling import estimate_anomaly_rate
 from repro.mvcc import run_workload
@@ -65,8 +66,9 @@ class TestSequentialSpans:
 
     def test_allocation_span_hierarchy(self, write_skew):
         tracer = Tracer()
+        ctx = ShardedContext(write_skew)
         with use_tracer(tracer):
-            optimal_allocation(write_skew)
+            optimal_allocation(write_skew, context=ctx)
         by_name = {}
         for span in tracer.spans:
             by_name.setdefault(span.name, []).append(span)
@@ -76,8 +78,17 @@ class TestSequentialSpans:
         for txn_span in by_name["allocation.refine_txn"]:
             assert txn_span.parent_id == refine.span_id
             assert txn_span.attrs["level"] in ("RC", "SI", "SSI")
-        for probe in by_name["allocation.probe"]:
+        probes = by_name["allocation.probe"]
+        assert len(probes) == ctx.stats.checks
+        for probe in probes:
             assert probe.attrs["level"] in ("RC", "SI")
+            checks = [
+                s
+                for s in by_name["robustness.check_delta"]
+                if s.parent_id == probe.span_id
+            ]
+            assert len(checks) == 1
+            assert checks[0].attrs["delta_tid"] == probe.attrs["tid"]
 
     def test_incremental_spans(self, write_skew):
         tracer = Tracer()

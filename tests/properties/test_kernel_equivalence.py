@@ -21,9 +21,10 @@ from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
 from repro.core.context import AnalysisContext, ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
-from repro.core.kernel import iter_witness_triples
+from repro.core.kernel import iter_witness_triples, level_list
 from repro.core.robustness import (
     _first_witness,
+    _probe,
     _witness_exists,
     check_robustness,
     check_robustness_delta,
@@ -185,8 +186,9 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
 
     A random allocation is lifted to a robust one; every one-step
     lowering of it is probed scoped to the lowered transaction and
-    unscoped, and each verdict must equal whether ``components`` finds a
-    first witness.
+    unscoped, through the :class:`Allocation` entry point and through
+    the level-list probe the refinement calls, and each verdict must
+    equal whether ``components`` finds a first witness.
     """
     wl = random_workload(
         transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
@@ -206,6 +208,9 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
             )
             found = _witness_exists(wl, lowered, "bitset", ctx, delta_tid)
             assert found == (expected is not None), (tid, delta_tid)
+            levels, ssi = level_list(lowered, wl.tids)
+            probed = _probe(wl, ctx, levels, ssi, delta_tid)
+            assert probed == (expected is not None), (tid, delta_tid)
 
 
 @given(

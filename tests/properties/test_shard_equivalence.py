@@ -188,6 +188,59 @@ def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
     assert_counters_match(wl, ORACLE_LEVELS)
 
 
+#: The ``ContextStats`` fields counted per analyzed component: a sharded
+#: run builds a conflict index per component, and with it a kernel, rows,
+#: oracles and pair tables whose counts depend on how the workload was
+#: split.  Every other field counts the same work on both paths.
+PER_COMPONENT_FIELDS = frozenset(
+    {
+        "index_builds",
+        "kernel_builds",
+        "kernel_row_builds",
+        "oracle_builds",
+        "pair_builds",
+        "pair_hits",
+    }
+)
+
+
+@st.composite
+def clustered_workloads(draw):
+    """Two or three private-object clusters, with interleaved tids."""
+    return clustered_workload(
+        components=draw(st.integers(min_value=2, max_value=3)),
+        per_component=draw(st.integers(min_value=2, max_value=3)),
+        objects_per_component=draw(st.integers(min_value=2, max_value=4)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
+@given(
+    st.one_of(
+        sts.workloads(min_transactions=1, max_transactions=5),
+        clustered_workloads(),
+    )
+)
+@settings(max_examples=75, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sharded_stats_match_one_unit_outside_per_component_fields(wl):
+    """Every ``ContextStats`` field but the per-component ones agrees.
+
+    Sharded and one-unit Algorithm 2 runs do the same work by design, so
+    ``checks``, ``kernel_row_hits``, ``oracle_hits`` and the ``plan_*``
+    fields must be equal, for every engine and both level classes.
+    """
+    for method in ENGINES:
+        for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
+            one_unit, sharded = AnalysisContext(wl), ShardedContext(wl)
+            expected = optimal_allocation(wl, levels, method=method, context=one_unit)
+            assert optimal_allocation(
+                wl, levels, method=method, context=sharded
+            ) == expected
+            left, right = sharded.stats.as_dict(), one_unit.stats.as_dict()
+            differing = {name for name in left if left[name] != right[name]}
+            assert differing <= PER_COMPONENT_FIELDS, (method, levels, differing)
+
+
 def assert_delta_checks_match(wl, method="bitset"):
     """Every one-step candidate: sharded delta check ≡ one-unit delta check.
 

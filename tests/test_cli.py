@@ -342,6 +342,17 @@ class TestTrace:
         assert "allocation.optimal" in names
         assert "allocation.probe" in names
 
+    def test_allocate_runs_algorithm_2_once(self, skew_file, tmp_path, capsys):
+        """The report and the exit status come from one optimum."""
+        from repro.observability import validate_trace_file
+
+        trace_path = tmp_path / "trace.json"
+        assert main(["allocate", skew_file, "--trace", str(trace_path)]) == 0
+        names = [span["name"] for span in validate_trace_file(str(trace_path))["spans"]]
+        assert names.count("allocation.optimal") == 1
+        assert names.count("allocation.refine") == 1
+        assert "T1: SSI" in capsys.readouterr().out
+
     def test_simulate_trace(self, skew_file, tmp_path, capsys):
         from repro.observability import validate_trace_file
 
@@ -640,6 +651,35 @@ class TestBadInputFiles:
     def test_trace_report_on_non_json_file(self, skew_file, capsys):
         assert main(["trace", "report", skew_file]) == 2
         assert skew_file in _error_line(capsys)
+
+    def test_templates_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.tpl")
+        assert main(["templates", "check", missing, "--uniform", "SI"]) == 2
+        assert missing in _error_line(capsys)
+
+    def test_templates_non_utf8_bytes(self, tmp_path, capsys):
+        path = tmp_path / "binary.tpl"
+        path.write_bytes(b"Balance(X): R[X:\xff\xfe]\n")
+        assert main(["templates", "allocate", str(path)]) == 2
+        assert "UTF-8" in _error_line(capsys)
+
+    def test_templates_malformed_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.tpl"
+        path.write_text("no template here\n")
+        assert main(["templates", "check", str(path), "--uniform", "SI"]) == 2
+        assert "line 1" in _error_line(capsys)
+
+
+class TestBadFlagValues:
+    """Bad flag values give one ``repro: error:`` line and exit 2."""
+
+    def test_sweep_bad_points(self, capsys):
+        assert main(["simulate", "sweep", "--points", "bogus"]) == 2
+        assert "bogus" in _error_line(capsys)
+
+    def test_service_top_zero_interval(self, capsys):
+        assert main(["service", "top", "--interval", "0"]) == 2
+        assert "interval" in _error_line(capsys)
 
 
 class TestParser:
