@@ -17,12 +17,18 @@ daemon process:
    with ``repro trace dump`` (the daemon was never started with
    ``--trace``); render two live ``repro service top`` frames; validate
    every line of the ``--eventlog`` JSON-lines mirror;
-4. take an explicit ``snapshot``, record the full ``allocate`` response;
-5. SIGKILL the daemon (no goodbye), restart it resuming from the
+4. send hostile input: one raw line that is not UTF-8 and one ``batch``
+   of two valid adds around a ``tid: 0`` add; require ``bad-request``
+   for exactly the bad line and the bad entry, both valid adds
+   admitted, the connection still answering, and
+   ``repro_service_errors_total`` up by exactly one (the line; a failed
+   batch entry is not a failed request);
+5. take an explicit ``snapshot``, record the full ``allocate`` response;
+6. SIGKILL the daemon (no goodbye), restart it resuming from the
    snapshot, and require the next ``allocate`` to be **byte-identical**
    to the pre-kill one;
-6. mutate, ``restore``, verify the snapshot state returns exactly;
-7. scrape ``/metrics``, send ``shutdown``, require a clean exit.
+7. mutate, ``restore``, verify the snapshot state returns exactly;
+8. scrape ``/metrics``, send ``shutdown``, require a clean exit.
 
 Exit code 0 means every stage held; any assertion prints and exits 1.
 """
@@ -34,6 +40,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -49,6 +56,10 @@ from repro.workloads.generator import clustered_workload  # noqa: E402
 
 MUTATIONS = 200
 
+#: Every daemon started; the ones still running are killed on exit, so a
+#: failed stage does not leave a daemon holding the port and stdout.
+DAEMONS: list = []
+
 #: Strict line shapes the post-churn scrape must contain: a latency
 #: quantile from the streaming histograms and a windowed-rate gauge.
 QUANTILE_LINE = re.compile(
@@ -58,6 +69,21 @@ QUANTILE_LINE = re.compile(
 RATE_LINE = re.compile(
     r"^repro_rate_requests_per_s [0-9][0-9.eE+-]*$", re.MULTILINE
 )
+ERRORS_LINE = re.compile(
+    r"^repro_service_errors_total ([0-9][0-9.eE+-]*)$", re.MULTILINE
+)
+
+
+def scrape_metrics(metrics_port: int) -> str:
+    """The daemon's ``/metrics`` page."""
+    url = f"http://127.0.0.1:{metrics_port}/metrics"
+    return urllib.request.urlopen(url).read().decode()
+
+
+def errors_total(metrics_port: int) -> float:
+    """``repro_service_errors_total`` (absent until the first error)."""
+    match = ERRORS_LINE.search(scrape_metrics(metrics_port))
+    return float(match.group(1)) if match else 0.0
 
 
 def _cli_env():
@@ -111,6 +137,7 @@ def start_daemon(
         env=_cli_env(),
         cwd=REPO_ROOT,
     )
+    DAEMONS.append(proc)
     for _ in range(100):
         if port_file.exists() and port_file.read_text().strip():
             return proc, int(port_file.read_text().strip())
@@ -193,13 +220,7 @@ def main() -> int:
         )
 
         # -- stage 3: live telemetry against the churned daemon -------
-        text = (
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{args.metrics_port}/metrics"
-            )
-            .read()
-            .decode()
-        )
+        text = scrape_metrics(args.metrics_port)
         assert QUANTILE_LINE.search(text), (
             "no p99 quantile line for service.add in:\n"
             + "\n".join(l for l in text.splitlines() if "service_add" in l)
@@ -246,14 +267,47 @@ def main() -> int:
         assert events > 0 and "request" in kinds, (events, kinds)
         print(f"[smoke] eventlog valid: {events} events, kinds {sorted(kinds)}")
 
-        # -- stage 4: snapshot + record the reference allocation ------
+        # -- stage 4: hostile input gets bad-request, nothing else ----
+        errors_before = errors_total(args.metrics_port)
+        line = b'{"op": "add", "transaction": "R[x\xff] W[y]", "tid": 9001}\n'
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as raw:
+            with raw.makefile("rwb") as stream:
+                stream.write(line)
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply.get("error", {}).get("code") == "bad-request", reply
+                stream.write(b'{"op": "status"}\n')
+                stream.flush()
+                assert json.loads(stream.readline())["ok"], "connection closed"
+        fresh = max(txn.tid for txn in base) + 1
+        batch = client.call(
+            "batch",
+            commands=[
+                {"op": "add", "transaction": "R[h1] W[h2]", "tid": fresh},
+                {"op": "add", "transaction": "R[h2] W[h1]", "tid": 0},
+                {"op": "add", "transaction": "R[h3] W[h1]", "tid": fresh + 1},
+            ],
+        )
+        assert batch["failed"] == 1 and batch["succeeded"] == 2, batch
+        codes = [entry.get("error", {}).get("code") for entry in batch["results"]]
+        assert codes == [None, "bad-request", None], batch
+        assert batch["results"][0]["admitted"] and batch["results"][2]["admitted"]
+        assert client.call("status")["transactions"] == len(base) + 2
+        errors_after = errors_total(args.metrics_port)
+        assert errors_after == errors_before + 1, (errors_before, errors_after)
+        print(
+            "[smoke] hostile input: non-UTF-8 line and tid-0 batch entry got"
+            " bad-request, both valid adds admitted, 1 error counted"
+        )
+
+        # -- stage 5: snapshot + record the reference allocation ------
         snapshot = client.call("snapshot")
         print(f"[smoke] snapshot: {snapshot['bytes']} bytes -> {snap}")
         reference = json.dumps(
             client.call("allocate")["allocation"], sort_keys=True
         )
 
-    # -- stage 5: kill -9, resume, byte-identical allocations ---------
+    # -- stage 6: kill -9, resume, byte-identical allocations ---------
     os.kill(proc.pid, signal.SIGKILL)
     proc.wait()
     print("[smoke] daemon SIGKILLed; restarting from the snapshot")
@@ -268,7 +322,7 @@ def main() -> int:
         )
         print("[smoke] post-restore allocation byte-identical")
 
-        # -- stage 6: mutate, restore, exact return -------------------
+        # -- stage 7: mutate, restore, exact return -------------------
         victim = base[0]
         client.call("remove", tid=victim.tid)
         restored = client.call("restore", verify=True)
@@ -277,14 +331,8 @@ def main() -> int:
         ), restored
         print("[smoke] explicit restore (verified) returns the exact state")
 
-        # -- stage 7: metrics + clean shutdown ------------------------
-        text = (
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{args.metrics_port}/metrics"
-            )
-            .read()
-            .decode()
-        )
+        # -- stage 8: metrics + clean shutdown ------------------------
+        text = scrape_metrics(args.metrics_port)
         assert "repro_service_requests_total" in text, text[:200]
         print("[smoke] /metrics scrape OK")
         farewell = client.request("shutdown")
@@ -297,4 +345,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        for daemon in DAEMONS:
+            if daemon.poll() is None:
+                daemon.kill()

@@ -437,9 +437,9 @@ def _cmd_trace_dump(args: argparse.Namespace) -> int:
         with ServiceClient(**_daemon_endpoint(args)) as client:  # type: ignore[arg-type]
             response = client.call("dump-traces", **params)
     except ServiceError as exc:
-        raise SystemExit(f"trace dump failed: {exc}") from None
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"cannot reach daemon: {exc}") from None
+        raise CommandError(f"trace dump failed: {exc}") from None
+    except OSError as exc:
+        raise CommandError(f"cannot reach daemon: {exc}") from None
     payload = {
         key: response[key]
         for key in ("added", "last", "slowest")

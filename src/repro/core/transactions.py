@@ -18,7 +18,12 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .operations import Operation, commit, read, write
+from .operations import Operation, OperationKind, commit, read, write
+
+
+_READ = OperationKind.READ
+_WRITE = OperationKind.WRITE
+_COMMIT = OperationKind.COMMIT
 
 
 class TransactionError(ValueError):
@@ -45,34 +50,37 @@ class Transaction:
         ops = list(operations)
         if tid <= 0:
             raise TransactionError(f"transaction id must be positive, got {tid}")
-        if ops and ops[-1].is_commit:
-            body, last = ops[:-1], ops[-1]
+        if ops and ops[-1].kind is _COMMIT:
+            last = ops.pop()
             if last.transaction_id != tid:
                 raise TransactionError(
                     f"commit of transaction {last.transaction_id} in transaction {tid}"
                 )
         else:
-            body = ops
+            last = commit(tid)
         seen_reads: set = set()
         seen_writes: set = set()
-        for op in body:
+        for op in ops:
             if op.transaction_id != tid:
                 raise TransactionError(
                     f"operation {op} does not belong to transaction {tid}"
                 )
-            if op.is_commit or op.is_initial:
+            kind = op.kind
+            if kind is _READ:
+                target = seen_reads
+            elif kind is _WRITE:
+                target = seen_writes
+            else:
                 raise TransactionError(f"misplaced {op} inside transaction {tid}")
-            target = seen_reads if op.is_read else seen_writes
             if op.obj in target:
                 raise TransactionError(
-                    f"transaction {tid} has two {op.kind.name.lower()}s on {op.obj!r}"
+                    f"transaction {tid} has two {kind.name.lower()}s on {op.obj!r}"
                 )
             target.add(op.obj)
+        ops.append(last)
         self._tid = tid
-        self._ops: Tuple[Operation, ...] = tuple(body) + (commit(tid),)
-        self._positions: Dict[Operation, int] = {
-            op: i for i, op in enumerate(self._ops)
-        }
+        self._ops: Tuple[Operation, ...] = tuple(ops)
+        self._positions: Dict[Operation, int] = dict(zip(self._ops, range(len(ops))))
         self._read_set = frozenset(seen_reads)
         self._write_set = frozenset(seen_writes)
 
@@ -178,6 +186,62 @@ _TOKEN = re.compile(
 )
 
 
+_KINDS = {"R": _READ, "W": _WRITE, "C": _COMMIT}
+
+
+def _unparsable(token: str, schedule: bool) -> TransactionError:
+    """The error for a token outside the grammar (in a schedule, also one
+    without a subscript)."""
+    if schedule:
+        return TransactionError(
+            f"cannot parse schedule token {token!r} (explicit ids required)"
+        )
+    return TransactionError(f"cannot parse operation token {token!r}")
+
+
+def _parse_tokens(
+    text: str, tid: Optional[int], schedule: bool
+) -> Tuple[Operation, ...]:
+    """The token → :class:`Operation` step both token parsers share.
+
+    Each token is matched once.  A token without a subscript takes
+    ``tid``; with ``tid`` given, every subscript must name it.  In
+    ``schedule`` mode each token must carry its own subscript.  A
+    non-positive id is a :class:`TransactionError`, like every other
+    malformed token.
+    """
+    ops = []
+    for token in text.split():
+        match = _TOKEN.fullmatch(token)
+        if match is None:
+            raise _unparsable(token, schedule)
+        letter, subscript, obj = match.groups()
+        if subscript is None:
+            if schedule:
+                raise _unparsable(token, schedule)
+            if tid is None:
+                raise TransactionError(
+                    f"token {token!r} has no transaction id and no tid= was given"
+                )
+            op_tid = tid
+        else:
+            op_tid = int(subscript)
+            if tid is not None and op_tid != tid:
+                raise TransactionError(
+                    f"token {token!r} names transaction {op_tid}, expected {tid}"
+                )
+        kind = _KINDS[letter]
+        if kind is _COMMIT:
+            if obj is not None:
+                raise TransactionError(f"commit token {token!r} must not name an object")
+        elif obj is None:
+            raise TransactionError(f"token {token!r} is missing its [object]")
+        if op_tid <= 0:
+            raise TransactionError(f"transaction id must be positive, got {op_tid}")
+        ops.append(Operation(kind, op_tid, obj))
+    return tuple(ops)
+
+
 def parse_operations(text: str, tid: Optional[int] = None) -> Tuple[Operation, ...]:
     """Parse a whitespace-separated operation string in the paper's notation.
 
@@ -187,34 +251,7 @@ def parse_operations(text: str, tid: Optional[int] = None) -> Tuple[Operation, .
     ids of several transactions (use :func:`parse_schedule_operations` for
     interleaved sequences).
     """
-    ops = []
-    for token in text.split():
-        match = _TOKEN.fullmatch(token)
-        if not match:
-            raise TransactionError(f"cannot parse operation token {token!r}")
-        explicit = match.group("tid")
-        op_tid = int(explicit) if explicit is not None else tid
-        if op_tid is None:
-            raise TransactionError(
-                f"token {token!r} has no transaction id and no tid= was given"
-            )
-        if tid is not None and op_tid != tid:
-            raise TransactionError(
-                f"token {token!r} names transaction {op_tid}, expected {tid}"
-            )
-        kind = match.group("kind")
-        obj = match.group("obj")
-        if kind == "C":
-            if obj is not None:
-                raise TransactionError(f"commit token {token!r} must not name an object")
-            ops.append(commit(op_tid))
-        elif obj is None:
-            raise TransactionError(f"token {token!r} is missing its [object]")
-        elif kind == "R":
-            ops.append(read(op_tid, obj))
-        else:
-            ops.append(write(op_tid, obj))
-    return tuple(ops)
+    return _parse_tokens(text, tid, schedule=False)
 
 
 def parse_schedule_operations(text: str) -> Tuple[Operation, ...]:
@@ -224,25 +261,7 @@ def parse_schedule_operations(text: str) -> Tuple[Operation, ...]:
     transactions to appear in one string, e.g. the operation order of a
     schedule: ``"R1[x] W2[x] C2 W1[y] C1"``.
     """
-    ops = []
-    for token in text.split():
-        match = _TOKEN.fullmatch(token)
-        if not match or match.group("tid") is None:
-            raise TransactionError(
-                f"cannot parse schedule token {token!r} (explicit ids required)"
-            )
-        op_tid = int(match.group("tid"))
-        kind = match.group("kind")
-        obj = match.group("obj")
-        if kind == "C":
-            ops.append(commit(op_tid))
-        elif obj is None:
-            raise TransactionError(f"token {token!r} is missing its [object]")
-        elif kind == "R":
-            ops.append(read(op_tid, obj))
-        else:
-            ops.append(write(op_tid, obj))
-    return tuple(ops)
+    return _parse_tokens(text, None, schedule=True)
 
 
 def parse_transaction(text: str, tid: Optional[int] = None) -> Transaction:

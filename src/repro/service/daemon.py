@@ -80,10 +80,17 @@ class _LineHandler(socketserver.StreamRequestHandler):
                     )
                 )
             else:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response = core.handle_line(line)
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    # Framed, so the connection stays usable; nothing runs.
+                    response = core.reject(
+                        ProtocolError(f"request line is not UTF-8: {exc}")
+                    )
+                else:
+                    if not line:
+                        continue
+                    response = core.handle_line(line)
             try:
                 self.wfile.write(encode_response(response))
                 self.wfile.flush()

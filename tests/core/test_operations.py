@@ -1,5 +1,9 @@
 """Unit tests for repro.core.operations."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core.operations import (
@@ -54,6 +58,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Operation(OperationKind.INITIAL, 1)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown operation kind 'R'"):
+            Operation("R", 1, "x")
+
+    def test_keyword_construction(self):
+        op = Operation(kind=OperationKind.WRITE, transaction_id=2, obj="y")
+        assert op == write(2, "y")
+        assert Operation(kind=OperationKind.COMMIT, transaction_id=2) == commit(2)
+
 
 class TestOp0:
     def test_op0_is_initial(self):
@@ -85,3 +98,34 @@ class TestValueSemantics:
 
     def test_repr_roundtrip_info(self):
         assert "R1[x]" in repr(read(1, "x"))
+
+    def test_equal_only_to_operations(self):
+        assert read(1, "x") != (OperationKind.READ, 1, "x")
+        assert commit(1) != (OperationKind.COMMIT, 1, None)
+        assert read(1, "x") != "R1[x]"
+
+    @pytest.mark.parametrize("field", ["kind", "transaction_id", "obj", "other"])
+    def test_assignment_raises(self, field):
+        op = read(1, "x")
+        with pytest.raises(FrozenInstanceError):
+            setattr(op, field, None)
+        assert op == read(1, "x")
+
+    @pytest.mark.parametrize("field", ["kind", "transaction_id", "obj"])
+    def test_deletion_raises(self, field):
+        op = write(2, "y")
+        with pytest.raises(FrozenInstanceError):
+            delattr(op, field)
+        assert op.obj == "y"
+
+    @pytest.mark.parametrize(
+        "op", [read(1, "x"), write(7, "acct"), commit(3), OP0], ids=str
+    )
+    def test_pickle_and_copy_roundtrip(self, op):
+        for clone in (
+            pickle.loads(pickle.dumps(op)),
+            copy.copy(op),
+            copy.deepcopy(op),
+        ):
+            assert clone == op and hash(clone) == hash(op)
+            assert clone.kind is op.kind and str(clone) == str(op)

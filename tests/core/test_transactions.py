@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import strategies as sts
-from repro.core.operations import commit, read, write
+from repro.core.operations import OP0, commit, read, write
 from repro.core.transactions import (
     Transaction,
     TransactionError,
@@ -14,6 +14,7 @@ from repro.core.transactions import (
     sequence_operations,
     transaction,
 )
+from repro.core.workload import WorkloadError, parse_workload
 
 
 class TestConstruction:
@@ -163,9 +164,107 @@ class TestParsing:
         with pytest.raises(TransactionError):
             parse_schedule_operations("R[x]")
 
+    def test_parse_schedule_commit_with_object_rejected(self):
+        """Both token parsers share one token step, and with it this check."""
+        with pytest.raises(TransactionError, match="must not name an object"):
+            parse_schedule_operations("R1[x] C1[x]")
+
     def test_str_roundtrip(self):
         text = "R1[x] W1[y] C1"
         assert str(parse_transaction(text)) == text
+
+    def test_written_commit_is_kept(self):
+        ops = parse_operations("R4[x] C4")
+        txn = Transaction(4, ops)
+        assert txn.commit_op is ops[-1]
+
+    @pytest.mark.parametrize(
+        "parse, bad_id",
+        [
+            (lambda: parse_operations("R0[x]"), 0),
+            (lambda: parse_operations("R[x] W[y]", tid=0), 0),
+            (lambda: parse_operations("C", tid=0), 0),
+            (lambda: parse_transaction("R[x]", tid=-3), -3),
+            (lambda: parse_transaction("R0[x] W0[y]"), 0),
+            (lambda: parse_schedule_operations("R1[x] W0[x] C1"), 0),
+            (lambda: parse_schedule_operations("C0"), 0),
+        ],
+        ids=[
+            "subscript",
+            "tid-argument",
+            "commit",
+            "negative-tid-argument",
+            "transaction",
+            "schedule",
+            "schedule-commit",
+        ],
+    )
+    def test_nonpositive_id_is_a_transaction_error(self, parse, bad_id):
+        with pytest.raises(TransactionError) as excinfo:
+            parse()
+        assert str(excinfo.value) == f"transaction id must be positive, got {bad_id}"
+
+
+#: Every parser and constructor error: where it is raised, its exception
+#: type and its exact message.  Only the ``nonpositive`` rows differ from
+#: the behaviour before the shared token step, which let the bare
+#: ``ValueError`` of the ``Operation`` constructor escape.
+ERROR_TABLE = [
+    ("unknown-token", lambda: parse_workload("T1: R[x] X[y]"),
+     WorkloadError, "line 1: cannot parse operation token 'X[y]'"),
+    ("bad-header", lambda: parse_workload("T1: R[x]\nQ1: R[y]"),
+     WorkloadError, "line 2: bad transaction header 'Q1'"),
+    ("read-id-mismatch", lambda: parse_workload("T1: R2[x]"),
+     WorkloadError, "line 1: token 'R2[x]' names transaction 2, expected 1"),
+    ("commit-id-mismatch", lambda: parse_workload("T1: R[x] C2"),
+     WorkloadError, "line 1: token 'C2' names transaction 2, expected 1"),
+    ("duplicate-read", lambda: parse_workload("T1: R[x] W[y] R[x]"),
+     WorkloadError, "line 1: transaction 1 has two reads on 'x'"),
+    ("duplicate-write", lambda: parse_workload("# c\nT3: W[x] R[x] W[x]"),
+     WorkloadError, "line 2: transaction 3 has two writes on 'x'"),
+    ("misplaced-commit", lambda: parse_workload("T1: R[x] C1 W[y]"),
+     WorkloadError, "line 1: misplaced C1 inside transaction 1"),
+    ("commit-with-object", lambda: parse_workload("T1: R[x] C[x]"),
+     WorkloadError, "line 1: commit token 'C[x]' must not name an object"),
+    ("missing-object", lambda: parse_workload("T1: R"),
+     WorkloadError, "line 1: token 'R' is missing its [object]"),
+    ("no-id", lambda: parse_workload("R[x] W[y]"),
+     WorkloadError, "line 1: token 'R[x]' has no transaction id and no tid= was given"),
+    ("empty-body", lambda: parse_workload("T1:"),
+     WorkloadError, "line 1: empty transaction text"),
+    ("empty-text", lambda: parse_transaction("  "),
+     TransactionError, "empty transaction text"),
+    ("schedule-no-id", lambda: parse_schedule_operations("R1[x] W[y]"),
+     TransactionError, "cannot parse schedule token 'W[y]' (explicit ids required)"),
+    ("schedule-unknown-token", lambda: parse_schedule_operations("R1[x] X1[y]"),
+     TransactionError, "cannot parse schedule token 'X1[y]' (explicit ids required)"),
+    ("schedule-missing-object", lambda: parse_schedule_operations("W2"),
+     TransactionError, "token 'W2' is missing its [object]"),
+    ("foreign-operation", lambda: Transaction(1, [read(1, "x"), write(2, "y")]),
+     TransactionError, "operation W2[y] does not belong to transaction 1"),
+    ("foreign-commit", lambda: Transaction(1, [read(1, "x"), commit(2)]),
+     TransactionError, "commit of transaction 2 in transaction 1"),
+    ("op0-inside", lambda: Transaction(1, [OP0, read(1, "x")]),
+     TransactionError, "operation op0 does not belong to transaction 1"),
+    ("constructor-tid-zero", lambda: Transaction(0, [read(1, "x")]),
+     TransactionError, "transaction id must be positive, got 0"),
+    ("nonpositive-header", lambda: parse_workload("T1: R[x]\nT0: R[x]"),
+     WorkloadError, "line 2: transaction id must be positive, got 0"),
+    ("nonpositive-subscript", lambda: parse_workload("R0[x]"),
+     WorkloadError, "line 1: transaction id must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "raise_error, exc_type, message",
+    [row[1:] for row in ERROR_TABLE],
+    ids=[row[0] for row in ERROR_TABLE],
+)
+def test_parser_error_table(raise_error, exc_type, message):
+    with pytest.raises(Exception) as excinfo:
+        raise_error()
+    assert type(excinfo.value) is exc_type
+    assert str(excinfo.value) == message
 
 
 class TestSequenceOperations:
@@ -174,6 +273,15 @@ class TestSequenceOperations:
         t2 = parse_transaction("W2[y]")
         ops = sequence_operations([t1, t2])
         assert ops == (read(1, "x"), commit(1), write(2, "y"), commit(2))
+
+
+@given(sts.workloads())
+def test_transaction_text_roundtrip(wl):
+    """``parse_transaction(str(t)) == t``, with and without ``tid=``."""
+    for txn in wl:
+        assert parse_transaction(str(txn)) == txn
+        body = " ".join(str(op) for op in txn.body)
+        assert parse_transaction(body, tid=txn.tid) == txn
 
 
 @given(sts.workloads())

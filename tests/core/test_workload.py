@@ -1,7 +1,9 @@
 """Unit tests for repro.core.workload."""
 
 import pytest
+from hypothesis import given
 
+import strategies as sts
 from repro.core.operations import read, write
 from repro.core.transactions import Transaction, parse_transaction
 from repro.core.workload import Workload, WorkloadError, parse_workload, workload
@@ -108,3 +110,18 @@ class TestParsing:
     def test_str_format_reparses(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
         assert parse_workload(str(wl)) == wl
+
+    def test_parse_workload_zero_header(self):
+        with pytest.raises(WorkloadError) as excinfo:
+            parse_workload("T1: R[x]\nT0: R[x] W[y]")
+        assert str(excinfo.value) == "line 2: transaction id must be positive, got 0"
+
+    def test_parse_workload_zero_subscript(self):
+        with pytest.raises(WorkloadError) as excinfo:
+            parse_workload("R1[x]\n# comment\nR0[x] W0[y]")
+        assert str(excinfo.value) == "line 3: transaction id must be positive, got 0"
+
+
+@given(sts.workloads(max_transactions=6))
+def test_workload_text_roundtrip(wl):
+    assert parse_workload(str(wl)) == wl

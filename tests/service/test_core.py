@@ -121,6 +121,22 @@ class TestBasicCommands:
         response = core.handle({"op": "status"})
         assert response["error"]["code"] == "internal"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"transaction": "R[x] W[y]", "tid": 0},
+            {"transaction": "R[x] W[y]", "tid": -2},
+            {"transaction": "R0[x] W0[y]"},
+        ],
+        ids=["tid-zero", "tid-negative", "subscript-zero"],
+    )
+    def test_nonpositive_tid_is_a_bad_request(self, fields):
+        core = _core()
+        response = core.handle({"op": "add", **fields})
+        assert response["error"]["code"] == "bad-request"
+        assert "transaction id must be positive" in response["error"]["message"]
+        assert core.manager.workload.tids == ()
+
 
 class TestBatch:
     def test_sequential_results(self):
@@ -148,6 +164,23 @@ class TestBatch:
             }
         )
         assert response["succeeded"] == 1 and response["failed"] == 2
+
+    def test_nonpositive_tid_fails_only_its_entry(self):
+        core = _core()
+        response = core.handle(
+            {
+                "op": "batch",
+                "commands": [
+                    {"op": "add", "transaction": "R[x] W[y]", "tid": 1},
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 0},
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
+                ],
+            }
+        )
+        assert response["ok"]
+        assert response["succeeded"] == 2 and response["failed"] == 1
+        assert response["results"][1]["error"]["code"] == "bad-request"
+        assert sorted(core.manager.workload.tids) == [1, 2]
 
     def test_no_nested_batch(self):
         response = _core().handle(

@@ -1,8 +1,10 @@
 """The socket layer: TCP/unix line protocol, metrics HTTP, lifecycle."""
 
 import json
+import socket
 import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -94,6 +96,59 @@ class TestLineBound:
             response = json.loads(client._file.readline().decode("utf-8"))
             assert response["ok"] and response["id"] == 1
             assert client.call("status")["ok"]  # the connection stays open
+
+
+def _wait_for_errors(server, count, timeout=5.0):
+    """Wait until the daemon has counted ``count`` error responses."""
+    deadline = time.monotonic() + timeout
+    while server.core.registry.counters.get("service.errors", 0) < count:
+        assert time.monotonic() < deadline, "the daemon never answered the line"
+        time.sleep(0.01)
+
+
+class TestHostileLines:
+    """Undecodable, truncated and abandoned request lines (fault injection)."""
+
+    def test_non_utf8_line_is_a_counted_bad_request(self, server):
+        line = b'{"op": "add", "transaction": "R[x\xff] W[y]", "tid": 4}\n'
+        with ServiceClient(port=server.port) as client:
+            client._file.write(line)
+            client._file.flush()
+            error = json.loads(client._file.readline().decode("utf-8"))
+            assert error["ok"] is False
+            assert error["error"]["code"] == "bad-request"
+            assert "not UTF-8" in error["error"]["message"]
+            status = client.call("status")  # the connection stays open
+        assert status["transactions"] == 0
+        assert server.core.registry.counters["service.errors"] == 1
+
+    def test_truncated_final_line_gets_one_error_then_eof(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b'{"op": "add", "transaction": "R[x] W[y]"')
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as stream:
+                lines = stream.read().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "bad-request"
+        with ServiceClient(port=server.port) as client:
+            assert client.call("status")["transactions"] == 0
+
+    def test_disconnect_mid_batch_admits_nothing(self, server):
+        batch = json.dumps(
+            {
+                "op": "batch",
+                "commands": [
+                    {"op": "add", "transaction": "R[x] W[y]", "tid": 1},
+                    {"op": "add", "transaction": "R[y] W[x]", "tid": 2},
+                ],
+            }
+        ).encode("utf-8")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(batch[: len(batch) // 2])
+        _wait_for_errors(server, 1)
+        with ServiceClient(port=server.port) as client:
+            assert client.call("status")["transactions"] == 0
+            assert client.call("add", transaction="R[x]", tid=3)["admitted"]
 
 
 class TestUnixSocket:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -680,6 +681,25 @@ class TestBadFlagValues:
     def test_service_top_zero_interval(self, capsys):
         assert main(["service", "top", "--interval", "0"]) == 2
         assert "interval" in _error_line(capsys)
+
+
+class TestTraceDumpErrors:
+    """``trace dump`` errors about the daemon exit 2, not 1 ("not robust")."""
+
+    def test_unreachable_daemon(self, capsys):
+        with socket.socket() as sock:  # bound, then closed: nothing listens
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["trace", "dump", "--port", str(port)]) == 2
+        assert "cannot reach daemon" in _error_line(capsys)
+
+    def test_daemon_error_envelope(self, capsys):
+        from repro.service import ServiceConfig, ServiceServer
+
+        with ServiceServer(ServiceConfig(port=0)) as server:
+            argv = ["trace", "dump", "--port", str(server.port), "--last", "-1"]
+            assert main(argv) == 2
+        assert "trace dump failed" in _error_line(capsys)
 
 
 class TestParser:
