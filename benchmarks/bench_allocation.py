@@ -195,5 +195,5 @@ def test_phase_timing_report(benchmark, capsys):
             PHASE_HEADERS,
             phase_rows(tracer.registry),
         )
-    assert "allocation.optimal" in tracer.registry.timers
-    assert "robustness.scan_t1" in tracer.registry.timers
+    assert "allocation.optimal" in tracer.registry.histograms
+    assert "robustness.scan_t1" in tracer.registry.histograms

@@ -75,9 +75,8 @@ def test_kernel_speedup_report(benchmark, capsys):
     property suite) at a measured speedup on the two workloads where the
     triple scan dominates — a |T|=80 check against its robust optimum
     (no early exit: every (T_1, T_2, T_m) triple is visited) and a full
-    |T|=40 Algorithm 2 run.  Timings land in ``extra_info`` for the
-    ``--bench-json`` export; they are reported, not asserted (CI boxes
-    vary), per the suite's conventions.
+    |T|=40 Algorithm 2 run.  Timings land in ``extra_info``; they are
+    reported, not asserted (CI boxes vary), per the suite's conventions.
     """
 
     def compute():
@@ -174,10 +173,7 @@ def test_shard_scaling_report(benchmark, capsys):
     index and full-width kernel rows while the sharded path pays
     ``O(c * s^2)`` across ``c`` components of size ``s``.  Cold contexts
     on both sides — planning (the union-find sweep) is part of the
-    sharded cost.  Timings land in ``extra_info`` for the
-    ``--bench-json`` export (series ``shard_scaling``, keyed on
-    ``transactions``; ``min_s`` is the *sharded* time, so the CI perf
-    gate guards the fast path).
+    sharded cost.  Timings land in ``extra_info``.
     """
     from repro.core.context import AnalysisContext
     from repro.core.robustness import check_robustness

@@ -4,10 +4,6 @@ Drives a transport-free :class:`repro.service.ServiceCore` (the daemon
 minus sockets, so the numbers measure allocation maintenance and the
 command layer, not TCP) through add/remove churn scripts and measures:
 
-* ``churn_throughput`` — mutations per second at growing steady-state
-  sizes through batched (coalesced) envelopes, the committed regression
-  series (rows keyed by ``transactions``, exported into
-  BENCH_robustness.json);
 * ``plan_maintenance`` — per-mutation dynamic shard-plan upkeep
   (:class:`repro.core.sharding.DynamicShardPlan` remove/add cycles),
   which must stay flat/sub-linear while ``|T|`` grows;
@@ -31,14 +27,11 @@ from repro.service import ServiceConfig, ServiceCore
 from repro.service.snapshot import read_snapshot, write_snapshot
 from repro.workloads.generator import clustered_workload
 
-#: Steady-state workload sizes of the churn series (transactions).
+#: Steady-state workload sizes of the churn report (transactions).
 SIZES = (8, 16, 32, 64)
 
-#: Mutations per benchmark round: remove+re-add pairs.
+#: Mutations per churn run: remove+re-add pairs.
 MUTATIONS = 40
-
-#: Mutation envelopes (remove + re-add pairs) coalesced per batch.
-BATCH_PAIRS = 4
 
 #: Workload sizes of the plan-maintenance series (transactions).
 PLAN_SIZES = (16, 32, 64, 128)
@@ -65,63 +58,25 @@ def _script(size: int):
     return base
 
 
-def _churn(
-    core: ServiceCore, base, mutations: int, batched: bool = True
-) -> int:
+def _churn(core: ServiceCore, base, mutations: int) -> int:
     """Run the churn phase; returns the checks spent.
 
-    Batched, each envelope groups :data:`BATCH_PAIRS` remove + re-add
-    pairs into one ``batch`` command — the sustained-churn client shape
-    the service's mutation coalescing is built for (one re-analysis per
-    touched component instead of one per mutation).  ``batched=False``
-    sends one envelope per mutation, which is what the checks-per-
-    mutation report measures (a batch recognizes remove + re-add of an
-    identical transaction as a no-op and spends zero).
+    Each of the ``mutations`` steps removes one transaction of ``base``
+    and re-adds it, one envelope per mutation: a ``batch`` recognizes
+    remove + re-add of an identical transaction as a no-op and spends
+    zero checks.
     """
     checks = 0
-    i = 0
-    while i < mutations:
-        commands = []
-        for _ in range(min(BATCH_PAIRS, mutations - i)):
-            victim = base[i % len(base)]
-            commands.append({"op": "remove", "tid": victim.tid})
-            commands.append(
-                {"op": "add", "transaction": str(victim), "tid": victim.tid}
-            )
-            i += 1
-        if batched:
-            commands = [{"op": "batch", "commands": commands}]
-        for command in commands:
+    for i in range(mutations):
+        victim = base[i % len(base)]
+        for command in (
+            {"op": "remove", "tid": victim.tid},
+            {"op": "add", "transaction": str(victim), "tid": victim.tid},
+        ):
             response = core.handle(command)
-            assert response["ok"] and response.get("failed", 0) == 0, response
-            assert response.get("admitted", True), response
+            assert response["ok"] and response.get("admitted", True), response
             checks += response["checks"]
     return checks
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_churn_throughput(benchmark, size):
-    """Sustain remove/re-add churn at a steady state of ``size``."""
-    base = _script(size)
-
-    def build_core():
-        core = ServiceCore(ServiceConfig())
-        for txn in base:
-            response = core.handle(
-                {"op": "add", "transaction": str(txn), "tid": txn.tid}
-            )
-            assert response["ok"] and response["admitted"]
-        return (core,), {}
-
-    def churn(core):
-        return _churn(core, base, MUTATIONS)
-
-    checks = benchmark.pedantic(churn, setup=build_core, rounds=3, iterations=1)
-    benchmark.extra_info["transactions"] = size
-    benchmark.extra_info["mutations"] = 2 * MUTATIONS
-    benchmark.extra_info["checks_per_mutation"] = round(
-        checks / (2 * MUTATIONS), 2
-    )
 
 
 @pytest.mark.parametrize("size", PLAN_SIZES)
@@ -223,7 +178,7 @@ def test_churn_report(benchmark, capsys):
                 core.handle(
                     {"op": "add", "transaction": str(txn), "tid": txn.tid}
                 )
-            checks = _churn(core, base, MUTATIONS, batched=False)
+            checks = _churn(core, base, MUTATIONS)
             shards = core.handle({"op": "status"})["shards"]
             rows.append(
                 (

@@ -14,9 +14,7 @@ optimal, all-SSI, all-SI — across a contention sweep
   event-driven rewrite; the old tick scheduler burned its time polling
   blocked sessions instead).
 
-Sweep rows land in ``extra_info["rows"]`` keyed by ``case`` and flow
-into the ``contention_sweep`` series of the ``--bench-json`` distiller,
-gated by ``repro bench compare``.
+Sweep rows land in ``extra_info["rows"]`` keyed by ``case``.
 """
 
 from __future__ import annotations

@@ -6,166 +6,13 @@ Run with::
 
 ``-s`` shows the experiment tables (paper-shape summaries) each bench
 prints alongside the pytest-benchmark timing table.  Every module maps to
-an experiment id in DESIGN.md / EXPERIMENTS.md.
-
-Pass ``--bench-json PATH`` to additionally distil the session's
-pytest-benchmark results into a small machine-readable summary
-(BENCH_robustness.json and BENCH_allocation.json are the committed
-baselines): the Algorithm 1 |T|-scaling series, the engine ablation
-(bitset / components / paper), the Algorithm 2 |T|-scaling and
-refinement-mode series, the KERNEL speedup rows, the SERVE churn
-throughput series, the SIM contention-sweep rows, and the machine the
-numbers came from.  ``repro bench compare BASELINE CURRENT`` diffs two
-such files with noise-aware thresholds (the CI perf gate).  Under
-``--benchmark-disable`` (the CI smoke) pytest-benchmark registers no
-results, so the series come out empty — the correctness assertions and
-the export path itself still run, which is what the smoke pins.
+an experiment id in DESIGN.md / EXPERIMENTS.md.  ``--benchmark-disable``
+(the CI smoke) runs every bench body once untimed: the assertions inside
+the benches are the check.  Timing claims come from the calibrated
+harness in ``bench/``, not from this suite.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import platform
-import sys
-
-import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help="write a distilled JSON summary of the benchmark session",
-    )
-
-
-def _stat_seconds(meta):
-    """``(mean_s, min_s, rounds)`` for one benchmark, or nulls if untimed."""
-    stats = getattr(meta, "stats", None)
-    try:
-        return stats.mean, stats.min, stats.rounds
-    except Exception:  # empty Stats under --benchmark-disable
-        return None, None, 0
-
-
-def _distil(benchmarks):
-    """The committed-baseline summary from a benchmark session's metadata."""
-    scaling = []
-    ablation = []
-    kernel = []
-    shard_scaling = []
-    alloc_scaling = []
-    refinement = []
-    churn = []
-    plan_maintenance = []
-    contention_sweep = []
-    for meta in benchmarks:
-        mean_s, min_s, rounds = _stat_seconds(meta)
-        extra = dict(getattr(meta, "extra_info", {}) or {})
-        name = meta.name
-        if name.startswith("test_algorithm1_scaling_mixed"):
-            scaling.append(
-                {
-                    "transactions": extra.get("transactions"),
-                    "robust": extra.get("robust"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-        elif name.startswith("test_algorithm1_method_ablation"):
-            ablation.append(
-                {
-                    "method": extra.get("method"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-        elif name.startswith("test_kernel_speedup_report"):
-            kernel.extend(extra.get("rows", []))
-        elif name.startswith("test_shard_scaling"):
-            shard_scaling.extend(extra.get("rows", []))
-        elif name.startswith("test_algorithm2_scaling"):
-            alloc_scaling.append(
-                {
-                    "transactions": extra.get("transactions"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-        elif name.startswith("test_refinement_mode"):
-            refinement.append(
-                {
-                    "mode": extra.get("mode"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-        elif name.startswith("test_contention_sweep"):
-            contention_sweep.extend(extra.get("rows", []))
-        elif name.startswith("test_churn_throughput"):
-            churn.append(
-                {
-                    "transactions": extra.get("transactions"),
-                    "mutations": extra.get("mutations"),
-                    "checks_per_mutation": extra.get("checks_per_mutation"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-        elif name.startswith("test_plan_maintenance"):
-            plan_maintenance.append(
-                {
-                    "transactions": extra.get("transactions"),
-                    "mutations": extra.get("mutations"),
-                    "mean_s": mean_s,
-                    "min_s": min_s,
-                    "rounds": rounds,
-                }
-            )
-    scaling.sort(key=lambda r: r["transactions"] or 0)
-    churn.sort(key=lambda r: r["transactions"] or 0)
-    plan_maintenance.sort(key=lambda r: r["transactions"] or 0)
-    shard_scaling.sort(key=lambda r: r["transactions"] or 0)
-    alloc_scaling.sort(key=lambda r: r["transactions"] or 0)
-    refinement.sort(key=lambda r: r["mode"] or "")
-    return {
-        "schema": 1,
-        "source": "benchmarks/ via --bench-json",
-        "machine": {
-            "platform": platform.platform(),
-            "python": sys.version.split()[0],
-            "cpus": os.cpu_count(),
-        },
-        "algorithm1_scaling": scaling,
-        "method_ablation": ablation,
-        "kernel_speedup": kernel,
-        "shard_scaling": shard_scaling,
-        "algorithm2_scaling": alloc_scaling,
-        "refinement_mode": refinement,
-        "churn_throughput": churn,
-        "plan_maintenance": plan_maintenance,
-        "contention_sweep": contention_sweep,
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--bench-json")
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = getattr(bench_session, "benchmarks", None) or []
-    summary = _distil(benchmarks)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def print_table(title, headers, rows):
@@ -188,15 +35,15 @@ def phase_rows(registry):
     to see where the time went (columns: phase, count, total, mean, max).
     """
     rows = []
-    for name in sorted(registry.timers):
-        stat = registry.timers[name]
+    for name in sorted(registry.histograms):
+        stat = registry.histograms[name]
         rows.append(
             (
                 name,
                 stat.count,
-                f"{stat.total_s * 1e3:.2f}ms",
-                f"{stat.mean_s * 1e3:.3f}ms",
-                f"{stat.max_s * 1e3:.3f}ms",
+                f"{stat.total * 1e3:.2f}ms",
+                f"{stat.mean * 1e3:.3f}ms",
+                f"{stat.max * 1e3:.3f}ms",
             )
         )
     return rows

@@ -171,7 +171,7 @@ def main() -> int:
 
     with ServiceClient(port=port) as client:
         hello = client.call("hello")
-        assert hello["protocol"] == 2, hello
+        assert hello["protocol"] == 3, hello
 
         # -- stage 2: 200-mutation churn (batched envelopes) ----------
         mutations = 0

@@ -147,18 +147,18 @@ def phase_timing_report(registry: "MetricsRegistry") -> str:
     when tracing is on.
     """
     lines = ["Phase timings:"]
-    timers = registry.timers
-    if not timers:
+    histograms = registry.histograms
+    if not histograms:
         lines.append("  (no spans recorded)")
     else:
-        width = max(len(name) for name in timers)
-        for name in sorted(timers):
-            stat = timers[name]
+        width = max(len(name) for name in histograms)
+        for name in sorted(histograms):
+            stat = histograms[name]
             lines.append(
                 f"  {name:<{width}}  count={stat.count:<6}"
-                f" total={stat.total_s * 1e3:10.3f}ms"
-                f" mean={stat.mean_s * 1e3:9.3f}ms"
-                f" max={stat.max_s * 1e3:9.3f}ms"
+                f" total={stat.total * 1e3:10.3f}ms"
+                f" mean={stat.mean * 1e3:9.3f}ms"
+                f" max={stat.max * 1e3:9.3f}ms"
             )
     counters = registry.counters
     if counters:

@@ -24,9 +24,6 @@ Subcommands:
 * ``trace report|diff|flame`` — analyse exported ``--trace`` files:
   profile tree with inclusive/self times and critical path, noise-aware
   regression diff of two traces, folded stacks for flamegraph tooling.
-* ``bench compare BASELINE CURRENT`` — compare two ``--bench-json``
-  baselines (``BENCH_robustness.json`` / ``BENCH_allocation.json``)
-  with noise-aware thresholds; exit 1 on regression (the CI gate).
 * ``serve`` — the long-lived allocation daemon: a line-delimited JSON
   command protocol over TCP (and optionally a unix socket) around an
   incremental :class:`~repro.core.incremental.AllocationManager`, with
@@ -38,8 +35,10 @@ The input-parsing helpers shared with the daemon live in
 :class:`~repro.service.handlers.CommandError` that reaches :func:`main`
 — an unreadable, non-UTF-8 or malformed workload or template file, an
 unreadable or invalid trace file, a bad level, level class or
-allocation spec, bad sweep points or a non-positive ``service top``
-interval — prints ``repro: error: <message>`` to stderr and exits 2,
+allocation spec, bad sweep points, a negative or NaN ``trace diff``
+threshold, a non-positive ``service top`` interval, or a daemon that
+``trace dump`` or ``service top`` cannot reach or that answers with an
+error — prints ``repro: error: <message>`` to stderr and exits 2,
 which no verdict uses: ``check`` exits 1 for "not robust" and
 ``allocate`` for "no robust allocation exists".
 
@@ -69,7 +68,13 @@ from .core.allocation import optimal_allocation
 from .core.robustness import check_robustness
 from .core.serialization import is_conflict_serializable
 from .core.sharding import ShardedContext
-from .observability import Tracer, current_tracer, use_tracer
+from .observability import (
+    DEFAULT_ABS_FLOOR_S,
+    DEFAULT_MAX_REGRESS,
+    Tracer,
+    current_tracer,
+    use_tracer,
+)
 from .service.handlers import (
     CommandError,
     load_workload_file as _load_workload,
@@ -382,37 +387,24 @@ def _cmd_trace_flame(args: argparse.Namespace) -> int:
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from .observability import diff_traces
 
-    report = diff_traces(
-        _handlers.load_trace_file(args.baseline),
-        _handlers.load_trace_file(args.current),
-        max_regress=args.max_regress / 100.0,
-        abs_floor_s=args.abs_floor_ms / 1e3,
-    )
+    base = _handlers.load_trace_file(args.baseline)
+    current = _handlers.load_trace_file(args.current)
+    try:
+        report = diff_traces(
+            base,
+            current,
+            max_regress=args.max_regress / 100.0,
+            abs_floor_s=args.abs_floor_ms / 1e3,
+        )
+    except ValueError:
+        raise CommandError(
+            "--max-regress and --abs-floor-ms must be numbers >= 0, got"
+            f" {args.max_regress} and {args.abs_floor_ms}"
+        ) from None
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(f"Trace diff: {args.baseline} -> {args.current}")
-        print(report.render())
-    return report.exit_code
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .observability import compare_bench_files
-
-    try:
-        report = compare_bench_files(
-            args.baseline,
-            args.current,
-            max_regress=args.max_regress / 100.0,
-            abs_floor_s=args.abs_floor_ms / 1e3,
-            series=args.series,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(f"Bench compare: {args.baseline} -> {args.current}")
         print(report.render())
     return report.exit_code
 
@@ -453,10 +445,11 @@ def _cmd_trace_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_top(args: argparse.Namespace) -> int:
+    from .service.client import ServiceError
     from .service.top import run_top
 
     try:
-        return run_top(
+        run_top(
             interval=args.interval,
             iterations=args.iterations,
             clear=not args.no_clear,
@@ -464,6 +457,11 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CommandError(str(exc)) from None
+    except ServiceError as exc:
+        raise CommandError(f"service top failed: {exc}") from None
+    except OSError as exc:
+        raise CommandError(f"cannot reach daemon: {exc}") from None
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -530,36 +528,6 @@ def _add_trace_flag(sub_parser: argparse.ArgumentParser) -> None:
             "with --trace: record tracemalloc peak/current deltas as"
             " mem_peak_kib/mem_current_kib attributes on top-level spans"
         ),
-    )
-
-
-def _add_diff_thresholds(sub_parser: argparse.ArgumentParser) -> None:
-    from .observability import DEFAULT_ABS_FLOOR_S, DEFAULT_MAX_REGRESS
-
-    sub_parser.add_argument(
-        "--max-regress",
-        type=float,
-        default=DEFAULT_MAX_REGRESS * 100.0,
-        metavar="PCT",
-        help=(
-            "relative slowdown threshold in percent"
-            f" (default {DEFAULT_MAX_REGRESS * 100:.0f})"
-        ),
-    )
-    sub_parser.add_argument(
-        "--abs-floor-ms",
-        type=float,
-        default=DEFAULT_ABS_FLOOR_S * 1e3,
-        metavar="MS",
-        help=(
-            "absolute floor in milliseconds: smaller deltas never count"
-            f" (default {DEFAULT_ABS_FLOOR_S * 1e3:.1f})"
-        ),
-    )
-    sub_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable verdict document instead of the table",
     )
 
 
@@ -683,7 +651,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_diff.add_argument("baseline", help="baseline trace JSON file")
     trace_diff.add_argument("current", help="current trace JSON file")
-    _add_diff_thresholds(trace_diff)
+    trace_diff.add_argument(
+        "--max-regress",
+        type=float,
+        default=DEFAULT_MAX_REGRESS * 100.0,
+        metavar="PCT",
+        help=(
+            "relative slowdown threshold in percent, >= 0"
+            f" (default {DEFAULT_MAX_REGRESS * 100:.0f})"
+        ),
+    )
+    trace_diff.add_argument(
+        "--abs-floor-ms",
+        type=float,
+        default=DEFAULT_ABS_FLOOR_S * 1e3,
+        metavar="MS",
+        help=(
+            "absolute floor in milliseconds, >= 0: smaller deltas never"
+            f" count (default {DEFAULT_ABS_FLOOR_S * 1e3:.1f})"
+        ),
+    )
+    trace_diff.add_argument(
+        "--json",
+        action="store_true",
+        help="print the machine-readable verdict document instead of the table",
+    )
     trace_diff.set_defaults(func=_cmd_trace_diff)
 
     trace_flame = trace_sub.add_parser(
@@ -726,32 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the raw dump-traces payload instead of span trees",
     )
     trace_dump.set_defaults(func=_cmd_trace_dump)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark baseline tooling (compare)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help=(
-            "compare two --bench-json baselines; exit 1 on regression"
-            " (the CI perf gate)"
-        ),
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("current", help="fresh --bench-json output")
-    bench_compare.add_argument(
-        "--series",
-        action="append",
-        metavar="NAME",
-        help=(
-            "compare only this series (repeatable); a requested series"
-            " missing from either baseline is an error, not a skip"
-        ),
-    )
-    _add_diff_thresholds(bench_compare)
-    bench_compare.set_defaults(func=_cmd_bench_compare)
 
     serve = sub.add_parser(
         "serve",

@@ -18,8 +18,7 @@ never pay SSI's dangerous-structure aborts.
 
 Results feed three consumers: the CLI table (``repro simulate sweep``),
 the machine-readable JSON the CI smoke job schema-checks, and the
-``contention_sweep`` series of the ``--bench-json`` distiller gated by
-``repro bench compare``.
+``sim-sweep`` workload of the repository benchmark (``bench/``).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ profiling hooks build on:
 * :class:`Tracer` / :class:`NullTracer` — span recording with nesting,
   a no-op stand-in installed by default (zero behavior change, near-zero
   cost when disabled);
-* :class:`MetricsRegistry` — per-phase timers plus named counters,
-  aggregated from the span stream;
+* :class:`MetricsRegistry` — per-phase duration histograms plus named
+  counters, aggregated from the span stream;
   :func:`prometheus_text` renders a registry for the daemon's
   ``/metrics`` endpoint;
 * :func:`use_tracer` / :func:`current_tracer` — the module-global
@@ -18,25 +18,20 @@ profiling hooks build on:
   — trace analysis: the span forest aggregated into a profile tree with
   inclusive/self times, flamegraph-ready folded stacks (``repro trace
   report`` / ``trace flame``);
-* :func:`diff_traces` / :func:`compare_bench` — noise-aware regression
-  verdicts between two traces or two ``--bench-json`` baselines
-  (``repro trace diff`` / ``repro bench compare``, the CI gate).
+* :func:`diff_traces` — a noise-aware regression verdict between two
+  traces of either format version (``repro trace diff``).
 
 See ``docs/observability.md`` for the span model and the trace format.
 """
 
 from .diff import (
-    BENCH_SERIES,
     DEFAULT_ABS_FLOOR_S,
     DEFAULT_MAX_REGRESS,
     DiffEntry,
     DiffReport,
-    compare_bench,
-    compare_bench_files,
-    diff_timers,
+    diff_totals,
     diff_trace_files,
     diff_traces,
-    load_bench_file,
 )
 from .eventlog import (
     EventLog,
@@ -46,7 +41,7 @@ from .eventlog import (
     validate_event,
     validate_eventlog_file,
 )
-from .metrics import MetricsRegistry, TimerStat, prometheus_text
+from .metrics import MetricsRegistry, prometheus_text
 from .telemetry import StreamingHistogram, WindowedSeries
 from .profile import (
     ProfileNode,
@@ -67,6 +62,7 @@ from .tracer import (
     TRACE_VERSION,
     Tracer,
     current_tracer,
+    phase_totals,
     set_tracer,
     use_tracer,
     validate_trace,
@@ -74,7 +70,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "BENCH_SERIES",
     "DEFAULT_ABS_FLOOR_S",
     "DEFAULT_MAX_REGRESS",
     "DiffEntry",
@@ -89,22 +84,19 @@ __all__ = [
     "SpanRecord",
     "StreamingHistogram",
     "TRACE_VERSION",
-    "TimerStat",
     "TraceRetainer",
     "Tracer",
     "WindowedSeries",
     "build_profile",
-    "compare_bench",
-    "compare_bench_files",
     "critical_path",
     "current_tracer",
-    "diff_timers",
+    "diff_totals",
     "diff_trace_files",
     "diff_traces",
     "folded_stacks",
     "inclusive_totals",
-    "load_bench_file",
     "new_request_id",
+    "phase_totals",
     "profile_trace_file",
     "prometheus_text",
     "render_critical_path",

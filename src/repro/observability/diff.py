@@ -1,53 +1,45 @@
-"""Noise-aware comparison of traces and benchmark baselines.
+"""Noise-aware comparison of two traces.
 
-Two comparison surfaces, one verdict model:
+:func:`diff_traces` compares two ``--trace`` exports on their per-phase
+total time (:func:`~repro.observability.phase_totals`: the histogram
+sums of a version-2 trace, the timer totals of a version-1 one): "did
+``robustness.scan_t1`` get slower between these two runs?".
 
-* :func:`diff_traces` — two ``--trace`` exports, compared on their
-  per-phase timer totals (``metrics.timers[name].total_s``): "did
-  ``robustness.scan_t1`` get slower between these two runs?";
-* :func:`compare_bench` — two ``--bench-json`` distillates
-  (``BENCH_robustness.json`` / ``BENCH_allocation.json`` and fresh
-  runs), compared series by series with rows matched on their key
-  column (``transactions``, ``method``, ``mode``).
-
-Wall-clock measurements are noisy, so a row only counts as a
+Wall-clock measurements are noisy, so a phase only counts as a
 **regression** when it clears *both* thresholds:
 
 * the **relative** threshold — ``current > base * (1 + max_regress)``
   (default 25%); and
 * the **absolute floor** — ``current - base > abs_floor_s`` (default
-  1 ms), so microsecond-scale rows can never fail the gate on jitter.
+  1 ms), so microsecond-scale phases can never fail on jitter.
 
-Improvements are classified symmetrically (reported, never fatal).
-Rows missing on either side, or without timings (a
-``--benchmark-disable`` smoke run distils ``null`` stats), are
-*skipped*, not failed — the CI gate must stay green when it has nothing
-comparable to say.  The report is machine-readable via
-:meth:`DiffReport.as_dict` (the CLI's ``--json``) and drives the exit
-code of ``repro trace diff`` / ``repro bench compare``.
+Both thresholds must be non-negative numbers: a negative one would flag
+an unchanged phase, and NaN would clear every comparison.  Improvements
+are classified symmetrically (reported, never fatal).  Phases recorded
+on one side only are *skipped*, not failed.  The report is
+machine-readable via :meth:`DiffReport.as_dict` (the CLI's ``--json``)
+and drives the exit code of ``repro trace diff``.
+
+Timing claims across commits come from the calibrated harness in
+``bench/``, not from a trace diff.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
-from .tracer import validate_trace_file
+from .tracer import phase_totals, validate_trace_file
 
 __all__ = [
-    "BENCH_SERIES",
     "DEFAULT_ABS_FLOOR_S",
     "DEFAULT_MAX_REGRESS",
     "DiffEntry",
     "DiffReport",
-    "compare_bench",
-    "compare_bench_files",
-    "diff_timers",
+    "diff_totals",
     "diff_trace_files",
     "diff_traces",
-    "load_bench_file",
 ]
 
 #: Default relative regression threshold (fraction: 0.25 == +25%).
@@ -56,29 +48,15 @@ DEFAULT_MAX_REGRESS = 0.25
 #: Default absolute floor in seconds: deltas below it are never flagged.
 DEFAULT_ABS_FLOOR_S = 0.001
 
-#: The ``--bench-json`` series compared by :func:`compare_bench`, as
-#: ``(series name, key column)``.  Rows are matched on the key column;
-#: ``min_s`` is preferred over ``mean_s`` (less scheduler noise).
-BENCH_SERIES: Tuple[Tuple[str, str], ...] = (
-    ("algorithm1_scaling", "transactions"),
-    ("method_ablation", "method"),
-    ("shard_scaling", "transactions"),
-    ("algorithm2_scaling", "transactions"),
-    ("refinement_mode", "mode"),
-    ("churn_throughput", "transactions"),
-    ("plan_maintenance", "transactions"),
-    ("contention_sweep", "case"),
-)
-
 _STATUS_ORDER = ("regression", "improvement", "ok", "skipped")
 
 
 @dataclass
 class DiffEntry:
-    """One compared row: a span name or a benchmark series row.
+    """One compared span name.
 
     ``status`` is one of ``"regression"``, ``"improvement"``, ``"ok"``
-    or ``"skipped"`` (missing on one side / no timing available).
+    or ``"skipped"`` (recorded on one side only).
     """
 
     key: str
@@ -123,12 +101,12 @@ class DiffReport:
 
     @property
     def compared(self) -> int:
-        """Rows with timings on both sides (everything but skipped)."""
+        """Names timed on both sides (everything but skipped)."""
         return sum(1 for e in self.entries if e.status != "skipped")
 
     @property
     def verdict(self) -> str:
-        """``"regression"`` iff any row regressed, else ``"ok"``."""
+        """``"regression"`` iff any name regressed, else ``"ok"``."""
         return "regression" if self.regressions else "ok"
 
     @property
@@ -207,55 +185,50 @@ def _entry(
     current_s: Optional[float],
     max_regress: float,
     abs_floor_s: float,
-    note: str = "",
 ) -> DiffEntry:
     if base_s is None or current_s is None:
         side = "baseline" if base_s is None else "current"
-        return DiffEntry(
-            key, base_s, current_s, "skipped", note or f"no timing in {side}"
-        )
+        return DiffEntry(key, base_s, current_s, "skipped", f"no timing in {side}")
     status = _classify(base_s, current_s, max_regress, abs_floor_s)
-    return DiffEntry(key, base_s, current_s, status, note)
+    return DiffEntry(key, base_s, current_s, status)
 
 
-# ---------------------------------------------------------------------------
-# Trace-vs-trace
-# ---------------------------------------------------------------------------
-
-
-def diff_timers(
-    base_timers: Dict[str, Dict[str, object]],
-    current_timers: Dict[str, Dict[str, object]],
+def diff_totals(
+    base_totals: Mapping[str, float],
+    current_totals: Mapping[str, float],
     max_regress: float = DEFAULT_MAX_REGRESS,
     abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
 ) -> DiffReport:
-    """Compare two ``metrics.timers`` tables on per-name total time."""
-    entries: List[DiffEntry] = []
-    for name in sorted(set(base_timers) | set(current_timers)):
-        base = base_timers.get(name)
-        current = current_timers.get(name)
-        entries.append(
-            _entry(
-                name,
-                None if base is None else float(base["total_s"]),
-                None if current is None else float(current["total_s"]),
-                max_regress,
-                abs_floor_s,
-            )
+    """Compare two ``name -> total seconds`` maps name by name.
+
+    Raises :class:`ValueError` when either threshold is negative or NaN.
+    """
+    for label, value in (("max_regress", max_regress), ("abs_floor_s", abs_floor_s)):
+        if not value >= 0:
+            raise ValueError(f"{label} must be a number >= 0, got {value!r}")
+    entries = [
+        _entry(
+            name,
+            base_totals.get(name),
+            current_totals.get(name),
+            max_regress,
+            abs_floor_s,
         )
+        for name in sorted(set(base_totals) | set(current_totals))
+    ]
     return DiffReport(entries, max_regress, abs_floor_s)
 
 
 def diff_traces(
-    base: Dict[str, object],
-    current: Dict[str, object],
+    base: Mapping[str, object],
+    current: Mapping[str, object],
     max_regress: float = DEFAULT_MAX_REGRESS,
     abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
 ) -> DiffReport:
-    """Compare two exported trace dicts on their per-phase timer totals."""
-    return diff_timers(
-        base["metrics"]["timers"],
-        current["metrics"]["timers"],
+    """Compare two validated trace dicts (either version) on phase totals."""
+    return diff_totals(
+        phase_totals(base),
+        phase_totals(current),
         max_regress=max_regress,
         abs_floor_s=abs_floor_s,
     )
@@ -273,128 +246,4 @@ def diff_trace_files(
         validate_trace_file(current_path),
         max_regress=max_regress,
         abs_floor_s=abs_floor_s,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bench-vs-bench (the --bench-json distillate)
-# ---------------------------------------------------------------------------
-
-
-def load_bench_file(path: Union[str, Path]) -> Dict[str, object]:
-    """Load a ``--bench-json`` distillate and check its envelope."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("schema") != 1:
-        raise ValueError(
-            f"{path}: not a --bench-json distillate"
-            f" (schema {data.get('schema') if isinstance(data, dict) else None!r})"
-        )
-    return data
-
-
-def _row_seconds(row: Dict[str, object], other: Dict[str, object]) -> str:
-    """The stat column to compare: ``min_s`` when both rows carry it.
-
-    ``min_s`` is the standard low-noise benchmark statistic (the best
-    observed run is the least contaminated by scheduler interference);
-    ``mean_s`` is the fallback for distillates that only recorded means.
-    """
-    if row.get("min_s") is not None and other.get("min_s") is not None:
-        return "min_s"
-    return "mean_s"
-
-
-def compare_bench(
-    base: Dict[str, object],
-    current: Dict[str, object],
-    max_regress: float = DEFAULT_MAX_REGRESS,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-    series: Optional[Sequence[str]] = None,
-) -> DiffReport:
-    """Compare two ``--bench-json`` distillates series by series.
-
-    Every series of :data:`BENCH_SERIES` present on either side is
-    walked; rows are matched on the series' key column.  Unmatched rows
-    and rows without timings (``--benchmark-disable`` smokes) are
-    skipped — only rows timed on both sides can regress.
-
-    ``series`` restricts the comparison to the named series (the CLI's
-    ``--series``).  An *explicitly requested* series must exist: a name
-    outside :data:`BENCH_SERIES`, or one absent/empty in either
-    distillate, raises :class:`ValueError` naming the series that are
-    available — the silent-skip leniency is only for the walk-everything
-    default, where "nothing comparable" must stay green.
-    """
-    selected: Tuple[Tuple[str, str], ...] = BENCH_SERIES
-    if series is not None:
-        known = {name for name, _ in BENCH_SERIES}
-        unknown = sorted(set(series) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown series {', '.join(map(repr, unknown))};"
-                f" known series: {', '.join(name for name, _ in BENCH_SERIES)}"
-            )
-        for side, doc in (("baseline", base), ("current", current)):
-            available = sorted(name for name in known if doc.get(name))
-            missing = sorted(name for name in series if not doc.get(name))
-            if missing:
-                raise ValueError(
-                    f"series {', '.join(map(repr, missing))} missing from the"
-                    f" {side} distillate; available there:"
-                    f" {', '.join(available) if available else '(none)'}"
-                )
-        wanted = set(series)
-        selected = tuple(
-            (name, key) for name, key in BENCH_SERIES if name in wanted
-        )
-    entries: List[DiffEntry] = []
-    for series_name, key_column in selected:
-        base_rows = {
-            row.get(key_column): row for row in base.get(series_name, []) or []
-        }
-        current_rows = {
-            row.get(key_column): row for row in current.get(series_name, []) or []
-        }
-        for key in sorted(
-            set(base_rows) | set(current_rows), key=lambda k: (str(type(k)), str(k))
-        ):
-            label = f"{series_name}[{key_column}={key}]"
-            base_row = base_rows.get(key)
-            current_row = current_rows.get(key)
-            if base_row is None or current_row is None:
-                side = "baseline" if base_row is None else "current"
-                entries.append(
-                    DiffEntry(label, None, None, "skipped", f"row missing in {side}")
-                )
-                continue
-            column = _row_seconds(base_row, current_row)
-            base_s = base_row.get(column)
-            current_s = current_row.get(column)
-            entries.append(
-                _entry(
-                    label,
-                    None if base_s is None else float(base_s),
-                    None if current_s is None else float(current_s),
-                    max_regress,
-                    abs_floor_s,
-                    note=column if base_s is not None and current_s is not None else "",
-                )
-            )
-    return DiffReport(entries, max_regress, abs_floor_s)
-
-
-def compare_bench_files(
-    base_path: Union[str, Path],
-    current_path: Union[str, Path],
-    max_regress: float = DEFAULT_MAX_REGRESS,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-    series: Optional[Sequence[str]] = None,
-) -> DiffReport:
-    """Load two ``--bench-json`` files and compare them."""
-    return compare_bench(
-        load_bench_file(base_path),
-        load_bench_file(current_path),
-        max_regress=max_regress,
-        abs_floor_s=abs_floor_s,
-        series=series,
     )

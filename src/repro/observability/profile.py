@@ -186,8 +186,8 @@ def inclusive_totals(root: ProfileNode) -> Dict[str, float]:
     """Summed inclusive time per *span name* across the whole tree.
 
     Every concrete span contributes its duration exactly once wherever
-    its node landed, so these totals equal the trace's
-    ``metrics.timers[name].total_s`` aggregates to float tolerance —
+    its node landed, so these totals equal the trace's per-name totals
+    (:func:`~repro.observability.phase_totals`) to float tolerance —
     the consistency contract ``repro trace report`` is tested against.
     """
     totals: Dict[str, float] = {}

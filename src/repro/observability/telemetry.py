@@ -7,9 +7,9 @@ record into:
   non-negative values (latencies).  Memory is bounded by the bucket
   index clamp, quantile estimates carry at most one bucket's relative
   error (the ``growth`` factor), and :meth:`StreamingHistogram.merge`
-  follows the same fold-in contract as
-  :class:`~repro.observability.TimerStat`: the merged result is
-  independent of partitioning and order (bucket counts are plain sums).
+  is independent of partitioning and order (bucket counts are plain
+  sums).  It is the registry's only latency aggregate: count, sum,
+  extrema and mean are exact, quantiles are estimates.
 * :class:`WindowedSeries` — a ring buffer of fixed-width time windows,
   each holding an event count and a value sum.  Recording is O(1); the
   ring keeps the most recent ``windows`` windows and serves rolling
@@ -106,9 +106,9 @@ class StreamingHistogram:
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold another histogram into this one.
 
-        Same contract as :meth:`TimerStat.merge`: the result equals a
-        histogram that recorded both value streams directly, in any
-        order — bucket counts and extrema are order-free sums/extrema.
+        The result equals a histogram that recorded both value streams
+        directly, in any order — bucket counts and extrema are
+        order-free sums/extrema.
         """
         if other.growth != self.growth:
             raise ValueError(

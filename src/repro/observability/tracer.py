@@ -40,12 +40,13 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from .metrics import MetricsRegistry
 
 #: Version stamp of the exported JSON trace format (see :func:`validate_trace`).
-TRACE_VERSION = 1
+#: Version 1 also held a ``metrics.timers`` table; it stays readable.
+TRACE_VERSION = 2
 
 #: The ``origin`` of every exported span and of the trace itself.
 _ORIGIN = "main"
@@ -247,7 +248,7 @@ class Tracer:
         record_metrics: bool = True,
     ):
         #: With ``record_metrics=False`` finished spans skip the
-        #: per-span timer/histogram update.  The service's per-request
+        #: per-span histogram update.  The service's per-request
         #: tracer uses this: its registry is never read (the core keeps
         #: its own, and ``absorb`` re-records durations when an outer
         #: ``--trace`` tracer takes the spans), so updating it per span
@@ -260,7 +261,7 @@ class Tracer:
         #: ``mem_current_kib`` attributes.
         self.trace_memory = bool(trace_memory)
         #: Spans nested deeper than ``max_depth`` are skipped (recorded
-        #: neither as spans nor as timers); ``0`` disables the cap.  The
+        #: neither as spans nor in histograms); ``0`` disables the cap.  The
         #: service's always-on per-request flight recorder uses a small
         #: cap so the deep analysis spans cost (almost) nothing.
         self.max_depth = max_depth
@@ -423,11 +424,32 @@ _SPAN_FIELDS = {
     "attrs": dict,
 }
 
-_TIMER_FIELDS = {"count": int, "total_s": (int, float), "min_s": (int, float), "max_s": (int, float)}
+_NUMBER = (int, float)
 
-#: Optional timer fields: written by current exports, tolerated as absent
-#: so traces from earlier releases of the same schema version still load.
-_TIMER_OPTIONAL_FIELDS = {"mean_s": (int, float)}
+#: Fields of each ``metrics.timers`` entry of a version-1 trace.
+_TIMER_FIELDS = {
+    "count": int,
+    "total_s": _NUMBER,
+    "min_s": _NUMBER,
+    "max_s": _NUMBER,
+    "mean_s": _NUMBER,
+}
+
+#: Timer fields tolerated as absent: version-1 traces from before
+#: ``mean_s`` was added still load.
+_TIMER_OPTIONAL_FIELDS = ("mean_s",)
+
+#: Fields of each ``metrics.histograms`` entry of a version-2 trace.
+_HISTOGRAM_FIELDS = {
+    "count": int,
+    "sum": _NUMBER,
+    "min": _NUMBER,
+    "max": _NUMBER,
+    "mean": _NUMBER,
+    "p50": _NUMBER,
+    "p90": _NUMBER,
+    "p99": _NUMBER,
+}
 
 #: Slack (seconds) for the parent-window containment check: child start
 #: and end are computed from the same monotonic clock as the parent's,
@@ -444,15 +466,21 @@ def validate_trace(data: object) -> None:
 
     The schema (version :data:`TRACE_VERSION`):
 
-    * top level: ``{"version": 1, "clock": str, "origin": str,
-      "spans": [...], "metrics": {"counters": {...}, "timers": {...}}}``;
+    * top level: ``{"version": 2, "clock": str, "origin": str,
+      "spans": [...], "metrics": {"counters": {...},
+      "histograms": {...}}}``;
     * each span: ``span_id`` (int, unique), ``parent_id`` (int id of
       another span, or null for roots), ``name`` (non-empty str),
       ``start_s``/``duration_s`` (numbers, both >= 0), ``origin``
       (str), ``attrs`` (object mapping str to scalars);
-    * metrics: ``counters`` maps str to int; ``timers`` maps str to
-      ``{"count", "total_s", "min_s", "max_s"}`` numbers (plus the
-      derived ``mean_s`` on current exports).
+    * metrics: ``counters`` maps str to int; ``histograms`` maps each
+      span name to its duration summary ``{"count", "sum", "min",
+      "max", "mean", "p50", "p90", "p99"}`` (numbers, in seconds).
+
+    Version-1 traces stay readable: there ``metrics.timers`` is required
+    instead, mapping str to ``{"count", "total_s", "min_s", "max_s"}``
+    numbers (plus ``mean_s`` on later version-1 exports), and
+    ``histograms`` is not checked.
 
     Beyond per-field types, three *structural* invariants of the tracer
     are enforced (they harden :meth:`Tracer.absorb` re-parenting too):
@@ -473,8 +501,9 @@ def validate_trace(data: object) -> None:
     """
     if not isinstance(data, dict):
         _fail("top level must be a JSON object")
-    if data.get("version") != TRACE_VERSION:
-        _fail(f"version must be {TRACE_VERSION}, got {data.get('version')!r}")
+    version = data.get("version")
+    if version not in (1, TRACE_VERSION) or isinstance(version, bool):
+        _fail(f"version must be 1 or {TRACE_VERSION}, got {version!r}")
     for key, kind in (("clock", str), ("origin", str), ("spans", list), ("metrics", dict)):
         if not isinstance(data.get(key), kind):
             _fail(f"{key!r} must be a {kind.__name__}")
@@ -539,19 +568,44 @@ def validate_trace(data: object) -> None:
     for name, value in metrics["counters"].items():
         if not isinstance(name, str) or not isinstance(value, int) or isinstance(value, bool):
             _fail(f"counter {name!r} must map a string to an integer")
-    if not isinstance(metrics.get("timers"), dict):
-        _fail("'metrics.timers' must be an object")
-    for name, timer in metrics["timers"].items():
-        if not isinstance(timer, dict):
-            _fail(f"timer {name!r} must be an object")
-        for tfield, kind in _TIMER_FIELDS.items():
-            if not isinstance(timer.get(tfield), kind) or isinstance(timer.get(tfield), bool):
-                _fail(f"timer {name!r} field {tfield!r} has wrong type")
-        for tfield, kind in _TIMER_OPTIONAL_FIELDS.items():
-            if tfield in timer and (
-                not isinstance(timer[tfield], kind) or isinstance(timer[tfield], bool)
-            ):
-                _fail(f"timer {name!r} field {tfield!r} has wrong type")
+    if version == 1:
+        _check_table(metrics, "timers", _TIMER_FIELDS, _TIMER_OPTIONAL_FIELDS)
+    else:
+        _check_table(metrics, "histograms", _HISTOGRAM_FIELDS)
+
+
+def _check_table(
+    metrics: Mapping[str, object],
+    table: str,
+    fields: Mapping[str, object],
+    optional: Sequence[str] = (),
+) -> None:
+    """Check that ``metrics[table]`` maps names to objects of numbers."""
+    entries = metrics.get(table)
+    if not isinstance(entries, dict):
+        _fail(f"'metrics.{table}' must be an object")
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            _fail(f"{table} entry {name!r} must be an object")
+        for field_name, kind in fields.items():
+            if field_name in optional and field_name not in entry:
+                continue
+            value = entry.get(field_name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                _fail(f"{table} entry {name!r} field {field_name!r} has wrong type")
+
+
+def phase_totals(trace: Mapping[str, object]) -> Dict[str, float]:
+    """Total seconds per span name of a validated trace of either version.
+
+    Version 2 keeps them as ``metrics.histograms[name].sum``, version 1
+    as ``metrics.timers[name].total_s``, so traces of both versions
+    compare with each other.
+    """
+    metrics = trace["metrics"]
+    if trace["version"] == 1:
+        return {name: float(t["total_s"]) for name, t in metrics["timers"].items()}
+    return {name: float(h["sum"]) for name, h in metrics["histograms"].items()}
 
 
 def validate_trace_file(path: Union[str, Path]) -> Dict[str, object]:

@@ -33,7 +33,7 @@ Four service-level behaviours live on top of the manager:
   every N mutations.
 * **Metrics** — every request is timed into a
   :class:`~repro.observability.MetricsRegistry` (``service.<op>``
-  timers), admission decisions and per-mutation analysis counters
+  histograms), admission decisions and per-mutation analysis counters
   (checks, index builds, ...) are folded into its counters, and the
   ``metrics`` envelope / HTTP ``/metrics`` endpoint export the lot
   through :meth:`ServiceCore.metrics_snapshot`.
@@ -279,8 +279,8 @@ class ServiceCore:
         response, on its spans, and on its events), runs under the core
         lock and the reusable flight-recorder tracer (depth-capped, so
         the deep analysis instrumentation stays cheap), and lands its
-        latency in the ``service.<op>`` / ``service.request`` timers
-        and their streaming histograms plus the windowed rate series.
+        latency in the ``service.<op>`` / ``service.request``
+        histograms plus the windowed rate series.
         The finished span tree goes to the :class:`TraceRetainer`
         (``dump-traces``); when the daemon itself traces, the request's
         spans are also copied into the installed tracer.  A ``batch`` is
@@ -344,7 +344,7 @@ class ServiceCore:
         response: Dict[str, Any],
         elapsed: float,
     ) -> None:
-        """Fold one finished request into timers, series and the event log."""
+        """Fold one finished request into histograms, series and the event log."""
         ok = bool(response.get("ok"))
         now = time.monotonic() - self._started
         self.registry.record(f"service.{op}", elapsed)
@@ -848,7 +848,7 @@ class ServiceCore:
 
         The daemon's HTTP thread scrapes while the command thread
         mutates the manager and the registry; reading either unlocked
-        can fail mid-iteration or tear a counter from its timer.
+        can fail mid-iteration or tear a counter from its histogram.
         """
         with self._lock:
             registry = MetricsRegistry()

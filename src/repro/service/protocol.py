@@ -39,8 +39,10 @@ __all__ = [
 
 #: Version of the command envelope.  Bump on incompatible changes;
 #: ``hello`` reports it so clients can refuse to talk to a stranger.
-#: Version 2: ``batch`` takes ``commands`` only.
-PROTOCOL_VERSION = 2
+#: Version 2: ``batch`` takes ``commands`` only.  Version 3: the
+#: ``metrics`` response drops ``timers``; ``histograms`` carries every
+#: latency summary.
+PROTOCOL_VERSION = 3
 
 #: The longest request line the daemon reads, newline included.  A
 #: longer line gets one ``too-large`` error and its connection closes:

@@ -3,9 +3,10 @@
 Polls a daemon over the command protocol (``status`` + ``metrics``
 envelopes, the same surface any client sees) and renders a refreshing
 fixed-width table: rolling rates from the windowed series, streaming
-latency quantiles, shard/transaction/queue gauges and the top per-phase
-timers.  Also home to the renderer ``repro trace dump`` uses to print
-retained request span trees pulled from the flight recorder.
+latency quantiles, shard/transaction/queue gauges and the busiest
+per-phase histograms.  Also home to the renderer ``repro trace dump``
+uses to print retained request span trees pulled from the flight
+recorder.
 
 Rendering is split from polling so tests (and the CI smoke script via
 ``--iterations``) can exercise the console without a TTY: every frame is
@@ -47,7 +48,6 @@ def render_top(
     """One console frame from a ``status`` + ``metrics`` response pair."""
     gauges: Dict[str, float] = dict(metrics.get("gauges") or {})
     histograms: Dict[str, Any] = dict(metrics.get("histograms") or {})
-    timers: Dict[str, Any] = dict(metrics.get("timers") or {})
     lines: List[str] = []
     uptime = float(status.get("uptime_s") or 0.0)
     title = (
@@ -98,10 +98,10 @@ def render_top(
     busiest = sorted(
         (
             (name, stat)
-            for name, stat in timers.items()
+            for name, stat in histograms.items()
             if name.startswith("service.") and name != "service.request"
         ),
-        key=lambda item: -float(item[1].get("total_s", 0.0)),
+        key=lambda item: -float(item[1].get("sum", 0.0)),
     )[:5]
     if busiest:
         lines.append("")
@@ -109,8 +109,8 @@ def render_top(
         for name, stat in busiest:
             lines.append(
                 f"  {name:<22} {int(stat.get('count', 0)):>8}"
-                f" {_fmt(float(stat.get('total_s', 0.0)) * 1e3, 1):>8}ms"
-                f" {_fmt(float(stat.get('mean_s', 0.0)) * 1e3, 3):>8}ms"
+                f" {_fmt(float(stat.get('sum', 0.0)) * 1e3, 1):>8}ms"
+                f" {_fmt(float(stat.get('mean', 0.0)) * 1e3, 3):>8}ms"
             )
     return "\n".join(lines)
 
@@ -123,12 +123,14 @@ def run_top(
     iterations: Optional[int] = None,
     clear: bool = True,
     timeout: float = 10.0,
-) -> int:
+) -> None:
     """Poll a daemon and print console frames until stopped.
 
     ``iterations=None`` runs until Ctrl-C (the interactive mode);
     a finite count (the smoke script passes 2) bounds the loop and
-    skips the final sleep.  Returns a process exit code.
+    skips the final sleep.  A daemon that cannot be reached raises
+    :class:`OSError`; one that answers with an error envelope raises
+    :class:`~repro.service.client.ServiceError`.
     """
     if interval <= 0:
         raise ValueError("interval must be > 0")
@@ -149,10 +151,6 @@ def run_top(
                 time.sleep(interval)
     except KeyboardInterrupt:
         print("repro service top: interrupted")
-    except (ConnectionError, OSError) as exc:
-        print(f"repro service top: cannot reach daemon: {exc}")
-        return 1
-    return 0
 
 
 def render_trace(trace: Mapping[str, Any]) -> str:

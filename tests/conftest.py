@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.isolation import Allocation
@@ -36,3 +38,14 @@ def rc_allocation():
 def si_allocation():
     """Factory for the A_SI allocation of a workload."""
     return Allocation.si
+
+
+@pytest.fixture
+def v1_trace_path() -> str:
+    """A version-1 trace: ``metrics.timers`` beside ``metrics.histograms``.
+
+    Written by ``repro check --trace --uniform SI`` on
+    ``T1: R[x] W[y]`` / ``T2: R[y] W[x]`` / ``T3: R[p] W[p]`` before the
+    trace format dropped the timers; it must stay readable.
+    """
+    return str(Path(__file__).parent / "observability" / "trace_v1.json")

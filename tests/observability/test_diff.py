@@ -1,44 +1,38 @@
-"""Unit tests for the noise-aware trace/bench diff engine."""
+"""Unit tests for the noise-aware trace diff engine."""
 
 import json
+import math
 
 import pytest
 
-from repro.observability import (
-    DiffEntry,
-    Tracer,
-    compare_bench,
-    compare_bench_files,
-    diff_timers,
-    diff_traces,
-    load_bench_file,
-)
+from repro.observability import DiffEntry, Tracer, diff_totals, diff_traces
 
 
-def _timers(**totals):
-    return {
-        name: {"count": 1, "total_s": total, "min_s": total, "max_s": total}
-        for name, total in totals.items()
-    }
+def _export(seconds_by_name):
+    """A version-2 trace whose registry recorded one span per name."""
+    tracer = Tracer()
+    for name, seconds in seconds_by_name.items():
+        tracer.registry.record(name, seconds)
+    return tracer.export()
 
 
 class TestClassification:
     def test_within_threshold_is_ok(self):
-        report = diff_timers(_timers(scan=1.0), _timers(scan=1.2))
+        report = diff_totals({"scan": 1.0}, {"scan": 1.2})
         assert report.entries[0].status == "ok"
         assert report.verdict == "ok"
         assert report.exit_code == 0
 
     def test_relative_and_absolute_both_needed(self):
         # +100% but only 0.2ms absolute: under the 1ms floor, stays ok.
-        report = diff_timers(_timers(scan=0.0002), _timers(scan=0.0004))
+        report = diff_totals({"scan": 0.0002}, {"scan": 0.0004})
         assert report.entries[0].status == "ok"
         # +2ms absolute but only +10% relative: under the 25%, stays ok.
-        report = diff_timers(_timers(scan=0.020), _timers(scan=0.022))
+        report = diff_totals({"scan": 0.020}, {"scan": 0.022})
         assert report.entries[0].status == "ok"
 
     def test_regression_over_both_thresholds(self):
-        report = diff_timers(_timers(scan=0.010), _timers(scan=0.020))
+        report = diff_totals({"scan": 0.010}, {"scan": 0.020})
         entry = report.entries[0]
         assert entry.status == "regression"
         assert entry.ratio == pytest.approx(2.0)
@@ -46,25 +40,48 @@ class TestClassification:
         assert report.exit_code == 1
 
     def test_improvement_is_symmetric_and_not_fatal(self):
-        report = diff_timers(_timers(scan=0.020), _timers(scan=0.010))
+        report = diff_totals({"scan": 0.020}, {"scan": 0.010})
         assert report.entries[0].status == "improvement"
         assert report.exit_code == 0
 
     def test_one_sided_names_are_skipped(self):
-        report = diff_timers(_timers(old=1.0), _timers(new=1.0))
+        report = diff_totals({"old": 1.0}, {"new": 1.0})
         statuses = {e.key: e.status for e in report.entries}
         assert statuses == {"old": "skipped", "new": "skipped"}
         assert report.compared == 0
         assert report.exit_code == 0
 
     def test_custom_thresholds(self):
-        report = diff_timers(
-            _timers(scan=0.010),
-            _timers(scan=0.0125),
+        report = diff_totals(
+            {"scan": 0.010},
+            {"scan": 0.0125},
             max_regress=0.10,
             abs_floor_s=0.001,
         )
         assert report.entries[0].status == "regression"
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            {"max_regress": -0.5, "abs_floor_s": -0.01},
+            {"max_regress": -0.5},
+            {"abs_floor_s": -0.01},
+            {"max_regress": math.nan, "abs_floor_s": 0.0},
+            {"abs_floor_s": math.nan},
+        ],
+        ids=[
+            "both-negative",
+            "negative-relative",
+            "negative-floor",
+            "nan-relative",
+            "nan-floor",
+        ],
+    )
+    def test_thresholds_that_invert_the_verdict_are_rejected(self, thresholds):
+        # A negative threshold flags an unchanged phase; NaN clears a 10x one.
+        data = _export({"scan": 0.010})
+        with pytest.raises(ValueError):
+            diff_traces(data, data, **thresholds)
 
     def test_entry_ratio_none_without_base(self):
         assert DiffEntry("x", None, 1.0, "skipped").ratio is None
@@ -73,7 +90,7 @@ class TestClassification:
 
 class TestReportSurface:
     def test_as_dict_shape(self):
-        report = diff_timers(_timers(scan=0.010), _timers(scan=0.020))
+        report = diff_totals({"scan": 0.010}, {"scan": 0.020})
         data = json.loads(json.dumps(report.as_dict()))
         assert data["verdict"] == "regression"
         assert data["compared"] == 1
@@ -81,125 +98,20 @@ class TestReportSurface:
         assert data["entries"][0]["ratio"] == pytest.approx(2.0)
 
     def test_render_mentions_verdict_and_thresholds(self):
-        report = diff_timers(_timers(scan=1.0), _timers(scan=1.0))
+        report = diff_totals({"scan": 1.0}, {"scan": 1.0})
         text = report.render()
         assert "Verdict: OK" in text
         assert "+25% relative" in text
 
 
 class TestDiffTraces:
-    def _export(self, seconds_by_name):
-        tracer = Tracer()
-        for name, seconds in seconds_by_name.items():
-            tracer.registry.record(name, seconds)
-        return tracer.export()
-
     def test_same_trace_is_ok(self):
-        data = self._export({"scan": 0.5})
+        data = _export({"scan": 0.5})
         assert diff_traces(data, data).verdict == "ok"
 
     def test_slower_phase_flagged(self):
-        base = self._export({"scan": 0.010, "merge": 0.005})
-        cur = self._export({"scan": 0.030, "merge": 0.005})
+        base = _export({"scan": 0.010, "merge": 0.005})
+        cur = _export({"scan": 0.030, "merge": 0.005})
         report = diff_traces(base, cur)
         statuses = {e.key: e.status for e in report.entries}
         assert statuses == {"scan": "regression", "merge": "ok"}
-
-
-def _bench(scaling_min=None, ablation_min=None, **extra):
-    data = {
-        "schema": 1,
-        "source": "test",
-        "machine": {},
-        "algorithm1_scaling": [
-            {"transactions": 10, "mean_s": m * 1.2, "min_s": m, "rounds": 5}
-            for m in ([scaling_min] if scaling_min is not None else [])
-        ],
-        "method_ablation": [
-            {"method": "bitset", "mean_s": m * 1.2, "min_s": m, "rounds": 5}
-            for m in ([ablation_min] if ablation_min is not None else [])
-        ],
-        "kernel_speedup": [],
-        "algorithm2_scaling": [],
-        "refinement_mode": [],
-    }
-    data.update(extra)
-    return data
-
-
-class TestCompareBench:
-    def test_identical_is_ok(self):
-        base = _bench(scaling_min=0.010, ablation_min=0.020)
-        report = compare_bench(base, base)
-        assert report.verdict == "ok"
-        assert report.compared == 2
-
-    def test_doctored_baseline_regresses(self):
-        base = _bench(scaling_min=0.002, ablation_min=0.004)
-        current = _bench(scaling_min=0.020, ablation_min=0.004)
-        report = compare_bench(base, current)
-        statuses = {e.key: e.status for e in report.entries}
-        assert statuses["algorithm1_scaling[transactions=10]"] == "regression"
-        assert statuses["method_ablation[method=bitset]"] == "ok"
-        assert report.exit_code == 1
-
-    def test_min_preferred_over_mean(self):
-        base = _bench(scaling_min=0.010)
-        report = compare_bench(base, base)
-        assert report.entries[0].note == "min_s"
-
-    def test_null_timings_are_skipped(self):
-        # --benchmark-disable smoke runs distil null stats.
-        base = _bench(scaling_min=0.010)
-        smoke = _bench(scaling_min=0.010)
-        for row in smoke["algorithm1_scaling"]:
-            row["mean_s"] = row["min_s"] = None
-        report = compare_bench(base, smoke)
-        assert report.entries[0].status == "skipped"
-        assert report.exit_code == 0
-
-    def test_missing_rows_are_skipped(self):
-        base = _bench(scaling_min=0.010)
-        current = _bench()
-        report = compare_bench(base, current)
-        assert report.entries[0].status == "skipped"
-        assert "missing" in report.entries[0].note
-
-    def test_algorithm2_series_compared(self):
-        base = _bench()
-        base["algorithm2_scaling"] = [
-            {"transactions": 10, "mean_s": 0.012, "min_s": 0.010, "rounds": 5}
-        ]
-        base["refinement_mode"] = [
-            {"mode": "context", "mean_s": 0.006, "min_s": 0.005, "rounds": 5}
-        ]
-        current = json.loads(json.dumps(base))
-        current["algorithm2_scaling"][0]["min_s"] = 0.030
-        current["algorithm2_scaling"][0]["mean_s"] = 0.033
-        report = compare_bench(base, current)
-        statuses = {e.key: e.status for e in report.entries}
-        assert statuses["algorithm2_scaling[transactions=10]"] == "regression"
-        assert statuses["refinement_mode[mode=context]"] == "ok"
-
-
-class TestBenchFiles:
-    def test_round_trip_through_files(self, tmp_path):
-        base = _bench(scaling_min=0.010)
-        path_a = tmp_path / "a.json"
-        path_b = tmp_path / "b.json"
-        path_a.write_text(json.dumps(base), encoding="utf-8")
-        path_b.write_text(json.dumps(base), encoding="utf-8")
-        assert compare_bench_files(path_a, path_b).verdict == "ok"
-
-    def test_bad_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": 99}), encoding="utf-8")
-        with pytest.raises(ValueError, match="not a --bench-json"):
-            load_bench_file(path)
-
-    def test_committed_baseline_loads(self):
-        # The repo's own committed baselines must stay loadable.
-        data = load_bench_file("BENCH_robustness.json")
-        assert data["algorithm1_scaling"]
-        data = load_bench_file("BENCH_allocation.json")
-        assert data["algorithm2_scaling"]

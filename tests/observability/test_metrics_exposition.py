@@ -6,14 +6,19 @@ names, label values and HELP text and re-parses the output with a
 strict line grammar: legal name charset, one TYPE per family emitted
 before its samples, parseable sample values, properly escaped label
 values and HELP text, and summary families carrying the quantile lines
-plus the ``_count``/``_sum`` pair.
+plus the ``_count``/``_sum`` pair.  A golden text pins the exposition
+byte for byte, and a live daemon's ``/metrics`` is scraped over HTTP
+while a client churns over the command socket.
 """
 
 import re
+import threading
+import urllib.request
 
 import pytest
 
 from repro.observability import MetricsRegistry, prometheus_text
+from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.daemon import METRIC_HELP
 
 _NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
@@ -80,7 +85,7 @@ class TestExpositionContract:
         registry.incr("9starts.with.digit", 1)
         registry.record("service.add", 0.002)
         registry.record("service.add", 0.004)
-        registry.observe("batch size", 17.0)
+        registry.record("batch size", 17.0)
         gauges = {"queue depth": 3.0, "rate_requests_per_s": 1.5}
         helps = {
             "service.add": 'latency with "quotes", a \\ and\na newline',
@@ -98,7 +103,7 @@ class TestExpositionContract:
         )
         assert "_9starts_with_digit_total" in bare_families
         assert families["repro_service_add_seconds"] == "summary"
-        assert families["repro_batch_size"] == "summary"
+        assert families["repro_batch_size_seconds"] == "summary"
         assert families["repro_queue_depth"] == "gauge"
         # Escaped HELP text survives as a single comment line.
         help_lines = [l for l in text.splitlines() if l.startswith("# HELP")]
@@ -144,11 +149,11 @@ class TestExpositionContract:
 
     def test_zero_only_histogram_still_exports_count_and_sum(self):
         registry = MetricsRegistry()
-        registry.observe("only.zeroes", 0.0)
+        registry.record("only.zeroes", 0.0)
         _, samples = parse_exposition(prometheus_text(registry))
         by_name = {name: value for name, _, value in samples}
-        assert by_name["repro_only_zeroes_count"] == 1
-        assert by_name["repro_only_zeroes_sum"] == 0.0
+        assert by_name["repro_only_zeroes_seconds_count"] == 1
+        assert by_name["repro_only_zeroes_seconds_sum"] == 0.0
 
     def test_daemon_help_table_is_exportable(self):
         registry = MetricsRegistry()
@@ -173,3 +178,102 @@ class TestExpositionContract:
             "# TYPE repro_service_requests_total counter\n"
             "repro_service_requests_total 2\n"
         )
+
+    def test_golden_text(self):
+        """Two duration families, a counter and a gauge, byte for byte.
+
+        The expected text was rendered by the registry that kept a
+        timer beside each histogram; one histogram per name must export
+        exactly the same families, samples and float sums.
+        """
+        registry = MetricsRegistry()
+        for seconds in (0.0012, 0.0031, 0.0007, 0.0254):
+            registry.record("service.request", seconds)
+        for seconds in (0.0004, 0.0019):
+            registry.record("service.add", seconds)
+        registry.incr("service.requests", 6)
+        text = prometheus_text(registry, {"queue_depth": 2.0}, helps=METRIC_HELP)
+        assert text == (
+            "# HELP repro_queue_depth Transactions parked by queue-mode"
+            " admission control\n"
+            "# TYPE repro_queue_depth gauge\n"
+            "repro_queue_depth 2.0\n"
+            "# HELP repro_service_requests_total Requests executed since startup\n"
+            "# TYPE repro_service_requests_total counter\n"
+            "repro_service_requests_total 6\n"
+            "# TYPE repro_service_add_seconds summary\n"
+            'repro_service_add_seconds{quantile="0.5"} 0.0004034593802066056\n'
+            'repro_service_add_seconds{quantile="0.9"} 0.002039273448455959\n'
+            'repro_service_add_seconds{quantile="0.99"} 0.002039273448455959\n'
+            "repro_service_add_seconds_count 2\n"
+            "repro_service_add_seconds_sum 0.0023\n"
+            "# HELP repro_service_request_seconds Per-request latency across"
+            " all commands\n"
+            "# TYPE repro_service_request_seconds summary\n"
+            'repro_service_request_seconds{quantile="0.5"} 0.0012662283676946793\n'
+            'repro_service_request_seconds{quantile="0.9"} 0.02673486306413771\n'
+            'repro_service_request_seconds{quantile="0.99"} 0.02673486306413771\n'
+            "repro_service_request_seconds_count 4\n"
+            "repro_service_request_seconds_sum 0.0304\n"
+        )
+
+
+class TestLiveScrape:
+    def test_http_scrapes_during_socket_churn(self):
+        """Two HTTP scrapers of ``/metrics`` while a client churns over
+        the command socket.  Every scrape parses strictly; the request
+        counter and the request histogram's count never fall for one
+        scraper and agree within each scrape (the core updates both
+        under its lock, and the scrape reads them under it); the final
+        scrape counts every request sent."""
+        counter = "repro_service_requests_total"
+        count = "repro_service_request_seconds_count"
+        with ServiceServer(ServiceConfig(port=0, metrics_port=0)) as srv:
+            url = f"http://127.0.0.1:{srv.metrics_port}/metrics"
+
+            def scrape():
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    _, samples = parse_exposition(response.read().decode("utf-8"))
+                by_name = {name: value for name, _, value in samples}
+                return by_name.get(counter, 0), by_name.get(count, 0)
+
+            seen = {0: [], 1: []}
+            failures = []
+            stop = threading.Event()
+
+            def scraper(key):
+                while not stop.is_set():
+                    try:
+                        seen[key].append(scrape())
+                    except Exception as exc:  # any failure fails the test
+                        failures.append(exc)
+                        return
+
+            threads = [threading.Thread(target=scraper, args=(k,)) for k in seen]
+            sent = 0
+            try:
+                for thread in threads:
+                    thread.start()
+                with ServiceClient(port=srv.port) as client:
+                    for tid in range(1, 151):
+                        client.call(
+                            "add",
+                            transaction=f"R[o{tid % 5}] W[p{tid % 3}]",
+                            tid=tid,
+                        )
+                        sent += 1
+                        if tid > 6:
+                            client.call("remove", tid=tid - 6)
+                            sent += 1
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            final = scrape()
+        assert not failures, failures
+        for pairs in seen.values():
+            assert len(pairs) >= 2
+            assert all(requests == timed for requests, timed in pairs)
+            assert pairs == sorted(pairs)
+        assert final == (sent, sent)

@@ -5,7 +5,7 @@ self-time clamping, folded stacks) on hand-built span lists, including
 the worker spans of traces written by older builds; the acceptance test
 runs a real ``check`` under ``--trace`` and checks the consistency
 contract: per-name inclusive totals equal the trace's
-``metrics.timers`` aggregates and self times are non-negative.
+``metrics.histograms`` sums and self times are non-negative.
 """
 
 import pytest
@@ -180,10 +180,10 @@ class TestAcceptance:
     def test_inclusive_totals_match_registry_timers(self, check_trace):
         data, root = check_trace
         totals = inclusive_totals(root)
-        timers = data["metrics"]["timers"]
-        assert set(totals) == set(timers)
-        for name, timer in timers.items():
-            assert totals[name] == pytest.approx(timer["total_s"], rel=1e-9)
+        histograms = data["metrics"]["histograms"]
+        assert set(totals) == set(histograms)
+        for name, histogram in histograms.items():
+            assert totals[name] == pytest.approx(histogram["sum"], rel=1e-9)
 
     def test_self_times_non_negative(self, check_trace):
         _data, root = check_trace

@@ -239,7 +239,7 @@ class TestTracerDepthCap:
                         pass
         assert [s.name for s in tracer.spans] == ["b", "a"]
         assert tracer.skipped == 2
-        assert set(tracer.registry.timers) == {"a", "b"}
+        assert set(tracer.registry.histograms) == {"a", "b"}
 
     def test_skip_handle_absorbs_annotations(self):
         tracer = Tracer(max_depth=1)

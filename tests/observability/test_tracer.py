@@ -8,8 +8,8 @@ import pytest
 from repro.observability import (
     NULL_TRACER,
     MetricsRegistry,
+    StreamingHistogram,
     TRACE_VERSION,
-    TimerStat,
     Tracer,
     current_tracer,
     set_tracer,
@@ -97,9 +97,9 @@ class TestSpans:
         for _ in range(3):
             with tracer.span("step"):
                 pass
-        stat = tracer.registry.timers["step"]
+        stat = tracer.registry.histograms["step"]
         assert stat.count == 3
-        assert stat.total_s >= stat.max_s >= stat.min_s >= 0
+        assert stat.total >= stat.max >= stat.min >= 0
 
     def test_count_feeds_registry(self):
         tracer = Tracer()
@@ -179,8 +179,8 @@ class TestBatchAbsorb:
         parent = Tracer()
         parent.absorb(self._child())
         assert parent.registry.counters["robustness.checks"] == 2
-        assert parent.registry.timers["robustness.check"].count == 1
-        assert parent.registry.timers["robustness.scan_t1"].count == 2
+        assert parent.registry.histograms["robustness.check"].count == 1
+        assert parent.registry.histograms["robustness.scan_t1"].count == 2
 
     def test_absorb_empty_batch_is_noop(self):
         parent = Tracer()
@@ -213,7 +213,8 @@ class TestExportValidate:
     def test_export_round_trips_validation(self):
         data = self._trace()
         validate_trace(data)
-        assert data["version"] == TRACE_VERSION
+        assert data["version"] == TRACE_VERSION == 2
+        assert set(data["metrics"]) == {"counters", "histograms"}
         assert data["origin"] == "main"
         assert len(data["spans"]) == 2
 
@@ -337,12 +338,12 @@ class TestStructuralValidation:
 
 class TestMeanSecondsRoundTrip:
     def test_as_dict_includes_mean(self):
-        stat = TimerStat()
+        stat = StreamingHistogram()
         stat.record(0.2)
         stat.record(0.4)
         data = stat.as_dict()
-        assert data["mean_s"] == pytest.approx(0.3)
-        assert data["mean_s"] == pytest.approx(data["total_s"] / data["count"])
+        assert data["mean"] == pytest.approx(0.3)
+        assert data["mean"] == pytest.approx(data["sum"] / data["count"])
 
     def test_exported_trace_carries_mean(self):
         tracer = Tracer()
@@ -352,64 +353,68 @@ class TestMeanSecondsRoundTrip:
             pass
         data = json.loads(json.dumps(tracer.export()))
         validate_trace(data)
-        timer = data["metrics"]["timers"]["scan"]
-        assert timer["mean_s"] == pytest.approx(timer["total_s"] / 2)
+        histogram = data["metrics"]["histograms"]["scan"]
+        assert histogram["mean"] == histogram["sum"] / 2
 
     def test_validator_rejects_non_numeric_mean(self):
         tracer = Tracer()
         with tracer.span("scan"):
             pass
-        data = json.loads(json.dumps(tracer.export()))
-        data["metrics"]["timers"]["scan"]["mean_s"] = "fast"
-        with pytest.raises(ValueError):
-            validate_trace(data)
+        exported = json.dumps(tracer.export())
+        for field in ("mean", "count", "sum", "p99"):
+            data = json.loads(exported)
+            data["metrics"]["histograms"]["scan"][field] = "fast"
+            with pytest.raises(ValueError, match=field):
+                validate_trace(data)
 
-    def test_mean_optional_for_older_traces(self):
-        tracer = Tracer()
-        with tracer.span("scan"):
-            pass
-        data = json.loads(json.dumps(tracer.export()))
-        del data["metrics"]["timers"]["scan"]["mean_s"]
+    def test_mean_optional_for_older_traces(self, v1_trace_path):
+        data = validate_trace_file(v1_trace_path)
+        for timer in data["metrics"]["timers"].values():
+            del timer["mean_s"]
         validate_trace(data)  # pre-mean_s version-1 traces stay valid
+        data["metrics"]["timers"]["robustness.check"]["mean_s"] = "fast"
+        with pytest.raises(ValueError, match="mean_s"):
+            validate_trace(data)
 
 
 class TestMergeEdgeCases:
     def test_empty_timer_into_populated_keeps_min(self):
-        populated = TimerStat()
+        populated = StreamingHistogram()
         populated.record(0.5)
-        populated.merge(TimerStat())
+        populated.merge(StreamingHistogram())
         assert populated.count == 1
-        assert populated.min_s == pytest.approx(0.5)
-        assert populated.max_s == pytest.approx(0.5)
+        assert populated.min == pytest.approx(0.5)
+        assert populated.max == pytest.approx(0.5)
 
     def test_populated_into_empty_keeps_min(self):
-        empty = TimerStat()
-        other = TimerStat()
+        empty = StreamingHistogram()
+        other = StreamingHistogram()
         other.record(0.5)
         empty.merge(other)
-        assert (empty.count, empty.min_s, empty.max_s) == (1, 0.5, 0.5)
+        assert (empty.count, empty.min, empty.max, empty.total) == (1, 0.5, 0.5, 0.5)
+        assert empty.quantiles() == other.quantiles()
 
     def test_empty_registry_merge_both_directions(self):
         populated = MetricsRegistry()
         populated.record("scan", 0.25)
         populated.incr("hits", 2)
         populated.merge(MetricsRegistry())
-        assert populated.timers["scan"].min_s == pytest.approx(0.25)
+        assert populated.histograms["scan"].min == pytest.approx(0.25)
         assert populated.counters["hits"] == 2
         empty = MetricsRegistry()
         empty.merge(populated)
-        assert empty.timers["scan"].min_s == pytest.approx(0.25)
+        assert empty.histograms["scan"].min == pytest.approx(0.25)
         assert empty.counters["hits"] == 2
 
     def test_zero_duration_is_not_clobbered(self):
         # A genuine 0.0s minimum must survive merging (the empty guard
-        # is count, not falsy min_s).
-        a = TimerStat()
+        # is count, not falsy min).
+        a = StreamingHistogram()
         a.record(0.0)
-        b = TimerStat()
+        b = StreamingHistogram()
         b.record(0.5)
         a.merge(b)
-        assert a.min_s == 0.0
+        assert a.min == 0.0
         assert a.count == 2
 
 
@@ -450,25 +455,6 @@ class TestMemoryTracing:
 
 
 class TestMetricsRegistry:
-    def test_timer_stat_merge(self):
-        a = TimerStat()
-        a.record(0.2)
-        a.record(0.4)
-        b = TimerStat()
-        b.record(0.1)
-        a.merge(b)
-        assert a.count == 3
-        assert a.min_s == pytest.approx(0.1)
-        assert a.max_s == pytest.approx(0.4)
-        assert a.mean_s == pytest.approx(0.7 / 3)
-
-    def test_merge_into_empty(self):
-        a = TimerStat()
-        b = TimerStat()
-        b.record(0.5)
-        a.merge(b)
-        assert (a.count, a.min_s, a.max_s) == (1, 0.5, 0.5)
-
     def test_registry_merge(self):
         ours = MetricsRegistry()
         ours.incr("hits")
@@ -479,8 +465,8 @@ class TestMetricsRegistry:
         theirs.record("probe", 0.1)
         ours.merge(theirs)
         assert ours.counters["hits"] == 3
-        assert ours.timers["scan"].count == 2
-        assert ours.timers["probe"].count == 1
+        assert ours.histograms["scan"].count == 2
+        assert ours.histograms["probe"].count == 1
 
     def test_as_dict_sorted(self):
         registry = MetricsRegistry()

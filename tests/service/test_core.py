@@ -24,6 +24,7 @@ class TestBasicCommands:
         response = _core().handle({"op": "hello"})
         assert response["ok"] and response["server"] == "repro-serve"
         assert response["levels"] == ["RC", "SI", "SSI"]
+        assert response["protocol"] == 3
 
     def test_add_and_allocate(self):
         core = _core()
@@ -113,7 +114,8 @@ class TestBasicCommands:
         assert response["counters"]["service.requests"] >= 1
         assert response["counters"]["service.admitted"] == 1
         assert response["gauges"]["transactions"] == 1.0
-        assert "service.add" in response["timers"]
+        assert "service.add" in response["histograms"]
+        assert "timers" not in response
 
     def test_internal_errors_do_not_escape(self):
         core = _core()

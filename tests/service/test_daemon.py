@@ -176,6 +176,7 @@ class TestMetricsHTTP:
             )
             assert doc["counters"]["service.admitted"] == 1
             assert doc["gauges"]["transactions"] == 1.0
+            assert set(doc) == {"counters", "gauges", "histograms"}
 
     def test_scrapes_during_churn_are_consistent(self):
         """Scrapes read a snapshot taken under the core lock: scrapers

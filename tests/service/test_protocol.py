@@ -102,5 +102,5 @@ class TestResponses:
             ProtocolError("x", code="not-a-code")
 
 
-def test_protocol_version_is_two():
-    assert PROTOCOL_VERSION == 2
+def test_protocol_version_is_three():
+    assert PROTOCOL_VERSION == 3

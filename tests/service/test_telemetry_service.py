@@ -172,6 +172,8 @@ class TestWindowedRatesAndGauges:
         assert "req/s" in frame and "p99" in frame
         assert "service.add" in frame
         assert "transactions 3" in frame
+        phase_table = frame[frame.index("  phase "):]
+        assert "service.add" in phase_table
 
 
 class TestSloMonitor:

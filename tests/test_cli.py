@@ -332,6 +332,8 @@ class TestTrace:
         names = {span["name"] for span in data["spans"]}
         assert "robustness.check" in names
         assert "robustness.scan_t1" in names
+        assert data["version"] == 2
+        assert set(data["metrics"]) == {"counters", "histograms"}
 
     def test_allocate_trace(self, skew_file, tmp_path, capsys):
         from repro.observability import validate_trace_file
@@ -515,9 +517,9 @@ class TestTraceAnalysisCommands:
         import json
 
         data = json.loads(Path(trace_file).read_text(encoding="utf-8"))
-        for timer in data["metrics"]["timers"].values():
-            for key in ("total_s", "min_s", "max_s", "mean_s"):
-                timer[key] = timer[key] / 100.0
+        for histogram in data["metrics"]["histograms"].values():
+            for key in ("sum", "min", "max", "mean", "p50", "p90", "p99"):
+                histogram[key] = histogram[key] / 100.0
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(data), encoding="utf-8")
         # Tiny explicit floor: the 100x ratio must flag regardless of how
@@ -534,91 +536,21 @@ class TestTraceAnalysisCommands:
         )
         assert code == 1
         assert "regression" in capsys.readouterr().out
+        # --max-regress is in percent: a 100x slowdown is within +100000%.
+        argv = ["trace", "diff", str(doctored), trace_file, "--max-regress", "100000"]
+        assert main(argv) == 0
 
-
-class TestBenchCompare:
-    def test_baseline_vs_itself_exits_zero(self, capsys):
-        code = main(
-            ["bench", "compare", "BENCH_robustness.json", "BENCH_robustness.json"]
-        )
-        assert code == 0
-        assert "Verdict: OK" in capsys.readouterr().out
-
-    def test_doctored_baseline_exits_nonzero(self, tmp_path, capsys):
-        import json
-
-        base = json.loads(
-            Path("BENCH_robustness.json").read_text(encoding="utf-8")
-        )
-        for row in base["algorithm1_scaling"] + base["method_ablation"]:
-            for key in ("mean_s", "min_s"):
-                if row.get(key) is not None:
-                    row[key] = row[key] / 100.0
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(base), encoding="utf-8")
-        code = main(
-            ["bench", "compare", str(doctored), "BENCH_robustness.json"]
-        )
-        assert code == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_allocation_baseline_compares(self, capsys):
-        code = main(
-            ["bench", "compare", "BENCH_allocation.json", "BENCH_allocation.json"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "algorithm2_scaling" in out
-        assert "refinement_mode" in out
-
-    def test_json_verdict_document(self, capsys):
-        import json
-
-        main(
-            [
-                "bench",
-                "compare",
-                "BENCH_robustness.json",
-                "BENCH_robustness.json",
-                "--json",
-            ]
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert data["verdict"] == "ok"
-        assert data["compared"] > 0
-
-    def test_max_regress_flag(self, tmp_path, capsys):
-        import json
-
-        base = json.loads(
-            Path("BENCH_robustness.json").read_text(encoding="utf-8")
-        )
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(base), encoding="utf-8")
-        # With an absurdly generous threshold even a doctored baseline
-        # passes; the flag is percent, matching the CI invocation.
-        for row in base["algorithm1_scaling"]:
-            for key in ("mean_s", "min_s"):
-                if row.get(key) is not None:
-                    row[key] = row[key] / 2.0
-        doctored.write_text(json.dumps(base), encoding="utf-8")
-        code = main(
-            [
-                "bench",
-                "compare",
-                str(doctored),
-                "BENCH_robustness.json",
-                "--max-regress",
-                "10000",
-            ]
-        )
-        assert code == 0
-
-    def test_non_bench_file_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 42}', encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", str(bad), str(bad)])
+    @pytest.mark.parametrize(
+        "thresholds",
+        [["--max-regress", "-50", "--abs-floor-ms", "-10"], ["--max-regress", "nan"]],
+        ids=["negative", "nan"],
+    )
+    def test_trace_diff_rejects_inverting_thresholds(
+        self, trace_file, thresholds, capsys
+    ):
+        # Negative thresholds flag a trace against itself; NaN passes anything.
+        assert main(["trace", "diff", trace_file, trace_file, *thresholds]) == 2
+        assert "--max-regress" in _error_line(capsys)
 
 
 class TestBadInputFiles:
@@ -702,10 +634,28 @@ class TestTraceDumpErrors:
         assert "trace dump failed" in _error_line(capsys)
 
 
+class TestServiceTopErrors:
+    """``service top`` errors about the daemon exit 2, not 1 ("not robust")."""
+
+    def test_unreachable_daemon(self, capsys):
+        with socket.socket() as sock:  # bound, then closed: nothing listens
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        argv = ["service", "top", "--port", str(port), "--iterations", "1"]
+        assert main([*argv, "--no-clear"]) == 2
+        assert "cannot reach daemon" in _error_line(capsys)
+
+
 class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_compare_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "compare", "a.json", "b.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/workload.txt"]) == 2
