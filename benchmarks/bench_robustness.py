@@ -167,7 +167,8 @@ def test_shard_scaling_report(benchmark, capsys):
     """SHARD table: whole-pipeline check, monolithic vs component-sharded.
 
     The acceptance criterion of the sharding layer (the default path;
-    the monolithic side passes ``context=AnalysisContext(wl)``): a
+    the monolithic side passes a context whose plan has the whole
+    workload as its one part): a
     bit-identical verdict at a measured speedup on multi-component
     workloads, where the monolithic path pays the ``O(|T|^2)`` conflict
     index and full-width kernel rows while the sharded path pays
@@ -177,7 +178,7 @@ def test_shard_scaling_report(benchmark, capsys):
     """
     from repro.core.context import AnalysisContext
     from repro.core.robustness import check_robustness
-    from repro.core.sharding import conflict_components
+    from repro.core.sharding import ShardPlan, conflict_components
     from repro.workloads.generator import clustered_workload
 
     def compute():
@@ -200,7 +201,10 @@ def test_shard_scaling_report(benchmark, capsys):
             assert alloc is not None
 
             t0 = time.perf_counter()
-            mono = check_robustness(wl, alloc, context=AnalysisContext(wl))
+            whole = ShardPlan.from_components((wl.tids,))
+            mono = check_robustness(
+                wl, alloc, context=AnalysisContext(wl, plan=whole)
+            )
             mono_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()

@@ -35,7 +35,7 @@ def main() -> None:
         print(f"  optimal allocation now: {allocation}")
         print(f"  robustness checks spent: {manager.last_check_count}")
         # The warm start is exact: always equals batch Algorithm 2 (run
-        # here through the manager's own context — same conflict index).
+        # here through the manager's own context — same conflict indexes).
         assert allocation == optimal_allocation(
             manager.workload, context=manager.context
         )

@@ -27,8 +27,8 @@ def main() -> None:
     for txn in skew:
         print(f"  T{txn.tid}: {txn}")
 
-    # One analysis context per workload: every check below shares the
-    # conflict index and reachability caches instead of rebuilding them.
+    # One analysis context per workload: every check below shares each
+    # conflict component's index and caches instead of rebuilding them.
     ctx = AnalysisContext(skew)
 
     # Is it safe to run everything at snapshot isolation?

@@ -33,7 +33,7 @@ def main() -> None:
         print(f"  T{txn.tid}: {txn}")
 
     # All three probes below interrogate the same workload — one shared
-    # context means one conflict index and shared reachability caches.
+    # context means one conflict index per component, built once.
     ctx = AnalysisContext(triple)
     result = check_robustness(triple, Allocation.si(triple), context=ctx)
     print(f"\nRobust against A_SI?  {result.robust}")

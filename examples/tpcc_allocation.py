@@ -25,7 +25,8 @@ def main() -> None:
     for txn, name in zip(wl, TPCC_PROGRAMS):
         print(f"  T{txn.tid} {name:13s} {txn}")
 
-    # One shared context: the three probes below reuse one conflict index.
+    # One shared context: the three probes below reuse its conflict
+    # indexes, one per conflict component.
     ctx = AnalysisContext(wl)
 
     # The folklore: robust against A_SI.

@@ -10,8 +10,9 @@ The corpus is deterministic: ``--dense`` 40-transaction inputs (seeds
 ...) and ``--small`` 12-transaction inputs (seeds 92000, ...).  For each
 input and each engine it computes
 
-* the optimal allocation, sharded (the default) and one-unit (an
-  explicit ``AnalysisContext``), with the ``checks`` each run counts;
+* the optimal allocation, per component (the default) and one-unit (a
+  context whose plan has the whole workload as its one part), with the
+  ``checks`` each run counts;
 * the ``check_robustness`` witness specs of 4 random allocations;
 * the ``check_robustness_delta`` specs of every one-step lowering of
   the optimum;
@@ -43,7 +44,7 @@ from repro.core.robustness import (
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.sharding import ShardedContext
+from repro.core.sharding import ShardPlan
 from repro.workloads.generator import clustered_workload, random_workload
 
 LADDER = sorted(IsolationLevel)
@@ -72,9 +73,10 @@ def _spec(result) -> str:
 
 def outputs(name: str, wl, method: str, survey: bool) -> Tuple[List[str], tuple]:
     """Every output of one engine on one input, and the ``ContextStats``
-    of its sharded and one-unit optimum runs."""
+    of its per-component and one-unit optimum runs."""
     lines: List[str] = []
-    sharded, one_unit = ShardedContext(wl), AnalysisContext(wl)
+    sharded = AnalysisContext(wl)
+    one_unit = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
     optimum = optimal_allocation(wl, POSTGRES_LEVELS, method=method, context=sharded)
     unit_optimum = optimal_allocation(
         wl, POSTGRES_LEVELS, method=method, context=one_unit

@@ -36,7 +36,6 @@ from .core import (
     RobustnessResult,
     ScheduleError,
     SerializationGraph,
-    ShardedContext,
     SplitScheduleSpec,
     Transaction,
     TransactionError,
@@ -83,7 +82,6 @@ __all__ = [
     "RobustnessResult",
     "ScheduleError",
     "SerializationGraph",
-    "ShardedContext",
     "SplitScheduleSpec",
     "Transaction",
     "TransactionError",

@@ -65,9 +65,9 @@ from .analysis.report import (
     robustness_report,
 )
 from .core.allocation import optimal_allocation
+from .core.context import AnalysisContext
 from .core.robustness import check_robustness
 from .core.serialization import is_conflict_serializable
-from .core.sharding import ShardedContext
 from .observability import (
     DEFAULT_ABS_FLOOR_S,
     DEFAULT_MAX_REGRESS,
@@ -102,7 +102,7 @@ def _print_phase_timings() -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
-    context = ShardedContext(workload)
+    context = AnalysisContext(workload)
     result = check_robustness(
         workload, allocation, method=args.method, context=context
     )
@@ -224,7 +224,7 @@ def _cmd_templates(args: argparse.Namespace) -> int:
 def _cmd_allocate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     levels = parse_levels_spec(args.levels)
-    context = ShardedContext(workload)
+    context = AnalysisContext(workload)
     optimum = optimal_allocation(
         workload, levels, method=args.method, context=context
     )

@@ -14,13 +14,14 @@ robustness against ``A_SI``; when it holds, the optimal {RC, SI} allocation
 is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
 Every entry point analyzes per connected component of the conflict
-graph (:mod:`repro.core.sharding`) and accepts an optional context, so
-the allocation-independent structure (conflict index, bitset kernel)
-is built exactly once per component across the
-``O(|T| * levels)`` robustness checks a full run issues.  An explicit
-:class:`~repro.core.context.AnalysisContext` refines the workload as one
-unit instead — the per-component core, with the identical optimum
-(Proposition 4.2).
+graph and accepts an optional
+:class:`~repro.core.context.AnalysisContext`, so the
+allocation-independent structure (conflict index, bitset kernel) is
+built exactly once per component across the ``O(|T| * levels)``
+robustness checks a full run issues.  Lowering a transaction's level
+only creates or destroys witnesses inside its own component, so the
+refinement runs component by component, and the per-component optima
+compose into the unique global one (Proposition 4.2).
 
 Every downgrade probe lowers one transaction ``t`` of a robust
 allocation, so its scan visits only the triples through ``t`` (the
@@ -32,10 +33,10 @@ bit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..observability import current_tracer
-from .context import AnalysisContext
+from ..observability import NULL_TRACER, current_tracer
+from .context import AnalysisContext, _Core, _resolve
 from .isolation import (
     Allocation,
     IsolationLevel,
@@ -43,12 +44,12 @@ from .isolation import (
     POSTGRES_LEVELS,
 )
 from .kernel import level_list
-from .robustness import Context, _probe, _witness_exists, is_robust
-from .sharding import (
-    ShardedContext,
+from .robustness import (
+    _check_method,
+    _first_witness,
+    _probe,
     _validate,
-    optimal_allocation_sharded,
-    refine_allocation_sharded,
+    is_robust,
 )
 from .workload import Workload
 
@@ -63,68 +64,36 @@ def _normalized_levels(
     return tuple(unique)
 
 
-def refine_allocation(
-    workload: Workload,
+def _refine(
+    context: AnalysisContext,
+    core: _Core,
     start: Allocation,
-    levels: Sequence[IsolationLevel],
-    method: str = "bitset",
-    context: Optional[Context] = None,
-    floors: Optional[Dict[int, IsolationLevel]] = None,
-) -> Allocation:
-    """Refine a robust allocation to the optimum below it (Algorithm 2 core).
+    ordered: Sequence[IsolationLevel],
+    method: str,
+    floors: Optional[Dict[int, IsolationLevel]],
+) -> List[IsolationLevel]:
+    """Algorithm 2's refinement of one part; its levels in bit order.
 
-    For each transaction in turn, the lowest level of ``levels`` keeping
-    the allocation robust is adopted.  By Proposition 4.1(2) the result is
-    independent of the iteration order and equals the unique optimal robust
-    allocation below ``start`` (the test suite checks order invariance).
-
-    Each probe lowers one transaction of the current, robust allocation,
-    so it scans only the triples through that transaction and asks only
-    whether a witness exists: no chain and no schedule are built, and
-    every probe counts one check.  The allocation being refined is a
-    level list in bit order plus its SSI tid mask
-    (:func:`~repro.core.kernel.level_list`): a probe sets one entry, an
-    adopted lowering clears one bit of the mask, and one
-    :class:`Allocation` is built when the loop ends.  Under ``bitset`` a
-    probe is one kernel call (:func:`~repro.core.robustness._probe`);
-    under a reference engine it builds its candidate allocation and runs
-    :func:`~repro.core.robustness._witness_exists`.  The per-transaction
-    and per-probe spans are opened only under a recording tracer.
-
-    Args:
-        workload: the set of transactions.
-        start: a *robust* allocation to refine (not re-verified here).
-        levels: the class of levels, in any order.
-        method: robustness engine, forwarded to
-            :func:`repro.core.robustness.check_robustness`.
-        context: a shared :class:`~repro.core.sharding.ShardedContext`
-            (built fresh when omitted) refines per conflict component;
-            an :class:`~repro.core.context.AnalysisContext` refines the
-            workload as one unit.  Same optimum either way.
-        floors: optional per-transaction lower bounds — probe levels
-            below a transaction's floor are skipped (the incremental
-            manager passes the previous optimum, which the new optimum
-            dominates pointwise).  A pure acceleration, never changing
-            the result.
+    The allocation being refined is the part's level list plus its SSI
+    tid mask (:func:`~repro.core.kernel.level_list`): a probe sets one
+    entry, and an adopted lowering clears one bit of the mask.  Under
+    ``bitset`` a probe is one kernel call
+    (:func:`~repro.core.robustness._probe`); under a reference engine it
+    builds its candidate allocation and runs the delta-scoped
+    :func:`~repro.core.robustness._first_witness`.  Every probe counts
+    one check on ``context``.  The per-transaction and per-probe spans
+    are opened only under a recording tracer.
     """
-    if not isinstance(context, AnalysisContext):
-        return refine_allocation_sharded(
-            workload, start, levels, method=method, context=context,
-            floors=floors,
-        )
-    ordered = _normalized_levels(levels)
     ranks = [level.rank for level in ordered]
-    context.ensure(workload)
-    _validate(workload, start, method)
-    tids = workload.tids
+    tids = core.workload.tids
     current, ssi = level_list(start, tids)
     tracer = current_tracer()
 
     def witness(tid: int, probe_ssi: int) -> bool:
         if method == "bitset":
-            return _probe(workload, context, current, probe_ssi, tid)
+            return _probe(context, core, current, probe_ssi, tid)
         candidate = Allocation(dict(zip(tids, current)))
-        return _witness_exists(workload, candidate, method, context, tid)
+        return _first_witness(context, candidate, method, tid) is not None
 
     def lower(bit: int, tid: int, probe_ssi: int) -> bool:
         """Adopt the lowest level that keeps the allocation robust."""
@@ -148,7 +117,7 @@ def refine_allocation(
         current[bit] = level_now
         return False
 
-    with tracer.span("allocation.refine", transactions=len(workload)):
+    with tracer.span("allocation.refine", transactions=len(tids)):
         for bit, tid in enumerate(tids):
             probe_ssi = ssi & ~(1 << bit)  # a lowered level is below SSI
             if tracer.recording:
@@ -159,16 +128,81 @@ def refine_allocation(
                 lowered = lower(bit, tid, probe_ssi)
             if lowered:
                 ssi = probe_ssi
+    return current
+
+
+def _refine_parts(
+    context: AnalysisContext,
+    start: Allocation,
+    ordered: Sequence[IsolationLevel],
+    method: str,
+    floors: Optional[Dict[int, IsolationLevel]] = None,
+) -> Allocation:
+    """:func:`_refine` over every part of the context's plan, composed."""
+    plan = context.plan
+    part_tracer = current_tracer() if len(plan) > 1 else NULL_TRACER
     refined = dict(start.items())
-    refined.update(zip(tids, current))
+    for index, shard in enumerate(plan.shards):
+        core = context._core(index)
+        with part_tracer.span("shard.refine", shard=index, size=len(shard)):
+            refined.update(
+                zip(shard, _refine(context, core, start, ordered, method, floors))
+            )
     return Allocation(refined)
+
+
+def refine_allocation(
+    workload: Workload,
+    start: Allocation,
+    levels: Sequence[IsolationLevel],
+    method: str = "bitset",
+    context: Optional[AnalysisContext] = None,
+    floors: Optional[Dict[int, IsolationLevel]] = None,
+) -> Allocation:
+    """Refine a robust allocation to the optimum below it (Algorithm 2 core).
+
+    For each transaction in turn, the lowest level of ``levels`` keeping
+    the allocation robust is adopted.  By Proposition 4.1(2) the result is
+    independent of the iteration order and equals the unique optimal robust
+    allocation below ``start`` (the test suite checks order invariance).
+    The refinement runs part by part of the context's plan (Propositions
+    4.1/4.2): the per-component optima below ``start`` compose into the
+    global one, with the same robustness checks as refining the workload
+    as one unit.
+
+    Each probe lowers one transaction of the current, robust allocation,
+    so it scans only the triples through that transaction and asks only
+    whether a witness exists: no chain and no schedule are built, and
+    every probe counts one check.  One :class:`Allocation` is built when
+    the loop ends.
+
+    Args:
+        workload: the set of transactions.
+        start: a *robust* allocation to refine (not re-verified here).
+        levels: the class of levels, in any order.
+        method: robustness engine, as in
+            :func:`repro.core.robustness.check_robustness`.
+        context: the workload's
+            :class:`~repro.core.context.AnalysisContext` (built fresh
+            when omitted).
+        floors: optional per-transaction lower bounds — probe levels
+            below a transaction's floor are skipped (the incremental
+            manager passes the previous optimum, which the new optimum
+            dominates pointwise).  A pure acceleration, never changing
+            the result.
+    """
+    _check_method(method)
+    ordered = _normalized_levels(levels)
+    context = _resolve(workload, context)
+    _validate(workload, start)
+    return _refine_parts(context, start, ordered, method, floors)
 
 
 def optimal_allocation(
     workload: Workload,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> Optional[Allocation]:
     """The unique optimal robust allocation over ``levels``, if one exists.
 
@@ -177,13 +211,10 @@ def optimal_allocation(
     is ``None`` when the workload is not robustly allocatable
     (Proposition 5.4 / Theorem 5.5).
 
-    The run is per conflict component: a
-    :class:`~repro.core.sharding.ShardedContext` (the caller's, or a
+    The run is per conflict component: the
+    :class:`~repro.core.context.AnalysisContext` (the caller's, or a
     private one) builds each component's conflict index exactly once
-    regardless of how many robustness checks the refinement issues.  An
-    explicit :class:`~repro.core.context.AnalysisContext` runs the
-    workload as one unit.  Both return the identical optimum, by its
-    uniqueness (Proposition 4.2).
+    regardless of how many robustness checks the refinement issues.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -193,39 +224,36 @@ def optimal_allocation(
         >>> str(optimal_allocation(workload("R1[a] W1[b]", "R2[c] W2[d]")))
         'T1:RC, T2:RC'
     """
-    if not isinstance(context, AnalysisContext):
-        return optimal_allocation_sharded(
-            workload, levels, method=method, context=context
-        )
+    _check_method(method)
     ordered = _normalized_levels(levels)
-    context.ensure(workload)
+    context = _resolve(workload, context)
     top = ordered[-1]
     start = Allocation.uniform(workload, top)
     with current_tracer().span(
         "allocation.optimal",
         transactions=len(workload),
         levels=[level.name for level in ordered],
+        shards=len(context.plan),
     ):
-        if top is not IsolationLevel.SSI and not is_robust(
-            workload, start, method=method, context=context
+        if top is not IsolationLevel.SSI and (
+            _first_witness(context, start, method) is not None
         ):
             return None
-        return refine_allocation(
-            workload, start, ordered, method=method, context=context
-        )
+        return _refine_parts(context, start, ordered, method)
 
 
 def is_robustly_allocatable(
     workload: Workload,
     levels: Sequence[IsolationLevel] = ORACLE_LEVELS,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> bool:
     """Whether some allocation over ``levels`` is robust (Definition 5.3).
 
     For any class whose top level is SSI this is trivially true; for
     {RC, SI} it reduces to robustness against ``A_SI`` (Proposition 5.4).
     """
+    _check_method(method)
     ordered = _normalized_levels(levels)
     top = ordered[-1]
     if top is IsolationLevel.SSI:
@@ -243,7 +271,7 @@ def upgrade_to_robust(
     allocation: Allocation,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> Optional[Allocation]:
     """The least robust allocation pointwise above ``allocation``, if any.
 
@@ -261,7 +289,8 @@ def upgrade_to_robust(
     ``None`` once an optimum exists (a debug assertion documents the
     invariant instead of a dead error branch).
     """
-    ctx = ShardedContext(workload) if context is None else context
+    _check_method(method)
+    ctx = _resolve(workload, context)
     optimum = optimal_allocation(workload, levels, method=method, context=ctx)
     if optimum is None:
         return None

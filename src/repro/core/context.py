@@ -3,14 +3,13 @@
 Algorithm 2 (and the incremental :class:`~repro.core.incremental.AllocationManager`)
 decide optimality by issuing ``O(|T| * levels)`` robustness probes.  The
 expensive parts of each probe — the transaction-level conflict index,
-the mixed-iso-graph connected components of every ``T_1``, the
-candidate-partner lists and the per-pair conflicting-operation tables —
-depend only on the *workload*, never on the allocation being probed.
-:class:`AnalysisContext` precomputes them once per workload and is
-threaded through :func:`~repro.core.robustness.check_robustness`,
-:func:`~repro.core.allocation.refine_allocation`,
+the bitset kernel's rows, the candidate-partner lists and the per-pair
+conflicting-operation tables — depend only on the *workload*, never on
+the allocation being probed.  :class:`AnalysisContext` builds them once
+per conflict component, lazily, and is threaded through
+:func:`~repro.core.robustness.check_robustness`,
 :func:`~repro.core.allocation.optimal_allocation` and friends, so a full
-Algorithm 2 run builds the structure exactly once.
+Algorithm 2 run builds each component's structure exactly once.
 
 The conflict index is built on tid bits (bit order = ascending tid): one
 ``readers`` and one ``writers`` mask per object, and from them one
@@ -19,13 +18,14 @@ ORs.  The bitset kernel (:mod:`repro.core.kernel`) evaluates Definition
 3.1 directly on these masks.
 
 All counters (checks issued, cache hits, index builds) are exposed on
-the context, replacing ad-hoc per-caller accounting.
+the context's :class:`ContextStats`, replacing ad-hoc per-caller
+accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -34,6 +34,9 @@ from .conflicts import conflicting_pairs, transactions_conflict
 from .operations import Operation
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
+
+if TYPE_CHECKING:
+    from .sharding import ShardPlan
 
 
 class ConflictIndex:
@@ -224,20 +227,19 @@ class ContextStats:
     Attributes:
         checks: robustness checks executed through the context — every
             Algorithm 2 probe is one, so this is the probe count, the
-            same for every path that issues the same probes (sharded or
-            one-unit, sequential or pooled).
-        index_builds: conflict indexes built (1 per context — so one per
-            analyzed component under a sharded context).
+            same for every plan that issues the same probes.
+        index_builds: conflict indexes built (one per analyzed part of
+            the context's plan: per conflict component by default).
         oracle_builds: reachability oracles built (at most one per
             ``T_1``) — only by the ``components`` and ``paper`` engines;
             the default ``bitset`` engine builds its witness chains from
             the kernel rows and never builds an oracle.
         oracle_hits: oracle requests served from the cache.
-        pair_builds: the context's conflicting-operation tables built (per
-            ordered pair; :meth:`AnalysisContext.conflicting_pairs`, read
-            by the reference engines and by witness-chain assembly).
+        pair_builds: conflicting-operation tables built (per ordered
+            pair of a component; read by the reference engines and by
+            witness-chain assembly).
         pair_hits: those tables served from the cache.
-        kernel_builds: bitset kernels built (at most 1 per context).
+        kernel_builds: bitset kernels built (at most one per part).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
         plan_builds: shard plans built from scratch (full union-find over
@@ -252,7 +254,7 @@ class ContextStats:
         plan_reuse: removals that skipped the connectivity recheck
             entirely — a departing singleton, or a transaction with at
             most one conflict neighbour (a leaf cannot disconnect the
-            rest) — plus plans resumed verbatim from a snapshot.
+            rest).
     """
 
     checks: int = 0
@@ -288,39 +290,27 @@ class ContextStats:
         }
 
 
-class AnalysisContext:
-    """Cached allocation-independent analysis structure for one workload.
+class _Core:
+    """The allocation-independent structure of one component's workload.
 
-    Build once per workload, pass to every robustness/allocation call
-    probing that workload:
-
-        >>> from repro.core.allocation import optimal_allocation
-        >>> from repro.core.workload import workload
-        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
-        >>> ctx = AnalysisContext(wl)
-        >>> str(optimal_allocation(wl, context=ctx))
-        'T1:SSI, T2:SSI'
-        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one index
-        (4, 1)
-
-    The context is *read-only with respect to the workload*: it must not
-    be reused after the workload changes (``check_robustness`` raises
-    :class:`~repro.core.workload.WorkloadError` on a mismatch).
-
-    ``stats`` optionally injects a shared :class:`ContextStats` object:
-    the component-sharded pipeline (:mod:`repro.core.sharding`) builds
-    one sub-context per conflict-graph component and points them all at
-    the same counters, so ``--stats`` totals describe the whole analysis
-    regardless of how it was partitioned.  Each context still counts its
-    own conflict-index build into the shared object.
+    Holds what a robustness probe reads and never changes: the conflict
+    index, the bitset kernel, the reachability oracles, the candidate
+    partner lists and the conflicting-pair tables.  An
+    :class:`AnalysisContext` builds one per part of its plan, on first
+    use; the :class:`~repro.core.incremental.AllocationManager` carries
+    the cores of untouched components across mutations.  Structural
+    counters (index, kernel, row, oracle and pair builds) land on
+    ``stats``; checks are counted by the context running them.
     """
 
-    def __init__(self, workload: Workload, stats: Optional[ContextStats] = None):
+    __slots__ = (
+        "workload", "index", "stats", "_oracles", "_kernel", "_candidates", "_pairs"
+    )
+
+    def __init__(self, workload: Workload, stats: ContextStats):
         self.workload = workload
         with current_tracer().span("context.index_build", transactions=len(workload)):
             self.index = ConflictIndex(workload)
-        if stats is None:
-            stats = ContextStats()
         stats.index_builds += 1
         self.stats = stats
         self._oracles: Dict[int, ReachabilityOracle] = {}
@@ -328,20 +318,6 @@ class AnalysisContext:
         self._candidates: Dict[Tuple[int, str], Tuple[Transaction, ...]] = {}
         self._pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
 
-    # -- validation ----------------------------------------------------
-    def matches(self, workload: Workload) -> bool:
-        """Whether the context was built for (an equal copy of) ``workload``."""
-        return self.workload is workload or self.workload == workload
-
-    def ensure(self, workload: Workload) -> None:
-        """Raise :class:`WorkloadError` unless :meth:`matches` holds."""
-        if not self.matches(workload):
-            raise WorkloadError(
-                "AnalysisContext was built for a different workload;"
-                " build a fresh context after the workload changes"
-            )
-
-    # -- cached structure ----------------------------------------------
     def oracle(self, t1: Transaction) -> ReachabilityOracle:
         """The (cached) reachability oracle for split transaction ``t1``."""
         cached = self._oracles.get(t1.tid)
@@ -357,9 +333,8 @@ class AnalysisContext:
     def kernel(self):
         """The (lazily built) :class:`~repro.core.kernel.BitKernel`.
 
-        Allocation-independent like the rest of the context; built on
-        the first ``method="bitset"`` scan and shared by every later
-        check of the workload.
+        Built on the first ``method="bitset"`` scan and shared by every
+        later check of the component.
         """
         if self._kernel is None:
             from .kernel import BitKernel
@@ -409,8 +384,113 @@ class AnalysisContext:
         self.stats.pair_builds += 1
         return pairs
 
+
+class AnalysisContext:
+    """The allocation-independent analysis structure of one workload.
+
+    Build once per workload, pass to every robustness/allocation call
+    probing that workload:
+
+        >>> from repro.core.allocation import optimal_allocation
+        >>> from repro.core.workload import workload
+        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        >>> ctx = AnalysisContext(wl)
+        >>> str(optimal_allocation(wl, context=ctx))
+        'T1:SSI, T2:SSI'
+        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one component
+        (4, 1)
+
+    The context owns a component plan (:attr:`plan`, a
+    :class:`~repro.core.sharding.ShardPlan`): every chain of Definition
+    3.1 links conflicting transactions, so verdicts, witnesses and the
+    optimum decompose exactly over conflict components, and every entry
+    point analyzes part by part.  Each part gets its own core (conflict
+    index, kernel, caches), built on first use; all cores count into the
+    one :attr:`stats`.  ``plan`` defaults to the workload's conflict
+    components.  Any plan whose parts are unions of components gives the
+    same results; ``ShardPlan.from_components((workload.tids,))``
+    analyzes the workload as one unit.
+
+    The context is *read-only with respect to the workload*: it must not
+    be reused after the workload changes (the entry points raise
+    :class:`~repro.core.workload.WorkloadError` on a mismatch).
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        stats: Optional[ContextStats] = None,
+        plan: Optional[ShardPlan] = None,
+    ):
+        self.workload = workload
+        self.stats = stats if stats is not None else ContextStats()
+        if plan is None:
+            from .sharding import ShardPlan
+
+            with current_tracer().span("shard.plan", transactions=len(workload)):
+                plan = ShardPlan(workload)
+        self.plan = plan
+        self._workloads: Dict[int, Workload] = {}
+        self._cores: Dict[int, _Core] = {}
+
+    # -- validation ----------------------------------------------------
+    def matches(self, workload: Workload) -> bool:
+        """Whether the context was built for (an equal copy of) ``workload``."""
+        return self.workload is workload or self.workload == workload
+
+    def ensure(self, workload: Workload) -> None:
+        """Raise :class:`WorkloadError` unless :meth:`matches` holds."""
+        if not self.matches(workload):
+            raise WorkloadError(
+                "AnalysisContext was built for a different workload;"
+                " build a fresh context after the workload changes"
+            )
+
+    # -- per-part structure --------------------------------------------
+    def _part_workload(self, index: int) -> Workload:
+        """The (cached) sub-workload of part ``index``.
+
+        A one-part plan's sub-workload is the workload itself, so its
+        core runs on the caller's object, with no copy.
+        """
+        cached = self._workloads.get(index)
+        if cached is None:
+            if len(self.plan) == 1:
+                cached = self.workload
+            else:
+                cached = self.workload.restricted_to(self.plan.shards[index])
+            self._workloads[index] = cached
+        return cached
+
+    def _core(self, index: int) -> _Core:
+        """The core of part ``index``, built on first use."""
+        cached = self._cores.get(index)
+        if cached is None:
+            cached = _Core(self._part_workload(index), self.stats)
+            self._cores[index] = cached
+        return cached
+
+    def _adopt(self, index: int, core: _Core) -> None:
+        """Install a core built for part ``index`` by an earlier context.
+
+        The incremental manager carries the cores of untouched components
+        across mutations; the caller owns the invariant that
+        ``core.workload`` equals the part's sub-workload.  Adopting it
+        also adopts that sub-workload object.
+        """
+        self._workloads[index] = core.workload
+        self._cores[index] = core
+
     # -- check accounting ----------------------------------------------
     def record_check(self) -> None:
         """Count one robustness check (a full check or one probe)."""
         self.stats.checks += 1
         current_tracer().count("robustness.checks")
+
+
+def _resolve(workload: Workload, context: Optional[AnalysisContext]) -> AnalysisContext:
+    """The caller's context, checked against ``workload``, or a fresh one."""
+    if context is None:
+        return AnalysisContext(workload)
+    context.ensure(workload)
+    return context

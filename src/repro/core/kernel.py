@@ -52,8 +52,9 @@ graph-backed
 property suite (``tests/properties/test_kernel_equivalence.py``)
 asserts bit-identical verdicts, witness specs and enumeration order.
 
-The kernel is allocation-independent and lives on the analysis context
-(:meth:`~repro.core.context.AnalysisContext.kernel`).
+The kernel is allocation-independent and lives on the analysis
+context, one per conflict component (``_Core.kernel`` in
+:mod:`repro.core.context`).
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class _T1Row:
 class BitKernel:
     """Per-``T_1`` rows over one workload's conflict index.
 
-    Built lazily by :meth:`AnalysisContext.kernel
-    <repro.core.context.AnalysisContext.kernel>`; rows are built lazily
+    Built lazily by a component's core in
+    :class:`~repro.core.context.AnalysisContext`; rows are built lazily
     per ``T_1`` and cached for the workload's lifetime.  ``stats`` (when
     given) receives the ``kernel_row_builds`` / ``kernel_row_hits``
     accounting surfaced by ``--stats``.

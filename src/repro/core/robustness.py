@@ -30,17 +30,14 @@ witness specs, the same enumeration order (asserted by the test suite
 and the ``tests/properties/test_kernel_equivalence.py`` property suite).
 
 Every public entry point analyzes per connected component of the
-conflict graph (:mod:`repro.core.sharding`): a counterexample chain only
-links conflicting transactions, so verdicts and witnesses decompose
-exactly over components.  All allocation-independent structure
-(conflict index, bitset kernel, reachability oracles, candidate-partner
-lists, conflicting-pair tables) lives in
-:class:`~repro.core.context.AnalysisContext`, one per component inside
-a :class:`~repro.core.sharding.ShardedContext`.  Pass an existing
-sharded context to amortize it across many checks of the same workload
-(Algorithm 2 issues ``O(|T| * levels)`` of them); pass an
-``AnalysisContext`` to analyze the workload as one unit — the
-per-component core the sharded composition runs on each component.
+conflict graph: a counterexample chain only links conflicting
+transactions, so verdicts and witnesses decompose exactly over
+components.  All allocation-independent structure (conflict index,
+bitset kernel, reachability oracles, candidate-partner lists,
+conflicting-pair tables) lives in
+:class:`~repro.core.context.AnalysisContext`, one core per component of
+its plan.  Pass an existing context to amortize it across many checks
+of the same workload (Algorithm 2 issues ``O(|T| * levels)`` of them).
 
 One further acceleration lives here: :func:`check_robustness_delta`, a
 restricted check for allocations that differ from a *known-robust* base
@@ -57,33 +54,20 @@ scoped scan and asks only whether it finds a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..observability import current_tracer
+from ..observability import NULL_TRACER, current_tracer
 from .conflicts import ConflictQuadruple, rw_conflicting
-from .context import AnalysisContext, ConflictIndex, mixed_iso_graph
+from .context import AnalysisContext, ConflictIndex, _Core, _resolve, mixed_iso_graph
 from .isolation import Allocation, IsolationLevel
 from .kernel import has_witness, iter_witness_triples, level_list
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
-from .sharding import (
-    ShardedContext,
-    _resolve_sharded,
-    _validate,
-    check_robustness_sharded,
-    enumerate_specs_sharded,
-    first_witness_spec_sharded,
-)
 from .split_schedule import SplitScheduleSpec, materialize, operation_order
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
-
-#: What the public entry points accept as ``context``: a sharded context
-#: (the default per-component composition) or an ``AnalysisContext``
-#: (the workload analyzed as one unit).
-Context = Union[AnalysisContext, ShardedContext]
 
 __all__ = [
     "Counterexample",
@@ -105,9 +89,7 @@ class Counterexample:
         spec: the quadruple chain ``C`` of the multiversion split schedule.
         schedule: the materialized schedule — allowed under the allocation
             and not conflict serializable.
-        allocation: the allocation the witness was found against (used by
-            :func:`~repro.core.incremental.incremental_counterexample` to
-            decide whether a chain transaction's level changed).
+        allocation: the allocation the witness was found against.
     """
 
     spec: SplitScheduleSpec
@@ -165,7 +147,7 @@ def _triple_passes_ssi_conditions(
 
 
 def _search_operations(
-    ctx: AnalysisContext,
+    core: _Core,
     allocation: Allocation,
     t1: Transaction,
     t2: Transaction,
@@ -181,14 +163,14 @@ def _search_operations(
             continue
         a2 = t2.write_op(b1.obj)
         assert a2 is not None
-        for bm, a1 in ctx.conflicting_pairs(tm.tid, t1.tid):
+        for bm, a1 in core.conflicting_pairs(tm.tid, t1.tid):
             if rw_conflicting(bm, a1) or (rc_split and t1.before(b1, a1)):
                 return (b1, a2, bm, a1)
     return None
 
 
 def _build_chain(
-    ctx: AnalysisContext,
+    core: _Core,
     t1: Transaction,
     t2: Transaction,
     tm: Transaction,
@@ -206,14 +188,14 @@ def _build_chain(
         assert path is not None
         hops = [t2.tid, *path, tm.tid]
         for left, right in zip(hops, hops[1:]):
-            b, a = ctx.conflicting_pairs(left, right)[0]
+            b, a = core.conflicting_pairs(left, right)[0]
             chain.append(ConflictQuadruple(left, b, a, right))
     chain.append(ConflictQuadruple(tm.tid, bm, a1, t1.tid))
     return SplitScheduleSpec(tuple(chain))
 
 
 def _scan_t1(
-    ctx: AnalysisContext,
+    core: _Core,
     allocation: Allocation,
     t1: Transaction,
     method: str = "bitset",
@@ -242,14 +224,14 @@ def _scan_t1(
     it never builds a graph at all.
     """
     if method == "bitset":
-        kernel = ctx.kernel()
+        kernel = core.kernel()
         for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
             path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
-            yield _build_chain(ctx, t1, t2, tm, ops, path)
+            yield _build_chain(core, t1, t2, tm, ops, path)
         return
-    candidates = ctx.candidates(t1, method)
-    oracle = ctx.oracle(t1)
-    index = ctx.index
+    candidates = core.candidates(t1, method)
+    oracle = core.oracle(t1)
+    index = core.index
     scoped = delta_tid not in (None, t1.tid)
     for t2 in candidates:
         for tm in candidates:
@@ -263,18 +245,29 @@ def _scan_t1(
                 continue
             if not _triple_passes_ssi_conditions(allocation, t1, t2, tm):
                 continue
-            ops = _search_operations(ctx, allocation, t1, t2, tm)
+            ops = _search_operations(core, allocation, t1, t2, tm)
             if ops is None:
                 continue
             path = oracle.connecting_path(t2.tid, tm.tid)
-            yield _build_chain(ctx, t1, t2, tm, ops, path)
+            yield _build_chain(core, t1, t2, tm, ops, path)
+
+
+def _check_method(method: str) -> None:
+    """Reject an unknown engine name before any work."""
+    if method not in ("bitset", "components", "paper"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _validate(workload: Workload, allocation: Allocation) -> None:
+    if not allocation.covers(workload):
+        raise WorkloadError("allocation does not cover the workload")
 
 
 def check_robustness(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> RobustnessResult:
     """Decide robustness of ``workload`` against ``allocation`` (Algorithm 1).
 
@@ -291,14 +284,14 @@ def check_robustness(
             graph reachability, the reference engine) or ``"paper"``
             (verbatim Algorithm 1 loop structure).  All three are
             bit-identical in verdicts and witnesses.
-        context: omitted (or a
-            :class:`~repro.core.sharding.ShardedContext`), the check runs
-            per connected component of the conflict graph and composes
-            the results (see :mod:`repro.core.sharding`); an
-            :class:`~repro.core.context.AnalysisContext` analyzes the
-            workload as one unit.  Both give bit-identical results;
-            sharing a context across checks amortizes the
-            allocation-independent structure.
+        context: the workload's
+            :class:`~repro.core.context.AnalysisContext` (built fresh
+            when omitted); sharing one across checks amortizes the
+            allocation-independent structure.  The check runs per part
+            of its plan, and the counterexample is materialized against
+            the full workload: the split-schedule shape appends the
+            other components' transactions serially at the end, where
+            they carry no conditions.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -309,108 +302,114 @@ def check_robustness(
         >>> check_robustness(skew, Allocation.ssi(skew)).robust
         True
     """
-    if not isinstance(context, AnalysisContext):
-        return check_robustness_sharded(
-            workload, allocation, method=method, context=context
-        )
-    _validate(workload, allocation, method)
-    spec = _first_witness(workload, allocation, method, context)
+    spec = first_witness_spec(workload, allocation, method, context)
     if spec is None:
         return RobustnessResult(True)
     schedule = materialize(spec, workload, allocation)
     return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
-def _check_scope(
-    workload: Workload, context: AnalysisContext, delta_tid: Optional[int]
-) -> Sequence[int]:
-    """A check's split candidates ``T_1``, ascending.
-
-    Every transaction of the workload, or with ``delta_tid`` only it and
-    its conflict neighbours (:func:`check_robustness_delta`), a tuple
-    cached on the conflict index
-    (:meth:`~repro.core.context.ConflictIndex.scope`).
-    """
-    if delta_tid is None:
-        return workload.tids
-    return context.index.scope(delta_tid)
-
-
-def _check_span(
-    tracer, workload: Workload, method: str, delta_tid: Optional[int]
-):
+def _check_span(tracer, transactions: int, method: str, delta_tid: Optional[int]):
     """A check's span: ``robustness.check``, or ``robustness.check_delta``
     with the ``delta_tid`` it is scoped to."""
     if delta_tid is None:
         return tracer.span(
-            "robustness.check", transactions=len(workload), method=method
+            "robustness.check", transactions=transactions, method=method
         )
     return tracer.span(
         "robustness.check_delta",
-        transactions=len(workload),
+        transactions=transactions,
         method=method,
         delta_tid=delta_tid,
     )
 
 
 def _first_witness(
-    workload: Workload,
+    context: AnalysisContext,
     allocation: Allocation,
     method: str,
-    context: AnalysisContext,
     delta_tid: Optional[int] = None,
 ) -> Optional[SplitScheduleSpec]:
-    """Algorithm 1's ascending-``T_1`` scan over one context.
+    """Algorithm 1's ascending-``T_1`` scan, part by part; counts one check.
 
-    Stops at the first witness; counts one check on the context.  With
-    ``delta_tid`` only the triples through it are scanned
+    Each part of the context's plan is scanned in ascending ``T_1``
+    order until its first witness.  Parts are ordered by their smallest
+    tid, so a part starting above the best ``T_1`` so far, and the
+    ``T_1`` of a part above it, are skipped: the witness returned has
+    the smallest ``T_1`` of the workload, the one a scan of the workload
+    as one unit finds first.
+
+    With ``delta_tid`` only the triples through it are scanned
     (:func:`check_robustness_delta`): ``T_1`` ranges over ``delta_tid``
-    and its conflict neighbours, and :func:`_scan_t1` skips the rest.
+    and its conflict neighbours
+    (:meth:`~repro.core.context.ConflictIndex.scope`), inside its part,
+    and :func:`_scan_t1` skips the other triples.
     """
-    context.ensure(workload)
     context.record_check()
     tracer = current_tracer()
-    with _check_span(tracer, workload, method, delta_tid) as check_span:
-        for tid in _check_scope(workload, context, delta_tid):
-            with tracer.span("robustness.scan_t1", t1=tid):
-                spec = next(
-                    _scan_t1(context, allocation, workload[tid], method, delta_tid),
-                    None,
-                )
-            if spec is not None:
-                check_span.set(robust=False)
-                return spec
-        check_span.set(robust=True)
-    return None
+    plan = context.plan
+    part_tracer = tracer if len(plan) > 1 else NULL_TRACER
+    if delta_tid is None:
+        parts: Iterable[int] = range(len(plan))
+    else:
+        parts = (plan.shard_of[delta_tid],)
+    best: Optional[Tuple[int, SplitScheduleSpec]] = None
+    with _check_span(tracer, len(context.workload), method, delta_tid) as check_span:
+        for index in parts:
+            shard = plan.shards[index]
+            if best is not None and shard[0] > best[0]:
+                break
+            core = context._core(index)
+            t1s = shard if delta_tid is None else core.index.scope(delta_tid)
+            with part_tracer.span("shard.scan", shard=index, size=len(shard)):
+                for tid in t1s:
+                    if best is not None and tid > best[0]:
+                        break
+                    with tracer.span("robustness.scan_t1", t1=tid, shard=index):
+                        spec = next(
+                            _scan_t1(
+                                core, allocation, core.workload[tid], method, delta_tid
+                            ),
+                            None,
+                        )
+                    if spec is not None:
+                        best = (tid, spec)
+                        break
+        check_span.set(robust=best is None)
+    return None if best is None else best[1]
 
 
 def _probe(
-    workload: Workload,
     context: AnalysisContext,
+    core: _Core,
     levels: Sequence[IsolationLevel],
     ssi: int,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether the ``bitset`` scan finds a witness against ``levels``.
+    """Whether the ``bitset`` scan of one part finds a witness against ``levels``.
 
-    The Algorithm 2 probe: the allocation is a level list in bit order
-    and its SSI tid mask, as
+    The Algorithm 2 probe: the allocation is the part's level list in
+    bit order and its SSI tid mask, as
     :func:`~repro.core.allocation.refine_allocation` keeps it, and the
     scan is one :func:`~repro.core.kernel.has_witness` call over the
-    check's candidates.  It counts one check, and it gives the verdict
-    :func:`_first_witness` gives, without resolving operations or
-    building a chain.  The check's span and its per-``T_1`` spans are
-    opened only under a recording tracer: a probe is too short to pay
-    for them otherwise.
+    check's candidates — every ``T_1`` of the part, or with
+    ``delta_tid`` only it and its conflict neighbours.  It counts one
+    check on ``context``, and it gives the verdict :func:`_first_witness`
+    gives, without resolving operations or building a chain.  The
+    check's span and its per-``T_1`` spans are opened only under a
+    recording tracer: a probe is too short to pay for them otherwise.
     """
     context.record_check()
-    kernel = context.kernel()
-    t1s = _check_scope(workload, context, delta_tid)
+    kernel = core.kernel()
+    if delta_tid is None:
+        t1s: Sequence[int] = core.workload.tids
+    else:
+        t1s = core.index.scope(delta_tid)
     tracer = current_tracer()
     if not tracer.recording:
         return has_witness(kernel, levels, ssi, t1s, delta_tid)
     found = False
-    with _check_span(tracer, workload, "bitset", delta_tid) as check_span:
+    with _check_span(tracer, len(core.workload), "bitset", delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
                 found = has_witness(kernel, levels, ssi, (tid,), delta_tid)
@@ -421,33 +420,26 @@ def _probe(
 
 
 def _witness_exists(
-    workload: Workload,
-    allocation: Allocation,
-    method: str,
     context: AnalysisContext,
+    core: _Core,
+    allocation: Allocation,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether :func:`_first_witness` would find a witness — existence only.
+    """Whether the ``bitset`` engine finds a witness in one part.
 
-    The probe for a caller that holds an :class:`Allocation` (the
-    manager's start check, and Algorithm 2's probes under a reference
-    engine): one check counted.  The ``bitset`` engine runs
-    :func:`_probe` on the allocation's level list; the reference engines
-    build the first chain and drop it.
+    :func:`_probe` on ``allocation``'s level list, for a caller holding
+    an :class:`Allocation` (the manager's start check of a component):
+    one check counted.
     """
-    if method != "bitset":
-        spec = _first_witness(workload, allocation, method, context, delta_tid)
-        return spec is not None
-    context.ensure(workload)
-    levels, ssi = level_list(allocation, workload.tids)
-    return _probe(workload, context, levels, ssi, delta_tid)
+    levels, ssi = level_list(allocation, core.workload.tids)
+    return _probe(context, core, levels, ssi, delta_tid)
 
 
 def check_robustness_delta(
     workload: Workload,
     allocation: Allocation,
     delta_tid: int,
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
     method: str = "bitset",
 ) -> RobustnessResult:
     """Robustness of an allocation one step away from a robust one.
@@ -473,12 +465,9 @@ def check_robustness_delta(
     ``delta_tid`` and its conflict neighbours only (``T_2``/``T_m`` must
     conflict with ``T_1``).  The full scan's first witness therefore
     already runs through ``delta_tid``, and the scoped scan returns it.
-
-    ``context`` dispatches as in :func:`check_robustness`: omitted or a
-    :class:`~repro.core.sharding.ShardedContext`, only the component of
-    ``delta_tid`` (which holds every witness) is scanned and the
-    counterexample is materialized against the full workload; an
-    ``AnalysisContext`` scans the workload as one unit.
+    Only the part of ``delta_tid``, which holds every witness, is
+    scanned; the counterexample is materialized against the full
+    workload.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -492,15 +481,12 @@ def check_robustness_delta(
         >>> check_robustness_delta(private, lowered, 2).robust
         True
     """
-    _validate(workload, allocation, method)
+    _check_method(method)
+    _validate(workload, allocation)
     if delta_tid not in workload:
         raise WorkloadError(f"no transaction with id {delta_tid}")
-    if isinstance(context, AnalysisContext):
-        ctx, scanned = context, workload
-    else:
-        ctx = _resolve_sharded(workload, context).context_of(delta_tid)
-        scanned = ctx.workload
-    spec = _first_witness(scanned, allocation, method, ctx, delta_tid)
+    context = _resolve(workload, context)
+    spec = _first_witness(context, allocation, method, delta_tid)
     if spec is None:
         return RobustnessResult(True)
     schedule = materialize(spec, workload, allocation)
@@ -537,31 +523,28 @@ def first_witness_spec(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> Optional[SplitScheduleSpec]:
     """The first counterexample spec, or ``None`` when robust — no schedule.
 
     The lean core of :func:`check_robustness`: identical scan, identical
     verdict, identical spec, but Theorem 3.2's schedule materialization
-    is skipped entirely.  This is what the boolean callers — Algorithm
-    2's downgrade probes (scoped to the lowered transaction),
-    :func:`is_robust` — use: they never read the schedule, and
-    materialization dominates the cost of a failed probe on mid-sized
-    workloads.  ``context`` dispatches as in :func:`check_robustness`.
+    is skipped entirely.  This is what the boolean callers, such as
+    :func:`is_robust`, use: they never read the schedule, and
+    materialization dominates the cost of a failed check on mid-sized
+    workloads.  ``context`` is as in :func:`check_robustness`.
     """
-    if not isinstance(context, AnalysisContext):
-        return first_witness_spec_sharded(
-            workload, allocation, method=method, context=context
-        )
-    _validate(workload, allocation, method)
-    return _first_witness(workload, allocation, method, context)
+    _check_method(method)
+    context = _resolve(workload, context)
+    _validate(workload, allocation)
+    return _first_witness(context, allocation, method)
 
 
 def is_robust(
     workload: Workload,
     allocation: Allocation,
     method: str = "bitset",
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
 ) -> bool:
     """Boolean shorthand for :func:`check_robustness` (Algorithm 1).
 
@@ -600,7 +583,7 @@ def enumerate_counterexamples(
     workload: Workload,
     allocation: Allocation,
     materialize_schedules: bool = True,
-    context: Optional[Context] = None,
+    context: Optional[AnalysisContext] = None,
     method: str = "bitset",
 ) -> Iterable[Counterexample]:
     """Yield one counterexample per problematic triple ``(T_1, T_2, T_m)``.
@@ -613,55 +596,39 @@ def enumerate_counterexamples(
 
     The enumeration order is deterministic: ascending ``T_1`` id, then
     the nested ``(T_2, T_m)`` candidate order of Algorithm 1 (asserted
-    by ``tests/core/test_robustness.py`` and the property suite).
+    by ``tests/core/test_robustness.py`` and the property suite).  Each
+    ``T_1`` is scanned in the core of its part.  The survey counts one
+    check.
 
     Args:
         workload: the set of transactions.
         allocation: an isolation level for every transaction.
         materialize_schedules: build (and re-verify) the concrete schedule
             for each witness; disable for cheap surveys of large spaces.
-        context: dispatches as in :func:`check_robustness` — per
-            conflict component when omitted or a
-            :class:`~repro.core.sharding.ShardedContext`, as one unit for
-            an :class:`~repro.core.context.AnalysisContext`; the yielded
-            sequence is identical either way.
+        context: as in :func:`check_robustness`.
         method: ``"bitset"`` (default), ``"components"`` or ``"paper"``;
             the yielded sequence is identical for every engine.
     """
-    if isinstance(context, AnalysisContext):
-        context.ensure(workload)
-        ctx, enumerate_specs = context, _enumerate_specs
-    else:
-        ctx, enumerate_specs = (
-            _resolve_sharded(workload, context), enumerate_specs_sharded
-        )
-    _validate(workload, allocation, method)
-    ctx.record_check()
-    for spec in enumerate_specs(workload, allocation, method, ctx):
-        yield _spec_to_counterexample(
-            spec, workload, allocation, materialize_schedules
-        )
-
-
-def _enumerate_specs(
-    workload: Workload,
-    allocation: Allocation,
-    method: str,
-    context: AnalysisContext,
-) -> Iterator[SplitScheduleSpec]:
-    """Every witness spec over one context, in ascending ``T_1`` order.
-
-    Does not count a robustness check — the caller owns
-    :meth:`~repro.core.context.AnalysisContext.record_check`.
-    """
+    _check_method(method)
+    context = _resolve(workload, context)
+    _validate(workload, allocation)
+    context.record_check()
     tracer = current_tracer()
+    shard_of = context.plan.shard_of
     for t1 in workload:
+        index = shard_of[t1.tid]
+        core = context._core(index)
         if tracer.recording:
             # Drain the scan inside its span so the recorded duration is
             # scan time, not consumer time between yields.  The yielded
             # sequence is identical either way.
-            with tracer.span("robustness.scan_t1", t1=t1.tid, survey=True):
-                specs = list(_scan_t1(context, allocation, t1, method))
+            with tracer.span(
+                "robustness.scan_t1", t1=t1.tid, shard=index, survey=True
+            ):
+                specs = list(_scan_t1(core, allocation, t1, method))
         else:
-            specs = _scan_t1(context, allocation, t1, method)
-        yield from specs
+            specs = _scan_t1(core, allocation, t1, method)
+        for spec in specs:
+            yield _spec_to_counterexample(
+                spec, workload, allocation, materialize_schedules
+            )

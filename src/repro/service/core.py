@@ -39,8 +39,8 @@ Four service-level behaviours live on top of the manager:
   through :meth:`ServiceCore.metrics_snapshot`.
 
 All command execution is serialized under one lock: the manager is a
-single-writer structure, and correctness of the warm state (shard
-plan, shard contexts) depends on mutations being ordered.
+single-writer structure, and correctness of the warm state (component
+plan, per-component cores) depends on mutations being ordered.
 """
 
 from __future__ import annotations
@@ -657,8 +657,8 @@ class ServiceCore:
         )
 
     def _cmd_status(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        sctx = self._manager.context
-        sizes = list(sctx.plan.sizes) if sctx is not None else []
+        context = self._manager.context
+        sizes = list(context.plan.sizes) if context is not None else []
         return ok_response(
             envelope,
             transactions=len(self._manager.workload),
@@ -710,8 +710,9 @@ class ServiceCore:
     def _cmd_check(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         workload = self._manager.workload
         allocation = self._parse_check_allocation(envelope)
-        sctx = self._manager.context
-        context = sctx if sctx is not None and sctx.matches(workload) else None
+        context = self._manager.context
+        if context is not None and not context.matches(workload):
+            context = None
         result = check_robustness(workload, allocation, context=context)
         payload: Dict[str, Any] = {"robust": result.robust}
         if not result.robust and result.counterexample is not None:
@@ -822,11 +823,11 @@ class ServiceCore:
         — rolling per-second rates over the trailing complete windows —
         so ``/metrics`` exports live rates, not just cumulative totals.
         """
-        sctx = self._manager.context
+        context = self._manager.context
         now = time.monotonic() - self._started
         gauges = {
             "transactions": float(len(self._manager.workload)),
-            "shards": float(len(sctx.plan)) if sctx is not None else 0.0,
+            "shards": float(len(context.plan)) if context is not None else 0.0,
             "queue_depth": float(len(self._queue)),
             "mutations": float(self._mutations),
             "mutations_since_snapshot": float(self._since_snapshot),

@@ -277,14 +277,9 @@ def serve(config: ServiceConfig) -> ServiceCore:
         pid=os.getpid(),
     )
     if config.snapshot_path:
-        manager = server.core.manager
-        plan = "warm shard plan" if (
-            len(manager.workload)
-            and manager.plan_stats.get("plan_builds", 0) == 0
-        ) else "fresh shard plan"
         print(
             f"repro serve: snapshot path {config.snapshot_path}"
-            f" ({len(manager.workload)} transactions resumed, {plan})"
+            f" ({len(server.core.manager.workload)} transactions resumed)"
         )
     server.start()
     try:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.isolation import Allocation, IsolationLevel
-from ..core.sharding import ShardedContext
+from ..core.context import AnalysisContext
 from ..core.workload import Workload, parse_workload
 from ..observability import validate_trace_file
 
@@ -138,7 +138,7 @@ def parse_levels_spec(spec: str) -> List[IsolationLevel]:
     return [parse_level(part) for part in spec.split(",")]
 
 
-def shard_report_line(context: ShardedContext) -> str:
+def shard_report_line(context: AnalysisContext) -> str:
     """The ``--stats`` shard line: component count and sizes."""
     sizes = context.plan.sizes
     rendered = ", ".join(str(size) for size in sizes) if sizes else "-"

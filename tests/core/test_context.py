@@ -1,6 +1,13 @@
-"""Unit tests for repro.core.context (shared analysis structure)."""
+"""Unit tests for repro.core.context (shared analysis structure).
+
+The per-component structure (index, kernel, oracles, candidate and pair
+tables) lives on a context's private cores; these tests reach it through
+``_core``.
+"""
 
 import pytest
+
+from strategies import one_unit
 
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
@@ -14,12 +21,13 @@ from repro.workloads.tpcc import tpcc_one_of_each
 
 class TestConflictIndexAccounting:
     def test_exactly_one_index_per_optimal_allocation(self):
-        """A full Algorithm 2 run builds the conflict index exactly once."""
+        """A full Algorithm 2 run builds each component's index exactly once."""
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[x] W3[x]", "R4[q]")
         ctx = AnalysisContext(wl)
         optimal_allocation(wl, context=ctx)
-        assert ctx.stats.index_builds == 1
-        assert ctx.stats.checks > 1  # many checks, one index
+        assert len(ctx.plan) == 2
+        assert ctx.stats.index_builds == 2
+        assert ctx.stats.checks > 2  # many checks, one index per component
 
     @pytest.mark.parametrize(
         "factory",
@@ -34,7 +42,7 @@ class TestConflictIndexAccounting:
         wl = factory()
         ctx = AnalysisContext(wl)
         assert optimal_allocation(wl, context=ctx) is not None
-        assert ctx.stats.index_builds == 1
+        assert ctx.stats.index_builds == len(ctx.plan)
 
     def test_uncontexted_check_builds_private_index(self, write_skew):
         for alloc in (Allocation.si(write_skew), Allocation.ssi(write_skew)):
@@ -46,32 +54,34 @@ class TestConflictIndexAccounting:
 class TestContextCaching:
     def test_oracle_cached_per_t1(self, write_skew):
         ctx = AnalysisContext(write_skew)
+        core = ctx._core(0)
         t1 = write_skew[1]
-        first = ctx.oracle(t1)
-        assert ctx.oracle(t1) is first
+        first = core.oracle(t1)
+        assert core.oracle(t1) is first
         assert ctx.stats.oracle_builds == 1
         assert ctx.stats.oracle_hits == 1
 
     def test_candidates_match_methods(self, write_skew):
-        ctx = AnalysisContext(write_skew)
+        core = AnalysisContext(write_skew)._core(0)
         t1 = write_skew[1]
-        assert [t.tid for t in ctx.candidates(t1, "paper")] == [2]
-        assert [t.tid for t in ctx.candidates(t1, "components")] == [2]
+        assert [t.tid for t in core.candidates(t1, "paper")] == [2]
+        assert [t.tid for t in core.candidates(t1, "components")] == [2]
         # Cached: same tuple object returned.
-        assert ctx.candidates(t1, "paper") is ctx.candidates(t1, "paper")
+        assert core.candidates(t1, "paper") is core.candidates(t1, "paper")
 
     def test_candidates_restrict_to_conflicting(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[q]")
-        ctx = AnalysisContext(wl)
+        core = one_unit(wl)._core(0)  # T3 shares the core with T1
         t1 = wl[1]
-        assert [t.tid for t in ctx.candidates(t1, "paper")] == [2, 3]
-        assert [t.tid for t in ctx.candidates(t1, "components")] == [2]
+        assert [t.tid for t in core.candidates(t1, "paper")] == [2, 3]
+        assert [t.tid for t in core.candidates(t1, "components")] == [2]
 
     def test_conflicting_pairs_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        pairs = ctx.conflicting_pairs(1, 2)
+        core = ctx._core(0)
+        pairs = core.conflicting_pairs(1, 2)
         assert pairs  # write skew: R1[x] conflicts W2[x], W1[y] with R2[y]
-        assert ctx.conflicting_pairs(1, 2) is pairs
+        assert core.conflicting_pairs(1, 2) is pairs
         assert ctx.stats.pair_builds == 1
         assert ctx.stats.pair_hits == 1
 
@@ -124,9 +134,9 @@ class _KernelPaths:
     """The bitset kernel's connecting chains for one ``T_1``, with the
     oracle's interface."""
 
-    def __init__(self, ctx, t1_tid):
-        self.kernel = ctx.kernel()
-        self.index = ctx.index
+    def __init__(self, core, t1_tid):
+        self.kernel = core.kernel()
+        self.index = core.index
         self.t1_tid = t1_tid
 
     def connecting_path(self, tid_2, tid_m):
@@ -144,10 +154,10 @@ def paths(request):
     oracle (``components``/``paper``) or the kernel (``bitset``)."""
 
     def build(wl, t1_tid):
-        ctx = AnalysisContext(wl)
+        core = one_unit(wl)._core(0)
         if request.param == "oracle":
-            return ctx.oracle(wl[t1_tid])
-        return _KernelPaths(ctx, t1_tid)
+            return core.oracle(wl[t1_tid])
+        return _KernelPaths(core, t1_tid)
 
     return build
 
@@ -188,13 +198,14 @@ class TestConnectingPath:
 class TestKernelCaching:
     def test_kernel_built_once(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        kernel = ctx.kernel()
-        assert ctx.kernel() is kernel
+        core = ctx._core(0)
+        kernel = core.kernel()
+        assert core.kernel() is kernel
         assert ctx.stats.kernel_builds == 1
 
     def test_kernel_rows_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        kernel = ctx.kernel()
+        kernel = ctx._core(0).kernel()
         row = kernel.row(1)
         assert kernel.row(1) is row
         assert ctx.stats.kernel_row_builds == 1

@@ -145,26 +145,6 @@ class TestCanonicalView:
         assert plan.shard_index(9) == 1
 
 
-class TestFromPartition:
-    def test_resume_counts_reuse_not_build(self):
-        workload = Workload(_chain())
-        stats = ContextStats()
-        plan = DynamicShardPlan.from_partition(workload, [[1, 2, 3]], stats)
-        assert plan.shards == ShardPlan(workload).shards
-        assert stats.plan_reuse == 1
-        assert stats.plan_builds == 0
-
-    def test_overlapping_partition_rejected(self):
-        with pytest.raises(WorkloadError, match="repeats"):
-            DynamicShardPlan.from_partition(
-                Workload(_chain()), [[1, 2], [2, 3]]
-            )
-
-    def test_partition_must_cover_the_workload(self):
-        with pytest.raises(WorkloadError, match="cover"):
-            DynamicShardPlan.from_partition(Workload(_chain()), [[1, 2]])
-
-
 class TestManagerSingletonRemoval:
     """Satellite regression: removing an isolated transaction is O(1) —
     no conflict index is rebuilt, no robustness check is spent."""

@@ -2,10 +2,21 @@
 
 import pytest
 
-from repro.core.allocation import optimal_allocation
+from repro.core.allocation import (
+    is_robustly_allocatable,
+    optimal_allocation,
+    refine_allocation,
+    upgrade_to_robust,
+)
 from repro.core.allowed import allowed_under, is_allowed
-from repro.core.isolation import Allocation
-from repro.core.robustness import check_robustness, is_robust
+from repro.core.isolation import POSTGRES_LEVELS, Allocation
+from repro.core.robustness import (
+    check_robustness,
+    check_robustness_delta,
+    enumerate_counterexamples,
+    first_witness_spec,
+    is_robust,
+)
 from repro.core.schedules import canonical_schedule, serial_schedule
 from repro.core.serialization import is_conflict_serializable
 from repro.core.transactions import Transaction
@@ -95,3 +106,49 @@ class TestAllowedDegenerate:
         wl = workload("R1[x]")
         s = serial_schedule(wl, [1])
         assert not s.concurrent(1, 1)
+
+
+#: Every entry point taking ``method=``, as ``(name, call(workload, method))``.
+_METHOD_ENTRY_POINTS = (
+    ("check_robustness", lambda wl, m: check_robustness(wl, Allocation.si(wl), method=m)),
+    (
+        "check_robustness_delta",
+        lambda wl, m: check_robustness_delta(wl, Allocation.si(wl), 1, method=m),
+    ),
+    ("first_witness_spec", lambda wl, m: first_witness_spec(wl, Allocation.si(wl), m)),
+    ("is_robust", lambda wl, m: is_robust(wl, Allocation.si(wl), method=m)),
+    (
+        "enumerate_counterexamples",
+        lambda wl, m: list(enumerate_counterexamples(wl, Allocation.si(wl), method=m)),
+    ),
+    (
+        "refine_allocation",
+        lambda wl, m: refine_allocation(wl, Allocation.ssi(wl), POSTGRES_LEVELS, method=m),
+    ),
+    ("optimal_allocation", lambda wl, m: optimal_allocation(wl, method=m)),
+    (
+        "is_robustly_allocatable",
+        lambda wl, m: is_robustly_allocatable(wl, POSTGRES_LEVELS, method=m),
+    ),
+    (
+        "upgrade_to_robust",
+        lambda wl, m: upgrade_to_robust(wl, Allocation.si(wl), method=m),
+    ),
+)
+
+_METHOD_WORKLOADS = {
+    "empty": Workload([]),
+    "all-singleton": workload("R1[a] W1[b]", "R2[c] W2[d]", "R3[e]"),
+    "one-component": workload("R1[x] W1[y]", "R2[y] W2[x]"),
+    "multi-component": workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[p] W3[p]"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_METHOD_WORKLOADS))
+@pytest.mark.parametrize(
+    "call", [call for _, call in _METHOD_ENTRY_POINTS], ids=[n for n, _ in _METHOD_ENTRY_POINTS]
+)
+def test_unknown_method_is_rejected(call, shape):
+    """An unknown engine name raises, whatever the workload's shape."""
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        call(_METHOD_WORKLOADS[shape], "bogus")

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import strategies as sts
-from repro.core import incremental as incremental_module
 from repro.core.allocation import optimal_allocation, refine_allocation
 from repro.core.context import AnalysisContext
-from repro.core.incremental import AllocationManager, incremental_counterexample
+from repro.core.incremental import AllocationManager
 from repro.core.isolation import Allocation, IsolationLevel, ORACLE_LEVELS
-from repro.core.robustness import Counterexample, check_robustness, is_robust
+from repro.core.robustness import is_robust
 from repro.core.transactions import parse_transaction
-from repro.core.workload import Workload, WorkloadError, workload
+from repro.core.workload import Workload, WorkloadError
 
 
 class TestAllocationManager:
@@ -150,88 +149,6 @@ def test_subset_robustness_monotonicity(wl):
         assert is_robust(smaller, smaller_alloc)
 
 
-class TestIncrementalCounterexample:
-    def test_reuses_valid_witness(self, write_skew):
-        alloc = Allocation.si(write_skew)
-        first = check_robustness(write_skew, alloc).counterexample
-        grown = Workload(
-            list(write_skew) + [parse_transaction("R3[q] W3[q]")]
-        )
-        grown_alloc = Allocation({1: "SI", 2: "SI", 3: "SI"})
-        reused = incremental_counterexample(first, grown, grown_alloc)
-        assert reused is not None
-        assert reused.spec == first.spec  # same chain, re-materialized
-
-    def test_detects_new_robustness(self, write_skew):
-        alloc = Allocation.si(write_skew)
-        first = check_robustness(write_skew, alloc).counterexample
-        # Upgrading both to SSI invalidates the witness and the workload
-        # becomes robust.
-        ssi = Allocation.ssi(write_skew)
-        assert incremental_counterexample(first, write_skew, ssi) is None
-
-    def test_rechecks_after_chain_member_removed(self, write_skew):
-        alloc = Allocation.si(write_skew)
-        first = check_robustness(write_skew, alloc).counterexample
-        smaller = write_skew.without(2)
-        smaller_alloc = Allocation({1: "SI"})
-        assert incremental_counterexample(first, smaller, smaller_alloc) is None
-
-    def test_no_previous_runs_fresh(self, write_skew):
-        alloc = Allocation.si(write_skew)
-        found = incremental_counterexample(None, write_skew, alloc)
-        assert found is not None
-
-    def _count_full_checks(self, monkeypatch):
-        calls = []
-        original = incremental_module.check_robustness
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(incremental_module, "check_robustness", spy)
-        return calls
-
-    def test_level_change_invalidates_cached_witness(self, write_skew, monkeypatch):
-        """Condition (b): a chain level change forces a full re-check.
-
-        The chain's Definition 3.1 conditions happen to hold under the new
-        allocation too, so a conditions-only recheck (the old, buggy
-        behaviour) would have reused the witness without running
-        Algorithm 1.  The docstring requires an explicit level comparison.
-        """
-        si = Allocation.si(write_skew)
-        first = check_robustness(write_skew, si).counterexample
-        changed = si.with_level(1, IsolationLevel.RC)
-        assert not is_robust(write_skew, changed)  # still non-robust
-        calls = self._count_full_checks(monkeypatch)
-        found = incremental_counterexample(first, write_skew, changed)
-        assert found is not None
-        assert len(calls) == 1  # full Algorithm 1 rerun, no blind reuse
-
-    def test_unchanged_levels_reuse_without_full_check(self, write_skew, monkeypatch):
-        si = Allocation.si(write_skew)
-        first = check_robustness(write_skew, si).counterexample
-        grown = Workload(list(write_skew) + [parse_transaction("R3[q] W3[q]")])
-        grown_alloc = Allocation({1: "SI", 2: "SI", 3: "RC"})
-        calls = self._count_full_checks(monkeypatch)
-        reused = incremental_counterexample(first, grown, grown_alloc)
-        assert reused is not None
-        assert reused.spec == first.spec
-        assert len(calls) == 0  # chain untouched: no full search
-
-    def test_witness_without_allocation_is_not_trusted(self, write_skew, monkeypatch):
-        """Legacy witnesses (no recorded allocation) trigger a full re-check."""
-        si = Allocation.si(write_skew)
-        first = check_robustness(write_skew, si).counterexample
-        legacy = Counterexample(first.spec, first.schedule)  # allocation=None
-        calls = self._count_full_checks(monkeypatch)
-        found = incremental_counterexample(legacy, write_skew, si)
-        assert found is not None
-        assert len(calls) == 1
-
-
 class TestWitnessCachePruningOnRemoval:
     """Regression: a removed transaction leaves nothing later probes read.
 
@@ -259,58 +176,3 @@ class TestWitnessCachePruningOnRemoval:
         # The manager's verdict equals a from-scratch computation.
         assert alloc == optimal_allocation(manager.workload)
         assert manager.check(alloc)
-
-
-class TestCrossShardStaleWitness:
-    """Satellite regression: reuse must reject chains crossing components.
-
-    ``incremental_counterexample`` condition (c): after a mutation splits
-    a component, a cached chain spanning the now-disconnected halves is
-    not a split schedule any more.  The conditions-only recheck can still
-    pass on a doctored witness (specs don't re-derive conflicts), so the
-    ``same_shard`` guard is what forces the full re-check.
-    """
-
-    def test_same_shard_guard_forces_full_recheck(self, monkeypatch):
-        from types import SimpleNamespace
-
-        # Build a witness over a connected workload, then present a
-        # current workload where the chain's tids are disconnected.
-        connected = workload("R1[x] W1[y]", "R2[y] W2[x]")
-        si = Allocation.si(connected)
-        first = check_robustness(connected, si).counterexample
-        split = workload("R1[a] W1[b]", "R2[c] W2[d]")  # two components
-        doctored = Counterexample(
-            first.spec, SimpleNamespace(workload=split), si
-        )
-        calls = []
-        original = incremental_module.check_robustness
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(incremental_module, "check_robustness", spy)
-        result = incremental_counterexample(doctored, split, si)
-        # The split workload is robust; blind reuse of the doctored chain
-        # would have certified non-robustness with a cross-component chain.
-        assert result is None
-        assert len(calls) == 1  # full Algorithm 1 rerun
-
-    def test_connected_chain_still_reuses(self, monkeypatch):
-        """The guard is not over-eager: same-component chains reuse."""
-        connected = workload("R1[x] W1[y]", "R2[y] W2[x]")
-        si = Allocation.si(connected)
-        first = check_robustness(connected, si).counterexample
-        calls = []
-        original = incremental_module.check_robustness
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(incremental_module, "check_robustness", spy)
-        reused = incremental_counterexample(first, connected, si)
-        assert reused is not None
-        assert reused.spec == first.spec
-        assert len(calls) == 0

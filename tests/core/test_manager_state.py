@@ -157,22 +157,27 @@ class TestWarmStartEquivalence:
 
 
 class TestPlanPersistence:
-    """Snapshots carry the shard plan; restore resumes it, never rebuilds."""
+    """Restore rebuilds the component plan and ignores a persisted one.
 
-    def test_state_includes_the_partition(self):
-        manager = _filled_manager()
-        state = manager.save_state()
-        assert state["plan"] == [list(s) for s in manager.context.plan.shards]
+    Snapshots written by earlier builds carry the partition as ``plan``.
+    Trusting it would need the same union-find that rebuilding costs, so
+    a restore never reads it.
+    """
 
-    def test_restore_reuses_the_persisted_plan(self):
-        manager = _filled_manager()
-        restored = AllocationManager.load_state(manager.save_state())
-        assert restored.plan_stats["plan_builds"] == 0, (
-            "restore must resume the persisted partition, not re-run the"
-            " full union-find"
-        )
-        assert restored.plan_stats["plan_reuse"] >= 1
-        assert restored.context.plan.shards == manager.context.plan.shards
+    def test_state_omits_the_partition(self):
+        assert "plan" not in _filled_manager().save_state()
+
+    def test_split_plan_cannot_certify_a_non_robust_allocation(self):
+        """A ``plan`` splitting write skew must not hide its witness."""
+        manager = AllocationManager()
+        manager.add(parse_transaction("R1[x] W1[y]"))
+        manager.add(parse_transaction("R2[y] W2[x]"))
+        for plan in ([[1], [2]], [[1, 2]]):
+            state = manager.save_state()
+            state["allocation"] = {"1": "SI", "2": "SI"}
+            state["plan"] = plan
+            with pytest.raises(WorkloadError, match="not robust"):
+                AllocationManager.load_state(state, verify=True)
 
     def test_corrupt_plan_falls_back_to_full_build(self):
         state = _filled_manager().save_state()
@@ -183,7 +188,7 @@ class TestPlanPersistence:
 
     def test_missing_plan_field_falls_back_to_full_build(self):
         state = _filled_manager().save_state()
-        del state["plan"]  # pre-plan-persistence snapshot
+        state.pop("plan", None)  # pre-plan-persistence snapshot
         restored = AllocationManager.load_state(state)
         assert restored.plan_stats["plan_builds"] == 1
         assert dict(restored.allocation.items()) == dict(

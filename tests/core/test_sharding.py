@@ -3,7 +3,8 @@
 The property suite (``tests/properties/test_shard_equivalence.py``) pins
 the end-to-end bit-identity contract; this module pins the structural
 pieces: component discovery against a brute-force pairwise reference,
-plan ordering, ``same_shard``, and the ``ShardedContext`` plumbing.
+plan ordering, and how an ``AnalysisContext`` builds a core per part of
+its plan.
 """
 
 import itertools
@@ -12,14 +13,7 @@ import pytest
 
 from repro.core.conflicts import transactions_conflict
 from repro.core.context import AnalysisContext, ContextStats
-from repro.core.isolation import Allocation, IsolationLevel
-from repro.core.sharding import (
-    ShardPlan,
-    ShardedContext,
-    _resolve_sharded,
-    conflict_components,
-    same_shard,
-)
+from repro.core.sharding import ShardPlan, conflict_components
 from repro.core.workload import Workload, WorkloadError, workload
 from repro.workloads.generator import clustered_workload, random_workload
 
@@ -87,19 +81,6 @@ class TestConflictComponents:
         assert conflict_components(Workload([])) == ()
 
 
-class TestSameShard:
-    def test_single_tid_is_trivially_same_shard(self):
-        wl = workload("R1[x]", "R2[y]")
-        assert same_shard(wl, [1])
-        assert same_shard(wl, [])
-
-    def test_cross_component_tids_rejected(self):
-        wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        assert same_shard(wl, [1, 2])
-        assert not same_shard(wl, [1, 3])
-        assert not same_shard(wl, [1, 2, 3])
-
-
 class TestShardPlan:
     def test_plan_shape(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
@@ -110,54 +91,48 @@ class TestShardPlan:
         assert plan.shard_of == {1: 0, 2: 0, 3: 1}
 
 
-class TestShardedContext:
-    def test_sub_contexts_share_stats_and_build_lazily(self):
+class TestContextPlan:
+    def test_cores_share_stats_and_build_lazily(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        sctx = ShardedContext(wl)
-        assert sctx.stats.index_builds == 0  # nothing built yet
-        ctx0 = sctx.shard_context(0)
-        assert ctx0 is sctx.shard_context(0)  # cached
-        assert sctx.stats.index_builds == 1  # shard 1 still unbuilt
-        assert sctx.context_of(3) is sctx.shard_context(1)
-        assert sctx.stats.index_builds == 2
+        ctx = AnalysisContext(wl)
+        assert ctx.plan.shards == ((1, 2), (3,))
+        assert ctx.stats.index_builds == 0  # nothing built yet
+        core = ctx._core(0)
+        assert core is ctx._core(0)  # cached
+        assert core.stats is ctx.stats
+        assert ctx.stats.index_builds == 1  # part 1 still unbuilt
+        ctx._core(1)
+        assert ctx.stats.index_builds == 2
 
-    def test_shard_workload_and_allocation_restriction(self):
+    def test_part_workloads(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        sctx = ShardedContext(wl)
-        assert sctx.shard_workload(0).tids == (1, 2)
-        alloc = Allocation(
-            {1: IsolationLevel.RC, 2: IsolationLevel.SI, 3: IsolationLevel.SSI}
-        )
-        sub = sctx.shard_allocation(alloc, 0)
-        assert sub.tids == (1, 2)
-        assert sub[1] is IsolationLevel.RC and sub[2] is IsolationLevel.SI
+        ctx = AnalysisContext(wl)
+        assert ctx._part_workload(0).tids == (1, 2)
+        assert ctx._core(1).workload.tids == (3,)
+        whole = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
+        assert whole._part_workload(0) is wl  # a one-part plan copies nothing
 
     def test_ensure_rejects_other_workload(self):
         wl = workload("R1[x]")
         other = workload("R1[y]")
-        sctx = ShardedContext(wl)
-        sctx.ensure(wl)
+        ctx = AnalysisContext(wl)
+        ctx.ensure(wl)
         with pytest.raises(WorkloadError, match="different workload"):
-            sctx.ensure(other)
+            ctx.ensure(other)
 
-    def test_adopt_context_validates_sub_workload(self):
+    def test_adopt_installs_a_core_and_its_workload(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        sctx = ShardedContext(wl)
-        good = AnalysisContext(wl.restricted_to([3]))
-        sctx.adopt_context(1, good)
-        assert sctx.shard_context(1) is good
-        with pytest.raises(WorkloadError):
-            sctx.adopt_context(0, AnalysisContext(wl.restricted_to([1])))
+        donor = AnalysisContext(wl)
+        ctx = AnalysisContext(wl, plan=donor.plan)
+        core = donor._core(1)
+        ctx._adopt(1, core)
+        assert ctx._core(1) is core
+        assert ctx._part_workload(1) is core.workload
+        assert ctx.stats.index_builds == 0
 
     def test_record_check_counts_one_logical_check(self):
         wl = workload("R1[x]", "R2[y]")
         stats = ContextStats()
-        sctx = ShardedContext(wl, stats=stats)
-        sctx.record_check()
+        ctx = AnalysisContext(wl, stats=stats)
+        ctx.record_check()
         assert stats.checks == 1
-
-    def test_resolve_sharded_rejects_monolithic_context(self):
-        wl = workload("R1[x]")
-        with pytest.raises(WorkloadError, match="AnalysisContext.*one unit"):
-            _resolve_sharded(wl, AnalysisContext(wl))
-        assert isinstance(_resolve_sharded(wl, None), ShardedContext)

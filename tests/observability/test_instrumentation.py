@@ -21,7 +21,6 @@ from repro.core.robustness import (
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.sharding import ShardedContext
 from repro.core.workload import workload
 from repro.enumeration.sampling import estimate_anomaly_rate
 from repro.mvcc import run_workload
@@ -66,7 +65,7 @@ class TestSequentialSpans:
 
     def test_allocation_span_hierarchy(self, write_skew):
         tracer = Tracer()
-        ctx = ShardedContext(write_skew)
+        ctx = AnalysisContext(write_skew)
         with use_tracer(tracer):
             optimal_allocation(write_skew, context=ctx)
         by_name = {}

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+from strategies import one_unit
 from repro.core.allocation import optimal_allocation, refine_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import (
@@ -28,7 +29,6 @@ from repro.core.isolation import (
     POSTGRES_LEVELS,
 )
 from repro.core.robustness import _witness_exists, check_robustness, is_robust
-from repro.core.sharding import ShardedContext
 from repro.core.split_schedule import is_valid_split_schedule
 from repro.workloads.generator import random_workload
 
@@ -93,12 +93,13 @@ def _seed_refine(workload, start, levels, method="components", probes=None):
 
 
 def _full_scan_refine(workload, start, levels, ctx):
-    """The refinement with unscoped probes.
+    """The refinement with unscoped probes, on a one-unit context.
 
     Every probe asks whether a scan of every triple of every ``T_1``
     finds a witness — what the refinement did before its probes were
     scoped to the lowered transaction.
     """
+    core = ctx._core(0)
     ordered = tuple(sorted(set(levels)))
     current = start
     for tid in workload.tids:
@@ -106,7 +107,7 @@ def _full_scan_refine(workload, start, levels, ctx):
             if level >= current[tid]:
                 break
             candidate = current.with_level(tid, level)
-            if not _witness_exists(workload, candidate, "bitset", ctx):
+            if not _witness_exists(ctx, core, candidate):
                 current = candidate
                 break
     return current
@@ -154,7 +155,7 @@ def test_scoped_probes_match_full_scan_refinement(wl):
         start = Allocation.uniform(wl, max(levels))
         if not is_robust(wl, start):
             continue  # {RC, SI} without a robust allocation: nothing to refine
-        scoped_ctx, full_ctx = AnalysisContext(wl), AnalysisContext(wl)
+        scoped_ctx, full_ctx = AnalysisContext(wl), one_unit(wl)
         scoped = refine_allocation(wl, start, levels, context=scoped_ctx)
         full = _full_scan_refine(wl, start, levels, full_ctx)
         assert scoped == full
@@ -171,8 +172,9 @@ def test_scoped_probes_match_full_scan_refinement(wl):
 def test_checks_count_the_seed_refinement_probes(wl):
     """``checks`` after a refinement is the seed loop's probe count.
 
-    Sharded and one-unit alike: the sharded refinement probes the same
-    (transaction, level) pairs, and every probe counts one check.
+    Per component and one-unit alike: the per-component refinement
+    probes the same (transaction, level) pairs, and every probe counts
+    one check.
     """
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
         start = Allocation.uniform(wl, max(levels))
@@ -180,6 +182,6 @@ def test_checks_count_the_seed_refinement_probes(wl):
             continue
         probes = []
         expected = _seed_refine(wl, start, levels, probes=probes)
-        for ctx in (AnalysisContext(wl), ShardedContext(wl)):
+        for ctx in (one_unit(wl), AnalysisContext(wl)):
             assert refine_allocation(wl, start, levels, context=ctx) == expected
             assert ctx.stats.checks == len(probes)

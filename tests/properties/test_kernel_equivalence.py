@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
+from strategies import one_unit
 from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
-from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.context import ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.kernel import iter_witness_triples, level_list
 from repro.core.robustness import (
@@ -123,7 +124,7 @@ def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
         transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
     )
     alloc = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
-    kernel = AnalysisContext(wl).kernel()
+    kernel = one_unit(wl)._core(0).kernel()
     for t1 in wl:
         full = list(iter_witness_triples(kernel, alloc, t1))
         for d in wl.tids:
@@ -195,7 +196,8 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
     )
     drawn = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
     robust = upgrade_to_robust(wl, drawn)
-    ctx, reference = AnalysisContext(wl), AnalysisContext(wl)
+    ctx, reference = one_unit(wl), one_unit(wl)
+    core = ctx._core(0)
     ladder = sorted(IsolationLevel)
     for tid in wl.tids:
         rank = ladder.index(robust[tid])
@@ -203,13 +205,11 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
             continue
         lowered = robust.with_level(tid, ladder[rank - 1])
         for delta_tid in (tid, None):
-            expected = _first_witness(
-                wl, lowered, "components", reference, delta_tid
-            )
-            found = _witness_exists(wl, lowered, "bitset", ctx, delta_tid)
+            expected = _first_witness(reference, lowered, "components", delta_tid)
+            found = _witness_exists(ctx, core, lowered, delta_tid)
             assert found == (expected is not None), (tid, delta_tid)
             levels, ssi = level_list(lowered, wl.tids)
-            probed = _probe(wl, ctx, levels, ssi, delta_tid)
+            probed = _probe(ctx, core, levels, ssi, delta_tid)
             assert probed == (expected is not None), (tid, delta_tid)
 
 
@@ -228,11 +228,11 @@ def test_kernel_connecting_path_matches_oracle(seed, size):
     wl = random_workload(
         transactions=size, objects=size + 2, min_ops=2, max_ops=3, seed=seed
     )
-    ctx = AnalysisContext(wl)
-    kernel = ctx.kernel()
+    core = one_unit(wl)._core(0)
+    kernel = core.kernel()
     for t1 in wl:
-        oracle = ctx.oracle(t1)
-        candidates = ctx.candidates(t1, "components")
+        oracle = core.oracle(t1)
+        candidates = core.candidates(t1, "components")
         for t2 in candidates:
             for tm in candidates:
                 assert kernel.connecting_path(

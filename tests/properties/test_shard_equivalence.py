@@ -1,13 +1,14 @@
-"""Property tests: the default sharded pipeline equals one-unit analysis.
+"""Property tests: the default per-component analysis equals one-unit analysis.
 
 The acceptance contract of component sharding (``repro.core.sharding``):
 every public entry point analyzes per conflict component by default, and
 on any (workload, allocation) pair it must return the *same* verdict,
 the *same* witness ``SplitScheduleSpec``, the *same*
 ``enumerate_counterexamples`` spec sequence (order included) and the
-*same* optimal allocation as an explicit
-``context=AnalysisContext(wl)`` run, which analyzes the workload as one
-unit — for every engine (``bitset``, ``components``, ``paper``).
+*same* optimal allocation as a run through a context whose plan has the
+whole workload as its one part (``one_unit``), which analyzes the
+workload as one unit — for every engine (``bitset``, ``components``,
+``paper``).
 Algorithm 2 must also issue the same robustness checks
 on both paths.  Identity is at the *spec*
 level: ``MVSchedule`` objects compare by identity, and two independent
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
+from strategies import one_unit
 from repro.core.allocation import (
     is_robustly_allocatable,
     optimal_allocation,
@@ -42,7 +44,7 @@ from repro.core.robustness import (
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.sharding import ShardedContext, conflict_components
+from repro.core.sharding import conflict_components
 from repro.core.split_schedule import is_valid_split_schedule
 from repro.observability import Tracer, use_tracer
 from repro.workloads.generator import clustered_workload
@@ -68,7 +70,7 @@ def workload_and_allocation(draw):
 
 def assert_check_matches(wl, alloc, method="bitset"):
     mono = check_robustness(
-        wl, alloc, method=method, context=AnalysisContext(wl)
+        wl, alloc, method=method, context=one_unit(wl)
     )
     sharded = check_robustness(wl, alloc, method=method)
     assert mono.robust == sharded.robust
@@ -85,7 +87,7 @@ def assert_enumeration_matches(wl, alloc, method="bitset"):
             alloc,
             materialize_schedules=False,
             method=method,
-            context=AnalysisContext(wl),
+            context=one_unit(wl),
         )
     ]
     sharded = [
@@ -99,7 +101,7 @@ def assert_enumeration_matches(wl, alloc, method="bitset"):
 
 def assert_allocation_matches(wl, levels, method="bitset"):
     mono = optimal_allocation(
-        wl, levels, method=method, context=AnalysisContext(wl)
+        wl, levels, method=method, context=one_unit(wl)
     )
     sharded = optimal_allocation(wl, levels, method=method)
     assert mono == sharded
@@ -137,10 +139,10 @@ def test_sharded_optimal_allocation_matches_monolithic(wl):
 def test_sharded_upgrade_and_allocatability_match_monolithic(pair):
     wl, alloc = pair
     assert upgrade_to_robust(wl, alloc) == upgrade_to_robust(
-        wl, alloc, context=AnalysisContext(wl)
+        wl, alloc, context=one_unit(wl)
     )
     assert is_robustly_allocatable(wl) == is_robustly_allocatable(
-        wl, context=AnalysisContext(wl)
+        wl, context=one_unit(wl)
     )
 
 
@@ -153,18 +155,18 @@ def assert_counters_match(wl, levels, method="bitset"):
     conflict index per analyzed component against exactly one for the
     one-unit run — and is pinned separately below.
     """
-    one_unit = AnalysisContext(wl)
-    expected = optimal_allocation(wl, levels, method=method, context=one_unit)
+    unit = one_unit(wl)
+    expected = optimal_allocation(wl, levels, method=method, context=unit)
     tracer = Tracer()
     with use_tracer(tracer):
         default = optimal_allocation(wl, levels, method=method)
-    sharded = ShardedContext(wl)
+    sharded = AnalysisContext(wl)
     assert default == expected
     assert optimal_allocation(wl, levels, method=method, context=sharded) == expected
-    assert sharded.stats.checks == one_unit.stats.checks
+    assert sharded.stats.checks == unit.stats.checks
     counters = tracer.registry.counters
-    assert counters.get("robustness.checks", 0) == one_unit.stats.checks
-    assert one_unit.stats.index_builds == 1
+    assert counters.get("robustness.checks", 0) == unit.stats.checks
+    assert unit.stats.index_builds == 1
     assert sharded.stats.index_builds <= len(sharded.plan)
     if expected is not None:  # every component was refined
         assert sharded.stats.index_builds == len(sharded.plan)
@@ -231,12 +233,12 @@ def test_sharded_stats_match_one_unit_outside_per_component_fields(wl):
     """
     for method in ENGINES:
         for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
-            one_unit, sharded = AnalysisContext(wl), ShardedContext(wl)
-            expected = optimal_allocation(wl, levels, method=method, context=one_unit)
+            unit, sharded = one_unit(wl), AnalysisContext(wl)
+            expected = optimal_allocation(wl, levels, method=method, context=unit)
             assert optimal_allocation(
                 wl, levels, method=method, context=sharded
             ) == expected
-            left, right = sharded.stats.as_dict(), one_unit.stats.as_dict()
+            left, right = sharded.stats.as_dict(), unit.stats.as_dict()
             differing = {name for name in left if left[name] != right[name]}
             assert differing <= PER_COMPONENT_FIELDS, (method, levels, differing)
 
@@ -245,8 +247,8 @@ def assert_delta_checks_match(wl, method="bitset"):
     """Every one-step candidate: sharded delta check ≡ one-unit delta check.
 
     The candidates lower one transaction of a robust allocation (all-SSI
-    and the optimum).  The default and the ``ShardedContext`` dispatch
-    scan only the lowered transaction's component and must return the
+    and the optimum).  The default context, built fresh or passed in,
+    scans only the lowered transaction's component and must return the
     one-unit verdict and spec.
     """
     for base in (Allocation.ssi(wl), optimal_allocation(wl, method=method)):
@@ -255,17 +257,17 @@ def assert_delta_checks_match(wl, method="bitset"):
                 if level >= base[tid]:
                     continue
                 candidate = base.with_level(tid, level)
-                one_unit = check_robustness_delta(
-                    wl, candidate, tid, context=AnalysisContext(wl), method=method
+                unit = check_robustness_delta(
+                    wl, candidate, tid, context=one_unit(wl), method=method
                 )
-                for context in (None, ShardedContext(wl)):
+                for context in (None, AnalysisContext(wl)):
                     sharded = check_robustness_delta(
                         wl, candidate, tid, context=context, method=method
                     )
-                    assert sharded.robust == one_unit.robust
-                    if not one_unit.robust:
+                    assert sharded.robust == unit.robust
+                    if not unit.robust:
                         spec = sharded.counterexample.spec
-                        assert spec == one_unit.counterexample.spec
+                        assert spec == unit.counterexample.spec
                         assert is_valid_split_schedule(spec, wl, candidate)
 
 
@@ -314,10 +316,10 @@ def test_single_component_workload_degenerates_cleanly():
     for level in IsolationLevel:
         assert_check_matches(wl, Allocation.uniform(wl, level))
     assert_allocation_matches(wl, POSTGRES_LEVELS)
-    sctx = ShardedContext(wl)
-    assert sctx.shard_workload(0) is wl  # no restricted copy
-    optimal_allocation(wl, context=sctx)
-    assert sctx.stats.index_builds == 1
+    ctx = AnalysisContext(wl)
+    assert ctx._part_workload(0) is wl  # no restricted copy
+    optimal_allocation(wl, context=ctx)
+    assert ctx.stats.index_builds == 1
 
 
 def test_all_singleton_workload():
@@ -352,9 +354,9 @@ def test_clustered_sharded_equivalence(seed):
 
 
 def test_shared_context_reuse_matches_fresh():
-    """One ShardedContext across many checks changes no verdicts."""
+    """One context across many checks changes no verdicts."""
     wl = clustered_workload(components=3, per_component=3, seed=5)
-    sctx = ShardedContext(wl)
+    sctx = AnalysisContext(wl)
     for level in IsolationLevel:
         alloc = Allocation.uniform(wl, level)
         fresh = check_robustness(wl, alloc)

@@ -259,7 +259,7 @@ class TestLifecycle:
 
     def test_restart_resumes_from_snapshot(self, tmp_path):
         """Kill/restore warm equivalence: the restored daemon carries the
-        allocation, the shard plan, and the witness caches — so the next
+        allocation and rebuilds the same component plan — so the next
         mutation spends exactly the same checks as the uninterrupted one."""
         snap = str(tmp_path / "snap.json")
         with ServiceServer(ServiceConfig(port=0, snapshot_path=snap)) as first:
@@ -274,8 +274,8 @@ class TestLifecycle:
             with ServiceClient(port=second.port) as client:
                 allocation = client.call("allocate")["allocation"]
                 after = client.call("status")
-                # Plan identity: same shards, rebuilt from the snapshot's
-                # partition (not re-derived from scratch).
+                # Plan identity: the same shards, rebuilt from the
+                # snapshot's workload.
                 assert after["shard_sizes"] == before["shard_sizes"]
                 resumed_probe = client.call(
                     "add", transaction="R[x] W[x]", tid=3

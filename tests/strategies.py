@@ -1,4 +1,8 @@
-"""Hypothesis strategies for workloads, allocations and schedules."""
+"""Hypothesis strategies for workloads, allocations and schedules.
+
+Also :func:`one_unit`, the one-unit analysis context the equivalence
+suites compare the default per-component analysis against.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +10,21 @@ from typing import List, Tuple
 
 from hypothesis import strategies as st
 
+from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.operations import Operation, read, write
+from repro.core.sharding import ShardPlan
 from repro.core.transactions import Transaction
 from repro.core.workload import Workload
 
 OBJECTS = ("x", "y", "z", "u", "v")
+
+
+def one_unit(workload: Workload) -> AnalysisContext:
+    """A context analyzing ``workload`` as one unit: a one-part plan."""
+    return AnalysisContext(
+        workload, plan=ShardPlan.from_components((workload.tids,))
+    )
 
 
 @st.composite
