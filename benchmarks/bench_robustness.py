@@ -4,7 +4,8 @@ The paper proves ``O(|T|^3 * max{|T|^3, k^2 l^2, l^6})``; there is no
 testbed to match, so the reproduction target is the *shape*: runtime grows
 polynomially in the number of transactions and Algorithm 1 handles
 workload sizes the brute-force baseline (bench_bruteforce.py) cannot
-touch.  Also ablates the cached-components reachability against the
+touch.  Also ablates the bitset kernel against the reference engines of
+:mod:`repro.core.reference`: the cached-components reachability and the
 verbatim per-triple transitive closure of the paper's pseudocode.
 """
 
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from conftest import print_table
+from repro.core import reference
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
@@ -62,7 +64,12 @@ def test_algorithm1_method_ablation(benchmark, method):
     wl = random_workload(transactions=16, objects=20, seed=3)
     alloc = Allocation.si(wl)
     expected = is_robust(wl, alloc)
-    result = benchmark(lambda: is_robust(wl, alloc, method=method))
+    if method == "bitset":
+        result = benchmark(lambda: is_robust(wl, alloc))
+    else:
+        result = benchmark(
+            lambda: reference.first_witness_spec(wl, alloc, method) is None
+        )
     assert result == expected
     benchmark.extra_info["method"] = method
 
@@ -90,15 +97,11 @@ def test_kernel_speedup_report(benchmark, capsys):
         assert optimum is not None
 
         t0 = time.perf_counter()
-        comp = is_robust(
-            wl, optimum, method="components", context=AnalysisContext(wl)
-        )
+        comp = reference.first_witness_spec(wl, optimum, "components") is None
         comp_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        bits = is_robust(
-            wl, optimum, method="bitset", context=AnalysisContext(wl)
-        )
+        bits = is_robust(wl, optimum, context=AnalysisContext(wl))
         bits_s = time.perf_counter() - t0
         assert bits == comp, "kernel verdict diverged from components"
         assert bits, "the optimum must be robust"
@@ -116,11 +119,11 @@ def test_kernel_speedup_report(benchmark, capsys):
             transactions=40, objects=80, min_ops=2, max_ops=4, seed=13
         )
         t0 = time.perf_counter()
-        comp_opt = optimal_allocation(wl, method="components")
+        comp_opt, _checks = reference.optimal_allocation(wl, engine="components")
         comp_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        bits_opt = optimal_allocation(wl, method="bitset")
+        bits_opt = optimal_allocation(wl)
         bits_s = time.perf_counter() - t0
         assert bits_opt == comp_opt, "kernel optimum diverged from components"
         rows.append(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-corpus agreement of the ``bitset`` and ``components`` engines.
+"""Fixed-corpus agreement of the bitset kernel and the ``components`` reference.
 
 Run with::
 
@@ -8,20 +8,23 @@ Run with::
 The corpus is deterministic: ``--dense`` 40-transaction inputs (seeds
 90000, 90001, ...), ``--clustered`` 12-component inputs (seeds 91000,
 ...) and ``--small`` 12-transaction inputs (seeds 92000, ...).  For each
-input and each engine it computes
+input it computes, on the production entry points (the bitset kernel)
+and on the ``components`` engine of :mod:`repro.core.reference`,
 
-* the optimal allocation, per component (the default) and one-unit (a
-  context whose plan has the whole workload as its one part), with the
-  ``checks`` each run counts;
-* the ``check_robustness`` witness specs of 4 random allocations;
-* the ``check_robustness_delta`` specs of every one-step lowering of
-  the optimum;
-* on the small inputs, the whole ``enumerate_counterexamples`` order.
+* the optimal allocation with the ``checks`` its run counts, in
+  production both per component (the default) and one-unit (a context
+  whose plan has the whole workload as its one part);
+* the witness specs of 4 random allocations;
+* the delta-scoped witness specs of every one-step lowering of the
+  optimum;
+* on the small inputs, the whole survey in ``enumerate_counterexamples``
+  order.
 
-It exits 1 on the first input where the engines disagree on any output,
+The two implementations share no scan and no refinement loop.  The
+script exits 1 on the first input where they disagree on any output,
 and otherwise prints the number of outputs, the probes (``checks``)
-both engines counted, and a SHA-256 digest of the outputs — equal
-digests mean bit-identical outputs across versions of the code.
+the production runs counted, and a SHA-256 digest of the outputs —
+equal digests mean bit-identical outputs across versions of the code.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro import (
     check_robustness,
     optimal_allocation,
 )
+from repro.core import reference
 from repro.core.isolation import Allocation
 from repro.core.robustness import (
     check_robustness_delta,
@@ -67,40 +71,75 @@ def corpus(dense: int, clustered: int, small: int):
         ), True
 
 
-def _spec(result) -> str:
-    return "robust" if result.robust else str(result.counterexample.spec)
+def _spec(spec) -> str:
+    return "robust" if spec is None else str(spec)
 
 
-def outputs(name: str, wl, method: str, survey: bool) -> Tuple[List[str], tuple]:
-    """Every output of one engine on one input, and the ``ContextStats``
-    of its per-component and one-unit optimum runs."""
-    lines: List[str] = []
-    sharded = AnalysisContext(wl)
-    one_unit = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
-    optimum = optimal_allocation(wl, POSTGRES_LEVELS, method=method, context=sharded)
-    unit_optimum = optimal_allocation(
-        wl, POSTGRES_LEVELS, method=method, context=one_unit
-    )
-    lines.append(f"{name} optimum sharded {optimum}")
-    lines.append(f"{name} optimum one-unit {unit_optimum}")
+def _random_allocations(name: str, wl) -> List[Allocation]:
     rng = random.Random(name)
-    for i in range(4):
-        alloc = Allocation({tid: rng.choice(LADDER) for tid in wl.tids})
-        result = check_robustness(wl, alloc, method=method)
-        lines.append(f"{name} random {i} {alloc}: {_spec(result)}")
+    return [
+        Allocation({tid: rng.choice(LADDER) for tid in wl.tids}) for _ in range(4)
+    ]
+
+
+def _lowerings(wl, optimum) -> List[Tuple[int, Allocation]]:
+    """Every one-step lowering of ``optimum``, as ``(tid, allocation)``."""
+    lowered = []
     for tid in wl.tids:
         rank = LADDER.index(optimum[tid])
         if rank:
-            lowered = optimum.with_level(tid, LADDER[rank - 1])
-            result = check_robustness_delta(wl, lowered, tid, method=method)
-            lines.append(f"{name} lower T{tid}: {_spec(result)}")
+            lowered.append((tid, optimum.with_level(tid, LADDER[rank - 1])))
+    return lowered
+
+
+def _survey_allocation(wl) -> Allocation:
+    return Allocation({tid: LADDER[tid % 3] for tid in wl.tids})
+
+
+def production(name: str, wl, survey: bool) -> Tuple[List[str], List[int]]:
+    """Every production output on one input, and the ``checks`` of its
+    per-component and one-unit optimum runs."""
+    lines: List[str] = []
+    sharded = AnalysisContext(wl)
+    one_unit = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
+    optimum = optimal_allocation(wl, POSTGRES_LEVELS, context=sharded)
+    unit_optimum = optimal_allocation(wl, POSTGRES_LEVELS, context=one_unit)
+    lines.append(f"{name} optimum sharded {optimum}")
+    lines.append(f"{name} optimum one-unit {unit_optimum}")
+    for i, alloc in enumerate(_random_allocations(name, wl)):
+        result = check_robustness(wl, alloc)
+        spec = None if result.robust else result.counterexample.spec
+        lines.append(f"{name} random {i} {alloc}: {_spec(spec)}")
+    for tid, lowered in _lowerings(wl, optimum):
+        result = check_robustness_delta(wl, lowered, tid)
+        spec = None if result.robust else result.counterexample.spec
+        lines.append(f"{name} lower T{tid}: {_spec(spec)}")
     if survey:
-        alloc = Allocation({tid: LADDER[tid % 3] for tid in wl.tids})
         for c in enumerate_counterexamples(
-            wl, alloc, materialize_schedules=False, method=method
+            wl, _survey_allocation(wl), materialize_schedules=False
         ):
             lines.append(f"{name} survey {c.spec}")
-    return lines, (sharded.stats, one_unit.stats)
+    return lines, [sharded.stats.checks, one_unit.stats.checks]
+
+
+def expected(name: str, wl, survey: bool) -> Tuple[List[str], List[int]]:
+    """The same outputs from the ``components`` reference engine, which
+    takes no plan: its one optimum stands for both production runs."""
+    engine = "components"
+    lines: List[str] = []
+    optimum, checks = reference.optimal_allocation(wl, POSTGRES_LEVELS, engine)
+    lines.append(f"{name} optimum sharded {optimum}")
+    lines.append(f"{name} optimum one-unit {optimum}")
+    for i, alloc in enumerate(_random_allocations(name, wl)):
+        spec = reference.first_witness_spec(wl, alloc, engine)
+        lines.append(f"{name} random {i} {alloc}: {_spec(spec)}")
+    for tid, lowered in _lowerings(wl, optimum):
+        spec = reference.first_witness_spec(wl, lowered, engine, delta_tid=tid)
+        lines.append(f"{name} lower T{tid}: {_spec(spec)}")
+    if survey:
+        for spec in reference.survey(wl, _survey_allocation(wl), engine):
+            lines.append(f"{name} survey {spec}")
+    return lines, [checks, checks]
 
 
 def main(argv=None) -> int:
@@ -112,12 +151,9 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     count = probes = 0
     for name, wl, survey in corpus(args.dense, args.clustered, args.small):
-        bitset, bitset_stats = outputs(name, wl, "bitset", survey)
-        components, components_stats = outputs(name, wl, "components", survey)
-        checks = [stats.checks for stats in bitset_stats]
-        if bitset != components or checks != [
-            stats.checks for stats in components_stats
-        ]:
+        bitset, checks = production(name, wl, survey)
+        components, reference_checks = expected(name, wl, survey)
+        if bitset != components or checks != reference_checks:
             for left, right in zip(bitset, components):
                 if left != right:
                     print(f"MISMATCH bitset:     {left}")

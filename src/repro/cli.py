@@ -8,8 +8,7 @@ Subcommands:
 * ``allocate <workload-file> [--levels RC,SI | RC,SI,SSI]`` — compute the
   optimal robust allocation (Algorithm 2 / Theorem 5.5).  Both ``check``
   and ``allocate`` accept ``--stats`` to print the shared analysis
-  context's counters (checks executed, index builds, cache hits) and
-  ``--method`` to pick a reference engine (results are identical).
+  context's counters (checks executed, index builds, cache hits).
 * ``simulate <workload-file> [--uniform SI] [--seed N] [--runs N]`` — run
   the workload on the MVCC engine and report commits/aborts and whether
   the executions were serializable.  ``--engine events`` runs the
@@ -103,9 +102,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     context = AnalysisContext(workload)
-    result = check_robustness(
-        workload, allocation, method=args.method, context=context
-    )
+    result = check_robustness(workload, allocation, context=context)
     print(robustness_report(workload, allocation, result))
     if not result.robust:
         from .analysis.anomalies import classify_counterexample
@@ -225,9 +222,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     levels = parse_levels_spec(args.levels)
     context = AnalysisContext(workload)
-    optimum = optimal_allocation(
-        workload, levels, method=args.method, context=context
-    )
+    optimum = optimal_allocation(workload, levels, context=context)
     print(allocation_report(workload, optimum, levels))
     if args.stats:
         print()
@@ -465,7 +460,7 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import AdmissionPolicy, ServiceConfig
+    from .service import AdmissionPolicy, ServiceConfig, SnapshotError
     from .service.daemon import serve as _run_daemon
 
     try:
@@ -490,7 +485,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         eventlog_path=args.eventlog,
         slo_p99_ms=args.slo_p99_ms,
     )
-    _run_daemon(config)
+    try:
+        _run_daemon(config)
+    except SnapshotError as exc:  # the snapshot to resume from is unusable
+        raise CommandError(str(exc)) from None
     return 0
 
 
@@ -552,12 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print analysis-context counters (checks, cache hits)",
     )
-    check.add_argument(
-        "--method",
-        choices=("bitset", "components", "paper"),
-        default="bitset",
-        help="robustness engine (default bitset; all three are bit-identical)",
-    )
     _add_trace_flag(check)
     check.set_defaults(func=_cmd_check)
 
@@ -614,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print analysis-context counters (checks, cache hits)",
-    )
-    allocate.add_argument(
-        "--method",
-        choices=("bitset", "components", "paper"),
-        default="bitset",
-        help="robustness engine (default bitset; all three are bit-identical)",
     )
     _add_trace_flag(allocate)
     allocate.set_defaults(func=_cmd_allocate)

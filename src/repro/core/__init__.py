@@ -12,12 +12,7 @@ from .allocation import (
     refine_allocation,
     upgrade_to_robust,
 )
-from .context import (
-    AnalysisContext,
-    ConflictIndex,
-    ContextStats,
-    ReachabilityOracle,
-)
+from .context import AnalysisContext, ConflictIndex, ContextStats
 from .incremental import AllocationManager
 from .allowed import (
     AllowedReport,
@@ -61,7 +56,6 @@ from .robustness import (
     check_robustness,
     enumerate_counterexamples,
     is_robust,
-    mixed_iso_graph,
 )
 from .schedules import (
     MVSchedule,
@@ -102,7 +96,6 @@ __all__ = [
     "AnalysisContext",
     "ConflictIndex",
     "ContextStats",
-    "ReachabilityOracle",
     "ConflictQuadruple",
     "Counterexample",
     "DangerousStructure",
@@ -149,7 +142,6 @@ __all__ = [
     "is_robustly_allocatable",
     "is_valid_split_schedule",
     "materialize",
-    "mixed_iso_graph",
     "operation_order",
     "optimal_allocation",
     "parse_operations",

@@ -28,7 +28,8 @@ allocation, so its scan visits only the triples through ``t`` (the
 delta lemma of :func:`repro.core.robustness.check_robustness_delta`),
 with the full scan's verdict, and it asks only whether a witness
 exists: no chain is built for a verdict the refinement reads as one
-bit.
+bit.  Every probe runs on the bitset kernel; the reference Algorithm 2
+is :func:`repro.core.reference.optimal_allocation`.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ from .isolation import (
     POSTGRES_LEVELS,
 )
 from .kernel import level_list
-from .robustness import (
-    _check_method,
-    _first_witness,
-    _probe,
-    _validate,
-    is_robust,
-)
+from .robustness import _first_witness, _probe, _validate, is_robust
 from .workload import Workload
 
 
@@ -69,31 +64,21 @@ def _refine(
     core: _Core,
     start: Allocation,
     ordered: Sequence[IsolationLevel],
-    method: str,
     floors: Optional[Dict[int, IsolationLevel]],
 ) -> List[IsolationLevel]:
     """Algorithm 2's refinement of one part; its levels in bit order.
 
     The allocation being refined is the part's level list plus its SSI
     tid mask (:func:`~repro.core.kernel.level_list`): a probe sets one
-    entry, and an adopted lowering clears one bit of the mask.  Under
-    ``bitset`` a probe is one kernel call
-    (:func:`~repro.core.robustness._probe`); under a reference engine it
-    builds its candidate allocation and runs the delta-scoped
-    :func:`~repro.core.robustness._first_witness`.  Every probe counts
-    one check on ``context``.  The per-transaction and per-probe spans
-    are opened only under a recording tracer.
+    entry, and an adopted lowering clears one bit of the mask.  A probe
+    is one kernel call (:func:`~repro.core.robustness._probe`) and
+    counts one check on ``context``.  The per-transaction and per-probe
+    spans are opened only under a recording tracer.
     """
     ranks = [level.rank for level in ordered]
     tids = core.workload.tids
     current, ssi = level_list(start, tids)
     tracer = current_tracer()
-
-    def witness(tid: int, probe_ssi: int) -> bool:
-        if method == "bitset":
-            return _probe(context, core, current, probe_ssi, tid)
-        candidate = Allocation(dict(zip(tids, current)))
-        return _first_witness(context, candidate, method, tid) is not None
 
     def lower(bit: int, tid: int, probe_ssi: int) -> bool:
         """Adopt the lowest level that keeps the allocation robust."""
@@ -109,9 +94,9 @@ def _refine(
             current[bit] = level
             if tracer.recording:
                 with tracer.span("allocation.probe", tid=tid, level=level.name):
-                    found = witness(tid, probe_ssi)
+                    found = _probe(context, core, current, probe_ssi, tid)
             else:
-                found = witness(tid, probe_ssi)
+                found = _probe(context, core, current, probe_ssi, tid)
             if not found:
                 return True
         current[bit] = level_now
@@ -135,7 +120,6 @@ def _refine_parts(
     context: AnalysisContext,
     start: Allocation,
     ordered: Sequence[IsolationLevel],
-    method: str,
     floors: Optional[Dict[int, IsolationLevel]] = None,
 ) -> Allocation:
     """:func:`_refine` over every part of the context's plan, composed."""
@@ -146,7 +130,7 @@ def _refine_parts(
         core = context._core(index)
         with part_tracer.span("shard.refine", shard=index, size=len(shard)):
             refined.update(
-                zip(shard, _refine(context, core, start, ordered, method, floors))
+                zip(shard, _refine(context, core, start, ordered, floors))
             )
     return Allocation(refined)
 
@@ -155,7 +139,6 @@ def refine_allocation(
     workload: Workload,
     start: Allocation,
     levels: Sequence[IsolationLevel],
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
     floors: Optional[Dict[int, IsolationLevel]] = None,
 ) -> Allocation:
@@ -180,8 +163,6 @@ def refine_allocation(
         workload: the set of transactions.
         start: a *robust* allocation to refine (not re-verified here).
         levels: the class of levels, in any order.
-        method: robustness engine, as in
-            :func:`repro.core.robustness.check_robustness`.
         context: the workload's
             :class:`~repro.core.context.AnalysisContext` (built fresh
             when omitted).
@@ -191,17 +172,15 @@ def refine_allocation(
             dominates pointwise).  A pure acceleration, never changing
             the result.
     """
-    _check_method(method)
     ordered = _normalized_levels(levels)
     context = _resolve(workload, context)
     _validate(workload, start)
-    return _refine_parts(context, start, ordered, method, floors)
+    return _refine_parts(context, start, ordered, floors)
 
 
 def optimal_allocation(
     workload: Workload,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
 ) -> Optional[Allocation]:
     """The unique optimal robust allocation over ``levels``, if one exists.
@@ -224,7 +203,6 @@ def optimal_allocation(
         >>> str(optimal_allocation(workload("R1[a] W1[b]", "R2[c] W2[d]")))
         'T1:RC, T2:RC'
     """
-    _check_method(method)
     ordered = _normalized_levels(levels)
     context = _resolve(workload, context)
     top = ordered[-1]
@@ -236,16 +214,15 @@ def optimal_allocation(
         shards=len(context.plan),
     ):
         if top is not IsolationLevel.SSI and (
-            _first_witness(context, start, method) is not None
+            _first_witness(context, start) is not None
         ):
             return None
-        return _refine_parts(context, start, ordered, method)
+        return _refine_parts(context, start, ordered)
 
 
 def is_robustly_allocatable(
     workload: Workload,
     levels: Sequence[IsolationLevel] = ORACLE_LEVELS,
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
 ) -> bool:
     """Whether some allocation over ``levels`` is robust (Definition 5.3).
@@ -253,24 +230,17 @@ def is_robustly_allocatable(
     For any class whose top level is SSI this is trivially true; for
     {RC, SI} it reduces to robustness against ``A_SI`` (Proposition 5.4).
     """
-    _check_method(method)
     ordered = _normalized_levels(levels)
     top = ordered[-1]
     if top is IsolationLevel.SSI:
         return True
-    return is_robust(
-        workload,
-        Allocation.uniform(workload, top),
-        method=method,
-        context=context,
-    )
+    return is_robust(workload, Allocation.uniform(workload, top), context=context)
 
 
 def upgrade_to_robust(
     workload: Workload,
     allocation: Allocation,
     levels: Sequence[IsolationLevel] = POSTGRES_LEVELS,
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
 ) -> Optional[Allocation]:
     """The least robust allocation pointwise above ``allocation``, if any.
@@ -289,9 +259,8 @@ def upgrade_to_robust(
     ``None`` once an optimum exists (a debug assertion documents the
     invariant instead of a dead error branch).
     """
-    _check_method(method)
     ctx = _resolve(workload, context)
-    optimum = optimal_allocation(workload, levels, method=method, context=ctx)
+    optimum = optimal_allocation(workload, levels, context=ctx)
     if optimum is None:
         return None
     lifted = {
@@ -301,7 +270,7 @@ def upgrade_to_robust(
     # By Proposition 4.1(1) any allocation pointwise above a robust one is
     # robust; ``candidate >= optimum``, so a failure here can only mean a
     # bug in the robustness engine, never a caller-visible condition.
-    assert is_robust(workload, candidate, method=method, context=ctx), (
+    assert is_robust(workload, candidate, context=ctx), (
         "pointwise max of a robust optimum must be robust (Proposition 4.1)"
     )
     return candidate

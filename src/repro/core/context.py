@@ -3,11 +3,10 @@
 Algorithm 2 (and the incremental :class:`~repro.core.incremental.AllocationManager`)
 decide optimality by issuing ``O(|T| * levels)`` robustness probes.  The
 expensive parts of each probe — the transaction-level conflict index,
-the bitset kernel's rows, the candidate-partner lists and the per-pair
-conflicting-operation tables — depend only on the *workload*, never on
-the allocation being probed.  :class:`AnalysisContext` builds them once
-per conflict component, lazily, and is threaded through
-:func:`~repro.core.robustness.check_robustness`,
+the bitset kernel's rows and the per-pair conflicting-operation tables
+— depend only on the *workload*, never on the allocation being probed.
+:class:`AnalysisContext` builds them once per conflict component,
+lazily, and is threaded through :func:`~repro.core.robustness.check_robustness`,
 :func:`~repro.core.allocation.optimal_allocation` and friends, so a full
 Algorithm 2 run builds each component's structure exactly once.
 
@@ -15,7 +14,8 @@ The conflict index is built on tid bits (bit order = ascending tid): one
 ``readers`` and one ``writers`` mask per object, and from them one
 neighbour mask per transaction, in ``O(total operations)`` big-integer
 ORs.  The bitset kernel (:mod:`repro.core.kernel`) evaluates Definition
-3.1 directly on these masks.
+3.1 directly on these masks; the reference engines' graphs and
+candidate lists live in :mod:`repro.core.reference`.
 
 All counters (checks issued, cache hits, index builds) are exposed on
 the context's :class:`ContextStats`, replacing ad-hoc per-caller
@@ -25,14 +25,11 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from ..observability import current_tracer
-from .conflicts import conflicting_pairs, transactions_conflict
+from .conflicts import conflicting_pairs
 from .operations import Operation
-from .transactions import Transaction
 from .workload import Workload, WorkloadError
 
 if TYPE_CHECKING:
@@ -116,110 +113,6 @@ class ConflictIndex:
         return (self.nbr[tid_i] >> self.bit[tid_j]) & 1 == 1
 
 
-def mixed_iso_graph(t1: Transaction, others) -> nx.Graph:
-    """The mixed-iso-graph of ``T_1`` over ``others`` (Section 3).
-
-    Nodes are the transactions of ``others`` having no operation conflicting
-    with an operation of ``t1``; transactions with conflicting operations
-    are connected by an edge.  Conflict existence is symmetric, so an
-    undirected graph captures the paper's reachability exactly.
-    """
-    nodes = [t for t in others if not transactions_conflict(t1, t)]
-    graph = nx.Graph()
-    graph.add_nodes_from(t.tid for t in nodes)
-    for i, ti in enumerate(nodes):
-        for tj in nodes[i + 1 :]:
-            if transactions_conflict(ti, tj):
-                graph.add_edge(ti.tid, tj.tid)
-    return graph
-
-
-class ReachabilityOracle:
-    """Reachability through the mixed-iso-graph of a fixed ``T_1``.
-
-    Precomputes the connected components of ``mixed-iso-graph(T_1, ...)``
-    and, for every candidate ``T_2``/``T_m`` (which conflict with ``T_1``
-    and are therefore not graph nodes), the components they are attached
-    to.  ``reachable(T_2, T_m)`` then reduces to equality, a direct
-    conflict, or a shared attached component.  Allocation-independent.
-    """
-
-    def __init__(self, index: ConflictIndex, t1: Transaction):
-        self.index = index
-        self.t1 = t1
-        others = [t for t in index.transactions if t.tid != t1.tid]
-        self.graph = mixed_iso_graph(t1, others)
-        self._component_of: Dict[int, int] = {}
-        self._components: List[Set[int]] = []
-        for comp_id, nodes in enumerate(nx.connected_components(self.graph)):
-            self._components.append(set(nodes))
-            for tid in nodes:
-                self._component_of[tid] = comp_id
-
-    def attached_components(self, tid: int):
-        """Components containing a transaction conflicting with ``tid``."""
-        attached = {
-            self._component_of[other]
-            for other in self.index.conflict_neighbours(tid)
-            if other in self._component_of
-        }
-        return frozenset(attached)
-
-    def reachable(self, tid_2: int, tid_m: int) -> bool:
-        """The ``reachable(T_2, T_m, T_1)`` predicate of Algorithm 1."""
-        if tid_2 == tid_m:
-            return True
-        if self.index.conflict(tid_2, tid_m):
-            return True
-        return bool(self.attached_components(tid_2) & self.attached_components(tid_m))
-
-    def connecting_path(self, tid_2: int, tid_m: int) -> Optional[List[int]]:
-        """Intermediate transactions ``T_3 ... T_{m-1}`` linking the pair.
-
-        Returns an empty list for a direct conflict (or ``tid_2 == tid_m``)
-        and ``None`` when the pair is not reachable.
-        """
-        if tid_2 == tid_m or self.index.conflict(tid_2, tid_m):
-            return []
-        shared = self.attached_components(tid_2) & self.attached_components(tid_m)
-        if not shared:
-            return None
-        comp_id = min(shared)
-        component = self._components[comp_id]
-        starts = [
-            t for t in self.index.conflict_neighbours(tid_2) if t in component
-        ]
-        ends = {
-            t for t in self.index.conflict_neighbours(tid_m) if t in component
-        }
-        # Multi-source BFS inside the component from T_2's neighbours to
-        # any of T_m's neighbours.
-        parents: Dict[int, Optional[int]] = {s: None for s in starts}
-        frontier = list(starts)
-        goal: Optional[int] = next((s for s in starts if s in ends), None)
-        while frontier and goal is None:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbour in self.graph.neighbors(node):
-                    if neighbour in parents:
-                        continue
-                    parents[neighbour] = node
-                    if neighbour in ends:
-                        goal = neighbour
-                        break
-                    next_frontier.append(neighbour)
-                if goal is not None:
-                    break
-            frontier = next_frontier
-        if goal is None:  # pragma: no cover - shared component guarantees a path
-            return None
-        path = [goal]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return path
-
-
 @dataclass
 class ContextStats:
     """Counters exposed by :class:`AnalysisContext`.
@@ -230,14 +123,8 @@ class ContextStats:
             same for every plan that issues the same probes.
         index_builds: conflict indexes built (one per analyzed part of
             the context's plan: per conflict component by default).
-        oracle_builds: reachability oracles built (at most one per
-            ``T_1``) — only by the ``components`` and ``paper`` engines;
-            the default ``bitset`` engine builds its witness chains from
-            the kernel rows and never builds an oracle.
-        oracle_hits: oracle requests served from the cache.
         pair_builds: conflicting-operation tables built (per ordered
-            pair of a component; read by the reference engines and by
-            witness-chain assembly).
+            pair of a component; read by witness-chain assembly).
         pair_hits: those tables served from the cache.
         kernel_builds: bitset kernels built (at most one per part).
         kernel_row_builds: per-``T_1`` kernel rows built.
@@ -259,8 +146,6 @@ class ContextStats:
 
     checks: int = 0
     index_builds: int = 0
-    oracle_builds: int = 0
-    oracle_hits: int = 0
     pair_builds: int = 0
     pair_hits: int = 0
     kernel_builds: int = 0
@@ -276,8 +161,6 @@ class ContextStats:
         return {
             "checks": self.checks,
             "index_builds": self.index_builds,
-            "oracle_builds": self.oracle_builds,
-            "oracle_hits": self.oracle_hits,
             "pair_builds": self.pair_builds,
             "pair_hits": self.pair_hits,
             "kernel_builds": self.kernel_builds,
@@ -294,18 +177,15 @@ class _Core:
     """The allocation-independent structure of one component's workload.
 
     Holds what a robustness probe reads and never changes: the conflict
-    index, the bitset kernel, the reachability oracles, the candidate
-    partner lists and the conflicting-pair tables.  An
+    index, the bitset kernel and the conflicting-pair tables.  An
     :class:`AnalysisContext` builds one per part of its plan, on first
     use; the :class:`~repro.core.incremental.AllocationManager` carries
     the cores of untouched components across mutations.  Structural
-    counters (index, kernel, row, oracle and pair builds) land on
+    counters (index, kernel, row and pair builds) land on
     ``stats``; checks are counted by the context running them.
     """
 
-    __slots__ = (
-        "workload", "index", "stats", "_oracles", "_kernel", "_candidates", "_pairs"
-    )
+    __slots__ = ("workload", "index", "stats", "_kernel", "_pairs")
 
     def __init__(self, workload: Workload, stats: ContextStats):
         self.workload = workload
@@ -313,28 +193,14 @@ class _Core:
             self.index = ConflictIndex(workload)
         stats.index_builds += 1
         self.stats = stats
-        self._oracles: Dict[int, ReachabilityOracle] = {}
         self._kernel = None  # BitKernel, built lazily by kernel()
-        self._candidates: Dict[Tuple[int, str], Tuple[Transaction, ...]] = {}
         self._pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
-
-    def oracle(self, t1: Transaction) -> ReachabilityOracle:
-        """The (cached) reachability oracle for split transaction ``t1``."""
-        cached = self._oracles.get(t1.tid)
-        if cached is not None:
-            self.stats.oracle_hits += 1
-            return cached
-        with current_tracer().span("context.oracle_build", t1=t1.tid):
-            oracle = ReachabilityOracle(self.index, t1)
-        self._oracles[t1.tid] = oracle
-        self.stats.oracle_builds += 1
-        return oracle
 
     def kernel(self):
         """The (lazily built) :class:`~repro.core.kernel.BitKernel`.
 
-        Built on the first ``method="bitset"`` scan and shared by every
-        later check of the component.
+        Built on the first scan and shared by every later check of the
+        component.
         """
         if self._kernel is None:
             from .kernel import BitKernel
@@ -345,28 +211,6 @@ class _Core:
                 self._kernel = BitKernel(self.workload, self.index, self.stats)
             self.stats.kernel_builds += 1
         return self._kernel
-
-    def candidates(self, t1: Transaction, method: str) -> Tuple[Transaction, ...]:
-        """Candidate ``T_2``/``T_m`` partners for ``t1`` under ``method``.
-
-        The paper iterates over all of ``T \\ {T_1}``; ``components``
-        restricts to transactions conflicting with ``T_1``, which is sound
-        because ``b_1``/``a_2`` and ``b_m``/``a_1`` require such conflicts
-        (the ``bitset`` kernel takes the same set as its row's ``C``).
-        """
-        key = (t1.tid, method)
-        cached = self._candidates.get(key)
-        if cached is not None:
-            return cached
-        if method == "paper":
-            result = tuple(t for t in self.index.transactions if t.tid != t1.tid)
-        else:
-            result = tuple(
-                self.workload[tid]
-                for tid in sorted(self.index.conflict_neighbours(t1.tid))
-            )
-        self._candidates[key] = result
-        return result
 
     def conflicting_pairs(
         self, tid_b: int, tid_a: int

@@ -71,10 +71,8 @@ BatchMutation = Tuple[str, Union[Transaction, int]]
 class AllocationManager:
     """Maintains the optimal robust allocation of an evolving workload.
 
-    Every check and refinement runs the default ``bitset`` engine; the
-    reference engines stay on the library functions
-    (:func:`~repro.core.robustness.check_robustness` and
-    :func:`~repro.core.allocation.optimal_allocation` take ``method=``).
+    Every check and refinement runs the bitset kernel, as every library
+    entry point does.
 
     Examples:
         >>> from repro.core.transactions import parse_transaction
@@ -331,7 +329,7 @@ class AllocationManager:
                 ):
                     start = Allocation.uniform(core.workload, top)
                 levels.update(
-                    zip(shard, _refine(context, core, start, self._levels, "bitset", floors))
+                    zip(shard, _refine(context, core, start, self._levels, floors))
                 )
             self._finish(context, stats, cores, Allocation(levels))
             batch_span.set(
@@ -388,7 +386,8 @@ class AllocationManager:
         the corruption-safe restore mode of ``repro serve``.
 
         Raises:
-            ValueError: on an unsupported state version.
+            ValueError: on an unsupported state version, a field of the
+                wrong type, or an unknown level or a class without SSI.
             WorkloadError: on a malformed workload/allocation pair, or
                 (with ``verify=True``) a non-robust allocation.
         """
@@ -397,15 +396,19 @@ class AllocationManager:
                 f"unsupported manager state version {state.get('version')!r};"
                 f" this build reads version {cls.STATE_VERSION}"
             )
-        levels = tuple(
-            IsolationLevel.parse(name) for name in state["levels"]  # type: ignore[union-attr]
-        )
-        manager = cls(levels=levels)
-        workload = _parse_workload_text(str(state["workload"]))
+        names, text, assigned = map(state.get, ("levels", "workload", "allocation"))
+        if not (isinstance(names, list) and isinstance(text, str)
+                and isinstance(assigned, dict)):
+            raise ValueError(
+                'state fields "levels", "workload" and "allocation" must be a'
+                " list of level names, workload text and a tid -> level map"
+            )
+        manager = cls(levels=tuple(IsolationLevel.parse(str(name)) for name in names))
+        workload = _parse_workload_text(text)
         allocation = Allocation(
             {
                 int(tid): IsolationLevel.parse(str(name))
-                for tid, name in dict(state["allocation"]).items()  # type: ignore[arg-type]
+                for tid, name in assigned.items()
             }
         )
         if set(allocation.tids) != set(workload.tids):

@@ -188,7 +188,7 @@ def allocation(**levels: Union[str, IsolationLevel]) -> Allocation:
     """Keyword-style constructor: ``allocation(T1="RC", T2="SSI")``."""
     parsed = {}
     for key, level in levels.items():
-        if not key.lstrip("Tt").isdigit():
+        if not key.lstrip("Tt").isdecimal():
             raise WorkloadError(f"bad transaction key {key!r}; use T<i>")
         parsed[int(key.lstrip("Tt"))] = level
     return Allocation(parsed)

@@ -1,4 +1,4 @@
-"""Bitset kernel for Algorithm 1's triple scan (``method="bitset"``).
+"""Bitset kernel for Algorithm 1's triple scan: the one production engine.
 
 Every condition of Definition 3.1 is a set-intersection test, so the
 kernel evaluates each one for *all* candidates at once, on the tid-bit
@@ -40,15 +40,16 @@ them, after a given ``T_2``.
 ascending bit order, walks each pair's ``T_m`` in ascending bit order
 and takes ``b_1`` as the first read, in body order, whose masks hold
 both — exactly the triples and operation choices, in exactly the order,
-of the ``components`` engine's :func:`~repro.core.robustness._scan_t1`;
-``(b_m, a_1)`` is resolved only for an emitted triple.
+of the ``components`` reference engine's scan
+(:mod:`repro.core.reference`); ``(b_m, a_1)`` is resolved only for an
+emitted triple.
 :func:`has_witness` is an Algorithm 2 probe: it asks only whether some
 ``T_1`` of a scope has a first pair, on the allocation as a level list
 and an SSI mask (:func:`level_list`), so it needs no
 :class:`~repro.core.isolation.Allocation`.
 :meth:`BitKernel.connecting_path` returns the same intermediates as the
 graph-backed
-:meth:`~repro.core.context.ReachabilityOracle.connecting_path`.  The
+:meth:`~repro.core.reference.ReachabilityOracle.connecting_path`.  The
 property suite (``tests/properties/test_kernel_equivalence.py``)
 asserts bit-identical verdicts, witness specs and enumeration order.
 
@@ -235,7 +236,7 @@ class BitKernel:
 
         The bitset twin of
         :meth:`ReachabilityOracle.connecting_path
-        <repro.core.context.ReachabilityOracle.connecting_path>`, with
+        <repro.core.reference.ReachabilityOracle.connecting_path>`, with
         the identical result: an empty list for a direct conflict (or
         ``t2_tid == tm_tid``), ``None`` when the pair is not reachable,
         and otherwise the same breadth-first path through the lowest

@@ -8,59 +8,41 @@ candidate triples ``(T_1, T_2, T_m)``, checks reachability from ``T_2`` to
 *mixed-iso-graph*), and then scans the operation choices
 ``b_1, a_1, a_2, b_m`` against the side conditions of Definition 3.1.
 
-Three interchangeable engines are provided:
-
-* ``method="bitset"`` (default) — the bitset kernel of
-  :mod:`repro.core.kernel`: every condition of Definition 3.1 is
-  evaluated for all candidates at once, as intersections of tid-bit
-  masks, and an Algorithm 2 probe only asks whether a witness exists
-  (:func:`_probe`, on a level list; :func:`_witness_exists` for a
-  caller holding an :class:`Allocation`).
-* ``method="components"`` — computes the mixed-iso-graph of each
-  ``T_1`` once and answers reachability questions via connected components.
-  Sound because ``T_2`` and ``T_m`` must conflict with ``T_1`` for the
-  inner conditions to ever hold, hence are never nodes of the graph.
-  Kept as the readable reference engine.
-* ``method="paper"`` — the verbatim Algorithm 1 loop structure (transitive
-  closure recomputed per triple), kept as the reference implementation and
-  for the ablation benchmark.
-
-All three return bit-identical results — the same verdicts, the same
-witness specs, the same enumeration order (asserted by the test suite
-and the ``tests/properties/test_kernel_equivalence.py`` property suite).
+The scan runs on the bitset kernel of :mod:`repro.core.kernel`: every
+condition of Definition 3.1 is evaluated for all candidates at once, as
+intersections of tid-bit masks, and an Algorithm 2 probe only asks
+whether a witness exists (:func:`_probe`, on a level list;
+:func:`_witness_exists` for a caller holding an :class:`Allocation`).
+Two independent reference engines, the graph-backed ``components`` and
+the verbatim ``paper`` loops, live in :mod:`repro.core.reference` as
+test oracles: they return the same verdicts, witness specs and
+enumeration order (asserted by the
+``tests/properties/test_kernel_equivalence.py`` property suite).
 
 Every public entry point analyzes per connected component of the
 conflict graph: a counterexample chain only links conflicting
 transactions, so verdicts and witnesses decompose exactly over
 components.  All allocation-independent structure (conflict index,
-bitset kernel, reachability oracles, candidate-partner lists,
-conflicting-pair tables) lives in
+bitset kernel, conflicting-pair tables) lives in
 :class:`~repro.core.context.AnalysisContext`, one core per component of
 its plan.  Pass an existing context to amortize it across many checks
 of the same workload (Algorithm 2 issues ``O(|T| * levels)`` of them).
 
-One further acceleration lives here: :func:`check_robustness_delta`, a
-restricted check for allocations that differ from a *known-robust* base
-at exactly one transaction.  Every side condition of Definition 3.1 that
-mentions isolation levels mentions only the levels of the triple
-``(T_1, T_2, T_m)``, so a witness for the candidate that avoids the
-changed transaction would already have been a witness for the robust
-base — contradiction.  The scan therefore only visits triples involving
-the changed transaction, an ``O(|T|^2)`` sweep instead of
-``O(|T|^3)``.  Every downgrade probe of Algorithm 2 runs this same
+:func:`check_robustness_delta` checks an allocation one step below a
+robust one: by its delta lemma every witness runs through the changed
+transaction, so only those triples are scanned, an ``O(|T|^2)`` sweep
+instead of ``O(|T|^3)``.  Every downgrade probe of Algorithm 2 runs this
 scoped scan and asks only whether it finds a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import NULL_TRACER, current_tracer
-from .conflicts import ConflictQuadruple, rw_conflicting
-from .context import AnalysisContext, ConflictIndex, _Core, _resolve, mixed_iso_graph
+from .conflicts import ConflictQuadruple
+from .context import AnalysisContext, _Core, _resolve
 from .isolation import Allocation, IsolationLevel
 from .kernel import has_witness, iter_witness_triples, level_list
 from .operations import Operation
@@ -77,7 +59,6 @@ __all__ = [
     "enumerate_counterexamples",
     "first_witness_spec",
     "is_robust",
-    "mixed_iso_graph",
 ]
 
 
@@ -111,64 +92,6 @@ class RobustnessResult:
         return self.robust
 
 
-def _ww_conflict_free(
-    b1: Operation,
-    t1: Transaction,
-    t2: Transaction,
-    tm: Transaction,
-    level1: IsolationLevel,
-) -> bool:
-    """Conditions (2)/(3) of Definition 3.1 for a candidate split point."""
-    split_pos = t1.position(b1)
-    blocked = t2.write_set | tm.write_set
-    for c1 in t1.body:
-        if not c1.is_write:
-            continue
-        if t1.position(c1) > split_pos and level1 is IsolationLevel.RC:
-            continue
-        if c1.obj in blocked:
-            return False
-    return True
-
-
-def _triple_passes_ssi_conditions(
-    allocation: Allocation, t1: Transaction, t2: Transaction, tm: Transaction
-) -> bool:
-    """Conditions (6)-(8) of Definition 3.1 on the triple ``(T_1, T_2, T_m)``."""
-    ssi = IsolationLevel.SSI
-    level1, level2, levelm = allocation[t1.tid], allocation[t2.tid], allocation[tm.tid]
-    if level1 is ssi and level2 is ssi and levelm is ssi:
-        return False
-    if level1 is ssi and level2 is ssi and (t1.write_set & t2.read_set):
-        return False
-    if level1 is ssi and levelm is ssi and (t1.read_set & tm.write_set):
-        return False
-    return True
-
-
-def _search_operations(
-    core: _Core,
-    allocation: Allocation,
-    t1: Transaction,
-    t2: Transaction,
-    tm: Transaction,
-) -> Optional[Tuple[Operation, Operation, Operation, Operation]]:
-    """The inner loop of Algorithm 1: find ``(b_1, a_2, b_m, a_1)`` if any."""
-    level1 = allocation[t1.tid]
-    rc_split = level1 is IsolationLevel.RC
-    for b1 in t1.body:
-        if not b1.is_read or b1.obj not in t2.write_set:
-            continue  # condition (4): b_1 rw-conflicting with some a_2
-        if not _ww_conflict_free(b1, t1, t2, tm, level1):
-            continue
-        a2 = t2.write_op(b1.obj)
-        assert a2 is not None
-        for bm, a1 in core.conflicting_pairs(tm.tid, t1.tid):
-            if rw_conflicting(bm, a1) or (rc_split and t1.before(b1, a1)):
-                return (b1, a2, bm, a1)
-    return None
-
-
 def _build_chain(
     core: _Core,
     t1: Transaction,
@@ -180,7 +103,7 @@ def _build_chain(
     """Assemble the quadruple chain ``C`` for a discovered counterexample.
 
     ``path`` is the connecting chain ``T_3 ... T_{m-1}`` from the
-    engine's reachability structure (the kernel row or the oracle).
+    kernel row (:meth:`~repro.core.kernel.BitKernel.connecting_path`).
     """
     b1, a2, bm, a1 = ops
     chain: List[ConflictQuadruple] = [ConflictQuadruple(t1.tid, b1, a2, t2.tid)]
@@ -198,7 +121,6 @@ def _scan_t1(
     core: _Core,
     allocation: Allocation,
     t1: Transaction,
-    method: str = "bitset",
     delta_tid: Optional[int] = None,
 ) -> Iterator[SplitScheduleSpec]:
     """Algorithm 1's inner loops for a fixed split candidate ``T_1``.
@@ -206,56 +128,24 @@ def _scan_t1(
     Yields one :class:`~repro.core.split_schedule.SplitScheduleSpec` per
     problematic triple ``(T_1, T_2, T_m)``, in the deterministic
     ``(T_2, T_m)`` candidate order.  This generator is the single source
-    of truth for the per-``T_1`` search: :func:`check_robustness` takes
-    its first element, :func:`enumerate_counterexamples` drains it, and
-    :func:`check_robustness_delta` and the reference engines' Algorithm 2
-    probes run it with ``delta_tid`` set.  A ``bitset`` probe asks the
-    kernel for existence only (:func:`_probe`).
+    of truth for the per-``T_1`` search that builds witnesses:
+    :func:`check_robustness` takes its first element,
+    :func:`enumerate_counterexamples` drains it, and
+    :func:`check_robustness_delta` runs it with ``delta_tid`` set.  An
+    Algorithm 2 probe asks the kernel for existence only
+    (:func:`_probe`).
 
     With a ``delta_tid`` other than ``T_1`` only the triples having it as
     ``T_2`` or ``T_m`` are visited: the subsequence of the full output
     through the changed transaction, which is all of it when
     ``allocation`` is one step below a robust one (the delta lemma of
-    :func:`check_robustness_delta`).
-
-    The ``bitset`` engine runs the whole triple scan on the kernel's
-    integer rows and builds each witness's connecting chain from the
-    same row (:meth:`~repro.core.kernel.BitKernel.connecting_path`), so
-    it never builds a graph at all.
+    :func:`check_robustness_delta`).  Each witness's connecting chain
+    comes from the kernel row the scan read.
     """
-    if method == "bitset":
-        kernel = core.kernel()
-        for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
-            path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
-            yield _build_chain(core, t1, t2, tm, ops, path)
-        return
-    candidates = core.candidates(t1, method)
-    oracle = core.oracle(t1)
-    index = core.index
-    scoped = delta_tid not in (None, t1.tid)
-    for t2 in candidates:
-        for tm in candidates:
-            if scoped and delta_tid not in (t2.tid, tm.tid):
-                continue
-            if method == "paper":
-                reachable = _paper_reachable(index, t1, t2, tm)
-            else:
-                reachable = oracle.reachable(t2.tid, tm.tid)
-            if not reachable:
-                continue
-            if not _triple_passes_ssi_conditions(allocation, t1, t2, tm):
-                continue
-            ops = _search_operations(core, allocation, t1, t2, tm)
-            if ops is None:
-                continue
-            path = oracle.connecting_path(t2.tid, tm.tid)
-            yield _build_chain(core, t1, t2, tm, ops, path)
-
-
-def _check_method(method: str) -> None:
-    """Reject an unknown engine name before any work."""
-    if method not in ("bitset", "components", "paper"):
-        raise ValueError(f"unknown method {method!r}")
+    kernel = core.kernel()
+    for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
+        path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
+        yield _build_chain(core, t1, t2, tm, ops, path)
 
 
 def _validate(workload: Workload, allocation: Allocation) -> None:
@@ -279,11 +169,12 @@ def check_robustness(
     Args:
         workload: the set of transactions.
         allocation: an isolation level for every transaction.
-        method: ``"bitset"`` (default, the integer-bitmask kernel of
-            :mod:`repro.core.kernel`), ``"components"`` (cached
-            graph reachability, the reference engine) or ``"paper"``
-            (verbatim Algorithm 1 loop structure).  All three are
-            bit-identical in verdicts and witnesses.
+        method: ``"bitset"`` (the default) runs the kernel; ``"components"``
+            and ``"paper"`` take the spec from :mod:`repro.core.reference`
+            and build nothing on ``context``.  This door serves one caller
+            outside the tests, the optimality proof of ``bench/``'s
+            allocate workloads, and goes once that proof calls the
+            reference module itself.
         context: the workload's
             :class:`~repro.core.context.AnalysisContext` (built fresh
             when omitted); sharing one across checks amortizes the
@@ -302,32 +193,35 @@ def check_robustness(
         >>> check_robustness(skew, Allocation.ssi(skew)).robust
         True
     """
-    spec = first_witness_spec(workload, allocation, method, context)
+    if method == "bitset":
+        spec = first_witness_spec(workload, allocation, context)
+    elif method in ("components", "paper"):
+        if context is not None:
+            context.ensure(workload)
+        from . import reference
+
+        spec = reference.first_witness_spec(workload, allocation, method)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     if spec is None:
         return RobustnessResult(True)
     schedule = materialize(spec, workload, allocation)
     return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
-def _check_span(tracer, transactions: int, method: str, delta_tid: Optional[int]):
+def _check_span(tracer, transactions: int, delta_tid: Optional[int]):
     """A check's span: ``robustness.check``, or ``robustness.check_delta``
     with the ``delta_tid`` it is scoped to."""
     if delta_tid is None:
-        return tracer.span(
-            "robustness.check", transactions=transactions, method=method
-        )
+        return tracer.span("robustness.check", transactions=transactions)
     return tracer.span(
-        "robustness.check_delta",
-        transactions=transactions,
-        method=method,
-        delta_tid=delta_tid,
+        "robustness.check_delta", transactions=transactions, delta_tid=delta_tid
     )
 
 
 def _first_witness(
     context: AnalysisContext,
     allocation: Allocation,
-    method: str,
     delta_tid: Optional[int] = None,
 ) -> Optional[SplitScheduleSpec]:
     """Algorithm 1's ascending-``T_1`` scan, part by part; counts one check.
@@ -354,7 +248,7 @@ def _first_witness(
     else:
         parts = (plan.shard_of[delta_tid],)
     best: Optional[Tuple[int, SplitScheduleSpec]] = None
-    with _check_span(tracer, len(context.workload), method, delta_tid) as check_span:
+    with _check_span(tracer, len(context.workload), delta_tid) as check_span:
         for index in parts:
             shard = plan.shards[index]
             if best is not None and shard[0] > best[0]:
@@ -367,9 +261,7 @@ def _first_witness(
                         break
                     with tracer.span("robustness.scan_t1", t1=tid, shard=index):
                         spec = next(
-                            _scan_t1(
-                                core, allocation, core.workload[tid], method, delta_tid
-                            ),
+                            _scan_t1(core, allocation, core.workload[tid], delta_tid),
                             None,
                         )
                     if spec is not None:
@@ -386,7 +278,7 @@ def _probe(
     ssi: int,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether the ``bitset`` scan of one part finds a witness against ``levels``.
+    """Whether the kernel scan of one part finds a witness against ``levels``.
 
     The Algorithm 2 probe: the allocation is the part's level list in
     bit order and its SSI tid mask, as
@@ -409,7 +301,7 @@ def _probe(
     if not tracer.recording:
         return has_witness(kernel, levels, ssi, t1s, delta_tid)
     found = False
-    with _check_span(tracer, len(core.workload), "bitset", delta_tid) as check_span:
+    with _check_span(tracer, len(core.workload), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
                 found = has_witness(kernel, levels, ssi, (tid,), delta_tid)
@@ -425,7 +317,7 @@ def _witness_exists(
     allocation: Allocation,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether the ``bitset`` engine finds a witness in one part.
+    """Whether the kernel finds a witness in one part.
 
     :func:`_probe` on ``allocation``'s level list, for a caller holding
     an :class:`Allocation` (the manager's start check of a component):
@@ -440,7 +332,6 @@ def check_robustness_delta(
     allocation: Allocation,
     delta_tid: int,
     context: Optional[AnalysisContext] = None,
-    method: str = "bitset",
 ) -> RobustnessResult:
     """Robustness of an allocation one step away from a robust one.
 
@@ -481,48 +372,20 @@ def check_robustness_delta(
         >>> check_robustness_delta(private, lowered, 2).robust
         True
     """
-    _check_method(method)
     _validate(workload, allocation)
     if delta_tid not in workload:
         raise WorkloadError(f"no transaction with id {delta_tid}")
     context = _resolve(workload, context)
-    spec = _first_witness(context, allocation, method, delta_tid)
+    spec = _first_witness(context, allocation, delta_tid)
     if spec is None:
         return RobustnessResult(True)
     schedule = materialize(spec, workload, allocation)
     return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
-def _paper_reachable(
-    index: ConflictIndex, t1: Transaction, t2: Transaction, tm: Transaction
-) -> bool:
-    """The verbatim ``reachable(T_2, T_m, T_1)`` of Algorithm 1."""
-    if t2.tid == tm.tid:
-        return True
-    if index.conflict(t2.tid, tm.tid):
-        return True
-    others = [
-        t
-        for t in index.transactions
-        if t.tid not in (t1.tid, t2.tid, tm.tid)
-    ]
-    graph = mixed_iso_graph(t1, others)
-    closure: Dict[int, Set[int]] = {
-        node: nx.node_connected_component(graph, node) for node in graph.nodes
-    }
-    for t3 in graph.nodes:
-        if not index.conflict(t2.tid, t3):
-            continue
-        for tm_minus_1 in closure[t3]:
-            if index.conflict(tm_minus_1, tm.tid):
-                return True
-    return False
-
-
 def first_witness_spec(
     workload: Workload,
     allocation: Allocation,
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
 ) -> Optional[SplitScheduleSpec]:
     """The first counterexample spec, or ``None`` when robust — no schedule.
@@ -534,16 +397,14 @@ def first_witness_spec(
     materialization dominates the cost of a failed check on mid-sized
     workloads.  ``context`` is as in :func:`check_robustness`.
     """
-    _check_method(method)
     context = _resolve(workload, context)
     _validate(workload, allocation)
-    return _first_witness(context, allocation, method)
+    return _first_witness(context, allocation)
 
 
 def is_robust(
     workload: Workload,
     allocation: Allocation,
-    method: str = "bitset",
     context: Optional[AnalysisContext] = None,
 ) -> bool:
     """Boolean shorthand for :func:`check_robustness` (Algorithm 1).
@@ -558,7 +419,7 @@ def is_robust(
         >>> is_robust(w, Allocation.si(w)), is_robust(w, Allocation.ssi(w))
         (False, True)
     """
-    return first_witness_spec(workload, allocation, method, context) is None
+    return first_witness_spec(workload, allocation, context) is None
 
 
 def _spec_to_counterexample(
@@ -584,7 +445,6 @@ def enumerate_counterexamples(
     allocation: Allocation,
     materialize_schedules: bool = True,
     context: Optional[AnalysisContext] = None,
-    method: str = "bitset",
 ) -> Iterable[Counterexample]:
     """Yield one counterexample per problematic triple ``(T_1, T_2, T_m)``.
 
@@ -606,10 +466,7 @@ def enumerate_counterexamples(
         materialize_schedules: build (and re-verify) the concrete schedule
             for each witness; disable for cheap surveys of large spaces.
         context: as in :func:`check_robustness`.
-        method: ``"bitset"`` (default), ``"components"`` or ``"paper"``;
-            the yielded sequence is identical for every engine.
     """
-    _check_method(method)
     context = _resolve(workload, context)
     _validate(workload, allocation)
     context.record_check()
@@ -625,9 +482,9 @@ def enumerate_counterexamples(
             with tracer.span(
                 "robustness.scan_t1", t1=t1.tid, shard=index, survey=True
             ):
-                specs = list(_scan_t1(core, allocation, t1, method))
+                specs = list(_scan_t1(core, allocation, t1))
         else:
-            specs = _scan_t1(core, allocation, t1, method)
+            specs = _scan_t1(core, allocation, t1)
         for spec in specs:
             yield _spec_to_counterexample(
                 spec, workload, allocation, materialize_schedules

@@ -158,7 +158,7 @@ def parse_workload(text: str) -> Workload:
         if ":" in line:
             head, _, body = line.partition(":")
             head = head.strip()
-            if not head.lstrip("Tt").isdigit():
+            if not head.lstrip("Tt").isdecimal():
                 raise WorkloadError(f"line {lineno}: bad transaction header {head!r}")
             tid = int(head.lstrip("Tt"))
         try:

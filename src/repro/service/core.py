@@ -48,6 +48,7 @@ from __future__ import annotations
 import time
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.incremental import AllocationManager, BatchMutation
@@ -225,17 +226,13 @@ class ServiceCore:
 
     @staticmethod
     def _initial_manager(config: ServiceConfig) -> AllocationManager:
-        """A fresh manager, or one resumed warm from the snapshot path."""
-        if config.resume and config.snapshot_path:
-            try:
-                state = read_snapshot(config.snapshot_path)
-            except SnapshotError as exc:
-                if "no snapshot at" in str(exc):
-                    pass  # first boot: nothing to resume
-                else:
-                    raise  # a *corrupt* snapshot must fail loudly
-            else:
-                return AllocationManager.load_state(state)
+        """A fresh manager, or one resumed warm from the snapshot path.
+
+        A missing snapshot file is a first boot; one that cannot be
+        restored raises :class:`SnapshotError`."""
+        path = config.snapshot_path
+        if config.resume and path and Path(path).exists():
+            return _restore_manager(path)
         return AllocationManager(levels=config.levels)
 
     # ------------------------------------------------------------------
@@ -688,7 +685,7 @@ class ServiceCore:
             levels = {}
             for key, value in mapping.items():
                 stripped = str(key).lstrip("Tt")
-                if not stripped.isdigit():
+                if not stripped.isdecimal():
                     raise ProtocolError(f"bad allocation key {key!r}; use a tid")
                 try:
                     levels[int(stripped)] = IsolationLevel.parse(str(value))
@@ -800,9 +797,8 @@ class ServiceCore:
     def _cmd_restore(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         path = self._resolve_snapshot_path(envelope)
         verify = bool(envelope.get("verify", False))
-        state = read_snapshot(path)
         with current_tracer().span("service.restore", path=path):
-            manager = AllocationManager.load_state(state, verify=verify)
+            manager = _restore_manager(path, verify=verify)
         self._manager = manager
         self._queue.clear()
         self._since_snapshot = 0
@@ -894,6 +890,17 @@ class ServiceCore:
             snapshot=snapshot_path,
             transactions=len(self._manager.workload),
         )
+
+
+def _restore_manager(path: str, verify: bool = False) -> AllocationManager:
+    """The manager saved in the snapshot at ``path``; raises
+    :class:`SnapshotError` when the file is missing or corrupt, or when
+    :meth:`AllocationManager.load_state` rejects its state."""
+    state = read_snapshot(path)
+    try:
+        return AllocationManager.load_state(state, verify=verify)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot {path} cannot be restored: {exc}") from None
 
 
 def _chain_payload(spec: SplitScheduleSpec) -> Dict[str, Any]:

@@ -111,7 +111,7 @@ def parse_allocation_spec(
         for part in spec.split(","):
             key, _, value = part.partition("=")
             key = key.strip().lstrip("Tt")
-            if not key.isdigit():
+            if not key.isdecimal():
                 raise CommandError(
                     f"bad allocation entry {part!r}; use T<i>=LEVEL"
                 )

@@ -1,8 +1,7 @@
 """Unit tests for repro.core.context (shared analysis structure).
 
-The per-component structure (index, kernel, oracles, candidate and pair
-tables) lives on a context's private cores; these tests reach it through
-``_core``.
+The per-component structure (index, kernel and pair tables) lives on a
+context's private cores; these tests reach it through ``_core``.
 """
 
 import pytest
@@ -12,6 +11,7 @@ from strategies import one_unit
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation
+from repro.core.reference import ReachabilityOracle
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.workload import WorkloadError, workload
 from repro.workloads.paper_examples import example26_workload, figure2_workload
@@ -52,30 +52,6 @@ class TestConflictIndexAccounting:
 
 
 class TestContextCaching:
-    def test_oracle_cached_per_t1(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        core = ctx._core(0)
-        t1 = write_skew[1]
-        first = core.oracle(t1)
-        assert core.oracle(t1) is first
-        assert ctx.stats.oracle_builds == 1
-        assert ctx.stats.oracle_hits == 1
-
-    def test_candidates_match_methods(self, write_skew):
-        core = AnalysisContext(write_skew)._core(0)
-        t1 = write_skew[1]
-        assert [t.tid for t in core.candidates(t1, "paper")] == [2]
-        assert [t.tid for t in core.candidates(t1, "components")] == [2]
-        # Cached: same tuple object returned.
-        assert core.candidates(t1, "paper") is core.candidates(t1, "paper")
-
-    def test_candidates_restrict_to_conflicting(self):
-        wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[q]")
-        core = one_unit(wl)._core(0)  # T3 shares the core with T1
-        t1 = wl[1]
-        assert [t.tid for t in core.candidates(t1, "paper")] == [2, 3]
-        assert [t.tid for t in core.candidates(t1, "components")] == [2]
-
     def test_conflicting_pairs_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
         core = ctx._core(0)
@@ -151,12 +127,12 @@ class _KernelPaths:
 @pytest.fixture(params=["oracle", "kernel"])
 def paths(request):
     """Build the chain finder for ``T_1`` of a workload: the graph-backed
-    oracle (``components``/``paper``) or the kernel (``bitset``)."""
+    oracle of :mod:`repro.core.reference` or the production kernel."""
 
     def build(wl, t1_tid):
         core = one_unit(wl)._core(0)
         if request.param == "oracle":
-            return core.oracle(wl[t1_tid])
+            return ReachabilityOracle(core.index, wl[t1_tid])
         return _KernelPaths(core, t1_tid)
 
     return build
@@ -235,8 +211,6 @@ class TestKernelCaching:
         ctx = AnalysisContext(wl)
         result = check_robustness(wl, Allocation.si(wl), method="bitset", context=ctx)
         assert result.counterexample.spec.intermediate_tids == (3,)
-        assert ctx.stats.oracle_builds == 0
-        assert ctx.stats.oracle_hits == 0
         assert ctx.stats.kernel_row_builds >= 1
 
 
@@ -253,8 +227,6 @@ class TestStats:
             "kernel_builds",
             "kernel_row_builds",
             "kernel_row_hits",
-            "oracle_builds",
-            "oracle_hits",
             "pair_builds",
             "pair_hits",
             "plan_builds",

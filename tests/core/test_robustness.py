@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.core import reference
 from repro.core.allowed import is_allowed
 from repro.core.isolation import Allocation, IsolationLevel
+from repro.core.reference import mixed_iso_graph
 from repro.core.robustness import (
     check_robustness,
     enumerate_counterexamples,
     is_robust,
-    mixed_iso_graph,
 )
+from repro.core.split_schedule import materialize
 from repro.core.serialization import is_conflict_serializable
 from repro.core.transactions import parse_transaction
 from repro.core.workload import WorkloadError, workload
@@ -77,7 +79,9 @@ class TestDecisions:
 
     def test_unknown_method_rejected(self, write_skew):
         with pytest.raises(ValueError):
-            is_robust(write_skew, Allocation.rc(write_skew), method="magic")
+            reference.first_witness_spec(
+                write_skew, Allocation.rc(write_skew), "magic"
+            )
 
     def test_long_conflict_chain_through_intermediates(self):
         # T1 -> T2 -> T3 -> T4 -> T1 where T3 does not conflict with T1:
@@ -141,9 +145,9 @@ class TestMethodAgreement:
             {1: "RC", 2: "SSI"},
         ):
             alloc = Allocation(levels)
-            assert is_robust(write_skew, alloc, method="paper") == is_robust(
-                write_skew, alloc, method="components"
-            )
+            paper = reference.first_witness_spec(write_skew, alloc, "paper")
+            components = reference.first_witness_spec(write_skew, alloc, "components")
+            assert (paper is None) == (components is None)
 
     def test_paper_method_chain(self):
         wl = workload(
@@ -153,14 +157,14 @@ class TestMethodAgreement:
             "W4[c] R4[d]",
         )
         alloc = Allocation.si(wl)
-        assert not is_robust(wl, alloc, method="paper")
+        assert reference.first_witness_spec(wl, alloc, "paper") is not None
 
     def test_paper_method_witness_also_materializes(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
         alloc = Allocation.rc(wl)
-        result = check_robustness(wl, alloc, method="paper")
-        assert not result.robust
-        assert is_allowed(result.counterexample.schedule, alloc)
+        spec = reference.first_witness_spec(wl, alloc, "paper")
+        assert spec is not None
+        assert is_allowed(materialize(spec, wl, alloc), alloc)
 
 
 class TestSsiInteractions:

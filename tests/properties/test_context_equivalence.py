@@ -1,11 +1,13 @@
-"""Property tests: the context-backed engines equal the seed implementations.
+"""Property tests: the context-backed engine equals the seed implementations.
 
 Three implementations must agree everywhere:
 
-* ``check_robustness(method="components")`` — cached reachability;
-* ``check_robustness(method="paper")`` — verbatim Algorithm 1;
-* either of the above driven through a shared
-  :class:`~repro.core.context.AnalysisContext` (cached structure).
+* the ``components`` engine of :mod:`repro.core.reference` — cached
+  reachability;
+* its ``paper`` engine — verbatim Algorithm 1;
+* :func:`~repro.core.robustness.check_robustness` driven through a
+  shared :class:`~repro.core.context.AnalysisContext` (cached
+  structure).
 
 And :func:`~repro.core.allocation.refine_allocation` must return the
 identical allocation as the seed refinement loop (a fresh conflict
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from strategies import one_unit
+from repro.core import reference
 from repro.core.allocation import optimal_allocation, refine_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import (
@@ -48,14 +51,15 @@ def test_engines_agree(pair):
     """components ≡ paper ≡ context-backed on random (workload, allocation)."""
     wl, alloc = pair
     ctx = AnalysisContext(wl)
-    components = check_robustness(wl, alloc, method="components")
-    paper = check_robustness(wl, alloc, method="paper")
-    cached = check_robustness(wl, alloc, method="components", context=ctx)
-    assert components.robust == paper.robust == cached.robust
-    for result in (components, paper, cached):
-        if not result.robust:
+    components = reference.first_witness_spec(wl, alloc, "components")
+    paper = reference.first_witness_spec(wl, alloc, "paper")
+    cached = check_robustness(wl, alloc, context=ctx)
+    assert (components is None) == (paper is None) == cached.robust
+    cached_spec = None if cached.robust else cached.counterexample.spec
+    for spec in (components, paper, cached_spec):
+        if spec is not None:
             # Every engine's witness is a genuine split schedule.
-            assert is_valid_split_schedule(result.counterexample.spec, wl, alloc)
+            assert is_valid_split_schedule(spec, wl, alloc)
 
 
 @given(workload_and_allocation())
@@ -72,7 +76,7 @@ def test_shared_context_is_stateless_across_allocations(pair):
     assert fresh.robust == via_ctx.robust
 
 
-def _seed_refine(workload, start, levels, method="components", probes=None):
+def _seed_refine(workload, start, levels, engine="components", probes=None):
     """The pre-context refinement loop, verbatim (no caching).
 
     Appends each probed candidate to ``probes`` when given.
@@ -86,7 +90,7 @@ def _seed_refine(workload, start, levels, method="components", probes=None):
             candidate = current.with_level(tid, level)
             if probes is not None:
                 probes.append(candidate)
-            if is_robust(workload, candidate, method=method):
+            if reference.first_witness_spec(workload, candidate, engine) is None:
                 current = candidate
                 break
     return current

@@ -1,14 +1,15 @@
-"""Property tests: the bitset kernel is bit-identical to ``components``.
+"""Property tests: the bitset kernel is bit-identical to the reference.
 
-The acceptance contract of the kernel engine: on any (workload,
-allocation) pair, ``method="bitset"`` must return the *same*
-``RobustnessResult`` verdict, the *same* witness ``SplitScheduleSpec``,
+The acceptance contract of the kernel, the one production engine: on
+any (workload, allocation) pair, the production entry points must
+return the *same* verdict, the *same* witness ``SplitScheduleSpec``,
 and the *same* ``enumerate_counterexamples`` sequence (order included)
-as ``method="components"`` — the kernel reorganizes the scan's data
-layout, never its decisions.  The suite also pins the delta-restricted
-scan (the scoped kernel loop against the filtered full loop),
-Algorithm 2 end to end, two fixed mid-sized workloads, and the
-kernel's connecting chains against the graph-backed oracle.
+as the ``components`` engine of :mod:`repro.core.reference` — the
+kernel reorganizes the scan's data layout, never its decisions.  The
+suite also pins the delta-restricted scan (the scoped kernel loop
+against the filtered full loop), Algorithm 2 end to end, two fixed
+mid-sized workloads, and the kernel's connecting chains against the
+graph-backed oracle.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -18,13 +19,13 @@ import pytest
 
 import strategies as sts
 from strategies import one_unit
+from repro.core import reference
 from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
 from repro.core.context import ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.kernel import iter_witness_triples, level_list
 from repro.core.robustness import (
-    _first_witness,
     _probe,
     _witness_exists,
     check_robustness,
@@ -57,11 +58,11 @@ def workload_and_allocation(draw):
 def test_bitset_verdict_and_witness_match_components(pair):
     """Same verdict, same counterexample spec, on random inputs."""
     wl, alloc = pair
-    bitset = check_robustness(wl, alloc, method="bitset")
-    components = check_robustness(wl, alloc, method="components")
-    assert bitset.robust == components.robust
+    bitset = check_robustness(wl, alloc)
+    components = reference.first_witness_spec(wl, alloc, "components")
+    assert bitset.robust == (components is None)
     if not bitset.robust:
-        assert bitset.counterexample.spec == components.counterexample.spec
+        assert bitset.counterexample.spec == components
         assert is_valid_split_schedule(bitset.counterexample.spec, wl, alloc)
 
 
@@ -70,13 +71,8 @@ def test_bitset_verdict_and_witness_match_components(pair):
 def test_bitset_enumeration_order_matches_components(pair):
     """The full survey agrees element by element, in order."""
     wl, alloc = pair
-    bitset = [
-        c.spec for c in enumerate_counterexamples(wl, alloc, method="bitset")
-    ]
-    components = [
-        c.spec
-        for c in enumerate_counterexamples(wl, alloc, method="components")
-    ]
+    bitset = [c.spec for c in enumerate_counterexamples(wl, alloc)]
+    components = reference.survey(wl, alloc, "components")
     assert bitset == components
 
 
@@ -86,24 +82,22 @@ def test_bitset_delta_check_matches_components(pair):
     """The delta-restricted scan agrees for every choice of delta tid."""
     wl, alloc = pair
     for delta_tid in wl.tids:
-        bitset = check_robustness_delta(wl, alloc, delta_tid, method="bitset")
-        components = check_robustness_delta(
-            wl, alloc, delta_tid, method="components"
+        bitset = check_robustness_delta(wl, alloc, delta_tid)
+        components = reference.first_witness_spec(
+            wl, alloc, "components", delta_tid=delta_tid
         )
-        assert bitset.robust == components.robust
+        assert bitset.robust == (components is None)
         if not bitset.robust:
-            assert (
-                bitset.counterexample.spec == components.counterexample.spec
-            )
+            assert bitset.counterexample.spec == components
 
 
 @given(sts.workloads(min_transactions=1, max_transactions=4))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_bitset_optimal_allocation_matches_components(wl):
     """Algorithm 2 lands on the identical optimum under either engine."""
-    assert optimal_allocation(wl, method="bitset") == optimal_allocation(
-        wl, method="components"
-    )
+    assert optimal_allocation(wl) == reference.optimal_allocation(
+        wl, engine="components"
+    )[0]
 
 
 @given(
@@ -196,7 +190,7 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
     )
     drawn = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
     robust = upgrade_to_robust(wl, drawn)
-    ctx, reference = one_unit(wl), one_unit(wl)
+    ctx = one_unit(wl)
     core = ctx._core(0)
     ladder = sorted(IsolationLevel)
     for tid in wl.tids:
@@ -205,7 +199,9 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
             continue
         lowered = robust.with_level(tid, ladder[rank - 1])
         for delta_tid in (tid, None):
-            expected = _first_witness(reference, lowered, "components", delta_tid)
+            expected = reference.first_witness_spec(
+                wl, lowered, "components", delta_tid=delta_tid
+            )
             found = _witness_exists(ctx, core, lowered, delta_tid)
             assert found == (expected is not None), (tid, delta_tid)
             levels, ssi = level_list(lowered, wl.tids)
@@ -231,8 +227,10 @@ def test_kernel_connecting_path_matches_oracle(seed, size):
     core = one_unit(wl)._core(0)
     kernel = core.kernel()
     for t1 in wl:
-        oracle = core.oracle(t1)
-        candidates = core.candidates(t1, "components")
+        oracle = reference.ReachabilityOracle(core.index, t1)
+        candidates = [
+            wl[tid] for tid in sorted(core.index.conflict_neighbours(t1.tid))
+        ]
         for t2 in candidates:
             for tm in candidates:
                 assert kernel.connecting_path(
@@ -255,25 +253,18 @@ def test_paper_examples_agree_across_engines(factory):
     wl = factory()
     for level in IsolationLevel:
         alloc = Allocation.uniform(wl, level)
-        bitset = check_robustness(wl, alloc, method="bitset")
-        components = check_robustness(wl, alloc, method="components")
-        paper = check_robustness(wl, alloc, method="paper")
-        assert bitset.robust == components.robust == paper.robust
+        bitset = check_robustness(wl, alloc)
+        components = reference.first_witness_spec(wl, alloc, "components")
+        paper = reference.first_witness_spec(wl, alloc, "paper")
+        assert bitset.robust == (components is None) == (paper is None)
         if not bitset.robust:
-            assert (
-                bitset.counterexample.spec == components.counterexample.spec
-            )
-        bit_specs = [
-            c.spec for c in enumerate_counterexamples(wl, alloc, method="bitset")
-        ]
-        comp_specs = [
-            c.spec
-            for c in enumerate_counterexamples(wl, alloc, method="components")
-        ]
+            assert bitset.counterexample.spec == components
+        bit_specs = [c.spec for c in enumerate_counterexamples(wl, alloc)]
+        comp_specs = reference.survey(wl, alloc, "components")
         assert bit_specs == comp_specs
-    assert optimal_allocation(wl, method="bitset") == optimal_allocation(
-        wl, method="components"
-    )
+    assert optimal_allocation(wl) == reference.optimal_allocation(
+        wl, engine="components"
+    )[0]
 
 
 def test_bitset_fixed_workload_matches_components():
@@ -289,18 +280,13 @@ def test_bitset_fixed_workload_matches_components():
     alloc = Allocation(
         {tid: levels[tid % len(levels)] for tid in wl.tids}
     )
-    bitset = check_robustness(wl, alloc, method="bitset")
-    comp = check_robustness(wl, alloc, method="components")
-    assert bitset.robust == comp.robust
+    bitset = check_robustness(wl, alloc)
+    comp = reference.first_witness_spec(wl, alloc, "components")
+    assert bitset.robust == (comp is None)
     if not bitset.robust:
-        assert bitset.counterexample.spec == comp.counterexample.spec
-    bit_specs = [
-        c.spec for c in enumerate_counterexamples(wl, alloc, method="bitset")
-    ]
-    comp_specs = [
-        c.spec
-        for c in enumerate_counterexamples(wl, alloc, method="components")
-    ]
+        assert bitset.counterexample.spec == comp
+    bit_specs = [c.spec for c in enumerate_counterexamples(wl, alloc)]
+    comp_specs = reference.survey(wl, alloc, "components")
     assert bit_specs == comp_specs
 
 
@@ -309,9 +295,9 @@ def test_bitset_fixed_allocation_matches_components():
     wl = random_workload(
         transactions=18, objects=12, min_ops=2, max_ops=4, seed=11
     )
-    assert optimal_allocation(wl, method="bitset") == optimal_allocation(
-        wl, method="components"
-    )
+    assert optimal_allocation(wl) == reference.optimal_allocation(
+        wl, engine="components"
+    )[0]
 
 
 def test_unknown_method_rejected():
@@ -319,5 +305,3 @@ def test_unknown_method_rejected():
     alloc = Allocation.si(wl)
     with pytest.raises(ValueError):
         check_robustness(wl, alloc, method="bitmask")
-    with pytest.raises(ValueError):
-        list(enumerate_counterexamples(wl, alloc, method="bitmask"))

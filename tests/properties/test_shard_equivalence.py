@@ -7,10 +7,10 @@ the *same* witness ``SplitScheduleSpec``, the *same*
 ``enumerate_counterexamples`` spec sequence (order included) and the
 *same* optimal allocation as a run through a context whose plan has the
 whole workload as its one part (``one_unit``), which analyzes the
-workload as one unit — for every engine (``bitset``, ``components``,
-``paper``).
-Algorithm 2 must also issue the same robustness checks
-on both paths.  Identity is at the *spec*
+workload as one unit.  Algorithm 2 must also issue the same robustness
+checks on both paths.  The reference engines of
+:mod:`repro.core.reference` take no plan; the kernel suite checks the
+production path against them.  Identity is at the *spec*
 level: ``MVSchedule`` objects compare by identity, and two independent
 materializations of the same spec are distinct objects even
 one-unit-vs-one-unit (matching the kernel-equivalence suite's contract).
@@ -56,9 +56,6 @@ from repro.workloads.paper_examples import (
 from repro.workloads.smallbank import smallbank_one_of_each
 from repro.workloads.tpcc import tpcc_one_of_each
 
-ENGINES = ("bitset", "components", "paper")
-
-
 @st.composite
 def workload_and_allocation(draw):
     wl = draw(sts.workloads(min_transactions=1, max_transactions=4))
@@ -68,42 +65,32 @@ def workload_and_allocation(draw):
     return wl, Allocation(levels)
 
 
-def assert_check_matches(wl, alloc, method="bitset"):
-    mono = check_robustness(
-        wl, alloc, method=method, context=one_unit(wl)
-    )
-    sharded = check_robustness(wl, alloc, method=method)
+def assert_check_matches(wl, alloc):
+    mono = check_robustness(wl, alloc, context=one_unit(wl))
+    sharded = check_robustness(wl, alloc)
     assert mono.robust == sharded.robust
     if not mono.robust:
         assert mono.counterexample.spec == sharded.counterexample.spec
         assert is_valid_split_schedule(sharded.counterexample.spec, wl, alloc)
 
 
-def assert_enumeration_matches(wl, alloc, method="bitset"):
+def assert_enumeration_matches(wl, alloc):
     mono = [
         ce.spec
         for ce in enumerate_counterexamples(
-            wl,
-            alloc,
-            materialize_schedules=False,
-            method=method,
-            context=one_unit(wl),
+            wl, alloc, materialize_schedules=False, context=one_unit(wl)
         )
     ]
     sharded = [
         ce.spec
-        for ce in enumerate_counterexamples(
-            wl, alloc, materialize_schedules=False, method=method
-        )
+        for ce in enumerate_counterexamples(wl, alloc, materialize_schedules=False)
     ]
     assert mono == sharded
 
 
-def assert_allocation_matches(wl, levels, method="bitset"):
-    mono = optimal_allocation(
-        wl, levels, method=method, context=one_unit(wl)
-    )
-    sharded = optimal_allocation(wl, levels, method=method)
+def assert_allocation_matches(wl, levels):
+    mono = optimal_allocation(wl, levels, context=one_unit(wl))
+    sharded = optimal_allocation(wl, levels)
     assert mono == sharded
 
 
@@ -112,8 +99,7 @@ def assert_allocation_matches(wl, levels, method="bitset"):
 def test_sharded_verdict_and_witness_match_monolithic(pair):
     """Same verdict, same first-witness spec, on random inputs."""
     wl, alloc = pair
-    for method in ENGINES:
-        assert_check_matches(wl, alloc, method=method)
+    assert_check_matches(wl, alloc)
 
 
 @given(workload_and_allocation())
@@ -121,17 +107,15 @@ def test_sharded_verdict_and_witness_match_monolithic(pair):
 def test_sharded_enumeration_order_matches_monolithic(pair):
     """Same counterexample specs, in the same order."""
     wl, alloc = pair
-    for method in ENGINES:
-        assert_enumeration_matches(wl, alloc, method=method)
+    assert_enumeration_matches(wl, alloc)
 
 
 @given(sts.workloads(min_transactions=1, max_transactions=4))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_optimal_allocation_matches_monolithic(wl):
-    """Same optimum, for both level classes, all engines."""
-    for method in ENGINES:
-        assert_allocation_matches(wl, POSTGRES_LEVELS, method=method)
-        assert_allocation_matches(wl, ORACLE_LEVELS, method=method)
+    """Same optimum, for both level classes."""
+    assert_allocation_matches(wl, POSTGRES_LEVELS)
+    assert_allocation_matches(wl, ORACLE_LEVELS)
 
 
 @given(workload_and_allocation())
@@ -146,7 +130,7 @@ def test_sharded_upgrade_and_allocatability_match_monolithic(pair):
     )
 
 
-def assert_counters_match(wl, levels, method="bitset"):
+def assert_counters_match(wl, levels):
     """Same optimum and same ``checks`` on both paths.
 
     Every refinement probe counts one check.  The sharded refinement
@@ -156,13 +140,13 @@ def assert_counters_match(wl, levels, method="bitset"):
     one-unit run — and is pinned separately below.
     """
     unit = one_unit(wl)
-    expected = optimal_allocation(wl, levels, method=method, context=unit)
+    expected = optimal_allocation(wl, levels, context=unit)
     tracer = Tracer()
     with use_tracer(tracer):
-        default = optimal_allocation(wl, levels, method=method)
+        default = optimal_allocation(wl, levels)
     sharded = AnalysisContext(wl)
     assert default == expected
-    assert optimal_allocation(wl, levels, method=method, context=sharded) == expected
+    assert optimal_allocation(wl, levels, context=sharded) == expected
     assert sharded.stats.checks == unit.stats.checks
     counters = tracer.registry.counters
     assert counters.get("robustness.checks", 0) == unit.stats.checks
@@ -175,9 +159,8 @@ def assert_counters_match(wl, levels, method="bitset"):
 @given(sts.workloads(min_transactions=1, max_transactions=5))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_counters_match_one_unit(wl):
-    for method in ENGINES:
-        assert_counters_match(wl, POSTGRES_LEVELS, method=method)
-        assert_counters_match(wl, ORACLE_LEVELS, method=method)
+    assert_counters_match(wl, POSTGRES_LEVELS)
+    assert_counters_match(wl, ORACLE_LEVELS)
 
 
 @pytest.mark.parametrize("seed", [3, 8, 13])
@@ -191,15 +174,13 @@ def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
 
 
 #: The ``ContextStats`` fields counted per analyzed component: a sharded
-#: run builds a conflict index per component, and with it a kernel, rows,
-#: oracles and pair tables whose counts depend on how the workload was
-#: split.  Every other field counts the same work on both paths.
+#: run builds a conflict index per component, and with it a kernel, rows
+#: and pair tables whose counts depend on how the workload was split.  Every other field counts the same work on both paths.
 PER_COMPONENT_FIELDS = frozenset(
     {
         "index_builds",
         "kernel_builds",
         "kernel_row_builds",
-        "oracle_builds",
         "pair_builds",
         "pair_hits",
     }
@@ -228,22 +209,19 @@ def test_sharded_stats_match_one_unit_outside_per_component_fields(wl):
     """Every ``ContextStats`` field but the per-component ones agrees.
 
     Sharded and one-unit Algorithm 2 runs do the same work by design, so
-    ``checks``, ``kernel_row_hits``, ``oracle_hits`` and the ``plan_*``
-    fields must be equal, for every engine and both level classes.
+    ``checks``, ``kernel_row_hits`` and the ``plan_*`` fields must be
+    equal, for both level classes.
     """
-    for method in ENGINES:
-        for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
-            unit, sharded = one_unit(wl), AnalysisContext(wl)
-            expected = optimal_allocation(wl, levels, method=method, context=unit)
-            assert optimal_allocation(
-                wl, levels, method=method, context=sharded
-            ) == expected
-            left, right = sharded.stats.as_dict(), unit.stats.as_dict()
-            differing = {name for name in left if left[name] != right[name]}
-            assert differing <= PER_COMPONENT_FIELDS, (method, levels, differing)
+    for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
+        unit, sharded = one_unit(wl), AnalysisContext(wl)
+        expected = optimal_allocation(wl, levels, context=unit)
+        assert optimal_allocation(wl, levels, context=sharded) == expected
+        left, right = sharded.stats.as_dict(), unit.stats.as_dict()
+        differing = {name for name in left if left[name] != right[name]}
+        assert differing <= PER_COMPONENT_FIELDS, (levels, differing)
 
 
-def assert_delta_checks_match(wl, method="bitset"):
+def assert_delta_checks_match(wl):
     """Every one-step candidate: sharded delta check ≡ one-unit delta check.
 
     The candidates lower one transaction of a robust allocation (all-SSI
@@ -251,18 +229,18 @@ def assert_delta_checks_match(wl, method="bitset"):
     scans only the lowered transaction's component and must return the
     one-unit verdict and spec.
     """
-    for base in (Allocation.ssi(wl), optimal_allocation(wl, method=method)):
+    for base in (Allocation.ssi(wl), optimal_allocation(wl)):
         for tid in wl.tids:
             for level in IsolationLevel:
                 if level >= base[tid]:
                     continue
                 candidate = base.with_level(tid, level)
                 unit = check_robustness_delta(
-                    wl, candidate, tid, context=one_unit(wl), method=method
+                    wl, candidate, tid, context=one_unit(wl)
                 )
                 for context in (None, AnalysisContext(wl)):
                     sharded = check_robustness_delta(
-                        wl, candidate, tid, context=context, method=method
+                        wl, candidate, tid, context=context
                     )
                     assert sharded.robust == unit.robust
                     if not unit.robust:
@@ -274,8 +252,7 @@ def assert_delta_checks_match(wl, method="bitset"):
 @given(sts.workloads(min_transactions=1, max_transactions=5))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_delta_check_matches_one_unit(wl):
-    for method in ENGINES:
-        assert_delta_checks_match(wl, method=method)
+    assert_delta_checks_match(wl)
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -300,13 +277,12 @@ def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
 def test_paper_examples_sharded_equivalence(make):
     """The paper's running examples through every composed entry point."""
     wl = make()
-    for method in ENGINES:
-        for level in IsolationLevel:
-            alloc = Allocation.uniform(wl, level)
-            assert_check_matches(wl, alloc, method=method)
-            assert_enumeration_matches(wl, alloc, method=method)
-        assert_allocation_matches(wl, POSTGRES_LEVELS, method=method)
-        assert_allocation_matches(wl, ORACLE_LEVELS, method=method)
+    for level in IsolationLevel:
+        alloc = Allocation.uniform(wl, level)
+        assert_check_matches(wl, alloc)
+        assert_enumeration_matches(wl, alloc)
+    assert_allocation_matches(wl, POSTGRES_LEVELS)
+    assert_allocation_matches(wl, ORACLE_LEVELS)
 
 
 def test_single_component_workload_degenerates_cleanly():

@@ -10,12 +10,14 @@ independent machinery:
   graph);
 * *completeness* — Algorithm 1 agrees with the brute-force enumeration of
   all interleavings on small workloads;
-* the ``"paper"`` and ``"components"`` engines agree.
+* the ``"paper"`` and ``"components"`` engines of
+  :mod:`repro.core.reference` agree.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 
 import strategies as sts
+from repro.core import reference
 from repro.core.allowed import is_allowed
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.serialization import is_conflict_serializable
@@ -59,8 +61,8 @@ def test_algorithm1_agrees_with_brute_force(pair):
 def test_methods_agree(pair):
     """The cached-components engine equals the verbatim Algorithm 1."""
     wl, alloc = pair
-    assert is_robust(wl, alloc, method="components") == is_robust(
-        wl, alloc, method="paper"
+    assert (reference.first_witness_spec(wl, alloc, "components") is None) == (
+        reference.first_witness_spec(wl, alloc, "paper") is None
     )
 
 

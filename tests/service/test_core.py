@@ -7,7 +7,9 @@ from repro.service import (
     AdmissionPolicy,
     ServiceConfig,
     ServiceCore,
+    SnapshotError,
     read_snapshot,
+    write_snapshot,
 )
 
 
@@ -521,6 +523,69 @@ class TestSnapshotCommands:
         response = core.handle({"op": "shutdown"})
         assert response["stopping"] and core.stopping
         assert snap.exists()
+
+
+#: Valid snapshot envelopes whose manager state cannot be restored.
+BAD_STATES = {
+    "version": {"version": 7},
+    "class-without-ssi": {"levels": ["RC", "SI"]},
+    "levels-not-a-list": {"levels": 5},
+    "unknown-level": {"levels": ["RC", "SI", "BOGUS"]},
+    "unknown-allocated-level": {"allocation": {"1": "BOGUS", "2": "SSI"}},
+    "workload": {"workload": "T1: Q[x]"},
+}
+
+
+class TestUnrestorableSnapshots:
+    """A snapshot that cannot be restored is a ``snapshot-error``, never
+    ``internal`` or ``conflict``, and fails a daemon's start-up with
+    :class:`SnapshotError`; a missing file is still a fresh start."""
+
+    @pytest.fixture
+    def skew_state(self):
+        core = _core()
+        _add(core, "R[x] W[y]", 1)
+        _add(core, "R[y] W[x]", 2)
+        return core.manager.save_state()
+
+    def _write(self, tmp_path, state):
+        path = str(tmp_path / "bad.json")
+        write_snapshot(path, state)
+        return path
+
+    @pytest.mark.parametrize("name", sorted(BAD_STATES))
+    def test_restore_answers_snapshot_error(self, tmp_path, skew_state, name):
+        path = self._write(tmp_path, {**skew_state, **BAD_STATES[name]})
+        core = _core()
+        _add(core, "R[a]", 5)
+        response = core.handle({"op": "restore", "path": path})
+        assert response["error"]["code"] == "snapshot-error", response
+        assert core.handle({"op": "allocate"})["allocation"] == {"5": "RC"}
+
+    def test_verified_restore_refuses_a_non_robust_allocation(
+        self, tmp_path, skew_state
+    ):
+        state = dict(skew_state, allocation={"1": "SI", "2": "SI"})
+        path = self._write(tmp_path, state)
+        response = _core().handle({"op": "restore", "path": path, "verify": True})
+        assert response["error"]["code"] == "snapshot-error", response
+        assert "not robust" in response["error"]["message"]
+
+    @pytest.mark.parametrize("name", sorted(BAD_STATES))
+    def test_start_up_raises_snapshot_error(self, tmp_path, skew_state, name):
+        path = self._write(tmp_path, {**skew_state, **BAD_STATES[name]})
+        with pytest.raises(SnapshotError, match="cannot be restored"):
+            _core(snapshot_path=path)
+
+    def test_start_up_on_a_foreign_file(self, tmp_path):
+        path = tmp_path / "foreign.json"
+        path.write_text('{"garbage": 1}')
+        with pytest.raises(SnapshotError, match="is not a"):
+            _core(snapshot_path=str(path))
+
+    def test_missing_file_is_a_fresh_start(self, tmp_path):
+        core = _core(snapshot_path=str(tmp_path / "none.json"))
+        assert core.handle({"op": "status"})["transactions"] == 0
 
 
 class TestWarmRestoreEquivalence:

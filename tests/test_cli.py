@@ -141,8 +141,17 @@ class TestSharding:
             ["allocate", "{wl}", "--jobs", "2"],
             ["serve", "--jobs", "2"],
             ["serve", "--method", "paper"],
+            ["check", "{wl}", "--method", "components"],
+            ["allocate", "{wl}", "--method", "paper"],
         ],
-        ids=["check-jobs", "allocate-jobs", "serve-jobs", "serve-method"],
+        ids=[
+            "check-jobs",
+            "allocate-jobs",
+            "serve-jobs",
+            "serve-method",
+            "check-method",
+            "allocate-method",
+        ],
     )
     def test_worker_and_serve_engine_flags_are_gone(
         self, multi_file, argv, capsys
@@ -150,11 +159,6 @@ class TestSharding:
         with pytest.raises(SystemExit) as excinfo:
             main([arg.format(wl=multi_file) for arg in argv])
         assert excinfo.value.code == 2  # argparse usage error
-
-    def test_method_flag_still_picks_a_reference_engine(self, multi_file, capsys):
-        assert main(["check", multi_file, "--method", "components"]) == 1
-        assert main(["allocate", multi_file, "--method", "paper"]) == 0
-        assert "T5: RC" in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -601,6 +605,79 @@ class TestBadInputFiles:
         path.write_text("no template here\n")
         assert main(["templates", "check", str(path), "--uniform", "SI"]) == 2
         assert "line 1" in _error_line(capsys)
+
+
+class TestUnrestorableSnapshot:
+    """``repro serve`` on a snapshot it cannot restore: one error line, exit 2."""
+
+    @pytest.mark.parametrize("kind", ["foreign-file", "bad-state-version"])
+    def test_serve_exits_cleanly(self, tmp_path, kind):
+        from repro.service import write_snapshot
+
+        path = tmp_path / "snap.json"
+        if kind == "foreign-file":
+            path.write_text('{"garbage": 1}')
+        else:
+            write_snapshot(path, {"version": 7, "levels": [], "workload": ""})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--snapshot", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("repro: error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert str(path) in proc.stderr
+
+
+def _cli_allocation_spec(skew_file, capsys):
+    assert main(["check", skew_file, "--allocation", "T²=RC,T2=SI"]) == 2
+    return _error_line(capsys)
+
+
+def _workload_header(skew_file, capsys):
+    from repro.core.workload import WorkloadError, parse_workload
+
+    with pytest.raises(WorkloadError) as excinfo:
+        parse_workload("T²: R[x]")
+    return str(excinfo.value)
+
+
+def _allocation_key(skew_file, capsys):
+    from repro.core.isolation import allocation
+    from repro.core.workload import WorkloadError
+
+    with pytest.raises(WorkloadError) as excinfo:
+        allocation(**{"T²": "RC"})
+    return str(excinfo.value)
+
+
+def _daemon_check(skew_file, capsys):
+    from repro.service import ServiceConfig, ServiceCore
+
+    core = ServiceCore(ServiceConfig(port=0))
+    core.handle({"op": "add", "transaction": "R[x] W[y]", "tid": 2})
+    response = core.handle({"op": "check", "allocation": {"T²": "RC", "2": "SI"}})
+    assert response["error"]["code"] == "bad-request", response
+    return response["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "parse, expected",
+    [
+        (_cli_allocation_spec, "bad allocation entry 'T²=RC'; use T<i>=LEVEL"),
+        (_workload_header, "line 1: bad transaction header 'T²'"),
+        (_allocation_key, "bad transaction key 'T²'; use T<i>"),
+        (_daemon_check, "bad allocation key 'T²'; use a tid"),
+    ],
+    ids=["cli-allocation-spec", "workload-header", "allocation-key", "daemon-check"],
+)
+def test_superscript_digit_tid_is_a_clean_error(parse, expected, skew_file, capsys):
+    """``str.isdigit`` accepts ``²`` but ``int`` does not: every tid parser
+    must give its own error, not ``int()``'s ``ValueError``."""
+    assert expected in parse(skew_file, capsys)
 
 
 class TestBadFlagValues:
