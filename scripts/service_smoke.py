@@ -22,7 +22,9 @@ daemon process:
    for exactly the bad line and the bad entry, both valid adds
    admitted, the connection still answering, and
    ``repro_service_errors_total`` up by exactly one (the line; a failed
-   batch entry is not a failed request);
+   batch entry is not a failed request); then send a ``restore`` whose
+   ``verify`` is the string ``"false"``, require ``bad-request``, and
+   require the next ``allocate`` to equal the one before it;
 5. take an explicit ``snapshot``, record the full ``allocate`` response;
 6. SIGKILL the daemon (no goodbye), restart it resuming from the
    snapshot, and require the next ``allocate`` to be **byte-identical**
@@ -299,6 +301,16 @@ def main() -> int:
             "[smoke] hostile input: non-UTF-8 line and tid-0 batch entry got"
             " bad-request, both valid adds admitted, 1 error counted"
         )
+
+        def allocated():
+            response = client.call("allocate")
+            return {k: v for k, v in response.items() if k not in ("id", "request_id")}
+
+        before = allocated()
+        reply = client.request("restore", verify="false")
+        assert reply.get("error", {}).get("code") == "bad-request", reply
+        assert allocated() == before, "a refused restore changed the state"
+        print('[smoke] restore with "verify": "false" got bad-request, state kept')
 
         # -- stage 5: snapshot + record the reference allocation ------
         snapshot = client.call("snapshot")

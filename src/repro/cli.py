@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -921,15 +922,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     build without tracing.
 
     A :class:`~repro.service.handlers.CommandError` from any subcommand
-    prints ``repro: error: <message>`` to stderr and returns 2.
+    prints ``repro: error: <message>`` to stderr and returns 2.  When
+    stdout's reader has gone (``repro trace report F | head -1``) the
+    command stops quietly and returns 141, what a shell reports for a
+    process killed by SIGPIPE.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(parser, args)
+        status = _run(parser, args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
     except CommandError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -42,7 +42,9 @@ whole :class:`~repro.core.workload.Workload`, a whole
 all-transaction level dict, and visits every component to carry its
 core over.  On churn over private-object clusters this puts the cost of
 a mutation at about 0.37, 0.69 and 1.56 ms with 64, 256 and 1,024 live
-transactions (2-vCPU Linux container, Python 3.11).
+transactions (2-vCPU Linux container, Python 3.11).  Reads build
+nothing: :attr:`AllocationManager.workload` is the workload the last
+mutation built.
 
 Every mutation binds one fresh :class:`~repro.core.context.ContextStats`
 to the context it analyzes with, so
@@ -95,6 +97,7 @@ class AllocationManager:
                 " always exist); use optimal_allocation() for {RC, SI}"
             )
         self._transactions: Dict[int, Transaction] = {}
+        self._workload = Workload(())
         self._allocation = Allocation({})
         self._context: Optional[AnalysisContext] = None
         self._cores: Dict[Tuple[int, ...], _Core] = {}
@@ -111,8 +114,8 @@ class AllocationManager:
     # ------------------------------------------------------------------
     @property
     def workload(self) -> Workload:
-        """The current workload."""
-        return Workload(self._transactions.values())
+        """The current workload: the one the last mutation built."""
+        return self._workload
 
     @property
     def allocation(self) -> Allocation:
@@ -204,6 +207,7 @@ class AllocationManager:
         allocation: Allocation,
     ) -> None:
         """Commit a mutation's context, stats and allocation."""
+        self._workload = context.workload
         self._allocation = allocation
         self._context = context
         self._cores = cores
@@ -353,13 +357,12 @@ class AllocationManager:
         pickled objects — so snapshots survive version skew and can be
         inspected with any JSON tool.
         """
-        workload = self.workload
         return {
             "version": self.STATE_VERSION,
-            "levels": [level.name for level in self._levels],
-            "workload": str(workload),
+            "levels": [level._name_ for level in self._levels],
+            "workload": str(self._workload),
             "allocation": {
-                str(tid): level.name for tid, level in self._allocation.items()
+                str(tid): level._name_ for tid, level in self._allocation.items()
             },
         }
 
@@ -391,9 +394,10 @@ class AllocationManager:
             WorkloadError: on a malformed workload/allocation pair, or
                 (with ``verify=True``) a non-robust allocation.
         """
-        if state.get("version") != cls.STATE_VERSION:
+        version = state.get("version")
+        if type(version) is not int or version != cls.STATE_VERSION:  # not True, not 1.0
             raise ValueError(
-                f"unsupported manager state version {state.get('version')!r};"
+                f"unsupported manager state version {version!r};"
                 f" this build reads version {cls.STATE_VERSION}"
             )
         names, text, assigned = map(state.get, ("levels", "workload", "allocation"))

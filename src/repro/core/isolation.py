@@ -12,52 +12,83 @@ order reflects preference only, not containment of allowed schedules.
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from .workload import Workload, WorkloadError
 
 
-@functools.total_ordering
 class IsolationLevel(enum.Enum):
-    """An isolation level, ordered by allocation preference RC < SI < SSI."""
+    """An isolation level, ordered by allocation preference RC < SI < SSI.
+
+    Each member carries its preference ``rank`` (0 for RC, 1 for SI, 2
+    for SSI) as a plain attribute, so a comparison is one method call on
+    two ints, and hashing is identity hashing (members are singletons).
+    Levels equal only themselves, never an int or a string, and ordering
+    a level against a non-level raises :class:`TypeError`.
+    """
 
     RC = "read committed"
     SI = "snapshot isolation"
     SSI = "serializable snapshot isolation"
 
-    @property
-    def rank(self) -> int:
-        """Preference rank: 0 for RC, 1 for SI, 2 for SSI."""
-        return _RANKS[self]
+    #: Preference rank: 0 for RC, 1 for SI, 2 for SSI (set per member below).
+    rank: int
+
+    # Members are singletons (pickle and copy return the member itself),
+    # so identity hashing is safe; Enum's default hashes the name in Python.
+    __hash__ = object.__hash__
 
     def __lt__(self, other: "IsolationLevel") -> bool:
         if not isinstance(other, IsolationLevel):
             return NotImplemented
         return self.rank < other.rank
 
+    def __le__(self, other: "IsolationLevel") -> bool:
+        if not isinstance(other, IsolationLevel):
+            return NotImplemented
+        return self.rank <= other.rank
+
+    def __gt__(self, other: "IsolationLevel") -> bool:
+        if not isinstance(other, IsolationLevel):
+            return NotImplemented
+        return self.rank > other.rank
+
+    def __ge__(self, other: "IsolationLevel") -> bool:
+        if not isinstance(other, IsolationLevel):
+            return NotImplemented
+        return self.rank >= other.rank
+
     def __str__(self) -> str:
-        return self.name
+        return self._name_
 
     @classmethod
     def parse(cls, text: Union[str, "IsolationLevel"]) -> "IsolationLevel":
-        """Parse ``"RC"``, ``"SI"``, ``"SSI"`` or a spelled-out level name."""
+        """Parse ``"RC"``, ``"SI"``, ``"SSI"`` or a spelled-out level name.
+
+        Case is ignored, ``-`` and ``_`` stand for spaces and outer
+        whitespace is stripped; anything else (a non-string included)
+        raises :class:`ValueError`.
+        """
         if isinstance(text, IsolationLevel):
             return text
-        normalized = text.strip().upper().replace("-", " ").replace("_", " ")
-        by_name = {level.name: level for level in cls}
-        by_value = {level.value.upper(): level for level in cls}
-        if normalized in by_name:
-            return by_name[normalized]
-        if normalized in by_value:
-            return by_value[normalized]
+        if isinstance(text, str):
+            level = _BY_SPELLING.get(
+                text.strip().upper().replace("-", " ").replace("_", " ")
+            )
+            if level is not None:
+                return level
         raise ValueError(f"unknown isolation level {text!r}")
 
 
-_RANKS: Dict[IsolationLevel, int] = {
-    IsolationLevel.RC: 0,
-    IsolationLevel.SI: 1,
-    IsolationLevel.SSI: 2,
+for _rank, _level in enumerate(IsolationLevel):  # definition order is preference
+    _level.rank = _rank
+del _rank, _level
+
+#: Every normalized spelling :meth:`IsolationLevel.parse` accepts.
+_BY_SPELLING: Dict[str, IsolationLevel] = {
+    spelling: level
+    for level in IsolationLevel
+    for spelling in (level.name, level.value.upper())
 }
 
 #: The PostgreSQL class of isolation levels studied in Sections 3 and 4.
@@ -82,18 +113,19 @@ class Allocation:
     __slots__ = ("_levels",)
 
     def __init__(self, levels: Mapping[int, Union[str, IsolationLevel]]):
-        parsed = {
-            tid: IsolationLevel.parse(level) for tid, level in levels.items()
+        self._levels: Dict[int, IsolationLevel] = {
+            tid: level if level.__class__ is IsolationLevel else IsolationLevel.parse(level)
+            for tid, level in sorted(levels.items())
         }
-        self._levels: Dict[int, IsolationLevel] = dict(sorted(parsed.items()))
 
     @classmethod
     def uniform(
         cls, workload: Workload, level: Union[str, IsolationLevel]
     ) -> "Allocation":
         """The allocation mapping every transaction of ``workload`` to ``level``."""
-        parsed = IsolationLevel.parse(level)
-        return cls({tid: parsed for tid in workload.tids})
+        if level.__class__ is not IsolationLevel:
+            level = IsolationLevel.parse(level)
+        return cls({tid: level for tid in workload.tids})
 
     @classmethod
     def rc(cls, workload: Workload) -> "Allocation":
@@ -140,16 +172,19 @@ class Allocation:
         """``A[T -> I]``: this allocation with ``tid`` reassigned (one level parsed)."""
         if tid not in self._levels:
             raise WorkloadError(f"no isolation level allocated to transaction {tid}")
+        if level.__class__ is not IsolationLevel:
+            level = IsolationLevel.parse(level)
         updated = dict(self._levels)
-        updated[tid] = IsolationLevel.parse(level)
+        updated[tid] = level
         candidate = object.__new__(Allocation)
         candidate._levels = updated
         return candidate
 
     def tids_at(self, level: Union[str, IsolationLevel]) -> Tuple[int, ...]:
         """The transactions allocated exactly ``level``."""
-        parsed = IsolationLevel.parse(level)
-        return tuple(tid for tid, lvl in self._levels.items() if lvl is parsed)
+        if level.__class__ is not IsolationLevel:
+            level = IsolationLevel.parse(level)
+        return tuple(tid for tid, lvl in self._levels.items() if lvl is level)
 
     def covers(self, workload: Workload) -> bool:
         """Whether every transaction of ``workload`` is allocated a level."""

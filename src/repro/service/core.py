@@ -208,6 +208,8 @@ class ServiceCore:
         }
         self._slo_breached = False
         self._manager = self._initial_manager(config)
+        self._top = max(config.levels)
+        self._level_names = [level.name for level in sorted(config.levels)]
         self._handlers: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {
             "hello": self._cmd_hello,
             "status": self._cmd_status,
@@ -391,17 +393,15 @@ class ServiceCore:
         self._slo_breached = breached
 
     # -- helpers -------------------------------------------------------
-    @property
-    def _top(self) -> IsolationLevel:
-        return max(self.config.levels)
-
+    # Level names are read as ``_name_``: the public ``name`` goes through
+    # the enum descriptor, a Python call per level.
     def _allocation_payload(self, allocation: Allocation) -> Dict[str, str]:
-        return {str(tid): level.name for tid, level in allocation.items()}
+        return {str(tid): level._name_ for tid, level in allocation.items()}
 
     def _histogram(self, allocation: Allocation) -> Dict[str, int]:
-        counts = {level.name: 0 for level in sorted(self.config.levels)}
+        counts = dict.fromkeys(self._level_names, 0)
         for _tid, level in allocation.items():
-            counts[level.name] = counts.get(level.name, 0) + 1
+            counts[level._name_] = counts.get(level._name_, 0) + 1
         return counts
 
     def _merge_mutation_stats(self) -> None:
@@ -419,7 +419,7 @@ class ServiceCore:
     def _policy_reasons(
         self, promotions: List[int], allocation: Allocation
     ) -> List[str]:
-        """Why the admission policy refuses an outcome (empty: admitted)."""
+        """Why the active admission policy refuses an outcome (empty: admitted)."""
         policy = self.config.admission
         reasons = []
         if policy.max_promotions is not None and len(promotions) > policy.max_promotions:
@@ -536,11 +536,20 @@ class ServiceCore:
         new = manager.apply_batch([op for _slot, op in ops])
         checks = manager.last_check_count
         adds = [(slot, value) for slot, (kind, value) in ops if kind == "add"]
-        promotions = sorted(
-            tid for tid, level in old.items() if tid in new and new[tid] > level
-        )
-        reasons = self._policy_reasons(promotions, new) if adds else []
-        if reasons:  # only a lone add can be refused here
+        # Only a lone add reports its promotions, and it is the only
+        # admission an active policy judges here (see above).
+        lone_add = len(ops) == 1 and len(adds) == 1
+        promotions: List[int] = []
+        if lone_add:  # an add keeps every old tid; compare changed levels only
+            after = dict(new.items())
+            promotions = [
+                tid for tid, level in old.items()
+                if after[tid] is not level and after[tid] > level
+            ]
+        reasons: List[str] = []
+        if lone_add and self.config.admission.active:
+            reasons = self._policy_reasons(promotions, new)
+        if reasons:
             [(slot, txn)] = adds
             witness = self._witness_payload(old, txn)
             self._merge_mutation_stats()  # the add's work plus the witness check
@@ -649,7 +658,7 @@ class ServiceCore:
             envelope,
             server="repro-serve",
             protocol=PROTOCOL_VERSION,
-            levels=[level.name for level in sorted(self.config.levels)],
+            levels=list(self._level_names),
             transactions=len(self._manager.workload),
         )
 
@@ -796,7 +805,9 @@ class ServiceCore:
 
     def _cmd_restore(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         path = self._resolve_snapshot_path(envelope)
-        verify = bool(envelope.get("verify", False))
+        verify = envelope.get("verify", False)
+        if not isinstance(verify, bool):
+            raise ProtocolError('"verify" must be true or false')
         with current_tracer().span("service.restore", path=path):
             manager = _restore_manager(path, verify=verify)
         self._manager = manager

@@ -1,5 +1,10 @@
 """Unit tests for repro.core.isolation (levels and allocations)."""
 
+import copy
+import itertools
+import operator
+import pickle
+
 import pytest
 
 from repro.core.isolation import (
@@ -54,6 +59,78 @@ class TestIsolationLevel:
 
     def test_str(self):
         assert str(IsolationLevel.RC) == "RC"
+
+
+#: Every way of writing each level that ``IsolationLevel.parse`` accepts.
+_SPELLINGS = {
+    IsolationLevel.RC: ("RC", "read committed"),
+    IsolationLevel.SI: ("SI", "snapshot isolation"),
+    IsolationLevel.SSI: ("SSI", "serializable snapshot isolation"),
+}
+
+
+def _variants(text):
+    """``text`` in three cases, with ``-``/``_``/`` `` between words,
+    bare and padded with outer whitespace."""
+    for case in (str.lower, str.upper, str.title):
+        for sep in (" ", "-", "_"):
+            spelled = case(text).replace(" ", sep)
+            yield spelled
+            yield f"  {spelled}\t"
+
+
+class TestIsolationLevelContract:
+    """What callers may rely on, however the levels are implemented."""
+
+    @pytest.mark.parametrize("level", list(IsolationLevel))
+    def test_pickle_and_copy_return_the_member(self, level):
+        assert pickle.loads(pickle.dumps(level)) is level
+        assert copy.copy(level) is level
+        assert copy.deepcopy(level) is level
+
+    def test_unpickled_member_finds_its_dict_entry(self):
+        table = {level: level.name for level in IsolationLevel}
+        for level in IsolationLevel:
+            assert table[pickle.loads(pickle.dumps(level))] == level.name
+        assert pickle.loads(pickle.dumps(table)) == table
+
+    def test_no_equality_with_ints(self):
+        assert IsolationLevel.RC != 0
+        assert IsolationLevel.SSI != 2
+        assert IsolationLevel.SI not in (1, "SI")
+
+    @pytest.mark.parametrize("other", [0, 1, "SI"])
+    @pytest.mark.parametrize(
+        "compare", [operator.lt, operator.le, operator.gt, operator.ge]
+    )
+    def test_order_against_a_non_level_raises(self, compare, other):
+        for level in IsolationLevel:
+            with pytest.raises(TypeError):
+                compare(level, other)
+            with pytest.raises(TypeError):
+                compare(other, level)
+
+    def test_order_matches_rank(self):
+        for a, b in itertools.product(IsolationLevel, repeat=2):
+            assert (a < b) == (a.rank < b.rank)
+            assert (a <= b) == (a.rank <= b.rank)
+            assert (a > b) == (a.rank > b.rank)
+            assert (a >= b) == (a.rank >= b.rank)
+        assert sorted(reversed(list(IsolationLevel))) == list(IsolationLevel)
+
+    @pytest.mark.parametrize("level", list(IsolationLevel))
+    def test_every_spelling_parses_to_the_member(self, level):
+        for text in _SPELLINGS[level]:
+            for spelled in _variants(text):
+                assert IsolationLevel.parse(spelled) is level, spelled
+
+    @pytest.mark.parametrize(
+        "text", ["serializable", "", "R C", "SI SI", "1", None, 5, 1.5, b"SI"]
+    )
+    def test_unknown_input_is_a_value_error(self, text):
+        with pytest.raises(ValueError) as excinfo:
+            IsolationLevel.parse(text)
+        assert str(excinfo.value) == f"unknown isolation level {text!r}"
 
 
 class TestAllocation:
@@ -125,6 +202,18 @@ class TestAllocation:
 
     def test_str(self):
         assert str(Allocation({1: "RC", 2: "SSI"})) == "T1:RC, T2:SSI"
+
+    def test_levels_are_not_parsed_again(self, monkeypatch):
+        def refuse(cls, text):
+            raise AssertionError(f"parsed {text!r}")
+
+        levels = {2: IsolationLevel.SI, 1: IsolationLevel.RC}
+        monkeypatch.setattr(IsolationLevel, "parse", classmethod(refuse))
+        alloc = Allocation(levels)
+        assert list(alloc.items()) == sorted(levels.items())
+        assert alloc.with_level(1, IsolationLevel.SSI)[1] is IsolationLevel.SSI
+        assert alloc.tids_at(IsolationLevel.SI) == (2,)
+        assert Allocation.uniform(self.wl, IsolationLevel.SI).tids == (1, 2, 3)
 
     def test_keyword_constructor(self):
         alloc = allocation(T1="RC", T2="SSI")

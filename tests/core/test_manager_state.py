@@ -99,6 +99,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="version"):
             AllocationManager.load_state(state)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_int(self, version):
+        state = dict(_filled_manager().save_state(), version=version)
+        with pytest.raises(ValueError, match="unsupported manager state version"):
+            AllocationManager.load_state(state)
+
     def test_allocation_must_cover_workload(self):
         state = _filled_manager().save_state()
         state["allocation"].popitem()

@@ -1,5 +1,9 @@
 """ServiceCore: command semantics, admission control, snapshot policy."""
 
+import hashlib
+import re
+from collections import deque
+
 import pytest
 
 from repro.core.isolation import IsolationLevel
@@ -11,6 +15,8 @@ from repro.service import (
     read_snapshot,
     write_snapshot,
 )
+from repro.service.protocol import encode_response
+from repro.workloads.generator import clustered_workload
 
 
 def _core(**kwargs):
@@ -528,6 +534,7 @@ class TestSnapshotCommands:
 #: Valid snapshot envelopes whose manager state cannot be restored.
 BAD_STATES = {
     "version": {"version": 7},
+    "version-true": {"version": True},
     "class-without-ssi": {"levels": ["RC", "SI"]},
     "levels-not-a-list": {"levels": 5},
     "unknown-level": {"levels": ["RC", "SI", "BOGUS"]},
@@ -561,6 +568,25 @@ class TestUnrestorableSnapshots:
         response = core.handle({"op": "restore", "path": path})
         assert response["error"]["code"] == "snapshot-error", response
         assert core.handle({"op": "allocate"})["allocation"] == {"5": "RC"}
+
+    @pytest.mark.parametrize("verify", ["false", "true", 0, 1, None])
+    def test_verify_must_be_a_boolean(self, tmp_path, skew_state, verify):
+        path = self._write(tmp_path, skew_state)
+        core = _core()
+        _add(core, "R[a]", 5)
+        manager = core.manager
+        response = core.handle({"op": "restore", "path": path, "verify": verify})
+        assert response["error"]["code"] == "bad-request", response
+        assert '"verify"' in response["error"]["message"]
+        assert core.manager is manager
+        assert core.handle({"op": "allocate"})["allocation"] == {"5": "RC"}
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_boolean_verify_is_reported(self, tmp_path, skew_state, verify):
+        path = self._write(tmp_path, skew_state)
+        response = _core().handle({"op": "restore", "path": path, "verify": verify})
+        assert response["ok"] and response["verified"] is verify
+        assert response["allocation"] == {"1": "SSI", "2": "SSI"}
 
     def test_verified_restore_refuses_a_non_robust_allocation(
         self, tmp_path, skew_state
@@ -609,3 +635,81 @@ class TestWarmRestoreEquivalence:
         restored = _add(survivor, *follow_up)
         assert original["allocation"] == restored["allocation"]
         assert original["checks"] == restored["checks"]
+
+
+_SUBSCRIPT = re.compile(r"(?<=[RWC])\d+")
+
+#: sha256 of the response stream of :func:`_churn_stream`, per seed.
+CHURN_DIGESTS = {
+    1: "0605450a9450a8d78c70e9d711800875e8c762cdbd814a96676098817fbcd74a",
+    3: "dfef6a98c724975bf379cad426e363ee56b073ea10b538e0be0232ad965eab3f",
+}
+
+
+def _churn_stream(core, seed, cycles=100):
+    """Drive ``core`` through churn in the benchmark's ``serve-churn`` shape.
+
+    The live set is 16 clustered components of 4 transactions.  Each
+    cycle retires the 5 oldest live transactions (FIFO) and replaces
+    each with the next transaction of its component, then sends a
+    ``batch`` of 4 removes and 4 adds, a single ``remove``, a single
+    ``add``, an ``allocate``, a ``check`` of the allocation it returned
+    and a ``status``.  Yields every response.
+    """
+    components = 16
+    pool = clustered_workload(
+        components=components,
+        per_component=4 + cycles * 5 // components + 1,
+        objects_per_component=6,
+        seed=seed,
+    )
+    streams = [deque() for _ in range(components)]
+    for txn in pool:  # tid k belongs to component (k - 1) % components
+        streams[(txn.tid - 1) % components].append(txn)
+
+    def arrival(component):
+        txn = streams[component].popleft()
+        text = _SUBSCRIPT.sub("", str(txn))
+        return {"op": "add", "transaction": text, "tid": txn.tid}
+
+    initial = [arrival(c) for _ in range(4) for c in range(components)]
+    live = deque((add["tid"], (add["tid"] - 1) % components) for add in initial)
+    yield core.handle({"op": "batch", "commands": initial})
+    for _ in range(cycles):
+        departures = [live.popleft() for _ in range(5)]
+        arrivals = [arrival(component) for _tid, component in departures]
+        live.extend(
+            (add["tid"], component)
+            for add, (_tid, component) in zip(arrivals, departures)
+        )
+        removes = [{"op": "remove", "tid": tid} for tid, _component in departures]
+        yield core.handle({"op": "batch", "commands": removes[:4] + arrivals[:4]})
+        yield core.handle(removes[4])
+        yield core.handle(arrivals[4])
+        allocated = core.handle({"op": "allocate"})
+        yield allocated
+        yield core.handle({"op": "check", "allocation": allocated["allocation"]})
+        yield core.handle({"op": "status"})
+
+
+class TestChurnResponseStream:
+    """The daemon's answers to a recorded churn, pinned byte for byte.
+
+    Everything a response carries is a function of the requests, except
+    its ``request_id``, the ``uptime_s`` of ``status`` and the snapshot
+    path, which are dropped before hashing the wire encoding.
+    """
+
+    @pytest.mark.parametrize("seed", sorted(CHURN_DIGESTS))
+    def test_digest_is_pinned(self, tmp_path, seed):
+        core = _core(snapshot_path=str(tmp_path / "churn.json"), snapshot_every=64)
+        digest = hashlib.sha256()
+        responses = 0
+        for response in _churn_stream(core, seed):
+            assert response["ok"], response
+            for key in ("request_id", "uptime_s", "snapshot_path"):
+                response.pop(key, None)
+            digest.update(encode_response(response))
+            responses += 1
+        assert responses == 1 + 6 * 100
+        assert digest.hexdigest() == CHURN_DIGESTS[seed]

@@ -741,3 +741,35 @@ class TestParser:
             "repro: error: cannot read workload /nonexistent/workload.txt:"
             " No such file or directory\n"
         )
+
+
+class TestClosedStdout:
+    """A reader that goes away (``repro ... | head``) ends the command
+    quietly with 141, never a traceback or the "not robust" status 1."""
+
+    def _spawn_with_closed_stdout(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+
+    def test_allocate(self, skew_file):
+        proc = self._spawn_with_closed_stdout("allocate", skew_file)
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_trace_report(self, skew_file, tmp_path, capsys):
+        trace_path = str(tmp_path / "trace.json")
+        main(["check", skew_file, "--uniform", "SI", "--trace", trace_path])
+        capsys.readouterr()
+        proc = self._spawn_with_closed_stdout("trace", "report", trace_path)
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
