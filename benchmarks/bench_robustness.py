@@ -166,81 +166,71 @@ def test_algorithm1_contention_sensitivity(benchmark, contention):
     benchmark.extra_info["robust"] = result
 
 
-def test_shard_scaling_report(benchmark, capsys):
-    """SHARD table: whole-pipeline check, monolithic vs component-sharded.
+#: Calls per input of the SIZE sweep; each row is their median.
+SIZE_REPEATS = 5
 
-    The acceptance criterion of the sharding layer (the default path;
-    the monolithic side passes a context whose plan has the whole
-    workload as its one part): a
-    bit-identical verdict at a measured speedup on multi-component
-    workloads, where the monolithic path pays the ``O(|T|^2)`` conflict
-    index and full-width kernel rows while the sharded path pays
-    ``O(c * s^2)`` across ``c`` components of size ``s``.  Cold contexts
-    on both sides — planning (the union-find sweep) is part of the
-    sharded cost.  Timings land in ``extra_info``.
-    """
-    from repro.core.context import AnalysisContext
-    from repro.core.robustness import check_robustness
-    from repro.core.sharding import ShardPlan, conflict_components
+
+def _size_inputs():
+    """``(shape, workload)`` of the SIZE sweep, parsed as ``repro allocate``
+    would read them from a file."""
+    from repro.core.workload import parse_workload
     from repro.workloads.generator import clustered_workload
+
+    shapes = [
+        (f"5-txn components ({n // 5})", clustered_workload(
+            components=n // 5, per_component=5, objects_per_component=6, seed=7
+        ))
+        for n in (60, 240, 500, 1000)
+    ]
+    shapes.append(("10-txn components (100)", clustered_workload(
+        components=100, per_component=10, objects_per_component=12, seed=7
+    )))
+    shapes.extend(
+        ("dense", random_workload(
+            transactions=n, objects=n, hot_objects=8, hot_probability=0.7, seed=7
+        ))
+        for n in (40, 80, 160)
+    )
+    return [(shape, parse_workload(str(wl))) for shape, wl in shapes]
+
+
+def test_size_sweep_report(benchmark, capsys):
+    """SIZE table: one-shot Algorithm 2 as the workload grows.
+
+    ``optimal_allocation`` on a parsed workload, what ``repro allocate``
+    runs, each call on a fresh context; a row is the median of
+    ``SIZE_REPEATS`` calls.  The library analyzes a workload as one unit
+    with every kernel row confined to its ``T_1``'s conflict component,
+    so many small components cost about what they would one by one,
+    until the ``|T|``-bit masks dominate (the 100-component row).  The
+    optimum must equal the per-component optima, composed.
+    """
+    from repro.core.sharding import conflict_components
 
     def compute():
         rows = []
-        for transactions in (20, 40, 80):
-            components = max(2, transactions // 10)
-            wl = clustered_workload(
-                components=components,
-                per_component=transactions // components,
-                objects_per_component=6,
-                seed=7,
-            )
-            assert len(wl) == transactions
-            shards = len(conflict_components(wl))
-            # Check against the robust optimum: no early exit, so the
-            # scan visits every triple — the shape the ISSUE's speedup
-            # criterion targets (the mixed-allocation case early-exits
-            # on the first witness and both paths finish in microseconds).
-            alloc = optimal_allocation(wl)
-            assert alloc is not None
-
-            t0 = time.perf_counter()
-            whole = ShardPlan.from_components((wl.tids,))
-            mono = check_robustness(
-                wl, alloc, context=AnalysisContext(wl, plan=whole)
-            )
-            mono_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            sharded = check_robustness(wl, alloc)
-            sharded_s = time.perf_counter() - t0
-
-            assert mono.robust and sharded.robust
-            rows.append(
-                {
-                    "transactions": transactions,
-                    "shards": shards,
-                    "mono_s": mono_s,
-                    "sharded_s": sharded_s,
-                    "min_s": sharded_s,
-                    "speedup": f"{mono_s / sharded_s:.1f}x",
-                }
-            )
+        for shape, wl in _size_inputs():
+            times = []
+            for _ in range(SIZE_REPEATS):
+                t0 = time.perf_counter()
+                optimum = optimal_allocation(wl)
+                times.append(time.perf_counter() - t0)
+            composed = {}
+            for members in conflict_components(wl):
+                composed.update(optimal_allocation(wl.restricted_to(members)).items())
+            assert dict(optimum.items()) == composed
+            times.sort()
+            rows.append((shape, len(wl), times[len(times) // 2]))
         return rows
 
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    benchmark.extra_info["rows"] = rows
+    benchmark.extra_info["rows"] = [
+        {"shape": shape, "transactions": n, "median_s": median}
+        for shape, n, median in rows
+    ]
     with capsys.disabled():
         print_table(
-            "SHARD: monolithic vs component-sharded check (identical verdicts)",
-            ["|T|", "shards", "monolithic", "sharded", "speedup"],
-            [
-                (
-                    r["transactions"],
-                    r["shards"],
-                    f"{r['mono_s'] * 1000:.1f}ms",
-                    f"{r['sharded_s'] * 1000:.1f}ms",
-                    r["speedup"],
-                )
-                for r in rows
-            ],
+            f"SIZE: optimal_allocation, median of {SIZE_REPEATS} calls",
+            ["shape", "|T|", "median"],
+            [(shape, n, f"{median * 1000:.2f}ms") for shape, n, median in rows],
         )

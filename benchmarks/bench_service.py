@@ -84,9 +84,9 @@ def test_plan_maintenance(benchmark, size):
     """Per-mutation shard-plan upkeep is flat/sub-linear in ``|T|``.
 
     Cycles remove + re-add through a :class:`DynamicShardPlan` (with a
-    canonical-view refresh per mutation, exactly what the manager's
-    freeze path costs) — the row's per-mutation time must not grow with
-    the workload size, unlike a fresh ``ShardPlan(workload)`` per
+    canonical-view refresh per mutation, exactly what the manager reads
+    per mutation) — the row's per-mutation time must not grow with the
+    workload size, unlike a fresh ``conflict_components(workload)`` per
     mutation whose union-find is O(total ops).
     """
     base = _script(size)

@@ -34,19 +34,14 @@ def main() -> None:
         print(f"  + T{txn.tid}: {txn}")
         print(f"  optimal allocation now: {allocation}")
         print(f"  robustness checks spent: {manager.last_check_count}")
-        # The warm start is exact: always equals batch Algorithm 2 (run
-        # here through the manager's own context — same conflict indexes).
-        assert allocation == optimal_allocation(
-            manager.workload, context=manager.context
-        )
+        # The warm start is exact: always equals batch Algorithm 2.
+        assert allocation == optimal_allocation(manager.workload)
         print()
 
     print("reconciliation is retired again:")
     allocation = manager.remove(5)
     print(f"  optimal allocation now: {allocation}")
-    assert allocation == optimal_allocation(
-        manager.workload, context=manager.context
-    )
+    assert allocation == optimal_allocation(manager.workload)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ input it computes, on the production entry points (the bitset kernel)
 and on the ``components`` engine of :mod:`repro.core.reference`,
 
 * the optimal allocation with the ``checks`` its run counts, in
-  production both per component (the default) and one-unit (a context
-  whose plan has the whole workload as its one part);
+  production both one-unit (one context over the whole workload) and
+  per component (one context per conflict component's sub-workload,
+  the optima composed, as the incremental manager analyzes);
 * the witness specs of 4 random allocations;
 * the delta-scoped witness specs of every one-step lowering of the
   optimum;
@@ -48,7 +49,7 @@ from repro.core.robustness import (
     check_robustness_delta,
     enumerate_counterexamples,
 )
-from repro.core.sharding import ShardPlan
+from repro.core.sharding import conflict_components
 from repro.workloads.generator import clustered_workload, random_workload
 
 LADDER = sorted(IsolationLevel)
@@ -96,13 +97,26 @@ def _survey_allocation(wl) -> Allocation:
     return Allocation({tid: LADDER[tid % 3] for tid in wl.tids})
 
 
+def per_component(wl) -> Tuple[Allocation, int]:
+    """The optimum composed from one context per conflict component, and
+    the ``checks`` those runs counted."""
+    levels = {}
+    checks = 0
+    for members in conflict_components(wl):
+        part = wl.restricted_to(members)
+        context = AnalysisContext(part)
+        optimum = optimal_allocation(part, POSTGRES_LEVELS, context=context)
+        levels.update(optimum.items())
+        checks += context.stats.checks
+    return Allocation(levels), checks
+
+
 def production(name: str, wl, survey: bool) -> Tuple[List[str], List[int]]:
     """Every production output on one input, and the ``checks`` of its
     per-component and one-unit optimum runs."""
     lines: List[str] = []
-    sharded = AnalysisContext(wl)
-    one_unit = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
-    optimum = optimal_allocation(wl, POSTGRES_LEVELS, context=sharded)
+    one_unit = AnalysisContext(wl)
+    optimum, sharded_checks = per_component(wl)
     unit_optimum = optimal_allocation(wl, POSTGRES_LEVELS, context=one_unit)
     lines.append(f"{name} optimum sharded {optimum}")
     lines.append(f"{name} optimum one-unit {unit_optimum}")
@@ -119,12 +133,12 @@ def production(name: str, wl, survey: bool) -> Tuple[List[str], List[int]]:
             wl, _survey_allocation(wl), materialize_schedules=False
         ):
             lines.append(f"{name} survey {c.spec}")
-    return lines, [sharded.stats.checks, one_unit.stats.checks]
+    return lines, [sharded_checks, one_unit.stats.checks]
 
 
 def expected(name: str, wl, survey: bool) -> Tuple[List[str], List[int]]:
-    """The same outputs from the ``components`` reference engine, which
-    takes no plan: its one optimum stands for both production runs."""
+    """The same outputs from the ``components`` reference engine: its
+    one optimum stands for both production runs."""
     engine = "components"
     lines: List[str] = []
     optimum, checks = reference.optimal_allocation(wl, POSTGRES_LEVELS, engine)

@@ -55,6 +55,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -121,7 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"Serialization graph written to {args.dot}")
     if args.stats:
         print()
-        print(_shard_report(context))
+        print(_shard_report(workload))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return 0 if result.robust else 1
@@ -227,7 +228,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     print(allocation_report(workload, optimum, levels))
     if args.stats:
         print()
-        print(_shard_report(context))
+        print(_shard_report(workload))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return 0 if optimum is not None else 1
@@ -442,21 +443,33 @@ def _cmd_trace_dump(args: argparse.Namespace) -> int:
 
 def _cmd_service_top(args: argparse.Namespace) -> int:
     from .service.client import ServiceError
-    from .service.top import run_top
+    from .service.top import top_frames
 
-    try:
-        run_top(
-            interval=args.interval,
-            iterations=args.iterations,
-            clear=not args.no_clear,
-            **_daemon_endpoint(args),  # type: ignore[arg-type]
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
-    except ServiceError as exc:
-        raise CommandError(f"service top failed: {exc}") from None
-    except OSError as exc:
-        raise CommandError(f"cannot reach daemon: {exc}") from None
+    frames = top_frames(
+        interval=args.interval,
+        iterations=args.iterations,
+        clear=not args.no_clear,
+        **_daemon_endpoint(args),  # type: ignore[arg-type]
+    )
+    with closing(frames):
+        try:
+            while True:
+                # Only reaching the daemon maps OSError to exit 2; a closed
+                # stdout raises BrokenPipeError from print, which main()
+                # turns into 141.
+                try:
+                    frame = next(frames, None)
+                except ValueError as exc:
+                    raise CommandError(str(exc)) from None
+                except ServiceError as exc:
+                    raise CommandError(f"service top failed: {exc}") from None
+                except OSError as exc:
+                    raise CommandError(f"cannot reach daemon: {exc}") from None
+                if frame is None:
+                    return 0
+                print(frame)
+        except KeyboardInterrupt:
+            print("repro service top: interrupted")
     return 0
 
 
@@ -625,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ATTRS",
         help=(
             "comma-separated span attributes to refine grouping by"
-            " (e.g. t1, shard)"
+            " (e.g. t1, tid)"
         ),
     )
     trace_report.add_argument(

@@ -71,7 +71,7 @@ from .serialization import (
     is_conflict_serializable,
     serialization_graph,
 )
-from .sharding import ShardPlan, conflict_components
+from .sharding import conflict_components
 from .split_schedule import (
     SplitScheduleSpec,
     condition_failures,
@@ -109,7 +109,6 @@ __all__ = [
     "RobustnessResult",
     "ScheduleError",
     "SerializationGraph",
-    "ShardPlan",
     "SplitScheduleSpec",
     "Transaction",
     "TransactionError",

@@ -13,15 +13,11 @@ a robust allocation may not exist.  Proposition 5.4 reduces existence to
 robustness against ``A_SI``; when it holds, the optimal {RC, SI} allocation
 is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
-Every entry point analyzes per connected component of the conflict
-graph and accepts an optional
+Every entry point accepts an optional
 :class:`~repro.core.context.AnalysisContext`, so the
 allocation-independent structure (conflict index, bitset kernel) is
-built exactly once per component across the ``O(|T| * levels)``
-robustness checks a full run issues.  Lowering a transaction's level
-only creates or destroys witnesses inside its own component, so the
-refinement runs component by component, and the per-component optima
-compose into the unique global one (Proposition 4.2).
+built exactly once across the ``O(|T| * levels)`` robustness checks a
+full run issues.
 
 Every downgrade probe lowers one transaction ``t`` of a robust
 allocation, so its scan visits only the triples through ``t`` (the
@@ -34,10 +30,10 @@ is :func:`repro.core.reference.optimal_allocation`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from ..observability import NULL_TRACER, current_tracer
-from .context import AnalysisContext, _Core, _resolve
+from ..observability import current_tracer
+from .context import AnalysisContext, _resolve
 from .isolation import (
     Allocation,
     IsolationLevel,
@@ -61,22 +57,22 @@ def _normalized_levels(
 
 def _refine(
     context: AnalysisContext,
-    core: _Core,
     start: Allocation,
     ordered: Sequence[IsolationLevel],
-    floors: Optional[Dict[int, IsolationLevel]],
-) -> List[IsolationLevel]:
-    """Algorithm 2's refinement of one part; its levels in bit order.
+    floors: Optional[Dict[int, IsolationLevel]] = None,
+) -> Allocation:
+    """Algorithm 2's refinement of the context's workload, below ``start``.
 
-    The allocation being refined is the part's level list plus its SSI
-    tid mask (:func:`~repro.core.kernel.level_list`): a probe sets one
-    entry, and an adopted lowering clears one bit of the mask.  A probe
-    is one kernel call (:func:`~repro.core.robustness._probe`) and
+    The allocation being refined is a level list in bit order plus its
+    SSI tid mask (:func:`~repro.core.kernel.level_list`): a probe sets
+    one entry, and an adopted lowering clears one bit of the mask.  A
+    probe is one kernel call (:func:`~repro.core.robustness._probe`) and
     counts one check on ``context``.  The per-transaction and per-probe
-    spans are opened only under a recording tracer.
+    spans are opened only under a recording tracer.  Returns ``start``
+    with the refined levels.
     """
     ranks = [level.rank for level in ordered]
-    tids = core.workload.tids
+    tids = context.workload.tids
     current, ssi = level_list(start, tids)
     tracer = current_tracer()
 
@@ -94,9 +90,9 @@ def _refine(
             current[bit] = level
             if tracer.recording:
                 with tracer.span("allocation.probe", tid=tid, level=level.name):
-                    found = _probe(context, core, current, probe_ssi, tid)
+                    found = _probe(context, current, probe_ssi, tid)
             else:
-                found = _probe(context, core, current, probe_ssi, tid)
+                found = _probe(context, current, probe_ssi, tid)
             if not found:
                 return True
         current[bit] = level_now
@@ -113,25 +109,8 @@ def _refine(
                 lowered = lower(bit, tid, probe_ssi)
             if lowered:
                 ssi = probe_ssi
-    return current
-
-
-def _refine_parts(
-    context: AnalysisContext,
-    start: Allocation,
-    ordered: Sequence[IsolationLevel],
-    floors: Optional[Dict[int, IsolationLevel]] = None,
-) -> Allocation:
-    """:func:`_refine` over every part of the context's plan, composed."""
-    plan = context.plan
-    part_tracer = current_tracer() if len(plan) > 1 else NULL_TRACER
     refined = dict(start.items())
-    for index, shard in enumerate(plan.shards):
-        core = context._core(index)
-        with part_tracer.span("shard.refine", shard=index, size=len(shard)):
-            refined.update(
-                zip(shard, _refine(context, core, start, ordered, floors))
-            )
+    refined.update(zip(tids, current))
     return Allocation(refined)
 
 
@@ -148,10 +127,6 @@ def refine_allocation(
     the allocation robust is adopted.  By Proposition 4.1(2) the result is
     independent of the iteration order and equals the unique optimal robust
     allocation below ``start`` (the test suite checks order invariance).
-    The refinement runs part by part of the context's plan (Propositions
-    4.1/4.2): the per-component optima below ``start`` compose into the
-    global one, with the same robustness checks as refining the workload
-    as one unit.
 
     Each probe lowers one transaction of the current, robust allocation,
     so it scans only the triples through that transaction and asks only
@@ -175,7 +150,7 @@ def refine_allocation(
     ordered = _normalized_levels(levels)
     context = _resolve(workload, context)
     _validate(workload, start)
-    return _refine_parts(context, start, ordered, floors)
+    return _refine(context, start, ordered, floors)
 
 
 def optimal_allocation(
@@ -190,10 +165,9 @@ def optimal_allocation(
     is ``None`` when the workload is not robustly allocatable
     (Proposition 5.4 / Theorem 5.5).
 
-    The run is per conflict component: the
-    :class:`~repro.core.context.AnalysisContext` (the caller's, or a
-    private one) builds each component's conflict index exactly once
-    regardless of how many robustness checks the refinement issues.
+    The :class:`~repro.core.context.AnalysisContext` (the caller's, or
+    a private one) builds the conflict index exactly once regardless of
+    how many robustness checks the refinement issues.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -211,13 +185,12 @@ def optimal_allocation(
         "allocation.optimal",
         transactions=len(workload),
         levels=[level.name for level in ordered],
-        shards=len(context.plan),
     ):
         if top is not IsolationLevel.SSI and (
             _first_witness(context, start) is not None
         ):
             return None
-        return _refine_parts(context, start, ordered)
+        return _refine(context, start, ordered)
 
 
 def is_robustly_allocatable(

@@ -5,10 +5,10 @@ decide optimality by issuing ``O(|T| * levels)`` robustness probes.  The
 expensive parts of each probe — the transaction-level conflict index,
 the bitset kernel's rows and the per-pair conflicting-operation tables
 — depend only on the *workload*, never on the allocation being probed.
-:class:`AnalysisContext` builds them once per conflict component,
-lazily, and is threaded through :func:`~repro.core.robustness.check_robustness`,
+:class:`AnalysisContext` builds them once, lazily, and is threaded
+through :func:`~repro.core.robustness.check_robustness`,
 :func:`~repro.core.allocation.optimal_allocation` and friends, so a full
-Algorithm 2 run builds each component's structure exactly once.
+Algorithm 2 run builds them exactly once.
 
 The conflict index is built on tid bits (bit order = ascending tid): one
 ``readers`` and one ``writers`` mask per object, and from them one
@@ -25,15 +25,12 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs
 from .operations import Operation
 from .workload import Workload, WorkloadError
-
-if TYPE_CHECKING:
-    from .sharding import ShardPlan
 
 
 class ConflictIndex:
@@ -73,6 +70,39 @@ class ConflictIndex:
             self.nbr[txn.tid] = mask & ~(1 << self.bit[txn.tid])
         self._neighbours: Dict[int, Set[int]] = {}
         self._scopes: Dict[int, Tuple[int, ...]] = {}
+        self._components: Optional[Dict[int, int]] = None
+
+    def component(self, tid: int) -> int:
+        """The tid-bit mask of ``tid``'s conflict component.
+
+        Every chain of Definition 3.1 links conflicting transactions, so
+        a witness never leaves the component of its ``T_1``: the kernel
+        confines each row's flood fill to this mask.  The first call
+        computes every component by one flood fill over :attr:`nbr`.
+        """
+        components = self._components
+        if components is None:
+            components = self._components = {}
+            tids = self.tids
+            bit_nbrs = [self.nbr[tid] for tid in tids]
+            remaining = (1 << len(tids)) - 1
+            while remaining:
+                comp = frontier = remaining & -remaining
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= bit_nbrs[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & ~comp
+                    comp |= frontier
+                remaining &= ~comp
+                members = comp
+                while members:
+                    low = members & -members
+                    components[tids[low.bit_length() - 1]] = comp
+                    members ^= low
+        return components[tid]
 
     def scope(self, tid: int) -> Tuple[int, ...]:
         """``tid`` and its conflict neighbours (``nbr[t] | bit(t)``), ascending.
@@ -119,14 +149,13 @@ class ContextStats:
 
     Attributes:
         checks: robustness checks executed through the context — every
-            Algorithm 2 probe is one, so this is the probe count, the
-            same for every plan that issues the same probes.
-        index_builds: conflict indexes built (one per analyzed part of
-            the context's plan: per conflict component by default).
+            Algorithm 2 probe is one, so this is the probe count.
+        index_builds: conflict indexes built (at most one per context;
+            in the incremental manager, one per re-analyzed component).
         pair_builds: conflicting-operation tables built (per ordered
-            pair of a component; read by witness-chain assembly).
+            pair of transactions; read by witness-chain assembly).
         pair_hits: those tables served from the cache.
-        kernel_builds: bitset kernels built (at most one per part).
+        kernel_builds: bitset kernels built (at most one per context).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
         plan_builds: shard plans built from scratch (full union-find over
@@ -173,42 +202,84 @@ class ContextStats:
         }
 
 
-class _Core:
-    """The allocation-independent structure of one component's workload.
+class AnalysisContext:
+    """The allocation-independent analysis structure of one workload.
 
-    Holds what a robustness probe reads and never changes: the conflict
-    index, the bitset kernel and the conflicting-pair tables.  An
-    :class:`AnalysisContext` builds one per part of its plan, on first
-    use; the :class:`~repro.core.incremental.AllocationManager` carries
-    the cores of untouched components across mutations.  Structural
-    counters (index, kernel, row and pair builds) land on
-    ``stats``; checks are counted by the context running them.
+    Build once per workload, pass to every robustness/allocation call
+    probing that workload:
+
+        >>> from repro.core.allocation import optimal_allocation
+        >>> from repro.core.workload import workload
+        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        >>> ctx = AnalysisContext(wl)
+        >>> str(optimal_allocation(wl, context=ctx))
+        'T1:SSI, T2:SSI'
+        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one index
+        (4, 1)
+
+    The context analyzes its workload as one unit.  It holds what a
+    robustness probe reads and never changes: the conflict index
+    (:attr:`index`), the bitset kernel (:meth:`kernel`) and the
+    conflicting-pair tables (:meth:`conflicting_pairs`), each built on
+    first use and counted on :attr:`stats`.  Kernel rows stay inside
+    their ``T_1``'s conflict component
+    (:meth:`ConflictIndex.component`): a row's flood fill never visits
+    another component.  The
+    :class:`~repro.core.incremental.AllocationManager` keeps one context
+    per conflict component, to carry the untouched ones across
+    mutations.
+
+    The context is *read-only with respect to the workload*: it must not
+    be reused after the workload changes (the entry points raise
+    :class:`~repro.core.workload.WorkloadError` on a mismatch).
     """
 
-    __slots__ = ("workload", "index", "stats", "_kernel", "_pairs")
-
-    def __init__(self, workload: Workload, stats: ContextStats):
+    def __init__(self, workload: Workload, stats: Optional[ContextStats] = None):
         self.workload = workload
-        with current_tracer().span("context.index_build", transactions=len(workload)):
-            self.index = ConflictIndex(workload)
-        stats.index_builds += 1
-        self.stats = stats
+        self.stats = stats if stats is not None else ContextStats()
+        self._index: Optional[ConflictIndex] = None
         self._kernel = None  # BitKernel, built lazily by kernel()
         self._pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
+
+    # -- validation ----------------------------------------------------
+    def matches(self, workload: Workload) -> bool:
+        """Whether the context was built for (an equal copy of) ``workload``."""
+        return self.workload is workload or self.workload == workload
+
+    def ensure(self, workload: Workload) -> None:
+        """Raise :class:`WorkloadError` unless :meth:`matches` holds."""
+        if not self.matches(workload):
+            raise WorkloadError(
+                "AnalysisContext was built for a different workload;"
+                " build a fresh context after the workload changes"
+            )
+
+    # -- structure -----------------------------------------------------
+    @property
+    def index(self) -> ConflictIndex:
+        """The (lazily built) :class:`ConflictIndex` of the workload."""
+        if self._index is None:
+            with current_tracer().span(
+                "context.index_build", transactions=len(self.workload)
+            ):
+                self._index = ConflictIndex(self.workload)
+            self.stats.index_builds += 1
+        return self._index
 
     def kernel(self):
         """The (lazily built) :class:`~repro.core.kernel.BitKernel`.
 
         Built on the first scan and shared by every later check of the
-        component.
+        workload.
         """
         if self._kernel is None:
             from .kernel import BitKernel
 
+            index = self.index
             with current_tracer().span(
                 "context.kernel_build", transactions=len(self.workload)
             ):
-                self._kernel = BitKernel(self.workload, self.index, self.stats)
+                self._kernel = BitKernel(self.workload, index, self.stats)
             self.stats.kernel_builds += 1
         return self._kernel
 
@@ -227,103 +298,6 @@ class _Core:
         self._pairs[key] = pairs
         self.stats.pair_builds += 1
         return pairs
-
-
-class AnalysisContext:
-    """The allocation-independent analysis structure of one workload.
-
-    Build once per workload, pass to every robustness/allocation call
-    probing that workload:
-
-        >>> from repro.core.allocation import optimal_allocation
-        >>> from repro.core.workload import workload
-        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
-        >>> ctx = AnalysisContext(wl)
-        >>> str(optimal_allocation(wl, context=ctx))
-        'T1:SSI, T2:SSI'
-        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one component
-        (4, 1)
-
-    The context owns a component plan (:attr:`plan`, a
-    :class:`~repro.core.sharding.ShardPlan`): every chain of Definition
-    3.1 links conflicting transactions, so verdicts, witnesses and the
-    optimum decompose exactly over conflict components, and every entry
-    point analyzes part by part.  Each part gets its own core (conflict
-    index, kernel, caches), built on first use; all cores count into the
-    one :attr:`stats`.  ``plan`` defaults to the workload's conflict
-    components.  Any plan whose parts are unions of components gives the
-    same results; ``ShardPlan.from_components((workload.tids,))``
-    analyzes the workload as one unit.
-
-    The context is *read-only with respect to the workload*: it must not
-    be reused after the workload changes (the entry points raise
-    :class:`~repro.core.workload.WorkloadError` on a mismatch).
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        stats: Optional[ContextStats] = None,
-        plan: Optional[ShardPlan] = None,
-    ):
-        self.workload = workload
-        self.stats = stats if stats is not None else ContextStats()
-        if plan is None:
-            from .sharding import ShardPlan
-
-            with current_tracer().span("shard.plan", transactions=len(workload)):
-                plan = ShardPlan(workload)
-        self.plan = plan
-        self._workloads: Dict[int, Workload] = {}
-        self._cores: Dict[int, _Core] = {}
-
-    # -- validation ----------------------------------------------------
-    def matches(self, workload: Workload) -> bool:
-        """Whether the context was built for (an equal copy of) ``workload``."""
-        return self.workload is workload or self.workload == workload
-
-    def ensure(self, workload: Workload) -> None:
-        """Raise :class:`WorkloadError` unless :meth:`matches` holds."""
-        if not self.matches(workload):
-            raise WorkloadError(
-                "AnalysisContext was built for a different workload;"
-                " build a fresh context after the workload changes"
-            )
-
-    # -- per-part structure --------------------------------------------
-    def _part_workload(self, index: int) -> Workload:
-        """The (cached) sub-workload of part ``index``.
-
-        A one-part plan's sub-workload is the workload itself, so its
-        core runs on the caller's object, with no copy.
-        """
-        cached = self._workloads.get(index)
-        if cached is None:
-            if len(self.plan) == 1:
-                cached = self.workload
-            else:
-                cached = self.workload.restricted_to(self.plan.shards[index])
-            self._workloads[index] = cached
-        return cached
-
-    def _core(self, index: int) -> _Core:
-        """The core of part ``index``, built on first use."""
-        cached = self._cores.get(index)
-        if cached is None:
-            cached = _Core(self._part_workload(index), self.stats)
-            self._cores[index] = cached
-        return cached
-
-    def _adopt(self, index: int, core: _Core) -> None:
-        """Install a core built for part ``index`` by an earlier context.
-
-        The incremental manager carries the cores of untouched components
-        across mutations; the caller owns the invariant that
-        ``core.workload`` equals the part's sub-workload.  Adopting it
-        also adopts that sub-workload object.
-        """
-        self._workloads[index] = core.workload
-        self._cores[index] = core
 
     # -- check accounting ----------------------------------------------
     def record_check(self) -> None:

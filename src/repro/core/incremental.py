@@ -21,47 +21,55 @@ than recomputation:
 
 A third fact makes maintenance cheaper still (:mod:`repro.core.sharding`):
 robustness and optima decompose over the connected components of the
-conflict graph, and a single add/remove only reshapes the components that
-touch the mutated transaction.  :class:`AllocationManager` therefore
-analyzes *per component*: its :class:`~repro.core.context.AnalysisContext`
-carries untouched components' cores (conflict indexes, kernels) *and
-sub-workloads* across mutations verbatim, and re-analyzes only the merged
-or split components, so the analysis of a mutation tracks the affected
+conflict graph (every chain of Definition 3.1 links conflicting
+transactions), and a single add/remove only reshapes the components
+that touch the mutated transaction.  :class:`AllocationManager` is the
+one place that analyzes *per component*: it keeps one
+:class:`~repro.core.context.AnalysisContext` per conflict component,
+carries the untouched components' contexts (conflict indexes, kernel
+rows) across mutations verbatim, and re-analyzes only the merged or
+split components, so the analysis of a mutation tracks the affected
 components, not ``|T|``.  The partition itself is maintained
 incrementally by a :class:`~repro.core.sharding.DynamicShardPlan` (no
 per-mutation union-find over the whole workload), and every mutation —
 a single add or remove is a batch of one — goes through
 :meth:`AllocationManager.apply_batch`, which coalesces a batch into
 **one** floors-aware re-analysis per touched component.  A re-analyzed
-component gets a fresh core: nothing a probe reads survives from a
+component gets a fresh context: nothing a probe reads survives from a
 retired one, so no state can name a transaction that is gone.
+:meth:`AllocationManager.check` answers whole-workload checks on the
+carried contexts, so a check of a warm manager builds nothing.
 
 Some bookkeeping of a mutation is still ``O(|T|)``: the manager builds a
 whole :class:`~repro.core.workload.Workload`, a whole
-:class:`~repro.core.isolation.Allocation`, a frozen plan and an
-all-transaction level dict, and visits every component to carry its
-core over.  On churn over private-object clusters this puts the cost of
-a mutation at about 0.37, 0.69 and 1.56 ms with 64, 256 and 1,024 live
-transactions (2-vCPU Linux container, Python 3.11).  Reads build
-nothing: :attr:`AllocationManager.workload` is the workload the last
-mutation built.
+:class:`~repro.core.isolation.Allocation` and an all-transaction level
+dict, and visits every component to carry its context over.  Reads
+build nothing: :attr:`AllocationManager.workload` is the workload the
+last mutation built.
 
 Every mutation binds one fresh :class:`~repro.core.context.ContextStats`
-to the context it analyzes with, so
-:attr:`AllocationManager.last_check_count` reports the exact number of
-robustness checks the mutation executed (it reads the counter — no
+to the contexts it builds, so :attr:`AllocationManager.last_stats`
+reports exactly the mutation's work (it reads the counters — no
 estimates), and untouched components contribute exactly zero.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..observability import current_tracer
 from .allocation import _refine
-from .context import AnalysisContext, ContextStats, _Core
+from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
-from .robustness import _witness_exists, check_robustness
+from .robustness import (
+    RobustnessResult,
+    _check_span,
+    _first_split,
+    _result,
+    _validate,
+    _witness_exists,
+)
 from .sharding import DynamicShardPlan
 from .transactions import Transaction
 from .workload import Workload, WorkloadError, parse_workload as _parse_workload_text
@@ -99,17 +107,11 @@ class AllocationManager:
         self._transactions: Dict[int, Transaction] = {}
         self._workload = Workload(())
         self._allocation = Allocation({})
+        self._contexts: Dict[Tuple[int, ...], AnalysisContext] = {}
         self._context: Optional[AnalysisContext] = None
-        self._cores: Dict[Tuple[int, ...], _Core] = {}
+        self._mutated = False
         self._last_stats = ContextStats()
-        self._last_check_count = 0
         self._plan = DynamicShardPlan(stats=self._last_stats)
-        self._plan_totals: Dict[str, int] = {
-            "plan_builds": 0,
-            "plan_merges": 0,
-            "plan_splits": 0,
-            "plan_reuse": 0,
-        }
 
     # ------------------------------------------------------------------
     @property
@@ -123,13 +125,26 @@ class AllocationManager:
         return self._allocation
 
     @property
-    def context(self) -> Optional[AnalysisContext]:
-        """The analysis context of the last mutation.
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        """The conflict components of the current workload.
 
-        ``None`` before the first mutation.  Usable wherever a context is
-        accepted while the workload is unchanged; its plan is the
-        maintained component partition.
+        Ordered by smallest transaction id, members ascending — the
+        order of :func:`~repro.core.sharding.conflict_components`.
         """
+        return self._plan.shards
+
+    @property
+    def context(self) -> Optional[AnalysisContext]:
+        """A one-unit analysis context of the current workload.
+
+        ``None`` before the first mutation; otherwise built on the first
+        read after a mutation, with its own stats.  No manager path reads
+        it — the manager analyzes per component, and :meth:`check`
+        answers whole-workload checks — so it only serves callers that
+        pass a context to the library entry points.
+        """
+        if self._context is None and self._mutated:
+            self._context = AnalysisContext(self._workload)
         return self._context
 
     @property
@@ -137,84 +152,70 @@ class AllocationManager:
         """Robustness checks actually executed by the last mutation.
 
         An exact count read off the mutation's stats — every check of a
-        mutation runs through the mutation's context, so no estimates.
-        Later :meth:`check` probes reuse the context (and show up in
-        :attr:`last_stats`) but do not disturb this snapshot.
+        mutation runs through the contexts it builds, so no estimates.
+        Later :meth:`check` calls do not disturb it.
         """
-        return self._last_check_count
+        return self._last_stats.checks
 
     @property
     def last_stats(self) -> ContextStats:
         """Full counters of the last mutation's analysis work.
 
-        Bound only to the cores the mutation actually rebuilt — untouched
-        components carry their old cores and contribute nothing, so
-        ``index_builds`` counts exactly the components the mutation
-        re-analyzed.
+        Counted only on the contexts the mutation built — untouched
+        components carry their old contexts and contribute nothing, so
+        ``index_builds`` counts the components the mutation re-analyzed.
+        A copy taken when the mutation ends: later :meth:`check` calls
+        leave it alone.
         """
         return self._last_stats
 
-    @property
-    def plan_stats(self) -> Dict[str, int]:
-        """Cumulative shard-plan maintenance counters over the manager's life.
-
-        Per-mutation values live on :attr:`last_stats`
-        (``plan_merges``, ``plan_splits``, ``plan_reuse``,
-        ``plan_builds``); this dict is their running total — the
-        service's ``/metrics`` gauges.
-        """
-        return dict(self._plan_totals)
-
     # ------------------------------------------------------------------
-    def _rebuild_context(
+    def _carry_contexts(
         self, stats: ContextStats, dirty: Set[int]
-    ) -> Tuple[Workload, AnalysisContext, Dict[Tuple[int, ...], _Core], List[int]]:
-        """A context over the maintained plan, reusing the cores that stand.
+    ) -> Tuple[
+        Dict[Tuple[int, ...], AnalysisContext],
+        List[Tuple[Tuple[int, ...], AnalysisContext]],
+    ]:
+        """One context per component of the maintained plan.
 
         ``dirty`` is the set of transaction ids whose component
         assignment (or content) the mutation may have changed: newly
         added transactions plus the survivors of every removal-hit
-        component.  A part disjoint from ``dirty`` carries its core, and
-        with it its sub-workload, over by identity — O(1) per part, no
-        dict compares, no conflict-index rebuilds — and so does a dirty
-        part whose members and operations ended up unchanged (a batch
-        removed and re-added the same transaction), which keeps its
-        optimum.  Every other part comes back in ``fresh`` with a new
-        core.
+        component.  A component disjoint from ``dirty`` keeps its
+        context by identity — O(1), no compares, no conflict-index
+        rebuilds — and so does a dirty one whose transactions ended up
+        unchanged (a batch removed and re-added the same transaction),
+        which keeps its optimum.  Every other component gets a fresh
+        context over its own transactions, counted on ``stats``, and
+        comes back in ``fresh`` too.
         """
-        workload = Workload(self._transactions.values())
-        context = AnalysisContext(workload, stats=stats, plan=self._plan.freeze())
-        cores: Dict[Tuple[int, ...], _Core] = {}
-        fresh: List[int] = []
-        for index, shard in enumerate(context.plan.shards):
-            core = self._cores.get(shard)
-            if core is not None and (
-                dirty.isdisjoint(shard)
-                or core.workload == context._part_workload(index)
-            ):
-                context._adopt(index, core)
-            else:
-                fresh.append(index)
-                core = context._core(index)
-            cores[shard] = core
-        return workload, context, cores, fresh
+        transactions = self._transactions
+        contexts: Dict[Tuple[int, ...], AnalysisContext] = {}
+        fresh: List[Tuple[Tuple[int, ...], AnalysisContext]] = []
+        for members in self._plan.shards:
+            context = self._contexts.get(members)
+            if context is None or not dirty.isdisjoint(members):
+                part = Workload(transactions[tid] for tid in members)
+                if context is None or context.workload != part:
+                    context = AnalysisContext(part, stats)
+                    fresh.append((members, context))
+            contexts[members] = context
+        return contexts, fresh
 
     def _finish(
         self,
-        context: AnalysisContext,
-        stats: ContextStats,
-        cores: Dict[Tuple[int, ...], _Core],
+        workload: Workload,
         allocation: Allocation,
+        contexts: Dict[Tuple[int, ...], AnalysisContext],
+        stats: ContextStats,
     ) -> None:
-        """Commit a mutation's context, stats and allocation."""
-        self._workload = context.workload
+        """Commit a mutation's workload, allocation, contexts and stats."""
+        self._workload = workload
         self._allocation = allocation
-        self._context = context
-        self._cores = cores
-        self._last_stats = stats
-        self._last_check_count = stats.checks
-        for name in self._plan_totals:
-            self._plan_totals[name] += getattr(stats, name)
+        self._contexts = contexts
+        self._context = None
+        self._mutated = True
+        self._last_stats = replace(stats)
 
     def add(self, transaction: Transaction) -> Allocation:
         """Add a transaction; returns the new optimal allocation.
@@ -313,33 +314,30 @@ class AllocationManager:
                     removal_hit.update(survivors)
                     dirty.discard(tid)
                     newcomers.discard(tid)
-            workload, context, cores, fresh = self._rebuild_context(stats, dirty)
+            workload = Workload(self._transactions.values())
+            contexts, fresh = self._carry_contexts(stats, dirty)
             old = self._allocation
             bottom, top = self._levels[0], self._levels[-1]
             levels = {t: old[t] for t in workload.tids if t in old}
-            for index in fresh:
-                shard = context.plan.shards[index]
-                core = context._core(index)
+            for members, context in fresh:
                 start = Allocation(
-                    {t: top if t in newcomers else old[t] for t in shard}
+                    {t: top if t in newcomers else old[t] for t in members}
                 )
                 floors = None
-                if removal_hit.isdisjoint(shard):
+                if removal_hit.isdisjoint(members):
                     floors = {
-                        t: bottom if t in newcomers else old[t] for t in shard
+                        t: bottom if t in newcomers else old[t] for t in members
                     }
-                if not newcomers.isdisjoint(shard) and _witness_exists(
-                    context, core, start
+                if not newcomers.isdisjoint(members) and _witness_exists(
+                    context, start
                 ):
-                    start = Allocation.uniform(core.workload, top)
+                    start = Allocation.uniform(context.workload, top)
                 levels.update(
-                    zip(shard, _refine(context, core, start, self._levels, floors))
+                    _refine(context, start, self._levels, floors).items()
                 )
-            self._finish(context, stats, cores, Allocation(levels))
+            self._finish(workload, Allocation(levels), contexts, stats)
             batch_span.set(
-                checks=self._last_check_count,
-                shards=len(context.plan),
-                touched=len(fresh),
+                checks=stats.checks, shards=len(contexts), touched=len(fresh)
             )
         return self._allocation
 
@@ -375,13 +373,15 @@ class AllocationManager:
         """Rebuild a manager from :meth:`save_state` output.
 
         The restored manager resumes *warm*: the component plan and the
-        per-component cores are rebuilt for the snapshot's workload, so
-        the next mutation's work — checks executed, plan upkeep — is
-        identical to a manager that never restarted.  Three fields
-        written by earlier builds are ignored: ``witnesses`` (cached
-        witness chains), ``method`` (the manager's engine choice) and
-        ``plan`` (the partition, which a restore always rebuilds:
-        checking a persisted one costs the same union-find).
+        per-component contexts are rebuilt for the snapshot's workload,
+        so the next mutation's work — checks executed, plan upkeep — is
+        identical to a manager that never restarted.  Its
+        :attr:`last_stats` hold the restore's own work (the plan build).
+        Three fields written by earlier builds are ignored:
+        ``witnesses`` (cached witness chains), ``method`` (the manager's
+        engine choice) and ``plan`` (the partition, which a restore
+        always rebuilds: checking a persisted one costs the same
+        union-find).
 
         ``verify=True`` additionally re-checks that the snapshot's
         allocation is robust for its workload and raises
@@ -426,10 +426,8 @@ class AllocationManager:
         manager._transactions = {txn.tid: txn for txn in workload}
         stats = ContextStats()
         manager._plan = DynamicShardPlan(workload, stats=stats)
-        _workload, context, cores, _fresh = manager._rebuild_context(
-            stats, set(workload.tids)
-        )
-        manager._finish(context, stats, cores, allocation)
+        contexts, _fresh = manager._carry_contexts(stats, set(workload.tids))
+        manager._finish(workload, allocation, contexts, stats)
         if verify and not manager.check(allocation):
             raise WorkloadError(
                 "state allocation is not robust for the state workload;"
@@ -437,19 +435,39 @@ class AllocationManager:
             )
         return manager
 
-    def check(self, allocation: Allocation) -> bool:
+    def check(self, allocation: Allocation) -> RobustnessResult:
         """Robustness of the current workload against an arbitrary allocation.
 
-        Reuses the last mutation's context when it still matches the
-        current workload (checks against many allocations share the
-        per-component conflict indexes); falls back to a fresh context
-        over the maintained plan otherwise.
+        Algorithm 1 over the per-component contexts the mutations carry,
+        so checks against many allocations share their conflict indexes
+        and kernel rows.  Components are scanned in smallest-tid order,
+        each in ascending ``T_1`` order until its first witness; a
+        component, or a ``T_1``, above the best ``T_1`` so far is
+        skipped.  The witness returned is therefore the one
+        :func:`~repro.core.robustness.check_robustness` finds on the
+        whole workload, and it is materialized against the whole
+        workload: the split-schedule shape appends the other
+        components' transactions serially at the end, where they carry
+        no conditions.  Truthy exactly when the allocation is robust.
+
+        The check is counted on the tracer (``robustness.checks``) and
+        not on :attr:`last_stats`, which stays the last mutation's.
         """
-        workload = self.workload
-        context = self._context
-        if context is None or not context.matches(workload):
-            context = AnalysisContext(
-                workload, stats=self._last_stats, plan=self._plan.freeze()
-            )
-            self._context = context
-        return check_robustness(workload, allocation, context=context).robust
+        workload = self._workload
+        _validate(workload, allocation)
+        tracer = current_tracer()
+        tracer.count("robustness.checks")
+        best = None
+        with _check_span(tracer, len(workload), None) as check_span:
+            for members in self._plan.shards:
+                t1s: Sequence[int] = members
+                if best is not None:
+                    cut = best.split_tid
+                    if members[0] > cut:
+                        break
+                    t1s = [tid for tid in members if tid < cut]
+                spec = _first_split(self._contexts[members], allocation, t1s)
+                if spec is not None:
+                    best = spec
+            check_span.set(robust=best is None)
+        return _result(best, workload, allocation)

@@ -8,9 +8,13 @@ ascending tid = candidate order).  Per ``T_1`` it builds one row
 
 * the candidates ``C = nbr[T_1]`` — ``T_2`` and ``T_m`` must conflict
   with ``T_1``;
-* the connected components of the mixed-iso-graph (everything outside
-  ``C`` and ``T_1``), by a flood fill over the neighbour masks, each
-  with ``att(K) = C & ∪_{v∈K} nbr[v]``, the candidates attached to it;
+* the connected components of the mixed-iso-graph inside ``T_1``'s
+  conflict component (everything there outside ``C`` and ``T_1``), by
+  a flood fill over the neighbour masks, each with
+  ``att(K) = C & ∪_{v∈K} nbr[v]``, the candidates attached to it.  A
+  mixed-iso-graph component outside ``T_1``'s conflict component
+  touches no candidate, so leaving it out changes no ``reach``, no
+  ``att`` and no connecting chain;
 * ``reach[T_2] = (nbr[T_2] & C) | bit(T_2) | ∪_{K touched by T_2}
   att(K)``: the ``T_m`` reachable from ``T_2`` through the graph — the
   relation is symmetric;
@@ -54,8 +58,7 @@ property suite (``tests/properties/test_kernel_equivalence.py``)
 asserts bit-identical verdicts, witness specs and enumeration order.
 
 The kernel is allocation-independent and lives on the analysis
-context, one per conflict component (``_Core.kernel`` in
-:mod:`repro.core.context`).
+context (:meth:`~repro.core.context.AnalysisContext.kernel`).
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ _RC, _SSI = IsolationLevel.RC, IsolationLevel.SSI
 class _T1Row:
     """The per-``T_1`` masks of the module docstring.
 
-    ``cands`` is ``C``; ``comps`` the mixed-iso-graph components as tid
-    masks, in the order ``networkx`` finds them (by lowest member);
+    ``cands`` is ``C``; ``comps`` the mixed-iso-graph components inside
+    ``T_1``'s conflict component as tid masks, in the order ``networkx``
+    finds them (by lowest member);
     ``reach`` maps each candidate's bit to its reachable ``T_m`` mask;
     ``rc_reads`` / ``si_reads`` hold the split reads for ``T_1`` at RC /
     at SI or SSI, with ``rc_t2s`` / ``si_t2s`` the union of their ``T_2``
@@ -110,8 +114,8 @@ class _T1Row:
 class BitKernel:
     """Per-``T_1`` rows over one workload's conflict index.
 
-    Built lazily by a component's core in
-    :class:`~repro.core.context.AnalysisContext`; rows are built lazily
+    Built lazily by
+    :meth:`~repro.core.context.AnalysisContext.kernel`; rows are built lazily
     per ``T_1`` and cached for the workload's lifetime.  ``stats`` (when
     given) receives the ``kernel_row_builds`` / ``kernel_row_hits``
     accounting surfaced by ``--stats``.
@@ -157,10 +161,9 @@ class BitKernel:
         nbr, bit_nbrs = index.nbr, self._bit_nbrs
         readers, writers = index.readers, index.writers
         cands = nbr[t1_tid]
-        # Mixed-iso-graph nodes: everything but T_1 and its neighbours.
-        remaining = ((1 << len(index.tids)) - 1) & ~(
-            cands | 1 << index.bit[t1_tid]
-        )
+        # Mixed-iso-graph nodes of T_1's conflict component: all but T_1
+        # and its neighbours.
+        remaining = index.component(t1_tid) & ~(cands | 1 << index.bit[t1_tid])
         # Flood-fill the components, each seeded at the lowest remaining
         # bit — the order networkx's connected_components finds them in.
         comps: List[int] = []

@@ -19,14 +19,12 @@ test oracles: they return the same verdicts, witness specs and
 enumeration order (asserted by the
 ``tests/properties/test_kernel_equivalence.py`` property suite).
 
-Every public entry point analyzes per connected component of the
-conflict graph: a counterexample chain only links conflicting
-transactions, so verdicts and witnesses decompose exactly over
-components.  All allocation-independent structure (conflict index,
-bitset kernel, conflicting-pair tables) lives in
-:class:`~repro.core.context.AnalysisContext`, one core per component of
-its plan.  Pass an existing context to amortize it across many checks
-of the same workload (Algorithm 2 issues ``O(|T| * levels)`` of them).
+All allocation-independent structure (conflict index, bitset kernel,
+conflicting-pair tables) lives in
+:class:`~repro.core.context.AnalysisContext`, which analyzes the
+workload as one unit.  Pass an existing context to amortize it across
+many checks of the same workload (Algorithm 2 issues
+``O(|T| * levels)`` of them).
 
 :func:`check_robustness_delta` checks an allocation one step below a
 robust one: by its delta lemma every witness runs through the changed
@@ -40,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..observability import NULL_TRACER, current_tracer
+from ..observability import current_tracer
 from .conflicts import ConflictQuadruple
-from .context import AnalysisContext, _Core, _resolve
+from .context import AnalysisContext, _resolve
 from .isolation import Allocation, IsolationLevel
 from .kernel import has_witness, iter_witness_triples, level_list
 from .operations import Operation
@@ -93,7 +91,7 @@ class RobustnessResult:
 
 
 def _build_chain(
-    core: _Core,
+    context: AnalysisContext,
     t1: Transaction,
     t2: Transaction,
     tm: Transaction,
@@ -111,14 +109,14 @@ def _build_chain(
         assert path is not None
         hops = [t2.tid, *path, tm.tid]
         for left, right in zip(hops, hops[1:]):
-            b, a = core.conflicting_pairs(left, right)[0]
+            b, a = context.conflicting_pairs(left, right)[0]
             chain.append(ConflictQuadruple(left, b, a, right))
     chain.append(ConflictQuadruple(tm.tid, bm, a1, t1.tid))
     return SplitScheduleSpec(tuple(chain))
 
 
 def _scan_t1(
-    core: _Core,
+    context: AnalysisContext,
     allocation: Allocation,
     t1: Transaction,
     delta_tid: Optional[int] = None,
@@ -142,15 +140,26 @@ def _scan_t1(
     :func:`check_robustness_delta`).  Each witness's connecting chain
     comes from the kernel row the scan read.
     """
-    kernel = core.kernel()
+    kernel = context.kernel()
     for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
         path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
-        yield _build_chain(core, t1, t2, tm, ops, path)
+        yield _build_chain(context, t1, t2, tm, ops, path)
 
 
 def _validate(workload: Workload, allocation: Allocation) -> None:
     if not allocation.covers(workload):
         raise WorkloadError("allocation does not cover the workload")
+
+
+def _result(
+    spec: Optional[SplitScheduleSpec], workload: Workload, allocation: Allocation
+) -> RobustnessResult:
+    """The verdict on ``spec``: robust when ``None``, otherwise its
+    counterexample, materialized against ``workload`` (Theorem 3.2)."""
+    if spec is None:
+        return RobustnessResult(True)
+    schedule = materialize(spec, workload, allocation)
+    return RobustnessResult(False, Counterexample(spec, schedule, allocation))
 
 
 def check_robustness(
@@ -178,11 +187,7 @@ def check_robustness(
         context: the workload's
             :class:`~repro.core.context.AnalysisContext` (built fresh
             when omitted); sharing one across checks amortizes the
-            allocation-independent structure.  The check runs per part
-            of its plan, and the counterexample is materialized against
-            the full workload: the split-schedule shape appends the
-            other components' transactions serially at the end, where
-            they carry no conditions.
+            allocation-independent structure.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -203,10 +208,7 @@ def check_robustness(
         spec = reference.first_witness_spec(workload, allocation, method)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if spec is None:
-        return RobustnessResult(True)
-    schedule = materialize(spec, workload, allocation)
-    return RobustnessResult(False, Counterexample(spec, schedule, allocation))
+    return _result(spec, workload, allocation)
 
 
 def _check_span(tracer, transactions: int, delta_tid: Optional[int]):
@@ -219,89 +221,87 @@ def _check_span(tracer, transactions: int, delta_tid: Optional[int]):
     )
 
 
+def _first_split(
+    context: AnalysisContext,
+    allocation: Allocation,
+    t1s: Iterable[int],
+    delta_tid: Optional[int] = None,
+) -> Optional[SplitScheduleSpec]:
+    """The first witness over the split candidates ``t1s``, in order.
+
+    One ``robustness.scan_t1`` span per ``T_1`` scanned; no check is
+    counted.  :func:`_first_witness` scans a whole context with it, and
+    the incremental manager's whole-workload check scans its
+    per-component contexts.
+    """
+    tracer = current_tracer()
+    workload = context.workload
+    for tid in t1s:
+        with tracer.span("robustness.scan_t1", t1=tid):
+            spec = next(
+                _scan_t1(context, allocation, workload[tid], delta_tid), None
+            )
+        if spec is not None:
+            return spec
+    return None
+
+
 def _first_witness(
     context: AnalysisContext,
     allocation: Allocation,
     delta_tid: Optional[int] = None,
 ) -> Optional[SplitScheduleSpec]:
-    """Algorithm 1's ascending-``T_1`` scan, part by part; counts one check.
+    """Algorithm 1's ascending-``T_1`` scan; counts one check.
 
-    Each part of the context's plan is scanned in ascending ``T_1``
-    order until its first witness.  Parts are ordered by their smallest
-    tid, so a part starting above the best ``T_1`` so far, and the
-    ``T_1`` of a part above it, are skipped: the witness returned has
-    the smallest ``T_1`` of the workload, the one a scan of the workload
-    as one unit finds first.
-
-    With ``delta_tid`` only the triples through it are scanned
+    The witness returned has the smallest ``T_1`` of the workload.  With
+    ``delta_tid`` only the triples through it are scanned
     (:func:`check_robustness_delta`): ``T_1`` ranges over ``delta_tid``
     and its conflict neighbours
-    (:meth:`~repro.core.context.ConflictIndex.scope`), inside its part,
-    and :func:`_scan_t1` skips the other triples.
+    (:meth:`~repro.core.context.ConflictIndex.scope`), and
+    :func:`_scan_t1` skips the other triples.
     """
     context.record_check()
-    tracer = current_tracer()
-    plan = context.plan
-    part_tracer = tracer if len(plan) > 1 else NULL_TRACER
+    workload = context.workload
     if delta_tid is None:
-        parts: Iterable[int] = range(len(plan))
+        t1s: Sequence[int] = workload.tids
     else:
-        parts = (plan.shard_of[delta_tid],)
-    best: Optional[Tuple[int, SplitScheduleSpec]] = None
-    with _check_span(tracer, len(context.workload), delta_tid) as check_span:
-        for index in parts:
-            shard = plan.shards[index]
-            if best is not None and shard[0] > best[0]:
-                break
-            core = context._core(index)
-            t1s = shard if delta_tid is None else core.index.scope(delta_tid)
-            with part_tracer.span("shard.scan", shard=index, size=len(shard)):
-                for tid in t1s:
-                    if best is not None and tid > best[0]:
-                        break
-                    with tracer.span("robustness.scan_t1", t1=tid, shard=index):
-                        spec = next(
-                            _scan_t1(core, allocation, core.workload[tid], delta_tid),
-                            None,
-                        )
-                    if spec is not None:
-                        best = (tid, spec)
-                        break
-        check_span.set(robust=best is None)
-    return None if best is None else best[1]
+        t1s = context.index.scope(delta_tid)
+    with _check_span(current_tracer(), len(workload), delta_tid) as check_span:
+        spec = _first_split(context, allocation, t1s, delta_tid)
+        check_span.set(robust=spec is None)
+    return spec
 
 
 def _probe(
     context: AnalysisContext,
-    core: _Core,
     levels: Sequence[IsolationLevel],
     ssi: int,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether the kernel scan of one part finds a witness against ``levels``.
+    """Whether the kernel scan finds a witness against ``levels``.
 
-    The Algorithm 2 probe: the allocation is the part's level list in
-    bit order and its SSI tid mask, as
+    The Algorithm 2 probe: the allocation is the level list in bit order
+    and its SSI tid mask, as
     :func:`~repro.core.allocation.refine_allocation` keeps it, and the
     scan is one :func:`~repro.core.kernel.has_witness` call over the
-    check's candidates — every ``T_1`` of the part, or with
-    ``delta_tid`` only it and its conflict neighbours.  It counts one
-    check on ``context``, and it gives the verdict :func:`_first_witness`
-    gives, without resolving operations or building a chain.  The
-    check's span and its per-``T_1`` spans are opened only under a
-    recording tracer: a probe is too short to pay for them otherwise.
+    check's candidates — every ``T_1``, or with ``delta_tid`` only it
+    and its conflict neighbours.  It counts one check on ``context``,
+    and it gives the verdict :func:`_first_witness` gives, without
+    resolving operations or building a chain.  The check's span and its
+    per-``T_1`` spans are opened only under a recording tracer: a probe
+    is too short to pay for them otherwise.
     """
     context.record_check()
-    kernel = core.kernel()
+    kernel = context.kernel()
     if delta_tid is None:
-        t1s: Sequence[int] = core.workload.tids
+        t1s: Sequence[int] = context.workload.tids
     else:
-        t1s = core.index.scope(delta_tid)
+        t1s = context.index.scope(delta_tid)
     tracer = current_tracer()
     if not tracer.recording:
         return has_witness(kernel, levels, ssi, t1s, delta_tid)
     found = False
-    with _check_span(tracer, len(core.workload), delta_tid) as check_span:
+    with _check_span(tracer, len(context.workload), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
                 found = has_witness(kernel, levels, ssi, (tid,), delta_tid)
@@ -313,18 +313,17 @@ def _probe(
 
 def _witness_exists(
     context: AnalysisContext,
-    core: _Core,
     allocation: Allocation,
     delta_tid: Optional[int] = None,
 ) -> bool:
-    """Whether the kernel finds a witness in one part.
+    """Whether the kernel finds a witness against ``allocation``.
 
     :func:`_probe` on ``allocation``'s level list, for a caller holding
     an :class:`Allocation` (the manager's start check of a component):
     one check counted.
     """
-    levels, ssi = level_list(allocation, core.workload.tids)
-    return _probe(context, core, levels, ssi, delta_tid)
+    levels, ssi = level_list(allocation, context.workload.tids)
+    return _probe(context, levels, ssi, delta_tid)
 
 
 def check_robustness_delta(
@@ -356,9 +355,6 @@ def check_robustness_delta(
     ``delta_tid`` and its conflict neighbours only (``T_2``/``T_m`` must
     conflict with ``T_1``).  The full scan's first witness therefore
     already runs through ``delta_tid``, and the scoped scan returns it.
-    Only the part of ``delta_tid``, which holds every witness, is
-    scanned; the counterexample is materialized against the full
-    workload.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -377,10 +373,7 @@ def check_robustness_delta(
         raise WorkloadError(f"no transaction with id {delta_tid}")
     context = _resolve(workload, context)
     spec = _first_witness(context, allocation, delta_tid)
-    if spec is None:
-        return RobustnessResult(True)
-    schedule = materialize(spec, workload, allocation)
-    return RobustnessResult(False, Counterexample(spec, schedule, allocation))
+    return _result(spec, workload, allocation)
 
 
 def first_witness_spec(
@@ -456,9 +449,8 @@ def enumerate_counterexamples(
 
     The enumeration order is deterministic: ascending ``T_1`` id, then
     the nested ``(T_2, T_m)`` candidate order of Algorithm 1 (asserted
-    by ``tests/core/test_robustness.py`` and the property suite).  Each
-    ``T_1`` is scanned in the core of its part.  The survey counts one
-    check.
+    by ``tests/core/test_robustness.py`` and the property suite).  The
+    survey counts one check.
 
     Args:
         workload: the set of transactions.
@@ -471,20 +463,15 @@ def enumerate_counterexamples(
     _validate(workload, allocation)
     context.record_check()
     tracer = current_tracer()
-    shard_of = context.plan.shard_of
     for t1 in workload:
-        index = shard_of[t1.tid]
-        core = context._core(index)
         if tracer.recording:
             # Drain the scan inside its span so the recorded duration is
             # scan time, not consumer time between yields.  The yielded
             # sequence is identical either way.
-            with tracer.span(
-                "robustness.scan_t1", t1=t1.tid, shard=index, survey=True
-            ):
-                specs = list(_scan_t1(core, allocation, t1))
+            with tracer.span("robustness.scan_t1", t1=t1.tid, survey=True):
+                specs = list(_scan_t1(context, allocation, t1))
         else:
-            specs = _scan_t1(core, allocation, t1)
+            specs = _scan_t1(context, allocation, t1)
         for spec in specs:
             yield _spec_to_counterexample(
                 spec, workload, allocation, materialize_schedules

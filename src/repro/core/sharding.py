@@ -1,8 +1,8 @@
-"""Component sharding: the conflict components a workload analyzes by.
+"""Conflict components: the partition the incremental manager analyzes by.
 
-Robustness under Definition 3.1 is decided per connected component of
-the *conflict graph* (transactions as nodes, an edge when two
-transactions have conflicting operations): every quadruple of a
+Robustness under Definition 3.1 decomposes over the connected
+components of the *conflict graph* (transactions as nodes, an edge when
+two transactions have conflicting operations): every quadruple of a
 counterexample chain links two conflicting transactions, so a chain —
 and hence a multiversion split schedule — can never cross components.
 Consequently
@@ -15,31 +15,26 @@ Consequently
   composed — lowering a transaction's level only ever creates or
   destroys witnesses inside its own component.
 
-This module finds the components: a :class:`ShardPlan` partitions a
-workload with a :class:`UnionFind` (object-grouped, ``O(total
-operations)``), and a :class:`DynamicShardPlan` keeps the partition up
-to date under churn.  Every :class:`~repro.core.context.AnalysisContext`
-owns a plan and builds one core per part, so every entry point of
-:mod:`repro.core.robustness` and :mod:`repro.core.allocation` runs per
-component, with results *bit-identical* to analyzing the workload as one
-unit (asserted by ``tests/properties/test_shard_equivalence.py``).
-
-The payoff is in the per-component structure: with ``c`` components of
-size ``s = |T| / c``, each core's tid masks are ``s`` bits wide and
-each per-``T_1`` kernel row (its flood fill and its ``reach`` masks) is
-built over ``s`` transactions instead of all of ``|T|``.
+The library analyzes a workload as one unit and keeps each kernel row
+inside its ``T_1``'s component
+(:meth:`~repro.core.context.ConflictIndex.component`).  The
+:class:`~repro.core.incremental.AllocationManager` keeps one analysis
+context per component, so a mutation re-analyzes only the components it
+touched.  This module finds the components:
+:func:`conflict_components` partitions a workload with a
+:class:`UnionFind` (object-grouped, ``O(total operations)``), and a
+:class:`DynamicShardPlan` keeps the partition up to date under churn.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .context import ContextStats
 from .workload import Workload, WorkloadError
 
 __all__ = [
     "DynamicShardPlan",
-    "ShardPlan",
     "conflict_components",
 ]
 
@@ -116,63 +111,10 @@ def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(group) for group in groups.values())
 
 
-class ShardPlan:
-    """The partition of a workload into conflict-graph components.
-
-    Attributes:
-        shards: the components, ordered by smallest transaction id,
-            members ascending.
-        shard_of: transaction id -> shard index (built lazily — the
-            first-witness scan only walks ``shards``, so most plans
-            never pay for the mapping).
-    """
-
-    __slots__ = ("shards", "_shard_of")
-
-    def __init__(self, workload: Workload):
-        self.shards = conflict_components(workload)
-        self._shard_of: Optional[Dict[int, int]] = None
-
-    @classmethod
-    def from_components(
-        cls, shards: Sequence[Tuple[int, ...]]
-    ) -> "ShardPlan":
-        """A plan over an already-known partition (no union-find).
-
-        The components must be in canonical order — smallest member
-        ascending, members ascending — exactly what
-        :func:`conflict_components` and
-        :meth:`DynamicShardPlan.shards` produce; the caller owns that
-        invariant (it is what makes the frozen plan bit-identical to a
-        fresh ``ShardPlan(workload)``).
-        """
-        plan = cls.__new__(cls)
-        plan.shards = tuple(tuple(shard) for shard in shards)
-        plan._shard_of = None
-        return plan
-
-    @property
-    def shard_of(self) -> Dict[int, int]:
-        """Transaction id -> shard index (built on first access)."""
-        if self._shard_of is None:
-            self._shard_of = {
-                tid: i for i, shard in enumerate(self.shards) for tid in shard
-            }
-        return self._shard_of
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        """Shard sizes, in shard order."""
-        return tuple(len(shard) for shard in self.shards)
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-
 class DynamicShardPlan:
     """A mutable component partition maintained incrementally under churn.
 
-    The streaming counterpart of :class:`ShardPlan`: instead of
+    The streaming counterpart of :func:`conflict_components`: instead of
     re-running the full union-find over
     *all* transactions on every mutation, the plan keeps a per-object →
     accessor index and updates only the components reachable from the
@@ -187,8 +129,8 @@ class DynamicShardPlan:
       short-circuits to ``O(1)``/``O(ops)`` with no recheck at all.
 
     Equivalence is the contract: after any mutation sequence,
-    :attr:`shards` is identical — order, members, everything — to a
-    fresh ``ShardPlan(workload).shards`` over the same transactions
+    :attr:`shards` is identical — order, members, everything — to
+    ``conflict_components(workload)`` over the same transactions
     (pinned by ``tests/properties/test_plan_maintenance.py``).  The
     canonical view is cached per component, so untouched components'
     member tuples are never rebuilt.
@@ -213,7 +155,6 @@ class DynamicShardPlan:
         "_min_tid",
         "_member_tuples",
         "_shards_cache",
-        "_index_cache",
     )
 
     def __init__(
@@ -232,7 +173,6 @@ class DynamicShardPlan:
         self._min_tid: Dict[int, int] = {}
         self._member_tuples: Dict[int, Tuple[int, ...]] = {}
         self._shards_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._index_cache: Optional[Dict[int, int]] = None
         if workload is not None and len(workload):
             self._install(workload, conflict_components(workload))
             self.stats.plan_builds += 1
@@ -261,7 +201,6 @@ class DynamicShardPlan:
 
     def _invalidate(self, *comps: int) -> None:
         self._shards_cache = None
-        self._index_cache = None
         for comp in comps:
             self._member_tuples.pop(comp, None)
 
@@ -323,7 +262,7 @@ class DynamicShardPlan:
 
         The survivors (ascending, possibly empty) are exactly the
         transactions whose component assignment may have changed — the
-        manager re-analyzes their shards and no others.  Connectivity is
+        manager re-analyzes their components and no others.  Connectivity is
         re-checked only over those survivors, and only when ``tid`` had
         two or more distinct conflict neighbours (a singleton or leaf
         departure cannot disconnect anything — ``plan_reuse``).
@@ -425,7 +364,7 @@ class DynamicShardPlan:
             groups.setdefault(uf.find(member), []).append(member)
         return [tuple(group) for group in groups.values()]
 
-    # -- canonical (ShardPlan-equivalent) view -------------------------
+    # -- canonical (conflict_components-equivalent) view ---------------
     def _member_tuple(self, comp: int) -> Tuple[int, ...]:
         cached = self._member_tuples.get(comp)
         if cached is None:
@@ -433,40 +372,20 @@ class DynamicShardPlan:
             self._member_tuples[comp] = cached
         return cached
 
-    def _canonical(self) -> Tuple[Tuple[int, ...], ...]:
+    @property
+    def shards(self) -> Tuple[Tuple[int, ...], ...]:
+        """The components in :func:`conflict_components` order.
+
+        Ordered by smallest member, members ascending; cached until the
+        next mutation, and each untouched component's member tuple is
+        cached across mutations.
+        """
         if self._shards_cache is None:
             order = sorted(self._members, key=self._min_tid.__getitem__)
             self._shards_cache = tuple(
                 self._member_tuple(comp) for comp in order
             )
-            self._index_cache = {comp: i for i, comp in enumerate(order)}
         return self._shards_cache
-
-    @property
-    def shards(self) -> Tuple[Tuple[int, ...], ...]:
-        """The components in :class:`ShardPlan` canonical order."""
-        return self._canonical()
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        """Shard sizes, in shard order."""
-        return tuple(len(shard) for shard in self.shards)
 
     def __len__(self) -> int:
         return len(self._members)
-
-    def shard_index(self, tid: int) -> int:
-        """The canonical shard index owning ``tid`` (O(1) after a freeze)."""
-        self._canonical()
-        return self._index_cache[self._comp_of[tid]]  # type: ignore[index]
-
-    def freeze(self) -> ShardPlan:
-        """An immutable :class:`ShardPlan` snapshot of the current partition.
-
-        Shares the cached member tuples — freezing after a mutation
-        costs one ``O(components)`` ordering pass, not a rebuild — and
-        is safe to hand to an
-        :class:`~repro.core.context.AnalysisContext` (later plan
-        mutations never touch a frozen snapshot).
-        """
-        return ShardPlan.from_components(self._canonical())

@@ -34,13 +34,16 @@ Four service-level behaviours live on top of the manager:
 * **Metrics** — every request is timed into a
   :class:`~repro.observability.MetricsRegistry` (``service.<op>``
   histograms), admission decisions and per-mutation analysis counters
-  (checks, index builds, ...) are folded into its counters, and the
-  ``metrics`` envelope / HTTP ``/metrics`` endpoint export the lot
-  through :meth:`ServiceCore.metrics_snapshot`.
+  (checks, index builds, plan upkeep, ...) are folded into its
+  counters, and the ``metrics`` envelope / HTTP ``/metrics`` endpoint
+  export the lot through :meth:`ServiceCore.metrics_snapshot`.  The
+  checks a request runs outside a mutation — a ``check``, the
+  admission witness, a verified ``restore`` — count once each in
+  ``context.checks`` and the ``checks`` rate series.
 
 All command execution is serialized under one lock: the manager is a
 single-writer structure, and correctness of the warm state (component
-plan, per-component cores) depends on mutations being ordered.
+plan, per-component contexts) depends on mutations being ordered.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.incremental import AllocationManager, BatchMutation
 from ..core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
-from ..core.robustness import check_robustness
 from ..core.split_schedule import SplitScheduleSpec
 from ..core.transactions import Transaction, TransactionError, parse_transaction
 from ..core.workload import WorkloadError
@@ -208,6 +210,7 @@ class ServiceCore:
         }
         self._slo_breached = False
         self._manager = self._initial_manager(config)
+        self._merge_mutation_stats()  # a resumed manager's restore work
         self._top = max(config.levels)
         self._level_names = [level.name for level in sorted(config.levels)]
         self._handlers: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {
@@ -410,11 +413,17 @@ class ServiceCore:
         Each mutation binds a fresh
         :class:`~repro.core.context.ContextStats`, so the whole dict is
         exactly that mutation's work — cumulative service totals are the
-        sum of these deltas.
+        sum of these deltas.  A restored manager's stats hold the
+        restore's own work, folded once when it is installed.
         """
         for name, value in self._manager.last_stats.as_dict().items():
             if value:
                 self.registry.incr(f"context.{name}", value)
+
+    def _count_read_check(self) -> None:
+        """Count one check run outside a mutation, where mutations' count."""
+        self.registry.incr("context.checks")
+        self.series["checks"].record(time.monotonic() - self._started, 1.0)
 
     def _policy_reasons(
         self, promotions: List[int], allocation: Allocation
@@ -448,9 +457,8 @@ class ServiceCore:
         service boundary.
         """
         candidate = Allocation({**dict(old.items()), txn.tid: self._top})
-        result = check_robustness(
-            self._manager.workload, candidate, context=self._manager.context
-        )
+        result = self._manager.check(candidate)
+        self._count_read_check()
         if result.robust or result.counterexample is None:
             return None
         return _chain_payload(result.counterexample.spec)
@@ -551,8 +559,8 @@ class ServiceCore:
             reasons = self._policy_reasons(promotions, new)
         if reasons:
             [(slot, txn)] = adds
+            self._merge_mutation_stats()  # the add's work
             witness = self._witness_payload(old, txn)
-            self._merge_mutation_stats()  # the add's work plus the witness check
             manager.apply_batch([("remove", txn.tid)])
             self._merge_mutation_stats()  # the rollback's work
             queued = self.config.admission.mode == "queue"
@@ -663,8 +671,7 @@ class ServiceCore:
         )
 
     def _cmd_status(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        context = self._manager.context
-        sizes = list(context.plan.sizes) if context is not None else []
+        sizes = [len(members) for members in self._manager.components]
         return ok_response(
             envelope,
             transactions=len(self._manager.workload),
@@ -714,12 +721,9 @@ class ServiceCore:
             raise ProtocolError(str(exc)) from None
 
     def _cmd_check(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        workload = self._manager.workload
         allocation = self._parse_check_allocation(envelope)
-        context = self._manager.context
-        if context is not None and not context.matches(workload):
-            context = None
-        result = check_robustness(workload, allocation, context=context)
+        result = self._manager.check(allocation)
+        self._count_read_check()
         payload: Dict[str, Any] = {"robust": result.robust}
         if not result.robust and result.counterexample is not None:
             from ..analysis.anomalies import classify_counterexample
@@ -811,6 +815,9 @@ class ServiceCore:
         with current_tracer().span("service.restore", path=path):
             manager = _restore_manager(path, verify=verify)
         self._manager = manager
+        self._merge_mutation_stats()  # the restore's own work
+        if verify:
+            self._count_read_check()
         self._queue.clear()
         self._since_snapshot = 0
         self.registry.incr("service.restores")
@@ -830,11 +837,10 @@ class ServiceCore:
         — rolling per-second rates over the trailing complete windows —
         so ``/metrics`` exports live rates, not just cumulative totals.
         """
-        context = self._manager.context
         now = time.monotonic() - self._started
         gauges = {
             "transactions": float(len(self._manager.workload)),
-            "shards": float(len(context.plan)) if context is not None else 0.0,
+            "shards": float(len(self._manager.components)),
             "queue_depth": float(len(self._queue)),
             "mutations": float(self._mutations),
             "mutations_since_snapshot": float(self._since_snapshot),
@@ -847,8 +853,6 @@ class ServiceCore:
             gauges[f"rate_{name}_per_s"] = series.rate(now, per_value=per_value)
         if self.config.slo_p99_ms is not None:
             gauges["slo_p99_breached"] = 1.0 if self._slo_breached else 0.0
-        for name, value in self._manager.plan_stats.items():
-            gauges[name] = float(value)
         return gauges
 
     def metrics_snapshot(self) -> Tuple[Dict[str, float], MetricsRegistry]:

@@ -8,20 +8,21 @@ per-phase histograms.  Also home to the renderer ``repro trace dump``
 uses to print retained request span trees pulled from the flight
 recorder.
 
-Rendering is split from polling so tests (and the CI smoke script via
-``--iterations``) can exercise the console without a TTY: every frame is
-plain text, ``--no-clear`` suppresses the ANSI home/clear prefix, and a
-finite ``--iterations`` turns the infinite loop into a bounded one.
+Rendering is split from polling, and polling from printing, so tests
+(and the CI smoke script via ``--iterations``) can exercise the console
+without a TTY: every frame is plain text, ``--no-clear`` suppresses the
+ANSI home/clear prefix, and a finite ``--iterations`` turns the infinite
+loop into a bounded one.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from .client import ServiceClient
 
-__all__ = ["render_top", "render_trace", "render_trace_dump", "run_top"]
+__all__ = ["render_top", "render_trace", "render_trace_dump", "top_frames"]
 
 #: ANSI: cursor home + clear-to-end (softer than a full screen wipe).
 _CLEAR = "\x1b[H\x1b[J"
@@ -115,7 +116,7 @@ def render_top(
     return "\n".join(lines)
 
 
-def run_top(
+def top_frames(
     host: str = "127.0.0.1",
     port: Optional[int] = None,
     socket_path: Optional[str] = None,
@@ -123,34 +124,31 @@ def run_top(
     iterations: Optional[int] = None,
     clear: bool = True,
     timeout: float = 10.0,
-) -> None:
-    """Poll a daemon and print console frames until stopped.
+) -> Iterator[str]:
+    """Poll a daemon and yield its console frames, ``interval`` apart.
 
-    ``iterations=None`` runs until Ctrl-C (the interactive mode);
-    a finite count (the smoke script passes 2) bounds the loop and
-    skips the final sleep.  A daemon that cannot be reached raises
+    ``iterations=None`` polls until the caller stops (the interactive
+    mode); a finite count (the smoke script passes 2) bounds the loop.
+    Printing is the caller's, so a closed stdout is never mistaken for
+    an unreachable daemon.  A daemon that cannot be reached raises
     :class:`OSError`; one that answers with an error envelope raises
     :class:`~repro.service.client.ServiceError`.
     """
     if interval <= 0:
         raise ValueError("interval must be > 0")
     frame = 0
-    try:
-        with ServiceClient(
-            host=host, port=port, socket_path=socket_path, timeout=timeout
-        ) as client:
-            while iterations is None or frame < iterations:
-                status = client.call("status")
-                metrics = client.call("metrics")
-                frame += 1
-                clock = time.strftime("%H:%M:%S")
-                prefix = _CLEAR if clear else ("" if frame == 1 else "\n")
-                print(prefix + render_top(status, metrics, clock=clock))
-                if iterations is not None and frame >= iterations:
-                    break
+    with ServiceClient(
+        host=host, port=port, socket_path=socket_path, timeout=timeout
+    ) as client:
+        while iterations is None or frame < iterations:
+            if frame:
                 time.sleep(interval)
-    except KeyboardInterrupt:
-        print("repro service top: interrupted")
+            status = client.call("status")
+            metrics = client.call("metrics")
+            frame += 1
+            clock = time.strftime("%H:%M:%S")
+            prefix = _CLEAR if clear else ("" if frame == 1 else "\n")
+            yield prefix + render_top(status, metrics, clock=clock)
 
 
 def render_trace(trace: Mapping[str, Any]) -> str:

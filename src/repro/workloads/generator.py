@@ -150,8 +150,9 @@ def clustered_workload(
     with every other's — the worst case for any code that assumes shards
     are contiguous tid blocks.
 
-    This is the workload family behind the ``shard_scaling`` benchmark
-    series and the sharded/monolithic equivalence suite.
+    This is the workload family behind the ``allocate-clustered``
+    benchmark workload and the per-component/whole-workload
+    equivalence suite.
 
     Examples:
         >>> from repro.core.sharding import conflict_components

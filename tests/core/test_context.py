@@ -1,12 +1,6 @@
-"""Unit tests for repro.core.context (shared analysis structure).
-
-The per-component structure (index, kernel and pair tables) lives on a
-context's private cores; these tests reach it through ``_core``.
-"""
+"""Unit tests for repro.core.context (shared analysis structure)."""
 
 import pytest
-
-from strategies import one_unit
 
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
@@ -21,13 +15,12 @@ from repro.workloads.tpcc import tpcc_one_of_each
 
 class TestConflictIndexAccounting:
     def test_exactly_one_index_per_optimal_allocation(self):
-        """A full Algorithm 2 run builds each component's index exactly once."""
+        """A full Algorithm 2 run builds the index exactly once."""
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "R3[x] W3[x]", "R4[q]")
         ctx = AnalysisContext(wl)
         optimal_allocation(wl, context=ctx)
-        assert len(ctx.plan) == 2
-        assert ctx.stats.index_builds == 2
-        assert ctx.stats.checks > 2  # many checks, one index per component
+        assert ctx.stats.index_builds == 1
+        assert ctx.stats.checks > 2  # many checks, one index
 
     @pytest.mark.parametrize(
         "factory",
@@ -42,7 +35,7 @@ class TestConflictIndexAccounting:
         wl = factory()
         ctx = AnalysisContext(wl)
         assert optimal_allocation(wl, context=ctx) is not None
-        assert ctx.stats.index_builds == len(ctx.plan)
+        assert ctx.stats.index_builds == 1
 
     def test_uncontexted_check_builds_private_index(self, write_skew):
         for alloc in (Allocation.si(write_skew), Allocation.ssi(write_skew)):
@@ -54,10 +47,9 @@ class TestConflictIndexAccounting:
 class TestContextCaching:
     def test_conflicting_pairs_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        core = ctx._core(0)
-        pairs = core.conflicting_pairs(1, 2)
+        pairs = ctx.conflicting_pairs(1, 2)
         assert pairs  # write skew: R1[x] conflicts W2[x], W1[y] with R2[y]
-        assert core.conflicting_pairs(1, 2) is pairs
+        assert ctx.conflicting_pairs(1, 2) is pairs
         assert ctx.stats.pair_builds == 1
         assert ctx.stats.pair_hits == 1
 
@@ -110,9 +102,9 @@ class _KernelPaths:
     """The bitset kernel's connecting chains for one ``T_1``, with the
     oracle's interface."""
 
-    def __init__(self, core, t1_tid):
-        self.kernel = core.kernel()
-        self.index = core.index
+    def __init__(self, ctx, t1_tid):
+        self.kernel = ctx.kernel()
+        self.index = ctx.index
         self.t1_tid = t1_tid
 
     def connecting_path(self, tid_2, tid_m):
@@ -130,10 +122,10 @@ def paths(request):
     oracle of :mod:`repro.core.reference` or the production kernel."""
 
     def build(wl, t1_tid):
-        core = one_unit(wl)._core(0)
+        ctx = AnalysisContext(wl)
         if request.param == "oracle":
-            return ReachabilityOracle(core.index, wl[t1_tid])
-        return _KernelPaths(core, t1_tid)
+            return ReachabilityOracle(ctx.index, wl[t1_tid])
+        return _KernelPaths(ctx, t1_tid)
 
     return build
 
@@ -174,14 +166,13 @@ class TestConnectingPath:
 class TestKernelCaching:
     def test_kernel_built_once(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        core = ctx._core(0)
-        kernel = core.kernel()
-        assert core.kernel() is kernel
+        kernel = ctx.kernel()
+        assert ctx.kernel() is kernel
         assert ctx.stats.kernel_builds == 1
 
     def test_kernel_rows_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        kernel = ctx._core(0).kernel()
+        kernel = ctx.kernel()
         row = kernel.row(1)
         assert kernel.row(1) is row
         assert ctx.stats.kernel_row_builds == 1

@@ -4,7 +4,7 @@ The incremental partition behind ``AllocationManager``: adds merge the
 components the transaction conflicts into, removals re-check
 connectivity only over the departed component, and singleton/leaf
 departures short-circuit with no recheck at all.  The canonical view
-must be *identical* to a fresh ``ShardPlan(workload)`` after any
+must be *identical* to ``conflict_components(workload)`` after any
 mutation sequence (the randomized version of that contract lives in
 ``tests/properties/test_plan_maintenance.py``).
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.context import ContextStats
 from repro.core.incremental import AllocationManager
-from repro.core.sharding import DynamicShardPlan, ShardPlan
+from repro.core.sharding import DynamicShardPlan, conflict_components
 from repro.core.transactions import parse_transaction
 from repro.core.workload import Workload, WorkloadError
 
@@ -126,23 +126,8 @@ class TestCanonicalView:
                 txn = parse_transaction(text)
                 txns[tid] = txn
                 plan.add(txn)
-            expected = (
-                ShardPlan(Workload(txns.values())).shards if txns else ()
-            )
+            expected = conflict_components(Workload(txns.values()))
             assert plan.shards == expected, f"diverged at step {step}"
-
-    def test_freeze_is_a_real_shardplan(self):
-        workload = Workload(_chain())
-        frozen = DynamicShardPlan(workload).freeze()
-        assert isinstance(frozen, ShardPlan)
-        assert frozen.shards == ShardPlan(workload).shards
-        assert frozen.shard_of == ShardPlan(workload).shard_of
-
-    def test_shard_index_follows_canonical_order(self):
-        plan = DynamicShardPlan(Workload(_chain()))
-        plan.add(parse_transaction("R9[own] W9[own]"))
-        assert plan.shard_index(2) == 0
-        assert plan.shard_index(9) == 1
 
 
 class TestManagerSingletonRemoval:

@@ -189,14 +189,14 @@ class TestPlanPersistence:
         state = _filled_manager().save_state()
         state["plan"] = [[1, 2], [2, 3, 4]]  # overlapping: invalid
         restored = AllocationManager.load_state(state)
-        assert restored.plan_stats["plan_builds"] == 1
+        assert restored.last_stats.plan_builds == 1
         assert restored.workload == _filled_manager().workload
 
     def test_missing_plan_field_falls_back_to_full_build(self):
         state = _filled_manager().save_state()
         state.pop("plan", None)  # pre-plan-persistence snapshot
         restored = AllocationManager.load_state(state)
-        assert restored.plan_stats["plan_builds"] == 1
+        assert restored.last_stats.plan_builds == 1
         assert dict(restored.allocation.items()) == dict(
             _filled_manager().allocation.items()
         )
@@ -209,4 +209,4 @@ class TestPlanPersistence:
         manager.remove(3)
         restored.remove(3)
         assert manager.last_stats.as_dict() == restored.last_stats.as_dict()
-        assert manager.context.plan.shards == restored.context.plan.shards
+        assert manager.components == restored.components

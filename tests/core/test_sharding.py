@@ -1,10 +1,10 @@
-"""Unit tests for conflict-component sharding (``repro.core.sharding``).
+"""Unit tests for conflict components (``repro.core.sharding``).
 
 The property suite (``tests/properties/test_shard_equivalence.py``) pins
-the end-to-end bit-identity contract; this module pins the structural
+the end-to-end decomposition contract; this module pins the structural
 pieces: component discovery against a brute-force pairwise reference,
-plan ordering, and how an ``AnalysisContext`` builds a core per part of
-its plan.
+component ordering, how an ``AnalysisContext`` builds its structure,
+and how the incremental manager keeps one context per component.
 """
 
 import itertools
@@ -13,7 +13,9 @@ import pytest
 
 from repro.core.conflicts import transactions_conflict
 from repro.core.context import AnalysisContext, ContextStats
-from repro.core.sharding import ShardPlan, conflict_components
+from repro.core.incremental import AllocationManager
+from repro.core.sharding import conflict_components
+from repro.core.transactions import parse_transaction
 from repro.core.workload import Workload, WorkloadError, workload
 from repro.workloads.generator import clustered_workload, random_workload
 
@@ -81,36 +83,28 @@ class TestConflictComponents:
         assert conflict_components(Workload([])) == ()
 
 
-class TestShardPlan:
-    def test_plan_shape(self):
-        wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        plan = ShardPlan(wl)
-        assert len(plan) == 2
-        assert plan.shards == ((1, 2), (3,))
-        assert plan.sizes == (2, 1)
-        assert plan.shard_of == {1: 0, 2: 0, 3: 1}
-
-
 class TestContextPlan:
-    def test_cores_share_stats_and_build_lazily(self):
+    def test_context_shares_stats_and_builds_lazily(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         ctx = AnalysisContext(wl)
-        assert ctx.plan.shards == ((1, 2), (3,))
         assert ctx.stats.index_builds == 0  # nothing built yet
-        core = ctx._core(0)
-        assert core is ctx._core(0)  # cached
-        assert core.stats is ctx.stats
-        assert ctx.stats.index_builds == 1  # part 1 still unbuilt
-        ctx._core(1)
-        assert ctx.stats.index_builds == 2
+        index = ctx.index
+        assert ctx.index is index  # cached
+        assert ctx.stats.index_builds == 1
+        kernel = ctx.kernel()
+        assert kernel.index is index and kernel.stats is ctx.stats
+        assert ctx.stats.index_builds == 1  # one index per context
 
     def test_part_workloads(self):
-        wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        ctx = AnalysisContext(wl)
-        assert ctx._part_workload(0).tids == (1, 2)
-        assert ctx._core(1).workload.tids == (3,)
-        whole = AnalysisContext(wl, plan=ShardPlan.from_components((wl.tids,)))
-        assert whole._part_workload(0) is wl  # a one-part plan copies nothing
+        """The manager keeps one context per component, over its members."""
+        manager = AllocationManager()
+        texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
+        manager.apply_batch([("add", parse_transaction(t)) for t in texts])
+        assert manager.components == ((1, 2), (3,))
+        assert [
+            manager._contexts[members].workload.tids
+            for members in manager.components
+        ] == [(1, 2), (3,)]
 
     def test_ensure_rejects_other_workload(self):
         wl = workload("R1[x]")
@@ -120,15 +114,15 @@ class TestContextPlan:
         with pytest.raises(WorkloadError, match="different workload"):
             ctx.ensure(other)
 
-    def test_adopt_installs_a_core_and_its_workload(self):
-        wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
-        donor = AnalysisContext(wl)
-        ctx = AnalysisContext(wl, plan=donor.plan)
-        core = donor._core(1)
-        ctx._adopt(1, core)
-        assert ctx._core(1) is core
-        assert ctx._part_workload(1) is core.workload
-        assert ctx.stats.index_builds == 0
+    def test_untouched_component_keeps_its_context(self):
+        manager = AllocationManager()
+        texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
+        manager.apply_batch([("add", parse_transaction(t)) for t in texts])
+        standing = manager._contexts[(1, 2)]
+        manager.add(parse_transaction("R4[z] W4[z]"))
+        assert manager.components == ((1, 2), (3, 4))
+        assert manager._contexts[(1, 2)] is standing
+        assert manager.last_stats.index_builds == 1  # only (3, 4) rebuilt
 
     def test_record_check_counts_one_logical_check(self):
         wl = workload("R1[x]", "R2[y]")

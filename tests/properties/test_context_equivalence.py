@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from strategies import one_unit
 from repro.core import reference
 from repro.core.allocation import optimal_allocation, refine_allocation
 from repro.core.context import AnalysisContext
@@ -97,13 +96,12 @@ def _seed_refine(workload, start, levels, engine="components", probes=None):
 
 
 def _full_scan_refine(workload, start, levels, ctx):
-    """The refinement with unscoped probes, on a one-unit context.
+    """The refinement with unscoped probes.
 
     Every probe asks whether a scan of every triple of every ``T_1``
     finds a witness — what the refinement did before its probes were
     scoped to the lowered transaction.
     """
-    core = ctx._core(0)
     ordered = tuple(sorted(set(levels)))
     current = start
     for tid in workload.tids:
@@ -111,7 +109,7 @@ def _full_scan_refine(workload, start, levels, ctx):
             if level >= current[tid]:
                 break
             candidate = current.with_level(tid, level)
-            if not _witness_exists(ctx, core, candidate):
+            if not _witness_exists(ctx, candidate):
                 current = candidate
                 break
     return current
@@ -159,7 +157,7 @@ def test_scoped_probes_match_full_scan_refinement(wl):
         start = Allocation.uniform(wl, max(levels))
         if not is_robust(wl, start):
             continue  # {RC, SI} without a robust allocation: nothing to refine
-        scoped_ctx, full_ctx = AnalysisContext(wl), one_unit(wl)
+        scoped_ctx, full_ctx = AnalysisContext(wl), AnalysisContext(wl)
         scoped = refine_allocation(wl, start, levels, context=scoped_ctx)
         full = _full_scan_refine(wl, start, levels, full_ctx)
         assert scoped == full
@@ -176,9 +174,7 @@ def test_scoped_probes_match_full_scan_refinement(wl):
 def test_checks_count_the_seed_refinement_probes(wl):
     """``checks`` after a refinement is the seed loop's probe count.
 
-    Per component and one-unit alike: the per-component refinement
-    probes the same (transaction, level) pairs, and every probe counts
-    one check.
+    Every probe counts one check.
     """
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
         start = Allocation.uniform(wl, max(levels))
@@ -186,6 +182,6 @@ def test_checks_count_the_seed_refinement_probes(wl):
             continue
         probes = []
         expected = _seed_refine(wl, start, levels, probes=probes)
-        for ctx in (one_unit(wl), AnalysisContext(wl)):
-            assert refine_allocation(wl, start, levels, context=ctx) == expected
-            assert ctx.stats.checks == len(probes)
+        ctx = AnalysisContext(wl)
+        assert refine_allocation(wl, start, levels, context=ctx) == expected
+        assert ctx.stats.checks == len(probes)

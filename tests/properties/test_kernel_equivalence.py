@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
-from strategies import one_unit
 from repro.core import reference
 from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
-from repro.core.context import ConflictIndex
+from repro.core.context import AnalysisContext, ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.kernel import iter_witness_triples, level_list
 from repro.core.robustness import (
@@ -33,7 +32,6 @@ from repro.core.robustness import (
     enumerate_counterexamples,
 )
 from repro.core.split_schedule import is_valid_split_schedule
-from repro.core.workload import Workload
 from repro.workloads.generator import random_workload
 from repro.workloads.paper_examples import (
     example26_workload,
@@ -118,7 +116,7 @@ def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
         transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
     )
     alloc = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
-    kernel = one_unit(wl)._core(0).kernel()
+    kernel = AnalysisContext(wl).kernel()
     for t1 in wl:
         full = list(iter_witness_triples(kernel, alloc, t1))
         for d in wl.tids:
@@ -129,13 +127,6 @@ def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
             ]
             scoped = list(iter_witness_triples(kernel, alloc, t1, delta_tid=d))
             assert scoped == expected, (t1.tid, d)
-
-
-@st.composite
-def sparse_tid_workloads(draw):
-    """Up to 40 transactions with non-contiguous tids below 5,000."""
-    tids = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=40)))
-    return Workload(draw(sts.transactions(tid, max_accesses=4)) for tid in tids)
 
 
 def _pairwise_neighbours(wl):
@@ -150,7 +141,7 @@ def _pairwise_neighbours(wl):
     return neighbours
 
 
-@given(sparse_tid_workloads())
+@given(sts.sparse_tid_workloads())
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mask_conflict_index_matches_pairwise_build(wl):
     """Same neighbours, in the same set iteration order, as a pairwise build.
@@ -190,8 +181,7 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
     )
     drawn = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
     robust = upgrade_to_robust(wl, drawn)
-    ctx = one_unit(wl)
-    core = ctx._core(0)
+    ctx = AnalysisContext(wl)
     ladder = sorted(IsolationLevel)
     for tid in wl.tids:
         rank = ladder.index(robust[tid])
@@ -202,10 +192,10 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
             expected = reference.first_witness_spec(
                 wl, lowered, "components", delta_tid=delta_tid
             )
-            found = _witness_exists(ctx, core, lowered, delta_tid)
+            found = _witness_exists(ctx, lowered, delta_tid)
             assert found == (expected is not None), (tid, delta_tid)
             levels, ssi = level_list(lowered, wl.tids)
-            probed = _probe(ctx, core, levels, ssi, delta_tid)
+            probed = _probe(ctx, levels, ssi, delta_tid)
             assert probed == (expected is not None), (tid, delta_tid)
 
 
@@ -224,12 +214,12 @@ def test_kernel_connecting_path_matches_oracle(seed, size):
     wl = random_workload(
         transactions=size, objects=size + 2, min_ops=2, max_ops=3, seed=seed
     )
-    core = one_unit(wl)._core(0)
-    kernel = core.kernel()
+    ctx = AnalysisContext(wl)
+    kernel = ctx.kernel()
     for t1 in wl:
-        oracle = reference.ReachabilityOracle(core.index, t1)
+        oracle = reference.ReachabilityOracle(ctx.index, t1)
         candidates = [
-            wl[tid] for tid in sorted(core.index.conflict_neighbours(t1.tid))
+            wl[tid] for tid in sorted(ctx.index.conflict_neighbours(t1.tid))
         ]
         for t2 in candidates:
             for tm in candidates:

@@ -1,16 +1,20 @@
 """Stateful property tests of incremental shard-plan maintenance.
 
-The two non-negotiable equivalences of the dynamic plan work
+The non-negotiable equivalences of the dynamic plan work
 (``DynamicShardPlan`` + ``AllocationManager.apply_batch``):
 
 * **partition equality** — after any interleaving of adds, removes and
   batches, the manager's maintained partition is *identical* (order,
-  members, everything) to a fresh ``ShardPlan(workload)`` over the same
-  transactions;
+  members, everything) to ``conflict_components(workload)`` over the
+  same transactions;
 * **allocation exactness** — the maintained allocation is bit-identical
   to the batch Algorithm 2 optimum, and the coalesced ``apply_batch``
   path lands on exactly the same state as replaying the same mutations
-  one by one through ``add``/``remove``.
+  one by one through ``add``/``remove``;
+* **check exactness** — ``manager.check``, which scans the per-component
+  contexts the mutations carried, gives the verdict and the witness
+  spec of ``check_robustness`` on the whole workload, for any drawn
+  allocation.
 """
 
 from hypothesis import settings
@@ -19,8 +23,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.core.allocation import optimal_allocation
 from repro.core.incremental import AllocationManager
+from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.operations import read, write
-from repro.core.sharding import ShardPlan
+from repro.core.robustness import check_robustness
+from repro.core.sharding import conflict_components
 from repro.core.transactions import Transaction
 
 OBJECTS = ("x", "y", "z", "u")
@@ -44,6 +50,15 @@ def _random_txn(data, tid):
         if mode in ("w", "rw"):
             ops.append(write(tid, obj))
     return Transaction(tid, ops)
+
+
+def assert_manager_check_matches(manager, allocation):
+    """``manager.check`` gives ``check_robustness``'s verdict and witness spec."""
+    got = manager.check(allocation)
+    expected = check_robustness(manager.workload, allocation)
+    assert bool(got) is got.robust is expected.robust
+    if not expected.robust:
+        assert got.counterexample.spec == expected.counterexample.spec
 
 
 class PlanMaintenanceMachine(RuleBasedStateMachine):
@@ -94,13 +109,22 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
             else:
                 self.sequential.remove(value)
 
-    @invariant()
-    def partition_equals_fresh_shardplan(self):
+    @rule(data=st.data())
+    def check_matches_whole_workload_check(self, data):
+        """The manager's per-component check ≡ the library's one-unit check."""
         workload = self.batched.workload
-        expected = ShardPlan(workload).shards if len(workload) else ()
-        assert self.batched.context is None or (
-            self.batched.context.plan.shards == expected
+        allocation = Allocation(
+            {
+                tid: data.draw(st.sampled_from(list(IsolationLevel)))
+                for tid in workload.tids
+            }
         )
+        assert_manager_check_matches(self.batched, allocation)
+
+    @invariant()
+    def partition_equals_conflict_components(self):
+        workload = self.batched.workload
+        assert self.batched.components == conflict_components(workload)
 
     @invariant()
     def allocations_bit_identical(self):

@@ -1,24 +1,25 @@
-"""Property tests: the default per-component analysis equals one-unit analysis.
+"""Property tests: per-component analysis equals whole-workload analysis.
 
-The acceptance contract of component sharding (``repro.core.sharding``):
-every public entry point analyzes per conflict component by default, and
-on any (workload, allocation) pair it must return the *same* verdict,
-the *same* witness ``SplitScheduleSpec``, the *same*
-``enumerate_counterexamples`` spec sequence (order included) and the
-*same* optimal allocation as a run through a context whose plan has the
-whole workload as its one part (``one_unit``), which analyzes the
-workload as one unit.  Algorithm 2 must also issue the same robustness
-checks on both paths.  The reference engines of
-:mod:`repro.core.reference` take no plan; the kernel suite checks the
-production path against them.  Identity is at the *spec*
-level: ``MVSchedule`` objects compare by identity, and two independent
-materializations of the same spec are distinct objects even
-one-unit-vs-one-unit (matching the kernel-equivalence suite's contract).
+Every chain of Definition 3.1 links conflicting transactions, so
+verdicts, witnesses and optima decompose exactly over the conflict
+components.  The library analyzes a workload as one unit, with each
+kernel row confined to its ``T_1``'s component
+(``ConflictIndex.component``); the incremental ``AllocationManager``
+analyzes per component, carrying one context per component across
+mutations.  On any (workload, allocation) pair the per-component path
+must return the *same* verdict, the *same* witness ``SplitScheduleSpec``,
+the *same* ``enumerate_counterexamples`` spec sequence (order included)
+and the *same* optimal allocation as the whole-workload path, and
+Algorithm 2 must issue the same probes.  The per-component side is the
+manager (its ``check`` and its optimum) or one context per component's
+sub-workload, composed in smallest-tid order.  Identity is at the
+*spec* level: ``MVSchedule`` objects compare by identity.
 
-Extremes are covered explicitly: a single-component workload (the shard
-pipeline degenerates to exactly one monolithic run) and an all-singleton
-workload (every transaction its own shard).
+Extremes are covered explicitly: a single-component workload and an
+all-singleton workload (every transaction its own component).
 """
+
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,13 +27,14 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
-from strategies import one_unit
 from repro.core.allocation import (
     is_robustly_allocatable,
     optimal_allocation,
+    refine_allocation,
     upgrade_to_robust,
 )
-from repro.core.context import AnalysisContext
+from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.incremental import AllocationManager
 from repro.core.isolation import (
     Allocation,
     IsolationLevel,
@@ -43,6 +45,7 @@ from repro.core.robustness import (
     check_robustness,
     check_robustness_delta,
     enumerate_counterexamples,
+    is_robust,
 )
 from repro.core.sharding import conflict_components
 from repro.core.split_schedule import is_valid_split_schedule
@@ -56,6 +59,7 @@ from repro.workloads.paper_examples import (
 from repro.workloads.smallbank import smallbank_one_of_each
 from repro.workloads.tpcc import tpcc_one_of_each
 
+
 @st.composite
 def workload_and_allocation(draw):
     wl = draw(sts.workloads(min_transactions=1, max_transactions=4))
@@ -65,33 +69,61 @@ def workload_and_allocation(draw):
     return wl, Allocation(levels)
 
 
+def manager_of(wl):
+    """A manager fed ``wl`` in one batch."""
+    manager = AllocationManager()
+    manager.apply_batch([("add", txn) for txn in wl])
+    return manager
+
+
+def parts(wl):
+    """The sub-workload of each conflict component, smallest tid first."""
+    return [wl.restricted_to(members) for members in conflict_components(wl)]
+
+
+def composed(wl, run):
+    """``run(part)`` per component, composed; ``None`` when a part's is."""
+    levels = {}
+    for part in parts(wl):
+        result = run(part)
+        if result is None:
+            return None
+        levels.update((tid, result[tid]) for tid in part.tids)
+    return Allocation(levels)
+
+
 def assert_check_matches(wl, alloc):
-    mono = check_robustness(wl, alloc, context=one_unit(wl))
-    sharded = check_robustness(wl, alloc)
-    assert mono.robust == sharded.robust
-    if not mono.robust:
-        assert mono.counterexample.spec == sharded.counterexample.spec
+    whole = check_robustness(wl, alloc)
+    sharded = manager_of(wl).check(alloc)
+    assert whole.robust == sharded.robust
+    if not whole.robust:
+        assert whole.counterexample.spec == sharded.counterexample.spec
         assert is_valid_split_schedule(sharded.counterexample.spec, wl, alloc)
 
 
 def assert_enumeration_matches(wl, alloc):
-    mono = [
-        ce.spec
-        for ce in enumerate_counterexamples(
-            wl, alloc, materialize_schedules=False, context=one_unit(wl)
-        )
-    ]
-    sharded = [
+    whole = [
         ce.spec
         for ce in enumerate_counterexamples(wl, alloc, materialize_schedules=False)
     ]
-    assert mono == sharded
+    sharded = sorted(
+        (
+            ce.spec
+            for part in parts(wl)
+            for ce in enumerate_counterexamples(
+                part, alloc, materialize_schedules=False
+            )
+        ),
+        key=lambda spec: spec.split_tid,  # stable: each T_1's order kept
+    )
+    assert whole == sharded
 
 
 def assert_allocation_matches(wl, levels):
-    mono = optimal_allocation(wl, levels, context=one_unit(wl))
-    sharded = optimal_allocation(wl, levels)
-    assert mono == sharded
+    whole = optimal_allocation(wl, levels)
+    assert whole == composed(wl, lambda part: optimal_allocation(part, levels))
+    if max(levels) is IsolationLevel.SSI:  # the manager needs SSI in the class
+        assert whole == manager_of(wl).allocation
 
 
 @given(workload_and_allocation())
@@ -122,38 +154,46 @@ def test_sharded_optimal_allocation_matches_monolithic(wl):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_upgrade_and_allocatability_match_monolithic(pair):
     wl, alloc = pair
-    assert upgrade_to_robust(wl, alloc) == upgrade_to_robust(
-        wl, alloc, context=one_unit(wl)
+    assert upgrade_to_robust(wl, alloc) == composed(
+        wl, lambda part: upgrade_to_robust(part, alloc)
     )
-    assert is_robustly_allocatable(wl) == is_robustly_allocatable(
-        wl, context=one_unit(wl)
+    assert is_robustly_allocatable(wl) == all(
+        is_robustly_allocatable(part) for part in parts(wl)
     )
 
 
 def assert_counters_match(wl, levels):
-    """Same optimum and same ``checks`` on both paths.
+    """Same optimum and same probes, whole or per component.
 
-    Every refinement probe counts one check.  The sharded refinement
-    issues exactly the one-unit run's probes, each component's in the
-    same relative order.  ``index_builds`` legitimately differs — one
-    conflict index per analyzed component against exactly one for the
-    one-unit run — and is pinned separately below.
+    Every refinement probe counts one check, and the whole-workload
+    refinement issues exactly the per-component runs' probes.  For
+    {RC, SI}, the whole run's one start check (Proposition 5.4) stands
+    for the per-component runs' one each.  The manager adds one start
+    check per component it admits, and builds one conflict index per
+    component against the whole run's one.
     """
-    unit = one_unit(wl)
-    expected = optimal_allocation(wl, levels, context=unit)
+    whole = AnalysisContext(wl)
     tracer = Tracer()
     with use_tracer(tracer):
-        default = optimal_allocation(wl, levels)
-    sharded = AnalysisContext(wl)
-    assert default == expected
-    assert optimal_allocation(wl, levels, context=sharded) == expected
-    assert sharded.stats.checks == unit.stats.checks
-    counters = tracer.registry.counters
-    assert counters.get("robustness.checks", 0) == unit.stats.checks
-    assert unit.stats.index_builds == 1
-    assert sharded.stats.index_builds <= len(sharded.plan)
-    if expected is not None:  # every component was refined
-        assert sharded.stats.index_builds == len(sharded.plan)
+        expected = optimal_allocation(wl, levels, context=whole)
+    assert tracer.registry.counters.get("robustness.checks", 0) == whole.stats.checks
+    assert whole.stats.index_builds == 1
+    if expected is None:  # {RC, SI} and not allocatable: the start check only
+        assert whole.stats.checks == 1
+        return
+    contexts = [AnalysisContext(part) for part in parts(wl)]
+    probes = 0
+    for part, context in zip(parts(wl), contexts):
+        result = optimal_allocation(part, levels, context=context)
+        assert all(result[tid] == expected[tid] for tid in part.tids)
+        probes += context.stats.checks
+    if max(levels) is IsolationLevel.SSI:
+        assert whole.stats.checks == probes
+        stats = manager_of(wl).last_stats
+        assert stats.checks == whole.stats.checks + len(contexts)
+        assert stats.index_builds == len(contexts)
+    else:
+        assert whole.stats.checks == probes - len(contexts) + 1
 
 
 @given(sts.workloads(min_transactions=1, max_transactions=5))
@@ -173,18 +213,10 @@ def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
     assert_counters_match(wl, ORACLE_LEVELS)
 
 
-#: The ``ContextStats`` fields counted per analyzed component: a sharded
-#: run builds a conflict index per component, and with it a kernel, rows
-#: and pair tables whose counts depend on how the workload was split.  Every other field counts the same work on both paths.
-PER_COMPONENT_FIELDS = frozenset(
-    {
-        "index_builds",
-        "kernel_builds",
-        "kernel_row_builds",
-        "pair_builds",
-        "pair_hits",
-    }
-)
+#: The ``ContextStats`` fields counted per context: the per-component
+#: runs build a conflict index and a kernel each.  Every other field
+#: counts the same work on both paths.
+PER_COMPONENT_FIELDS = frozenset({"index_builds", "kernel_builds"})
 
 
 @st.composite
@@ -208,44 +240,58 @@ def clustered_workloads(draw):
 def test_sharded_stats_match_one_unit_outside_per_component_fields(wl):
     """Every ``ContextStats`` field but the per-component ones agrees.
 
-    Sharded and one-unit Algorithm 2 runs do the same work by design, so
-    ``checks``, ``kernel_row_hits`` and the ``plan_*`` fields must be
-    equal, for both level classes.
+    A refinement of the whole workload and the refinements of its
+    components do the same work — the same probes, and the same kernel
+    rows built and hit, since each row stays inside its ``T_1``'s
+    component — for both level classes, refining from the top level.
     """
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
-        unit, sharded = one_unit(wl), AnalysisContext(wl)
-        expected = optimal_allocation(wl, levels, context=unit)
-        assert optimal_allocation(wl, levels, context=sharded) == expected
-        left, right = sharded.stats.as_dict(), unit.stats.as_dict()
-        differing = {name for name in left if left[name] != right[name]}
+        top = max(levels)
+        start = Allocation.uniform(wl, top)
+        if not is_robust(wl, start):
+            continue  # {RC, SI} without a robust allocation: nothing to refine
+        whole = AnalysisContext(wl)
+        expected = refine_allocation(wl, start, levels, context=whole)
+        summed = Counter()
+        for part in parts(wl):
+            context = AnalysisContext(part)
+            result = refine_allocation(
+                part, Allocation.uniform(part, top), levels, context=context
+            )
+            assert all(result[tid] == expected[tid] for tid in part.tids)
+            summed.update(context.stats.as_dict())
+        left = whole.stats.as_dict()
+        differing = {name for name in left if left[name] != summed[name]}
         assert differing <= PER_COMPONENT_FIELDS, (levels, differing)
 
 
 def assert_delta_checks_match(wl):
-    """Every one-step candidate: sharded delta check ≡ one-unit delta check.
+    """Every one-step candidate: the delta check on the lowered
+    transaction's component ≡ the delta check on the whole workload.
 
     The candidates lower one transaction of a robust allocation (all-SSI
-    and the optimum).  The default context, built fresh or passed in,
-    scans only the lowered transaction's component and must return the
-    one-unit verdict and spec.
+    and the optimum).  The component's context, built fresh or passed
+    in, must return the whole-workload verdict and spec.
     """
+    component_of = {
+        tid: members for members in conflict_components(wl) for tid in members
+    }
     for base in (Allocation.ssi(wl), optimal_allocation(wl)):
         for tid in wl.tids:
+            part = wl.restricted_to(component_of[tid])
             for level in IsolationLevel:
                 if level >= base[tid]:
                     continue
                 candidate = base.with_level(tid, level)
-                unit = check_robustness_delta(
-                    wl, candidate, tid, context=one_unit(wl)
-                )
-                for context in (None, AnalysisContext(wl)):
+                whole = check_robustness_delta(wl, candidate, tid)
+                for context in (None, AnalysisContext(part)):
                     sharded = check_robustness_delta(
-                        wl, candidate, tid, context=context
+                        part, candidate, tid, context=context
                     )
-                    assert sharded.robust == unit.robust
-                    if not unit.robust:
+                    assert sharded.robust == whole.robust
+                    if not whole.robust:
                         spec = sharded.counterexample.spec
-                        assert spec == unit.counterexample.spec
+                        assert spec == whole.counterexample.spec
                         assert is_valid_split_schedule(spec, wl, candidate)
 
 
@@ -262,6 +308,23 @@ def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
     )
     assert len(conflict_components(wl)) >= 4
     assert_delta_checks_match(wl)
+
+
+@given(sts.sparse_tid_workloads())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_index_component_matches_conflict_components(wl):
+    """The index's flood fill finds the union-find's components.
+
+    ``ConflictIndex.component`` (a flood fill over neighbour masks) and
+    ``conflict_components`` (a union-find over objects) share no code;
+    non-contiguous tids keep bit numbers and tids apart.
+    """
+    index = ConflictIndex(wl)
+    for members in conflict_components(wl):
+        mask = 0
+        for tid in members:
+            mask |= 1 << index.bit[tid]
+        assert [index.component(tid) for tid in members] == [mask] * len(members)
 
 
 @pytest.mark.parametrize(
@@ -286,20 +349,22 @@ def test_paper_examples_sharded_equivalence(make):
 
 
 def test_single_component_workload_degenerates_cleanly():
-    """One conflict component: the core runs on the caller's workload."""
+    """One conflict component: one context, whole or in the manager."""
     wl = figure2_workload()
     assert len(conflict_components(wl)) == 1
     for level in IsolationLevel:
         assert_check_matches(wl, Allocation.uniform(wl, level))
     assert_allocation_matches(wl, POSTGRES_LEVELS)
+    manager = manager_of(wl)
+    assert manager.components == (wl.tids,)
+    assert manager.last_stats.index_builds == 1
     ctx = AnalysisContext(wl)
-    assert ctx._part_workload(0) is wl  # no restricted copy
     optimal_allocation(wl, context=ctx)
     assert ctx.stats.index_builds == 1
 
 
 def test_all_singleton_workload():
-    """Every transaction its own shard: trivially robust everywhere."""
+    """Every transaction its own component: trivially robust everywhere."""
     from repro.core.workload import workload as make_workload
 
     wl = make_workload("R1[a] W1[b]", "R2[c] W2[d]", "R3[e]")
@@ -316,7 +381,7 @@ def test_all_singleton_workload():
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_clustered_sharded_equivalence(seed):
-    """A three-component clustered workload matches the one-unit result."""
+    """A three-component clustered workload matches the whole-workload result."""
     wl = clustered_workload(
         components=3, per_component=4, objects_per_component=5, seed=seed
     )

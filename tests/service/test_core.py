@@ -284,9 +284,7 @@ class TestBatchCoalescing:
             fast.handle({"op": "allocate"})["allocation"]
             == slow.handle({"op": "allocate"})["allocation"]
         )
-        assert fast.manager.context.plan.shards == (
-            slow.manager.context.plan.shards
-        )
+        assert fast.manager.components == slow.manager.components
 
     def test_remove_readd_spends_zero_checks(self):
         """The sustained-churn shape: a coalesced remove + identical
@@ -399,11 +397,81 @@ class TestBatchCoalescing:
                 ],
             }
         )
-        gauges = core.handle({"op": "metrics"})["gauges"]
+        core.handle({"op": "remove", "tid": 2})  # a leaf: no recheck
+        metrics = core.handle({"op": "metrics"})
+        gauges, counters = metrics["gauges"], metrics["counters"]
         for name in ("plan_builds", "plan_merges", "plan_splits", "plan_reuse"):
-            assert name in gauges
-        assert gauges["plan_merges"] >= 0.0
+            assert name not in gauges  # one name each: the counter
+        assert counters["context.plan_reuse"] == 1
         assert gauges["shards"] == 1.0
+
+    def test_restored_plan_work_is_counted_once(self, tmp_path):
+        """A singleton removal, a snapshot and a restore: the restore's
+        plan build joins the removal's reuse in the counters."""
+        core = _core()
+        _add(core, "R[x] W[y]", 1)
+        _add(core, "R[q] W[q]", 2)
+        core.handle({"op": "remove", "tid": 2})
+        path = str(tmp_path / "plan.json")
+        core.handle({"op": "snapshot", "path": path})
+        assert core.handle({"op": "restore", "path": path})["ok"]
+        counters = core.handle({"op": "metrics"})["counters"]
+        assert counters["context.plan_reuse"] == 1
+        assert counters["context.plan_builds"] == 1
+        resumed = _core(snapshot_path=path)  # a start-up restore counts too
+        assert resumed.registry.counters["context.plan_builds"] == 1
+
+
+class TestReadChecks:
+    """A check run outside a mutation counts once in ``context.checks``
+    and the ``checks`` rate series; ``last_stats`` stays the last
+    mutation's."""
+
+    def test_check_requests_leave_last_stats_alone(self):
+        core = _core()
+        texts = ("R[x] W[y]", "R[y] W[x]", "R[a] W[b]", "R[b] W[a]")
+        commands = [
+            {"op": "add", "transaction": text, "tid": tid}
+            for tid, text in enumerate(texts, 1)
+        ]
+        assert core.handle({"op": "batch", "commands": commands})["ok"]
+        mutation = core.manager.last_stats.as_dict()
+        before = core.registry.counters["context.checks"]
+        assert before == mutation["checks"]
+        for _ in range(3):
+            assert core.handle({"op": "check", "uniform": "SI"})["robust"] is False
+        assert core.manager.last_stats.as_dict() == mutation
+        stats = core.handle({"op": "stats"})
+        assert stats["last_stats"] == mutation
+        assert stats["last_check_count"] == mutation["checks"]
+        counters = core.handle({"op": "metrics"})["counters"]
+        assert counters["context.checks"] == before + 3
+        assert core.series["checks"].total_value == before + 3
+
+    def test_verified_restore_and_check_count_in_metrics(self, tmp_path):
+        source = _core()
+        _add(source, "R[x] W[y]", 1)
+        _add(source, "R[y] W[x]", 2)
+        path = str(tmp_path / "skew.json")
+        source.handle({"op": "snapshot", "path": path})
+        core = _core()
+        assert core.handle({"op": "restore", "path": path, "verify": True})["ok"]
+        assert core.handle({"op": "check", "uniform": "SSI"})["robust"] is True
+        stats = core.handle({"op": "stats"})
+        assert stats["last_check_count"] == stats["last_stats"]["checks"] == 0
+        assert core.registry.counters["context.checks"] == 2
+        assert core.series["checks"].total_value == 2
+
+    def test_admission_witness_check_counts_once(self):
+        core = _core(admission=AdmissionPolicy(max_promotions=0))
+        first = _add(core, "R[x] W[y]", 1)["checks"]
+        response = _add(core, "R[y] W[x]", 2)
+        assert response["admitted"] is False and response["witness"]
+        spent = response["checks"]  # the refused add's own checks
+        rollback = core.manager.last_stats.checks
+        witnessed = first + spent + 1
+        assert core.registry.counters["context.checks"] == witnessed + rollback
+        assert core.series["checks"].total_value == witnessed
 
 
 class TestAdmissionControl:

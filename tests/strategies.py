@@ -1,8 +1,4 @@
-"""Hypothesis strategies for workloads, allocations and schedules.
-
-Also :func:`one_unit`, the one-unit analysis context the equivalence
-suites compare the default per-component analysis against.
-"""
+"""Hypothesis strategies for workloads, allocations and schedules."""
 
 from __future__ import annotations
 
@@ -10,21 +6,12 @@ from typing import List, Tuple
 
 from hypothesis import strategies as st
 
-from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.operations import Operation, read, write
-from repro.core.sharding import ShardPlan
 from repro.core.transactions import Transaction
 from repro.core.workload import Workload
 
 OBJECTS = ("x", "y", "z", "u", "v")
-
-
-def one_unit(workload: Workload) -> AnalysisContext:
-    """A context analyzing ``workload`` as one unit: a one-part plan."""
-    return AnalysisContext(
-        workload, plan=ShardPlan.from_components((workload.tids,))
-    )
 
 
 @st.composite
@@ -70,6 +57,15 @@ def workloads(
             for tid in range(1, count + 1)
         ]
     )
+
+
+@st.composite
+def sparse_tid_workloads(draw, max_transactions: int = 40) -> Workload:
+    """Up to ``max_transactions`` transactions with non-contiguous tids below 5,000."""
+    tids = sorted(
+        draw(st.sets(st.integers(1, 5000), min_size=1, max_size=max_transactions))
+    )
+    return Workload(draw(transactions(tid, max_accesses=4)) for tid in tids)
 
 
 @st.composite

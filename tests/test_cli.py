@@ -773,3 +773,15 @@ class TestClosedStdout:
         proc = self._spawn_with_closed_stdout("trace", "report", trace_path)
         assert proc.returncode == 141, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_service_top(self):
+        """A closed stdout is not an unreachable daemon."""
+        from repro.service import ServiceConfig, ServiceServer
+
+        with ServiceServer(ServiceConfig(port=0)) as server:
+            proc = self._spawn_with_closed_stdout(
+                "service", "top", "--port", str(server.port),
+                "--iterations", "1", "--no-clear",
+            )
+        assert proc.returncode == 141, proc.stderr
+        assert proc.stderr == ""
