@@ -4,9 +4,6 @@ Drives a transport-free :class:`repro.service.ServiceCore` (the daemon
 minus sockets, so the numbers measure allocation maintenance and the
 command layer, not TCP) through add/remove churn scripts and measures:
 
-* ``plan_maintenance`` — per-mutation dynamic shard-plan upkeep
-  (:class:`repro.core.sharding.DynamicShardPlan` remove/add cycles),
-  which must stay flat/sub-linear while ``|T|`` grows;
 * warm vs cold restart — resuming from a snapshot against replaying the
   whole history, the number the SERVE section of EXPERIMENTS.md quotes;
 * a SERVE table of checks per mutation at each size (the per-shard
@@ -21,8 +18,6 @@ import time
 import pytest
 
 from conftest import print_table
-from repro.core.sharding import DynamicShardPlan
-from repro.core.workload import Workload
 from repro.service import ServiceConfig, ServiceCore
 from repro.service.snapshot import read_snapshot, write_snapshot
 from repro.workloads.generator import clustered_workload
@@ -32,12 +27,6 @@ SIZES = (8, 16, 32, 64)
 
 #: Mutations per churn run: remove+re-add pairs.
 MUTATIONS = 40
-
-#: Workload sizes of the plan-maintenance series (transactions).
-PLAN_SIZES = (16, 32, 64, 128)
-
-#: Plan mutations (remove + re-add pairs) per plan-maintenance round.
-PLAN_MUTATIONS = 32
 
 
 def _script(size: int):
@@ -77,36 +66,6 @@ def _churn(core: ServiceCore, base, mutations: int) -> int:
             assert response["ok"] and response.get("admitted", True), response
             checks += response["checks"]
     return checks
-
-
-@pytest.mark.parametrize("size", PLAN_SIZES)
-def test_plan_maintenance(benchmark, size):
-    """Per-mutation shard-plan upkeep is flat/sub-linear in ``|T|``.
-
-    Cycles remove + re-add through a :class:`DynamicShardPlan` (with a
-    canonical-view refresh per mutation, exactly what the manager reads
-    per mutation) — the row's per-mutation time must not grow with the
-    workload size, unlike a fresh ``conflict_components(workload)`` per
-    mutation whose union-find is O(total ops).
-    """
-    base = _script(size)
-    workload = Workload(base)
-
-    def build_plan():
-        return (DynamicShardPlan(workload),), {}
-
-    def cycle(plan):
-        for k in range(PLAN_MUTATIONS):
-            victim = base[k % len(base)]
-            plan.remove(victim.tid)
-            plan.shards
-            plan.add(victim)
-            plan.shards
-        return len(plan)
-
-    benchmark.pedantic(cycle, setup=build_plan, rounds=5, iterations=1)
-    benchmark.extra_info["transactions"] = size
-    benchmark.extra_info["mutations"] = 2 * PLAN_MUTATIONS
 
 
 def test_warm_vs_cold_restart(benchmark, tmp_path, capsys):

@@ -150,27 +150,15 @@ class ContextStats:
     Attributes:
         checks: robustness checks executed through the context — every
             Algorithm 2 probe is one, so this is the probe count.
-        index_builds: conflict indexes built (at most one per context;
-            in the incremental manager, one per re-analyzed component).
+        index_builds: conflict indexes built (at most one per context,
+            on first use; in the incremental manager, at most one per
+            re-analyzed component).
         pair_builds: conflicting-operation tables built (per ordered
             pair of transactions; read by witness-chain assembly).
         pair_hits: those tables served from the cache.
         kernel_builds: bitset kernels built (at most one per context).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
-        plan_builds: shard plans built from scratch (full union-find over
-            the whole workload); the dynamic plan keeps this at zero
-            after the initial build.
-        plan_merges: component merges performed by
-            :meth:`~repro.core.sharding.DynamicShardPlan.add` (``k``
-            previously separate components fused count ``k - 1``).
-        plan_splits: components split off by
-            :meth:`~repro.core.sharding.DynamicShardPlan.remove` after a
-            localized connectivity recheck (``k`` pieces count ``k - 1``).
-        plan_reuse: removals that skipped the connectivity recheck
-            entirely — a departing singleton, or a transaction with at
-            most one conflict neighbour (a leaf cannot disconnect the
-            rest).
     """
 
     checks: int = 0
@@ -180,10 +168,6 @@ class ContextStats:
     kernel_builds: int = 0
     kernel_row_builds: int = 0
     kernel_row_hits: int = 0
-    plan_builds: int = 0
-    plan_merges: int = 0
-    plan_splits: int = 0
-    plan_reuse: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (for reports and benchmarks)."""
@@ -195,10 +179,6 @@ class ContextStats:
             "kernel_builds": self.kernel_builds,
             "kernel_row_builds": self.kernel_row_builds,
             "kernel_row_hits": self.kernel_row_hits,
-            "plan_builds": self.plan_builds,
-            "plan_merges": self.plan_merges,
-            "plan_splits": self.plan_splits,
-            "plan_reuse": self.plan_reuse,
         }
 
 

@@ -27,12 +27,14 @@ that touch the mutated transaction.  :class:`AllocationManager` is the
 one place that analyzes *per component*: it keeps one
 :class:`~repro.core.context.AnalysisContext` per conflict component,
 carries the untouched components' contexts (conflict indexes, kernel
-rows) across mutations verbatim, and re-analyzes only the merged or
-split components, so the analysis of a mutation tracks the affected
-components, not ``|T|``.  The partition itself is maintained
-incrementally by a :class:`~repro.core.sharding.DynamicShardPlan` (no
-per-mutation union-find over the whole workload), and every mutation —
-a single add or remove is a batch of one — goes through
+rows) across mutations verbatim, and re-analyzes only the components a
+mutation touched, so the analysis of a mutation tracks the affected
+components, not ``|T|``.  The manager keeps one
+:class:`~repro.core.sharding.AccessIndex` (who reads and who writes
+each object) and re-derives a touched component by a flood fill from
+its newcomers and the survivors of its removals; a component no such
+seed reaches is never visited.  Every mutation — a single add or
+remove is a batch of one — goes through
 :meth:`AllocationManager.apply_batch`, which coalesces a batch into
 **one** floors-aware re-analysis per touched component.  A re-analyzed
 component gets a fresh context: nothing a probe reads survives from a
@@ -43,9 +45,8 @@ carried contexts, so a check of a warm manager builds nothing.
 Some bookkeeping of a mutation is still ``O(|T|)``: the manager builds a
 whole :class:`~repro.core.workload.Workload`, a whole
 :class:`~repro.core.isolation.Allocation` and an all-transaction level
-dict, and visits every component to carry its context over.  Reads
-build nothing: :attr:`AllocationManager.workload` is the workload the
-last mutation built.
+dict.  Reads build nothing: :attr:`AllocationManager.workload` is the
+workload the last mutation built.
 
 Every mutation binds one fresh :class:`~repro.core.context.ContextStats`
 to the contexts it builds, so :attr:`AllocationManager.last_stats`
@@ -70,7 +71,7 @@ from .robustness import (
     _validate,
     _witness_exists,
 )
-from .sharding import DynamicShardPlan
+from .sharding import AccessIndex
 from .transactions import Transaction
 from .workload import Workload, WorkloadError, parse_workload as _parse_workload_text
 
@@ -104,14 +105,17 @@ class AllocationManager:
                 "AllocationManager requires SSI in the class (an optimum must"
                 " always exist); use optimal_allocation() for {RC, SI}"
             )
-        self._transactions: Dict[int, Transaction] = {}
+        self._index = AccessIndex()
         self._workload = Workload(())
         self._allocation = Allocation({})
+        # One context per conflict component, keyed by its members, and
+        # each live tid's component.
         self._contexts: Dict[Tuple[int, ...], AnalysisContext] = {}
+        self._component_of: Dict[int, Tuple[int, ...]] = {}
+        self._components: Optional[Tuple[Tuple[int, ...], ...]] = ()
         self._context: Optional[AnalysisContext] = None
         self._mutated = False
         self._last_stats = ContextStats()
-        self._plan = DynamicShardPlan(stats=self._last_stats)
 
     # ------------------------------------------------------------------
     @property
@@ -129,9 +133,12 @@ class AllocationManager:
         """The conflict components of the current workload.
 
         Ordered by smallest transaction id, members ascending — the
-        order of :func:`~repro.core.sharding.conflict_components`.
+        order of :func:`~repro.core.sharding.conflict_components`;
+        cached until the next mutation.
         """
-        return self._plan.shards
+        if self._components is None:
+            self._components = tuple(sorted(self._contexts))
+        return self._components
 
     @property
     def context(self) -> Optional[AnalysisContext]:
@@ -163,56 +170,38 @@ class AllocationManager:
 
         Counted only on the contexts the mutation built — untouched
         components carry their old contexts and contribute nothing, so
-        ``index_builds`` counts the components the mutation re-analyzed.
+        ``index_builds`` counts the re-analyzed components that ran a
+        probe (one left at the bottom level, with no newcomer, probes
+        nothing and builds no index).
         A copy taken when the mutation ends: later :meth:`check` calls
         leave it alone.
         """
         return self._last_stats
 
     # ------------------------------------------------------------------
-    def _carry_contexts(
-        self, stats: ContextStats, dirty: Set[int]
-    ) -> Tuple[
-        Dict[Tuple[int, ...], AnalysisContext],
-        List[Tuple[Tuple[int, ...], AnalysisContext]],
-    ]:
-        """One context per component of the maintained plan.
+    def _install(self, members: Tuple[int, ...], context: AnalysisContext) -> None:
+        """Make ``context`` the context of the component ``members``."""
+        self._contexts[members] = context
+        for tid in members:
+            self._component_of[tid] = members
 
-        ``dirty`` is the set of transaction ids whose component
-        assignment (or content) the mutation may have changed: newly
-        added transactions plus the survivors of every removal-hit
-        component.  A component disjoint from ``dirty`` keeps its
-        context by identity — O(1), no compares, no conflict-index
-        rebuilds — and so does a dirty one whose transactions ended up
-        unchanged (a batch removed and re-added the same transaction),
-        which keeps its optimum.  Every other component gets a fresh
-        context over its own transactions, counted on ``stats``, and
-        comes back in ``fresh`` too.
-        """
-        transactions = self._transactions
-        contexts: Dict[Tuple[int, ...], AnalysisContext] = {}
-        fresh: List[Tuple[Tuple[int, ...], AnalysisContext]] = []
-        for members in self._plan.shards:
-            context = self._contexts.get(members)
-            if context is None or not dirty.isdisjoint(members):
-                part = Workload(transactions[tid] for tid in members)
-                if context is None or context.workload != part:
-                    context = AnalysisContext(part, stats)
-                    fresh.append((members, context))
-            contexts[members] = context
-        return contexts, fresh
+    def _retire(
+        self,
+        members: Tuple[int, ...],
+        retired: Dict[Tuple[int, ...], AnalysisContext],
+    ) -> None:
+        """Move the component ``members``'s context into ``retired``."""
+        context = self._contexts.pop(members, None)
+        if context is not None:
+            retired[members] = context
 
     def _finish(
-        self,
-        workload: Workload,
-        allocation: Allocation,
-        contexts: Dict[Tuple[int, ...], AnalysisContext],
-        stats: ContextStats,
+        self, workload: Workload, allocation: Allocation, stats: ContextStats
     ) -> None:
-        """Commit a mutation's workload, allocation, contexts and stats."""
+        """Commit a mutation's workload, allocation and stats."""
         self._workload = workload
         self._allocation = allocation
-        self._contexts = contexts
+        self._components = None
         self._context = None
         self._mutated = True
         self._last_stats = replace(stats)
@@ -245,21 +234,28 @@ class AllocationManager:
         are batches of one.  The whole batch is validated first (a
         duplicate add or a remove of an absent tid raises
         :class:`~repro.core.workload.WorkloadError` *before* any state
-        changes), then every plan update is applied — the plan merges
-        only the components a newcomer's objects reach and re-checks
-        connectivity only over a departed component's survivors — and
-        finally each touched component is re-analyzed **once** against
-        the coalesced membership.  Untouched components keep their
-        sub-workloads, contexts and levels.
+        changes), then every add and remove is applied to the access
+        index.  Removing a tid that was present before the batch retires
+        its old component.  The components holding a newcomer, or a
+        survivor of a retired component, are flood-filled once each, in
+        ascending order of their smallest such tid, and every old
+        component a flood fill reaches is retired too.  A new component
+        with the members and transactions of a retired one keeps that
+        context and its levels (a batch removed and re-added the same
+        transaction); every other one gets a fresh context and is
+        re-analyzed **once** against the coalesced membership.
+        Components no flood fill reaches are never visited: they keep
+        their contexts and levels.
 
-        A touched component starts from its old levels with its
+        A re-analyzed component starts from its old levels with its
         newcomers at the top level — robust by removal monotonicity
         when it gained nobody, otherwise checked, falling back to
-        uniform top.  When none of its prior members departed, the old
-        optimum floors the refinement (pointwise monotonicity), so a
+        uniform top.  Unless it holds a survivor of a retired
+        component, every old component inside it is whole, so the old
+        optimum floors the refinement (pointwise monotonicity) and a
         component whose old levels still suffice probes only its
         newcomers; removals may free capacity below the old optimum,
-        so a removal-hit component refines without floors.
+        so a component holding a survivor refines without floors.
 
         Because the optimum is unique (Proposition 4.2) the resulting
         allocation is bit-identical to applying the same mutations one
@@ -268,7 +264,7 @@ class AllocationManager:
         Returns the new optimal allocation.
         """
         ops: List[BatchMutation] = []
-        present = set(self._transactions)
+        present = set(self._index.transactions)
         for entry in mutations:
             kind, value = entry
             if kind == "add":
@@ -291,53 +287,65 @@ class AllocationManager:
         if not ops:
             return self._allocation
         stats = ContextStats()
-        self._plan.stats = stats
         adds = sum(1 for kind, _ in ops if kind == "add")
         with current_tracer().span(
             "incremental.batch", adds=adds, removes=len(ops) - adds
         ) as batch_span:
-            dirty: Set[int] = set()
+            index = self._index
             newcomers: Set[int] = set()
-            removal_hit: Set[int] = set()
+            retired: Dict[Tuple[int, ...], AnalysisContext] = {}
             for kind, value in ops:
                 if kind == "add":
                     txn = value  # type: ignore[assignment]
-                    self._transactions[txn.tid] = txn
-                    self._plan.add(txn)
-                    dirty.add(txn.tid)
+                    index.add(txn)
                     newcomers.add(txn.tid)
-                else:
-                    tid = value  # type: ignore[assignment]
-                    del self._transactions[tid]
-                    survivors = self._plan.remove(tid)
-                    dirty.update(survivors)
-                    removal_hit.update(survivors)
-                    dirty.discard(tid)
+                    continue
+                tid = value  # type: ignore[assignment]
+                index.remove(tid)
+                if tid in newcomers:
                     newcomers.discard(tid)
-            workload = Workload(self._transactions.values())
-            contexts, fresh = self._carry_contexts(stats, dirty)
+                else:
+                    self._retire(self._component_of.pop(tid), retired)
+            live = index.transactions
+            survivors = {
+                t for members in retired for t in members
+                if t in live and t not in newcomers
+            }
+            workload = Workload(live.values())
             old = self._allocation
             bottom, top = self._levels[0], self._levels[-1]
             levels = {t: old[t] for t in workload.tids if t in old}
-            for members, context in fresh:
-                start = Allocation(
-                    {t: top if t in newcomers else old[t] for t in members}
-                )
-                floors = None
-                if removal_hit.isdisjoint(members):
-                    floors = {
-                        t: bottom if t in newcomers else old[t] for t in members
-                    }
-                if not newcomers.isdisjoint(members) and _witness_exists(
-                    context, start
-                ):
-                    start = Allocation.uniform(context.workload, top)
-                levels.update(
-                    _refine(context, start, self._levels, floors).items()
-                )
-            self._finish(workload, Allocation(levels), contexts, stats)
+            touched = 0
+            for members in index.components(newcomers | survivors):
+                for tid in members:
+                    reached = self._component_of.get(tid)
+                    if reached is not None:
+                        self._retire(reached, retired)
+                part = Workload(live[t] for t in members)
+                context = retired.get(members)
+                if context is None or context.workload != part:
+                    context = AnalysisContext(part, stats)
+                    touched += 1
+                    start = Allocation(
+                        {t: top if t in newcomers else old[t] for t in members}
+                    )
+                    floors = None
+                    if survivors.isdisjoint(members):
+                        floors = {
+                            t: bottom if t in newcomers else old[t]
+                            for t in members
+                        }
+                    if not newcomers.isdisjoint(members) and _witness_exists(
+                        context, start
+                    ):
+                        start = Allocation.uniform(part, top)
+                    levels.update(
+                        _refine(context, start, self._levels, floors).items()
+                    )
+                self._install(members, context)
+            self._finish(workload, Allocation(levels), stats)
             batch_span.set(
-                checks=stats.checks, shards=len(contexts), touched=len(fresh)
+                checks=stats.checks, shards=len(self._contexts), touched=touched
             )
         return self._allocation
 
@@ -365,34 +373,25 @@ class AllocationManager:
         }
 
     @classmethod
-    def load_state(
-        cls,
-        state: Dict[str, object],
-        verify: bool = False,
-    ) -> "AllocationManager":
+    def load_state(cls, state: Dict[str, object]) -> "AllocationManager":
         """Rebuild a manager from :meth:`save_state` output.
 
-        The restored manager resumes *warm*: the component plan and the
+        The restored manager resumes *warm*: the access index and the
         per-component contexts are rebuilt for the snapshot's workload,
-        so the next mutation's work — checks executed, plan upkeep — is
-        identical to a manager that never restarted.  Its
-        :attr:`last_stats` hold the restore's own work (the plan build).
-        Three fields written by earlier builds are ignored:
-        ``witnesses`` (cached witness chains), ``method`` (the manager's
-        engine choice) and ``plan`` (the partition, which a restore
-        always rebuilds: checking a persisted one costs the same
-        union-find).
-
-        ``verify=True`` additionally re-checks that the snapshot's
-        allocation is robust for its workload and raises
-        :class:`~repro.core.workload.WorkloadError` when it is not —
-        the corruption-safe restore mode of ``repro serve``.
+        so the next mutation's work — checks executed, indexes built —
+        is identical to a manager that never restarted.  A restore
+        builds no conflict index and runs no check (its contexts build
+        on first use), so its :attr:`last_stats` are zero.  The
+        snapshot's allocation is trusted as the optimum; a caller that
+        does not trust it checks it with :meth:`check`.  Three fields
+        written by earlier builds are ignored: ``witnesses`` (cached
+        witness chains), ``method`` (the manager's engine choice) and
+        ``plan`` (the partition, which a restore always re-derives).
 
         Raises:
             ValueError: on an unsupported state version, a field of the
                 wrong type, or an unknown level or a class without SSI.
-            WorkloadError: on a malformed workload/allocation pair, or
-                (with ``verify=True``) a non-robust allocation.
+            WorkloadError: on a malformed workload/allocation pair.
         """
         version = state.get("version")
         if type(version) is not int or version != cls.STATE_VERSION:  # not True, not 1.0
@@ -423,16 +422,12 @@ class AllocationManager:
             raise WorkloadError(
                 "state allocation uses levels outside the state's class"
             )
-        manager._transactions = {txn.tid: txn for txn in workload}
+        index = manager._index = AccessIndex(workload)
         stats = ContextStats()
-        manager._plan = DynamicShardPlan(workload, stats=stats)
-        contexts, _fresh = manager._carry_contexts(stats, set(workload.tids))
-        manager._finish(workload, allocation, contexts, stats)
-        if verify and not manager.check(allocation):
-            raise WorkloadError(
-                "state allocation is not robust for the state workload;"
-                " refusing to restore a corrupt snapshot"
-            )
+        for members in index.components(workload.tids):
+            part = Workload(index.transactions[t] for t in members)
+            manager._install(members, AnalysisContext(part, stats))
+        manager._finish(workload, allocation, stats)
         return manager
 
     def check(self, allocation: Allocation) -> RobustnessResult:
@@ -459,7 +454,7 @@ class AllocationManager:
         tracer.count("robustness.checks")
         best = None
         with _check_span(tracer, len(workload), None) as check_span:
-            for members in self._plan.shards:
+            for members in self.components:
                 t1s: Sequence[int] = members
                 if best is not None:
                     cut = best.split_tid

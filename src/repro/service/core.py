@@ -34,7 +34,7 @@ Four service-level behaviours live on top of the manager:
 * **Metrics** — every request is timed into a
   :class:`~repro.observability.MetricsRegistry` (``service.<op>``
   histograms), admission decisions and per-mutation analysis counters
-  (checks, index builds, plan upkeep, ...) are folded into its
+  (checks, index builds, kernel rows, ...) are folded into its
   counters, and the ``metrics`` envelope / HTTP ``/metrics`` endpoint
   export the lot through :meth:`ServiceCore.metrics_snapshot`.  The
   checks a request runs outside a mutation — a ``check``, the
@@ -42,8 +42,8 @@ Four service-level behaviours live on top of the manager:
   ``context.checks`` and the ``checks`` rate series.
 
 All command execution is serialized under one lock: the manager is a
-single-writer structure, and correctness of the warm state (component
-plan, per-component contexts) depends on mutations being ordered.
+single-writer structure, and correctness of the warm state (access
+index, per-component contexts) depends on mutations being ordered.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ class ServiceCore:
         }
         self._slo_breached = False
         self._manager = self._initial_manager(config)
-        self._merge_mutation_stats()  # a resumed manager's restore work
         self._top = max(config.levels)
         self._level_names = [level.name for level in sorted(config.levels)]
         self._handlers: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {
@@ -413,8 +412,7 @@ class ServiceCore:
         Each mutation binds a fresh
         :class:`~repro.core.context.ContextStats`, so the whole dict is
         exactly that mutation's work — cumulative service totals are the
-        sum of these deltas.  A restored manager's stats hold the
-        restore's own work, folded once when it is installed.
+        sum of these deltas.
         """
         for name, value in self._manager.last_stats.as_dict().items():
             if value:
@@ -813,11 +811,17 @@ class ServiceCore:
         if not isinstance(verify, bool):
             raise ProtocolError('"verify" must be true or false')
         with current_tracer().span("service.restore", path=path):
-            manager = _restore_manager(path, verify=verify)
+            manager = _restore_manager(path)
+            if verify:
+                robust = manager.check(manager.allocation).robust
+                self._count_read_check()
+                if not robust:
+                    raise SnapshotError(
+                        f"snapshot {path} cannot be restored: state allocation"
+                        " is not robust for the state workload; refusing to"
+                        " restore a corrupt snapshot"
+                    )
         self._manager = manager
-        self._merge_mutation_stats()  # the restore's own work
-        if verify:
-            self._count_read_check()
         self._queue.clear()
         self._since_snapshot = 0
         self.registry.incr("service.restores")
@@ -907,13 +911,13 @@ class ServiceCore:
         )
 
 
-def _restore_manager(path: str, verify: bool = False) -> AllocationManager:
+def _restore_manager(path: str) -> AllocationManager:
     """The manager saved in the snapshot at ``path``; raises
     :class:`SnapshotError` when the file is missing or corrupt, or when
     :meth:`AllocationManager.load_state` rejects its state."""
     state = read_snapshot(path)
     try:
-        return AllocationManager.load_state(state, verify=verify)
+        return AllocationManager.load_state(state)
     except ValueError as exc:
         raise SnapshotError(f"snapshot {path} cannot be restored: {exc}") from None
 

@@ -51,7 +51,7 @@ METRIC_HELP = {
     "service.errors": "Requests that returned an error envelope",
     "queue_depth": "Transactions parked by queue-mode admission control",
     "transactions": "Transactions currently admitted",
-    "shards": "Conflict-component shards in the active plan",
+    "shards": "Conflict components of the live workload",
     "rate_requests_per_s": "Requests per second over the trailing windows",
     "rate_mutations_per_s": "Mutations per second over the trailing windows",
     "rate_checks_per_s": "Robustness checks per second over the trailing windows",

@@ -220,8 +220,4 @@ class TestStats:
             "kernel_row_hits",
             "pair_builds",
             "pair_hits",
-            "plan_builds",
-            "plan_merges",
-            "plan_reuse",
-            "plan_splits",
         }

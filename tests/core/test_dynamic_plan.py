@@ -1,27 +1,29 @@
-"""Unit coverage of :class:`repro.core.sharding.DynamicShardPlan`.
+"""The component partition :class:`AllocationManager` maintains under churn.
 
-The incremental partition behind ``AllocationManager``: adds merge the
-components the transaction conflicts into, removals re-check
-connectivity only over the departed component, and singleton/leaf
-departures short-circuit with no recheck at all.  The canonical view
+The manager keeps one access index and re-derives, by a flood fill, only
+the components a mutation touched: adds join the components the
+transaction conflicts into, removals split a component only where the
+departed transaction bridged it, and every untouched component keeps
+its analysis context by identity.  :attr:`AllocationManager.components`
 must be *identical* to ``conflict_components(workload)`` after any
 mutation sequence (the randomized version of that contract lives in
-``tests/properties/test_plan_maintenance.py``).
+``tests/properties/test_plan_maintenance.py``), and
+:attr:`AllocationManager.last_stats` counts only the re-analyzed
+components' work.
 """
 
 import random
 
 import pytest
 
-from repro.core.context import ContextStats
 from repro.core.incremental import AllocationManager
-from repro.core.sharding import DynamicShardPlan, conflict_components
+from repro.core.sharding import conflict_components
 from repro.core.transactions import parse_transaction
-from repro.core.workload import Workload, WorkloadError
+from repro.core.workload import WorkloadError
 
 
 def _chain():
-    """T1 -x- T2 -x- T3: T2 bridges, T1 and T3 are leaves."""
+    """T1 -y- T2 -z- T3: T2 bridges, T1 and T3 are leaves."""
     return [
         parse_transaction("R1[a] W1[y]"),
         parse_transaction("R2[y] W2[z]"),
@@ -29,92 +31,112 @@ def _chain():
     ]
 
 
+def _manager(txns):
+    manager = AllocationManager()
+    manager.apply_batch([("add", txn) for txn in txns])
+    return manager
+
+
 class TestAdd:
     def test_isolated_add_is_a_singleton(self):
-        plan = DynamicShardPlan()
-        assert plan.add(parse_transaction("R1[x] W1[y]")) == (1,)
-        assert plan.shards == ((1,),)
+        manager = AllocationManager()
+        manager.add(parse_transaction("R1[x] W1[y]"))
+        assert manager.components == ((1,),)
 
     def test_conflicting_add_merges(self):
-        stats = ContextStats()
-        plan = DynamicShardPlan(stats=stats)
-        plan.add(parse_transaction("R1[x] W1[x]"))
-        plan.add(parse_transaction("R2[a] W2[b]"))
-        # Writes x (T1's object) and b's reader-free object: merges T1 in.
-        merged = plan.add(parse_transaction("R3[x] W3[c]"))
-        assert merged == (1, 3)
-        assert plan.shards == ((1, 3), (2,))
-        assert stats.plan_merges == 0  # single neighbour: no cross-merge
+        manager = _manager(
+            [parse_transaction("R1[x] W1[x]"), parse_transaction("R2[a] W2[b]")]
+        )
+        # Reads and writes x (T1's object): joins T1's component only.
+        manager.add(parse_transaction("R3[x] W3[c]"))
+        assert manager.components == ((1, 3), (2,))
 
     def test_writer_links_prior_readers(self):
         """Readers of an unwritten object sit apart until a writer arrives."""
-        stats = ContextStats()
-        plan = DynamicShardPlan(stats=stats)
-        plan.add(parse_transaction("R1[shared] W1[p]"))
-        plan.add(parse_transaction("R2[shared] W2[q]"))
-        assert plan.shards == ((1,), (2,))
-        plan.add(parse_transaction("W3[shared]"))
-        assert plan.shards == ((1, 2, 3),)
-        assert stats.plan_merges == 1  # two components collapsed into one
+        manager = _manager(
+            [
+                parse_transaction("R1[shared] W1[p]"),
+                parse_transaction("R2[shared] W2[q]"),
+            ]
+        )
+        assert manager.components == ((1,), (2,))
+        manager.add(parse_transaction("W3[shared]"))
+        assert manager.components == ((1, 2, 3),)
 
     def test_duplicate_add_rejected(self):
-        plan = DynamicShardPlan()
-        plan.add(parse_transaction("R1[x] W1[x]"))
+        manager = _manager([parse_transaction("R1[x] W1[x]")])
         with pytest.raises(WorkloadError):
-            plan.add(parse_transaction("R1[y] W1[y]"))
+            manager.add(parse_transaction("R1[y] W1[y]"))
+        assert manager.components == ((1,),)
 
 
 class TestRemove:
     def test_singleton_departure_is_reuse(self):
-        stats = ContextStats()
-        plan = DynamicShardPlan(Workload(_chain()), stats=stats)
-        plan.add(parse_transaction("R9[lonely] W9[lonely]"))
-        before = stats.plan_splits
-        assert plan.remove(9) == ()
-        assert stats.plan_reuse >= 1
-        assert stats.plan_splits == before
-        assert plan.shards == ((1, 2, 3),)
+        """The other components' contexts are reused, by identity."""
+        lonely = parse_transaction("R9[lonely] W9[lonely]")
+        manager = _manager(_chain() + [lonely])
+        chain = manager._contexts[(1, 2, 3)]
+        manager.remove(9)
+        assert manager.components == ((1, 2, 3),)
+        assert manager._contexts[(1, 2, 3)] is chain
 
-    def test_leaf_departure_skips_the_recheck(self):
-        stats = ContextStats()
-        plan = DynamicShardPlan(Workload(_chain()), stats=stats)
-        survivors = plan.remove(3)  # T3 conflicts only with T2
-        assert survivors == (1, 2)
-        assert stats.plan_reuse == 1
-        assert stats.plan_splits == 0
-        assert plan.shards == ((1, 2),)
+    def test_leaf_departure_keeps_the_rest_together(self):
+        manager = _manager(_chain())
+        manager.remove(3)  # T3 conflicts only with T2
+        assert manager.components == ((1, 2),)
 
     def test_bridge_departure_splits(self):
-        stats = ContextStats()
-        plan = DynamicShardPlan(Workload(_chain()), stats=stats)
-        survivors = plan.remove(2)
-        assert survivors == (1, 3)
-        assert stats.plan_splits == 1
-        assert plan.shards == ((1,), (3,))
+        """The pieces come out ordered by their smallest tid."""
+        manager = _manager(_chain() + [parse_transaction("W4[a]")])  # T4 - T1
+        assert manager.components == ((1, 2, 3, 4),)
+        manager.remove(2)
+        assert manager.components == ((1, 4), (3,))
+        assert manager._contexts[(1, 4)].workload.tids == (1, 4)
 
     def test_connected_survivors_stay_together(self):
         txns = _chain() + [parse_transaction("R4[y] W4[z]")]  # T4 || T2
-        plan = DynamicShardPlan(Workload(txns))
+        manager = _manager(txns)
         # T2 had several neighbours, but T4 keeps the rest connected.
-        assert plan.remove(2) == (1, 3, 4)
-        assert plan.shards == ((1, 3, 4),)
+        manager.remove(2)
+        assert manager.components == ((1, 3, 4),)
 
     def test_unknown_tid_rejected(self):
+        manager = _manager(_chain())
         with pytest.raises(WorkloadError):
-            DynamicShardPlan(Workload(_chain())).remove(404)
+            manager.remove(404)
+        assert manager.components == ((1, 2, 3),)
+
+
+class TestBatch:
+    def test_newcomer_added_and_removed_touches_nothing(self):
+        """A batch that adds a bridge and removes it again leaves every
+        component's context by identity and spends no check."""
+        manager = _manager(
+            [
+                parse_transaction("R1[x] W1[y]"),
+                parse_transaction("R2[y] W2[x]"),
+                parse_transaction("R3[a] W3[b]"),
+            ]
+        )
+        contexts = dict(manager._contexts)
+        allocation = manager.allocation
+        manager.apply_batch(
+            [("add", parse_transaction("R4[x] W4[a]")), ("remove", 4)]
+        )
+        assert manager.components == ((1, 2), (3,))
+        assert all(manager._contexts[key] is ctx for key, ctx in contexts.items())
+        assert manager.last_stats.checks == 0
+        assert manager.allocation == allocation
 
 
 class TestCanonicalView:
-    def test_matches_fresh_shardplan_after_churn(self):
+    def test_matches_conflict_components_after_churn(self):
         rng = random.Random(7)
-        txns = {}
-        plan = DynamicShardPlan()
+        manager = AllocationManager()
         objects = [f"o{i}" for i in range(8)]
         for step in range(120):
-            if txns and rng.random() < 0.45:
-                tid = rng.choice(sorted(txns))
-                del txns[tid]
-                plan.remove(tid)
+            if len(manager.workload) and rng.random() < 0.45:
+                manager.remove(rng.choice(manager.workload.tids))
             else:
                 tid = step + 1
                 reads = rng.sample(objects, rng.randint(0, 2))
@@ -123,16 +145,18 @@ class TestCanonicalView:
                     [f"R{tid}[{o}]" for o in reads]
                     + [f"W{tid}[{o}]" for o in writes]
                 )
-                txn = parse_transaction(text)
-                txns[tid] = txn
-                plan.add(txn)
-            expected = conflict_components(Workload(txns.values()))
-            assert plan.shards == expected, f"diverged at step {step}"
+                manager.add(parse_transaction(text))
+            workload = manager.workload
+            expected = conflict_components(workload)
+            assert manager.components == expected, f"diverged at step {step}"
+            for members in expected:
+                part = manager._contexts[members].workload
+                assert part == workload.restricted_to(members)
 
 
 class TestManagerSingletonRemoval:
-    """Satellite regression: removing an isolated transaction is O(1) —
-    no conflict index is rebuilt, no robustness check is spent."""
+    """Removing an isolated transaction builds no conflict index and
+    spends no robustness check."""
 
     def test_zero_index_builds(self):
         manager = AllocationManager()
@@ -143,7 +167,6 @@ class TestManagerSingletonRemoval:
         stats = manager.last_stats.as_dict()
         assert stats["index_builds"] == 0
         assert stats["checks"] == 0
-        assert stats["plan_reuse"] >= 1
         assert {
             tid: level.name for tid, level in manager.allocation.items()
         } == {1: "SSI", 2: "SSI"}

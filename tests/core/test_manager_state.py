@@ -2,12 +2,13 @@
 
 The service's warm snapshots are only useful if a restored manager is
 indistinguishable from the original: same workload, same allocation,
-same shard plan, so the next mutation's ContextStats-visible work
-(checks, kernel builds, plan upkeep) is identical on both sides.
+same components, so the next mutation's ContextStats-visible work
+(checks, index and kernel builds) is identical on both sides.
 """
 
 import pytest
 
+from repro.core.context import ContextStats
 from repro.core.incremental import AllocationManager
 from repro.core.isolation import IsolationLevel
 from repro.core.transactions import parse_transaction
@@ -57,9 +58,10 @@ class TestRoundTrip:
     def test_snapshot_with_method_restores_verified(self):
         """A state from a build whose manager took ``method=`` still loads.
 
-        Such a state is today's document plus ``"method"``.  It restores
-        with ``verify=True``, and the restored manager finds the same
-        next optima, with the same checks, as the manager that saved it.
+        Such a state is today's document plus ``"method"``.  It restores,
+        its allocation checks robust, and the restored manager finds the
+        same next optima, with the same checks, as the manager that saved
+        it.
         """
         txns = list(
             random_workload(transactions=24, objects=30, min_ops=2, max_ops=3, seed=17)
@@ -67,7 +69,8 @@ class TestRoundTrip:
         manager = AllocationManager()
         manager.apply_batch([("add", txn) for txn in txns[:20]])
         legacy = dict(manager.save_state(), method="components")
-        restored = AllocationManager.load_state(legacy, verify=True)
+        restored = AllocationManager.load_state(legacy)
+        assert restored.check(restored.allocation)
         for txn in txns[20:]:
             assert restored.add(txn) == manager.add(txn)
             assert restored.last_check_count == manager.last_check_count
@@ -79,7 +82,8 @@ class TestRoundTrip:
 
     def test_verify_accepts_consistent_state(self):
         manager = _filled_manager()
-        restored = AllocationManager.load_state(manager.save_state(), verify=True)
+        restored = AllocationManager.load_state(manager.save_state())
+        assert restored.check(restored.allocation)
         assert restored.workload == manager.workload
 
     def test_clustered_workload_round_trips(self):
@@ -163,11 +167,11 @@ class TestWarmStartEquivalence:
 
 
 class TestPlanPersistence:
-    """Restore rebuilds the component plan and ignores a persisted one.
+    """Restore re-derives the components and ignores a persisted partition.
 
     Snapshots written by earlier builds carry the partition as ``plan``.
-    Trusting it would need the same union-find that rebuilding costs, so
-    a restore never reads it.
+    Trusting it would need the same flood fills that re-deriving costs,
+    so a restore never reads it.
     """
 
     def test_state_omits_the_partition(self):
@@ -182,28 +186,31 @@ class TestPlanPersistence:
             state = manager.save_state()
             state["allocation"] = {"1": "SI", "2": "SI"}
             state["plan"] = plan
-            with pytest.raises(WorkloadError, match="not robust"):
-                AllocationManager.load_state(state, verify=True)
+            restored = AllocationManager.load_state(state)
+            assert restored.components == ((1, 2),)
+            result = restored.check(restored.allocation)
+            assert not result.robust
+            assert result.counterexample.spec.split_tid == 1
 
     def test_corrupt_plan_falls_back_to_full_build(self):
         state = _filled_manager().save_state()
         state["plan"] = [[1, 2], [2, 3, 4]]  # overlapping: invalid
         restored = AllocationManager.load_state(state)
-        assert restored.last_stats.plan_builds == 1
+        assert restored.components == ((1, 2), (3, 4))
         assert restored.workload == _filled_manager().workload
 
     def test_missing_plan_field_falls_back_to_full_build(self):
         state = _filled_manager().save_state()
         state.pop("plan", None)  # pre-plan-persistence snapshot
         restored = AllocationManager.load_state(state)
-        assert restored.last_stats.plan_builds == 1
+        assert restored.last_stats.as_dict() == ContextStats().as_dict()
         assert dict(restored.allocation.items()) == dict(
             _filled_manager().allocation.items()
         )
 
     def test_next_mutation_plan_work_identical(self):
-        """Restored == original on the *plan* counters of the next
-        mutation too, not just checks."""
+        """Restored == original on every counter of the next mutation,
+        not just checks, and on the components."""
         manager = _filled_manager()
         restored = AllocationManager.load_state(manager.save_state())
         manager.remove(3)

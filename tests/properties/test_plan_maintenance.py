@@ -1,12 +1,16 @@
-"""Stateful property tests of incremental shard-plan maintenance.
+"""Stateful property tests of the manager's incremental component upkeep.
 
-The non-negotiable equivalences of the dynamic plan work
-(``DynamicShardPlan`` + ``AllocationManager.apply_batch``):
+The non-negotiable equivalences of ``AllocationManager.apply_batch``,
+which re-derives only the components a batch touched by a flood fill
+over its access index:
 
 * **partition equality** — after any interleaving of adds, removes and
   batches, the manager's maintained partition is *identical* (order,
   members, everything) to ``conflict_components(workload)`` over the
   same transactions;
+* **no stale context** — each component's carried context analyzes
+  exactly that component's transactions, after any merge, split or
+  re-add;
 * **allocation exactness** — the maintained allocation is bit-identical
   to the batch Algorithm 2 optimum, and the coalesced ``apply_batch``
   path lands on exactly the same state as replaying the same mutations
@@ -125,6 +129,13 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
     def partition_equals_conflict_components(self):
         workload = self.batched.workload
         assert self.batched.components == conflict_components(workload)
+
+    @invariant()
+    def every_context_holds_its_component(self):
+        workload = self.batched.workload
+        for members in self.batched.components:
+            context = self.batched._contexts[members]
+            assert context.workload == workload.restricted_to(members)
 
     @invariant()
     def allocations_bit_identical(self):

@@ -313,11 +313,12 @@ def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
 @given(sts.sparse_tid_workloads())
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_index_component_matches_conflict_components(wl):
-    """The index's flood fill finds the union-find's components.
+    """The conflict index's flood fill finds the access index's components.
 
     ``ConflictIndex.component`` (a flood fill over neighbour masks) and
-    ``conflict_components`` (a union-find over objects) share no code;
-    non-contiguous tids keep bit numbers and tids apart.
+    ``conflict_components`` (a flood fill over an ``AccessIndex``'s
+    readers and writers per object) share no code; non-contiguous tids
+    keep bit numbers and tids apart.
     """
     index = ConflictIndex(wl)
     for members in conflict_components(wl):

@@ -387,6 +387,7 @@ class TestBatchCoalescing:
         assert response["coalesced"] == 0 and response["failed"] == 0
 
     def test_plan_gauges_exported(self):
+        """No ``plan_*`` name is exported, as a gauge or a counter."""
         core = _core()
         core.handle(
             {
@@ -397,29 +398,37 @@ class TestBatchCoalescing:
                 ],
             }
         )
-        core.handle({"op": "remove", "tid": 2})  # a leaf: no recheck
+        core.handle({"op": "remove", "tid": 2})
         metrics = core.handle({"op": "metrics"})
         gauges, counters = metrics["gauges"], metrics["counters"]
-        for name in ("plan_builds", "plan_merges", "plan_splits", "plan_reuse"):
-            assert name not in gauges  # one name each: the counter
-        assert counters["context.plan_reuse"] == 1
+        assert not [name for name in (*gauges, *counters) if "plan_" in name]
         assert gauges["shards"] == 1.0
 
     def test_restored_plan_work_is_counted_once(self, tmp_path):
-        """A singleton removal, a snapshot and a restore: the restore's
-        plan build joins the removal's reuse in the counters."""
+        """A restore moves no ``context.*`` counter, except a
+        verification's one check; neither does a start-up restore."""
         core = _core()
         _add(core, "R[x] W[y]", 1)
         _add(core, "R[q] W[q]", 2)
         core.handle({"op": "remove", "tid": 2})
         path = str(tmp_path / "plan.json")
         core.handle({"op": "snapshot", "path": path})
+
+        def context_counters():
+            counters = core.handle({"op": "metrics"})["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("context.")}
+
+        before = context_counters()
         assert core.handle({"op": "restore", "path": path})["ok"]
-        counters = core.handle({"op": "metrics"})["counters"]
-        assert counters["context.plan_reuse"] == 1
-        assert counters["context.plan_builds"] == 1
-        resumed = _core(snapshot_path=path)  # a start-up restore counts too
-        assert resumed.registry.counters["context.plan_builds"] == 1
+        assert context_counters() == before
+        assert core.handle({"op": "restore", "path": path, "verify": True})["ok"]
+        after = context_counters()
+        assert after.pop("context.checks") == before.pop("context.checks") + 1
+        assert after == before
+        resumed = _core(snapshot_path=path)  # a start-up restore
+        assert not [
+            name for name in resumed.registry.counters if name.startswith("context.")
+        ]
 
 
 class TestReadChecks:
@@ -664,6 +673,23 @@ class TestUnrestorableSnapshots:
         response = _core().handle({"op": "restore", "path": path, "verify": True})
         assert response["error"]["code"] == "snapshot-error", response
         assert "not robust" in response["error"]["message"]
+
+    @pytest.mark.parametrize("level, robust", [("SI", False), ("SSI", True)])
+    def test_verification_counts_one_check(
+        self, tmp_path, skew_state, level, robust
+    ):
+        """Pass or fail, a verified restore runs one check and counts it
+        once in ``context.checks`` and the ``checks`` series; a refused
+        restore keeps the old manager."""
+        state = dict(skew_state, allocation={"1": level, "2": level})
+        path = self._write(tmp_path, state)
+        core = _core()
+        manager = core.manager
+        response = core.handle({"op": "restore", "path": path, "verify": True})
+        assert response["ok"] is robust, response
+        assert (core.manager is manager) is not robust
+        assert core.registry.counters.get("context.checks") == 1
+        assert core.series["checks"].total_value == 1
 
     @pytest.mark.parametrize("name", sorted(BAD_STATES))
     def test_start_up_raises_snapshot_error(self, tmp_path, skew_state, name):

@@ -259,7 +259,7 @@ class TestLifecycle:
 
     def test_restart_resumes_from_snapshot(self, tmp_path):
         """Kill/restore warm equivalence: the restored daemon carries the
-        allocation and rebuilds the same component plan — so the next
+        allocation and re-derives the same components — so the next
         mutation spends exactly the same checks as the uninterrupted one."""
         snap = str(tmp_path / "snap.json")
         with ServiceServer(ServiceConfig(port=0, snapshot_path=snap)) as first:

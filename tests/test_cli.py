@@ -124,6 +124,22 @@ class TestSharding:
         assert "Shards: 3 (sizes: 2, 2, 1)" in out
         assert "T5: RC" in out
 
+    def test_stats_block_names_the_context_counters(self, multi_file, capsys):
+        """The block is the seven ``ContextStats`` counters, in order."""
+        assert main(["allocate", multi_file, "--stats"]) == 0
+        out = capsys.readouterr().out
+        block = out[out.index("Analysis statistics:"):].splitlines()
+        assert block == [
+            "Analysis statistics:",
+            "  checks: 9",
+            "  index builds: 1",
+            "  pair builds: 0",
+            "  pair hits: 0",
+            "  kernel builds: 1",
+            "  kernel row builds: 3",
+            "  kernel row hits: 6",
+        ]
+
     def test_check_stats_print_the_shard_line(self, skew_file, capsys):
         main(["check", skew_file, "--uniform", "SI", "--stats"])
         assert "Shards: 1 (sizes: 2)" in capsys.readouterr().out
