@@ -18,7 +18,7 @@ from repro.core.robustness import is_robust
 from repro.core.serialization import is_conflict_serializable
 from repro.core.workload import workload
 from repro.enumeration.sampling import estimate_anomaly_rate, sample_interleaving
-from repro.mvcc import run_workload, trace_to_schedule
+from repro.mvcc import exploration_config, simulate_workload, trace_to_schedule
 from repro.workloads.generator import random_workload
 
 SKEW = workload("R1[x] W1[y]", "R2[y] W2[x]")
@@ -69,7 +69,9 @@ def test_rate_report(benchmark, capsys):
                 observed = 0
                 runs = 40
                 for seed in range(runs):
-                    trace, _ = run_workload(wl, alloc, seed=seed)
+                    trace, _ = simulate_workload(
+                        wl, alloc, exploration_config(len(wl), seed=seed)
+                    )
                     schedule = trace_to_schedule(trace, wl)
                     observed += not is_conflict_serializable(schedule)
                 rows.append(

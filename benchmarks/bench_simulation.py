@@ -11,8 +11,7 @@ optimal, all-SSI, all-SI — across a contention sweep
   is the headline of the SIM section in EXPERIMENTS.md);
 * **scale** — one sweep run pushes over a million simulated operations
   through the MVCC engine on CI hardware (the throughput floor of the
-  event-driven rewrite; the old tick scheduler burned its time polling
-  blocked sessions instead).
+  event-driven simulator: a blocked session parks and burns no events).
 
 Sweep rows land in ``extra_info["rows"]`` keyed by ``case``.
 """

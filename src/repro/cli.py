@@ -10,10 +10,10 @@ Subcommands:
   and ``allocate`` accept ``--stats`` to print the shared analysis
   context's counters (checks executed, index builds, cache hits).
 * ``simulate <workload-file> [--uniform SI] [--seed N] [--runs N]`` — run
-  the workload on the MVCC engine and report commits/aborts and whether
-  the executions were serializable.  ``--engine events`` runs the
-  discrete-event simulator instead (throughput and latency percentiles);
-  the sentinel workload ``sweep`` runs a contention sweep comparing the
+  the workload on the MVCC engine's discrete-event simulator and report
+  commits/aborts and whether the executions were serializable
+  (``--stats`` adds blocking, throughput and latency percentiles); the
+  sentinel workload ``sweep`` runs a contention sweep comparing the
   optimal allocation against all-SSI and all-SI
   (``repro simulate sweep --benchmark smallbank --json out.json``).
 * ``stats <workload-file>`` — structural contention statistics.
@@ -34,7 +34,9 @@ The input-parsing helpers shared with the daemon live in
 :class:`~repro.service.handlers.CommandError` that reaches :func:`main`
 — an unreadable, non-UTF-8 or malformed workload or template file, an
 unreadable or invalid trace file, a bad level, level class or
-allocation spec, bad sweep points, a negative or NaN ``trace diff``
+allocation spec, bad sweep points, a non-positive ``simulate`` count
+(``--runs``, ``--repeat``, ``--sessions``, ``--transactions``), an empty
+``--points`` or ``--strategies`` list, a negative or NaN ``trace diff``
 threshold, a non-positive ``service top`` interval, or a daemon that
 ``trace dump`` or ``service top`` cannot reach or that answers with an
 error — prints ``repro: error: <message>`` to stderr and exits 2,
@@ -235,67 +237,51 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    for flag in ("runs", "repeat", "sessions", "transactions"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise CommandError(f"--{flag} must be >= 1, got {value}")
     if args.workload == "sweep":
         return _cmd_simulate_sweep(args)
-    if args.engine == "events":
-        return _cmd_simulate_events(args)
-    from .mvcc import run_workload, trace_to_schedule
+    from .mvcc import exploration_config, simulate_workload, trace_to_schedule
+    from .mvcc.simulator import replicate_workload
 
     workload = _load_workload(args.workload)
     allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
+    instances, instance_allocation, _ = replicate_workload(
+        workload, allocation, args.repeat or 1
+    )
+    sessions = args.sessions or len(instances)
     serializable_runs = 0
     commits = aborts = 0
-    blocked = retries = 0
     for run in range(args.runs):
-        trace, stats = run_workload(workload, allocation, seed=args.seed + run)
-        schedule = trace_to_schedule(trace, workload)
+        trace, stats = simulate_workload(
+            instances,
+            instance_allocation,
+            exploration_config(sessions, seed=args.seed + run),
+        )
+        schedule = trace_to_schedule(trace, instances)
         serializable = is_conflict_serializable(schedule)
         serializable_runs += serializable
         commits += stats.commits
         aborts += stats.total_aborts
-        blocked += stats.blocked_ticks
-        retries += stats.retries
         print(
             f"run {run}: commits={stats.commits} aborts={stats.total_aborts}"
             f" serializable={serializable}"
         )
+        if args.stats:
+            latency = stats.latency_percentiles()
+            print(
+                f"  blocks={stats.blocks} retries={stats.retries}"
+                f" wait_time={stats.wait_time:.1f} operations={stats.operations}"
+                f" sim_time={stats.sim_time:.1f} throughput={stats.throughput:.3f}"
+                f"\n  latency p50={latency['p50']:.1f} p95={latency['p95']:.1f}"
+                f" p99={latency['p99']:.1f}"
+            )
     print(
         f"\n{serializable_runs}/{args.runs} executions serializable;"
         f" {commits} commits, {aborts} aborts in total"
     )
-    if args.stats:
-        print(f"blocked_ticks={blocked} retries={retries}")
-    return 0
-
-
-def _cmd_simulate_events(args: argparse.Namespace) -> int:
-    """``repro simulate FILE --engine events``: one discrete-event run."""
-    from .mvcc import SimConfig, simulate_workload, trace_to_schedule
-
-    workload = _load_workload(args.workload)
-    allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
-    config = SimConfig(sessions=args.sessions, seed=args.seed)
-    trace, stats = simulate_workload(
-        workload, allocation, config, repeat=args.repeat
-    )
-    if args.repeat == 1:
-        schedule = trace_to_schedule(trace, workload)
-        print(f"serializable={is_conflict_serializable(schedule)}")
-    latency = stats.latency_percentiles()
-    print(
-        f"commits={stats.commits} aborts={stats.total_aborts}"
-        f" operations={stats.operations} sim_time={stats.sim_time:.1f}"
-        f" throughput={stats.throughput:.3f}"
-    )
-    print(
-        f"latency p50={latency['p50']:.1f} p95={latency['p95']:.1f}"
-        f" p99={latency['p99']:.1f}"
-    )
-    if args.stats:
-        print(
-            f"blocks={stats.blocks} retries={stats.retries}"
-            f" wait_time={stats.wait_time:.1f} wall_s={stats.wall_s:.3f}"
-        )
     return 0
 
 
@@ -313,22 +299,26 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
     from .mvcc.sweep import contention_sweep
 
     points = None
-    if args.points:
+    if args.points is not None:
         points = [
             _parse_sweep_point(part.strip())
             for part in args.points.split(",")
             if part.strip()
         ]
+        if not points:
+            raise CommandError(f"--points lists no values: {args.points!r}")
     strategies = tuple(
         part.strip() for part in args.strategies.split(",") if part.strip()
     )
+    if not strategies:
+        raise CommandError(f"--strategies lists no strategy: {args.strategies!r}")
     try:
         result = contention_sweep(
             benchmark=args.benchmark,
             points=points,
             transactions=args.transactions,
-            repeat=args.repeat,
-            sessions=args.sessions,
+            repeat=args.repeat or 50,
+            sessions=args.sessions or 8,
             seed=args.seed,
             strategies=strategies,
         )
@@ -864,15 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--allocation", help="per-transaction levels")
     simulate.add_argument("--uniform", help="one level for all transactions")
     simulate.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    simulate.add_argument("--runs", type=int, default=5, help="number of executions")
     simulate.add_argument(
-        "--engine",
-        choices=("ticks", "events"),
-        default="ticks",
-        help=(
-            "execution engine for workload files: the tick scheduler"
-            " (default) or the discrete-event simulator"
-        ),
+        "--runs", type=int, default=5, help="number of executions (workload file)"
     )
     simulate.add_argument(
         "--benchmark",
@@ -892,14 +875,15 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--repeat",
         type=int,
-        default=50,
-        help="instance-stream multiplier (sweep and --engine events)",
+        help="instance-stream multiplier (default: 1 for a file, 50 for sweep)",
     )
     simulate.add_argument(
         "--sessions",
         type=int,
-        default=8,
-        help="concurrent simulated sessions (sweep and --engine events)",
+        help=(
+            "concurrent simulated sessions (default: one per instance for"
+            " a file, 8 for sweep)"
+        ),
     )
     simulate.add_argument(
         "--strategies",
@@ -914,7 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--stats",
         action="store_true",
-        help="print execution counters (blocks, retries, wait/wall time)",
+        help=(
+            "print execution counters (blocks, retries, wait time, operations,"
+            " simulated time, throughput, latency percentiles)"
+        ),
     )
     _add_trace_flag(simulate)
     simulate.set_defaults(func=_cmd_simulate)

@@ -12,19 +12,22 @@ Every execution trace converts back into a formal
 and the test suite asserts that each trace is allowed under its
 allocation per Definition 2.4 — the engine and the formal semantics are
 kept honest against each other.
+
+One driver runs every execution: the discrete-event simulator of
+:mod:`repro.mvcc.simulator`, through :func:`simulate_workload` for
+static workloads and :func:`run_procedures` for stored procedures that
+carry values.
 """
 
 from .engine import MVCCEngine, TransactionAborted, TransactionBlocked
-from .procedures import (
-    ProcedureCall,
-    ProcedureRun,
-    ProcedureScheduler,
-    Read,
-    Write,
-    run_procedures,
+from .procedures import ProcedureCall, ProcedureRun, Read, Write, run_procedures
+from .simulator import (
+    DiscreteEventSimulator,
+    SimConfig,
+    SimStats,
+    exploration_config,
+    simulate_workload,
 )
-from .scheduler import ExecutionStats, InterleavingScheduler, run_workload
-from .simulator import DiscreteEventSimulator, SimConfig, SimStats, simulate_workload
 from .storage import Version, VersionedStore
 from .sweep import SweepPoint, SweepResult, contention_sweep
 from .trace import (
@@ -40,12 +43,9 @@ from .trace import (
 __all__ = [
     "DiscreteEventSimulator",
     "EVENT_TRACE_VERSION",
-    "ExecutionStats",
-    "InterleavingScheduler",
     "MVCCEngine",
     "ProcedureCall",
     "ProcedureRun",
-    "ProcedureScheduler",
     "Read",
     "SimConfig",
     "SimStats",
@@ -59,8 +59,8 @@ __all__ = [
     "VersionedStore",
     "Write",
     "contention_sweep",
+    "exploration_config",
     "run_procedures",
-    "run_workload",
     "simulate_workload",
     "trace_from_json",
     "trace_to_json",

@@ -53,8 +53,8 @@ class TransactionAborted(Exception):
 class TransactionBlocked(Exception):
     """Raised when a write must wait for another transaction's write intent.
 
-    The scheduler retries the same operation once ``waiting_for`` commits
-    or aborts.
+    The simulator parks the writer and retries the same operation once
+    ``waiting_for`` commits or aborts.
     """
 
     def __init__(self, tid: int, waiting_for: int, obj: str):
@@ -97,8 +97,8 @@ class _CommittedTransaction:
 class MVCCEngine:
     """A multiversion engine executing transactions at mixed isolation levels.
 
-    Typical use goes through :class:`repro.mvcc.scheduler.InterleavingScheduler`;
-    direct use::
+    Typical use goes through
+    :class:`repro.mvcc.simulator.DiscreteEventSimulator`; direct use::
 
         engine = MVCCEngine()
         engine.begin(1, IsolationLevel.SI)
@@ -357,8 +357,8 @@ class MVCCEngine:
           three members, so one hop is the full reach.
 
         ``committed`` introspection only retains the SSI pool afterwards;
-        callers wanting full history (the interleaving scheduler, the
-        engine tests) simply never call ``compact()``.  Returns the
+        callers wanting full history (the engine tests, a simulation
+        with ``compact_every=0``) simply never call ``compact()``.  Returns the
         counts of pruned versions and retired peers.
         """
         active = self._active.values()

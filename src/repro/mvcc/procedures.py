@@ -1,33 +1,35 @@
 """Stored procedures with value semantics on the MVCC engine.
 
-The formal model (and :class:`~repro.mvcc.scheduler.InterleavingScheduler`)
-treats operations as opaque reads/writes.  Real anomalies, however, show
-up as *broken application invariants*: a write-skew execution of SmallBank
-leaves a customer's total balance negative.  This module runs Python
-generator *procedures* — reads yield values, writes compute them — so
-executions carry data and invariants can be checked on the final state:
+The formal model treats operations as opaque reads and writes.  Real
+anomalies, however, show up as *broken application invariants*: a
+write-skew execution of SmallBank leaves a customer's total balance
+negative.  This module runs Python generator *procedures* — reads yield
+values, writes compute them — so executions carry data and invariants
+can be checked on the final state:
 
     def write_check(ctx):
         savings = yield Read(f"savings:{ctx['c']}")
         checking = yield Read(f"checking:{ctx['c']}")
         yield Write(f"checking:{ctx['c']}", checking - ctx["amount"])
 
-Drive it with :class:`ProcedureScheduler`, which mirrors the operation
-scheduler (seeded interleavings, blocking, first-committer-wins and SSI
-aborts with full-procedure retry, deadlock victim selection) — aborted
-attempts recompute their values on retry, exactly like a real application
-rerunning a failed transaction.
+:func:`run_procedures` runs the calls on the discrete-event simulator,
+one session per call, at :func:`~repro.mvcc.simulator.exploration_config`.
+Each attempt of a call runs its procedure inside a simulator body that
+turns read versions into values and commits when the procedure returns.
+An abort (first-committer-wins, SSI or a deadlock victim) reruns the
+procedure from its start, so a retried attempt recomputes its values,
+exactly like a real application rerunning a failed transaction.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Mapping, Optional, Union
 
 from ..core.isolation import Allocation, IsolationLevel
-from .engine import MVCCEngine, TransactionAborted, TransactionBlocked
-from .trace import Trace, TraceEvent
+from ..core.operations import commit
+from .simulator import DiscreteEventSimulator, TransactionBody, exploration_config
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class Read:
     """Yield this from a procedure to read an object; receives its value."""
 
     obj: str
+    is_read = True
+    is_write = False
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ class Write:
 
     obj: str
     value: object
+    is_read = False
+    is_write = True
 
 
 #: A procedure body: a generator function taking the parameter mapping.
@@ -57,32 +63,6 @@ class ProcedureCall:
     body: ProcedureBody
     params: Mapping[str, object] = field(default_factory=dict)
     level: Optional[IsolationLevel] = None
-
-
-@dataclass
-class _ProcedureSession:
-    call: ProcedureCall
-    attempt: int = 0
-    generator: Optional[Generator] = None
-    #: an action obtained from the generator but not yet executed (retry).
-    pending: Optional[Union[Read, Write]] = None
-    #: value to send into the generator for the last completed Read.
-    send_value: object = None
-    has_send_value: bool = False
-    waiting_for: Optional[int] = None
-    done: bool = False
-    begun: bool = False
-
-    def engine_tid(self) -> int:
-        return self.call.tid * 1000 + self.attempt
-
-    def restart(self) -> None:
-        self.attempt += 1
-        self.generator = None
-        self.pending = None
-        self.send_value = None
-        self.has_send_value = False
-        self.begun = False
 
 
 @dataclass
@@ -103,193 +83,39 @@ class ProcedureRun:
     aborts: Dict[str, int]
 
 
-class ProcedureScheduler:
-    """Interleaves procedure calls on the MVCC engine.
+def _level(call: ProcedureCall, allocation: Optional[Allocation]) -> IsolationLevel:
+    if call.level is not None:
+        return call.level
+    return allocation[call.tid] if allocation is not None else IsolationLevel.SI
 
-    Args:
-        calls: the procedure invocations (one transaction each).
-        allocation: isolation level per transaction id; a call's explicit
-            ``level`` overrides it.
-        initial_state: starting value per object (unlisted objects read as
-            ``None``).
-        seed: interleaving seed (``None`` = round-robin).
-        max_attempts: per-call retry budget.
+
+def _call_body(
+    call: ProcedureCall, initial_state: Mapping[str, object]
+) -> TransactionBody:
+    """One attempt of ``call`` as a simulator body.
+
+    A read's version becomes the stored value (for the initial version,
+    the initial state's value, ``None`` if the object is not listed);
+    the commit follows once the procedure returns.
     """
-
-    def __init__(
-        self,
-        calls: List[ProcedureCall],
-        allocation: Optional[Allocation] = None,
-        initial_state: Optional[Mapping[str, object]] = None,
-        seed: Optional[int] = 0,
-        max_attempts: int = 50,
-    ):
-        tids = [call.tid for call in calls]
-        if len(set(tids)) != len(tids):
-            raise ValueError("procedure calls must have distinct transaction ids")
-        self._sessions = [_ProcedureSession(call) for call in calls]
-        self._allocation = allocation
-        self._initial_state = dict(initial_state or {})
-        self._rng = random.Random(seed) if seed is not None else None
-        self._rr_next = 0
-        self.max_attempts = max_attempts
-        self.engine = MVCCEngine()
-        self.trace = Trace()
-        self.aborts: Dict[str, int] = {}
-        self.commits = 0
-
-    # ------------------------------------------------------------------
-    def run(self) -> ProcedureRun:
-        """Execute all calls to completion and return the outcome."""
-        while not all(session.done for session in self._sessions):
-            session = self._pick()
-            if session is None:
-                self._break_deadlock()
-                continue
-            self._step(session)
-        return ProcedureRun(
-            trace=self.trace,
-            final_state=self._final_state(),
-            commits=self.commits,
-            aborts=dict(self.aborts),
-        )
-
-    # ------------------------------------------------------------------
-    def _level(self, call: ProcedureCall) -> IsolationLevel:
-        if call.level is not None:
-            return call.level
-        if self._allocation is None:
-            return IsolationLevel.SI
-        return self._allocation[call.tid]
-
-    def _runnable(self) -> List[_ProcedureSession]:
-        runnable = []
-        for session in self._sessions:
-            if session.done:
-                continue
-            if session.waiting_for is not None:
-                if session.waiting_for in self.engine.active_tids:
-                    continue
-                session.waiting_for = None
-            runnable.append(session)
-        return runnable
-
-    def _pick(self) -> Optional[_ProcedureSession]:
-        runnable = self._runnable()
-        if not runnable:
-            return None
-        if self._rng is not None:
-            return self._rng.choice(runnable)
-        session = runnable[self._rr_next % len(runnable)]
-        self._rr_next += 1
-        return session
-
-    def _record_abort(self, session: _ProcedureSession, reason: str) -> None:
-        self.trace.append(
-            TraceEvent("abort", session.call.tid, session.attempt, None, None)
-        )
-        self.aborts[reason] = self.aborts.get(reason, 0) + 1
-        if session.attempt + 1 >= self.max_attempts:
-            raise RuntimeError(
-                f"procedure {session.call.tid} exceeded {self.max_attempts} attempts"
-            )
-        session.restart()
-
-    def _advance(self, session: _ProcedureSession) -> Optional[Union[Read, Write]]:
-        """The next action of the procedure (``None`` means: finished)."""
-        if session.pending is not None:
-            action = session.pending
-            session.pending = None
-            return action
-        assert session.generator is not None
+    procedure = call.body(dict(call.params))
+    result: object = None
+    while True:
         try:
-            if session.has_send_value:
-                value = session.send_value
-                session.send_value = None
-                session.has_send_value = False
-                return session.generator.send(value)
-            return next(session.generator)
+            action = procedure.send(result)
         except StopIteration:
-            return None
-
-    def _step(self, session: _ProcedureSession) -> None:
-        """Execute exactly one procedure action (one scheduling tick)."""
-        call = session.call
-        tid = call.tid
-        if not session.begun:
-            self.engine.begin(session.engine_tid(), self._level(call))
-            session.begun = True
-            session.generator = call.body(dict(call.params))
-            self.trace.append(TraceEvent("begin", tid, session.attempt, None, None))
-        engine_tid = session.engine_tid()
-        try:
-            action = self._advance(session)
-            if action is None:
-                self.engine.commit(engine_tid)
-                self.trace.append(
-                    TraceEvent("commit", tid, session.attempt, None, None)
-                )
-                self.commits += 1
-                session.done = True
-                return
-            if isinstance(action, Read):
-                version = self.engine.read(engine_tid, action.obj)
-                if version.is_initial:
-                    value = self._initial_state.get(action.obj)
-                else:
-                    value = version.value
-                observed = version.writer_tid // 1000 if version.writer_tid else 0
-                self.trace.append(
-                    TraceEvent("read", tid, session.attempt, action.obj, observed)
-                )
-                session.send_value = value
-                session.has_send_value = True
-            elif isinstance(action, Write):
-                try:
-                    self.engine.write(engine_tid, action.obj, action.value)
-                except TransactionBlocked:
-                    session.pending = action  # retry this exact write
-                    raise
-                self.trace.append(
-                    TraceEvent("write", tid, session.attempt, action.obj, None)
-                )
+            break
+        if not isinstance(action, (Read, Write)):
+            raise TypeError(f"procedures must yield Read or Write, got {action!r}")
+        version = yield action
+        result = None
+        if isinstance(action, Read):
+            assert version is not None
+            if version.is_initial:
+                result = initial_state.get(action.obj)
             else:
-                raise TypeError(
-                    f"procedures must yield Read or Write, got {action!r}"
-                )
-        except TransactionBlocked as blocked:
-            session.waiting_for = blocked.waiting_for
-        except TransactionAborted as aborted:
-            self._record_abort(session, aborted.reason)
-
-    def _break_deadlock(self) -> None:
-        waiting = [
-            s for s in self._sessions if not s.done and s.waiting_for is not None
-        ]
-        if not waiting:
-            raise RuntimeError("procedure scheduler stalled without waiters")
-        owner = {
-            s.engine_tid(): s for s in self._sessions if not s.done
-        }
-        seen: List[_ProcedureSession] = []
-        node: Optional[_ProcedureSession] = waiting[0]
-        while node is not None and node not in seen:
-            seen.append(node)
-            node = owner.get(node.waiting_for) if node.waiting_for else None
-        cycle = seen[seen.index(node):] if node in seen else waiting  # type: ignore[arg-type]
-        victim = min(cycle, key=lambda s: (s.attempt, s.call.tid))
-        blocker = victim.waiting_for
-        engine_tid = victim.engine_tid()
-        if engine_tid in self.engine.active_tids:
-            self.engine.abort(engine_tid)
-        self._record_abort(victim, "deadlock")
-        victim.waiting_for = blocker
-
-    def _final_state(self) -> Dict[str, object]:
-        state = dict(self._initial_state)
-        for obj in self.engine.store.objects():
-            state[obj] = self.engine.store.latest_committed(obj).value
-        return state
+                result = version.value
+    yield commit(call.tid)
 
 
 def run_procedures(
@@ -299,12 +125,37 @@ def run_procedures(
     seed: Optional[int] = 0,
     max_attempts: int = 50,
 ) -> ProcedureRun:
-    """Convenience wrapper around :class:`ProcedureScheduler`."""
-    scheduler = ProcedureScheduler(
+    """Run procedure calls concurrently on the discrete-event simulator.
+
+    Args:
+        calls: the procedure invocations (one transaction each, distinct
+            tids, else ``ValueError``).
+        allocation: isolation level per transaction id; a call's explicit
+            ``level`` overrides it, and SI applies when neither is given.
+        initial_state: starting value per object (unlisted objects read as
+            ``None``).
+        seed: the run's RNG seed (``None``: constant service times).
+        max_attempts: per-call retry budget.
+    """
+    tids = [call.tid for call in calls]
+    if len(set(tids)) != len(tids):
+        raise ValueError("procedure calls must have distinct transaction ids")
+    initial = dict(initial_state or {})
+    levels = Allocation({call.tid: _level(call, allocation) for call in calls})
+    simulator = DiscreteEventSimulator(
         calls,
-        allocation=allocation,
-        initial_state=initial_state,
-        seed=seed,
-        max_attempts=max_attempts,
+        levels,
+        exploration_config(len(calls), seed, max_attempts),
+        body_factory=lambda call: _call_body(call, initial),
     )
-    return scheduler.run()
+    trace = simulator.run()
+    store = simulator.engine.store
+    final_state = dict(initial)
+    for obj in store.objects():
+        final_state[obj] = store.latest_committed(obj).value
+    return ProcedureRun(
+        trace=trace,
+        final_state=final_state,
+        commits=simulator.stats.commits,
+        aborts=dict(simulator.stats.aborts),
+    )

@@ -1,15 +1,13 @@
-"""Coroutine-driven discrete-event simulator for the MVCC engine.
+"""The discrete-event simulator: the one driver of the MVCC engine.
 
-The :class:`~repro.mvcc.scheduler.InterleavingScheduler` explores the
-interleaving space one scheduling *tick* at a time: blocked sessions are
-re-polled every tick, time is a tick counter, and throughput is commits
-per tick.  That model is faithful but slow — a blocked session burns a
-tick per poll — and it has no notion of latency.
+:class:`DiscreteEventSimulator` runs transaction programs under
+simulated time:
 
-:class:`DiscreteEventSimulator` replaces ticks with simulated time:
-
-* transactions run as **generator coroutines** that yield operation
-  requests and receive read results back (``result = yield op``);
+* each program runs as a **generator coroutine** that yields actions and
+  receives read results back (``result = yield op``): an action with
+  ``is_read`` or ``is_write`` set is a read or a write of ``obj`` (a
+  write passes its ``value`` to the engine when it has one), any other
+  action is the commit;
 * the clock advances through a **heap of events** ``(time, seq, session)``
   — nothing executes between events, so a million-operation run costs a
   million heap pops, not a million polls per blocked writer;
@@ -19,16 +17,22 @@ tick per poll — and it has no notion of latency.
   queue head;
 * **deadlocks** are detected at block time by walking the wait-for graph
   (session → intent holder); the victim is the cycle member with the
-  fewest attempts (ties to the lower session id), matching the
-  interleaving scheduler's fairness rule;
+  fewest attempts (ties to the lower session id), so aborts spread
+  instead of starving one program;
 * **per-transaction latency** is recorded from arrival (the session picks
   the instance up) to commit, feeding the histograms the contention
   sweeps report.
 
-Semantics are the engine's, identical to the interleaving scheduler's:
-Definition 2.4-allowed committed traces, first-committer-wins,
-SSI dangerous-structure aborts, seeded reproducibility (the seed only
-jitters operation service times).  The property suite pins this.
+Every committed trace is allowed under its allocation (Definition 2.4):
+first-committer-wins and SSI dangerous-structure aborts are the engine's,
+and the seed only jitters operation service times, so one seed fixes the
+whole run.  The property suites pin this.
+
+Static workloads run through :func:`simulate_workload`; stored
+procedures with values run through
+:func:`repro.mvcc.procedures.run_procedures`.  Callers that audit
+executions rather than time them run at :func:`exploration_config`,
+which spreads service times widely enough to reach most interleavings.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ import random
 import time as _time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
-
 from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Protocol, Sequence
 
 from ..core.isolation import Allocation, IsolationLevel
-from ..core.operations import Operation, read as read_op, write as write_op
+from ..core.operations import read as read_op, write as write_op
 from ..core.transactions import Transaction
 from ..core.workload import Workload
 from ..observability import StreamingHistogram, WindowedSeries, current_tracer
@@ -50,8 +54,20 @@ from .engine import MVCCEngine, TransactionAborted, TransactionBlocked
 from .storage import Version
 from .trace import Trace, TraceEvent
 
-#: A transaction body: yields operations, receives read results.
-TransactionBody = Generator[Operation, Optional[Version], None]
+#: A transaction body: yields actions (an
+#: :class:`~repro.core.operations.Operation`, or any
+#: object with ``is_read``, ``is_write`` and ``obj``, plus ``value`` on a
+#: write), receives read results.
+TransactionBody = Generator[Any, Optional[Version], None]
+
+
+class Program(Protocol):
+    """What the simulator runs: anything with a transaction id, such as a
+    :class:`~repro.core.transactions.Transaction` or a
+    :class:`~repro.mvcc.procedures.ProcedureCall`."""
+
+    @property
+    def tid(self) -> int: ...
 
 
 def transaction_coroutine(txn: Transaction) -> TransactionBody:
@@ -71,26 +87,33 @@ def transaction_coroutine(txn: Transaction) -> TransactionBody:
 class SimConfig:
     """Knobs of one simulation run.
 
+    Construction rejects, with a ``ValueError`` naming the field, the
+    values the simulator cannot honour.
+
     Attributes:
-        sessions: concurrent client sessions; instances are dealt to
-            sessions round-robin.
+        sessions: concurrent client sessions (at least 1); instances are
+            dealt to sessions round-robin.
         seed: RNG seed for service-time jitter; ``None`` disables jitter
             entirely (constant service times).
-        max_attempts: per-instance retry budget before the run raises
-            ``RuntimeError`` (livelock guard, as in the scheduler).
-        op_time: mean simulated service time per operation.
-        jitter: ± fraction of the mean drawn uniformly per operation —
-            the only use of the RNG, so one seed fixes the whole run.
-        ssi_overhead: fractional service-time surcharge per operation of
-            an SSI transaction, modelling the conflict-tracking cost of
-            serializability (Alomari et al. [4]; production SSI maintains
-            SIREAD locks on every read).  The surcharge is what a mixed
-            allocation buys back at runtime: transactions Algorithm 2
-            sends to RC/SI skip it — and the longer SSI service times
-            also widen concurrency windows, so all-SSI additionally pays
-            more first-committer-wins aborts under contention.
-        abort_backoff: simulated delay before an aborted instance retries
-            (keeps deadlock cycles from re-forming instantly).
+        max_attempts: per-instance retry budget, from 1 to 1000 (the
+            engine tid is ``tid * 1000 + attempt``), before the run raises
+            ``RuntimeError`` (livelock guard).
+        op_time: mean simulated service time per operation (positive).
+        jitter: ± fraction of the mean drawn uniformly per operation,
+            from 0 to 1 — the only use of the RNG, so one seed fixes the
+            whole run.
+        ssi_overhead: fractional service-time surcharge (at least 0) per
+            operation of an SSI transaction, modelling the
+            conflict-tracking cost of serializability (Alomari et al. [4];
+            production SSI maintains SIREAD locks on every read).  The
+            surcharge is what a mixed allocation buys back at runtime:
+            transactions Algorithm 2 sends to RC/SI skip it — and the
+            longer SSI service times also widen concurrency windows, so
+            all-SSI additionally pays more first-committer-wins aborts
+            under contention.
+        abort_backoff: simulated delay (at least 0) before an aborted
+            instance retries (keeps deadlock cycles from re-forming
+            instantly).
         record_trace: record :class:`TraceEvent`s; turning it off changes
             nothing but the trace (the byte-identity the tests pin).
         compact_every: commits between ``engine.compact()`` calls
@@ -114,6 +137,47 @@ class SimConfig:
     compact_every: int = 256
     series_window: float = 50.0
     series_windows: int = 256
+
+    def __post_init__(self) -> None:
+        if self.sessions < 1:
+            raise ValueError(f"sessions must be >= 1, got {self.sessions}")
+        if not 1 <= self.max_attempts <= 1000:
+            raise ValueError(
+                "max_attempts must be between 1 and 1000 (engine tid scheme),"
+                f" got {self.max_attempts}"
+            )
+        if not self.op_time > 0:
+            raise ValueError(f"op_time must be > 0, got {self.op_time}")
+        # A jitter above 1, or a negative surcharge or backoff, schedules
+        # events in the past: the clock would run backwards.
+        if not 0 <= self.jitter <= 1:
+            raise ValueError(f"jitter must be between 0 and 1, got {self.jitter}")
+        if not self.ssi_overhead >= 0:
+            raise ValueError(f"ssi_overhead must be >= 0, got {self.ssi_overhead}")
+        if not self.abort_backoff >= 0:
+            raise ValueError(f"abort_backoff must be >= 0, got {self.abort_backoff}")
+
+
+def exploration_config(
+    sessions: int, seed: Optional[int] = 0, max_attempts: int = 50
+) -> SimConfig:
+    """The setting for runs that audit executions rather than time them.
+
+    Service times spread over the whole of ``[0, 2 * op_time]``
+    (``jitter=1.0``), so seeds reach far more interleavings than at the
+    default jitter.  ``repro simulate FILE``, :func:`run_procedures
+    <repro.mvcc.procedures.run_procedures>` and the execution audits of
+    the test suite run at this setting; the contention sweeps keep the
+    defaults.
+
+    Args:
+        sessions: concurrent sessions (at least one is used).
+        seed: RNG seed of the run.
+        max_attempts: per-instance retry budget.
+    """
+    return SimConfig(
+        sessions=max(1, sessions), seed=seed, max_attempts=max_attempts, jitter=1.0
+    )
 
 
 @dataclass
@@ -248,10 +312,10 @@ class SimStats:
 
 @dataclass
 class _Instance:
-    """One transaction instance awaiting execution."""
+    """One program awaiting execution; its tid is read on every step."""
 
     tid: int
-    txn: Transaction
+    program: Program
 
 
 @dataclass
@@ -262,7 +326,7 @@ class _SimSession:
     queue: Deque[_Instance] = field(default_factory=deque)
     current: Optional[_Instance] = None
     body: Optional[TransactionBody] = None
-    pending_op: Optional[Operation] = None
+    pending_op: Optional[Any] = None
     last_result: Optional[Version] = None
     attempt: int = 0
     begun: bool = False
@@ -286,12 +350,15 @@ def replicate_workload(
     would be both infeasible (the allocation problem over 100k
     transactions) and wrong (real systems allocate per statement/program,
     not per execution).  With ``repeat == 1`` the base workload and
-    allocation are returned unchanged.
+    allocation are returned unchanged; a ``repeat`` below 1 is a
+    ``ValueError``.
 
     Returns:
         ``(instances, instance_allocation, instance_to_base)``.
     """
-    if repeat <= 1:
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    if repeat == 1:
         return workload, allocation, {tid: tid for tid in workload.tids}
     transactions: List[Transaction] = []
     levels: Dict[int, object] = {}
@@ -311,34 +378,34 @@ def replicate_workload(
 
 
 class DiscreteEventSimulator:
-    """Executes a workload under simulated time on the MVCC engine.
+    """Executes programs under simulated time on the MVCC engine.
 
     Args:
-        workload: the transaction instances to run.
-        allocation: the isolation level of each instance.
+        workload: the programs to run, each with a distinct ``tid``: a
+            :class:`~repro.core.workload.Workload`'s transactions, or any
+            sequence of :class:`Program` objects.
+        allocation: the isolation level of each tid.
         config: simulation knobs (see :class:`SimConfig`).
-        body_factory: builds the coroutine body of each instance;
-            defaults to :func:`transaction_coroutine` (replay program
-            order).
+        body_factory: builds a fresh coroutine body for each attempt of
+            a program; defaults to :func:`transaction_coroutine` (replay
+            a transaction's program order).
     """
 
     def __init__(
         self,
-        workload: Workload,
+        workload: Sequence[Program],
         allocation: Allocation,
         config: Optional[SimConfig] = None,
-        body_factory: Callable[[Transaction], TransactionBody] = transaction_coroutine,
+        body_factory: Callable[[Any], TransactionBody] = transaction_coroutine,
     ):
         self.workload = workload
         self.allocation = allocation
         self.config = config or SimConfig()
-        if self.config.max_attempts > 1000:
-            raise ValueError("max_attempts must be <= 1000 (engine tid scheme)")
         self._body_factory = body_factory
-        count = max(1, min(self.config.sessions, len(workload)) or 1)
+        count = max(1, min(self.config.sessions, len(workload)))
         self._sessions = [_SimSession(i) for i in range(count)]
-        for index, txn in enumerate(workload):
-            self._sessions[index % count].queue.append(_Instance(txn.tid, txn))
+        for index, program in enumerate(workload):
+            self._sessions[index % count].queue.append(_Instance(program.tid, program))
         self._rng = (
             random.Random(self.config.seed) if self.config.seed is not None else None
         )
@@ -391,7 +458,7 @@ class DiscreteEventSimulator:
         """Run every instance to commit and return the execution trace."""
         started = _time.perf_counter()
         with current_tracer().span(
-            "sim.run",
+            "mvcc.run",
             instances=len(self.workload),
             sessions=len(self._sessions),
         ) as run_span:
@@ -450,9 +517,10 @@ class DiscreteEventSimulator:
                 self._emit("read", txn.tid, session.attempt, op.obj, observed)
                 session.last_result = version
             elif op.is_write:
-                self.engine.write(
-                    engine_tid, op.obj, value=(txn.tid, session.attempt)
-                )
+                # A procedure's write carries its value; an operation of
+                # a static transaction has none and writes its attempt.
+                value = getattr(op, "value", (txn.tid, session.attempt))
+                self.engine.write(engine_tid, op.obj, value=value)
                 self._emit("write", txn.tid, session.attempt, op.obj, None)
                 session.held.append(op.obj)
             else:
@@ -559,7 +627,8 @@ class DiscreteEventSimulator:
         return path[index[node.session_id]:]
 
     def _break_deadlock(self, cycle: List[_SimSession]) -> None:
-        """Abort the cycle member with the fewest attempts (scheduler rule)."""
+        """Abort the cycle member with the fewest attempts (ties to the
+        lower session id)."""
         victim = min(cycle, key=lambda s: (s.attempt, s.session_id))
         assert victim.current is not None
         engine_tid = self._engine_tid(victim)
@@ -572,8 +641,7 @@ class DiscreteEventSimulator:
         self._retry(victim)
 
     def _retry(self, session: _SimSession) -> None:
-        # Budget check before counting, as in the scheduler: a give-up
-        # that raises is no retry.
+        # Budget check before counting: a give-up that raises is no retry.
         assert session.current is not None
         if session.attempt + 1 >= self.config.max_attempts:
             raise RuntimeError(
@@ -592,7 +660,7 @@ class DiscreteEventSimulator:
 
     def _reset_attempt(self, session: _SimSession) -> None:
         assert session.current is not None
-        session.body = self._body_factory(session.current.txn)
+        session.body = self._body_factory(session.current.program)
         session.pending_op = None
         session.last_result = None
         session.begun = False
@@ -614,7 +682,12 @@ def simulate_workload(
     config: Optional[SimConfig] = None,
     repeat: int = 1,
 ) -> Tuple[Trace, SimStats]:
-    """Convenience wrapper: replicate, simulate, return trace and stats."""
+    """Run a static workload: each of its ``repeat`` instances replays its
+    transaction's program order (:func:`transaction_coroutine`).
+
+    Returns:
+        The execution trace and the run's :class:`SimStats`.
+    """
     instances, instance_allocation, _ = replicate_workload(
         workload, allocation, repeat
     )

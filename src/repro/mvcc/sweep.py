@@ -24,7 +24,7 @@ the machine-readable JSON the CI smoke job schema-checks, and the
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.allocation import optimal_allocation
@@ -222,28 +222,19 @@ def contention_sweep(
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:
         raise ValueError(f"unknown strategies {sorted(unknown)}; pick from {STRATEGIES}")
-    base_config = config or SimConfig(record_trace=False, max_attempts=1000)
+    sim_config = replace(
+        config or SimConfig(record_trace=False, max_attempts=1000),
+        sessions=sessions,
+        seed=seed,
+    )
     result = SweepResult(benchmark)
     with current_tracer().span(
-        "sim.sweep", benchmark=benchmark, repeat=repeat
+        "mvcc.sweep", benchmark=benchmark, repeat=repeat
     ) as sweep_span:
         for value in points if points is not None else default_points:
             base = build(value, transactions, seed)
             allocations = _allocations(base)
             for strategy in strategies:
-                sim_config = SimConfig(
-                    sessions=sessions,
-                    seed=seed,
-                    max_attempts=base_config.max_attempts,
-                    op_time=base_config.op_time,
-                    jitter=base_config.jitter,
-                    ssi_overhead=base_config.ssi_overhead,
-                    abort_backoff=base_config.abort_backoff,
-                    record_trace=base_config.record_trace,
-                    compact_every=base_config.compact_every,
-                    series_window=base_config.series_window,
-                    series_windows=base_config.series_windows,
-                )
                 started = _time.perf_counter()
                 _, stats = simulate_workload(
                     base, allocations[strategy], sim_config, repeat=repeat

@@ -218,7 +218,7 @@ def trace_to_schedule(trace: Trace, workload: Workload) -> MVSchedule:
     Args:
         trace: an execution trace of ``workload``.
         workload: the transactions that were executed.  Transactions that
-            never committed in the trace must not exist (the scheduler
+            never committed in the trace must not exist (the simulator
             always runs to completion, so in practice all do).
 
     Returns:

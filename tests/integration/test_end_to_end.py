@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.core.allowed import allowed_under
 from repro.enumeration import brute_force_check
-from repro.mvcc import run_workload, trace_to_schedule
+from repro.mvcc import exploration_config, simulate_workload, trace_to_schedule
 from repro.workloads.smallbank import si_anomaly_triple
 from repro.workloads.tpcc import tpcc_workload
 
@@ -32,7 +32,9 @@ class TestFullPipelineWriteSkew:
         assert optimum == Allocation.ssi(write_skew)
         # 3. Executions under the optimum are serializable across seeds.
         for seed in range(10):
-            trace, _ = run_workload(write_skew, optimum, seed=seed)
+            trace, _ = simulate_workload(
+                write_skew, optimum, exploration_config(len(write_skew), seed=seed)
+            )
             schedule = trace_to_schedule(trace, write_skew)
             assert is_conflict_serializable(schedule)
 
@@ -40,8 +42,10 @@ class TestFullPipelineWriteSkew:
         """Some SI execution of the skew really is non-serializable."""
         anomalies = 0
         for seed in range(20):
-            trace, _ = run_workload(
-                write_skew, Allocation.si(write_skew), seed=seed
+            trace, _ = simulate_workload(
+                write_skew,
+                Allocation.si(write_skew),
+                exploration_config(len(write_skew), seed=seed),
             )
             schedule = trace_to_schedule(trace, write_skew)
             assert allowed_under(schedule, Allocation.si(write_skew)).allowed
@@ -67,7 +71,9 @@ class TestFullPipelineSmallBank:
         wl = si_anomaly_triple()
         optimum = optimal_allocation(wl)
         for seed in range(10):
-            trace, _ = run_workload(wl, optimum, seed=seed)
+            trace, _ = simulate_workload(
+                wl, optimum, exploration_config(len(wl), seed=seed)
+            )
             schedule = trace_to_schedule(trace, wl)
             assert allowed_under(schedule, optimum).allowed
             assert is_conflict_serializable(schedule)
@@ -79,7 +85,9 @@ class TestFullPipelineTpcc:
         a_si = Allocation.si(wl)
         assert is_robust(wl, a_si)
         for seed in range(5):
-            trace, stats = run_workload(wl, a_si, seed=seed)
+            trace, stats = simulate_workload(
+                wl, a_si, exploration_config(len(wl), seed=seed)
+            )
             assert stats.commits == len(wl)
             schedule = trace_to_schedule(trace, wl)
             assert is_conflict_serializable(schedule)

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.workload import workload
-from repro.mvcc.procedures import (
-    ProcedureCall,
-    ProcedureScheduler,
-    Read,
-    Write,
-    run_procedures,
-)
+from repro.mvcc.procedures import ProcedureCall, Read, Write, run_procedures
 from repro.workloads.smallbank_app import (
     amalgamate,
     balance,
@@ -78,7 +72,7 @@ class TestProcedureExecution:
             ProcedureCall(1, incrementer, {"obj": "y", "by": 1}, RC),
         ]
         with pytest.raises(ValueError):
-            ProcedureScheduler(calls)
+            run_procedures(calls)
 
     def test_bad_yield_type(self):
         def broken(params):

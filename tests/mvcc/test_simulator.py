@@ -8,6 +8,7 @@ from repro.core.workload import workload
 from repro.mvcc import (
     DiscreteEventSimulator,
     SimConfig,
+    exploration_config,
     simulate_workload,
     trace_to_schedule,
 )
@@ -156,6 +157,130 @@ class TestBlockingAndDeadlock:
         with pytest.raises(RuntimeError, match="attempts"):
             simulator.run()
         assert simulator.stats.retries == 0
+
+    def test_block_and_unblock_events_traced(self):
+        """An unblock wakes a writer parked on that very object."""
+        wl = workload("W1[a] W1[b]", "W2[b] W2[a]", "W3[a] W3[b]")
+        for seed in range(5):
+            trace, stats = simulate_workload(
+                wl, Allocation.rc(wl), exploration_config(len(wl), seed=seed)
+            )
+            assert stats.commits == 3
+            assert stats.blocks > 0
+            parked = []
+            for event in trace:
+                if event.kind == "block":
+                    assert event.obj is not None  # the contended object
+                    assert event.observed is not None  # the intent holder
+                    parked.append((event.tid, event.obj))
+                elif event.kind == "unblock":
+                    assert event.observed is None
+                    parked.remove((event.tid, event.obj))
+
+
+class TestContention:
+    """Read-modify-write storms: one hot object, one session each."""
+
+    STORM = workload(*[f"R{i}[hot] W{i}[hot]" for i in range(1, 6)])
+
+    def test_si_rmw_storm_retries(self):
+        _, stats = simulate_workload(
+            self.STORM, Allocation.si(self.STORM), exploration_config(5, seed=1)
+        )
+        assert stats.commits == 5
+        assert stats.aborts.get("first-committer-wins", 0) > 0
+        assert stats.retries == stats.total_aborts
+
+    def test_rc_rmw_storm_no_fcw_aborts(self):
+        _, stats = simulate_workload(
+            self.STORM, Allocation.rc(self.STORM), exploration_config(5, seed=1)
+        )
+        assert stats.commits == 5
+        assert stats.aborts.get("first-committer-wins", 0) == 0
+        assert stats.blocks > 0
+
+    def test_retries_match_aborts_on_completed_runs(self):
+        """On a run that finishes, every abort was followed by a retry."""
+        deadlocks = workload("W1[a] W1[b]", "W2[b] W2[a]", "W3[a] W3[b]")
+        for wl, alloc in (
+            (self.STORM, Allocation.si(self.STORM)),
+            (deadlocks, Allocation.rc(deadlocks)),
+        ):
+            for seed in range(5):
+                _, stats = simulate_workload(
+                    wl, alloc, exploration_config(len(wl), seed=seed)
+                )
+                assert stats.total_aborts > 0
+                assert stats.retries == stats.total_aborts
+
+
+class TestSessionDealing:
+    def test_transactions_dealt_round_robin(self):
+        """Session 0 takes T1 and T3, so T3 begins only after T1 commits."""
+        wl = workload("R1[a]", "R2[b]", "R3[c]")
+        trace, stats = simulate_workload(
+            wl, Allocation.rc(wl), SimConfig(sessions=2, seed=0)
+        )
+        assert stats.commits == 3
+        events = [str(e) for e in trace]
+        assert events.index("B3") > events.index("C1")
+
+    def test_more_sessions_than_transactions(self):
+        wl = workload("R1[a]")
+        _, stats = simulate_workload(wl, Allocation.rc(wl), SimConfig(sessions=4))
+        assert stats.commits == 1
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jitter", 1.1),
+            ("jitter", 1.8),
+            ("jitter", -0.5),
+            ("jitter", float("nan")),
+            ("op_time", -1.0),
+            ("op_time", 0.0),
+            ("sessions", 0),
+            ("sessions", -3),
+            ("max_attempts", 0),
+            ("ssi_overhead", -1.5),
+            ("abort_backoff", -5.0),
+        ],
+    )
+    def test_rejects_values_the_simulator_cannot_honour(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_exploration_setting_is_legal(self):
+        config = exploration_config(0, seed=3)
+        assert config.jitter == 1.0 and config.sessions == 1 and config.seed == 3
+        assert SimConfig(jitter=0.0).jitter == 0.0
+
+    @pytest.mark.parametrize("repeat", [0, -2])
+    def test_replicate_rejects_non_positive_repeat(self, write_skew, repeat):
+        with pytest.raises(ValueError, match="repeat"):
+            replicate_workload(write_skew, Allocation.si(write_skew), repeat)
+        with pytest.raises(ValueError, match="repeat"):
+            simulate_workload(write_skew, Allocation.si(write_skew), repeat=repeat)
+
+    def test_clock_never_runs_backwards_at_full_jitter(self):
+        """At ``jitter=1.0`` no service time is negative."""
+
+        class ClockWatch(DiscreteEventSimulator):
+            def _step(self, session):
+                self.clock.append(self._now)
+                super()._step(session)
+
+        wl = TestContention.STORM
+        for seed in range(50):
+            simulator = ClockWatch(
+                wl, Allocation.si(wl), exploration_config(5, seed=seed)
+            )
+            simulator.clock = []
+            simulator.run()
+            assert simulator.clock == sorted(simulator.clock)
+            assert min(simulator.stats.latencies) > 0.0
 
 
 class TestLatency:

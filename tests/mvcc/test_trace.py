@@ -6,7 +6,7 @@ from repro.core.allowed import is_allowed
 from repro.core.isolation import Allocation
 from repro.core.operations import OP0, read, write
 from repro.core.workload import workload
-from repro.mvcc import run_workload, trace_to_schedule
+from repro.mvcc import exploration_config, simulate_workload, trace_to_schedule
 from repro.mvcc.trace import (
     EVENT_TRACE_VERSION,
     Trace,
@@ -52,7 +52,9 @@ class TestTraceBasics:
 class TestEventTraceSchema:
     def test_round_trip_preserves_events(self):
         wl = workload("W1[a] W1[b]", "W2[b] W2[a]")
-        trace, _ = run_workload(wl, Allocation.rc(wl), seed=None)
+        trace, _ = simulate_workload(
+            wl, Allocation.rc(wl), exploration_config(len(wl), seed=None)
+        )
         assert any(e.kind == "block" for e in trace)  # v2 kinds present
         data = trace_to_json(trace)
         assert data["version"] == EVENT_TRACE_VERSION
@@ -128,26 +130,36 @@ class TestEventTraceSchema:
 class TestTraceToSchedule:
     def test_simple_round_trip(self):
         wl = workload("W1[x]", "R2[x]")
-        trace, _ = run_workload(wl, Allocation.rc(wl), sessions=1, seed=0)
+        trace, _ = simulate_workload(
+            wl, Allocation.rc(wl), exploration_config(1, seed=0)
+        )
         s = trace_to_schedule(trace, wl)
         assert s.version_of(read(2, "x")) == write(1, "x")
         assert is_allowed(s, Allocation.rc(wl))
 
     def test_initial_version_reads_map_to_op0(self):
         wl = workload("R1[x]")
-        trace, _ = run_workload(wl, Allocation.si(wl), seed=0)
+        trace, _ = simulate_workload(
+            wl, Allocation.si(wl), exploration_config(len(wl), seed=0)
+        )
         s = trace_to_schedule(trace, wl)
         assert s.version_of(read(1, "x")) == OP0
 
     def test_retried_transactions_appear_once(self):
         wl = workload(*[f"R{i}[hot] W{i}[hot]" for i in range(1, 5)])
-        trace, stats = run_workload(wl, Allocation.si(wl), seed=2)
+        trace, stats = simulate_workload(
+            wl, Allocation.si(wl), exploration_config(len(wl), seed=2)
+        )
         assert stats.total_aborts > 0  # retries happened
         s = trace_to_schedule(trace, wl)
         assert set(s.order) == set(wl.operations())
 
     def test_schedule_program_order_preserved(self, write_skew):
-        trace, _ = run_workload(write_skew, Allocation.si(write_skew), seed=5)
+        trace, _ = simulate_workload(
+            write_skew,
+            Allocation.si(write_skew),
+            exploration_config(len(write_skew), seed=5),
+        )
         s = trace_to_schedule(trace, write_skew)
         for txn in write_skew:
             ops = txn.operations
@@ -156,7 +168,9 @@ class TestTraceToSchedule:
 
     def test_version_order_is_commit_order(self):
         wl = workload("R1[x] W1[x]", "R2[x] W2[x]")
-        trace, _ = run_workload(wl, Allocation.rc(wl), seed=3)
+        trace, _ = simulate_workload(
+            wl, Allocation.rc(wl), exploration_config(len(wl), seed=3)
+        )
         s = trace_to_schedule(trace, wl)
         writes = s.version_order["x"]
         commits = [s.commit_position(w.transaction_id) for w in writes]

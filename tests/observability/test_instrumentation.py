@@ -23,7 +23,7 @@ from repro.core.robustness import (
 )
 from repro.core.workload import workload
 from repro.enumeration.sampling import estimate_anomaly_rate
-from repro.mvcc import run_workload
+from repro.mvcc import exploration_config, simulate_workload
 from repro.observability import Tracer, use_tracer, validate_trace
 from repro.workloads.generator import random_workload
 
@@ -108,10 +108,14 @@ class TestSequentialSpans:
     def test_mvcc_run_span(self, write_skew):
         tracer = Tracer()
         with use_tracer(tracer):
-            run_workload(write_skew, Allocation.ssi(write_skew), seed=1)
+            simulate_workload(
+                write_skew,
+                Allocation.ssi(write_skew),
+                exploration_config(len(write_skew), seed=1),
+            )
         run = next(s for s in tracer.spans if s.name == "mvcc.run")
         assert run.attrs["commits"] >= len(write_skew)
-        assert run.attrs["ticks"] > 0
+        assert run.attrs["operations"] > 0
         assert tracer.registry.counters.get("mvcc.commits", 0) >= 1
 
     def test_sampling_span(self, write_skew):
@@ -194,9 +198,13 @@ class TestTracingChangesNothing:
 
     def test_simulation_trace_identical(self, write_skew):
         alloc = Allocation.si(write_skew)
-        plain_trace, plain_stats = run_workload(write_skew, alloc, seed=3)
+        plain_trace, plain_stats = simulate_workload(
+            write_skew, alloc, exploration_config(len(write_skew), seed=3)
+        )
         with use_tracer(Tracer()):
-            traced_trace, traced_stats = run_workload(write_skew, alloc, seed=3)
+            traced_trace, traced_stats = simulate_workload(
+                write_skew, alloc, exploration_config(len(write_skew), seed=3)
+            )
         assert plain_trace.events == traced_trace.events
         assert plain_stats.commits == traced_stats.commits
         assert plain_stats.aborts == traced_stats.aborts

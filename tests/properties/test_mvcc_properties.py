@@ -19,7 +19,7 @@ from repro.core.allowed import allowed_under
 from repro.core.isolation import Allocation
 from repro.core.robustness import is_robust
 from repro.core.serialization import is_conflict_serializable
-from repro.mvcc import run_workload, trace_to_schedule
+from repro.mvcc import exploration_config, simulate_workload, trace_to_schedule
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -28,7 +28,7 @@ COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @settings(max_examples=80, **COMMON)
 def test_traces_are_allowed_under_their_allocation(pair, seed):
     wl, alloc = pair
-    trace, stats = run_workload(wl, alloc, seed=seed)
+    trace, stats = simulate_workload(wl, alloc, exploration_config(len(wl), seed=seed))
     assert stats.commits == len(wl)
     schedule = trace_to_schedule(trace, wl)
     report = allowed_under(schedule, alloc)
@@ -42,7 +42,7 @@ def test_robust_workloads_only_produce_serializable_executions(pair, seed):
     wl, alloc = pair
     if not is_robust(wl, alloc):
         return
-    trace, _ = run_workload(wl, alloc, seed=seed)
+    trace, _ = simulate_workload(wl, alloc, exploration_config(len(wl), seed=seed))
     schedule = trace_to_schedule(trace, wl)
     assert is_conflict_serializable(schedule)
 
@@ -54,7 +54,7 @@ def test_ssi_executions_always_serializable(wl, seed):
     if len(wl) == 0:
         return
     alloc = Allocation.ssi(wl)
-    trace, _ = run_workload(wl, alloc, seed=seed)
+    trace, _ = simulate_workload(wl, alloc, exploration_config(len(wl), seed=seed))
     schedule = trace_to_schedule(trace, wl)
     assert is_conflict_serializable(schedule)
 
@@ -68,6 +68,6 @@ def test_optimal_allocation_executions_serializable(wl, seed):
     from repro.core.allocation import optimal_allocation
 
     optimum = optimal_allocation(wl)
-    trace, _ = run_workload(wl, optimum, seed=seed)
+    trace, _ = simulate_workload(wl, optimum, exploration_config(len(wl), seed=seed))
     schedule = trace_to_schedule(trace, wl)
     assert is_conflict_serializable(schedule)

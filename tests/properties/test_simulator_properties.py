@@ -1,14 +1,13 @@
 """Property tests tying the discrete-event simulator to the semantics.
 
-The simulator is a second operational model next to the interleaving
-scheduler — same engine, different clock.  These properties pin the
-contract the tentpole rewrite must keep:
+The simulator is the one driver of the MVCC engine.  These properties
+pin its contract:
 
 * every committed simulator trace, converted to a formal schedule, is
   *allowed under* its allocation (Definition 2.4) at arbitrary RC/SI/SSI
   mixes — including replicated instance streams;
-* a seed fully determines the execution, for **both** schedulers (the
-  reproducibility contract of ``--seed``);
+* a seed fully determines the execution (the reproducibility contract
+  of ``--seed``);
 * recording the trace or not changes nothing but the trace itself;
 * ``A_SSI`` executions stay conflict serializable, operationally.
 """
@@ -20,7 +19,7 @@ import strategies as sts
 from repro.core.allowed import allowed_under
 from repro.core.isolation import Allocation
 from repro.core.serialization import is_conflict_serializable
-from repro.mvcc import SimConfig, run_workload, simulate_workload, trace_to_schedule
+from repro.mvcc import SimConfig, simulate_workload, trace_to_schedule
 from repro.mvcc.simulator import replicate_workload
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -61,17 +60,6 @@ def test_simulator_deterministic_given_seed(pair, seed):
     assert s1.aborts == s2.aborts
     assert s1.sim_time == s2.sim_time
     assert s1.latencies == s2.latencies
-
-
-@given(sts.allocated_workloads(max_transactions=4), st.integers(0, 1_000))
-@settings(max_examples=40, **COMMON)
-def test_scheduler_deterministic_given_seed(pair, seed):
-    """The same contract holds for the interleaving scheduler."""
-    wl, alloc = pair
-    t1, s1 = run_workload(wl, alloc, seed=seed)
-    t2, s2 = run_workload(wl, alloc, seed=seed)
-    assert [str(e) for e in t1] == [str(e) for e in t2]
-    assert s1.commits == s2.commits and s1.ticks == s2.ticks
 
 
 @given(sts.allocated_workloads(max_transactions=4), st.integers(0, 1_000))

@@ -159,6 +159,7 @@ class TestSharding:
             ["serve", "--method", "paper"],
             ["check", "{wl}", "--method", "components"],
             ["allocate", "{wl}", "--method", "paper"],
+            ["simulate", "{wl}", "--engine", "events"],
         ],
         ids=[
             "check-jobs",
@@ -167,6 +168,7 @@ class TestSharding:
             "serve-method",
             "check-method",
             "allocate-method",
+            "simulate-engine",
         ],
     )
     def test_worker_and_serve_engine_flags_are_gone(
@@ -189,6 +191,15 @@ class TestSimulate:
         main(["simulate", skew_file, "--uniform", "SSI", "--runs", "4"])
         out = capsys.readouterr().out
         assert "4/4 executions serializable" in out
+
+    def test_stats_and_instance_stream(self, skew_file, capsys):
+        argv = ["simulate", skew_file, "--uniform", "SSI", "--runs", "2"]
+        assert main([*argv, "--repeat", "3", "--sessions", "2", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "run 1: commits=6 " in out
+        assert "2/2 executions serializable; 12 commits" in out
+        assert out.count("  blocks=") == 2 and out.count("  latency p50=") == 2
+        assert "throughput=" in out and "wait_time=" in out
 
 
 class TestStats:
@@ -702,6 +713,29 @@ class TestBadFlagValues:
     def test_sweep_bad_points(self, capsys):
         assert main(["simulate", "sweep", "--points", "bogus"]) == 2
         assert "bogus" in _error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["{wl}", "--runs", "0"], "--runs"),
+            (["{wl}", "--runs", "-2"], "--runs"),
+            (["{wl}", "--repeat", "0"], "--repeat"),
+            (["{wl}", "--repeat", "-3"], "--repeat"),
+            (["{wl}", "--sessions", "0"], "--sessions"),
+            (["{wl}", "--sessions", "-4"], "--sessions"),
+            (["sweep", "--repeat", "0"], "--repeat"),
+            (["sweep", "--sessions", "0"], "--sessions"),
+            (["sweep", "--transactions", "0"], "--transactions"),
+            (["sweep", "--transactions", "-1"], "--transactions"),
+            (["sweep", "--points", ","], "--points"),
+            (["sweep", "--strategies", ","], "--strategies"),
+        ],
+    )
+    def test_simulate_rejects_counts_it_cannot_run(
+        self, skew_file, argv, flag, capsys
+    ):
+        assert main(["simulate", *(a.format(wl=skew_file) for a in argv)]) == 2
+        assert flag in _error_line(capsys)
 
     def test_service_top_zero_interval(self, capsys):
         assert main(["service", "top", "--interval", "0"]) == 2
