@@ -1,17 +1,17 @@
 """Experiments A2/T43 and P54/T55 — the allocation algorithms.
 
 Algorithm 2 ({RC, SI, SSI}, always succeeds) and the Theorem 5.5 variant
-({RC, SI}, may report non-existence) are timed over workload size, and the
-resulting allocation mixes are reported (visible with ``-s``).
+({RC, SI}, may report non-existence) run over workload size.  The A2
+table reports the robustness checks Algorithm 2 spends (Theorem 4.3's
+``O(|T| * levels)`` budget), the kernel rows it builds and the resulting
+allocation mixes (visible with ``-s``).
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from conftest import PHASE_HEADERS, phase_rows, print_table
+from conftest import PHASE_HEADERS, phase_rows, print_table, timed
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, ORACLE_LEVELS, POSTGRES_LEVELS
@@ -40,34 +40,61 @@ def _cold_optimal_allocation(wl, levels=POSTGRES_LEVELS):
     return current
 
 
-@pytest.mark.parametrize("transactions", [5, 10, 20, 40])
-def test_algorithm2_scaling(benchmark, transactions):
-    """Runtime series of Algorithm 2 over |T| (Theorem 4.3 shape)."""
-    wl = random_workload(
-        transactions=transactions,
-        objects=transactions * 2,
-        min_ops=2,
-        max_ops=4,
-        seed=13,
-    )
-    optimum = benchmark(lambda: optimal_allocation(wl))
-    assert optimum is not None
-    benchmark.extra_info["transactions"] = transactions
-    benchmark.extra_info["mix"] = {
-        level.name: len(optimum.tids_at(level)) for level in POSTGRES_LEVELS
-    }
+#: Calls per row of the A2/T43 table; each time is their median.
+A2_REPEATS = 7
+
+
+def _counted_allocation(wl):
+    """Algorithm 2 on a fresh context: ``(optimum, its ContextStats)``."""
+    ctx = AnalysisContext(wl)
+    return optimal_allocation(wl, context=ctx), ctx.stats
+
+
+def test_algorithm2_scaling_report(capsys):
+    """A2/T43 table: Algorithm 2's probes as |T| grows (Theorem 4.3).
+
+    Refining from ``A_SSI`` probes each transaction at RC and then at SI
+    at most, so over {RC, SI, SSI} the checks stay within ``2 * |T|``,
+    asserted on every row.
+    """
+    rows = []
+    for transactions in (5, 10, 20, 40):
+        wl = random_workload(
+            transactions=transactions,
+            objects=transactions * 2,
+            min_ops=2,
+            max_ops=4,
+            seed=13,
+        )
+        (optimum, stats), median = timed(lambda: _counted_allocation(wl), A2_REPEATS)
+        assert optimum is not None
+        assert stats.checks <= 2 * transactions, "more probes than Theorem 4.3's budget"
+        rows.append(
+            (
+                transactions,
+                stats.checks,
+                stats.kernel_row_builds,
+                "/".join(str(len(optimum.tids_at(level))) for level in POSTGRES_LEVELS),
+                f"{median * 1000:.2f}",
+            )
+        )
+    with capsys.disabled():
+        print_table(
+            f"A2/T43: Algorithm 2 over |T|, median of {A2_REPEATS} calls",
+            ["|T|", "checks", "rows built", "RC/SI/SSI", "median (ms)"],
+            rows,
+        )
 
 
 @pytest.mark.parametrize("levels_name", ["postgres", "oracle"])
-def test_level_class_comparison(benchmark, levels_name):
+def test_level_class_comparison(levels_name):
     """{RC, SI, SSI} vs {RC, SI} (Theorem 5.5): cost and existence."""
     levels = POSTGRES_LEVELS if levels_name == "postgres" else ORACLE_LEVELS
     wl = random_workload(transactions=14, objects=20, seed=29)
-    optimum = benchmark(lambda: optimal_allocation(wl, levels))
-    benchmark.extra_info["exists"] = optimum is not None
+    optimal_allocation(wl, levels)
 
 
-def test_allocation_mix_report(benchmark, capsys):
+def test_allocation_mix_report(capsys):
     """Report table: optimal mixes for representative workloads."""
     cases = [
         ("sparse", random_workload(transactions=12, objects=60, seed=1)),
@@ -80,23 +107,19 @@ def test_allocation_mix_report(benchmark, capsys):
         ),
     ]
 
-    def compute():
-        rows = []
-        for name, wl in cases:
-            optimum = optimal_allocation(wl)
-            oracle = optimal_allocation(wl, ORACLE_LEVELS)
-            rows.append(
-                (
-                    name,
-                    len(optimum.tids_at("RC")),
-                    len(optimum.tids_at("SI")),
-                    len(optimum.tids_at("SSI")),
-                    "yes" if oracle is not None else "no",
-                )
+    rows = []
+    for name, wl in cases:
+        optimum = optimal_allocation(wl)
+        oracle = optimal_allocation(wl, ORACLE_LEVELS)
+        rows.append(
+            (
+                name,
+                len(optimum.tids_at("RC")),
+                len(optimum.tids_at("SI")),
+                len(optimum.tids_at("SSI")),
+                "yes" if oracle is not None else "no",
             )
-        return rows
-
-    rows = benchmark(compute)
+        )
     with capsys.disabled():
         print_table(
             "A2: optimal allocation mixes",
@@ -106,61 +129,46 @@ def test_allocation_mix_report(benchmark, capsys):
 
 
 @pytest.mark.parametrize("mode", ["cold", "context"])
-def test_refinement_mode(benchmark, mode):
+def test_refinement_mode(mode):
     """Algorithm 2 with a fresh index per check vs one shared context."""
     wl = random_workload(transactions=24, objects=30, min_ops=2, max_ops=4, seed=13)
 
     if mode == "cold":
-        result = benchmark(lambda: _cold_optimal_allocation(wl))
+        result = _cold_optimal_allocation(wl)
     else:
-        result = benchmark(lambda: optimal_allocation(wl, context=AnalysisContext(wl)))
+        result = optimal_allocation(wl, context=AnalysisContext(wl))
     assert result is not None
-    benchmark.extra_info["mode"] = mode
 
 
-def test_context_speedup_report(benchmark, capsys):
+def test_context_speedup_report(capsys):
     """CTX table: context-backed vs cold-start refinement, with counters.
 
     Asserts identical allocations and exactly one conflict-index build
     for the context-backed run (the acceptance criterion of the shared
     analysis context).
     """
-
-    def compute():
-        rows = []
-        for transactions in (10, 20, 30):
-            wl = random_workload(
-                transactions=transactions,
-                objects=transactions + 6,
-                min_ops=2,
-                max_ops=4,
-                seed=13,
+    rows = []
+    for transactions in (10, 20, 30):
+        wl = random_workload(
+            transactions=transactions,
+            objects=transactions + 6,
+            min_ops=2,
+            max_ops=4,
+            seed=13,
+        )
+        cold, cold_s = timed(lambda: _cold_optimal_allocation(wl))
+        (warm, stats), warm_s = timed(lambda: _counted_allocation(wl))
+        assert warm == cold, "context-backed optimum diverged from seed"
+        assert stats.index_builds == 1, "context rebuilt its conflict index"
+        rows.append(
+            (
+                transactions,
+                f"{cold_s * 1000:.1f}ms",
+                f"{warm_s * 1000:.1f}ms",
+                f"{cold_s / warm_s:.1f}x",
+                stats.checks,
             )
-            t0 = time.perf_counter()
-            cold = _cold_optimal_allocation(wl)
-            cold_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            ctx = AnalysisContext(wl)
-            warm = optimal_allocation(wl, context=ctx)
-            warm_s = time.perf_counter() - t0
-
-            assert warm == cold, "context-backed optimum diverged from seed"
-            assert ctx.stats.index_builds == 1, (
-                "context rebuilt its conflict index"
-            )
-            rows.append(
-                (
-                    transactions,
-                    f"{cold_s * 1000:.1f}ms",
-                    f"{warm_s * 1000:.1f}ms",
-                    f"{cold_s / warm_s:.1f}x",
-                    ctx.stats.checks,
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+        )
     with capsys.disabled():
         print_table(
             "CTX: shared analysis context vs cold start (Algorithm 2)",
@@ -169,26 +177,22 @@ def test_context_speedup_report(benchmark, capsys):
         )
 
 
-def test_phase_timing_report(benchmark, capsys):
+def test_phase_timing_report(capsys):
     """OBS table: where Algorithm 2 spends its time, per phase.
 
     Runs the |T|=24 refinement once untraced and once under a live
     :class:`~repro.observability.Tracer`, asserts the allocations are
     identical (tracing must not change behaviour), and prints the
     per-phase breakdown the tracer aggregated — the profiling hook of
-    the benchmark suite (EXPERIMENTS.md, OBS section).
+    the experiment suite (EXPERIMENTS.md, OBS section).
     """
     wl = random_workload(transactions=24, objects=30, min_ops=2, max_ops=4, seed=13)
 
-    def compute():
-        baseline = optimal_allocation(wl, context=AnalysisContext(wl))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            traced = optimal_allocation(wl, context=AnalysisContext(wl))
-        assert traced == baseline, "tracing changed the computed optimum"
-        return tracer
-
-    tracer = benchmark.pedantic(compute, rounds=1, iterations=1)
+    baseline = optimal_allocation(wl, context=AnalysisContext(wl))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        traced = optimal_allocation(wl, context=AnalysisContext(wl))
+    assert traced == baseline, "tracing changed the computed optimum"
     with capsys.disabled():
         print_table(
             "OBS: Algorithm 2 phase timings (|T|=24, traced run)",

@@ -58,35 +58,26 @@ def _mix(config):
 
 
 @pytest.mark.parametrize("scenario", list(SWEEP))
-def test_allocation_mix_vs_contention(benchmark, scenario):
-    """Per-scenario timing of the Algorithm 2 sweep."""
-    config = SWEEP[scenario]
-    totals = benchmark.pedantic(lambda: _mix(config), rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {k: v for k, v in totals.items() if k != "n"}
-    )
+def test_allocation_mix_vs_contention(scenario):
+    """One scenario of the Algorithm 2 sweep."""
+    _mix(SWEEP[scenario])
 
 
-def test_contention_sweep_report(benchmark, capsys):
+def test_contention_sweep_report(capsys):
     """The full ALLOC table (fractions of transactions per level)."""
-
-    def sweep():
-        rows = []
-        for scenario, config in SWEEP.items():
-            totals = _mix(config)
-            n = totals["n"]
-            rows.append(
-                (
-                    scenario,
-                    f"{totals['RC'] / n:.0%}",
-                    f"{totals['SI'] / n:.0%}",
-                    f"{totals['SSI'] / n:.0%}",
-                    f"{totals['oracle_ok']}/{len(SEEDS)}",
-                )
+    rows = []
+    for scenario, config in SWEEP.items():
+        totals = _mix(config)
+        n = totals["n"]
+        rows.append(
+            (
+                scenario,
+                f"{totals['RC'] / n:.0%}",
+                f"{totals['SI'] / n:.0%}",
+                f"{totals['SSI'] / n:.0%}",
+                f"{totals['oracle_ok']}/{len(SEEDS)}",
             )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+        )
     with capsys.disabled():
         print_table(
             "ALLOC: optimal level mix vs contention (10 seeds x 10 txns)",
@@ -100,37 +91,33 @@ def test_contention_sweep_report(benchmark, capsys):
     assert read_mostly_rc > hot_writes_rc
 
 
-def test_ycsb_skew_sweep_report(benchmark, capsys):
+def test_ycsb_skew_sweep_report(capsys):
     """ALLOC-YCSB: optimal mix as the Zipfian skew rises (workload A)."""
     from repro.workloads.ycsb import ycsb_workload
 
-    def sweep():
-        rows = []
-        for theta in (0.0, 0.5, 0.9, 0.99):
-            totals = {"RC": 0, "SI": 0, "SSI": 0, "n": 0}
-            for seed in range(8):
-                wl = ycsb_workload(
-                    workload="A",
-                    transactions=10,
-                    keys=50,
-                    theta=theta,
-                    seed=seed,
-                )
-                optimum = optimal_allocation(wl)
-                for name in ("RC", "SI", "SSI"):
-                    totals[name] += len(optimum.tids_at(name))
-                totals["n"] += len(wl)
-            rows.append(
-                (
-                    f"theta={theta}",
-                    f"{totals['RC'] / totals['n']:.0%}",
-                    f"{totals['SI'] / totals['n']:.0%}",
-                    f"{totals['SSI'] / totals['n']:.0%}",
-                )
+    rows = []
+    for theta in (0.0, 0.5, 0.9, 0.99):
+        totals = {"RC": 0, "SI": 0, "SSI": 0, "n": 0}
+        for seed in range(8):
+            wl = ycsb_workload(
+                workload="A",
+                transactions=10,
+                keys=50,
+                theta=theta,
+                seed=seed,
             )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+            optimum = optimal_allocation(wl)
+            for name in ("RC", "SI", "SSI"):
+                totals[name] += len(optimum.tids_at(name))
+            totals["n"] += len(wl)
+        rows.append(
+            (
+                f"theta={theta}",
+                f"{totals['RC'] / totals['n']:.0%}",
+                f"{totals['SI'] / totals['n']:.0%}",
+                f"{totals['SSI'] / totals['n']:.0%}",
+            )
+        )
     with capsys.disabled():
         print_table(
             "ALLOC-YCSB: level mix vs Zipfian skew (YCSB-A, 8 seeds x 10 txns)",

@@ -19,7 +19,7 @@ from repro.workloads.smallbank import si_anomaly_triple
 
 
 @pytest.mark.parametrize("transactions", [5, 10, 20])
-def test_counterexample_survey_scaling(benchmark, transactions):
+def test_counterexample_survey_scaling(transactions):
     """Enumerating every problematic triple of a contended workload."""
     wl = random_workload(
         transactions=transactions,
@@ -29,56 +29,43 @@ def test_counterexample_survey_scaling(benchmark, transactions):
         seed=31,
     )
     alloc = Allocation.si(wl)
-    count = benchmark(
-        lambda: sum(
-            1
-            for _ in enumerate_counterexamples(
-                wl, alloc, materialize_schedules=False
-            )
-        )
-    )
-    benchmark.extra_info["problematic_triples"] = count
+    list(enumerate_counterexamples(wl, alloc, materialize_schedules=False))
 
 
-def test_blame_report_smallbank(benchmark):
+def test_blame_report_smallbank():
     wl = si_anomaly_triple()
-    report = benchmark(lambda: blame_report(wl, Allocation.si(wl)))
+    report = blame_report(wl, Allocation.si(wl))
     assert not report.robust
 
 
-def test_promotion_report(benchmark, capsys):
+def test_promotion_report(capsys):
     """BLAME table: promotion sets for the classic anomalies."""
-
-    def compute():
-        rows = []
-        cases = [
-            ("smallbank triple", si_anomaly_triple()),
-            (
-                "hot random (8 txns)",
-                random_workload(
-                    transactions=8,
-                    objects=8,
-                    hot_objects=2,
-                    hot_probability=0.7,
-                    seed=1,  # a seed whose workload is not robust vs A_SI
-                ),
+    rows = []
+    cases = [
+        ("smallbank triple", si_anomaly_triple()),
+        (
+            "hot random (8 txns)",
+            random_workload(
+                transactions=8,
+                objects=8,
+                hot_objects=2,
+                hot_probability=0.7,
+                seed=1,  # a seed whose workload is not robust vs A_SI
             ),
-        ]
-        for name, wl in cases:
-            alloc = Allocation.si(wl)
-            report = blame_report(wl, alloc)
-            sets = minimal_promotion_sets(wl, alloc, max_size=3)
-            sets_text = (
-                "; ".join(
-                    "{" + ",".join(f"T{t}" for t in sorted(s)) + "}" for s in sets
-                )
-                if sets
-                else "none <= size 3"
+        ),
+    ]
+    for name, wl in cases:
+        alloc = Allocation.si(wl)
+        report = blame_report(wl, alloc)
+        sets = minimal_promotion_sets(wl, alloc, max_size=3)
+        sets_text = (
+            "; ".join(
+                "{" + ",".join(f"T{t}" for t in sorted(s)) + "}" for s in sets
             )
-            rows.append((name, len(report.triples), sets_text))
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+            if sets
+            else "none <= size 3"
+        )
+        rows.append((name, len(report.triples), sets_text))
     with capsys.disabled():
         print_table(
             "BLAME: problematic triples and minimal promotion sets (to SSI)",

@@ -4,15 +4,15 @@ There is no evaluation section to copy numbers from; the claim under test
 is the reason Theorem 3.3 matters: deciding robustness by enumerating
 schedules explodes combinatorially (the interleaving space is a
 multinomial coefficient), while Algorithm 1 stays flat.  Expected shape:
-brute force is competitive only below ~8-10 total operations and is
-orders of magnitude slower beyond; both always agree.
+brute force walks every interleaving of a robust workload, a count that
+multiplies with each added transaction, while Algorithm 1 builds one
+kernel row per transaction; both always agree.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from conftest import print_table
+from conftest import print_table, timed
+from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation
 from repro.core.robustness import is_robust
 from repro.enumeration import brute_force_check, count_interleavings
@@ -29,57 +29,53 @@ def _workload(transactions: int):
     )
 
 
-@pytest.mark.parametrize("transactions", [2, 3, 4])
-def test_brute_force_scaling(benchmark, transactions):
-    """Exhaustive robustness check: the exploding baseline."""
-    wl = _workload(transactions)
-    alloc = Allocation.si(wl)
-    result = benchmark(lambda: brute_force_check(wl, alloc).robust)
-    benchmark.extra_info["interleavings"] = count_interleavings(wl)
-    assert result == is_robust(wl, alloc)
+def test_crossover_report(capsys):
+    """BF table: the interleaving space brute force walks, against the
+    kernel rows Algorithm 1 builds, on the same inputs.
 
-
-@pytest.mark.parametrize("transactions", [2, 3, 4])
-def test_algorithm1_same_inputs(benchmark, transactions):
-    """Algorithm 1 on the identical inputs: the flat curve."""
-    wl = _workload(transactions)
-    alloc = Allocation.si(wl)
-    benchmark(lambda: is_robust(wl, alloc))
-    benchmark.extra_info["interleavings"] = count_interleavings(wl)
-
-
-def test_crossover_report(benchmark, capsys):
-    """Report: interleaving-space blowup against flat Algorithm 1 input size."""
-    import time
-
-    def measure():
-        rows = []
-        for transactions in (2, 3, 4):
-            wl = _workload(transactions)
-            alloc = Allocation.si(wl)
-            start = time.perf_counter()
-            bf = brute_force_check(wl, alloc)
-            bf_time = time.perf_counter() - start
-            start = time.perf_counter()
-            fast = is_robust(wl, alloc)
-            fast_time = time.perf_counter() - start
-            assert fast == bf.robust
-            rows.append(
-                (
-                    transactions,
-                    wl.operation_count(),
-                    count_interleavings(wl),
-                    f"{bf_time * 1e3:.2f}",
-                    f"{fast_time * 1e3:.2f}",
-                    f"{bf_time / fast_time:.0f}x" if fast_time else "-",
-                )
+    Both decide every input once and must agree.  A robust verdict
+    means brute force checked every interleaving, asserted against the
+    multinomial count.
+    """
+    rows = []
+    for transactions in (2, 3, 4):
+        wl = _workload(transactions)
+        alloc = Allocation.si(wl)
+        interleavings = count_interleavings(wl)
+        bf, bf_s = timed(lambda: brute_force_check(wl, alloc))
+        ctx = AnalysisContext(wl)
+        fast, fast_s = timed(lambda: is_robust(wl, alloc, context=ctx))
+        assert fast == bf.robust
+        if bf.robust:
+            assert bf.schedules_checked == interleavings
+        rows.append(
+            (
+                transactions,
+                wl.operation_count(),
+                interleavings,
+                bf.schedules_checked,
+                bf.schedules_allowed,
+                ctx.stats.kernel_row_builds,
+                "robust" if fast else "not robust",
+                f"{bf_s * 1e3:.2f}",
+                f"{fast_s * 1e3:.2f}",
+                f"{bf_s / fast_s:.0f}x" if fast_s else "-",
             )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+        )
     with capsys.disabled():
         print_table(
-            "BF: brute force vs Algorithm 1",
-            ["|T|", "ops", "interleavings", "brute (ms)", "alg1 (ms)", "speedup"],
+            "BF: brute force vs Algorithm 1 (A_SI)",
+            [
+                "|T|",
+                "ops",
+                "interleavings",
+                "schedules_checked",
+                "schedules_allowed",
+                "alg1 rows built",
+                "verdict",
+                "brute (ms)",
+                "alg1 (ms)",
+                "speedup",
+            ],
             rows,
         )

@@ -32,37 +32,27 @@ def _arrivals(contention: str):
 
 
 @pytest.mark.parametrize("contention", ["sparse", "contended"])
-def test_incremental_stream(benchmark, contention):
+def test_incremental_stream(contention):
     """Maintain the optimum across 12 arrivals with warm starts."""
     arrivals = _arrivals(contention)
 
-    def stream():
-        manager = AllocationManager()
-        checks = 0
-        for txn in arrivals:
-            manager.add(txn)
-            checks += manager.last_check_count
-        return checks
-
-    checks = benchmark.pedantic(stream, rounds=3, iterations=1)
-    benchmark.extra_info["robustness_checks"] = checks
+    manager = AllocationManager()
+    for txn in arrivals:
+        manager.add(txn)
 
 
 @pytest.mark.parametrize("contention", ["sparse", "contended"])
-def test_recompute_stream(benchmark, contention):
+def test_recompute_stream(contention):
     """The baseline: rerun Algorithm 2 from scratch on every arrival."""
     arrivals = _arrivals(contention)
 
-    def stream():
-        seen = []
-        for txn in arrivals:
-            seen.append(txn)
-            optimal_allocation(Workload(seen))
-
-    benchmark.pedantic(stream, rounds=3, iterations=1)
+    seen = []
+    for txn in arrivals:
+        seen.append(txn)
+        optimal_allocation(Workload(seen))
 
 
-def test_incremental_report(benchmark, capsys):
+def test_incremental_report(capsys):
     """INC table: robustness checks spent, warm start vs from scratch.
 
     Both columns are *measured* now: the warm-start column reads the
@@ -70,32 +60,27 @@ def test_incremental_report(benchmark, capsys):
     Algorithm 2 through a fresh context per arrival and reads its counter
     (the seed benchmark fabricated this column from ``1 + 2|T|``).
     """
-
-    def compute():
-        rows = []
-        for contention in ("sparse", "contended"):
-            arrivals = _arrivals(contention)
-            manager = AllocationManager()
-            warm = 0
-            for txn in arrivals:
-                manager.add(txn)
-                warm += manager.last_check_count
-            cold = 0
-            seen = []
-            for txn in arrivals:
-                seen.append(txn)
-                wl = Workload(seen)
-                ctx = AnalysisContext(wl)
-                optimal_allocation(wl, context=ctx)
-                cold += ctx.stats.checks
-            # Verify the stream landed on the true optimum.
-            assert manager.allocation == optimal_allocation(Workload(arrivals))
-            rows.append(
-                (contention, warm, cold, f"{cold / warm:.1f}x")
-            )
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows = []
+    for contention in ("sparse", "contended"):
+        arrivals = _arrivals(contention)
+        manager = AllocationManager()
+        warm = 0
+        for txn in arrivals:
+            manager.add(txn)
+            warm += manager.last_check_count
+        cold = 0
+        seen = []
+        for txn in arrivals:
+            seen.append(txn)
+            wl = Workload(seen)
+            ctx = AnalysisContext(wl)
+            optimal_allocation(wl, context=ctx)
+            cold += ctx.stats.checks
+        # Verify the stream landed on the true optimum.
+        assert manager.allocation == optimal_allocation(Workload(arrivals))
+        rows.append(
+            (contention, warm, cold, f"{cold / warm:.1f}x")
+        )
     with capsys.disabled():
         print_table(
             "INC: robustness checks across 12 arrivals",

@@ -54,32 +54,20 @@ def _scenarios():
 
 
 @pytest.mark.parametrize("level", [level.name for level in LEVELS])
-def test_invariant_scenarios(benchmark, level):
+def test_invariant_scenarios(level):
     parsed = IsolationLevel.parse(level)
-
-    def run_all():
-        return {
-            name: _violation_rate(calls, parsed, check)
-            for name, calls, check in _scenarios()
-        }
-
-    rates = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    benchmark.extra_info.update({k: round(v, 2) for k, v in rates.items()})
+    for _name, calls, check in _scenarios():
+        _violation_rate(calls, parsed, check)
 
 
-def test_invariant_report(benchmark, capsys):
+def test_invariant_report(capsys):
     """INV table with the strict-hierarchy shape assertions."""
-
-    def compute():
-        rows = []
-        for name, calls, check in _scenarios():
-            rates = [
-                _violation_rate(calls, level, check) for level in LEVELS
-            ]
-            rows.append((name, *(f"{rate:.0%}" for rate in rates)))
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows = []
+    for name, calls, check in _scenarios():
+        rates = [
+            _violation_rate(calls, level, check) for level in LEVELS
+        ]
+        rows.append((name, *(f"{rate:.0%}" for rate in rates)))
     with capsys.disabled():
         print_table(
             "INV: invariant violation rates (25 seeded runs)",

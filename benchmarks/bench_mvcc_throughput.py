@@ -63,38 +63,26 @@ def _run_level(config, level):
 
 @pytest.mark.parametrize("level", ["RC", "SI", "SSI"])
 @pytest.mark.parametrize("contention", ["low", "high"])
-def test_throughput_by_level(benchmark, level, contention):
-    config = LOW if contention == "low" else HIGH
-    totals = benchmark.pedantic(
-        lambda: _run_level(config, level), rounds=1, iterations=1
-    )
-    benchmark.extra_info.update(totals)
-    benchmark.extra_info["throughput"] = round(
-        totals["commits"] / totals["sim_time"], 4
-    )
+def test_throughput_by_level(level, contention):
+    _run_level(LOW if contention == "low" else HIGH, level)
 
 
-def test_footnote1_report(benchmark, capsys):
+def test_footnote1_report(capsys):
     """The FN1 table and its shape assertions."""
-
-    def sweep():
-        rows = []
-        for contention, config in (("low", LOW), ("high", HIGH)):
-            for level in ("RC", "SI", "SSI", "optimal"):
-                totals = _run_level(config, level)
-                rows.append(
-                    (
-                        contention,
-                        level,
-                        totals["commits"],
-                        totals["aborts"],
-                        f"{totals['sim_time']:.1f}",
-                        f"{totals['commits'] / totals['sim_time']:.3f}",
-                    )
+    rows = []
+    for contention, config in (("low", LOW), ("high", HIGH)):
+        for level in ("RC", "SI", "SSI", "optimal"):
+            totals = _run_level(config, level)
+            rows.append(
+                (
+                    contention,
+                    level,
+                    totals["commits"],
+                    totals["aborts"],
+                    f"{totals['sim_time']:.1f}",
+                    f"{totals['commits'] / totals['sim_time']:.3f}",
                 )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+            )
     with capsys.disabled():
         print_table(
             "FN1: MVCC throughput, RC vs SI vs SSI vs optimal allocation",

@@ -3,13 +3,11 @@
 The figures are definitional, so the reproduced 'numbers' are the stated
 facts: the dependency kinds and cyclicity of Figures 2/3, the allowed/
 not-allowed matrix of Example 2.6 (Figure 4) and Example 5.2 (Figure 5).
-Each bench re-derives the facts from scratch (schedule construction +
-checkers) and times that pipeline.
+Each test re-derives the facts from scratch (schedule construction +
+checkers).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from conftest import print_table
 from repro.analysis.render import render_schedule, render_serialization_graph
@@ -25,21 +23,15 @@ from repro.workloads.paper_examples import (
 )
 
 
-def test_figure2_pipeline(benchmark):
+def test_figure2_pipeline():
     """F2/F3: build schedule s, SeG(s), decide serializability."""
-
-    def pipeline():
-        s = figure2_schedule()
-        graph = serialization_graph(s)
-        return graph.is_acyclic()
-
-    acyclic = benchmark(pipeline)
-    assert not acyclic  # Figure 3: the graph is cyclic
+    graph = serialization_graph(figure2_schedule())
+    assert not graph.is_acyclic()  # Figure 3: the graph is cyclic
 
 
-def test_figure2_report(benchmark, capsys):
+def test_figure2_report(capsys):
     """Render the Figure 2 timeline and Figure 3 edge list."""
-    s = benchmark(figure2_schedule)
+    s = figure2_schedule()
     with capsys.disabled():
         print("\n== F2: schedule s of Figure 2 ==")
         print(render_schedule(s))
@@ -47,19 +39,15 @@ def test_figure2_report(benchmark, capsys):
         print(render_serialization_graph(serialization_graph(s)))
 
 
-def test_example26_matrix(benchmark, capsys):
+def test_example26_matrix(capsys):
     """F4: the allowed/not-allowed matrix of Example 2.6."""
-
-    def matrix():
-        s = example26_schedule()
-        a1, a2, a3 = example26_allocations()
-        return [
-            ("A1 = A_SI", is_allowed(s, a1)),
-            ("A2 (T1:RC, T2:SI)", is_allowed(s, a2)),
-            ("A3 (T1:SI, T2:RC)", is_allowed(s, a3)),
-        ]
-
-    rows = benchmark(matrix)
+    s = example26_schedule()
+    a1, a2, a3 = example26_allocations()
+    rows = [
+        ("A1 = A_SI", is_allowed(s, a1)),
+        ("A2 (T1:RC, T2:SI)", is_allowed(s, a2)),
+        ("A3 (T1:SI, T2:RC)", is_allowed(s, a3)),
+    ]
     assert [allowed for _name, allowed in rows] == [False, False, True]
     with capsys.disabled():
         print_table(
@@ -69,18 +57,14 @@ def test_example26_matrix(benchmark, capsys):
         )
 
 
-def test_example52_matrix(benchmark, capsys):
+def test_example52_matrix(capsys):
     """F5: Example 5.2 — allowed under A_SI, not under A_RC."""
-
-    def matrix():
-        s = example52_schedule()
-        wl = example52_workload()
-        return [
-            ("A_SI", is_allowed(s, Allocation.si(wl))),
-            ("A_RC", is_allowed(s, Allocation.rc(wl))),
-        ]
-
-    rows = benchmark(matrix)
+    s = example52_schedule()
+    wl = example52_workload()
+    rows = [
+        ("A_SI", is_allowed(s, Allocation.si(wl))),
+        ("A_RC", is_allowed(s, Allocation.rc(wl))),
+    ]
     assert [allowed for _name, allowed in rows] == [True, False]
     with capsys.disabled():
         print_table(
@@ -90,7 +74,7 @@ def test_example52_matrix(benchmark, capsys):
         )
 
 
-def test_figure2_serializability(benchmark):
+def test_figure2_serializability():
     """Figure 2's schedule is not conflict serializable (Section 2.2)."""
     s = figure2_schedule()
-    assert not benchmark(lambda: is_conflict_serializable(s))
+    assert not is_conflict_serializable(s)

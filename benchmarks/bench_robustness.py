@@ -1,21 +1,23 @@
 """Experiment T33 — Algorithm 1 is polynomial (Theorem 3.3).
 
 The paper proves ``O(|T|^3 * max{|T|^3, k^2 l^2, l^6})``; there is no
-testbed to match, so the reproduction target is the *shape*: runtime grows
-polynomially in the number of transactions and Algorithm 1 handles
-workload sizes the brute-force baseline (bench_bruteforce.py) cannot
-touch.  Also ablates the bitset kernel against the reference engines of
+testbed to match, so the reproduction target is the *shape*: the scan
+the theorem bounds — one kernel row per ``T_1``, each over the triples
+through it — stays polynomial in the number of transactions, and
+Algorithm 1 handles workload sizes the brute-force baseline
+(bench_bruteforce.py) cannot touch.  Only a robust verdict makes the
+scan visit every ``T_1``: a non-robust one stops at the first witness.
+Also checks the bitset kernel against the reference engines of
 :mod:`repro.core.reference`: the cached-components reachability and the
 verbatim per-triple transitive closure of the paper's pseudocode.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from conftest import print_table
+from conftest import print_table, timed
+from repro.analysis.statistics import workload_stats
 from repro.core import reference
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
@@ -33,48 +35,90 @@ def _mixed_allocation(workload, seed: int = 0) -> Allocation:
     )
 
 
-@pytest.mark.parametrize("transactions", [5, 10, 20, 40, 80])
-def test_algorithm1_scaling_mixed(benchmark, transactions):
-    """Runtime series over |T| with a random mixed allocation."""
-    wl = random_workload(
-        transactions=transactions,
-        objects=transactions * 2,
-        min_ops=2,
-        max_ops=4,
-        seed=7,
-    )
-    alloc = _mixed_allocation(wl)
-    result = benchmark(lambda: is_robust(wl, alloc))
-    benchmark.extra_info["transactions"] = transactions
-    benchmark.extra_info["robust"] = result
+#: Calls per row of the T33 table; each time is their median.
+T33_REPEATS = 7
+
+
+def _counted_check(wl, alloc):
+    """``is_robust`` on a fresh context: ``(verdict, kernel rows built)``."""
+    ctx = AnalysisContext(wl)
+    return is_robust(wl, alloc, context=ctx), ctx.stats.kernel_row_builds
+
+
+def test_algorithm1_scaling_report(capsys):
+    """T33 table: the full Algorithm 1 scan as |T| grows.
+
+    Each workload is checked against its robust optimum (computed
+    outside the timed calls), so the scan proves robustness and builds
+    every ``T_1``'s kernel row: rows built equals |T|, asserted.  The
+    mixed columns check a random mixed allocation, which is not robust
+    and stops at the first witness after a few rows.
+    """
+    rows = []
+    for transactions in (5, 10, 20, 40, 80, 160):
+        wl = random_workload(
+            transactions=transactions,
+            objects=transactions * 2,
+            min_ops=2,
+            max_ops=4,
+            seed=7,
+        )
+        optimum = optimal_allocation(wl)
+        (robust, built), median = timed(
+            lambda: _counted_check(wl, optimum), T33_REPEATS
+        )
+        assert robust, "the optimum must be robust"
+        assert built == transactions, "a robust verdict builds every T_1 row"
+        mixed_robust, mixed_built = _counted_check(wl, _mixed_allocation(wl))
+        rows.append(
+            (
+                transactions,
+                wl.operation_count(),
+                workload_stats(wl).conflict_pairs,
+                built,
+                f"{median * 1000:.2f}",
+                mixed_built,
+                "robust" if mixed_robust else "not robust",
+            )
+        )
+    with capsys.disabled():
+        print_table(
+            f"T33: Algorithm 1 against the robust optimum, median of {T33_REPEATS} calls",
+            [
+                "|T|",
+                "ops",
+                "conflicting pairs",
+                "rows built",
+                "median (ms)",
+                "mixed: rows built",
+                "mixed: verdict",
+            ],
+            rows,
+        )
 
 
 @pytest.mark.parametrize("level", ["RC", "SI", "SSI"])
-def test_algorithm1_uniform_levels(benchmark, level):
+def test_algorithm1_uniform_levels(level):
     """Uniform allocations: SSI tends to short-circuit via condition (6)."""
     wl = random_workload(transactions=20, objects=30, seed=11)
     alloc = Allocation.uniform(wl, level)
-    result = benchmark(lambda: is_robust(wl, alloc))
-    benchmark.extra_info["robust"] = result
+    is_robust(wl, alloc)
 
 
 @pytest.mark.parametrize("method", ["bitset", "components", "paper"])
-def test_algorithm1_method_ablation(benchmark, method):
+def test_algorithm1_method_ablation(method):
     """Ablation: bitset kernel vs cached components vs the verbatim loops."""
     wl = random_workload(transactions=16, objects=20, seed=3)
     alloc = Allocation.si(wl)
     expected = is_robust(wl, alloc)
     if method == "bitset":
-        result = benchmark(lambda: is_robust(wl, alloc))
+        result = is_robust(wl, alloc)
     else:
-        result = benchmark(
-            lambda: reference.first_witness_spec(wl, alloc, method) is None
-        )
+        result = reference.first_witness_spec(wl, alloc, method) is None
     assert result == expected
-    benchmark.extra_info["method"] = method
 
 
-def test_kernel_speedup_report(benchmark, capsys):
+def test_kernel_speedup_report(capsys):
     """KERNEL table: bitset kernel vs components on the hard cases.
 
     The acceptance criterion of the bitset engine: identical verdicts and
@@ -82,65 +126,50 @@ def test_kernel_speedup_report(benchmark, capsys):
     property suite) at a measured speedup on the two workloads where the
     triple scan dominates — a |T|=80 check against its robust optimum
     (no early exit: every (T_1, T_2, T_m) triple is visited) and a full
-    |T|=40 Algorithm 2 run.  Timings land in ``extra_info``; they are
-    reported, not asserted (CI boxes vary), per the suite's conventions.
+    |T|=40 Algorithm 2 run.  Timings are reported, not asserted (CI
+    boxes vary), per the suite's conventions.
     """
+    rows = []
+    # Robust-optimum check at |T|=80: the scan must exhaust every
+    # triple to prove robustness — the kernel's best case.
+    wl = random_workload(
+        transactions=80, objects=160, min_ops=2, max_ops=4, seed=7
+    )
+    optimum = optimal_allocation(wl)
+    assert optimum is not None
 
-    def compute():
-        rows = []
-        # Robust-optimum check at |T|=80: the scan must exhaust every
-        # triple to prove robustness — the kernel's best case.
-        wl = random_workload(
-            transactions=80, objects=160, min_ops=2, max_ops=4, seed=7
+    comp, comp_s = timed(
+        lambda: reference.first_witness_spec(wl, optimum, "components") is None
+    )
+    bits, bits_s = timed(lambda: is_robust(wl, optimum, context=AnalysisContext(wl)))
+    assert bits == comp, "kernel verdict diverged from components"
+    assert bits, "the optimum must be robust"
+    rows.append(
+        (
+            "check |T|=80 (optimum)",
+            f"{comp_s * 1000:.1f}ms",
+            f"{bits_s * 1000:.1f}ms",
+            f"{comp_s / bits_s:.1f}x",
         )
-        optimum = optimal_allocation(wl)
-        assert optimum is not None
+    )
 
-        t0 = time.perf_counter()
-        comp = reference.first_witness_spec(wl, optimum, "components") is None
-        comp_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        bits = is_robust(wl, optimum, context=AnalysisContext(wl))
-        bits_s = time.perf_counter() - t0
-        assert bits == comp, "kernel verdict diverged from components"
-        assert bits, "the optimum must be robust"
-        rows.append(
-            (
-                "check |T|=80 (optimum)",
-                f"{comp_s * 1000:.1f}ms",
-                f"{bits_s * 1000:.1f}ms",
-                f"{comp_s / bits_s:.1f}x",
-            )
+    # Full Algorithm 2 at |T|=40: every refinement probe pays the scan.
+    wl = random_workload(
+        transactions=40, objects=80, min_ops=2, max_ops=4, seed=13
+    )
+    (comp_opt, _checks), comp_s = timed(
+        lambda: reference.optimal_allocation(wl, engine="components")
+    )
+    bits_opt, bits_s = timed(lambda: optimal_allocation(wl))
+    assert bits_opt == comp_opt, "kernel optimum diverged from components"
+    rows.append(
+        (
+            "optimal_allocation |T|=40",
+            f"{comp_s * 1000:.1f}ms",
+            f"{bits_s * 1000:.1f}ms",
+            f"{comp_s / bits_s:.1f}x",
         )
-
-        # Full Algorithm 2 at |T|=40: every refinement probe pays the scan.
-        wl = random_workload(
-            transactions=40, objects=80, min_ops=2, max_ops=4, seed=13
-        )
-        t0 = time.perf_counter()
-        comp_opt, _checks = reference.optimal_allocation(wl, engine="components")
-        comp_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        bits_opt = optimal_allocation(wl)
-        bits_s = time.perf_counter() - t0
-        assert bits_opt == comp_opt, "kernel optimum diverged from components"
-        rows.append(
-            (
-                "optimal_allocation |T|=40",
-                f"{comp_s * 1000:.1f}ms",
-                f"{bits_s * 1000:.1f}ms",
-                f"{comp_s / bits_s:.1f}x",
-            )
-        )
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    benchmark.extra_info["rows"] = [
-        {"case": case, "components": comp, "bitset": bits, "speedup": spd}
-        for case, comp, bits, spd in rows
-    ]
+    )
     with capsys.disabled():
         print_table(
             "KERNEL: bitset kernel vs components (identical results)",
@@ -150,7 +179,7 @@ def test_kernel_speedup_report(benchmark, capsys):
 
 
 @pytest.mark.parametrize("contention", ["low", "high"])
-def test_algorithm1_contention_sensitivity(benchmark, contention):
+def test_algorithm1_contention_sensitivity(contention):
     """Dense conflict graphs stress the operation-level inner loops."""
     hot = {"low": 0, "high": 3}[contention]
     wl = random_workload(
@@ -161,9 +190,7 @@ def test_algorithm1_contention_sensitivity(benchmark, contention):
         seed=5,
     )
     alloc = Allocation.si(wl)
-    result = benchmark(lambda: is_robust(wl, alloc))
-    benchmark.extra_info["contention"] = contention
-    benchmark.extra_info["robust"] = result
+    is_robust(wl, alloc)
 
 
 #: Calls per input of the SIZE sweep; each row is their median.
@@ -194,7 +221,7 @@ def _size_inputs():
     return [(shape, parse_workload(str(wl))) for shape, wl in shapes]
 
 
-def test_size_sweep_report(benchmark, capsys):
+def test_size_sweep_report(capsys):
     """SIZE table: one-shot Algorithm 2 as the workload grows.
 
     ``optimal_allocation`` on a parsed workload, what ``repro allocate``
@@ -207,27 +234,14 @@ def test_size_sweep_report(benchmark, capsys):
     """
     from repro.core.sharding import conflict_components
 
-    def compute():
-        rows = []
-        for shape, wl in _size_inputs():
-            times = []
-            for _ in range(SIZE_REPEATS):
-                t0 = time.perf_counter()
-                optimum = optimal_allocation(wl)
-                times.append(time.perf_counter() - t0)
-            composed = {}
-            for members in conflict_components(wl):
-                composed.update(optimal_allocation(wl.restricted_to(members)).items())
-            assert dict(optimum.items()) == composed
-            times.sort()
-            rows.append((shape, len(wl), times[len(times) // 2]))
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    benchmark.extra_info["rows"] = [
-        {"shape": shape, "transactions": n, "median_s": median}
-        for shape, n, median in rows
-    ]
+    rows = []
+    for shape, wl in _size_inputs():
+        optimum, median = timed(lambda: optimal_allocation(wl), SIZE_REPEATS)
+        composed = {}
+        for members in conflict_components(wl):
+            composed.update(optimal_allocation(wl.restricted_to(members)).items())
+        assert dict(optimum.items()) == composed
+        rows.append((shape, len(wl), median))
     with capsys.disabled():
         print_table(
             f"SIZE: optimal_allocation, median of {SIZE_REPEATS} calls",

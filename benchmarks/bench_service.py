@@ -12,14 +12,9 @@ command layer, not TCP) through add/remove churn scripts and measures:
 
 from __future__ import annotations
 
-import json
-import time
-
-import pytest
-
-from conftest import print_table
+from conftest import print_table, timed
 from repro.service import ServiceConfig, ServiceCore
-from repro.service.snapshot import read_snapshot, write_snapshot
+from repro.service.snapshot import write_snapshot
 from repro.workloads.generator import clustered_workload
 
 #: Steady-state workload sizes of the churn report (transactions).
@@ -68,7 +63,7 @@ def _churn(core: ServiceCore, base, mutations: int) -> int:
     return checks
 
 
-def test_warm_vs_cold_restart(benchmark, tmp_path, capsys):
+def test_warm_vs_cold_restart(tmp_path, capsys):
     """SERVE restart table: snapshot resume vs full history replay."""
     size = max(SIZES)
     base = _script(size)
@@ -94,18 +89,10 @@ def test_warm_vs_cold_restart(benchmark, tmp_path, capsys):
         assert replayed.handle({"op": "allocate"})["allocation"] == reference
         return replayed
 
-    t0 = time.perf_counter()
-    cold_restart()
-    cold_s = time.perf_counter() - t0
-
-    benchmark.pedantic(warm_restart, rounds=3, iterations=1)
-    t0 = time.perf_counter()
+    _, cold_s = timed(cold_restart)
     warm_restart()
-    warm_s = time.perf_counter() - t0
+    _, warm_s = timed(warm_restart)
 
-    benchmark.extra_info["transactions"] = size
-    benchmark.extra_info["cold_s"] = round(cold_s, 4)
-    benchmark.extra_info["warm_s"] = round(warm_s, 4)
     with capsys.disabled():
         print_table(
             f"SERVE: restart latency at |T|={size}",
@@ -121,37 +108,31 @@ def test_warm_vs_cold_restart(benchmark, tmp_path, capsys):
         )
 
 
-def test_churn_report(benchmark, capsys):
+def test_churn_report(capsys):
     """SERVE table: checks per mutation stay flat as |T| grows.
 
     The point of routing mutations through per-shard re-analysis: the
     work per mutation tracks the touched component, not the workload.
     """
-
-    def compute():
-        rows = []
-        for size in SIZES:
-            base = _script(size)
-            core = ServiceCore(ServiceConfig())
-            for txn in base:
-                core.handle(
-                    {"op": "add", "transaction": str(txn), "tid": txn.tid}
-                )
-            checks = _churn(core, base, MUTATIONS)
-            shards = core.handle({"op": "status"})["shards"]
-            rows.append(
-                (
-                    size,
-                    shards,
-                    2 * MUTATIONS,
-                    checks,
-                    f"{checks / (2 * MUTATIONS):.2f}",
-                )
+    rows = []
+    for size in SIZES:
+        base = _script(size)
+        core = ServiceCore(ServiceConfig())
+        for txn in base:
+            core.handle(
+                {"op": "add", "transaction": str(txn), "tid": txn.tid}
             )
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    benchmark.extra_info["rows"] = json.dumps(rows)
+        checks = _churn(core, base, MUTATIONS)
+        shards = core.handle({"op": "status"})["shards"]
+        rows.append(
+            (
+                size,
+                shards,
+                2 * MUTATIONS,
+                checks,
+                f"{checks / (2 * MUTATIONS):.2f}",
+            )
+        )
     with capsys.disabled():
         print_table(
             "SERVE: robustness checks under churn",

@@ -12,8 +12,6 @@ optimal, all-SSI, all-SI — across a contention sweep
 * **scale** — one sweep run pushes over a million simulated operations
   through the MVCC engine on CI hardware (the throughput floor of the
   event-driven simulator: a blocked session parks and burns no events).
-
-Sweep rows land in ``extra_info["rows"]`` keyed by ``case``.
 """
 
 from __future__ import annotations
@@ -43,19 +41,7 @@ def _aggregate_abort_rate(points, values, strategy):
     return aborts / (commits + aborts)
 
 
-def _rows(result):
-    """Distiller rows: one per point, timed on the point's wall clock."""
-    rows = []
-    for point in result.points:
-        row = point.to_json()
-        row["mean_s"] = point.wall_s
-        row["min_s"] = point.wall_s
-        row["rounds"] = 1
-        rows.append(row)
-    return rows
-
-
-def test_contention_sweep_report(benchmark, capsys):
+def test_contention_sweep_report(capsys):
     """SIM table: optimal vs all-SSI vs all-SI across contention.
 
     Asserts the acceptance invariant: the optimal allocation's
@@ -66,22 +52,15 @@ def test_contention_sweep_report(benchmark, capsys):
     the pooled rate is stable across seeds).  All-SI rows are context:
     they price FCW, they are not robust in general.
     """
-
-    def compute():
-        smallbank = contention_sweep(
-            "smallbank",
-            points=SMALLBANK_POINTS,
-            transactions=20,
-            repeat=100,
-            sessions=8,
-            seed=0,
-        )
-        example = contention_sweep(
-            "example26", repeat=40, sessions=4, seed=0
-        )
-        return smallbank, example
-
-    smallbank, example = benchmark.pedantic(compute, rounds=1, iterations=1)
+    smallbank = contention_sweep(
+        "smallbank",
+        points=SMALLBANK_POINTS,
+        transactions=20,
+        repeat=100,
+        sessions=8,
+        seed=0,
+    )
+    example = contention_sweep("example26", repeat=40, sessions=4, seed=0)
 
     for result, values in (
         (smallbank, SMALLBANK_POINTS),
@@ -113,7 +92,6 @@ def test_contention_sweep_report(benchmark, capsys):
         f" above all-SSI {ssi_rate:.4f}"
     )
 
-    benchmark.extra_info["rows"] = _rows(smallbank) + _rows(example)
     with capsys.disabled():
         for result in (smallbank, example):
             print_table(
@@ -123,7 +101,7 @@ def test_contention_sweep_report(benchmark, capsys):
             )
 
 
-def test_million_operations(benchmark, capsys):
+def test_million_operations(capsys):
     """One sweep run simulates over a million operations (acceptance).
 
     ``transactions * repeat`` instances per point, four points, three
@@ -131,13 +109,9 @@ def test_million_operations(benchmark, capsys):
     operations per wall second, so the bar clears in well under a
     minute on CI hardware.
     """
-
-    def compute():
-        return contention_sweep(
-            "smallbank", transactions=20, repeat=600, sessions=16, seed=0
-        )
-
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    result = contention_sweep(
+        "smallbank", transactions=20, repeat=600, sessions=16, seed=0
+    )
     assert result.total_operations >= 1_000_000, (
         f"sweep simulated only {result.total_operations} operations"
     )

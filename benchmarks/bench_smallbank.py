@@ -3,7 +3,7 @@
 SmallBank (cited in the paper via Alomari et al. [4]) is the standard
 not-robust-against-SI workload: by Proposition 5.4 it is not robustly
 allocatable over {RC, SI}, so Algorithm 2 must place SSI somewhere.  The
-bench verifies the shape and times the checkers on SmallBank mixes.
+bench verifies the shape and runs the checkers on SmallBank mixes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from conftest import print_table
 from repro.core.allocation import optimal_allocation
-from repro.core.isolation import Allocation, IsolationLevel, ORACLE_LEVELS
+from repro.core.isolation import Allocation, ORACLE_LEVELS
 from repro.core.robustness import is_robust
 from repro.workloads.smallbank import (
     SmallBankConfig,
@@ -22,48 +22,39 @@ from repro.workloads.smallbank import (
 )
 
 
-def test_anomaly_triple_detection(benchmark):
+def test_anomaly_triple_detection():
     """Algorithm 1 finds the Balance/WriteCheck/TransactSavings anomaly."""
     wl = si_anomaly_triple()
     alloc = Allocation.si(wl)
-    robust = benchmark(lambda: is_robust(wl, alloc))
-    assert not robust
+    assert not is_robust(wl, alloc)
 
 
 @pytest.mark.parametrize("transactions", [5, 10, 20])
-def test_smallbank_allocation_scaling(benchmark, transactions):
+def test_smallbank_allocation_scaling(transactions):
     """Algorithm 2 on SmallBank mixes of growing size."""
     wl = smallbank_workload(
         transactions, SmallBankConfig(customers=3), seed=3
     )
-    optimum = benchmark(lambda: optimal_allocation(wl))
-    assert optimum is not None
-    benchmark.extra_info["ssi_count"] = len(optimum.tids_at(IsolationLevel.SSI))
+    assert optimal_allocation(wl) is not None
 
 
-def test_smallbank_report(benchmark, capsys):
+def test_smallbank_report(capsys):
     """Per-program allocation for one instance of each program."""
-
-    def analyze():
-        wl = smallbank_one_of_each(SmallBankConfig(customers=2), seed=1)
-        optimum = optimal_allocation(wl)
-        programs = [
-            "balance",
-            "deposit_checking",
-            "transact_savings",
-            "amalgamate",
-            "write_check",
-        ]
-        rows = [
-            (f"T{tid} ({name})", optimum[tid].name)
-            for tid, name in zip(wl.tids, programs)
-        ]
-        oracle = optimal_allocation(wl, ORACLE_LEVELS)
-        return rows, oracle is not None, is_robust(wl, Allocation.si(wl))
-
-    rows, oracle_exists, robust_si = benchmark.pedantic(
-        analyze, rounds=1, iterations=1
-    )
+    wl = smallbank_one_of_each(SmallBankConfig(customers=2), seed=1)
+    optimum = optimal_allocation(wl)
+    programs = [
+        "balance",
+        "deposit_checking",
+        "transact_savings",
+        "amalgamate",
+        "write_check",
+    ]
+    rows = [
+        (f"T{tid} ({name})", optimum[tid].name)
+        for tid, name in zip(wl.tids, programs)
+    ]
+    oracle_exists = optimal_allocation(wl, ORACLE_LEVELS) is not None
+    robust_si = is_robust(wl, Allocation.si(wl))
     with capsys.disabled():
         print_table(
             "SMALLBANK: optimal allocation per program "

@@ -86,40 +86,24 @@ def _precision_rows(sample_count: int = 60, seed: int = 9):
 
 
 @pytest.mark.parametrize("checker", ["classic", "mixed"])
-def test_static_check_speed(benchmark, checker):
+def test_static_check_speed(checker):
     """Static conditions are near-instant compared to saturation checks."""
-    template_sets = _random_sets(20, 3, seed=4)
-
-    def run_all():
-        verdicts = 0
-        for template_set in template_sets:
-            if checker == "classic":
-                verdicts += bool(static_si_check(template_set))
-            else:
-                allocation = {t.name: "SI" for t in template_set}
-                verdicts += bool(static_mixed_check(template_set, allocation))
-        return verdicts
-
-    benchmark(run_all)
+    for template_set in _random_sets(20, 3, seed=4):
+        if checker == "classic":
+            static_si_check(template_set)
+        else:
+            static_mixed_check(template_set, {t.name: "SI" for t in template_set})
 
 
-def test_exact_check_same_inputs(benchmark):
+def test_exact_check_same_inputs():
     """The bounded exact checker on the same 20 template sets."""
-    template_sets = _random_sets(20, 3, seed=4)
-
-    def run_all():
-        verdicts = 0
-        for template_set in template_sets:
-            allocation = {t.name: "SI" for t in template_set}
-            verdicts += check_template_robustness(template_set, allocation).robust
-        return verdicts
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    for template_set in _random_sets(20, 3, seed=4):
+        check_template_robustness(template_set, {t.name: "SI" for t in template_set})
 
 
-def test_precision_report(benchmark, capsys):
+def test_precision_report(capsys):
     """STATIC table: recall of the sufficient conditions on robust sets."""
-    rows = benchmark.pedantic(_precision_rows, rounds=1, iterations=1)
+    rows = _precision_rows()
     with capsys.disabled():
         print_table(
             "STATIC: recall of sufficient conditions on exactly-robust sets",

@@ -11,61 +11,45 @@ from __future__ import annotations
 import pytest
 
 from conftest import print_table
-from repro.core.isolation import IsolationLevel
 from repro.templates import check_template_robustness, optimal_template_allocation
 from repro.workloads.templates_catalog import smallbank_templates, tpcc_templates
 
 
 @pytest.mark.parametrize("workload_name", ["tpcc", "smallbank"])
-def test_template_si_check(benchmark, workload_name):
+def test_template_si_check(workload_name):
     """Bounded exact robustness of the classic template sets at A_SI."""
     templates = tpcc_templates() if workload_name == "tpcc" else smallbank_templates()
     allocation = {t.name: "SI" for t in templates}
-    result = benchmark(lambda: check_template_robustness(templates, allocation))
-    benchmark.extra_info["robust"] = result.robust
+    result = check_template_robustness(templates, allocation)
     assert result.robust == (workload_name == "tpcc")
 
 
 @pytest.mark.parametrize("domain", [2, 3])
-def test_template_bound_scaling(benchmark, domain):
+def test_template_bound_scaling(domain):
     """Saturation-workload growth in the domain bound."""
     templates = smallbank_templates()
     allocation = {t.name: "SI" for t in templates}
-    result = benchmark(
-        lambda: check_template_robustness(templates, allocation, domain_size=domain)
-    )
-    benchmark.extra_info["workload_size"] = len(result.origin)
+    result = check_template_robustness(templates, allocation, domain_size=domain)
     assert not result.robust  # verdict stable across bounds
 
 
 @pytest.mark.parametrize("workload_name", ["tpcc", "smallbank"])
-def test_template_allocation(benchmark, workload_name):
+def test_template_allocation(workload_name):
     """Per-program Algorithm 2 on the classic template sets."""
     templates = tpcc_templates() if workload_name == "tpcc" else smallbank_templates()
-    optimum = benchmark.pedantic(
-        lambda: optimal_template_allocation(templates), rounds=1, iterations=1
-    )
-    assert optimum is not None
-    benchmark.extra_info["mix"] = {
-        name: level.name for name, level in optimum.items()
-    }
+    assert optimal_template_allocation(templates) is not None
 
 
-def test_template_report(benchmark, capsys):
+def test_template_report(capsys):
     """TMPL table: per-program optimal levels for both catalogs."""
-
-    def compute():
-        rows = []
-        for name, templates in (
-            ("TPC-C", tpcc_templates()),
-            ("SmallBank", smallbank_templates()),
-        ):
-            optimum = optimal_template_allocation(templates)
-            for program, level in optimum.items():
-                rows.append((name, program, level.name))
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows = []
+    for name, templates in (
+        ("TPC-C", tpcc_templates()),
+        ("SmallBank", smallbank_templates()),
+    ):
+        optimum = optimal_template_allocation(templates)
+        for program, level in optimum.items():
+            rows.append((name, program, level.name))
     ssi_rows = [r for r in rows if r[2] == "SSI"]
     # Shape: TPC-C needs no SSI; SmallBank does.
     assert all(r[0] == "SmallBank" for r in ssi_rows) and ssi_rows

@@ -1,18 +1,22 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the experiment suite.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 
-``-s`` shows the experiment tables (paper-shape summaries) each bench
-prints alongside the pytest-benchmark timing table.  Every module maps to
-an experiment id in DESIGN.md / EXPERIMENTS.md.  ``--benchmark-disable``
-(the CI smoke) runs every bench body once untimed: the assertions inside
-the benches are the check.  Timing claims come from the calibrated
+``-s`` shows the experiment tables (paper-shape summaries) the tests
+print.  Every module maps to an experiment id in DESIGN.md /
+EXPERIMENTS.md, and every test is a plain test: the assertions inside
+the bodies are the check, and CI runs the whole directory.  The tables
+report shapes as machine-independent counts (kernel rows built, checks,
+interleavings and schedules enumerated); a wall time beside them is for
+reading only and never asserted.  Timing claims come from the calibrated
 harness in ``bench/``, not from this suite.
 """
 
 from __future__ import annotations
+
+import time
 
 
 def print_table(title, headers, rows):
@@ -25,6 +29,20 @@ def print_table(title, headers, rows):
     print("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+def timed(call, repeats=1):
+    """Run ``call()`` ``repeats`` times: ``(last result, median seconds)``.
+
+    The median is reported beside a table's counts, never asserted.
+    """
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return result, times[len(times) // 2]
 
 
 def phase_rows(registry):

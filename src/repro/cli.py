@@ -36,7 +36,9 @@ The input-parsing helpers shared with the daemon live in
 unreadable or invalid trace file, a bad level, level class or
 allocation spec, bad sweep points, a non-positive ``simulate`` count
 (``--runs``, ``--repeat``, ``--sessions``, ``--transactions``), an empty
-``--points`` or ``--strategies`` list, a negative or NaN ``trace diff``
+``--points`` or ``--strategies`` list, a ``simulate`` flag that only the
+other mode reads (a sweep flag on a workload file, or a file flag on
+``sweep``), a negative or NaN ``trace diff``
 threshold, a non-positive ``service top`` interval, or a daemon that
 ``trace dump`` or ``service top`` cannot reach or that answers with an
 error — prints ``repro: error: <message>`` to stderr and exits 2,
@@ -236,12 +238,23 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     return 0 if optimum is not None else 1
 
 
+#: ``repro simulate`` flags that only a workload file reads, and those
+#: that only ``sweep`` reads; every other flag applies to both modes.
+_FILE_ONLY_FLAGS = ("allocation", "uniform", "runs")
+_SWEEP_ONLY_FLAGS = ("benchmark", "points", "transactions", "strategies", "json")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    sweep = args.workload == "sweep"
+    for flag in _FILE_ONLY_FLAGS if sweep else _SWEEP_ONLY_FLAGS:
+        if getattr(args, flag) is not None:
+            mode = "simulate sweep" if sweep else "simulate with a workload file"
+            raise CommandError(f"--{flag} does not apply to {mode}")
     for flag in ("runs", "repeat", "sessions", "transactions"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise CommandError(f"--{flag} must be >= 1, got {value}")
-    if args.workload == "sweep":
+    if sweep:
         return _cmd_simulate_sweep(args)
     from .mvcc import exploration_config, simulate_workload, trace_to_schedule
     from .mvcc.simulator import replicate_workload
@@ -252,9 +265,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workload, allocation, args.repeat or 1
     )
     sessions = args.sessions or len(instances)
+    runs = args.runs or 5
     serializable_runs = 0
     commits = aborts = 0
-    for run in range(args.runs):
+    for run in range(runs):
         trace, stats = simulate_workload(
             instances,
             instance_allocation,
@@ -279,7 +293,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f" p99={latency['p99']:.1f}"
             )
     print(
-        f"\n{serializable_runs}/{args.runs} executions serializable;"
+        f"\n{serializable_runs}/{runs} executions serializable;"
         f" {commits} commits, {aborts} aborts in total"
     )
     return 0
@@ -296,7 +310,7 @@ def _parse_sweep_point(text: str) -> object:
 
 def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
     """``repro simulate sweep``: contention sweep across allocations."""
-    from .mvcc.sweep import contention_sweep
+    from .mvcc.sweep import STRATEGIES, contention_sweep
 
     points = None
     if args.points is not None:
@@ -307,16 +321,18 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
         ]
         if not points:
             raise CommandError(f"--points lists no values: {args.points!r}")
-    strategies = tuple(
-        part.strip() for part in args.strategies.split(",") if part.strip()
-    )
-    if not strategies:
-        raise CommandError(f"--strategies lists no strategy: {args.strategies!r}")
+    strategies = STRATEGIES
+    if args.strategies is not None:
+        strategies = tuple(
+            part.strip() for part in args.strategies.split(",") if part.strip()
+        )
+        if not strategies:
+            raise CommandError(f"--strategies lists no strategy: {args.strategies!r}")
     try:
         result = contention_sweep(
-            benchmark=args.benchmark,
+            benchmark="smallbank" if args.benchmark is None else args.benchmark,
             points=points,
-            transactions=args.transactions,
+            transactions=args.transactions or 20,
             repeat=args.repeat or 50,
             sessions=args.sessions or 8,
             seed=args.seed,
@@ -851,16 +867,24 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "workload", help="workload file, or the literal 'sweep' for a sweep"
     )
-    simulate.add_argument("--allocation", help="per-transaction levels")
-    simulate.add_argument("--uniform", help="one level for all transactions")
+    simulate.add_argument(
+        "--allocation", help="per-transaction levels (workload file)"
+    )
+    simulate.add_argument(
+        "--uniform", help="one level for all transactions (workload file)"
+    )
     simulate.add_argument("--seed", type=int, default=0, help="base RNG seed")
     simulate.add_argument(
-        "--runs", type=int, default=5, help="number of executions (workload file)"
+        "--runs",
+        type=int,
+        help="number of executions (workload file; default 5)",
     )
     simulate.add_argument(
         "--benchmark",
-        default="smallbank",
-        help="sweep benchmark (smallbank, ycsb, tpcc, figure2, example26)",
+        help=(
+            "sweep benchmark (smallbank, ycsb, tpcc, figure2, example26;"
+            " default smallbank)"
+        ),
     )
     simulate.add_argument(
         "--points",
@@ -869,8 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--transactions",
         type=int,
-        default=20,
-        help="base workload size the allocation is computed on (sweep)",
+        help="base workload size the allocation is computed on (sweep; default 20)",
     )
     simulate.add_argument(
         "--repeat",
@@ -887,13 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--strategies",
-        default="optimal,ssi,si",
         help="allocation strategies the sweep compares (default optimal,ssi,si)",
     )
     simulate.add_argument(
         "--json",
         metavar="FILE",
-        help="write the machine-readable sweep results to FILE",
+        help="write the machine-readable sweep results to FILE (sweep)",
     )
     simulate.add_argument(
         "--stats",

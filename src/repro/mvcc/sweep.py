@@ -198,20 +198,25 @@ def contention_sweep(
 
     Args:
         benchmark: one of :func:`sweep_benchmarks`.
-        points: knob values to sweep; defaults per benchmark, ordered
-            hottest first.
+        points: knob values to sweep; ``None`` means the benchmark's
+            defaults, ordered hottest first.
         transactions: base-workload size the allocation is computed on.
         repeat: instance-stream multiplier — every point simulates
             ``transactions * repeat`` instances.
         sessions: concurrent simulated sessions.
         seed: workload generation and simulation seed.
-        strategies: subset of :data:`STRATEGIES` to compare.
+        strategies: non-empty subset of :data:`STRATEGIES` to compare.
         config: overrides the simulator knobs (``sessions``/``seed``
             are taken from this function's arguments regardless).
 
     Returns:
         A :class:`SweepResult`; points appear strategy-major within each
         knob value, in the order given.
+
+    Raises:
+        ValueError: for an unknown benchmark or strategy, an empty
+            ``points`` or ``strategies``, or a ``transactions``,
+            ``repeat`` or ``sessions`` below 1.
     """
     try:
         knob, default_points, build = _BENCHMARKS[benchmark]
@@ -222,6 +227,12 @@ def contention_sweep(
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:
         raise ValueError(f"unknown strategies {sorted(unknown)}; pick from {STRATEGIES}")
+    if not strategies:
+        raise ValueError(f"strategies lists no strategy; pick from {STRATEGIES}")
+    if points is not None and not points:
+        raise ValueError("points lists no knob value; pass None for the defaults")
+    if transactions < 1:
+        raise ValueError(f"transactions must be >= 1, got {transactions}")
     sim_config = replace(
         config or SimConfig(record_trace=False, max_attempts=1000),
         sessions=sessions,

@@ -737,6 +737,35 @@ class TestBadFlagValues:
         assert main(["simulate", *(a.format(wl=skew_file) for a in argv)]) == 2
         assert flag in _error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("file", "--benchmark", "tpcc"),
+            ("file", "--points", "1,2"),
+            ("file", "--transactions", "3"),
+            ("file", "--strategies", "si"),
+            ("file", "--json", "{json}"),
+            ("sweep", "--allocation", "T1=RC"),
+            ("sweep", "--uniform", "SI"),
+            ("sweep", "--runs", "7"),
+        ],
+        ids=lambda arg: arg.strip("-{}"),
+    )
+    def test_simulate_rejects_flags_of_the_other_mode(
+        self, skew_file, tmp_path, mode, flag, value, capsys
+    ):
+        out = tmp_path / "sweep.json"
+        argv = {
+            "file": [skew_file, "--uniform", "SI", "--runs", "1"],
+            "sweep": [
+                "sweep", "--points", "2", "--transactions", "4", "--repeat", "1",
+                "--json", str(out),
+            ],
+        }[mode]
+        assert main(["simulate", *argv, flag, value.format(json=out)]) == 2
+        assert flag in _error_line(capsys)
+        assert not out.exists()
+
     def test_service_top_zero_interval(self, capsys):
         assert main(["service", "top", "--interval", "0"]) == 2
         assert "interval" in _error_line(capsys)
