@@ -1,10 +1,10 @@
 """The component partition :class:`AllocationManager` maintains under churn.
 
-The manager keeps one access index and re-derives, by a flood fill, only
-the components a mutation touched: adds join the components the
-transaction conflicts into, removals split a component only where the
-departed transaction bridged it, and every untouched component keeps
-its analysis context by identity.  :attr:`AllocationManager.components`
+The manager keeps one conflict index and re-derives and renumbers, by a
+flood fill, only the components a mutation touched: adds join the
+components the transaction conflicts into, removals split a component
+only where the departed transaction bridged it, and every untouched
+component keeps its kernel rows by identity.  :attr:`AllocationManager.components`
 must be *identical* to ``conflict_components(workload)`` after any
 mutation sequence (the randomized version of that contract lives in
 ``tests/properties/test_plan_maintenance.py``), and
@@ -35,6 +35,12 @@ def _manager(txns):
     manager = AllocationManager()
     manager.apply_batch([("add", txn) for txn in txns])
     return manager
+
+
+def _rows(manager, tids):
+    """The manager's kernel rows of ``tids``, built if missing."""
+    kernel = manager.context.kernel()
+    return {tid: kernel.row(tid) for tid in tids}
 
 
 class TestAdd:
@@ -72,13 +78,15 @@ class TestAdd:
 
 class TestRemove:
     def test_singleton_departure_is_reuse(self):
-        """The other components' contexts are reused, by identity."""
+        """The other components' kernel rows are reused, by identity."""
         lonely = parse_transaction("R9[lonely] W9[lonely]")
         manager = _manager(_chain() + [lonely])
-        chain = manager._contexts[(1, 2, 3)]
+        chain = _rows(manager, (1, 2, 3))
         manager.remove(9)
         assert manager.components == ((1, 2, 3),)
-        assert manager._contexts[(1, 2, 3)] is chain
+        assert all(
+            row is chain[tid] for tid, row in _rows(manager, (1, 2, 3)).items()
+        )
 
     def test_leaf_departure_keeps_the_rest_together(self):
         manager = _manager(_chain())
@@ -91,7 +99,9 @@ class TestRemove:
         assert manager.components == ((1, 2, 3, 4),)
         manager.remove(2)
         assert manager.components == ((1, 4), (3,))
-        assert manager._contexts[(1, 4)].workload.tids == (1, 4)
+        index = manager.context.index
+        assert index.component_of[1].tids == (1, 4)
+        assert (index.bit[1], index.bit[4]) == (0, 1)
 
     def test_connected_survivors_stay_together(self):
         txns = _chain() + [parse_transaction("R4[y] W4[z]")]  # T4 || T2
@@ -110,7 +120,7 @@ class TestRemove:
 class TestBatch:
     def test_newcomer_added_and_removed_touches_nothing(self):
         """A batch that adds a bridge and removes it again leaves every
-        component's context by identity and spends no check."""
+        component's kernel rows by identity and spends no check."""
         manager = _manager(
             [
                 parse_transaction("R1[x] W1[y]"),
@@ -118,13 +128,15 @@ class TestBatch:
                 parse_transaction("R3[a] W3[b]"),
             ]
         )
-        contexts = dict(manager._contexts)
+        rows = _rows(manager, (1, 2, 3))
         allocation = manager.allocation
         manager.apply_batch(
             [("add", parse_transaction("R4[x] W4[a]")), ("remove", 4)]
         )
         assert manager.components == ((1, 2), (3,))
-        assert all(manager._contexts[key] is ctx for key, ctx in contexts.items())
+        assert all(
+            row is rows[tid] for tid, row in _rows(manager, (1, 2, 3)).items()
+        )
         assert manager.last_stats.checks == 0
         assert manager.allocation == allocation
 
@@ -149,9 +161,10 @@ class TestCanonicalView:
             workload = manager.workload
             expected = conflict_components(workload)
             assert manager.components == expected, f"diverged at step {step}"
+            index = manager.context.index
             for members in expected:
-                part = manager._contexts[members].workload
-                assert part == workload.restricted_to(members)
+                assert all(index.component_of[t].tids == members for t in members)
+                assert [index.bit[t] for t in members] == list(range(len(members)))
 
 
 class TestManagerSingletonRemoval:

@@ -99,11 +99,27 @@ class TestAllocationManager:
         assert manager.last_stats.checks == ctx.stats.checks
 
     def test_mutation_builds_one_context(self):
+        """The manager's one index is renumbered in place, never rebuilt."""
         manager = AllocationManager()
         manager.add(parse_transaction("R1[x] W1[y]"))
         manager.add(parse_transaction("R2[y] W2[x]"))
         manager.remove(1)
-        assert manager.last_stats.index_builds == 1
+        assert manager.last_stats.index_builds == 0
+
+    def test_mutations_build_no_index(self):
+        """Adds, removes and batches renumber the one index in place."""
+        manager = AllocationManager()
+        mutations = [
+            [("add", parse_transaction("R1[x] W1[y]"))],
+            [("add", parse_transaction("R2[y] W2[x]")),
+             ("add", parse_transaction("R3[z] W3[x]"))],
+            [("remove", 2)],
+            [("remove", 1), ("add", parse_transaction("R4[y] W4[z]"))],
+        ]
+        for batch in mutations:
+            manager.apply_batch(batch)
+            assert manager.last_stats.index_builds == 0, batch
+            assert manager.last_stats.checks > 0, batch
 
     def test_check_probes_do_not_disturb_last_check_count(self, write_skew):
         manager = AllocationManager()

@@ -4,39 +4,19 @@ The property suite (``tests/properties/test_shard_equivalence.py``) pins
 the end-to-end decomposition contract; this module pins the structural
 pieces: component discovery against a brute-force pairwise reference,
 component ordering, how an ``AnalysisContext`` builds its structure,
-and how the incremental manager keeps one context per component.
+and how the incremental manager numbers each component in its one
+context and keeps the rows of the components a mutation leaves alone.
 """
-
-import itertools
 
 import pytest
 
-from repro.core.conflicts import transactions_conflict
 from repro.core.context import AnalysisContext, ContextStats
 from repro.core.incremental import AllocationManager
 from repro.core.sharding import conflict_components
 from repro.core.transactions import parse_transaction
 from repro.core.workload import Workload, WorkloadError, workload
 from repro.workloads.generator import clustered_workload, random_workload
-
-
-def brute_force_components(wl: Workload) -> set:
-    """Reference partition: union-by-pairwise ``transactions_conflict``."""
-    parent = {tid: tid for tid in wl.tids}
-
-    def find(tid):
-        while parent[tid] != tid:
-            parent[tid] = parent[parent[tid]]
-            tid = parent[tid]
-        return tid
-
-    for a, b in itertools.combinations(wl, 2):
-        if transactions_conflict(a, b):
-            parent[find(a.tid)] = find(b.tid)
-    groups = {}
-    for tid in wl.tids:
-        groups.setdefault(find(tid), []).append(tid)
-    return {tuple(sorted(group)) for group in groups.values()}
+from strategies import brute_force_components
 
 
 class TestConflictComponents:
@@ -96,15 +76,16 @@ class TestContextPlan:
         assert ctx.stats.index_builds == 1  # one index per context
 
     def test_part_workloads(self):
-        """The manager keeps one context per component, over its members."""
+        """The manager's one context numbers each component over its members."""
         manager = AllocationManager()
         texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         manager.apply_batch([("add", parse_transaction(t)) for t in texts])
         assert manager.components == ((1, 2), (3,))
+        index = manager.context.index
         assert [
-            manager._contexts[members].workload.tids
-            for members in manager.components
+            index.component_of[members[0]].tids for members in manager.components
         ] == [(1, 2), (3,)]
+        assert index.bit == {1: 0, 2: 1, 3: 0}
 
     def test_ensure_rejects_other_workload(self):
         wl = workload("R1[x]")
@@ -118,11 +99,12 @@ class TestContextPlan:
         manager = AllocationManager()
         texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         manager.apply_batch([("add", parse_transaction(t)) for t in texts])
-        standing = manager._contexts[(1, 2)]
+        kernel = manager.context.kernel()
+        standing = {tid: kernel.row(tid) for tid in (1, 2)}
         manager.add(parse_transaction("R4[z] W4[z]"))
         assert manager.components == ((1, 2), (3, 4))
-        assert manager._contexts[(1, 2)] is standing
-        assert manager.last_stats.index_builds == 1  # only (3, 4) rebuilt
+        assert all(kernel.row(tid) is row for tid, row in standing.items())
+        assert manager.last_stats.index_builds == 0  # (3, 4) renumbered in place
 
     def test_record_check_counts_one_logical_check(self):
         wl = workload("R1[x]", "R2[y]")

@@ -30,7 +30,7 @@ from repro.core.isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from repro.core.robustness import _witness_exists, check_robustness, is_robust
+from repro.core.robustness import _first_witness, check_robustness, is_robust
 from repro.core.split_schedule import is_valid_split_schedule
 from repro.workloads.generator import random_workload
 
@@ -109,7 +109,7 @@ def _full_scan_refine(workload, start, levels, ctx):
             if level >= current[tid]:
                 break
             candidate = current.with_level(tid, level)
-            if not _witness_exists(ctx, candidate):
+            if _first_witness(ctx, candidate) is None:
                 current = candidate
                 break
     return current

@@ -1,24 +1,24 @@
 """Stateful property tests of the manager's incremental component upkeep.
 
 The non-negotiable equivalences of ``AllocationManager.apply_batch``,
-which re-derives only the components a batch touched by a flood fill
-over its access index:
+which re-derives and renumbers only the components a batch touched by
+a flood fill over its conflict index:
 
 * **partition equality** — after any interleaving of adds, removes and
   batches, the manager's maintained partition is *identical* (order,
   members, everything) to ``conflict_components(workload)`` over the
   same transactions;
-* **no stale context** — each component's carried context analyzes
-  exactly that component's transactions, after any merge, split or
-  re-add;
+* **no stale numbering or row** — the maintained index equals a fresh
+  index of the live set (components, bits, neighbour and object
+  masks), and every cached kernel row equals a freshly built one, after
+  any merge, split or re-add;
 * **allocation exactness** — the maintained allocation is bit-identical
   to the batch Algorithm 2 optimum, and the coalesced ``apply_batch``
   path lands on exactly the same state as replaying the same mutations
   one by one through ``add``/``remove``;
-* **check exactness** — ``manager.check``, which scans the per-component
-  contexts the mutations carried, gives the verdict and the witness
-  spec of ``check_robustness`` on the whole workload, for any drawn
-  allocation.
+* **check exactness** — ``manager.check``, which scans the warm context
+  the mutations maintain, gives the verdict and the witness spec of
+  ``check_robustness`` on the whole workload, for any drawn allocation.
 """
 
 from hypothesis import settings
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.allocation import optimal_allocation
+from repro.core.context import AnalysisContext, ConflictIndex
 from repro.core.incremental import AllocationManager
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.operations import read, write
@@ -54,6 +55,11 @@ def _random_txn(data, tid):
         if mode in ("w", "rw"):
             ops.append(write(tid, obj))
     return Transaction(tid, ops)
+
+
+def _fields(row):
+    """A kernel row's masks and split reads, for comparison."""
+    return tuple(getattr(row, name) for name in row.__slots__)
 
 
 def assert_manager_check_matches(manager, allocation):
@@ -115,7 +121,7 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def check_matches_whole_workload_check(self, data):
-        """The manager's per-component check ≡ the library's one-unit check."""
+        """The manager's warm check ≡ the library's cold one-unit check."""
         workload = self.batched.workload
         allocation = Allocation(
             {
@@ -131,11 +137,25 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
         assert self.batched.components == conflict_components(workload)
 
     @invariant()
-    def every_context_holds_its_component(self):
+    def index_and_rows_match_a_fresh_build(self):
         workload = self.batched.workload
-        for members in self.batched.components:
-            context = self.batched._contexts[members]
-            assert context.workload == workload.restricted_to(members)
+        context = self.batched.context
+        index, fresh = context.index, ConflictIndex(workload)
+        assert index.transactions == dict(zip(workload.tids, workload))
+        assert [(c.tids, c.nbrs) for c in index.components()] == [
+            (c.tids, c.nbrs) for c in fresh.components()
+        ]
+        assert all(
+            index.component_of[tid].tids == fresh.component_of[tid].tids
+            for tid in workload.tids
+        )
+        assert index.bit == fresh.bit
+        assert (index.readers, index.writers) == (fresh.readers, fresh.writers)
+        kernel = context.kernel()
+        fresh_kernel = AnalysisContext(workload).kernel()
+        assert set(kernel._rows) <= set(workload.tids)
+        for tid, row in kernel._rows.items():
+            assert _fields(row) == _fields(fresh_kernel.row(tid)), tid
 
     @invariant()
     def allocations_bit_identical(self):

@@ -3,10 +3,10 @@
 Every chain of Definition 3.1 links conflicting transactions, so
 verdicts, witnesses and optima decompose exactly over the conflict
 components.  The library analyzes a workload as one unit, with each
-kernel row confined to its ``T_1``'s component
-(``ConflictIndex.component``); the incremental ``AllocationManager``
-analyzes per component, carrying one context per component across
-mutations.  On any (workload, allocation) pair the per-component path
+kernel row and level list numbered inside its component
+(``ConflictIndex``); the incremental ``AllocationManager`` keeps one
+such index over its live set and re-analyzes only the components a
+mutation touched.  On any (workload, allocation) pair the per-component path
 must return the *same* verdict, the *same* witness ``SplitScheduleSpec``,
 the *same* ``enumerate_counterexamples`` spec sequence (order included)
 and the *same* optimal allocation as the whole-workload path, and
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import pytest
 
 import strategies as sts
+from strategies import brute_force_components
 from repro.core.allocation import (
     is_robustly_allocatable,
     optimal_allocation,
@@ -169,8 +170,8 @@ def assert_counters_match(wl, levels):
     refinement issues exactly the per-component runs' probes.  For
     {RC, SI}, the whole run's one start check (Proposition 5.4) stands
     for the per-component runs' one each.  The manager adds one start
-    check per component it admits, and builds one conflict index per
-    component against the whole run's one.
+    check per component it admits, and builds no conflict index: it
+    renumbers its one index in place.
     """
     whole = AnalysisContext(wl)
     tracer = Tracer()
@@ -191,7 +192,7 @@ def assert_counters_match(wl, levels):
         assert whole.stats.checks == probes
         stats = manager_of(wl).last_stats
         assert stats.checks == whole.stats.checks + len(contexts)
-        assert stats.index_builds == len(contexts)
+        assert stats.index_builds == 0
     else:
         assert whole.stats.checks == probes - len(contexts) + 1
 
@@ -313,19 +314,21 @@ def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
 @given(sts.sparse_tid_workloads())
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_index_component_matches_conflict_components(wl):
-    """The conflict index's flood fill finds the access index's components.
+    """The conflict index finds the pairwise reference's components.
 
-    ``ConflictIndex.component`` (a flood fill over neighbour masks) and
-    ``conflict_components`` (a flood fill over an ``AccessIndex``'s
-    readers and writers per object) share no code; non-contiguous tids
-    keep bit numbers and tids apart.
+    ``ConflictIndex`` flood-fills its readers and writers per object;
+    ``brute_force_components`` unions every pair that
+    ``transactions_conflict``.  They share no code.  Non-contiguous
+    tids keep ranks and tids apart: each member's bit is its rank in
+    its component.
     """
     index = ConflictIndex(wl)
-    for members in conflict_components(wl):
-        mask = 0
-        for tid in members:
-            mask |= 1 << index.bit[tid]
-        assert [index.component(tid) for tid in members] == [mask] * len(members)
+    components = [component.tids for component in index.components()]
+    assert set(components) == brute_force_components(wl)
+    assert components == sorted(components)
+    for members in components:
+        assert [index.bit[tid] for tid in members] == list(range(len(members)))
+        assert all(index.component_of[tid].tids == members for tid in members)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +361,7 @@ def test_single_component_workload_degenerates_cleanly():
     assert_allocation_matches(wl, POSTGRES_LEVELS)
     manager = manager_of(wl)
     assert manager.components == (wl.tids,)
-    assert manager.last_stats.index_builds == 1
+    assert manager.last_stats.index_builds == 0
     ctx = AnalysisContext(wl)
     optimal_allocation(wl, context=ctx)
     assert ctx.stats.index_builds == 1

@@ -1,11 +1,14 @@
-"""Hypothesis strategies for workloads, allocations and schedules."""
+"""Hypothesis strategies for workloads, allocations and schedules, and a
+pairwise reference partition into conflict components."""
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Tuple
 
 from hypothesis import strategies as st
 
+from repro.core.conflicts import transactions_conflict
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.operations import Operation, read, write
 from repro.core.transactions import Transaction
@@ -136,3 +139,22 @@ def interleaved_orders(draw, workload: Workload) -> Tuple[Operation, ...]:
         choice = draw(st.sampled_from(available))
         order.append(pending[choice].pop(0))
     return tuple(order)
+
+
+def brute_force_components(wl: Workload) -> set:
+    """Reference partition: union-by-pairwise ``transactions_conflict``."""
+    parent = {tid: tid for tid in wl.tids}
+
+    def find(tid):
+        while parent[tid] != tid:
+            parent[tid] = parent[parent[tid]]
+            tid = parent[tid]
+        return tid
+
+    for a, b in itertools.combinations(wl, 2):
+        if transactions_conflict(a, b):
+            parent[find(a.tid)] = find(b.tid)
+    groups = {}
+    for tid in wl.tids:
+        groups.setdefault(find(tid), []).append(tid)
+    return {tuple(sorted(group)) for group in groups.values()}
