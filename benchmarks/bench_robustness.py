@@ -226,25 +226,36 @@ def test_size_sweep_report(capsys):
 
     ``optimal_allocation`` on a parsed workload, what ``repro allocate``
     runs, each call on a fresh context; a row is the median of
-    ``SIZE_REPEATS`` calls.  The library analyzes a workload as one unit
-    with every kernel row confined to its ``T_1``'s conflict component,
-    so many small components cost about what they would one by one,
-    until the ``|T|``-bit masks dominate (the 100-component row).  The
-    optimum must equal the per-component optima, composed.
+    ``SIZE_REPEATS`` calls.  The library analyzes a workload as one unit,
+    with every kernel row and level list numbered inside its ``T_1``'s
+    conflict component, so many small components cost about what they
+    cost one by one.  The composition column times the per-component
+    optima (``optimal_allocation`` on each component's sub-workload,
+    split off outside the timer), and the ratio is one-shot over
+    composition.  The optimum must equal the per-component optima,
+    composed.
     """
     from repro.core.sharding import conflict_components
 
     rows = []
     for shape, wl in _size_inputs():
         optimum, median = timed(lambda: optimal_allocation(wl), SIZE_REPEATS)
+        parts = [wl.restricted_to(members) for members in conflict_components(wl)]
+        optima, composed_median = timed(
+            lambda: [optimal_allocation(part) for part in parts], SIZE_REPEATS
+        )
         composed = {}
-        for members in conflict_components(wl):
-            composed.update(optimal_allocation(wl.restricted_to(members)).items())
+        for part_optimum in optima:
+            composed.update(part_optimum.items())
         assert dict(optimum.items()) == composed
-        rows.append((shape, len(wl), median))
+        rows.append((shape, len(wl), median, composed_median))
     with capsys.disabled():
         print_table(
             f"SIZE: optimal_allocation, median of {SIZE_REPEATS} calls",
-            ["shape", "|T|", "median"],
-            [(shape, n, f"{median * 1000:.2f}ms") for shape, n, median in rows],
+            ["shape", "|T|", "one-shot", "composition", "ratio"],
+            [
+                (shape, n, f"{one * 1000:.2f}ms", f"{parts * 1000:.2f}ms",
+                 f"{one / parts:.2f}")
+                for shape, n, one, parts in rows
+            ],
         )

@@ -1,9 +1,20 @@
 """Experiment SMALLBANK — the SI-anomalous contrast workload.
 
 SmallBank (cited in the paper via Alomari et al. [4]) is the standard
-not-robust-against-SI workload: by Proposition 5.4 it is not robustly
-allocatable over {RC, SI}, so Algorithm 2 must place SSI somewhere.  The
-bench verifies the shape and runs the checkers on SmallBank mixes.
+not-robust-against-SI workload, through one anomaly: ``Balance``,
+``WriteCheck`` and ``TransactSavings`` on the same customer
+(:func:`~repro.workloads.smallbank.si_anomaly_triple`).  That triple is
+not robust against ``A_SI``, so by Proposition 5.4 it is not robustly
+allocatable over {RC, SI}, and Algorithm 2 must place SSI.
+
+A SmallBank mix is only as anomalous as its customers make it.
+``smallbank_one_of_each(SmallBankConfig(customers=2), seed=s)`` is
+robust against ``A_SI`` for s = 1-3, 5 and 6, and is not for s = 4, the
+one seed whose ``WriteCheck`` and ``TransactSavings`` hit the customer
+its ``Balance`` reads (seeds 1, 5 and 6 put the two updates on one
+customer and ``Balance`` on the other).  The report below prints seed
+1's mix, so it shows a robust mix with no SSI.  The bench asserts the
+shape on the triple and runs the checkers on SmallBank mixes.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import pytest
 
 from conftest import print_table
 from repro.core.allocation import optimal_allocation
-from repro.core.isolation import Allocation, ORACLE_LEVELS
+from repro.core.isolation import Allocation, IsolationLevel, ORACLE_LEVELS
 from repro.core.robustness import is_robust
 from repro.workloads.smallbank import (
     SmallBankConfig,
@@ -23,10 +34,14 @@ from repro.workloads.smallbank import (
 
 
 def test_anomaly_triple_detection():
-    """Algorithm 1 finds the Balance/WriteCheck/TransactSavings anomaly."""
+    """Algorithm 1 finds the Balance/WriteCheck/TransactSavings anomaly,
+    and Algorithm 2 must answer it with SSI."""
     wl = si_anomaly_triple()
     alloc = Allocation.si(wl)
     assert not is_robust(wl, alloc)
+    assert optimal_allocation(wl, ORACLE_LEVELS) is None  # Proposition 5.4
+    optimum = optimal_allocation(wl)
+    assert any(level is IsolationLevel.SSI for _, level in optimum.items())
 
 
 @pytest.mark.parametrize("transactions", [5, 10, 20])

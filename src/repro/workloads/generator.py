@@ -7,8 +7,15 @@ those knobs, so benchmarks can sweep them (see
 
 * a pool of ``objects`` of which ``hot_objects`` form a hot set accessed
   with probability ``hot_probability``;
-* per-transaction operation counts and a write probability;
+* how many distinct objects each transaction accesses (``min_ops`` to
+  ``max_ops``) and a write probability;
 * a seeded RNG for reproducibility.
+
+``min_ops`` and ``max_ops`` bound the *objects* a transaction accesses,
+not its operations: a read-modify-write accesses one object with a read
+and a write, so a transaction can have more reads and writes than
+objects (see :class:`GeneratorConfig`).  :func:`clustered_workload`
+counts the same way.
 """
 
 from __future__ import annotations
@@ -29,14 +36,30 @@ class GeneratorConfig:
     Attributes:
         transactions: number of transactions to generate.
         objects: size of the object pool (objects are named ``x0, x1, ...``).
-        min_ops: minimum read/write operations per transaction.
-        max_ops: maximum read/write operations per transaction.
+        min_ops: minimum number of distinct objects a transaction accesses.
+        max_ops: maximum number of distinct objects a transaction accesses
+            (fewer when the pool runs out of fresh objects).  A
+            read-modify-write accesses its object with two operations, so
+            a transaction has at least as many reads and writes as
+            objects, and often more.
         write_probability: probability that an accessed object is written
             (a written object may additionally be read first).
         read_before_write_probability: probability that a write is preceded
             by a read of the same object (read-modify-write pattern).
         hot_objects: size of the hot set (0 disables hotspotting).
         hot_probability: probability that an access goes to the hot set.
+
+    Examples:
+        Six objects per transaction, seven to nine reads and writes:
+
+        >>> w = random_workload(
+        ...     transactions=10, objects=10, min_ops=6, max_ops=6, seed=3
+        ... )
+        >>> sorted({len(t.read_set | t.write_set) for t in w})
+        [6]
+        >>> accesses = [len(t.body) for t in w]  # reads and writes, no commit
+        >>> min(accesses), max(accesses), sum(accesses)
+        (7, 9, 82)
     """
 
     transactions: int = 10
