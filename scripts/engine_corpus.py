@@ -14,7 +14,7 @@ and on the ``components`` engine of :mod:`repro.core.reference`,
 * the optimal allocation with the ``checks`` its run counts, in
   production both one-unit (one context over the whole workload) and
   per component (one context per conflict component's sub-workload,
-  the optima composed, as the incremental manager analyzes);
+  the optima composed);
 * the witness specs of 4 random allocations;
 * the delta-scoped witness specs of every one-step lowering of the
   optimum;

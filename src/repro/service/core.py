@@ -42,8 +42,9 @@ Four service-level behaviours live on top of the manager:
   ``context.checks`` and the ``checks`` rate series.
 
 All command execution is serialized under one lock: the manager is a
-single-writer structure, and correctness of the warm state (access
-index, per-component contexts) depends on mutations being ordered.
+single-writer structure, and correctness of the warm state (its
+conflict index, kernel rows and levels) depends on mutations being
+ordered.
 """
 
 from __future__ import annotations
