@@ -208,6 +208,13 @@ def _cmd_templates(args: argparse.Namespace) -> int:
             if not name:
                 raise CommandError("provide --allocation Name=LEVEL,... or --uniform")
             allocation[name.strip()] = parse_level(level)
+        names = [t.name for t in templates]
+        unknown = sorted(set(allocation) - set(names))
+        if unknown:
+            raise CommandError(f"allocation names unknown templates {unknown}")
+        missing = [name for name in names if name not in allocation]
+        if missing:
+            raise CommandError(f"allocation misses templates {missing}")
     static = static_mixed_check(templates, allocation)
     print(f"Static sufficient check: {static}")
     result = check_template_robustness(

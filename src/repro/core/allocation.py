@@ -15,7 +15,7 @@ is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
 Every entry point accepts an optional
 :class:`~repro.core.context.AnalysisContext`, so the
-allocation-independent structure (conflict index, bitset kernel) is
+allocation-independent structure (conflict index, kernel rows) is
 built exactly once across the ``O(|T| * levels)`` robustness checks a
 full run issues.
 
@@ -74,12 +74,10 @@ def _refine(
     recording tracer.  Returns ``start`` with the refined levels.
     """
     ranks = [level.rank for level in ordered]
-    scope = context.index.scope
     tracer = current_tracer()
 
-    def lower(current, bit: int, tid: int, probe_ssi: int) -> bool:
+    def lower(current, t1s, bit: int, tid: int, probe_ssi: int) -> bool:
         """Adopt the lowest level that keeps the allocation robust."""
-        t1s = scope(tid)
         level_now = current[bit]
         floor = floors.get(tid) if floors is not None else None
         low = -1 if floor is None else floor.rank
@@ -106,13 +104,14 @@ def _refine(
             tids = component.tids
             current, ssi = level_list(start, tids)
             for bit, tid in enumerate(tids):
+                t1s = component.scope(bit)
                 probe_ssi = ssi & ~(1 << bit)  # a lowered level is below SSI
                 if tracer.recording:
                     with tracer.span("allocation.refine_txn", tid=tid) as txn_span:
-                        lowered = lower(current, bit, tid, probe_ssi)
+                        lowered = lower(current, t1s, bit, tid, probe_ssi)
                         txn_span.set(level=current[bit].name)
                 else:
-                    lowered = lower(current, bit, tid, probe_ssi)
+                    lowered = lower(current, t1s, bit, tid, probe_ssi)
                 if lowered:
                     ssi = probe_ssi
             refined.update(zip(tids, current))

@@ -16,8 +16,10 @@ so a witness never leaves its ``T_1``'s conflict component, and the
 index numbers each component on its own: a transaction's bit is its
 rank within its component, so masks are as wide as a component.  The
 bitset kernel (:mod:`repro.core.kernel`) evaluates Definition 3.1 on
-these masks.  All counters are exposed on the context's
-:class:`ContextStats`.
+these masks.  Every table derived from a numbering — kernel rows,
+scopes, pair tables — lives on its :class:`Component`, so a
+renumbering, which builds new components, leaves no stale table.  All
+counters are exposed on the context's :class:`ContextStats`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs
@@ -33,18 +35,48 @@ from .operations import Operation
 from .transactions import Transaction
 from .workload import Workload, WorkloadError
 
+if TYPE_CHECKING:
+    from .kernel import _T1Row
+
 
 class Component:
     """One conflict component, numbered by rank: bit ``i`` of its masks is
     ``tids[i]``, its ``i``-th smallest member, so ascending bit order is
     ascending tid order, the candidate order of every engine.
-    ``nbrs[i]`` is the mask of the members conflicting with ``tids[i]``."""
+    ``nbrs[i]`` is the mask of the members conflicting with ``tids[i]``.
 
-    __slots__ = ("tids", "nbrs")
+    The tables derived from this numbering are filled here on first use:
+    ``rows[i]`` is the kernel row of ``tids[i]`` as ``T_1``
+    (:func:`~repro.core.kernel.row_of`), ``scopes[i]`` its scope
+    (:meth:`scope`), and ``pairs[tid_b, tid_a]`` the conflicting-operation
+    pairs between two members
+    (:meth:`AnalysisContext.conflicting_pairs`).
+    """
+
+    __slots__ = ("tids", "nbrs", "rows", "scopes", "pairs")
 
     def __init__(self, tids: Tuple[int, ...], nbrs: Tuple[int, ...]):
         self.tids = tids
         self.nbrs = nbrs
+        self.rows: List[Optional[_T1Row]] = [None] * len(tids)
+        self.scopes: List[Optional[Tuple[int, ...]]] = [None] * len(tids)
+        self.pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
+
+    def scope(self, bit: int) -> Tuple[int, ...]:
+        """The member at ``bit`` and its conflict neighbours, ascending:
+        the split candidates ``T_1`` of a check scoped to it
+        (:func:`~repro.core.robustness.check_robustness_delta`)."""
+        cached = self.scopes[bit]
+        if cached is None:
+            tids = self.tids
+            mask = self.nbrs[bit] | 1 << bit
+            members = []
+            while mask:
+                low = mask & -mask
+                members.append(tids[low.bit_length() - 1])
+                mask ^= low
+            cached = self.scopes[bit] = tuple(members)
+        return cached
 
 
 class ConflictIndex:
@@ -59,7 +91,9 @@ class ConflictIndex:
     numbers each: ``component_of[t]`` and ``bit[t]`` place a
     transaction, and ``readers[o]`` / ``writers[o]`` are the masks of an
     object with a writer, in its component's bits.  Building an index
-    from transactions numbers every component.
+    from transactions numbers every component.  Numbering always builds
+    new :class:`Component` objects, so the tables cached on an old one
+    go with it.
     """
 
     def __init__(self, transactions: Iterable[Transaction] = ()):
@@ -72,7 +106,6 @@ class ConflictIndex:
         self.writers: Dict[str, int] = {}
         # Registered components, keyed by their smallest member.
         self._components: Dict[int, Component] = {}
-        self._scopes: Dict[int, Tuple[int, ...]] = {}
         for txn in transactions:
             self.add(txn)
         self.renumber(self.transactions)
@@ -110,7 +143,6 @@ class ConflictIndex:
         if component is not None:
             self._unregister(component)
             del self.bit[tid]
-            self._scopes.pop(tid, None)
 
     def _unregister(self, component: Component) -> None:
         if self._components.get(component.tids[0]) is component:
@@ -185,7 +217,6 @@ class ConflictIndex:
             old = component_of.get(tid)
             if old is not None:
                 self._unregister(old)
-                self._scopes.pop(tid, None)
             component_of[tid] = component
         self._components[tids[0]] = component
         self.bit.update(zip(tids, range(len(tids))))
@@ -198,23 +229,9 @@ class ConflictIndex:
         return [registered[first] for first in sorted(registered)]
 
     def scope(self, tid: int) -> Tuple[int, ...]:
-        """``tid`` and its conflict neighbours, ascending: the split
-        candidates ``T_1`` of a check scoped to ``tid``
-        (:func:`~repro.core.robustness.check_robustness_delta`), built
-        once per numbering of ``tid``."""
-        cached = self._scopes.get(tid)
-        if cached is None:
-            component = self.component_of[tid]
-            tids = component.tids
-            bit = self.bit[tid]
-            mask = component.nbrs[bit] | 1 << bit
-            members = []
-            while mask:
-                low = mask & -mask
-                members.append(tids[low.bit_length() - 1])
-                mask ^= low
-            cached = self._scopes[tid] = tuple(members)
-        return cached
+        """``tid`` and its conflict neighbours, ascending
+        (:meth:`Component.scope`)."""
+        return self.component_of[tid].scope(self.bit[tid])
 
     def conflict_neighbours(self, tid: int) -> Set[int]:
         """Transactions having an operation conflicting with one of ``tid``.
@@ -247,7 +264,6 @@ class ContextStats:
         pair_builds: conflicting-operation tables built (per ordered
             pair of transactions; read by witness-chain assembly).
         pair_hits: those tables served from the cache.
-        kernel_builds: bitset kernels built (at most one per context).
         kernel_row_builds: per-``T_1`` kernel rows built.
         kernel_row_hits: kernel row requests served from the cache.
     """
@@ -256,7 +272,6 @@ class ContextStats:
     index_builds: int = 0
     pair_builds: int = 0
     pair_hits: int = 0
-    kernel_builds: int = 0
     kernel_row_builds: int = 0
     kernel_row_hits: int = 0
 
@@ -282,10 +297,11 @@ class AnalysisContext:
 
     The context analyzes its workload as one unit.  It holds what a
     robustness probe reads and never changes: the conflict index
-    (:attr:`index`), the bitset kernel (:meth:`kernel`) and the
-    conflicting-pair tables (:meth:`conflicting_pairs`), each built on
-    first use and counted on :attr:`stats`.  Every kernel row and every
-    level list is as wide as its conflict component
+    (:attr:`index`), built on first use, and the counters
+    (:attr:`stats`) of the tables cached on the index's components —
+    kernel rows (:func:`~repro.core.kernel.row_of`) and
+    conflicting-pair tables (:meth:`conflicting_pairs`).  Every kernel
+    row and every level list is as wide as its conflict component
     (:class:`Component`).
 
     A caller must not reuse a context after its workload changes (the
@@ -293,17 +309,14 @@ class AnalysisContext:
     mismatch).  The one exception is the
     :class:`~repro.core.incremental.AllocationManager`, which keeps one
     context over its live set: a mutation updates and renumbers the
-    index, :meth:`drop` s the rows and tables of the components it
-    touched, and points :attr:`workload` at the new live set.
+    index, whose new components start with empty tables, and points
+    :attr:`workload` at the new live set.
     """
 
     def __init__(self, workload: Workload, stats: Optional[ContextStats] = None):
         self.workload = workload
         self.stats = stats if stats is not None else ContextStats()
         self._index: Optional[ConflictIndex] = None
-        self._kernel = None  # BitKernel, built lazily by kernel()
-        # Conflicting-pair tables by tid_b, then tid_a.
-        self._pairs: Dict[int, Dict[int, Tuple[Tuple[Operation, Operation], ...]]] = {}
 
     # -- validation ----------------------------------------------------
     def matches(self, workload: Workload) -> bool:
@@ -330,51 +343,27 @@ class AnalysisContext:
             self.stats.index_builds += 1
         return self._index
 
-    def kernel(self):
-        """The (lazily built) :class:`~repro.core.kernel.BitKernel`.
-
-        Built on the first scan and shared by every later check of the
-        workload.
-        """
-        if self._kernel is None:
-            from .kernel import BitKernel
-
-            index = self.index
-            with current_tracer().span(
-                "context.kernel_build", transactions=len(self.workload)
-            ):
-                self._kernel = BitKernel(index, self.stats)
-            self.stats.kernel_builds += 1
-        return self._kernel
-
     def conflicting_pairs(
         self, tid_b: int, tid_a: int
     ) -> Tuple[Tuple[Operation, Operation], ...]:
-        """Cached ``(b, a)`` conflicting-operation pairs from ``tid_b`` into ``tid_a``."""
-        tables = self._pairs.get(tid_b)
-        if tables is None:
-            tables = self._pairs[tid_b] = {}
-        cached = tables.get(tid_a)
+        """Cached ``(b, a)`` conflicting-operation pairs from ``tid_b`` into ``tid_a``.
+
+        Cached on ``tid_b``'s component: two transactions with a pair
+        conflict, so they share it, and two without one keep ``()``
+        until a renumbering merges them.
+        """
+        index = self.index
+        tables = index.component_of[tid_b].pairs
+        cached = tables.get((tid_b, tid_a))
         if cached is not None:
             self.stats.pair_hits += 1
             return cached
-        pairs = tuple(
-            conflicting_pairs(self.workload[tid_b], self.workload[tid_a])
+        transactions = index.transactions
+        pairs = tables[tid_b, tid_a] = tuple(
+            conflicting_pairs(transactions[tid_b], transactions[tid_a])
         )
-        tables[tid_a] = pairs
         self.stats.pair_builds += 1
         return pairs
-
-    def drop(self, tids: Iterable[int]) -> None:
-        """Forget the kernel rows and pair tables of ``tids``: the members
-        of a component a mutation touched, or departed transactions.  A
-        chain's hops link members of one component, so the tables keyed
-        by those members are all that can name one of them."""
-        kernel = self._kernel
-        for tid in tids:
-            self._pairs.pop(tid, None)
-            if kernel is not None:
-                kernel.drop(tid)
 
     # -- check accounting ----------------------------------------------
     def record_check(self) -> None:

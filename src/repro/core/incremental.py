@@ -28,10 +28,11 @@ transaction.  :class:`AllocationManager` keeps one
 updates its :class:`~repro.core.context.ConflictIndex` in place: every
 mutation (:meth:`AllocationManager.apply_batch`; a single add or remove
 is a batch of one) renumbers only the components holding a newcomer or
-a survivor of a removal, drops their kernel rows and pair tables, and
-re-analyzes each **once**.  Untouched components keep their rows and
-levels, so the analysis of a mutation tracks the affected components,
-not ``|T|``, and builds no index.  :meth:`AllocationManager.check` is
+a survivor of a removal, which start with empty tables (kernel rows,
+scopes, pair tables live on a component), and re-analyzes each
+**once**.  Untouched components keep their rows and levels, so the
+analysis of a mutation tracks the affected components, not ``|T|``,
+and builds no index.  :meth:`AllocationManager.check` is
 Algorithm 1's scan on the same warm context.
 
 Some bookkeeping of a mutation is still ``O(|T|)``: the manager builds a
@@ -89,10 +90,9 @@ class AllocationManager:
                 "AllocationManager requires SSI in the class (an optimum must"
                 " always exist); use optimal_allocation() for {RC, SI}"
             )
-        # One context over the live set.  Its index and kernel are built
-        # here, empty; every mutation updates them in place.
+        # One context over the live set; every mutation updates its
+        # index in place.
         self._context = AnalysisContext(Workload(()))
-        self._context.kernel()
         self._allocation = Allocation({})
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = ()
         self._last_stats = ContextStats()
@@ -126,10 +126,10 @@ class AllocationManager:
     def context(self) -> AnalysisContext:
         """The manager's warm analysis context over the current workload.
 
-        Its index, kernel rows and pair tables are the ones the
-        mutations maintain, so a library call passed this context (with
-        :attr:`workload`) reuses them.  Valid until the next mutation,
-        which updates it in place.
+        Its index, with the kernel rows and pair tables cached on its
+        components, is the one the mutations maintain, so a library call
+        passed this context (with :attr:`workload`) reuses them.  Valid
+        until the next mutation, which updates it in place.
         """
         return self._context
 
@@ -188,13 +188,13 @@ class AllocationManager:
         its old component.  The components holding a newcomer, or a
         survivor of a retired component, are flood-filled and renumbered
         once each, in ascending order of their smallest such tid; every
-        old component a flood fill reaches is replaced.  A new component
-        with the members and transactions of a retired one keeps its
-        kernel rows and its levels (a batch removed and re-added the
-        same transaction); every other one has its rows and pair tables
-        dropped and is re-analyzed **once** against the coalesced
-        membership.  Components no flood fill reaches are never visited:
-        they keep their rows and levels.
+        old component a flood fill reaches is replaced by a new one,
+        whose tables start empty.  A new component with the members and
+        transactions of a retired one keeps its levels (a batch removed
+        and re-added the same transaction); every other one is
+        re-analyzed **once** against the coalesced membership.
+        Components no flood fill reaches are never visited: they keep
+        their rows and levels.
 
         A re-analyzed component starts from its old levels with its
         newcomers at the top level — robust by removal monotonicity
@@ -270,7 +270,6 @@ class AllocationManager:
             old = self._allocation
             bottom, top = self._levels[0], self._levels[-1]
             levels = {t: old[t] for t in workload.tids if t in old}
-            context.drop(t for t in departed if t not in live)
             touched = 0
             for component in index.renumber(newcomers | survivors):
                 members = component.tids
@@ -279,7 +278,6 @@ class AllocationManager:
                 ):
                     continue
                 touched += 1
-                context.drop(members)
                 start = Allocation(
                     {t: top if t in newcomers else old[t] for t in members}
                 )

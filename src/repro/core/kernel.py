@@ -49,27 +49,36 @@ emitted triple.
 ``T_1`` of a scope has a first pair, on the allocation as one
 component's level list and SSI mask (:func:`level_list`), so it needs
 no :class:`~repro.core.isolation.Allocation`.
-:meth:`BitKernel.connecting_path` returns the same intermediates as the
+:func:`connecting_path` returns the same intermediates as the
 graph-backed
 :meth:`~repro.core.reference.ReachabilityOracle.connecting_path`.  The
 property suite (``tests/properties/test_kernel_equivalence.py``)
 asserts bit-identical verdicts, witness specs and enumeration order.
 
-The kernel is allocation-independent and lives on the analysis
-context (:meth:`~repro.core.context.AnalysisContext.kernel`).
+A row is allocation-independent and depends only on ``T_1``'s
+component: :func:`row_of` builds it on first use and caches it on the
+:class:`~repro.core.context.Component`, counted on the analysis
+context's :class:`~repro.core.context.ContextStats`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs, rw_conflicting
+from .context import AnalysisContext, Component, ConflictIndex
 from .isolation import Allocation, IsolationLevel
 from .operations import Operation, OperationKind
 from .transactions import Transaction
 
-__all__ = ["BitKernel", "has_witness", "iter_witness_triples", "level_list"]
+__all__ = [
+    "connecting_path",
+    "has_witness",
+    "iter_witness_triples",
+    "level_list",
+    "row_of",
+]
 
 #: A read of ``T_1`` that can split it: ``(b_1, position, t2s, tms)``.
 SplitRead = Tuple[Operation, int, int, int]
@@ -110,198 +119,166 @@ class _T1Row:
         self.w_r1: int = w_r1
 
 
-class BitKernel:
-    """Per-``T_1`` rows over a conflict index.
+def row_of(context: AnalysisContext, component: Component, t1_bit: int) -> _T1Row:
+    """The row of ``component``'s member at ``t1_bit``, as ``T_1``.
 
-    Built lazily by
-    :meth:`~repro.core.context.AnalysisContext.kernel`; rows are built lazily
-    per ``T_1`` and cached until :meth:`drop`.  ``stats`` (when
-    given) receives the ``kernel_row_builds`` / ``kernel_row_hits``
-    accounting surfaced by ``--stats``.
+    Cached on the component (``component.rows``), so a renumbering,
+    which builds new components, leaves no stale row; built on first use
+    (one ``kernel.row_build`` span) over ``context.index``, and counted
+    as a build or a hit on ``context.stats``.
     """
+    cached = component.rows[t1_bit]
+    if cached is not None:
+        context.stats.kernel_row_hits += 1
+        return cached
+    with current_tracer().span("kernel.row_build", t1=component.tids[t1_bit]):
+        cached = component.rows[t1_bit] = _build_row(context.index, component, t1_bit)
+    context.stats.kernel_row_builds += 1
+    return cached
 
-    def __init__(self, index, stats=None):
-        self.index = index
-        self.stats = stats
-        self._rows: Dict[int, _T1Row] = {}
-        self._ssi_of: Optional[Allocation] = None
-        self._ssi: Dict[object, int] = {}
 
-    def ssi_mask(self, allocation: Allocation, component) -> int:
-        """The mask of the members of ``component`` that ``allocation``
-        puts at SSI.
-
-        Remembered per component for the last allocation asked about:
-        every ``T_1`` of one check reads its component's mask.
-        """
-        if allocation is not self._ssi_of:
-            self._ssi_of = allocation
-            self._ssi = {}
-        mask = self._ssi.get(component)
-        if mask is None:
-            mask = self._ssi[component] = level_list(allocation, component.tids)[1]
-        return mask
-
-    def drop(self, t1_tid: int) -> None:
-        """Forget the row of ``t1_tid`` (its component changed)."""
-        self._rows.pop(t1_tid, None)
-
-    # -- rows ------------------------------------------------------------
-    def row(self, t1_tid: int) -> _T1Row:
-        """The (cached) row for split candidate ``t1_tid``."""
-        cached = self._rows.get(t1_tid)
-        if cached is not None:
-            if self.stats is not None:
-                self.stats.kernel_row_hits += 1
-            return cached
-        with current_tracer().span("kernel.row_build", t1=t1_tid):
-            row = self._build_row(t1_tid)
-        self._rows[t1_tid] = row
-        if self.stats is not None:
-            self.stats.kernel_row_builds += 1
-        return row
-
-    def _build_row(self, t1_tid: int) -> _T1Row:
-        index = self.index
-        bit_nbrs = index.component_of[t1_tid].nbrs
-        readers, writers = index.readers, index.writers
-        t1_bit = index.bit[t1_tid]
-        cands = bit_nbrs[t1_bit]
-        # Mixed-iso-graph nodes of T_1's conflict component: all but T_1
-        # and its neighbours.
-        remaining = ((1 << len(bit_nbrs)) - 1) & ~(cands | 1 << t1_bit)
-        # Flood-fill the components, each seeded at the lowest remaining
-        # bit — the order networkx's connected_components finds them in.
-        comps: List[int] = []
-        atts: List[int] = []
-        while remaining:
-            comp = frontier = remaining & -remaining
-            touched = 0
+def _build_row(index: ConflictIndex, component: Component, t1_bit: int) -> _T1Row:
+    """The masks of the module docstring for ``component``'s member at
+    ``t1_bit``."""
+    bit_nbrs = component.nbrs
+    readers, writers = index.readers, index.writers
+    cands = bit_nbrs[t1_bit]
+    # Mixed-iso-graph nodes of T_1's conflict component: all but T_1
+    # and its neighbours.
+    remaining = ((1 << len(bit_nbrs)) - 1) & ~(cands | 1 << t1_bit)
+    # Flood-fill the components, each seeded at the lowest remaining
+    # bit — the order networkx's connected_components finds them in.
+    comps: List[int] = []
+    atts: List[int] = []
+    while remaining:
+        comp = frontier = remaining & -remaining
+        touched = 0
+        while frontier:
+            reach = 0
             while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= bit_nbrs[low.bit_length() - 1]
-                    frontier ^= low
-                touched |= reach
-                frontier = reach & remaining & ~comp
-                comp |= frontier
-            remaining &= ~comp
-            comps.append(comp)
-            atts.append(touched & cands)
-        reach_of: Dict[int, int] = {}
-        rest = cands
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            mask = (bit_nbrs[low.bit_length() - 1] & cands) | low
-            for att in atts:
-                if att & low:
-                    mask |= att
-            reach_of[low.bit_length() - 1] = mask
-        # The per-read masks of the module docstring.
-        t1 = index.transactions[t1_tid]
-        body = t1.body
-        w_all = r_w1 = w_r1 = 0
-        for obj in t1.write_set:
-            w_all |= writers[obj]
-            r_w1 |= readers.get(obj, 0)
-        for obj in t1.read_set:
-            w_r1 |= writers.get(obj, 0)
-        after = [0] * (len(body) + 1)
-        for pos in range(len(body) - 1, -1, -1):
-            op = body[pos]
-            conf = writers.get(op.obj, 0)
-            if op.kind is _WRITE:
-                conf |= readers.get(op.obj, 0)
-            after[pos] = after[pos + 1] | conf
-        si_tms = cands & ~w_all & r_w1
-        rc_reads: List[SplitRead] = []
-        si_reads: List[SplitRead] = []
-        pref_w = rc_all = si_all = 0
-        for pos, op in enumerate(body):
-            if op.kind is _WRITE:
-                pref_w |= writers[op.obj]
-                continue
-            wo = cands & writers.get(op.obj, 0)
-            rc_t2s = wo & ~pref_w
-            rc_tms = cands & ~pref_w & (r_w1 | after[pos + 1])
-            if rc_t2s and rc_tms:
-                rc_reads.append((op, pos, rc_t2s, rc_tms))
-                rc_all |= rc_t2s
-            si_t2s = wo & ~w_all
-            if si_t2s and si_tms:
-                si_reads.append((op, pos, si_t2s, si_tms))
-                si_all |= si_t2s
-        return _T1Row(
-            cands, tuple(comps), reach_of, tuple(rc_reads), rc_all,
-            tuple(si_reads), si_all, cands & r_w1, cands & w_r1,
-        )
+                low = frontier & -frontier
+                reach |= bit_nbrs[low.bit_length() - 1]
+                frontier ^= low
+            touched |= reach
+            frontier = reach & remaining & ~comp
+            comp |= frontier
+        remaining &= ~comp
+        comps.append(comp)
+        atts.append(touched & cands)
+    reach_of: Dict[int, int] = {}
+    rest = cands
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        mask = (bit_nbrs[low.bit_length() - 1] & cands) | low
+        for att in atts:
+            if att & low:
+                mask |= att
+        reach_of[low.bit_length() - 1] = mask
+    # The per-read masks of the module docstring.
+    t1 = index.transactions[component.tids[t1_bit]]
+    body = t1.body
+    w_all = r_w1 = w_r1 = 0
+    for obj in t1.write_set:
+        w_all |= writers[obj]
+        r_w1 |= readers.get(obj, 0)
+    for obj in t1.read_set:
+        w_r1 |= writers.get(obj, 0)
+    after = [0] * (len(body) + 1)
+    for pos in range(len(body) - 1, -1, -1):
+        op = body[pos]
+        conf = writers.get(op.obj, 0)
+        if op.kind is _WRITE:
+            conf |= readers.get(op.obj, 0)
+        after[pos] = after[pos + 1] | conf
+    si_tms = cands & ~w_all & r_w1
+    rc_reads: List[SplitRead] = []
+    si_reads: List[SplitRead] = []
+    pref_w = rc_all = si_all = 0
+    for pos, op in enumerate(body):
+        if op.kind is _WRITE:
+            pref_w |= writers[op.obj]
+            continue
+        wo = cands & writers.get(op.obj, 0)
+        rc_t2s = wo & ~pref_w
+        rc_tms = cands & ~pref_w & (r_w1 | after[pos + 1])
+        if rc_t2s and rc_tms:
+            rc_reads.append((op, pos, rc_t2s, rc_tms))
+            rc_all |= rc_t2s
+        si_t2s = wo & ~w_all
+        if si_t2s and si_tms:
+            si_reads.append((op, pos, si_t2s, si_tms))
+            si_all |= si_t2s
+    return _T1Row(
+        cands, tuple(comps), reach_of, tuple(rc_reads), rc_all,
+        tuple(si_reads), si_all, cands & r_w1, cands & w_r1,
+    )
 
-    def connecting_path(
-        self, t1_tid: int, t2_tid: int, tm_tid: int
-    ) -> Optional[List[int]]:
-        """Intermediate transactions ``T_3 ... T_{m-1}`` linking ``T_2`` to ``T_m``.
+def connecting_path(
+    context: AnalysisContext, t1_tid: int, t2_tid: int, tm_tid: int
+) -> Optional[List[int]]:
+    """Intermediate transactions ``T_3 ... T_{m-1}`` linking ``T_2`` to ``T_m``.
 
-        The bitset twin of
-        :meth:`ReachabilityOracle.connecting_path
-        <repro.core.reference.ReachabilityOracle.connecting_path>`, with
-        the identical result: an empty list for a direct conflict (or
-        ``t2_tid == tm_tid``), ``None`` when the pair is not reachable,
-        and otherwise the same breadth-first path through the lowest
-        shared component — starts taken in the iteration order of
-        ``index.conflict_neighbours(t2_tid)``, neighbours visited in
-        ascending tid order (how ``networkx`` stores the
-        mixed-iso-graph's adjacency).  Reads ``T_1``'s row without
-        counting a row hit: the scan that found the witness just fetched
-        it.
-        """
-        index = self.index
-        if t2_tid == tm_tid or index.conflict(t2_tid, tm_tid):
-            return []
-        row = self._rows.get(t1_tid) or self.row(t1_tid)
-        component = index.component_of[t1_tid]
-        nbrs, tids = component.nbrs, component.tids
-        tid_bit = index.bit
-        nbr2 = nbrs[tid_bit[t2_tid]]
-        ends = nbrs[tid_bit[tm_tid]]
-        for comp in row.comps:
-            if nbr2 & comp and ends & comp:
-                break
-        else:
-            return None
-        ends &= comp
-        starts = [
-            tid
-            for tid in index.conflict_neighbours(t2_tid)
-            if (comp >> tid_bit[tid]) & 1
-        ]
-        parents: Dict[int, Optional[int]] = {tid: None for tid in starts}
-        goal = next((tid for tid in starts if (ends >> tid_bit[tid]) & 1), None)
-        frontier = starts
-        while frontier and goal is None:
-            next_frontier: List[int] = []
-            for node in frontier:
-                rest = nbrs[tid_bit[node]] & comp
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    neighbour = tids[low.bit_length() - 1]
-                    if neighbour in parents:
-                        continue
-                    parents[neighbour] = node
-                    if ends & low:
-                        goal = neighbour
-                        break
-                    next_frontier.append(neighbour)
-                if goal is not None:
+    The bitset twin of
+    :meth:`ReachabilityOracle.connecting_path
+    <repro.core.reference.ReachabilityOracle.connecting_path>`, with
+    the identical result: an empty list for a direct conflict (or
+    ``t2_tid == tm_tid``), ``None`` when the pair is not reachable,
+    and otherwise the same breadth-first path through the lowest
+    shared component — starts taken in the iteration order of
+    ``index.conflict_neighbours(t2_tid)``, neighbours visited in
+    ascending tid order (how ``networkx`` stores the
+    mixed-iso-graph's adjacency).  Reads ``T_1``'s row without
+    counting a row hit: the scan that found the witness just fetched
+    it.
+    """
+    index = context.index
+    if t2_tid == tm_tid or index.conflict(t2_tid, tm_tid):
+        return []
+    component = index.component_of[t1_tid]
+    t1_bit = index.bit[t1_tid]
+    row = component.rows[t1_bit] or row_of(context, component, t1_bit)
+    nbrs, tids = component.nbrs, component.tids
+    tid_bit = index.bit
+    nbr2 = nbrs[tid_bit[t2_tid]]
+    ends = nbrs[tid_bit[tm_tid]]
+    for comp in row.comps:
+        if nbr2 & comp and ends & comp:
+            break
+    else:
+        return None
+    ends &= comp
+    starts = [
+        tid
+        for tid in index.conflict_neighbours(t2_tid)
+        if (comp >> tid_bit[tid]) & 1
+    ]
+    parents: Dict[int, Optional[int]] = {tid: None for tid in starts}
+    goal = next((tid for tid in starts if (ends >> tid_bit[tid]) & 1), None)
+    frontier = starts
+    while frontier and goal is None:
+        next_frontier: List[int] = []
+        for node in frontier:
+            rest = nbrs[tid_bit[node]] & comp
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                neighbour = tids[low.bit_length() - 1]
+                if neighbour in parents:
+                    continue
+                parents[neighbour] = node
+                if ends & low:
+                    goal = neighbour
                     break
-            frontier = next_frontier
-        path = [goal]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
+                next_frontier.append(neighbour)
+            if goal is not None:
+                break
+        frontier = next_frontier
+    path = [goal]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
 
 
 def level_list(
@@ -374,29 +351,35 @@ def _first_pair(
 
 
 def has_witness(
-    kernel: BitKernel,
+    context: AnalysisContext,
     levels: Sequence[IsolationLevel],
     ssi: int,
-    t1s: Iterable[int],
+    t1s: Sequence[int],
     delta_tid: Optional[int] = None,
 ) -> bool:
     """Whether :func:`iter_witness_triples` yields anything for some ``T_1``.
 
-    The Algorithm 2 probe, one call per probe: ``t1s`` (and
-    ``delta_tid``) lie in one conflict component, and the allocation is
-    that component's level list ``levels`` in bit order (``levels[i]``
-    belongs to its ``i``-th smallest member) and its SSI mask ``ssi``.
-    ``t1s`` are scanned in order and the scan stops at the first ``T_1`` with a
-    witness pair, so exactly the rows a scan of
-    :func:`iter_witness_triples` would fetch are fetched (and counted).
-    Only existence matters: no operation is resolved and no chain built.
+    The Algorithm 2 probe, one call per probe: ``t1s`` (non-empty) and
+    ``delta_tid`` lie in one conflict component, looked up once per
+    probe, and the allocation is that component's level list ``levels``
+    in bit order (``levels[i]`` belongs to its ``i``-th smallest
+    member) and its SSI mask ``ssi``.  ``t1s`` are scanned in
+    order and the scan stops at the first ``T_1`` with a witness pair,
+    so exactly the rows a scan of :func:`iter_witness_triples` would
+    fetch are fetched (and counted).  Only existence matters: no
+    operation is resolved and no chain built.
     """
-    bit = kernel.index.bit
+    index = context.index
+    bit = index.bit
+    component = index.component_of[t1s[0]]
     scoped = 0 if delta_tid is None else 1 << bit[delta_tid]
-    row = kernel.row
     for t1 in t1s:
+        t1_bit = bit[t1]
         pair = _first_pair(
-            row(t1), levels[bit[t1]], ssi, 0 if t1 == delta_tid else scoped
+            row_of(context, component, t1_bit),
+            levels[t1_bit],
+            ssi,
+            0 if t1 == delta_tid else scoped,
         )
         if pair is not None:
             return True
@@ -404,9 +387,10 @@ def has_witness(
 
 
 def iter_witness_triples(
-    kernel: BitKernel,
+    context: AnalysisContext,
     allocation: Allocation,
     t1: Transaction,
+    ssi_masks: Dict[Component, int],
     delta_tid: Optional[int] = None,
 ) -> Iterator[
     Tuple[Transaction, Transaction, Tuple[Operation, Operation, Operation, Operation]]
@@ -416,13 +400,17 @@ def iter_witness_triples(
     Yields ``(T_2, T_m, (b_1, a_2, b_m, a_1))`` for every problematic
     triple, in the deterministic ``(T_2, T_m)`` candidate order — the
     exact triples and operation choices of the ``components`` engine.
+    ``ssi_masks`` holds the SSI masks of ``allocation`` by component
+    for the calling check, which passes one dict to every ``T_1`` it
+    scans: the mask of ``T_1``'s component is computed there once, on
+    first need.
 
     With a ``delta_tid`` other than ``T_1`` only the triples having it as
     ``T_2`` or ``T_m`` are yielded, in the same order; none when it does
     not conflict with ``T_1`` (the scope of
     :func:`~repro.core.robustness.check_robustness_delta`).
     """
-    index = kernel.index
+    index = context.index
     component = index.component_of[t1.tid]
     scoped = 0
     if delta_tid is not None and delta_tid != t1.tid:
@@ -430,11 +418,15 @@ def iter_witness_triples(
             return
         scoped = 1 << index.bit[delta_tid]
     transactions, tids = index.transactions, component.tids
-    row = kernel.row(t1.tid)
+    row = row_of(context, component, index.bit[t1.tid])
     level1 = allocation[t1.tid]
     rc = level1 is _RC
     reads = row.rc_reads if rc else row.si_reads
-    ssi = kernel.ssi_mask(allocation, component) if level1 is _SSI else 0
+    ssi = 0
+    if level1 is _SSI:
+        ssi = ssi_masks.get(component)
+        if ssi is None:
+            ssi = ssi_masks[component] = level_list(allocation, tids)[1]
     low2 = 0
     while True:
         pair = _first_pair(row, level1, ssi, scoped, low2)

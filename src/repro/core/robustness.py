@@ -19,8 +19,8 @@ test oracles: they return the same verdicts, witness specs and
 enumeration order (asserted by the
 ``tests/properties/test_kernel_equivalence.py`` property suite).
 
-All allocation-independent structure (conflict index, bitset kernel,
-conflicting-pair tables) lives in
+All allocation-independent structure (conflict index, kernel rows,
+conflicting-pair tables) hangs off
 :class:`~repro.core.context.AnalysisContext`, which analyzes the
 workload as one unit.  Pass an existing context to amortize it across
 many checks of the same workload (Algorithm 2 issues
@@ -36,13 +36,13 @@ scoped scan and asks only whether it finds a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import current_tracer
 from .conflicts import ConflictQuadruple
 from .context import AnalysisContext, Component, _resolve
 from .isolation import Allocation, IsolationLevel
-from .kernel import has_witness, iter_witness_triples, level_list
+from .kernel import connecting_path, has_witness, iter_witness_triples, level_list
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .split_schedule import SplitScheduleSpec, materialize, operation_order
@@ -101,7 +101,7 @@ def _build_chain(
     """Assemble the quadruple chain ``C`` for a discovered counterexample.
 
     ``path`` is the connecting chain ``T_3 ... T_{m-1}`` from the
-    kernel row (:meth:`~repro.core.kernel.BitKernel.connecting_path`).
+    kernel row (:func:`~repro.core.kernel.connecting_path`).
     """
     b1, a2, bm, a1 = ops
     chain: List[ConflictQuadruple] = [ConflictQuadruple(t1.tid, b1, a2, t2.tid)]
@@ -119,6 +119,7 @@ def _scan_t1(
     context: AnalysisContext,
     allocation: Allocation,
     t1: Transaction,
+    ssi_masks: Dict[Component, int],
     delta_tid: Optional[int] = None,
 ) -> Iterator[SplitScheduleSpec]:
     """Algorithm 1's inner loops for a fixed split candidate ``T_1``.
@@ -138,11 +139,13 @@ def _scan_t1(
     through the changed transaction, which is all of it when
     ``allocation`` is one step below a robust one (the delta lemma of
     :func:`check_robustness_delta`).  Each witness's connecting chain
-    comes from the kernel row the scan read.
+    comes from the kernel row the scan read.  ``ssi_masks`` is the
+    calling check's (:func:`~repro.core.kernel.iter_witness_triples`).
     """
-    kernel = context.kernel()
-    for t2, tm, ops in iter_witness_triples(kernel, allocation, t1, delta_tid):
-        path = kernel.connecting_path(t1.tid, t2.tid, tm.tid)
+    for t2, tm, ops in iter_witness_triples(
+        context, allocation, t1, ssi_masks, delta_tid
+    ):
+        path = connecting_path(context, t1.tid, t2.tid, tm.tid)
         yield _build_chain(context, t1, t2, tm, ops, path)
 
 
@@ -244,12 +247,14 @@ def _first_witness(
     else:
         t1s = context.index.scope(delta_tid)
     tracer = current_tracer()
+    ssi_masks: Dict[Component, int] = {}
     spec = None
     with _check_span(tracer, len(workload), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
                 spec = next(
-                    _scan_t1(context, allocation, workload[tid], delta_tid), None
+                    _scan_t1(context, allocation, workload[tid], ssi_masks, delta_tid),
+                    None,
                 )
             if spec is not None:
                 break
@@ -279,15 +284,14 @@ def _probe(
     is too short to pay for them otherwise.
     """
     context.record_check()
-    kernel = context.kernel()
     tracer = current_tracer()
     if not tracer.recording:
-        return has_witness(kernel, levels, ssi, t1s, delta_tid)
+        return has_witness(context, levels, ssi, t1s, delta_tid)
     found = False
-    with _check_span(tracer, len(context.workload), delta_tid) as check_span:
+    with _check_span(tracer, len(context.index.transactions), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
-                found = has_witness(kernel, levels, ssi, (tid,), delta_tid)
+                found = has_witness(context, levels, ssi, (tid,), delta_tid)
             if found:
                 break
         check_span.set(robust=not found)
@@ -450,15 +454,16 @@ def enumerate_counterexamples(
     _validate(workload, allocation)
     context.record_check()
     tracer = current_tracer()
+    ssi_masks: Dict[Component, int] = {}
     for t1 in workload:
         if tracer.recording:
             # Drain the scan inside its span so the recorded duration is
             # scan time, not consumer time between yields.  The yielded
             # sequence is identical either way.
             with tracer.span("robustness.scan_t1", t1=t1.tid, survey=True):
-                specs = list(_scan_t1(context, allocation, t1))
+                specs = list(_scan_t1(context, allocation, t1, ssi_masks))
         else:
-            specs = _scan_t1(context, allocation, t1)
+            specs = _scan_t1(context, allocation, t1, ssi_masks)
         for spec in specs:
             yield _spec_to_counterexample(
                 spec, workload, allocation, materialize_schedules

@@ -16,8 +16,9 @@ written to a same-directory temporary file, fsynced, then ``os.replace``d
 over the target, and the directory is fsynced so the rename itself is
 durable — a crash mid-snapshot leaves the previous snapshot intact,
 never a torn file.  Loads are corruption-safe: wrong kind, wrong
-schema, bad JSON, or a checksum mismatch raise :class:`SnapshotError`
-with a precise reason instead of resuming from garbage.
+schema, bytes that are not UTF-8 JSON, or a checksum mismatch raise
+:class:`SnapshotError` with a precise reason instead of resuming from
+garbage.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def read_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and verify a snapshot; returns the manager state payload.
 
     Raises:
-        SnapshotError: when the file is missing, not JSON, not a
+        SnapshotError: when the file is missing, not UTF-8 JSON, not a
             snapshot, from an incompatible schema, or fails its
             checksum.
     """
@@ -106,7 +107,7 @@ def read_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
         raise SnapshotError(f"no snapshot at {target}")
     try:
         document = json.loads(target.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"snapshot {target} is unreadable: {exc}") from None
     if not isinstance(document, dict) or document.get("kind") != SNAPSHOT_KIND:
         raise SnapshotError(f"{target} is not a {SNAPSHOT_KIND} file")

@@ -5,6 +5,7 @@ import pytest
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation
+from repro.core.kernel import connecting_path, row_of
 from repro.core.reference import ReachabilityOracle, conflict_sets
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.workload import WorkloadError, workload
@@ -99,20 +100,25 @@ def chained_workload():
     )
 
 
+def _row(ctx, tid):
+    """The kernel row of ``tid`` as ``T_1``, through the context."""
+    return row_of(ctx, ctx.index.component_of[tid], ctx.index.bit[tid])
+
+
 class _KernelPaths:
     """The bitset kernel's connecting chains for one ``T_1``, with the
     oracle's interface."""
 
     def __init__(self, ctx, t1_tid):
-        self.kernel = ctx.kernel()
+        self.ctx = ctx
         self.index = ctx.index
         self.t1_tid = t1_tid
 
     def connecting_path(self, tid_2, tid_m):
-        return self.kernel.connecting_path(self.t1_tid, tid_2, tid_m)
+        return connecting_path(self.ctx, self.t1_tid, tid_2, tid_m)
 
     def reachable(self, tid_2, tid_m):
-        row = self.kernel.row(self.t1_tid)
+        row = _row(self.ctx, self.t1_tid)
         bit = self.index.bit
         return (row.reach[bit[tid_2]] >> bit[tid_m]) & 1 == 1
 
@@ -165,17 +171,10 @@ class TestConnectingPath:
 
 
 class TestKernelCaching:
-    def test_kernel_built_once(self, write_skew):
-        ctx = AnalysisContext(write_skew)
-        kernel = ctx.kernel()
-        assert ctx.kernel() is kernel
-        assert ctx.stats.kernel_builds == 1
-
     def test_kernel_rows_cached(self, write_skew):
         ctx = AnalysisContext(write_skew)
-        kernel = ctx.kernel()
-        row = kernel.row(1)
-        assert kernel.row(1) is row
+        row = _row(ctx, 1)
+        assert _row(ctx, 1) is row
         assert ctx.stats.kernel_row_builds == 1
         assert ctx.stats.kernel_row_hits == 1
 
@@ -184,7 +183,6 @@ class TestKernelCaching:
         check_robustness(
             write_skew, Allocation.si(write_skew), method="bitset", context=ctx
         )
-        assert ctx.stats.kernel_builds == 1
         assert ctx.stats.kernel_row_builds >= 1
 
     def test_components_method_builds_no_kernel(self, write_skew):
@@ -195,7 +193,7 @@ class TestKernelCaching:
             method="components",
             context=ctx,
         )
-        assert ctx.stats.kernel_builds == 0
+        assert ctx.stats.index_builds == 0 and ctx.stats.kernel_row_builds == 0
 
     def test_bitset_check_builds_no_oracle(self, chained_workload):
         """A multi-hop witness's chain comes from the kernel row."""
@@ -213,11 +211,10 @@ class TestComponentNumbering:
             components=4, per_component=4, objects_per_component=5, seed=3
         )
         ctx = AnalysisContext(wl)
-        kernel = ctx.kernel()
         assert len(ctx.index.components()) >= 4
         for tid in wl.tids:
             limit = 1 << len(ctx.index.component_of[tid].tids)
-            row = kernel.row(tid)
+            row = _row(ctx, tid)
             masks = [row.cands, row.rc_t2s, row.si_t2s, row.r_w1, row.w_r1]
             masks += [*row.comps, *row.reach.values()]
             masks += [1 << bit for bit in row.reach]
@@ -235,7 +232,6 @@ class TestStats:
         assert set(stats) == {
             "checks",
             "index_builds",
-            "kernel_builds",
             "kernel_row_builds",
             "kernel_row_hits",
             "pair_builds",

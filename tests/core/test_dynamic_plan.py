@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.core.incremental import AllocationManager
+from repro.core.kernel import row_of
 from repro.core.sharding import conflict_components
 from repro.core.transactions import parse_transaction
 from repro.core.workload import WorkloadError
@@ -39,8 +40,11 @@ def _manager(txns):
 
 def _rows(manager, tids):
     """The manager's kernel rows of ``tids``, built if missing."""
-    kernel = manager.context.kernel()
-    return {tid: kernel.row(tid) for tid in tids}
+    context = manager.context
+    index = context.index
+    return {
+        tid: row_of(context, index.component_of[tid], index.bit[tid]) for tid in tids
+    }
 
 
 class TestAdd:

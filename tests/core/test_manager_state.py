@@ -3,7 +3,7 @@
 The service's warm snapshots are only useful if a restored manager is
 indistinguishable from the original: same workload, same allocation,
 same components, so the next mutation's ContextStats-visible work
-(checks, index and kernel builds) is identical on both sides.
+(checks, index builds, kernel rows built) is identical on both sides.
 """
 
 import pytest

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.context import AnalysisContext, ContextStats
 from repro.core.incremental import AllocationManager
+from repro.core.kernel import row_of
 from repro.core.sharding import conflict_components
 from repro.core.transactions import parse_transaction
 from repro.core.workload import Workload, WorkloadError, workload
@@ -71,8 +72,9 @@ class TestContextPlan:
         index = ctx.index
         assert ctx.index is index  # cached
         assert ctx.stats.index_builds == 1
-        kernel = ctx.kernel()
-        assert kernel.index is index and kernel.stats is ctx.stats
+        row = row_of(ctx, index.component_of[1], index.bit[1])
+        assert index.component_of[1].rows[index.bit[1]] is row
+        assert ctx.stats.kernel_row_builds == 1
         assert ctx.stats.index_builds == 1  # one index per context
 
     def test_part_workloads(self):
@@ -99,11 +101,16 @@ class TestContextPlan:
         manager = AllocationManager()
         texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         manager.apply_batch([("add", parse_transaction(t)) for t in texts])
-        kernel = manager.context.kernel()
-        standing = {tid: kernel.row(tid) for tid in (1, 2)}
+        context = manager.context
+        index = context.index
+
+        def row(tid):
+            return row_of(context, index.component_of[tid], index.bit[tid])
+
+        standing = {tid: row(tid) for tid in (1, 2)}
         manager.add(parse_transaction("R4[z] W4[z]"))
         assert manager.components == ((1, 2), (3, 4))
-        assert all(kernel.row(tid) is row for tid, row in standing.items())
+        assert all(row(tid) is cached for tid, cached in standing.items())
         assert manager.last_stats.index_builds == 0  # (3, 4) renumbered in place
 
     def test_record_check_counts_one_logical_check(self):

@@ -63,11 +63,12 @@ def test_trace_diff_against_fresh_v2_trace(v1_trace_path, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     v1_names = set(validate_trace_file(v1_trace_path)["metrics"]["timers"])
     assert {entry["key"] for entry in report["entries"]} == v1_names
-    # The v1 trace was recorded while the library analyzed per component;
-    # a fresh trace opens no shard.plan or shard.scan span.
+    # The v1 trace was recorded while the library analyzed per component
+    # and built a kernel object per context; a fresh trace opens no
+    # shard.plan, shard.scan or context.kernel_build span.
     skipped = {
         entry["key"] for entry in report["entries"] if entry["status"] == "skipped"
     }
-    assert skipped == {"shard.plan", "shard.scan"}
+    assert skipped == {"context.kernel_build", "shard.plan", "shard.scan"}
     assert report["skipped"] == len(skipped)
     assert report["compared"] == len(v1_names) - len(skipped)

@@ -23,7 +23,7 @@ from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
 from repro.core.context import AnalysisContext, ConflictIndex
 from repro.core.isolation import Allocation, IsolationLevel
-from repro.core.kernel import iter_witness_triples, level_list
+from repro.core.kernel import connecting_path, iter_witness_triples, level_list
 from repro.core.robustness import (
     _probe,
     _witness_exists,
@@ -116,16 +116,16 @@ def test_delta_scoped_triples_are_the_filtered_full_scan(seed, size, levels):
         transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
     )
     alloc = Allocation({tid: levels[i] for i, tid in enumerate(wl.tids)})
-    kernel = AnalysisContext(wl).kernel()
+    ctx = AnalysisContext(wl)
     for t1 in wl:
-        full = list(iter_witness_triples(kernel, alloc, t1))
+        full = list(iter_witness_triples(ctx, alloc, t1, {}))
         for d in wl.tids:
             expected = [
                 triple
                 for triple in full
                 if d in (t1.tid, triple[0].tid, triple[1].tid)
             ]
-            scoped = list(iter_witness_triples(kernel, alloc, t1, delta_tid=d))
+            scoped = list(iter_witness_triples(ctx, alloc, t1, {}, delta_tid=d))
             assert scoped == expected, (t1.tid, d)
 
 
@@ -220,7 +220,6 @@ def test_kernel_connecting_path_matches_oracle(seed, size):
         transactions=size, objects=size + 2, min_ops=2, max_ops=3, seed=seed
     )
     ctx = AnalysisContext(wl)
-    kernel = ctx.kernel()
     sets_of = reference.conflict_sets(wl)
     for t1 in wl:
         oracle = reference.ReachabilityOracle(sets_of[t1.tid], t1)
@@ -229,8 +228,8 @@ def test_kernel_connecting_path_matches_oracle(seed, size):
         ]
         for t2 in candidates:
             for tm in candidates:
-                assert kernel.connecting_path(
-                    t1.tid, t2.tid, tm.tid
+                assert connecting_path(
+                    ctx, t1.tid, t2.tid, tm.tid
                 ) == oracle.connecting_path(t2.tid, tm.tid), (t1.tid, t2.tid, tm.tid)
 
 

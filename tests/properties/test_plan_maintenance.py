@@ -8,10 +8,12 @@ a flood fill over its conflict index:
   batches, the manager's maintained partition is *identical* (order,
   members, everything) to ``conflict_components(workload)`` over the
   same transactions;
-* **no stale numbering or row** — the maintained index equals a fresh
+* **no stale numbering or table** — the maintained index equals a fresh
   index of the live set (components, bits, neighbour and object
-  masks), and every cached kernel row equals a freshly built one, after
-  any merge, split or re-add;
+  masks), and every kernel row, scope and pair table cached on a live
+  component equals a freshly built one, after any merge, split or
+  re-add — including a departed tid coming back, with its old body or
+  a new one, in the batch that removed it or in a later one;
 * **allocation exactness** — the maintained allocation is bit-identical
   to the batch Algorithm 2 optimum, and the coalesced ``apply_batch``
   path lands on exactly the same state as replaying the same mutations
@@ -26,9 +28,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.allocation import optimal_allocation
-from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.conflicts import conflicting_pairs
+from repro.core.context import AnalysisContext
 from repro.core.incremental import AllocationManager
 from repro.core.isolation import Allocation, IsolationLevel
+from repro.core.kernel import row_of
 from repro.core.operations import read, write
 from repro.core.robustness import check_robustness
 from repro.core.sharding import conflict_components
@@ -79,11 +83,43 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
         self.batched = AllocationManager()
         self.sequential = AllocationManager()
         self.next_tid = 1
+        # Removed transactions by tid, until a rule re-adds the tid.
+        self.departed = {}
 
     def _fresh_txn(self, data):
         txn = _random_txn(data, self.next_tid)
         self.next_tid += 1
         return txn
+
+    def _comeback(self, data, old):
+        """``old``'s tid again: its old body, the same operations in
+        another order, or a newly drawn body."""
+        body = data.draw(st.sampled_from(("same", "reordered", "new")), label="body")
+        if body == "same":
+            return Transaction(old.tid, old.operations)
+        if body == "reordered":
+            return Transaction(old.tid, data.draw(st.permutations(old.body)))
+        return _random_txn(data, old.tid)
+
+    def _note_departures(self, mutations):
+        """Record the transactions ``mutations`` remove and do not re-add."""
+        live = dict(zip(self.batched.workload.tids, self.batched.workload))
+        for op, value in mutations:
+            if op == "remove":
+                self.departed[value] = live.pop(value)
+            else:
+                live[value.tid] = value
+                self.departed.pop(value.tid, None)
+
+    def _replay(self, mutations):
+        """Apply ``mutations`` as one batch, and one by one to the shadow."""
+        self._note_departures(mutations)
+        self.batched.apply_batch(mutations)
+        for op, value in mutations:
+            if op == "add":
+                self.sequential.add(Transaction(value.tid, value.operations))
+            else:
+                self.sequential.remove(value)
 
     @rule(data=st.data())
     def add_transaction(self, data):
@@ -95,8 +131,24 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def remove_transaction(self, data):
         tid = data.draw(st.sampled_from(self.batched.workload.tids))
+        self._note_departures([("remove", tid)])
         self.batched.remove(tid)
         self.sequential.remove(tid)
+
+    @precondition(lambda self: len(self.batched.workload) > 0)
+    @rule(data=st.data())
+    def readd_in_the_same_batch(self, data):
+        """A live tid leaves and comes back within one batch."""
+        tid = data.draw(st.sampled_from(self.batched.workload.tids))
+        old = self.batched.workload[tid]
+        self._replay([("remove", tid), ("add", self._comeback(data, old))])
+
+    @precondition(lambda self: len(self.departed) > 0)
+    @rule(data=st.data())
+    def readd_a_departed_tid(self, data):
+        """A tid removed by an earlier batch comes back."""
+        tid = data.draw(st.sampled_from(sorted(self.departed)))
+        self._replay([("add", self._comeback(data, self.departed[tid]))])
 
     @rule(data=st.data())
     def apply_batch(self, data):
@@ -112,12 +164,7 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
                 txn = self._fresh_txn(data)
                 live.add(txn.tid)
                 mutations.append(("add", txn))
-        self.batched.apply_batch(mutations)
-        for op, value in mutations:
-            if op == "add":
-                self.sequential.add(Transaction(value.tid, value.operations))
-            else:
-                self.sequential.remove(value)
+        self._replay(mutations)
 
     @rule(data=st.data())
     def check_matches_whole_workload_check(self, data):
@@ -137,25 +184,37 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
         assert self.batched.components == conflict_components(workload)
 
     @invariant()
-    def index_and_rows_match_a_fresh_build(self):
+    def index_and_tables_match_a_fresh_build(self):
         workload = self.batched.workload
-        context = self.batched.context
-        index, fresh = context.index, ConflictIndex(workload)
+        context, fresh_context = self.batched.context, AnalysisContext(workload)
+        index, fresh = context.index, fresh_context.index
         assert index.transactions == dict(zip(workload.tids, workload))
         assert [(c.tids, c.nbrs) for c in index.components()] == [
             (c.tids, c.nbrs) for c in fresh.components()
         ]
+        components = index.components()
         assert all(
             index.component_of[tid].tids == fresh.component_of[tid].tids
             for tid in workload.tids
         )
+        # Every tid reaches its registered component, whose tables follow.
+        assert all(index.component_of[t] is c for c in components for t in c.tids)
+        assert set(index.component_of) == set(workload.tids)
         assert index.bit == fresh.bit
         assert (index.readers, index.writers) == (fresh.readers, fresh.writers)
-        kernel = context.kernel()
-        fresh_kernel = AnalysisContext(workload).kernel()
-        assert set(kernel._rows) <= set(workload.tids)
-        for tid, row in kernel._rows.items():
-            assert _fields(row) == _fields(fresh_kernel.row(tid)), tid
+        for component in components:
+            fresh_component = fresh.component_of[component.tids[0]]
+            for bit, tid in enumerate(component.tids):
+                # The cached row and scope, or ones built now: either way
+                # every table is cached when the next step mutates.
+                row = row_of(context, component, bit)
+                expected = row_of(fresh_context, fresh_component, bit)
+                assert _fields(row) == _fields(expected), tid
+                assert component.scope(bit) == fresh_component.scope(bit), tid
+            for (tid_b, tid_a), pairs in component.pairs.items():
+                assert pairs == tuple(
+                    conflicting_pairs(workload[tid_b], workload[tid_a])
+                ), (tid_b, tid_a)
 
     @invariant()
     def allocations_bit_identical(self):
@@ -168,6 +227,6 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
 
 TestPlanMaintenanceMachine = PlanMaintenanceMachine.TestCase
 TestPlanMaintenanceMachine.settings = settings(
-    max_examples=15, stateful_step_count=8, deadline=None
+    max_examples=50, stateful_step_count=20, deadline=None
 )
 

@@ -215,9 +215,9 @@ def test_sharded_counters_match_one_unit_on_clustered_workloads(seed):
 
 
 #: The ``ContextStats`` fields counted per context: the per-component
-#: runs build a conflict index and a kernel each.  Every other field
-#: counts the same work on both paths.
-PER_COMPONENT_FIELDS = frozenset({"index_builds", "kernel_builds"})
+#: runs build a conflict index each.  Every other field counts the same
+#: work on both paths.
+PER_COMPONENT_FIELDS = frozenset({"index_builds"})
 
 
 @st.composite

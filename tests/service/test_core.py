@@ -570,6 +570,12 @@ class TestSnapshotCommands:
         )
         assert response["error"]["code"] == "snapshot-error"
 
+    def test_restore_non_utf8_file(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_bytes(b"\xff\xfe{}")
+        response = _core().handle({"op": "restore", "path": str(path)})
+        assert response["error"]["code"] == "snapshot-error", response
+
     def test_auto_snapshot_every_n_mutations(self, tmp_path):
         snap = tmp_path / "auto.json"
         core = _core(snapshot_path=str(snap), snapshot_every=2)

@@ -89,6 +89,12 @@ class TestCorruptionSafety:
         with pytest.raises(SnapshotError, match="unreadable"):
             read_snapshot(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SnapshotError, match="unreadable"):
+            read_snapshot(path)
+
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "snap.json"
         path.write_text(json.dumps({"kind": "something-else"}), encoding="utf-8")

@@ -125,7 +125,7 @@ class TestSharding:
         assert "T5: RC" in out
 
     def test_stats_block_names_the_context_counters(self, multi_file, capsys):
-        """The block is the seven ``ContextStats`` counters, in order."""
+        """The block is the six ``ContextStats`` counters, in order."""
         assert main(["allocate", multi_file, "--stats"]) == 0
         out = capsys.readouterr().out
         block = out[out.index("Analysis statistics:"):].splitlines()
@@ -135,7 +135,6 @@ class TestSharding:
             "  index builds: 1",
             "  pair builds: 0",
             "  pair hits: 0",
-            "  kernel builds: 1",
             "  kernel row builds: 3",
             "  kernel row hits: 6",
         ]
@@ -301,6 +300,18 @@ class TestTemplates:
     def test_check_requires_allocation(self, template_file, capsys):
         assert main(["templates", "check", template_file]) == 2
         assert "provide --allocation" in _error_line(capsys)
+
+    def test_check_rejects_an_allocation_missing_a_template(
+        self, template_file, capsys
+    ):
+        spec = "Balance=RC,WriteCheck=SSI"
+        assert main(["templates", "check", template_file, "--allocation", spec]) == 2
+        assert "allocation misses templates ['TransactSavings']" in _error_line(capsys)
+
+    def test_check_rejects_an_unknown_template(self, template_file, capsys):
+        spec = "Balance=SSI,TransactSavings=SSI,WriteCheck=SSI,Z=SSI"
+        assert main(["templates", "check", template_file, "--allocation", spec]) == 2
+        assert "allocation names unknown templates ['Z']" in _error_line(capsys)
 
     def test_allocate(self, template_file, capsys):
         code = main(["templates", "allocate", template_file])
@@ -637,13 +648,15 @@ class TestBadInputFiles:
 class TestUnrestorableSnapshot:
     """``repro serve`` on a snapshot it cannot restore: one error line, exit 2."""
 
-    @pytest.mark.parametrize("kind", ["foreign-file", "bad-state-version"])
+    @pytest.mark.parametrize("kind", ["foreign-file", "bad-state-version", "non-utf8"])
     def test_serve_exits_cleanly(self, tmp_path, kind):
         from repro.service import write_snapshot
 
         path = tmp_path / "snap.json"
         if kind == "foreign-file":
             path.write_text('{"garbage": 1}')
+        elif kind == "non-utf8":
+            path.write_bytes(b"\xff\xfe{}")
         else:
             write_snapshot(path, {"version": 7, "levels": [], "workload": ""})
         src = str(Path(__file__).resolve().parents[1] / "src")
