@@ -17,11 +17,12 @@ daemon process:
    with ``repro trace dump`` (the daemon was never started with
    ``--trace``); render two live ``repro service top`` frames; validate
    every line of the ``--eventlog`` JSON-lines mirror;
-4. send hostile input: one raw line that is not UTF-8 and one ``batch``
-   of two valid adds around a ``tid: 0`` add; require ``bad-request``
-   for exactly the bad line and the bad entry, both valid adds
-   admitted, the connection still answering, and
-   ``repro_service_errors_total`` up by exactly one (the line; a failed
+4. send hostile input: one raw line that is not UTF-8, one line of JSON
+   nested deeper than the decoder recurses, and one ``batch`` of two
+   valid adds around a ``tid: 0`` add; require ``bad-request`` for
+   exactly the two bad lines and the bad entry, both valid adds
+   admitted, the connection still answering after each line, and
+   ``repro_service_errors_total`` up by exactly two (the lines; a failed
    batch entry is not a failed request); then send a ``restore`` whose
    ``verify`` is the string ``"false"``, require ``bad-request``, and
    require the next ``allocate`` to equal the one before it;
@@ -271,16 +272,19 @@ def main() -> int:
 
         # -- stage 4: hostile input gets bad-request, nothing else ----
         errors_before = errors_total(args.metrics_port)
-        line = b'{"op": "add", "transaction": "R[x\xff] W[y]", "tid": 9001}\n'
+        non_utf8 = b'{"op": "add", "transaction": "R[x\xff] W[y]", "tid": 9001}\n'
+        # 400 kB, under the 1 MiB line cap.
+        nested = b'{"op": "status", "id": ' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
         with socket.create_connection(("127.0.0.1", port), timeout=30) as raw:
             with raw.makefile("rwb") as stream:
-                stream.write(line)
-                stream.flush()
-                reply = json.loads(stream.readline())
-                assert reply.get("error", {}).get("code") == "bad-request", reply
-                stream.write(b'{"op": "status"}\n')
-                stream.flush()
-                assert json.loads(stream.readline())["ok"], "connection closed"
+                for line in (non_utf8, nested):
+                    stream.write(line)
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    assert reply.get("error", {}).get("code") == "bad-request", reply
+                    stream.write(b'{"op": "status"}\n')
+                    stream.flush()
+                    assert json.loads(stream.readline())["ok"], "connection closed"
         fresh = max(txn.tid for txn in base) + 1
         batch = client.call(
             "batch",
@@ -296,10 +300,11 @@ def main() -> int:
         assert batch["results"][0]["admitted"] and batch["results"][2]["admitted"]
         assert client.call("status")["transactions"] == len(base) + 2
         errors_after = errors_total(args.metrics_port)
-        assert errors_after == errors_before + 1, (errors_before, errors_after)
+        assert errors_after == errors_before + 2, (errors_before, errors_after)
         print(
-            "[smoke] hostile input: non-UTF-8 line and tid-0 batch entry got"
-            " bad-request, both valid adds admitted, 1 error counted"
+            "[smoke] hostile input: non-UTF-8 line, too deeply nested line and"
+            " tid-0 batch entry got bad-request, both valid adds admitted,"
+            " 2 errors counted"
         )
 
         def allocated():

@@ -126,7 +126,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"Serialization graph written to {args.dot}")
     if args.stats:
         print()
-        print(_shard_report(workload))
+        print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return 0 if result.robust else 1
@@ -239,7 +239,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     print(allocation_report(workload, optimum, levels))
     if args.stats:
         print()
-        print(_shard_report(workload))
+        print(_shard_report(context))
         print(analysis_stats_report(context.stats))
         _print_phase_timings()
     return 0 if optimum is not None else 1

@@ -12,7 +12,7 @@ from .allocation import (
     refine_allocation,
     upgrade_to_robust,
 )
-from .context import AnalysisContext, ConflictIndex, ContextStats
+from .context import AnalysisContext, ContextStats
 from .incremental import AllocationManager
 from .allowed import (
     AllowedReport,
@@ -94,7 +94,6 @@ __all__ = [
     "AllowedReport",
     "Allocation",
     "AnalysisContext",
-    "ConflictIndex",
     "ContextStats",
     "ConflictQuadruple",
     "Counterexample",

@@ -14,10 +14,9 @@ robustness against ``A_SI``; when it holds, the optimal {RC, SI} allocation
 is computed by the same refinement starting from ``A_SI`` (Theorem 5.5).
 
 Every entry point accepts an optional
-:class:`~repro.core.context.AnalysisContext`, so the
-allocation-independent structure (conflict index, kernel rows) is
-built exactly once across the ``O(|T| * levels)`` robustness checks a
-full run issues.
+:class:`~repro.core.context.AnalysisContext`, the workload's conflict
+index, so it and the kernel rows cached on it are built exactly once
+across the ``O(|T| * levels)`` robustness checks a full run issues.
 
 Every downgrade probe lowers one transaction ``t`` of a robust
 allocation, so its scan visits only the triples through ``t`` (the
@@ -69,15 +68,18 @@ def _refine(
     ascending order: a probe sets one entry, and an adopted lowering
     clears one bit of the mask.  A probe is one kernel call
     (:func:`~repro.core.robustness._probe`) scoped to the lowered
-    transaction, and counts one check on ``context``.  The
-    per-transaction and per-probe spans are opened only under a
+    member, whose split candidates are it and its conflict neighbours
+    (``nbrs[bit] | 1 << bit``), and counts one check on ``context``.
+    The per-transaction and per-probe spans are opened only under a
     recording tracer.  Returns ``start`` with the refined levels.
     """
     ranks = [level.rank for level in ordered]
     tracer = current_tracer()
 
-    def lower(current, t1s, bit: int, tid: int, probe_ssi: int) -> bool:
+    def lower(component, current, bit: int, tid: int, probe_ssi: int) -> bool:
         """Adopt the lowest level that keeps the allocation robust."""
+        flag = 1 << bit
+        t1s = component.nbrs[bit] | flag
         level_now = current[bit]
         floor = floors.get(tid) if floors is not None else None
         low = -1 if floor is None else floor.rank
@@ -90,9 +92,9 @@ def _refine(
             current[bit] = level
             if tracer.recording:
                 with tracer.span("allocation.probe", tid=tid, level=level.name):
-                    found = _probe(context, current, probe_ssi, t1s, tid)
+                    found = _probe(context, component, current, probe_ssi, t1s, flag)
             else:
-                found = _probe(context, current, probe_ssi, t1s, tid)
+                found = _probe(context, component, current, probe_ssi, t1s, flag)
             if not found:
                 return True
         current[bit] = level_now
@@ -104,14 +106,13 @@ def _refine(
             tids = component.tids
             current, ssi = level_list(start, tids)
             for bit, tid in enumerate(tids):
-                t1s = component.scope(bit)
                 probe_ssi = ssi & ~(1 << bit)  # a lowered level is below SSI
                 if tracer.recording:
                     with tracer.span("allocation.refine_txn", tid=tid) as txn_span:
-                        lowered = lower(current, t1s, bit, tid, probe_ssi)
+                        lowered = lower(component, current, bit, tid, probe_ssi)
                         txn_span.set(level=current[bit].name)
                 else:
-                    lowered = lower(current, t1s, bit, tid, probe_ssi)
+                    lowered = lower(component, current, bit, tid, probe_ssi)
                 if lowered:
                     ssi = probe_ssi
             refined.update(zip(tids, current))
@@ -154,7 +155,7 @@ def refine_allocation(
     ordered = _normalized_levels(levels)
     context = _resolve(workload, context)
     _validate(workload, start)
-    return _refine(context, start, ordered, context.index.components(), floors)
+    return _refine(context, start, ordered, context.components(), floors)
 
 
 def optimal_allocation(
@@ -170,8 +171,8 @@ def optimal_allocation(
     (Proposition 5.4 / Theorem 5.5).
 
     The :class:`~repro.core.context.AnalysisContext` (the caller's, or
-    a private one) builds the conflict index exactly once regardless of
-    how many robustness checks the refinement issues.
+    a private one) is the conflict index, built exactly once regardless
+    of how many robustness checks the refinement issues.
 
     Examples:
         >>> from repro.core.workload import workload
@@ -194,7 +195,7 @@ def optimal_allocation(
             _first_witness(context, start) is not None
         ):
             return None
-        return _refine(context, start, ordered, context.index.components())
+        return _refine(context, start, ordered, context.components())
 
 
 def is_robustly_allocatable(

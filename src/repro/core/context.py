@@ -1,25 +1,24 @@
-"""Shared, allocation-independent analysis structure for Algorithm 1/2.
+"""The analysis context: the conflict index Algorithms 1 and 2 read.
 
 Algorithm 2 (and the incremental :class:`~repro.core.incremental.AllocationManager`)
-decide optimality by issuing ``O(|T| * levels)`` robustness probes.  The
-expensive parts of each probe — the transaction-level conflict index,
-the bitset kernel's rows and the per-pair conflicting-operation tables
-— depend only on the *workload*, never on the allocation being probed.
-:class:`AnalysisContext` builds them once, lazily, and is threaded
-through :func:`~repro.core.robustness.check_robustness`,
+decide optimality by issuing ``O(|T| * levels)`` robustness probes, and
+every probe reads only the conflict structure of the transactions —
+who reads and writes each object — never the allocation being probed.
+:class:`AnalysisContext` is that structure: built once from the
+transactions and threaded through
+:func:`~repro.core.robustness.check_robustness`,
 :func:`~repro.core.allocation.optimal_allocation` and friends, so a full
-Algorithm 2 run builds them exactly once.
+Algorithm 2 run builds it exactly once.
 
-:class:`ConflictIndex` is the one record of who reads and writes each
-object.  Every chain of Definition 3.1 links conflicting transactions,
-so a witness never leaves its ``T_1``'s conflict component, and the
-index numbers each component on its own: a transaction's bit is its
-rank within its component, so masks are as wide as a component.  The
-bitset kernel (:mod:`repro.core.kernel`) evaluates Definition 3.1 on
-these masks.  Every table derived from a numbering — kernel rows,
-scopes, pair tables — lives on its :class:`Component`, so a
-renumbering, which builds new components, leaves no stale table.  All
-counters are exposed on the context's :class:`ContextStats`.
+Every chain of Definition 3.1 links conflicting transactions, so a
+witness never leaves its ``T_1``'s conflict component, and the context
+numbers each component on its own: a transaction's bit is its rank
+within its component, so masks are as wide as a component.  The bitset
+kernel (:mod:`repro.core.kernel`) evaluates Definition 3.1 on these
+masks.  Every table derived from a numbering — kernel rows, pair
+tables — lives on its :class:`Component`, so a renumbering, which builds
+new components, leaves no stale table.  All counters are exposed on the
+context's :class:`ContextStats`.
 """
 
 from __future__ import annotations
@@ -47,56 +46,102 @@ class Component:
 
     The tables derived from this numbering are filled here on first use:
     ``rows[i]`` is the kernel row of ``tids[i]`` as ``T_1``
-    (:func:`~repro.core.kernel.row_of`), ``scopes[i]`` its scope
-    (:meth:`scope`), and ``pairs[tid_b, tid_a]`` the conflicting-operation
-    pairs between two members
+    (:func:`~repro.core.kernel.row_of`), and ``pairs[tid_b, tid_a]`` the
+    conflicting-operation pairs between two members
     (:meth:`AnalysisContext.conflicting_pairs`).
     """
 
-    __slots__ = ("tids", "nbrs", "rows", "scopes", "pairs")
+    __slots__ = ("tids", "nbrs", "rows", "pairs")
 
     def __init__(self, tids: Tuple[int, ...], nbrs: Tuple[int, ...]):
         self.tids = tids
         self.nbrs = nbrs
         self.rows: List[Optional[_T1Row]] = [None] * len(tids)
-        self.scopes: List[Optional[Tuple[int, ...]]] = [None] * len(tids)
         self.pairs: Dict[Tuple[int, int], Tuple[Tuple[Operation, Operation], ...]] = {}
 
-    def scope(self, bit: int) -> Tuple[int, ...]:
-        """The member at ``bit`` and its conflict neighbours, ascending:
-        the split candidates ``T_1`` of a check scoped to it
-        (:func:`~repro.core.robustness.check_robustness_delta`)."""
-        cached = self.scopes[bit]
-        if cached is None:
-            tids = self.tids
-            mask = self.nbrs[bit] | 1 << bit
-            members = []
-            while mask:
-                low = mask & -mask
-                members.append(tids[low.bit_length() - 1])
-                mask ^= low
-            cached = self.scopes[bit] = tuple(members)
-        return cached
+    def members(self, mask: int) -> List[int]:
+        """The members whose bits ``mask`` holds, ascending."""
+        tids = self.tids
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(tids[low.bit_length() - 1])
+            mask ^= low
+        return found
 
 
-class ConflictIndex:
-    """Who reads and writes each object, numbered per conflict component.
+@dataclass
+class ContextStats:
+    """Counters exposed by :class:`AnalysisContext`.
+
+    Attributes:
+        checks: robustness checks executed through the context — every
+            Algorithm 2 probe is one, so this is the probe count.
+        index_builds: conflict indexes built: one per context, at
+            construction.  The incremental manager keeps one context and
+            renumbers it in place, so a mutation builds none.
+        pair_builds: conflicting-operation tables built (per ordered
+            pair of transactions; read by witness-chain assembly).
+        pair_hits: those tables served from the cache.
+        kernel_row_builds: per-``T_1`` kernel rows built.
+        kernel_row_hits: kernel row requests served from the cache.
+    """
+
+    checks: int = 0
+    index_builds: int = 0
+    pair_builds: int = 0
+    pair_hits: int = 0
+    kernel_row_builds: int = 0
+    kernel_row_hits: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """The counters as a plain dict (for reports and benchmarks)."""
+        return dict(vars(self))
+
+
+class AnalysisContext:
+    """The conflict index of a set of transactions, numbered per component.
+
+    Build once per workload, pass to every robustness/allocation call
+    probing that workload:
+
+        >>> from repro.core.allocation import optimal_allocation
+        >>> from repro.core.workload import workload
+        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        >>> ctx = AnalysisContext(wl)
+        >>> str(optimal_allocation(wl, context=ctx))
+        'T1:SSI, T2:SSI'
+        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one index
+        (4, 1)
 
     Two transactions conflict iff they access a common object and at
     least one of them writes it, so an object with a writer links all of
     its readers and writers into one component, and readers of an object
-    nobody writes stay apart.  The index keeps, per object, the tids
-    reading and writing it (:meth:`add`, :meth:`remove`), and
-    :meth:`renumber` flood-fills the components holding some seeds and
-    numbers each: ``component_of[t]`` and ``bit[t]`` place a
-    transaction, and ``readers[o]`` / ``writers[o]`` are the masks of an
-    object with a writer, in its component's bits.  Building an index
-    from transactions numbers every component.  Numbering always builds
-    new :class:`Component` objects, so the tables cached on an old one
-    go with it.
+    nobody writes stay apart.  The context keeps the analyzed
+    transactions by tid (:attr:`transactions`, its only record of them)
+    and, per object, the tids reading and writing it (:meth:`add`,
+    :meth:`remove`); :meth:`renumber` flood-fills the components holding
+    some seeds and numbers each: ``component_of[t]`` and ``bit[t]``
+    place a transaction, and ``readers[o]`` / ``writers[o]`` are the
+    masks of an object with a writer, in its component's bits.  The
+    constructor adds the workload's transactions and numbers every
+    component (one ``context.index_build`` span, one
+    :attr:`ContextStats.index_builds`).  Numbering always builds new
+    :class:`Component` objects, so the tables cached on an old one —
+    kernel rows (:func:`~repro.core.kernel.row_of`) and
+    conflicting-pair tables (:meth:`conflicting_pairs`) — go with it.
+
+    A caller must not reuse a context after its workload changes (the
+    entry points raise :class:`~repro.core.workload.WorkloadError` on a
+    mismatch, :meth:`ensure`).  The one exception is the
+    :class:`~repro.core.incremental.AllocationManager`, which keeps one
+    context over its live set: a mutation adds and removes transactions
+    and renumbers the components they touch, whose new components start
+    with empty tables.
     """
 
-    def __init__(self, transactions: Iterable[Transaction] = ()):
+    def __init__(self, workload: Workload, stats: Optional[ContextStats] = None):
+        self.stats = stats if stats is not None else ContextStats()
         self.transactions: Dict[int, Transaction] = {}
         self._reader_tids: DefaultDict[str, Set[int]] = defaultdict(set)
         self._writer_tids: DefaultDict[str, Set[int]] = defaultdict(set)
@@ -106,9 +151,24 @@ class ConflictIndex:
         self.writers: Dict[str, int] = {}
         # Registered components, keyed by their smallest member.
         self._components: Dict[int, Component] = {}
-        for txn in transactions:
-            self.add(txn)
-        self.renumber(self.transactions)
+        with current_tracer().span("context.index_build", transactions=len(workload)):
+            for txn in workload:
+                self.add(txn)
+            self.renumber(self.transactions)
+        self.stats.index_builds += 1
+
+    # -- validation ----------------------------------------------------
+    def ensure(self, workload: Workload) -> None:
+        """Raise :class:`WorkloadError` unless ``workload`` holds exactly
+        the context's transactions (an equal copy passes)."""
+        transactions = self.transactions
+        if len(workload) != len(transactions) or any(
+            transactions.get(txn.tid) != txn for txn in workload
+        ):
+            raise WorkloadError(
+                "AnalysisContext was built for a different workload;"
+                " build a fresh context after the workload changes"
+            )
 
     # -- mutation --------------------------------------------------------
     def add(self, txn: Transaction) -> None:
@@ -228,11 +288,6 @@ class ConflictIndex:
         registered = self._components
         return [registered[first] for first in sorted(registered)]
 
-    def scope(self, tid: int) -> Tuple[int, ...]:
-        """``tid`` and its conflict neighbours, ascending
-        (:meth:`Component.scope`)."""
-        return self.component_of[tid].scope(self.bit[tid])
-
     def conflict_neighbours(self, tid: int) -> Set[int]:
         """Transactions having an operation conflicting with one of ``tid``.
 
@@ -240,7 +295,8 @@ class ConflictIndex:
         iteration order a pairwise build would; the kernel's connecting
         chains take their breadth-first starts in that order.
         """
-        return {other for other in self.scope(tid) if other != tid}
+        component = self.component_of[tid]
+        return set(component.members(component.nbrs[self.bit[tid]]))
 
     def conflict(self, tid_i: int, tid_j: int) -> bool:
         """Whether the two transactions have conflicting operations."""
@@ -248,100 +304,6 @@ class ConflictIndex:
         if self.component_of[tid_j] is not component:
             return False
         return (component.nbrs[self.bit[tid_i]] >> self.bit[tid_j]) & 1 == 1
-
-
-@dataclass
-class ContextStats:
-    """Counters exposed by :class:`AnalysisContext`.
-
-    Attributes:
-        checks: robustness checks executed through the context — every
-            Algorithm 2 probe is one, so this is the probe count.
-        index_builds: conflict indexes built (at most one per context,
-            on first use).  The incremental manager builds its one index
-            with its context and renumbers it in place, so a mutation
-            builds none.
-        pair_builds: conflicting-operation tables built (per ordered
-            pair of transactions; read by witness-chain assembly).
-        pair_hits: those tables served from the cache.
-        kernel_row_builds: per-``T_1`` kernel rows built.
-        kernel_row_hits: kernel row requests served from the cache.
-    """
-
-    checks: int = 0
-    index_builds: int = 0
-    pair_builds: int = 0
-    pair_hits: int = 0
-    kernel_row_builds: int = 0
-    kernel_row_hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (for reports and benchmarks)."""
-        return dict(vars(self))
-
-
-class AnalysisContext:
-    """The allocation-independent analysis structure of one workload.
-
-    Build once per workload, pass to every robustness/allocation call
-    probing that workload:
-
-        >>> from repro.core.allocation import optimal_allocation
-        >>> from repro.core.workload import workload
-        >>> wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
-        >>> ctx = AnalysisContext(wl)
-        >>> str(optimal_allocation(wl, context=ctx))
-        'T1:SSI, T2:SSI'
-        >>> ctx.stats.checks, ctx.stats.index_builds  # probes, one index
-        (4, 1)
-
-    The context analyzes its workload as one unit.  It holds what a
-    robustness probe reads and never changes: the conflict index
-    (:attr:`index`), built on first use, and the counters
-    (:attr:`stats`) of the tables cached on the index's components —
-    kernel rows (:func:`~repro.core.kernel.row_of`) and
-    conflicting-pair tables (:meth:`conflicting_pairs`).  Every kernel
-    row and every level list is as wide as its conflict component
-    (:class:`Component`).
-
-    A caller must not reuse a context after its workload changes (the
-    entry points raise :class:`~repro.core.workload.WorkloadError` on a
-    mismatch).  The one exception is the
-    :class:`~repro.core.incremental.AllocationManager`, which keeps one
-    context over its live set: a mutation updates and renumbers the
-    index, whose new components start with empty tables, and points
-    :attr:`workload` at the new live set.
-    """
-
-    def __init__(self, workload: Workload, stats: Optional[ContextStats] = None):
-        self.workload = workload
-        self.stats = stats if stats is not None else ContextStats()
-        self._index: Optional[ConflictIndex] = None
-
-    # -- validation ----------------------------------------------------
-    def matches(self, workload: Workload) -> bool:
-        """Whether the context was built for (an equal copy of) ``workload``."""
-        return self.workload is workload or self.workload == workload
-
-    def ensure(self, workload: Workload) -> None:
-        """Raise :class:`WorkloadError` unless :meth:`matches` holds."""
-        if not self.matches(workload):
-            raise WorkloadError(
-                "AnalysisContext was built for a different workload;"
-                " build a fresh context after the workload changes"
-            )
-
-    # -- structure -----------------------------------------------------
-    @property
-    def index(self) -> ConflictIndex:
-        """The (lazily built) :class:`ConflictIndex` of the workload."""
-        if self._index is None:
-            with current_tracer().span(
-                "context.index_build", transactions=len(self.workload)
-            ):
-                self._index = ConflictIndex(self.workload)
-            self.stats.index_builds += 1
-        return self._index
 
     def conflicting_pairs(
         self, tid_b: int, tid_a: int
@@ -352,13 +314,12 @@ class AnalysisContext:
         conflict, so they share it, and two without one keep ``()``
         until a renumbering merges them.
         """
-        index = self.index
-        tables = index.component_of[tid_b].pairs
+        tables = self.component_of[tid_b].pairs
         cached = tables.get((tid_b, tid_a))
         if cached is not None:
             self.stats.pair_hits += 1
             return cached
-        transactions = index.transactions
+        transactions = self.transactions
         pairs = tables[tid_b, tid_a] = tuple(
             conflicting_pairs(transactions[tid_b], transactions[tid_a])
         )

@@ -24,22 +24,22 @@ decompose over the connected components of the conflict graph (every
 chain of Definition 3.1 links conflicting transactions), and a single
 add/remove only reshapes the components that touch the mutated
 transaction.  :class:`AllocationManager` keeps one
-:class:`~repro.core.context.AnalysisContext` over its live set and
-updates its :class:`~repro.core.context.ConflictIndex` in place: every
+:class:`~repro.core.context.AnalysisContext` over its live set — the
+one record of its transactions — and updates it in place: every
 mutation (:meth:`AllocationManager.apply_batch`; a single add or remove
 is a batch of one) renumbers only the components holding a newcomer or
-a survivor of a removal, which start with empty tables (kernel rows,
-scopes, pair tables live on a component), and re-analyzes each
-**once**.  Untouched components keep their rows and levels, so the
-analysis of a mutation tracks the affected components, not ``|T|``,
-and builds no index.  :meth:`AllocationManager.check` is
-Algorithm 1's scan on the same warm context.
+a survivor of a removal, which start with empty tables (kernel rows and
+pair tables live on a component), and re-analyzes each **once**.
+Untouched components keep their rows and levels, so the analysis of a
+mutation tracks the affected components, not ``|T|``, and builds no
+index.  :meth:`AllocationManager.check` is Algorithm 1's scan on the
+same warm context.
 
 Some bookkeeping of a mutation is still ``O(|T|)``: the manager builds a
-whole :class:`~repro.core.workload.Workload`, a whole
-:class:`~repro.core.isolation.Allocation` and an all-transaction level
-dict.  :attr:`AllocationManager.last_stats` reports exactly a mutation's
-work: the context's counters it moved.
+whole :class:`~repro.core.isolation.Allocation` and an all-transaction
+level dict.  :attr:`AllocationManager.workload` is built on first read
+after a mutation.  :attr:`AllocationManager.last_stats` reports exactly
+a mutation's work: the context's counters it moved.
 """
 
 from __future__ import annotations
@@ -50,13 +50,8 @@ from ..observability import current_tracer
 from .allocation import _refine
 from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
-from .robustness import (
-    RobustnessResult,
-    _first_witness,
-    _result,
-    _validate,
-    _witness_exists,
-)
+from .kernel import level_list
+from .robustness import RobustnessResult, _first_witness, _probe, _result, _validate
 from .transactions import Transaction
 from .workload import Workload, WorkloadError, parse_workload as _parse_workload_text
 
@@ -90,18 +85,22 @@ class AllocationManager:
                 "AllocationManager requires SSI in the class (an optimum must"
                 " always exist); use optimal_allocation() for {RC, SI}"
             )
-        # One context over the live set; every mutation updates its
-        # index in place.
+        # One context over the live set; every mutation updates it in
+        # place.
         self._context = AnalysisContext(Workload(()))
         self._allocation = Allocation({})
+        self._workload: Optional[Workload] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = ()
         self._last_stats = ContextStats()
 
     # ------------------------------------------------------------------
     @property
     def workload(self) -> Workload:
-        """The current workload: the one the last mutation built."""
-        return self._context.workload
+        """The current workload, built from the context's transactions;
+        cached until the next mutation."""
+        if self._workload is None:
+            self._workload = Workload(self._context.transactions.values())
+        return self._workload
 
     @property
     def allocation(self) -> Allocation:
@@ -118,7 +117,7 @@ class AllocationManager:
         """
         if self._components is None:
             self._components = tuple(
-                component.tids for component in self._context.index.components()
+                component.tids for component in self._context.components()
             )
         return self._components
 
@@ -126,10 +125,10 @@ class AllocationManager:
     def context(self) -> AnalysisContext:
         """The manager's warm analysis context over the current workload.
 
-        Its index, with the kernel rows and pair tables cached on its
-        components, is the one the mutations maintain, so a library call
-        passed this context (with :attr:`workload`) reuses them.  Valid
-        until the next mutation, which updates it in place.
+        Its conflict index, with the kernel rows and pair tables cached
+        on its components, is the one the mutations maintain, so a
+        library call passed this context (with :attr:`workload`) reuses
+        them.  Valid until the next mutation, which updates it in place.
         """
         return self._context
 
@@ -144,7 +143,7 @@ class AllocationManager:
 
         What the mutation moved on the context's counters, so untouched
         components contribute nothing and ``index_builds`` is 0 (the one
-        index is renumbered in place).  Later :meth:`check` calls leave
+        context is renumbered in place).  Later :meth:`check` calls leave
         it alone.
         """
         return self._last_stats
@@ -153,6 +152,7 @@ class AllocationManager:
     def _finish(self, allocation: Allocation, stats: ContextStats) -> None:
         """Commit a mutation's allocation and stats."""
         self._allocation = allocation
+        self._workload = None
         self._components = None
         self._last_stats = stats
 
@@ -183,9 +183,9 @@ class AllocationManager:
         are batches of one.  The whole batch is validated first (a
         duplicate add or a remove of an absent tid raises
         :class:`~repro.core.workload.WorkloadError` *before* any state
-        changes), then every add and remove is applied to the conflict
-        index.  Removing a tid that was present before the batch retires
-        its old component.  The components holding a newcomer, or a
+        changes), then every add and remove is applied to the context.
+        Removing a tid that was present before the batch retires its old
+        component.  The components holding a newcomer, or a
         survivor of a retired component, are flood-filled and renumbered
         once each, in ascending order of their smallest such tid; every
         old component a flood fill reaches is replaced by a new one,
@@ -213,9 +213,9 @@ class AllocationManager:
         Returns the new optimal allocation.
         """
         context = self._context
-        index = context.index
+        live = context.transactions
         ops: List[BatchMutation] = []
-        present = set(index.transactions)
+        present = set(live)
         for entry in mutations:
             kind, value = entry
             if kind == "add":
@@ -251,27 +251,25 @@ class AllocationManager:
             for kind, value in ops:
                 if kind == "add":
                     txn = value  # type: ignore[assignment]
-                    index.add(txn)
+                    context.add(txn)
                     newcomers.add(txn.tid)
                     continue
                 tid = value  # type: ignore[assignment]
                 if tid in newcomers:
                     newcomers.discard(tid)
                 else:
-                    retired.add(index.component_of[tid].tids)
-                    departed[tid] = index.transactions[tid]
-                index.remove(tid)
-            live = index.transactions
+                    retired.add(context.component_of[tid].tids)
+                    departed[tid] = live[tid]
+                context.remove(tid)
             survivors = {
                 t for members in retired for t in members
                 if t in live and t not in newcomers
             }
-            workload = context.workload = Workload(live.values())
             old = self._allocation
             bottom, top = self._levels[0], self._levels[-1]
-            levels = {t: old[t] for t in workload.tids if t in old}
+            levels = {t: level for t, level in old.items() if t in live}
             touched = 0
-            for component in index.renumber(newcomers | survivors):
+            for component in context.renumber(newcomers | survivors):
                 members = component.tids
                 if members in retired and all(
                     departed[t] == live[t] for t in members if t in departed
@@ -286,10 +284,12 @@ class AllocationManager:
                     floors = {
                         t: bottom if t in newcomers else old[t] for t in members
                     }
-                if not newcomers.isdisjoint(members) and _witness_exists(
-                    context, start, component
-                ):
-                    start = Allocation(dict.fromkeys(members, top))
+                if not newcomers.isdisjoint(members):
+                    start_levels, ssi = level_list(start, members)
+                    if _probe(
+                        context, component, start_levels, ssi, (1 << len(members)) - 1, 0
+                    ):
+                        start = Allocation(dict.fromkeys(members, top))
                 levels.update(
                     _refine(context, start, self._levels, [component], floors).items()
                 )
@@ -329,8 +329,8 @@ class AllocationManager:
     def load_state(cls, state: Dict[str, object]) -> "AllocationManager":
         """Rebuild a manager from :meth:`save_state` output.
 
-        The restored manager resumes *warm*: its conflict index is
-        numbered for the snapshot's workload, so the next mutation's
+        The restored manager resumes *warm*: its context is numbered
+        for the snapshot's workload, so the next mutation's
         work — checks executed, rows built — is identical to a manager
         that never restarted.  A restore runs no check (kernel rows
         build on first use), so its :attr:`last_stats` are zero.  The
@@ -375,10 +375,9 @@ class AllocationManager:
                 "state allocation uses levels outside the state's class"
             )
         context = manager._context
-        context.workload = workload
         for txn in workload:
-            context.index.add(txn)
-        context.index.renumber(workload.tids)
+            context.add(txn)
+        context.renumber(workload.tids)
         manager._finish(allocation, ContextStats())
         return manager
 

@@ -2,9 +2,9 @@
 
 Every condition of Definition 3.1 is a set-intersection test, so the
 kernel evaluates each one for *all* candidates at once, on the masks of
-:class:`~repro.core.context.ConflictIndex`, numbered within ``T_1``'s
-conflict component (bit order = ascending tid = candidate order).  Per
-``T_1`` it builds one row (:class:`_T1Row`):
+the :class:`~repro.core.context.AnalysisContext`, numbered within
+``T_1``'s conflict component (bit order = ascending tid = candidate
+order).  Per ``T_1`` it builds one row (:class:`_T1Row`):
 
 * the candidates ``C = nbr[T_1]`` — ``T_2`` and ``T_m`` must conflict
   with ``T_1``;
@@ -46,9 +46,9 @@ of the ``components`` reference engine's scan
 (:mod:`repro.core.reference`); ``(b_m, a_1)`` is resolved only for an
 emitted triple.
 :func:`has_witness` is an Algorithm 2 probe: it asks only whether some
-``T_1`` of a scope has a first pair, on the allocation as one
-component's level list and SSI mask (:func:`level_list`), so it needs
-no :class:`~repro.core.isolation.Allocation`.
+``T_1`` of a mask of candidates has a first pair, on the allocation as
+one component's level list and SSI mask (:func:`level_list`), so it
+needs no :class:`~repro.core.isolation.Allocation`.
 :func:`connecting_path` returns the same intermediates as the
 graph-backed
 :meth:`~repro.core.reference.ReachabilityOracle.connecting_path`.  The
@@ -67,7 +67,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import current_tracer
 from .conflicts import conflicting_pairs, rw_conflicting
-from .context import AnalysisContext, Component, ConflictIndex
+from .context import AnalysisContext, Component
 from .isolation import Allocation, IsolationLevel
 from .operations import Operation, OperationKind
 from .transactions import Transaction
@@ -124,24 +124,24 @@ def row_of(context: AnalysisContext, component: Component, t1_bit: int) -> _T1Ro
 
     Cached on the component (``component.rows``), so a renumbering,
     which builds new components, leaves no stale row; built on first use
-    (one ``kernel.row_build`` span) over ``context.index``, and counted
-    as a build or a hit on ``context.stats``.
+    (one ``kernel.row_build`` span) over the context's masks, and
+    counted as a build or a hit on ``context.stats``.
     """
     cached = component.rows[t1_bit]
     if cached is not None:
         context.stats.kernel_row_hits += 1
         return cached
     with current_tracer().span("kernel.row_build", t1=component.tids[t1_bit]):
-        cached = component.rows[t1_bit] = _build_row(context.index, component, t1_bit)
+        cached = component.rows[t1_bit] = _build_row(context, component, t1_bit)
     context.stats.kernel_row_builds += 1
     return cached
 
 
-def _build_row(index: ConflictIndex, component: Component, t1_bit: int) -> _T1Row:
+def _build_row(context: AnalysisContext, component: Component, t1_bit: int) -> _T1Row:
     """The masks of the module docstring for ``component``'s member at
     ``t1_bit``."""
     bit_nbrs = component.nbrs
-    readers, writers = index.readers, index.writers
+    readers, writers = context.readers, context.writers
     cands = bit_nbrs[t1_bit]
     # Mixed-iso-graph nodes of T_1's conflict component: all but T_1
     # and its neighbours.
@@ -176,7 +176,7 @@ def _build_row(index: ConflictIndex, component: Component, t1_bit: int) -> _T1Ro
                 mask |= att
         reach_of[low.bit_length() - 1] = mask
     # The per-read masks of the module docstring.
-    t1 = index.transactions[component.tids[t1_bit]]
+    t1 = context.transactions[component.tids[t1_bit]]
     body = t1.body
     w_all = r_w1 = w_r1 = 0
     for obj in t1.write_set:
@@ -226,20 +226,19 @@ def connecting_path(
     ``t2_tid == tm_tid``), ``None`` when the pair is not reachable,
     and otherwise the same breadth-first path through the lowest
     shared component — starts taken in the iteration order of
-    ``index.conflict_neighbours(t2_tid)``, neighbours visited in
+    ``context.conflict_neighbours(t2_tid)``, neighbours visited in
     ascending tid order (how ``networkx`` stores the
     mixed-iso-graph's adjacency).  Reads ``T_1``'s row without
     counting a row hit: the scan that found the witness just fetched
     it.
     """
-    index = context.index
-    if t2_tid == tm_tid or index.conflict(t2_tid, tm_tid):
+    if t2_tid == tm_tid or context.conflict(t2_tid, tm_tid):
         return []
-    component = index.component_of[t1_tid]
-    t1_bit = index.bit[t1_tid]
+    component = context.component_of[t1_tid]
+    tid_bit = context.bit
+    t1_bit = tid_bit[t1_tid]
     row = component.rows[t1_bit] or row_of(context, component, t1_bit)
     nbrs, tids = component.nbrs, component.tids
-    tid_bit = index.bit
     nbr2 = nbrs[tid_bit[t2_tid]]
     ends = nbrs[tid_bit[tm_tid]]
     for comp in row.comps:
@@ -250,7 +249,7 @@ def connecting_path(
     ends &= comp
     starts = [
         tid
-        for tid in index.conflict_neighbours(t2_tid)
+        for tid in context.conflict_neighbours(t2_tid)
         if (comp >> tid_bit[tid]) & 1
     ]
     parents: Dict[int, Optional[int]] = {tid: None for tid in starts}
@@ -352,34 +351,34 @@ def _first_pair(
 
 def has_witness(
     context: AnalysisContext,
+    component: Component,
     levels: Sequence[IsolationLevel],
     ssi: int,
-    t1s: Sequence[int],
-    delta_tid: Optional[int] = None,
+    t1s: int,
+    scoped: int,
 ) -> bool:
     """Whether :func:`iter_witness_triples` yields anything for some ``T_1``.
 
-    The Algorithm 2 probe, one call per probe: ``t1s`` (non-empty) and
-    ``delta_tid`` lie in one conflict component, looked up once per
-    probe, and the allocation is that component's level list ``levels``
-    in bit order (``levels[i]`` belongs to its ``i``-th smallest
-    member) and its SSI mask ``ssi``.  ``t1s`` are scanned in
-    order and the scan stops at the first ``T_1`` with a witness pair,
-    so exactly the rows a scan of :func:`iter_witness_triples` would
-    fetch are fetched (and counted).  Only existence matters: no
-    operation is resolved and no chain built.
+    The Algorithm 2 probe, one call per probe, inside one conflict
+    ``component``: ``t1s`` is the mask of its members to scan as
+    ``T_1``, ``scoped`` the flag of the lowered member (0 when every
+    pair counts), and the allocation is the component's level list
+    ``levels`` in bit order (``levels[i]`` belongs to its ``i``-th
+    smallest member) and its SSI mask ``ssi``.  ``T_1`` ascends and
+    the scan stops at the first ``T_1`` with a witness pair, so exactly
+    the rows a scan of :func:`iter_witness_triples` would fetch are
+    fetched (and counted).  Only existence matters: no operation is
+    resolved and no chain built.
     """
-    index = context.index
-    bit = index.bit
-    component = index.component_of[t1s[0]]
-    scoped = 0 if delta_tid is None else 1 << bit[delta_tid]
-    for t1 in t1s:
-        t1_bit = bit[t1]
+    while t1s:
+        low = t1s & -t1s
+        t1s ^= low
+        t1_bit = low.bit_length() - 1
         pair = _first_pair(
             row_of(context, component, t1_bit),
             levels[t1_bit],
             ssi,
-            0 if t1 == delta_tid else scoped,
+            0 if low == scoped else scoped,
         )
         if pair is not None:
             return True
@@ -410,15 +409,14 @@ def iter_witness_triples(
     not conflict with ``T_1`` (the scope of
     :func:`~repro.core.robustness.check_robustness_delta`).
     """
-    index = context.index
-    component = index.component_of[t1.tid]
+    component = context.component_of[t1.tid]
     scoped = 0
     if delta_tid is not None and delta_tid != t1.tid:
-        if index.component_of[delta_tid] is not component:
+        if context.component_of[delta_tid] is not component:
             return
-        scoped = 1 << index.bit[delta_tid]
-    transactions, tids = index.transactions, component.tids
-    row = row_of(context, component, index.bit[t1.tid])
+        scoped = 1 << context.bit[delta_tid]
+    transactions, tids = context.transactions, component.tids
+    row = row_of(context, component, context.bit[t1.tid])
     level1 = allocation[t1.tid]
     rc = level1 is _RC
     reads = row.rc_reads if rc else row.si_reads

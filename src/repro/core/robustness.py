@@ -11,20 +11,20 @@ candidate triples ``(T_1, T_2, T_m)``, checks reachability from ``T_2`` to
 The scan runs on the bitset kernel of :mod:`repro.core.kernel`: every
 condition of Definition 3.1 is evaluated for all candidates at once, as
 intersections of tid-bit masks, and an Algorithm 2 probe only asks
-whether a witness exists (:func:`_probe`, on a level list;
-:func:`_witness_exists` for a caller holding an :class:`Allocation`).
+whether a witness exists (:func:`_probe`, on one component's level
+list).
 Two independent reference engines, the graph-backed ``components`` and
 the verbatim ``paper`` loops, live in :mod:`repro.core.reference` as
 test oracles: they return the same verdicts, witness specs and
 enumeration order (asserted by the
 ``tests/properties/test_kernel_equivalence.py`` property suite).
 
-All allocation-independent structure (conflict index, kernel rows,
-conflicting-pair tables) hangs off
-:class:`~repro.core.context.AnalysisContext`, which analyzes the
-workload as one unit.  Pass an existing context to amortize it across
-many checks of the same workload (Algorithm 2 issues
-``O(|T| * levels)`` of them).
+All allocation-independent structure hangs off
+:class:`~repro.core.context.AnalysisContext`, the workload's conflict
+index, with the kernel rows and conflicting-pair tables cached on its
+components.  Pass an existing context to amortize it across many
+checks of the same workload (Algorithm 2 issues ``O(|T| * levels)`` of
+them).
 
 :func:`check_robustness_delta` checks an allocation one step below a
 robust one: by its delta lemma every witness runs through the changed
@@ -42,7 +42,7 @@ from ..observability import current_tracer
 from .conflicts import ConflictQuadruple
 from .context import AnalysisContext, Component, _resolve
 from .isolation import Allocation, IsolationLevel
-from .kernel import connecting_path, has_witness, iter_witness_triples, level_list
+from .kernel import connecting_path, has_witness, iter_witness_triples
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .split_schedule import SplitScheduleSpec, materialize, operation_order
@@ -231,29 +231,30 @@ def _first_witness(
 ) -> Optional[SplitScheduleSpec]:
     """Algorithm 1's ascending-``T_1`` scan; counts one check.
 
-    The witness returned has the smallest ``T_1`` of the workload.  With
-    ``delta_tid`` only the triples through it are scanned
-    (:func:`check_robustness_delta`): ``T_1`` ranges over ``delta_tid``
-    and its conflict neighbours
-    (:meth:`~repro.core.context.ConflictIndex.scope`), and
-    :func:`_scan_t1` skips the other triples.  One ``robustness.scan_t1``
-    span per ``T_1`` scanned.  The incremental manager's whole-workload
-    check is this scan on its warm context.
+    The witness returned has the smallest ``T_1`` of the context's
+    transactions.  With ``delta_tid`` only the triples through it are
+    scanned (:func:`check_robustness_delta`): ``T_1`` ranges over
+    ``delta_tid`` and its conflict neighbours, and :func:`_scan_t1`
+    skips the other triples.  One ``robustness.scan_t1`` span per
+    ``T_1`` scanned.  The incremental manager's whole-workload check is
+    this scan on its warm context.
     """
     context.record_check()
-    workload = context.workload
+    transactions = context.transactions
     if delta_tid is None:
-        t1s: Sequence[int] = workload.tids
+        t1s: Sequence[int] = sorted(transactions)
     else:
-        t1s = context.index.scope(delta_tid)
+        component = context.component_of[delta_tid]
+        bit = context.bit[delta_tid]
+        t1s = component.members(component.nbrs[bit] | 1 << bit)
     tracer = current_tracer()
     ssi_masks: Dict[Component, int] = {}
     spec = None
-    with _check_span(tracer, len(workload), delta_tid) as check_span:
+    with _check_span(tracer, len(transactions), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
                 spec = next(
-                    _scan_t1(context, allocation, workload[tid], ssi_masks, delta_tid),
+                    _scan_t1(context, allocation, transactions[tid], ssi_masks, delta_tid),
                     None,
                 )
             if spec is not None:
@@ -264,19 +265,21 @@ def _first_witness(
 
 def _probe(
     context: AnalysisContext,
+    component: Component,
     levels: Sequence[IsolationLevel],
     ssi: int,
-    t1s: Sequence[int],
-    delta_tid: Optional[int] = None,
+    t1s: int,
+    scoped: int,
 ) -> bool:
     """Whether the kernel scan finds a witness against ``levels``.
 
-    The Algorithm 2 probe over the split candidates ``t1s``, all in one
-    conflict component: the allocation is that component's level list
-    in bit order and its SSI mask, as
-    :func:`~repro.core.allocation.refine_allocation` keeps them, and the
-    scan is one :func:`~repro.core.kernel.has_witness` call — over the
-    component's members, or with ``delta_tid`` only it and its conflict
+    The Algorithm 2 probe inside one conflict ``component``: the
+    allocation is its level list in bit order and its SSI mask, as
+    :func:`~repro.core.allocation.refine_allocation` keeps them, ``t1s``
+    the mask of the split candidates ``T_1`` and ``scoped`` the flag of
+    the lowered member (0 for a scan of every pair).  The scan is one
+    :func:`~repro.core.kernel.has_witness` call: over the component's
+    members, or for a lowered member only it and its conflict
     neighbours.  It counts one check on ``context``, and it gives the
     verdict :func:`_first_witness` gives on the component, without
     resolving operations or building a chain.  The check's span and its
@@ -286,35 +289,18 @@ def _probe(
     context.record_check()
     tracer = current_tracer()
     if not tracer.recording:
-        return has_witness(context, levels, ssi, t1s, delta_tid)
+        return has_witness(context, component, levels, ssi, t1s, scoped)
+    tids = component.tids
+    delta_tid = tids[scoped.bit_length() - 1] if scoped else None
     found = False
-    with _check_span(tracer, len(context.index.transactions), delta_tid) as check_span:
-        for tid in t1s:
-            with tracer.span("robustness.scan_t1", t1=tid):
-                found = has_witness(context, levels, ssi, (tid,), delta_tid)
-            if found:
-                break
+    with _check_span(tracer, len(context.transactions), delta_tid) as check_span:
+        while t1s and not found:
+            low = t1s & -t1s
+            t1s ^= low
+            with tracer.span("robustness.scan_t1", t1=tids[low.bit_length() - 1]):
+                found = has_witness(context, component, levels, ssi, low, scoped)
         check_span.set(robust=not found)
     return found
-
-
-def _witness_exists(
-    context: AnalysisContext,
-    allocation: Allocation,
-    component: Component,
-    delta_tid: Optional[int] = None,
-) -> bool:
-    """Whether the kernel finds a witness with its ``T_1`` in ``component``.
-
-    :func:`_probe` on ``allocation``'s level list for the component,
-    for a caller holding an :class:`Allocation` (the manager's start
-    check of a component): over its members, or with ``delta_tid`` (a
-    member) only the triples through it.  One check counted.
-    """
-    levels, ssi = level_list(allocation, component.tids)
-    if delta_tid is None:
-        return _probe(context, levels, ssi, component.tids)
-    return _probe(context, levels, ssi, context.index.scope(delta_tid), delta_tid)
 
 
 def check_robustness_delta(

@@ -15,7 +15,7 @@ Consequently
   composed — lowering a transaction's level only ever creates or
   destroys witnesses inside its own component.
 
-The :class:`~repro.core.context.ConflictIndex` finds and numbers the
+The :class:`~repro.core.context.AnalysisContext` finds and numbers the
 components; this module lists a workload's.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .context import ConflictIndex
+from .context import AnalysisContext
 from .workload import Workload
 
 __all__ = ["conflict_components"]
@@ -32,7 +32,7 @@ __all__ = ["conflict_components"]
 def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
     """Connected components of the conflict graph, without building it.
 
-    The components of a :class:`~repro.core.context.ConflictIndex`,
+    The components of an :class:`~repro.core.context.AnalysisContext`,
     ordered by their smallest transaction id, members ascending.
 
     Examples:
@@ -41,4 +41,4 @@ def conflict_components(workload: Workload) -> Tuple[Tuple[int, ...], ...]:
         >>> conflict_components(wl)
         ((1, 2), (3,))
     """
-    return tuple(component.tids for component in ConflictIndex(workload).components())
+    return tuple(component.tids for component in AnalysisContext(workload).components())

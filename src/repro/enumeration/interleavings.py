@@ -51,35 +51,3 @@ def interleavings(workload: Workload) -> Iterator[Tuple[Operation, ...]]:
                 prefix.pop()
 
     return extend()
-
-
-def prefix_closed_interleavings(
-    workload: Workload,
-) -> Iterator[Tuple[Tuple[Operation, ...], bool]]:
-    """Yield interleavings with the ability to observe shared prefixes.
-
-    Provided for completeness of the enumeration API; the plain
-    :func:`interleavings` generator is what the brute-force checker uses.
-    Each yielded pair is ``(order, is_complete)`` where incomplete entries
-    are the internal prefixes in depth-first order — useful for memoized
-    pruning experiments.
-    """
-    sequences = [txn.operations for txn in workload]
-    total = sum(len(seq) for seq in sequences)
-    indices = [0] * len(sequences)
-    prefix: List[Operation] = []
-
-    def extend() -> Iterator[Tuple[Tuple[Operation, ...], bool]]:
-        if prefix:
-            yield (tuple(prefix), len(prefix) == total)
-        if len(prefix) == total:
-            return
-        for i, seq in enumerate(sequences):
-            if indices[i] < len(seq):
-                prefix.append(seq[indices[i]])
-                indices[i] += 1
-                yield from extend()
-                indices[i] -= 1
-                prefix.pop()
-
-    return extend()

@@ -100,7 +100,12 @@ def validate_event(event: object) -> None:
 
 
 def validate_eventlog_file(path: Union[str, Path]) -> int:
-    """Validate every line of a JSON-lines event log; returns the count."""
+    """Validate every line of a JSON-lines event log; returns the count.
+
+    Raises:
+        ValueError: naming the first line that is not JSON (or is nested
+            too deeply to decode) or is not an event.
+    """
     count = 0
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -109,7 +114,7 @@ def validate_eventlog_file(path: Union[str, Path]) -> int:
                 continue
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             try:
                 validate_event(event)

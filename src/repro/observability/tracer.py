@@ -609,7 +609,15 @@ def phase_totals(trace: Mapping[str, object]) -> Dict[str, float]:
 
 
 def validate_trace_file(path: Union[str, Path]) -> Dict[str, object]:
-    """Load and validate a ``--trace`` JSON export; returns the parsed trace."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load and validate a ``--trace`` JSON export; returns the parsed trace.
+
+    Raises:
+        ValueError: when the file is not UTF-8 JSON (JSON nested too
+            deeply to decode included) or not a valid trace.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     validate_trace(data)
     return data

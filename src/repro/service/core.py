@@ -84,6 +84,12 @@ from .snapshot import SnapshotError, read_snapshot, write_snapshot
 
 __all__ = ["AdmissionPolicy", "ServiceConfig", "ServiceCore"]
 
+#: Span-nesting depth the flight recorder keeps per request: the
+#: ``service.request`` span and the handler's span under it.  Deeper
+#: spans are skipped, so the analysis instrumentation stays (almost)
+#: free.
+REQUEST_TRACE_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -145,14 +151,6 @@ class ServiceConfig:
         slo_p99_ms: when set, the ``slo_p99_breached`` gauge flips to 1
             and an ``alert`` event is logged whenever the streaming p99
             of ``service.request`` latency exceeds this many ms.
-        window_s/window_count: width and ring size of the windowed
-            rate series (requests, errors, mutations, checks,
-            rejections per second).
-        retain_last/retain_slowest: how many finished request span
-            trees the always-on flight recorder keeps (``dump-traces``).
-        retain_depth: span-nesting depth recorded per request; spans
-            below the cap are skipped so the deep analysis
-            instrumentation stays (almost) free.
     """
 
     host: str = "127.0.0.1"
@@ -167,11 +165,6 @@ class ServiceConfig:
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     eventlog_path: Optional[str] = None
     slo_p99_ms: Optional[float] = None
-    window_s: float = 1.0
-    window_count: int = 120
-    retain_last: int = 32
-    retain_slowest: int = 16
-    retain_depth: int = 2
 
 
 class ServiceCore:
@@ -195,18 +188,16 @@ class ServiceCore:
         self._since_snapshot = 0
         self._stopping = False
         self.events = EventLog(config.eventlog_path)
-        self.retainer = TraceRetainer(
-            last=config.retain_last, slowest=config.retain_slowest
-        )
+        self.retainer = TraceRetainer()
         # One reusable flight-recorder tracer for all requests (handle()
         # is serialized under the core lock): allocating a tracer per
         # envelope, and updating its never-read registry per span, is
         # measurable overhead at churn rates.
         self._request_tracer = Tracer(
-            max_depth=config.retain_depth, record_metrics=False
+            max_depth=REQUEST_TRACE_DEPTH, record_metrics=False
         )
         self.series: Dict[str, WindowedSeries] = {
-            name: WindowedSeries(config.window_s, config.window_count)
+            name: WindowedSeries()
             for name in ("requests", "errors", "mutations", "checks", "rejections")
         }
         self._slo_breached = False

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.isolation import Allocation, IsolationLevel
-from ..core.sharding import conflict_components
 from ..core.workload import Workload, parse_workload
 from ..observability import validate_trace_file
 
 if TYPE_CHECKING:
+    from ..core.context import AnalysisContext
     from ..templates import TransactionTemplate
 
 __all__ = [
@@ -138,8 +138,9 @@ def parse_levels_spec(spec: str) -> List[IsolationLevel]:
     return [parse_level(part) for part in spec.split(",")]
 
 
-def shard_report_line(workload: Workload) -> str:
-    """The ``--stats`` shard line: conflict-component count and sizes."""
-    sizes = [len(members) for members in conflict_components(workload)]
+def shard_report_line(context: AnalysisContext) -> str:
+    """The ``--stats`` shard line: the context's conflict-component count
+    and sizes."""
+    sizes = [len(component.tids) for component in context.components()]
     rendered = ", ".join(str(size) for size in sizes) if sizes else "-"
     return f"Shards: {len(sizes)} (sizes: {rendered})"

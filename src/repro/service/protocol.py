@@ -105,12 +105,13 @@ def parse_request(line: str) -> Dict[str, Any]:
     """Parse and validate one request line into an envelope dict.
 
     Raises:
-        ProtocolError: on non-JSON input, a non-object envelope, or
-            anything :func:`validate_envelope` refuses.
+        ProtocolError: on non-JSON input (JSON nested deeper than the
+            decoder's recursion limit included), a non-object envelope,
+            or anything :func:`validate_envelope` refuses.
     """
     try:
         envelope = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
     if not isinstance(envelope, dict):
         raise ProtocolError("request must be a JSON object")

@@ -98,16 +98,16 @@ def read_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and verify a snapshot; returns the manager state payload.
 
     Raises:
-        SnapshotError: when the file is missing, not UTF-8 JSON, not a
-            snapshot, from an incompatible schema, or fails its
-            checksum.
+        SnapshotError: when the file is missing, not UTF-8 JSON (JSON
+            nested too deeply to decode included), not a snapshot, from
+            an incompatible schema, or fails its checksum.
     """
     target = Path(path)
     if not target.exists():
         raise SnapshotError(f"no snapshot at {target}")
     try:
         document = json.loads(target.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SnapshotError(f"snapshot {target} is unreadable: {exc}") from None
     if not isinstance(document, dict) or document.get("kind") != SNAPSHOT_KIND:
         raise SnapshotError(f"{target} is not a {SNAPSHOT_KIND} file")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.allocation import optimal_allocation
-from repro.core.context import AnalysisContext
+from repro.core.context import AnalysisContext, ContextStats
 from repro.core.isolation import Allocation
 from repro.core.kernel import connecting_path, row_of
 from repro.core.reference import ReachabilityOracle, conflict_sets
@@ -67,6 +67,16 @@ class TestContextCaching:
         copy = Workload(list(write_skew))
         assert not is_robust(copy, Allocation.si(copy), context=ctx)
 
+    def test_context_rejects_same_tids_with_another_body(self, write_skew):
+        """The context compares transactions, not only their ids."""
+        ctx = AnalysisContext(write_skew)
+        changed = workload("R1[x] W1[y]", "R2[y] W2[z]")
+        assert changed.tids == write_skew.tids
+        with pytest.raises(WorkloadError, match="different workload"):
+            ctx.ensure(changed)
+        with pytest.raises(WorkloadError):
+            is_robust(changed, Allocation.si(changed), context=ctx)
+
 
 class TestWitnessCache:
     """The context caches no witnesses: a shared context answers exactly
@@ -102,7 +112,7 @@ def chained_workload():
 
 def _row(ctx, tid):
     """The kernel row of ``tid`` as ``T_1``, through the context."""
-    return row_of(ctx, ctx.index.component_of[tid], ctx.index.bit[tid])
+    return row_of(ctx, ctx.component_of[tid], ctx.bit[tid])
 
 
 class _KernelPaths:
@@ -111,7 +121,7 @@ class _KernelPaths:
 
     def __init__(self, ctx, t1_tid):
         self.ctx = ctx
-        self.index = ctx.index
+        self.index = ctx  # the context is the conflict index
         self.t1_tid = t1_tid
 
     def connecting_path(self, tid_2, tid_m):
@@ -193,7 +203,8 @@ class TestKernelCaching:
             method="components",
             context=ctx,
         )
-        assert ctx.stats.index_builds == 0 and ctx.stats.kernel_row_builds == 0
+        # One index, built with the context; the door builds nothing more.
+        assert ctx.stats == ContextStats(index_builds=1)
 
     def test_bitset_check_builds_no_oracle(self, chained_workload):
         """A multi-hop witness's chain comes from the kernel row."""
@@ -211,9 +222,9 @@ class TestComponentNumbering:
             components=4, per_component=4, objects_per_component=5, seed=3
         )
         ctx = AnalysisContext(wl)
-        assert len(ctx.index.components()) >= 4
+        assert len(ctx.components()) >= 4
         for tid in wl.tids:
-            limit = 1 << len(ctx.index.component_of[tid].tids)
+            limit = 1 << len(ctx.component_of[tid].tids)
             row = _row(ctx, tid)
             masks = [row.cands, row.rc_t2s, row.si_t2s, row.r_w1, row.w_r1]
             masks += [*row.comps, *row.reach.values()]

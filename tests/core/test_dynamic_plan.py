@@ -41,9 +41,9 @@ def _manager(txns):
 def _rows(manager, tids):
     """The manager's kernel rows of ``tids``, built if missing."""
     context = manager.context
-    index = context.index
     return {
-        tid: row_of(context, index.component_of[tid], index.bit[tid]) for tid in tids
+        tid: row_of(context, context.component_of[tid], context.bit[tid])
+        for tid in tids
     }
 
 
@@ -103,9 +103,9 @@ class TestRemove:
         assert manager.components == ((1, 2, 3, 4),)
         manager.remove(2)
         assert manager.components == ((1, 4), (3,))
-        index = manager.context.index
-        assert index.component_of[1].tids == (1, 4)
-        assert (index.bit[1], index.bit[4]) == (0, 1)
+        context = manager.context
+        assert context.component_of[1].tids == (1, 4)
+        assert (context.bit[1], context.bit[4]) == (0, 1)
 
     def test_connected_survivors_stay_together(self):
         txns = _chain() + [parse_transaction("R4[y] W4[z]")]  # T4 || T2
@@ -165,10 +165,10 @@ class TestCanonicalView:
             workload = manager.workload
             expected = conflict_components(workload)
             assert manager.components == expected, f"diverged at step {step}"
-            index = manager.context.index
+            context = manager.context
             for members in expected:
-                assert all(index.component_of[t].tids == members for t in members)
-                assert [index.bit[t] for t in members] == list(range(len(members)))
+                assert all(context.component_of[t].tids == members for t in members)
+                assert [context.bit[t] for t in members] == list(range(len(members)))
 
 
 class TestManagerSingletonRemoval:

@@ -68,12 +68,10 @@ class TestContextPlan:
     def test_context_shares_stats_and_builds_lazily(self):
         wl = workload("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         ctx = AnalysisContext(wl)
-        assert ctx.stats.index_builds == 0  # nothing built yet
-        index = ctx.index
-        assert ctx.index is index  # cached
-        assert ctx.stats.index_builds == 1
-        row = row_of(ctx, index.component_of[1], index.bit[1])
-        assert index.component_of[1].rows[index.bit[1]] is row
+        # The index is built with the context, and nothing else yet.
+        assert ctx.stats == ContextStats(index_builds=1)
+        row = row_of(ctx, ctx.component_of[1], ctx.bit[1])
+        assert ctx.component_of[1].rows[ctx.bit[1]] is row
         assert ctx.stats.kernel_row_builds == 1
         assert ctx.stats.index_builds == 1  # one index per context
 
@@ -83,11 +81,11 @@ class TestContextPlan:
         texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         manager.apply_batch([("add", parse_transaction(t)) for t in texts])
         assert manager.components == ((1, 2), (3,))
-        index = manager.context.index
+        context = manager.context
         assert [
-            index.component_of[members[0]].tids for members in manager.components
+            context.component_of[members[0]].tids for members in manager.components
         ] == [(1, 2), (3,)]
-        assert index.bit == {1: 0, 2: 1, 3: 0}
+        assert context.bit == {1: 0, 2: 1, 3: 0}
 
     def test_ensure_rejects_other_workload(self):
         wl = workload("R1[x]")
@@ -102,10 +100,9 @@ class TestContextPlan:
         texts = ("R1[x] W1[y]", "R2[y] W2[x]", "W3[z]")
         manager.apply_batch([("add", parse_transaction(t)) for t in texts])
         context = manager.context
-        index = context.index
 
         def row(tid):
-            return row_of(context, index.component_of[tid], index.bit[tid])
+            return row_of(context, context.component_of[tid], context.bit[tid])
 
         standing = {tid: row(tid) for tid in (1, 2)}
         manager.add(parse_transaction("R4[z] W4[z]"))

@@ -5,11 +5,7 @@ import math
 from hypothesis import given, settings
 
 import strategies as sts
-from repro.enumeration.interleavings import (
-    interleaving_count,
-    interleavings,
-    prefix_closed_interleavings,
-)
+from repro.enumeration.interleavings import interleaving_count, interleavings
 from repro.core.workload import workload
 
 
@@ -58,11 +54,6 @@ class TestEnumeration:
     def test_deterministic(self):
         wl = workload("R1[x]", "W2[x]")
         assert list(interleavings(wl)) == list(interleavings(wl))
-
-    def test_prefix_closed_variant_marks_completion(self):
-        wl = workload("R1[x]", "R2[y]")
-        complete = [order for order, done in prefix_closed_interleavings(wl) if done]
-        assert len(complete) == interleaving_count(wl)
 
 
 @given(sts.workloads(max_transactions=3, max_accesses=2))

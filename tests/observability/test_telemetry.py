@@ -170,6 +170,13 @@ class TestEventLog:
         with pytest.raises(ValueError, match=r":2: not valid JSON"):
             validate_eventlog_file(path)
 
+    def test_too_deeply_nested_line_names_the_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        nested = "[" * 200_000 + "]" * 200_000
+        path.write_text('{"ts": 1.0, "kind": "ok"}\n' + nested + "\n")
+        with pytest.raises(ValueError, match=r":2: not valid JSON"):
+            validate_eventlog_file(path)
+
     @pytest.mark.parametrize(
         "event, message",
         [

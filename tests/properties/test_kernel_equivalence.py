@@ -21,12 +21,12 @@ import strategies as sts
 from repro.core import reference
 from repro.core.allocation import optimal_allocation, upgrade_to_robust
 from repro.core.conflicts import transactions_conflict
-from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.context import AnalysisContext
 from repro.core.isolation import Allocation, IsolationLevel
 from repro.core.kernel import connecting_path, iter_witness_triples, level_list
 from repro.core.robustness import (
+    _first_witness,
     _probe,
-    _witness_exists,
     check_robustness,
     check_robustness_delta,
     enumerate_counterexamples,
@@ -151,14 +151,14 @@ def test_mask_conflict_index_matches_pairwise_build(wl):
     still reproduce it, since connecting chains start their search in
     that order.
     """
-    index = ConflictIndex(wl)
+    ctx = AnalysisContext(wl)
     expected = _pairwise_neighbours(wl)
     for tid in wl.tids:
-        neighbours = index.conflict_neighbours(tid)
+        neighbours = ctx.conflict_neighbours(tid)
         assert neighbours == expected[tid]
         assert list(neighbours) == list(expected[tid]), tid
         for other in wl.tids:
-            assert index.conflict(tid, other) == (other in expected[tid])
+            assert ctx.conflict(tid, other) == (other in expected[tid])
 
 
 @given(
@@ -173,9 +173,9 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
     A random allocation is lifted to a robust one; every one-step
     lowering of it is probed scoped to the lowered transaction and
     over its whole conflict component, through the :class:`Allocation`
-    entry point and through the level-list probe the refinement calls,
-    and each verdict must equal whether ``components`` finds a first
-    witness.
+    scan and through the level-list probe the refinement and the
+    manager call, and each verdict must equal whether ``components``
+    finds a first witness.
     """
     wl = random_workload(
         transactions=size, objects=size + 2, min_ops=2, max_ops=4, seed=seed
@@ -191,16 +191,20 @@ def test_existence_probe_matches_components_first_witness(seed, size, levels):
         lowered = robust.with_level(tid, ladder[rank - 1])
         # Lowering one transaction of a robust allocation creates
         # witnesses only in its own component: the probes scan that one.
-        component = ctx.index.component_of[tid]
+        component = ctx.component_of[tid]
+        flag = 1 << ctx.bit[tid]
         for delta_tid in (tid, None):
             expected = reference.first_witness_spec(
                 wl, lowered, "components", delta_tid=delta_tid
             )
-            found = _witness_exists(ctx, lowered, component, delta_tid)
+            found = _first_witness(ctx, lowered, delta_tid) is not None
             assert found == (expected is not None), (tid, delta_tid)
             levels, ssi = level_list(lowered, component.tids)
-            t1s = component.tids if delta_tid is None else ctx.index.scope(tid)
-            probed = _probe(ctx, levels, ssi, t1s, delta_tid)
+            if delta_tid is None:  # the manager's start check
+                t1s, scoped = (1 << len(component.tids)) - 1, 0
+            else:  # a refinement probe
+                t1s, scoped = component.nbrs[ctx.bit[tid]] | flag, flag
+            probed = _probe(ctx, component, levels, ssi, t1s, scoped)
             assert probed == (expected is not None), (tid, delta_tid)
 
 

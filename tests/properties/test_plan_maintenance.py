@@ -2,15 +2,15 @@
 
 The non-negotiable equivalences of ``AllocationManager.apply_batch``,
 which re-derives and renumbers only the components a batch touched by
-a flood fill over its conflict index:
+a flood fill over its context's conflict index:
 
 * **partition equality** — after any interleaving of adds, removes and
   batches, the manager's maintained partition is *identical* (order,
   members, everything) to ``conflict_components(workload)`` over the
   same transactions;
-* **no stale numbering or table** — the maintained index equals a fresh
-  index of the live set (components, bits, neighbour and object
-  masks), and every kernel row, scope and pair table cached on a live
+* **no stale numbering or table** — the maintained context equals a
+  fresh context of the live set (components, bits, neighbour and object
+  masks), and every kernel row and pair table cached on a live
   component equals a freshly built one, after any merge, split or
   re-add — including a departed tid coming back, with its old body or
   a new one, in the batch that removed it or in a later one;
@@ -186,31 +186,29 @@ class PlanMaintenanceMachine(RuleBasedStateMachine):
     @invariant()
     def index_and_tables_match_a_fresh_build(self):
         workload = self.batched.workload
-        context, fresh_context = self.batched.context, AnalysisContext(workload)
-        index, fresh = context.index, fresh_context.index
-        assert index.transactions == dict(zip(workload.tids, workload))
-        assert [(c.tids, c.nbrs) for c in index.components()] == [
+        context, fresh = self.batched.context, AnalysisContext(workload)
+        assert context.transactions == dict(zip(workload.tids, workload))
+        assert [(c.tids, c.nbrs) for c in context.components()] == [
             (c.tids, c.nbrs) for c in fresh.components()
         ]
-        components = index.components()
+        components = context.components()
         assert all(
-            index.component_of[tid].tids == fresh.component_of[tid].tids
+            context.component_of[tid].tids == fresh.component_of[tid].tids
             for tid in workload.tids
         )
         # Every tid reaches its registered component, whose tables follow.
-        assert all(index.component_of[t] is c for c in components for t in c.tids)
-        assert set(index.component_of) == set(workload.tids)
-        assert index.bit == fresh.bit
-        assert (index.readers, index.writers) == (fresh.readers, fresh.writers)
+        assert all(context.component_of[t] is c for c in components for t in c.tids)
+        assert set(context.component_of) == set(workload.tids)
+        assert context.bit == fresh.bit
+        assert (context.readers, context.writers) == (fresh.readers, fresh.writers)
         for component in components:
             fresh_component = fresh.component_of[component.tids[0]]
             for bit, tid in enumerate(component.tids):
-                # The cached row and scope, or ones built now: either way
-                # every table is cached when the next step mutates.
+                # The cached row, or one built now: either way every
+                # row is cached when the next step mutates.
                 row = row_of(context, component, bit)
-                expected = row_of(fresh_context, fresh_component, bit)
+                expected = row_of(fresh, fresh_component, bit)
                 assert _fields(row) == _fields(expected), tid
-                assert component.scope(bit) == fresh_component.scope(bit), tid
             for (tid_b, tid_a), pairs in component.pairs.items():
                 assert pairs == tuple(
                     conflicting_pairs(workload[tid_b], workload[tid_a])

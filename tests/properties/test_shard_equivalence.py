@@ -3,10 +3,11 @@
 Every chain of Definition 3.1 links conflicting transactions, so
 verdicts, witnesses and optima decompose exactly over the conflict
 components.  The library analyzes a workload as one unit, with each
-kernel row and level list numbered inside its component
-(``ConflictIndex``); the incremental ``AllocationManager`` keeps one
-such index over its live set and re-analyzes only the components a
-mutation touched.  On any (workload, allocation) pair the per-component path
+kernel row and level list numbered inside its component (the
+``AnalysisContext`` is the conflict index); the incremental
+``AllocationManager`` keeps one such context over its live set and
+re-analyzes only the components a mutation touched.  On any
+(workload, allocation) pair the per-component path
 must return the *same* verdict, the *same* witness ``SplitScheduleSpec``,
 the *same* ``enumerate_counterexamples`` spec sequence (order included)
 and the *same* optimal allocation as the whole-workload path, and
@@ -34,7 +35,7 @@ from repro.core.allocation import (
     refine_allocation,
     upgrade_to_robust,
 )
-from repro.core.context import AnalysisContext, ConflictIndex
+from repro.core.context import AnalysisContext
 from repro.core.incremental import AllocationManager
 from repro.core.isolation import (
     Allocation,
@@ -171,7 +172,7 @@ def assert_counters_match(wl, levels):
     {RC, SI}, the whole run's one start check (Proposition 5.4) stands
     for the per-component runs' one each.  The manager adds one start
     check per component it admits, and builds no conflict index: it
-    renumbers its one index in place.
+    renumbers its one context in place.
     """
     whole = AnalysisContext(wl)
     tracer = Tracer()
@@ -316,19 +317,19 @@ def test_sharded_delta_check_matches_one_unit_on_clustered_workloads(seed):
 def test_index_component_matches_conflict_components(wl):
     """The conflict index finds the pairwise reference's components.
 
-    ``ConflictIndex`` flood-fills its readers and writers per object;
+    ``AnalysisContext`` flood-fills its readers and writers per object;
     ``brute_force_components`` unions every pair that
     ``transactions_conflict``.  They share no code.  Non-contiguous
     tids keep ranks and tids apart: each member's bit is its rank in
     its component.
     """
-    index = ConflictIndex(wl)
-    components = [component.tids for component in index.components()]
+    ctx = AnalysisContext(wl)
+    components = [component.tids for component in ctx.components()]
     assert set(components) == brute_force_components(wl)
     assert components == sorted(components)
     for members in components:
-        assert [index.bit[tid] for tid in members] == list(range(len(members)))
-        assert all(index.component_of[tid].tids == members for tid in members)
+        assert [ctx.bit[tid] for tid in members] == list(range(len(members)))
+        assert all(ctx.component_of[tid].tids == members for tid in members)
 
 
 @pytest.mark.parametrize(

@@ -576,6 +576,12 @@ class TestSnapshotCommands:
         response = _core().handle({"op": "restore", "path": str(path)})
         assert response["error"]["code"] == "snapshot-error", response
 
+    def test_restore_too_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        response = _core().handle({"op": "restore", "path": str(path)})
+        assert response["error"]["code"] == "snapshot-error", response
+
     def test_auto_snapshot_every_n_mutations(self, tmp_path):
         snap = tmp_path / "auto.json"
         core = _core(snapshot_path=str(snap), snapshot_every=2)

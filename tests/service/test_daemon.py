@@ -122,6 +122,19 @@ class TestHostileLines:
         assert status["transactions"] == 0
         assert server.core.registry.counters["service.errors"] == 1
 
+    def test_too_deeply_nested_line_is_a_counted_bad_request(self, server):
+        # 400 kB, under the line cap; deeper than the JSON decoder recurses.
+        nested = "[" * 200_000 + "]" * 200_000
+        line = ('{"op": "status", "id": ' + nested + "}\n").encode("utf-8")
+        with ServiceClient(port=server.port) as client:
+            client._file.write(line)
+            client._file.flush()
+            error = json.loads(client._file.readline().decode("utf-8"))
+            assert error["error"]["code"] == "bad-request", error
+            status = client.call("status")  # the connection stays open
+        assert status["transactions"] == 0
+        assert server.core.registry.counters["service.errors"] == 1
+
     def test_truncated_final_line_gets_one_error_then_eof(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
             sock.sendall(b'{"op": "add", "transaction": "R[x] W[y]"')

@@ -36,6 +36,13 @@ class TestParseRequest:
             parse_request("definitely not json")
         assert excinfo.value.code == "bad-request"
 
+    def test_too_deeply_nested(self):
+        # Deeper than the decoder's recursion limit, under the line cap.
+        line = '{"op": "status", "id": ' + "[" * 200_000 + "]" * 200_000 + "}"
+        with pytest.raises(ProtocolError, match="not valid JSON") as excinfo:
+            parse_request(line)
+        assert excinfo.value.code == "bad-request"
+
     def test_not_an_object(self):
         with pytest.raises(ProtocolError):
             parse_request('["op", "status"]')

@@ -95,6 +95,12 @@ class TestCorruptionSafety:
         with pytest.raises(SnapshotError, match="unreadable"):
             read_snapshot(path)
 
+    def test_too_deeply_nested(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        with pytest.raises(SnapshotError, match="unreadable"):
+            read_snapshot(path)
+
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "snap.json"
         path.write_text(json.dumps({"kind": "something-else"}), encoding="utf-8")

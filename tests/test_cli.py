@@ -527,6 +527,20 @@ class TestTraceAnalysisCommands:
         assert err.startswith("repro: error: bad trace")
         assert "invalid trace" in err
 
+    @pytest.mark.parametrize("command", ["report", "flame", "diff"])
+    def test_trace_commands_reject_too_deeply_nested_file(
+        self, tmp_path, trace_file, command, capsys
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        argv = ["trace", command, str(deep)]
+        if command == "diff":
+            argv.append(trace_file)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: bad trace")
+        assert err.count("\n") == 1, err
+
     def test_trace_flame_stdout(self, trace_file, capsys):
         assert main(["trace", "flame", trace_file]) == 0
         out = capsys.readouterr().out
@@ -648,7 +662,9 @@ class TestBadInputFiles:
 class TestUnrestorableSnapshot:
     """``repro serve`` on a snapshot it cannot restore: one error line, exit 2."""
 
-    @pytest.mark.parametrize("kind", ["foreign-file", "bad-state-version", "non-utf8"])
+    @pytest.mark.parametrize(
+        "kind", ["foreign-file", "bad-state-version", "non-utf8", "too-deep"]
+    )
     def test_serve_exits_cleanly(self, tmp_path, kind):
         from repro.service import write_snapshot
 
@@ -657,6 +673,8 @@ class TestUnrestorableSnapshot:
             path.write_text('{"garbage": 1}')
         elif kind == "non-utf8":
             path.write_bytes(b"\xff\xfe{}")
+        elif kind == "too-deep":
+            path.write_text("[" * 200_000 + "]" * 200_000)
         else:
             write_snapshot(path, {"version": 7, "levels": [], "workload": ""})
         src = str(Path(__file__).resolve().parents[1] / "src")
