@@ -39,11 +39,13 @@ allocation spec, bad sweep points, a non-positive ``simulate`` count
 ``--points`` or ``--strategies`` list, a ``simulate`` flag that only the
 other mode reads (a sweep flag on a workload file, or a file flag on
 ``sweep``), a negative or NaN ``trace diff``
-threshold, a non-positive ``service top`` interval, or a daemon that
-``trace dump`` or ``service top`` cannot reach or that answers with an
-error — prints ``repro: error: <message>`` to stderr and exits 2,
-which no verdict uses: ``check`` exits 1 for "not robust" and
-``allocate`` for "no robust allocation exists".
+threshold, a non-positive ``service top`` interval, an output file
+that cannot be written (``--trace``, ``check --dot``, ``simulate sweep
+--json``, ``trace flame -o``), or a daemon that ``trace dump`` or
+``service top`` cannot reach or that answers with an error — prints
+``repro: error: <message>`` to stderr and exits 2, which no verdict
+uses: ``check`` exits 1 for "not robust" and ``allocate`` for "no
+robust allocation exists".
 
 Workload files use the text format of
 :func:`repro.core.workload.parse_workload`::
@@ -59,9 +61,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from .analysis.report import (
     allocation_report,
@@ -89,6 +91,16 @@ from .service.handlers import (
     shard_report_line as _shard_report,
 )
 from .service import handlers as _handlers
+
+
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn a failure to write the output file ``path`` (a missing
+    directory, a directory, no permission) into a :class:`CommandError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _print_phase_timings() -> None:
@@ -120,9 +132,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             from .core.serialization import serialization_graph
 
             graph = serialization_graph(result.counterexample.schedule)
-            Path(args.dot).write_text(
-                serialization_graph_dot(graph), encoding="utf-8"
-            )
+            with _writing(args.dot):
+                Path(args.dot).write_text(
+                    serialization_graph_dot(graph), encoding="utf-8"
+                )
             print(f"Serialization graph written to {args.dot}")
     if args.stats:
         print()
@@ -359,9 +372,10 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
                 f" sim_time={point.sim_time:.1f} wall_s={point.wall_s:.3f}"
             )
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(result.to_json(), indent=2), encoding="utf-8"
-        )
+        with _writing(args.json):
+            Path(args.json).write_text(
+                json.dumps(result.to_json(), indent=2), encoding="utf-8"
+            )
         print(f"Sweep results written to {args.json}")
     return 0
 
@@ -387,7 +401,8 @@ def _cmd_trace_flame(args: argparse.Namespace) -> int:
     root = build_profile(_handlers.load_trace_file(args.file), key_attrs=key_attrs)
     stacks = folded_stacks(root)
     if args.output:
-        Path(args.output).write_text(stacks, encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(stacks, encoding="utf-8")
         print(f"Folded stacks written to {args.output}")
     else:
         sys.stdout.write(stacks)
@@ -994,7 +1009,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             import tracemalloc
 
             tracemalloc.stop()
-    tracer.write(trace_path)
+    with _writing(trace_path):
+        tracer.write(trace_path)
     return status
 
 

@@ -16,8 +16,11 @@ Implements, operationally, exactly the behaviours the paper's Definitions
   transactions.  Unlike production SSI (which tracks conservative
   in/out-conflict flags and accepts false positives), the simulator
   checks the exact condition of the paper, so every committed trace is
-  allowed under its allocation per Definition 2.4 — the property the
-  test suite verifies.
+  allowed under its allocation per Definition 2.4 and no commit aborts
+  without completing a structure — the properties the test suite
+  verifies.  The committed SSI peers are indexed by object (who read it,
+  who wrote it), so a commit examines only the peers that share an
+  object with it, never the whole pool.
 
 Write-write conflicts are mediated by per-object write intents (row
 locks): a second writer blocks (:class:`TransactionBlocked`) until the
@@ -28,7 +31,7 @@ holder committed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.isolation import IsolationLevel
 from ..observability import current_tracer
@@ -114,11 +117,13 @@ class MVCCEngine:
         self._intents: Dict[str, int] = {}  # obj -> tid holding the write intent
         self._commit_clock = 0
         self._event_clock = 0
-        #: Committed SSI transactions (the dangerous-structure pool) and the
-        #: rw-antidependency edges among them, cached as each one commits so
-        #: a commit-time check never rescans old history.
+        #: Committed SSI transactions (the dangerous-structure pool), indexed
+        #: by object: the peers that read it and the peers that wrote it, each
+        #: list in commit order.  A commit-time check looks up only the
+        #: objects its candidate touches, never the whole pool.
         self._ssi_peers: Dict[int, _CommittedTransaction] = {}
-        self._ssi_edges: Dict[int, Set[int]] = {}
+        self._ssi_readers: Dict[str, List[_CommittedTransaction]] = {}
+        self._ssi_writers: Dict[str, List[_CommittedTransaction]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -267,23 +272,22 @@ class MVCCEngine:
     # ------------------------------------------------------------------
     # SSI dangerous-structure detection
     # ------------------------------------------------------------------
-    def _concurrent(self, a: "_CommittedTransaction", b: "_CommittedTransaction") -> bool:
-        """Formal concurrency: first(T_i) before C_j and first(T_j) before C_i."""
-        return a.first_event < b.commit_event and b.first_event < a.commit_event
+    def _out_peers(self, reader: "_CommittedTransaction") -> List["_CommittedTransaction"]:
+        """The pooled peers ``reader`` has a rw-antidependency to.
 
-    def _rw_edge(self, reader: "_CommittedTransaction", writer: "_CommittedTransaction") -> bool:
-        """Whether a rw-antidependency reader -> writer exists.
-
-        The reader observed, for some object the writer wrote, a version
-        installed before the writer's (i.e. with a smaller commit seq).
+        They are the writers of an object ``reader`` read that installed a
+        version newer than the one it observed.  Each object's writers are
+        in commit order, so the walk stops at the first version ``reader``
+        could see.
         """
-        if reader.tid == writer.tid:
-            return False
-        for obj in writer.write_objects:
-            observed = reader.reads.get(obj)
-            if observed is not None and observed < writer.commit_seq:
-                return True
-        return False
+        out = []
+        for obj, observed in reader.reads.items():
+            for writer in reversed(self._ssi_writers.get(obj, ())):
+                if writer.commit_seq <= observed:
+                    break
+                if writer is not reader:
+                    out.append(writer)
+        return out
 
     def _completes_dangerous_structure(self, candidate: "_CommittedTransaction") -> bool:
         """Exact Definition 2.4 check over committed SSI transactions + candidate.
@@ -295,45 +299,47 @@ class MVCCEngine:
 
         The candidate's commit event is strictly later than every committed
         peer's, so it can never play ``T3`` (which needs ``C3 <= C1`` and
-        ``C3 < C2``): only the ``T1`` and ``T2`` roles must be probed.  The
-        edges *among* committed peers were cached when each of them
-        committed (:meth:`_adopt_ssi_peer`), so the check costs one scan of
-        the live peer pool instead of a cubic rescan of all history —
-        what lets the discrete-event simulator sustain long all-SSI runs.
+        ``C3 < C2``): only the ``T1`` and ``T2`` roles must be probed, and
+        both start from an out-peer of the candidate.  The peers are found
+        by object, not by scanning the pool: the candidate's out-peers are
+        the writers of the objects it read (:meth:`_out_peers`), its
+        in-peers the readers of the objects it writes, since every version
+        a peer observed predates the candidate's commit.  A commit thus
+        examines only the peers that share an object with it, what lets
+        the discrete-event simulator sustain long all-SSI runs.
+
+        Concurrency needs no test of its own.  Every pooled reader reads
+        from its snapshot, so a rw-antidependency ``R -> W`` means ``W``
+        committed after ``R``'s first operation; when ``W`` also commits
+        before ``R``, the two are concurrent.  That covers the candidate
+        and its out-peers, and ``T2 -> T3`` with ``C3 < C2``.  A ``T1``
+        of the ``T2`` role commits at or after a ``T3``, hence after the
+        candidate's first operation, and before the candidate's commit.
         """
-        peers = self._ssi_peers
-        out_c = [p for p in peers.values() if self._rw_edge(candidate, p)]
-        in_c = [p for p in peers.values() if self._rw_edge(p, candidate)]
+        out = self._out_peers(candidate)
+        if not out:
+            return False
         # Candidate as T2: T1 -> candidate -> T3 with C3 <= C1 (C3 < C2 is
         # automatic — every peer committed before the candidate).
-        for t1 in in_c:
-            if not self._concurrent(t1, candidate):
-                continue
-            for t3 in out_c:
-                if t3.commit_event <= t1.commit_event and self._concurrent(
-                    candidate, t3
-                ):
+        earliest = min(t3.commit_event for t3 in out)
+        for obj in candidate.write_objects:
+            for t1 in self._ssi_readers.get(obj, ()):
+                if t1.commit_event >= earliest:
                     return True
-        # Candidate as T1: candidate -> T2 -> T3 along a cached peer edge
-        # (C3 <= C1 is automatic).
-        for t2 in out_c:
-            if not self._concurrent(candidate, t2):
-                continue
-            for t3_tid in self._ssi_edges.get(t2.tid, ()):
-                t3 = peers[t3_tid]
-                if t3.commit_event < t2.commit_event and self._concurrent(t2, t3):
+        # Candidate as T1: candidate -> T2 -> T3 (C3 <= C1 is automatic).
+        for t2 in out:
+            for t3 in self._out_peers(t2):
+                if t3.commit_event < t2.commit_event:
                     return True
         return False
 
     def _adopt_ssi_peer(self, record: "_CommittedTransaction") -> None:
-        """Cache a freshly committed SSI transaction and its peer rw-edges."""
-        edges = self._ssi_edges.setdefault(record.tid, set())
-        for peer in self._ssi_peers.values():
-            if self._rw_edge(record, peer):
-                edges.add(peer.tid)
-            if self._rw_edge(peer, record):
-                self._ssi_edges.setdefault(peer.tid, set()).add(record.tid)
+        """Pool a freshly committed SSI transaction under every object it touched."""
         self._ssi_peers[record.tid] = record
+        for obj in record.reads:
+            self._ssi_readers.setdefault(obj, []).append(record)
+        for obj in record.write_objects:
+            self._ssi_writers.setdefault(obj, []).append(record)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -381,10 +387,20 @@ class MVCCEngine:
             self._ssi_peers = {
                 tid: r for tid, r in self._ssi_peers.items() if tid in keep
             }
-            self._ssi_edges = {
-                tid: {peer for peer in peers if peer in keep}
-                for tid, peers in self._ssi_edges.items()
-                if tid in keep
-            }
+            self._ssi_readers = _kept_peers(self._ssi_readers, keep)
+            self._ssi_writers = _kept_peers(self._ssi_writers, keep)
             self._committed = dict(self._ssi_peers)
         return {"pruned_versions": pruned_versions, "retired_peers": retired}
+
+
+def _kept_peers(
+    index: Dict[str, List[_CommittedTransaction]], keep: Set[int]
+) -> Dict[str, List[_CommittedTransaction]]:
+    """An object index of pooled peers without the retired ones (and
+    without the objects no kept peer touches)."""
+    kept = {}
+    for obj, records in index.items():
+        records = [r for r in records if r.tid in keep]
+        if records:
+            kept[obj] = records
+    return kept

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.allocation import optimal_allocation
 from ..core.isolation import Allocation, IsolationLevel
@@ -35,7 +35,7 @@ from ..workloads.paper_examples import example26_workload, figure2_workload
 from ..workloads.smallbank import SmallBankConfig, smallbank_workload
 from ..workloads.tpcc import TpccConfig, tpcc_workload
 from ..workloads.ycsb import ycsb_workload
-from .simulator import SimConfig, simulate_workload
+from .simulator import SimConfig, SimStats, replicate_workload, simulate_workload
 
 #: Allocation strategies compared at every sweep point.
 STRATEGIES = ("optimal", "ssi", "si")
@@ -134,6 +134,27 @@ def _allocations(workload: Workload) -> Dict[str, Allocation]:
         "ssi": Allocation.uniform(workload, IsolationLevel.SSI),
         "si": Allocation.uniform(workload, IsolationLevel.SI),
     }
+
+
+def _simulate_point(
+    base: Workload, strategies: Sequence[str], repeat: int, config: SimConfig
+) -> Iterator[Tuple[str, SimStats, float]]:
+    """Simulate one knob value under each strategy, in order.
+
+    The instance stream is replicated once and shared by the strategies:
+    under each, an instance inherits its program's level.  Yields
+    ``(strategy, stats, wall seconds)``; the stream is freed when the
+    caller has consumed every strategy.
+    """
+    allocations = _allocations(base)
+    instances, _, origin = replicate_workload(base, allocations["optimal"], repeat)
+    for strategy in strategies:
+        levels = allocations[strategy]
+        started = _time.perf_counter()
+        _, stats = simulate_workload(
+            instances, Allocation({tid: levels[origin[tid]] for tid in origin}), config
+        )
+        yield strategy, stats, _time.perf_counter() - started
 
 
 #: benchmark name -> (knob name, default knob values hot-to-mild,
@@ -244,13 +265,9 @@ def contention_sweep(
     ) as sweep_span:
         for value in points if points is not None else default_points:
             base = build(value, transactions, seed)
-            allocations = _allocations(base)
-            for strategy in strategies:
-                started = _time.perf_counter()
-                _, stats = simulate_workload(
-                    base, allocations[strategy], sim_config, repeat=repeat
-                )
-                wall_s = _time.perf_counter() - started
+            for strategy, stats, wall_s in _simulate_point(
+                base, strategies, repeat, sim_config
+            ):
                 result.points.append(
                     SweepPoint(
                         benchmark=benchmark,

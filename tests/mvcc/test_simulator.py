@@ -355,6 +355,22 @@ class TestCompaction:
         # far below the install count.
         assert simulator.engine.store.version_count() < 100
 
+    def test_long_ssi_run_keeps_pool_and_object_index_bounded(self):
+        wl = workload("R1[x] W1[y]", "R2[y] W2[x]")
+        config = SimConfig(sessions=2, seed=0, compact_every=16)
+        instances, alloc, _ = replicate_workload(wl, Allocation.ssi(wl), repeat=200)
+        simulator = DiscreteEventSimulator(instances, alloc, config)
+        simulator.run()
+        engine = simulator.engine
+        assert simulator.stats.commits == 400
+        assert simulator.stats.aborts.get("dangerous-structure", 0) > 0
+        # Compaction leaves only the SSI pool in ``committed``, and the
+        # object index of the pool holds no retired peer.
+        pool = set(engine.committed)
+        assert len(pool) < 100
+        for index in (engine._ssi_readers, engine._ssi_writers):
+            assert {r.tid for records in index.values() for r in records} <= pool
+
     def test_compaction_disabled_grows(self):
         wl = workload("R1[hot] W1[hot]", "R2[hot] W2[hot]")
         config = SimConfig(sessions=2, seed=0, compact_every=0)

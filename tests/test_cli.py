@@ -895,3 +895,28 @@ class TestClosedStdout:
             )
         assert proc.returncode == 141, proc.stderr
         assert proc.stderr == ""
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written (its directory is missing,
+    or it is a directory) is one ``repro: error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "sweep", "--points", "2", "--transactions", "4",
+             "--repeat", "1", "--sessions", "2", "--json", "{out}"],
+            ["check", "{skew}", "--uniform", "SI", "--dot", "{out}"],
+            ["trace", "flame", "{trace}", "-o", "{out}"],
+            ["allocate", "{skew}", "--trace", "{out}"],
+        ],
+        ids=["sweep-json", "check-dot", "flame-output", "trace"],
+    )
+    def test_exits_cleanly(self, skew_file, tmp_path, argv, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["check", skew_file, "--trace", str(trace)]) == 1
+        capsys.readouterr()
+        for out in (tmp_path / "missing" / "out.txt", tmp_path):
+            args = [a.format(out=out, skew=skew_file, trace=trace) for a in argv]
+            assert main(args) == 2
+            assert f"cannot write {out}: " in _error_line(capsys)
