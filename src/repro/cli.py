@@ -41,7 +41,8 @@ other mode reads (a sweep flag on a workload file, or a file flag on
 ``sweep``), a negative or NaN ``trace diff``
 threshold, a non-positive ``service top`` interval, an output file
 that cannot be written (``--trace``, ``check --dot``, ``simulate sweep
---json``, ``trace flame -o``), or a daemon that ``trace dump`` or
+--json``, ``trace flame -o``; probed before the command does any work
+or prints anything), or a daemon that ``trace dump`` or
 ``service top`` cannot reach or that answers with an error — prints
 ``repro: error: <message>`` to stderr and exits 2, which no verdict
 uses: ``check`` exits 1 for "not robust" and ``allocate`` for "no
@@ -58,6 +59,7 @@ Workload files use the text format of
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -103,6 +105,27 @@ def _writing(path: str) -> Iterator[None]:
         raise CommandError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Fail now, before any work, if the output file ``path`` cannot be
+    written: it is a directory, its directory is missing, or either
+    forbids writing.  The probe neither creates ``path`` nor touches an
+    existing one; :func:`_writing` still guards the write itself."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            code = errno.ENOENT
+        else:
+            code = 0 if os.access(directory, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise CommandError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _print_phase_timings() -> None:
     """Append the per-phase breakdown to ``--stats`` output when tracing.
 
@@ -117,6 +140,7 @@ def _print_phase_timings() -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    _check_writable(args.dot)
     workload = _load_workload(args.workload)
     allocation = parse_allocation_spec(workload, args.allocation, args.uniform)
     context = AnalysisContext(workload)
@@ -348,6 +372,7 @@ def _cmd_simulate_sweep(args: argparse.Namespace) -> int:
         )
         if not strategies:
             raise CommandError(f"--strategies lists no strategy: {args.strategies!r}")
+    _check_writable(args.json)
     try:
         result = contention_sweep(
             benchmark="smallbank" if args.benchmark is None else args.benchmark,
@@ -395,6 +420,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 def _cmd_trace_flame(args: argparse.Namespace) -> int:
     from .observability import build_profile, folded_stacks
 
+    _check_writable(args.output)
     key_attrs = tuple(
         part.strip() for part in (args.group_by or "").split(",") if part.strip()
     )
@@ -996,6 +1022,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if trace_memory:
             parser.error("--trace-memory requires --trace FILE")
         return args.func(args)
+    _check_writable(trace_path)
     tracer = Tracer(trace_memory=trace_memory)
     if trace_memory:
         import tracemalloc

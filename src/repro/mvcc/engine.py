@@ -30,12 +30,15 @@ holder committed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.isolation import IsolationLevel
 from ..observability import current_tracer
 from .storage import Version, VersionedStore
+
+_RC = IsolationLevel.RC
+_SSI = IsolationLevel.SSI
 
 
 class TransactionAborted(Exception):
@@ -67,25 +70,32 @@ class TransactionBlocked(Exception):
         self.obj = obj
 
 
-@dataclass
 class _ActiveTransaction:
-    """Runtime state of one in-flight transaction."""
+    """Runtime state of one in-flight transaction.
 
-    tid: int
-    level: IsolationLevel
-    first_event: Optional[int] = None
-    snapshot_seq: Optional[int] = None
-    reads: Dict[str, int] = field(default_factory=dict)  # obj -> observed commit_seq
-    writes: Dict[str, object] = field(default_factory=dict)
+    One is built per attempt, so its constructor is written out: a
+    generated dataclass ``__init__`` would call a factory for each dict.
+    """
 
-    @property
-    def started(self) -> bool:
-        return self.first_event is not None
+    __slots__ = ("tid", "level", "first_event", "snapshot_seq", "reads", "writes")
+
+    def __init__(self, tid: int, level: IsolationLevel) -> None:
+        self.tid = tid
+        self.level = level
+        self.first_event: Optional[int] = None
+        self.snapshot_seq: Optional[int] = None
+        self.reads: Dict[str, int] = {}  # obj -> observed commit_seq
+        self.writes: Dict[str, object] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _CommittedTransaction:
-    """What the engine remembers about a committed transaction."""
+    """What the engine remembers about a committed transaction.
+
+    One is built per commit attempt, so it is a plain slotted record (a
+    frozen dataclass would set each field through ``object.__setattr__``);
+    nothing writes its fields after construction.
+    """
 
     tid: int
     level: IsolationLevel
@@ -142,26 +152,21 @@ class MVCCEngine:
         """The transaction holding the write intent on ``obj``, if any."""
         return self._intents.get(obj)
 
-    def _tick(self) -> int:
-        self._event_clock += 1
-        return self._event_clock
-
     def _state(self, tid: int) -> _ActiveTransaction:
         try:
             return self._active[tid]
         except KeyError:
             raise ValueError(f"transaction {tid} is not active") from None
 
-    def _ensure_started(self, txn: _ActiveTransaction, event: int) -> None:
-        if txn.first_event is None:
-            txn.first_event = event
-            # Snapshot taken at the first operation, like Postgres taking
-            # its snapshot at the first statement — this is ``first(T)``.
-            txn.snapshot_seq = self._commit_clock
-
     # ------------------------------------------------------------------
     # Transaction lifecycle
     # ------------------------------------------------------------------
+    # ``read``, ``write`` and ``commit`` run once per simulated operation,
+    # so each looks its transaction up, ticks the event clock and starts
+    # the transaction in line.  A transaction starts at its first
+    # executed operation: its snapshot is taken there, like Postgres
+    # taking its snapshot at the first statement, and that event is
+    # ``first(T)``.
     def begin(self, tid: int, level: IsolationLevel) -> None:
         """Register a transaction.  The snapshot is taken lazily at its first
         operation, matching ``first(T)`` in the formal model."""
@@ -173,20 +178,24 @@ class MVCCEngine:
 
     def read(self, tid: int, obj: str) -> Version:
         """Execute ``R[obj]`` and return the observed committed version."""
-        txn = self._state(tid)
-        event = self._tick()
-        self._ensure_started(txn, event)
+        try:
+            txn = self._active[tid]
+        except KeyError:
+            raise ValueError(f"transaction {tid} is not active") from None
+        self._event_clock += 1
+        if txn.first_event is None:
+            txn.first_event = self._event_clock
+            txn.snapshot_seq = self._commit_clock
         if obj in txn.writes:
             raise ValueError(
                 f"transaction {tid} reads {obj!r} after writing it; the model"
                 " assumes the one-read-then-one-write normal form"
             )
-        if txn.level is IsolationLevel.RC:
+        if txn.level is _RC:
             version = self.store.latest_committed(obj)  # statement snapshot
         else:
             version = self.store.latest_committed(obj, txn.snapshot_seq)
-        if obj not in txn.reads:
-            txn.reads[obj] = version.commit_seq
+        txn.reads.setdefault(obj, version.commit_seq)
         return version
 
     def write(self, tid: int, obj: str, value: object = None) -> None:
@@ -198,7 +207,10 @@ class MVCCEngine:
             TransactionAborted: first-committer-wins for SI/SSI — a version
                 of ``obj`` committed after this transaction's snapshot.
         """
-        txn = self._state(tid)
+        try:
+            txn = self._active[tid]
+        except KeyError:
+            raise ValueError(f"transaction {tid} is not active") from None
         holder = self._intents.get(obj)
         if holder is not None and holder != tid:
             # A blocked attempt must not start the transaction: the snapshot
@@ -207,11 +219,11 @@ class MVCCEngine:
             # a commit arriving while we wait would be invisible to the
             # snapshot yet precede first(T) in the formal schedule.
             raise TransactionBlocked(tid, holder, obj)
-        event = self._tick()
-        self._ensure_started(txn, event)
-        if txn.level is not IsolationLevel.RC and self.store.has_newer_than(
-            obj, txn.snapshot_seq or 0
-        ):
+        self._event_clock += 1
+        if txn.first_event is None:
+            txn.first_event = self._event_clock
+            txn.snapshot_seq = self._commit_clock
+        if txn.level is not _RC and self.store.has_newer_than(obj, txn.snapshot_seq):
             self._abort(tid)
             raise TransactionAborted(tid, "first-committer-wins")
         self._intents[obj] = tid
@@ -225,41 +237,48 @@ class MVCCEngine:
                 complete a dangerous structure among committed SSI
                 transactions.
         """
-        txn = self._state(tid)
-        event = self._tick()
-        self._ensure_started(txn, event)
+        try:
+            txn = self._active[tid]
+        except KeyError:
+            raise ValueError(f"transaction {tid} is not active") from None
+        self._event_clock += 1
+        event = self._event_clock
+        if txn.first_event is None:
+            txn.first_event = event
+            txn.snapshot_seq = self._commit_clock
+        commit_seq = self._commit_clock + 1
+        # The record takes the reads dict over: the transaction leaves
+        # ``_active`` below (or in ``_abort``) and never touches it again.
         candidate = _CommittedTransaction(
             tid=tid,
             level=txn.level,
-            first_event=txn.first_event or event,
+            first_event=txn.first_event,
             commit_event=event,
-            commit_seq=self._commit_clock + 1,
-            snapshot_seq=txn.snapshot_seq or 0,
-            reads=dict(txn.reads),
+            commit_seq=commit_seq,
+            snapshot_seq=txn.snapshot_seq,
+            reads=txn.reads,
             write_objects=tuple(sorted(txn.writes)),
         )
-        if txn.level is IsolationLevel.SSI and self._completes_dangerous_structure(
-            candidate
-        ):
+        ssi = txn.level is _SSI
+        if ssi and self._completes_dangerous_structure(candidate):
             self._abort(tid)
             raise TransactionAborted(tid, "dangerous-structure")
-        self._commit_clock += 1
-        assert candidate.commit_seq == self._commit_clock
+        self._commit_clock = commit_seq
         for obj, value in txn.writes.items():
-            self.store.install(obj, tid, self._commit_clock, value)
+            self.store.install(obj, tid, commit_seq, value)
             if self._intents.get(obj) == tid:
                 del self._intents[obj]
         self._committed[tid] = candidate
-        if txn.level is IsolationLevel.SSI:
+        if ssi:
             self._adopt_ssi_peer(candidate)
         del self._active[tid]
         current_tracer().count("mvcc.commits")
-        return self._commit_clock
+        return commit_seq
 
     def abort(self, tid: int) -> None:
         """Abort the transaction, discarding buffered writes."""
         self._state(tid)
-        self._tick()
+        self._event_clock += 1
         self._abort(tid)
 
     def _abort(self, tid: int) -> None:

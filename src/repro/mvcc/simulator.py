@@ -21,22 +21,27 @@ simulated time:
   instead of starving one program;
 * **per-transaction latency** is recorded from arrival (the session picks
   the instance up) to commit, feeding the histograms the contention
-  sweeps report.
+  sweeps report;
+* an event does only the work that depends on what is simulated: each
+  instance's level and service time are resolved once, when it is
+  dealt, and nothing is traced unless ``record_trace`` is on.
 
 Every committed trace is allowed under its allocation (Definition 2.4):
 first-committer-wins and SSI dangerous-structure aborts are the engine's,
 and the seed only jitters operation service times, so one seed fixes the
 whole run.  The property suites pin this.
 
-Static workloads run through :func:`simulate_workload`; stored
-procedures with values run through
-:func:`repro.mvcc.procedures.run_procedures`.  Callers that audit
+Static workloads run through :func:`simulate_workload`, whose
+``repeat`` rounds clone no transaction (each instance is a fresh tid
+over its program's operations); stored procedures with values run
+through :func:`repro.mvcc.procedures.run_procedures`.  Callers that audit
 executions rather than time them run at :func:`exploration_config`,
 which spreads service times widely enough to reach most interleavings.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time as _time
 from dataclasses import dataclass, field
@@ -116,14 +121,16 @@ class SimConfig:
             instantly).
         record_trace: record :class:`TraceEvent`s; turning it off changes
             nothing but the trace (the byte-identity the tests pin).
-        compact_every: commits between ``engine.compact()`` calls
-            (``0`` disables compaction; long runs then grow unboundedly).
+        compact_every: commits between ``engine.compact()`` calls, at
+            least 0 (``0`` disables compaction; long runs then grow
+            unboundedly).
         series_window: width, in simulated time, of one telemetry window
             of the commit/abort time-series (see
-            :meth:`SimStats.series_dict`).
-        series_windows: telemetry ring size — windows retained beyond
-            which the oldest per-window counts are recycled (cumulative
-            totals and the latency histogram are unaffected).
+            :meth:`SimStats.series_dict`); a finite number above 0.
+        series_windows: telemetry ring size (at least 1) — windows
+            retained beyond which the oldest per-window counts are
+            recycled (cumulative totals and the latency histogram are
+            unaffected).
     """
 
     sessions: int = 8
@@ -156,6 +163,15 @@ class SimConfig:
             raise ValueError(f"ssi_overhead must be >= 0, got {self.ssi_overhead}")
         if not self.abort_backoff >= 0:
             raise ValueError(f"abort_backoff must be >= 0, got {self.abort_backoff}")
+        if self.compact_every < 0:
+            raise ValueError(f"compact_every must be >= 0, got {self.compact_every}")
+        # The telemetry files each commit under window floor(t / width).
+        if not 0 < self.series_window < math.inf:
+            raise ValueError(
+                f"series_window must be a finite number > 0, got {self.series_window}"
+            )
+        if self.series_windows < 1:
+            raise ValueError(f"series_windows must be >= 1, got {self.series_windows}")
 
 
 def exploration_config(
@@ -310,21 +326,27 @@ class SimStats:
         return [(width * (i + 1), counts[i]) for i in range(bins)]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
-    """One program awaiting execution; its tid is read on every step."""
+    """One program awaiting execution, resolved once when it is dealt:
+    its isolation level and the mean and jitter spread of its
+    operations' service time."""
 
     tid: int
     program: Program
+    level: IsolationLevel
+    base: float
+    spread: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _SimSession:
     """One client session working through its queue of instances."""
 
     session_id: int
     queue: Deque[_Instance] = field(default_factory=deque)
     current: Optional[_Instance] = None
+    engine_tid: int = 0  # ``current.tid * 1000 + attempt``
     body: Optional[TransactionBody] = None
     pending_op: Optional[Any] = None
     last_result: Optional[Version] = None
@@ -340,6 +362,39 @@ class _SimSession:
         return self.current is None and not self.queue
 
 
+@dataclass(slots=True)
+class _Replica:
+    """One instance of a base transaction: a fresh instance tid over the
+    base program's operations.  The operations keep the base tid; the
+    simulator reads only their kind and object, and traces the instance
+    tid."""
+
+    tid: int
+    operations: Tuple[Any, ...]
+
+
+def _instances(
+    workload: Workload, allocation: Allocation, repeat: int
+) -> Tuple[List[Tuple[int, Transaction]], Allocation]:
+    """The instances of ``repeat`` rounds over ``workload``, in round
+    order, and their allocation.
+
+    Each instance is ``(instance tid, base transaction)``, with instance
+    tids from 1 upwards, and is allocated its base transaction's level.
+    (One round needs no instances: its callers run the workload's own
+    transactions.)  A ``repeat`` below 1 is a ``ValueError``.
+    """
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    bases = list(workload)
+    count = len(bases)
+    instances = [(index + 1, bases[index % count]) for index in range(repeat * count)]
+    levels = [allocation[base.tid] for base in bases]
+    return instances, Allocation(
+        {tid: levels[(tid - 1) % count] for tid, _ in instances}
+    )
+
+
 def replicate_workload(
     workload: Workload, allocation: Allocation, repeat: int = 1
 ) -> Tuple[Workload, Allocation, Dict[int, int]]:
@@ -353,38 +408,48 @@ def replicate_workload(
     allocation are returned unchanged; a ``repeat`` below 1 is a
     ``ValueError``.
 
+    :func:`simulate_workload` runs the same instances without cloning
+    them; this function is for callers that need the instances as a
+    :class:`~repro.core.workload.Workload`, such as converting a
+    replicated run's trace with
+    :func:`~repro.mvcc.trace.trace_to_schedule`.
+
     Returns:
         ``(instances, instance_allocation, instance_to_base)``.
     """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
     if repeat == 1:
         return workload, allocation, {tid: tid for tid in workload.tids}
-    transactions: List[Transaction] = []
-    levels: Dict[int, object] = {}
-    mapping: Dict[int, int] = {}
-    next_tid = 1
-    for _ in range(repeat):
-        for base in workload:
-            ops = [
-                read_op(next_tid, op.obj) if op.is_read else write_op(next_tid, op.obj)
+    instances, instance_allocation = _instances(workload, allocation, repeat)
+    transactions = [
+        Transaction(
+            tid,
+            [
+                read_op(tid, op.obj) if op.is_read else write_op(tid, op.obj)
                 for op in base.body
-            ]
-            transactions.append(Transaction(next_tid, ops))
-            levels[next_tid] = allocation[base.tid]
-            mapping[next_tid] = base.tid
-            next_tid += 1
-    return Workload(transactions), Allocation(levels), mapping
+            ],
+        )
+        for tid, base in instances
+    ]
+    return (
+        Workload(transactions),
+        instance_allocation,
+        {tid: base.tid for tid, base in instances},
+    )
 
 
 class DiscreteEventSimulator:
     """Executes programs under simulated time on the MVCC engine.
 
+    Each program is resolved once, when it is dealt to its session: its
+    isolation level and the mean and jitter spread of its operations'
+    service time travel with it, so an event looks nothing up.
+
     Args:
         workload: the programs to run, each with a distinct ``tid``: a
             :class:`~repro.core.workload.Workload`'s transactions, or any
             sequence of :class:`Program` objects.
-        allocation: the isolation level of each tid.
+        allocation: the isolation level of each tid (a tid it leaves out
+            raises :class:`~repro.core.workload.WorkloadError` here).
         config: simulation knobs (see :class:`SimConfig`).
         body_factory: builds a fresh coroutine body for each attempt of
             a program; defaults to :func:`transaction_coroutine` (replay
@@ -400,56 +465,60 @@ class DiscreteEventSimulator:
     ):
         self.workload = workload
         self.allocation = allocation
-        self.config = config or SimConfig()
+        self.config = config = config or SimConfig()
         self._body_factory = body_factory
-        count = max(1, min(self.config.sessions, len(workload)))
+        # Per level, the mean service time of one operation and the most
+        # the jitter moves it either way.
+        timing = {}
+        for level in IsolationLevel:
+            base = config.op_time
+            if config.ssi_overhead and level is IsolationLevel.SSI:
+                base *= 1.0 + config.ssi_overhead
+            timing[level] = (base, config.jitter * base)
+        count = max(1, min(config.sessions, len(workload)))
         self._sessions = [_SimSession(i) for i in range(count)]
         for index, program in enumerate(workload):
-            self._sessions[index % count].queue.append(_Instance(program.tid, program))
-        self._rng = (
-            random.Random(self.config.seed) if self.config.seed is not None else None
+            level = allocation[program.tid]
+            self._sessions[index % count].queue.append(
+                _Instance(program.tid, program, level, *timing[level])
+            )
+        self._rng = random.Random(config.seed) if config.seed is not None else None
+        #: The RNG draw of a jittered service time; ``None`` when service
+        #: times are constant (no seed, or no jitter), so nothing is drawn.
+        self._draw = (
+            self._rng.random if self._rng is not None and config.jitter else None
         )
+        self._tracing = config.record_trace
         self.engine = MVCCEngine()
         self.trace = Trace()
         self.stats = SimStats()
-        self.stats.enable_series(
-            self.config.series_window, self.config.series_windows
-        )
+        self.stats.enable_series(config.series_window, config.series_windows)
         self._now = 0.0
         self._seq = 0
         self._heap: List[Tuple[float, int, int]] = []
         self._wait_queues: Dict[str, Deque[int]] = {}
         self._tid_session: Dict[int, int] = {}
+        self._compact_every = config.compact_every
         self._commits_since_compact = 0
 
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _service(self, session: _SimSession) -> float:
-        instance = session.current or (session.queue[0] if session.queue else None)
-        base = self.config.op_time
-        if (
-            instance is not None
-            and self.config.ssi_overhead
-            and self.allocation[instance.tid] is IsolationLevel.SSI
-        ):
-            base *= 1.0 + self.config.ssi_overhead
-        if self._rng is None or not self.config.jitter:
-            return base
-        spread = self.config.jitter * base
-        return base + spread * (2.0 * self._rng.random() - 1.0)
+    def _service(self, instance: _Instance) -> float:
+        """The service time of one operation of ``instance`` (one RNG
+        draw when service times jitter)."""
+        if self._draw is None:
+            return instance.base
+        return instance.base + instance.spread * (2.0 * self._draw() - 1.0)
 
     def _schedule(self, session: _SimSession, delay: float) -> None:
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, session.session_id))
 
     def _emit(self, *args: object) -> None:
-        if self.config.record_trace:
-            self.trace.append(TraceEvent(*args))  # type: ignore[arg-type]
-
-    def _engine_tid(self, session: _SimSession) -> int:
-        assert session.current is not None
-        return session.current.tid * 1000 + session.attempt
+        """Record a trace event; callers emit only when ``record_trace``
+        is on."""
+        self.trace.append(TraceEvent(*args))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Run loop
@@ -464,10 +533,11 @@ class DiscreteEventSimulator:
         ) as run_span:
             for session in self._sessions:
                 if session.queue:
-                    self._schedule(session, self._service(session))
-            while self._heap:
-                self._now, _, session_id = heappop(self._heap)
-                self._step(self._sessions[session_id])
+                    self._schedule(session, self._service(session.queue[0]))
+            heap, sessions, step = self._heap, self._sessions, self._step
+            while heap:
+                self._now, _, session_id = heappop(heap)
+                step(sessions[session_id])
             stranded = [s for s in self._sessions if not s.done]
             if stranded:
                 raise RuntimeError(
@@ -485,71 +555,92 @@ class DiscreteEventSimulator:
         return self.trace
 
     def _step(self, session: _SimSession) -> None:
-        if session.current is None:
+        """Run one event of ``session``: its next (or blocked) operation,
+        beginning its instance's attempt first when it has not begun."""
+        instance = session.current
+        if instance is None:
             if not session.queue:
                 return
-            session.current = session.queue.popleft()
+            instance = session.current = session.queue.popleft()
             session.attempt = 0
             session.arrival = self._now
             self._reset_attempt(session)
-            self._tid_session[session.current.tid] = session.session_id
-        txn = session.current
-        engine_tid = self._engine_tid(session)
+            self._tid_session[instance.tid] = session.session_id
+        engine = self.engine
+        engine_tid = session.engine_tid
         if not session.begun:
-            self.engine.begin(engine_tid, self.allocation[txn.tid])
+            engine.begin(engine_tid, instance.level)
             session.begun = True
-            self._emit("begin", txn.tid, session.attempt, None, None)
-        if session.pending_op is None:
-            assert session.body is not None
+            if self._tracing:
+                self._emit("begin", instance.tid, session.attempt, None, None)
+        op = session.pending_op
+        if op is None:
             try:
-                session.pending_op = session.body.send(session.last_result)
+                op = session.pending_op = session.body.send(session.last_result)
             except StopIteration:
                 raise RuntimeError(
-                    f"transaction {txn.tid} body ended without a commit"
+                    f"transaction {instance.tid} body ended without a commit"
                 ) from None
             session.last_result = None
-        op = session.pending_op
         self.stats.operations += 1
         try:
             if op.is_read:
-                version = self.engine.read(engine_tid, op.obj)
-                observed = version.writer_tid // 1000 if version.writer_tid else 0
-                self._emit("read", txn.tid, session.attempt, op.obj, observed)
-                session.last_result = version
+                version = session.last_result = engine.read(engine_tid, op.obj)
+                if self._tracing:
+                    writer = version.writer_tid
+                    observed = writer // 1000 if writer else 0
+                    self._emit("read", instance.tid, session.attempt, op.obj, observed)
             elif op.is_write:
                 # A procedure's write carries its value; an operation of
                 # a static transaction has none and writes its attempt.
-                value = getattr(op, "value", (txn.tid, session.attempt))
-                self.engine.write(engine_tid, op.obj, value=value)
-                self._emit("write", txn.tid, session.attempt, op.obj, None)
+                value = getattr(op, "value", (instance.tid, session.attempt))
+                engine.write(engine_tid, op.obj, value)
+                if self._tracing:
+                    self._emit("write", instance.tid, session.attempt, op.obj, None)
                 session.held.append(op.obj)
             else:
-                self.engine.commit(engine_tid)
-                self._emit("commit", txn.tid, session.attempt, None, None)
+                engine.commit(engine_tid)
+                if self._tracing:
+                    self._emit("commit", instance.tid, session.attempt, None, None)
                 self.stats.record_commit(self._now, self._now - session.arrival)
                 self._release(session)
                 session.current = None
                 session.body = None
-                self._maybe_compact()
+                if self._compact_every:
+                    self._commits_since_compact += 1
+                    if self._commits_since_compact >= self._compact_every:
+                        self._commits_since_compact = 0
+                        engine.compact()
                 if session.queue:
-                    self._schedule(session, self._service(session))
+                    self._schedule(session, self._service(session.queue[0]))
                 return
         except TransactionBlocked as blocked:
             self._park(session, blocked)
             return
         except TransactionAborted as aborted:
-            self._emit("abort", txn.tid, session.attempt, None, None)
+            if self._tracing:
+                self._emit("abort", instance.tid, session.attempt, None, None)
             self.stats.record_abort(aborted.reason, when=self._now)
             self._release(session)
             # A first-committer-wins abort on a freshly woken writer leaves
             # the freed intent unclaimed: pass the wake-up on, or the rest
             # of the queue sleeps forever.
-            if op.is_write and self.engine.intent_holder(op.obj) is None:
+            if op.is_write and engine.intent_holder(op.obj) is None:
                 self._wake(op.obj)
             self._retry(session)
             return
+        # The next operation follows one service time later (inline
+        # ``_service`` and ``_schedule``: this is the path of nearly every
+        # event).
         session.pending_op = None
-        self._schedule(session, self._service(session))
+        draw = self._draw
+        delay = (
+            instance.base
+            if draw is None
+            else instance.base + instance.spread * (2.0 * draw() - 1.0)
+        )
+        self._seq += 1
+        heappush(self._heap, (self._now + delay, self._seq, session.session_id))
 
     # ------------------------------------------------------------------
     # Blocking, wake-ups, deadlock
@@ -563,9 +654,9 @@ class DiscreteEventSimulator:
         session.blocked_on = blocked.obj
         session.block_start = self._now
         self._wait_queues.setdefault(blocked.obj, deque()).append(session.session_id)
-        self._emit(
-            "block", txn.tid, session.attempt, blocked.obj, blocked.waiting_for // 1000
-        )
+        if self._tracing:
+            holder = blocked.waiting_for // 1000
+            self._emit("block", txn.tid, session.attempt, blocked.obj, holder)
         cycle = self._find_cycle(session)
         if cycle is not None:
             self._break_deadlock(cycle)
@@ -579,7 +670,8 @@ class DiscreteEventSimulator:
         assert session.blocked_on == obj and session.current is not None
         session.blocked_on = None
         self.stats.wait_time += self._now - session.block_start
-        self._emit("unblock", session.current.tid, session.attempt, obj, None)
+        if self._tracing:
+            self._emit("unblock", session.current.tid, session.attempt, obj, None)
         self._schedule(session, 0.0)
 
     def _unpark(self, session: _SimSession) -> None:
@@ -597,9 +689,13 @@ class DiscreteEventSimulator:
 
     def _release(self, session: _SimSession) -> None:
         """After commit/abort, wake the head waiter of every freed intent."""
-        held, session.held = session.held, []
-        for obj in held:
-            self._wake(obj)
+        held = session.held
+        if held:
+            queues = self._wait_queues
+            for obj in held:
+                if queues.get(obj):
+                    self._wake(obj)
+            held.clear()
 
     def _find_cycle(self, start: _SimSession) -> Optional[List[_SimSession]]:
         """The wait-for cycle through ``start``, or ``None``.
@@ -631,10 +727,10 @@ class DiscreteEventSimulator:
         lower session id)."""
         victim = min(cycle, key=lambda s: (s.attempt, s.session_id))
         assert victim.current is not None
-        engine_tid = self._engine_tid(victim)
-        if engine_tid in self.engine.active_tids:
-            self.engine.abort(engine_tid)
-        self._emit("abort", victim.current.tid, victim.attempt, None, None)
+        if victim.engine_tid in self.engine.active_tids:
+            self.engine.abort(victim.engine_tid)
+        if self._tracing:
+            self._emit("abort", victim.current.tid, victim.attempt, None, None)
         self.stats.record_abort("deadlock", when=self._now)
         self._unpark(victim)
         self._release(victim)
@@ -654,26 +750,19 @@ class DiscreteEventSimulator:
         # Linear backoff: repeat offenders wait longer, so under heavy
         # first-committer-wins contention no instance starves against the
         # retry budget.
-        self._schedule(
-            session, self.config.abort_backoff * session.attempt + self._service(session)
-        )
+        backoff = self.config.abort_backoff * session.attempt
+        self._schedule(session, backoff + self._service(session.current))
 
     def _reset_attempt(self, session: _SimSession) -> None:
-        assert session.current is not None
-        session.body = self._body_factory(session.current.program)
+        """Ready a fresh attempt of the session's instance (its intents
+        were released with the last one)."""
+        instance = session.current
+        assert instance is not None
+        session.engine_tid = instance.tid * 1000 + session.attempt
+        session.body = self._body_factory(instance.program)
         session.pending_op = None
         session.last_result = None
         session.begun = False
-        session.held = []
-
-    def _maybe_compact(self) -> None:
-        every = self.config.compact_every
-        if not every:
-            return
-        self._commits_since_compact += 1
-        if self._commits_since_compact >= every:
-            self._commits_since_compact = 0
-            self.engine.compact()
 
 
 def simulate_workload(
@@ -685,12 +774,27 @@ def simulate_workload(
     """Run a static workload: each of its ``repeat`` instances replays its
     transaction's program order (:func:`transaction_coroutine`).
 
+    Nothing is cloned.  With one round the instances are the workload's
+    own transactions; above one, each instance is a fresh tid (numbered
+    as :func:`replicate_workload` numbers them) over its base
+    transaction's operations, at its base transaction's level.  The run
+    is the one :func:`replicate_workload`'s cloned instances give, trace
+    included.
+
     Returns:
         The execution trace and the run's :class:`SimStats`.
+
+    Raises:
+        ValueError: for a ``repeat`` below 1.
     """
-    instances, instance_allocation, _ = replicate_workload(
-        workload, allocation, repeat
-    )
-    simulator = DiscreteEventSimulator(instances, instance_allocation, config)
+    if repeat == 1:
+        simulator = DiscreteEventSimulator(workload, allocation, config)
+    else:
+        instances, instance_allocation = _instances(workload, allocation, repeat)
+        simulator = DiscreteEventSimulator(
+            [_Replica(tid, base.operations) for tid, base in instances],
+            instance_allocation,
+            config,
+        )
     trace = simulator.run()
     return trace, simulator.stats

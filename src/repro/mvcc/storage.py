@@ -18,13 +18,16 @@ long simulations run in bounded memory.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import FrozenInstanceError
+from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
 class Version:
-    """One committed version of an object.
+    """One committed version of an object: an immutable, hashable value.
+
+    Versions equal each other when their three fields do.  The engine
+    installs one per committed write, so it is a slotted class whose
+    constructor fills the three slots directly.
 
     Attributes:
         writer_tid: transaction that wrote it (``0`` for the initial version).
@@ -33,15 +36,56 @@ class Version:
         value: the stored value (opaque to the engine).
     """
 
+    __slots__ = ("writer_tid", "commit_seq", "value")
+    __match_args__ = ("writer_tid", "commit_seq", "value")
+
     writer_tid: int
     commit_seq: int
-    value: object = None
+    value: object
+
+    def __init__(self, writer_tid: int, commit_seq: int, value: object = None) -> None:
+        _set_writer_tid(self, writer_tid)
+        _set_commit_seq(self, commit_seq)
+        _set_value(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.writer_tid == other.writer_tid
+            and self.commit_seq == other.commit_seq
+            and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.writer_tid, self.commit_seq, self.value))
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, object]]:
+        return (self.__class__, (self.writer_tid, self.commit_seq, self.value))
+
+    def __repr__(self) -> str:
+        return (
+            f"Version(writer_tid={self.writer_tid!r},"
+            f" commit_seq={self.commit_seq!r}, value={self.value!r})"
+        )
 
     @property
     def is_initial(self) -> bool:
         """Whether this is the initial (``op_0``) version."""
         return self.commit_seq == 0
 
+
+# The slot descriptors' setters: the constructor fills the fields through
+# them, past the frozen ``__setattr__``.
+_set_writer_tid = vars(Version)["writer_tid"].__set__
+_set_commit_seq = vars(Version)["commit_seq"].__set__
+_set_value = vars(Version)["value"].__set__
 
 _INITIAL = Version(0, 0)
 
@@ -69,14 +113,17 @@ class VersionedStore:
         Versions must be installed in increasing commit order (the engine
         assigns monotone commit sequence numbers).
         """
-        chain = self._chains.setdefault(obj, [])
-        seqs = self._seqs.setdefault(obj, [])
-        if chain and chain[-1].commit_seq >= commit_seq:
+        seqs = self._seqs.get(obj)
+        if seqs is None:
+            self._chains[obj] = [Version(writer_tid, commit_seq, value)]
+            self._seqs[obj] = [commit_seq]
+            return
+        if seqs[-1] >= commit_seq:
             raise ValueError(
                 f"version of {obj!r} installed out of commit order "
-                f"({commit_seq} after {chain[-1].commit_seq})"
+                f"({commit_seq} after {seqs[-1]})"
             )
-        chain.append(Version(writer_tid, commit_seq, value))
+        self._chains[obj].append(Version(writer_tid, commit_seq, value))
         seqs.append(commit_seq)
 
     def latest_committed(self, obj: str, as_of_seq: Optional[int] = None) -> Version:
@@ -91,15 +138,18 @@ class VersionedStore:
             return _INITIAL
         if as_of_seq is None:
             return chain[-1]
-        index = bisect_right(self._seqs[obj], as_of_seq) - 1
+        seqs = self._seqs[obj]
+        if seqs[-1] <= as_of_seq:  # the newest version is visible: no search
+            return chain[-1]
+        index = bisect_right(seqs, as_of_seq) - 1
         if index < 0:
             return _INITIAL
         return chain[index]
 
     def has_newer_than(self, obj: str, seq: int) -> bool:
         """Whether a version of ``obj`` committed after sequence ``seq``."""
-        chain = self._chains.get(obj)
-        return bool(chain) and chain[-1].commit_seq > seq
+        seqs = self._seqs.get(obj)
+        return seqs is not None and seqs[-1] > seq
 
     def prune(self, min_seq: int) -> int:
         """Drop history invisible to every snapshot at or after ``min_seq``.

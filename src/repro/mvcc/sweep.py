@@ -35,7 +35,7 @@ from ..workloads.paper_examples import example26_workload, figure2_workload
 from ..workloads.smallbank import SmallBankConfig, smallbank_workload
 from ..workloads.tpcc import TpccConfig, tpcc_workload
 from ..workloads.ycsb import ycsb_workload
-from .simulator import SimConfig, SimStats, replicate_workload, simulate_workload
+from .simulator import SimConfig, SimStats, simulate_workload
 
 #: Allocation strategies compared at every sweep point.
 STRATEGIES = ("optimal", "ssi", "si")
@@ -141,19 +141,15 @@ def _simulate_point(
 ) -> Iterator[Tuple[str, SimStats, float]]:
     """Simulate one knob value under each strategy, in order.
 
-    The instance stream is replicated once and shared by the strategies:
-    under each, an instance inherits its program's level.  Yields
-    ``(strategy, stats, wall seconds)``; the stream is freed when the
-    caller has consumed every strategy.
+    Each strategy runs ``repeat`` rounds of the base workload through
+    :func:`~repro.mvcc.simulator.simulate_workload`, which clones no
+    instance: an instance is a fresh tid over its program's operations,
+    at its program's level.  Yields ``(strategy, stats, wall seconds)``.
     """
     allocations = _allocations(base)
-    instances, _, origin = replicate_workload(base, allocations["optimal"], repeat)
     for strategy in strategies:
-        levels = allocations[strategy]
         started = _time.perf_counter()
-        _, stats = simulate_workload(
-            instances, Allocation({tid: levels[origin[tid]] for tid in origin}), config
-        )
+        _, stats = simulate_workload(base, allocations[strategy], config, repeat)
         yield strategy, stats, _time.perf_counter() - started
 
 
@@ -254,6 +250,8 @@ def contention_sweep(
         raise ValueError("points lists no knob value; pass None for the defaults")
     if transactions < 1:
         raise ValueError(f"transactions must be >= 1, got {transactions}")
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     sim_config = replace(
         config or SimConfig(record_trace=False, max_attempts=1000),
         sessions=sessions,

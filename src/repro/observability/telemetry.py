@@ -77,16 +77,6 @@ class StreamingHistogram:
         self.max = 0.0
 
     # -- recording -----------------------------------------------------
-    def _index(self, value: float) -> int:
-        index = int(math.floor(math.log(value) / self._log_growth))
-        # Float rounding at a bucket edge may land one off; nudge so the
-        # invariant growth**i <= value holds (the bracketing guarantee).
-        if self.growth ** index > value:
-            index -= 1
-        elif self.growth ** (index + 1) <= value:
-            index += 1
-        return max(-_IDX_CLAMP, min(_IDX_CLAMP, index))
-
     def record(self, value: float) -> None:
         """Fold one non-negative value in (negatives raise ValueError)."""
         if value < 0:
@@ -100,8 +90,20 @@ class StreamingHistogram:
         if value <= 0.0:
             self._zero += 1
             return
-        index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        growth = self.growth
+        index = math.floor(math.log(value) / self._log_growth)
+        # Float rounding at a bucket edge may land one off; nudge so the
+        # invariant growth**i <= value holds (the bracketing guarantee).
+        if growth ** index > value:
+            index -= 1
+        elif growth ** (index + 1) <= value:
+            index += 1
+        if index > _IDX_CLAMP:
+            index = _IDX_CLAMP
+        elif index < -_IDX_CLAMP:
+            index = -_IDX_CLAMP
+        buckets = self._buckets
+        buckets[index] = buckets.get(index, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold another histogram into this one.
@@ -230,20 +232,21 @@ class WindowedSeries:
         """
         if count < 1:
             raise ValueError(f"record count must be >= 1, got {count}")
-        index = int(math.floor(t / self.width))
+        index = math.floor(t / self.width)
         slot = index % self.windows
         if self._index[slot] != index:
             self._index[slot] = index
             self._count[slot] = 0
             self._value[slot] = 0.0
+        amount = value * count
         self._count[slot] += count
-        self._value[slot] += value * count
+        self._value[slot] += amount
         if index > self._latest:
             self._latest = index
         if self._earliest < 0 or index < self._earliest:
             self._earliest = index
         self.total_count += count
-        self.total_value += value * count
+        self.total_value += amount
 
     # -- reading -------------------------------------------------------
     def _window_at(self, index: int) -> tuple:

@@ -246,6 +246,12 @@ class TestConfigValidation:
             ("max_attempts", 0),
             ("ssi_overhead", -1.5),
             ("abort_backoff", -5.0),
+            ("series_window", 0),
+            ("series_window", -50.0),
+            ("series_window", float("nan")),
+            ("series_window", float("inf")),
+            ("series_windows", 0),
+            ("compact_every", -3),
         ],
     )
     def test_rejects_values_the_simulator_cannot_honour(self, field, value):

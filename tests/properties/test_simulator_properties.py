@@ -12,7 +12,9 @@ pin its contract:
 * ``A_SSI`` executions stay conflict serializable, operationally;
 * an SSI commit aborts exactly when it completes a dangerous structure
   (no false positives, no misses);
-* compaction changes nothing but the engine's memory.
+* compaction changes nothing but the engine's memory;
+* running ``repeat`` rounds without cloning gives exactly the run of
+  ``replicate_workload``'s cloned instances.
 """
 
 from dataclasses import replace
@@ -86,6 +88,43 @@ def test_untraced_run_identical_apart_from_trace(pair, seed):
     assert s1.blocks == s2.blocks
     assert s1.sim_time == s2.sim_time
     assert s1.latencies == s2.latencies
+
+
+def _outcome(trace, stats):
+    """Everything a run reports: its trace and every statistic but wall time."""
+    return (
+        list(trace),
+        stats.commits,
+        stats.aborts,
+        stats.operations,
+        stats.blocks,
+        stats.retries,
+        stats.sim_time,
+        stats.wait_time,
+        stats.latencies,
+        stats.series_dict(),
+    )
+
+
+@given(
+    sts.allocated_workloads(max_transactions=4),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.sampled_from((0.5, 1.0)),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=150, **COMMON)
+def test_clone_free_instances_run_as_their_clones(pair, repeat, sessions, jitter, seed):
+    """``simulate_workload(..., repeat)`` runs each instance as a fresh tid
+    over its base transaction's operations; the run equals simulating
+    ``replicate_workload``'s cloned instances, trace events and all."""
+    wl, alloc = pair
+    config = SimConfig(sessions=sessions, seed=seed, jitter=jitter, record_trace=True)
+    instances, instance_alloc, _ = replicate_workload(wl, alloc, repeat)
+    clones = simulate_workload(instances, instance_alloc, config)
+    replicas = simulate_workload(wl, alloc, config, repeat=repeat)
+    assert len(clones[0]) > 0
+    assert _outcome(*replicas) == _outcome(*clones)
 
 
 @given(sts.workloads(max_transactions=4), st.integers(0, 1_000))

@@ -25,10 +25,13 @@ def disjoint_file(tmp_path):
     return str(path)
 
 
-def _error_line(capsys):
-    """The one ``repro: error:`` line on stderr (no traceback)."""
+def _error_line(capsys, stdout=None):
+    """The one ``repro: error:`` line on stderr (no traceback); with
+    ``stdout`` given, stdout must be exactly that."""
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err + captured.out
+    if stdout is not None:
+        assert captured.out == stdout
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("repro: error: ")
@@ -913,10 +916,28 @@ class TestUnwritableOutput:
         ids=["sweep-json", "check-dot", "flame-output", "trace"],
     )
     def test_exits_cleanly(self, skew_file, tmp_path, argv, capsys):
+        """The output file is probed before the command does any work, so
+        the error line is all it prints."""
         trace = tmp_path / "trace.json"
         assert main(["check", skew_file, "--trace", str(trace)]) == 1
         capsys.readouterr()
         for out in (tmp_path / "missing" / "out.txt", tmp_path):
             args = [a.format(out=out, skew=skew_file, trace=trace) for a in argv]
             assert main(args) == 2
-            assert f"cannot write {out}: " in _error_line(capsys)
+            assert f"cannot write {out}: " in _error_line(capsys, stdout="")
+
+    def test_probe_neither_creates_nor_truncates(self, tmp_path, capsys):
+        """A robust check writes no DOT file: the up-front probe of
+        ``--dot`` leaves a missing file missing and an existing one as
+        it was."""
+        robust = tmp_path / "robust.txt"
+        robust.write_text("T1: R[x] W[x]\nT2: R[y] W[y]\n", encoding="utf-8")
+        missing = tmp_path / "missing.dot"
+        existing = tmp_path / "existing.dot"
+        existing.write_text("keep me", encoding="utf-8")
+        for out in (missing, existing):
+            argv = ["check", str(robust), "--uniform", "SI", "--dot", str(out)]
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert not missing.exists()
+        assert existing.read_text(encoding="utf-8") == "keep me"
