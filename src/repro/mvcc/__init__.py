@@ -30,19 +30,10 @@ from .simulator import (
 )
 from .storage import Version, VersionedStore
 from .sweep import SweepPoint, SweepResult, contention_sweep
-from .trace import (
-    EVENT_TRACE_VERSION,
-    Trace,
-    TraceEvent,
-    trace_from_json,
-    trace_to_json,
-    trace_to_schedule,
-    validate_event_trace,
-)
+from .trace import Trace, TraceEvent, trace_to_schedule
 
 __all__ = [
     "DiscreteEventSimulator",
-    "EVENT_TRACE_VERSION",
     "MVCCEngine",
     "ProcedureCall",
     "ProcedureRun",
@@ -62,8 +53,5 @@ __all__ = [
     "exploration_config",
     "run_procedures",
     "simulate_workload",
-    "trace_from_json",
-    "trace_to_json",
     "trace_to_schedule",
-    "validate_event_trace",
 ]

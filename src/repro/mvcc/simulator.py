@@ -20,8 +20,9 @@ simulated time:
   fewest attempts (ties to the lower session id), so aborts spread
   instead of starving one program;
 * **per-transaction latency** is recorded from arrival (the session picks
-  the instance up) to commit, feeding the histograms the contention
-  sweeps report;
+  the instance up) to commit;
+* every attempt of an instance runs under the instance's tid, since the
+  engine forgets an aborted attempt;
 * an event does only the work that depends on what is simulated: each
   instance's level and service time are resolved once, when it is
   dealt, and nothing is traced unless ``record_trace`` is on.
@@ -41,7 +42,6 @@ which spreads service times widely enough to reach most interleavings.
 
 from __future__ import annotations
 
-import math
 import random
 import time as _time
 from dataclasses import dataclass, field
@@ -88,90 +88,66 @@ def transaction_coroutine(txn: Transaction) -> TransactionBody:
         del result  # static bodies are value-oblivious
 
 
+#: Mean simulated service time of one operation.
+SERVICE_TIME = 1.0
+#: Service-time surcharge per operation of an SSI transaction, the
+#: conflict-tracking cost of serializability (Alomari et al. [4]) that
+#: transactions Algorithm 2 sends to RC/SI skip.
+SSI_SURCHARGE = 0.25
+#: Simulated delay before an aborted instance retries, per attempt so far.
+RETRY_BACKOFF = 2.0
+#: Width, in simulated time, and count of the windows
+#: :meth:`SimStats.series_dict` reports (older windows are recycled).
+TELEMETRY_WINDOW = 50.0
+TELEMETRY_WINDOWS = 256
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs of one simulation run.
+    """What one simulation run's callers choose.
 
     Construction rejects, with a ``ValueError`` naming the field, the
     values the simulator cannot honour.
 
     Attributes:
-        sessions: concurrent client sessions (at least 1); instances are
-            dealt to sessions round-robin.
+        sessions: concurrent client sessions, an int of at least 1;
+            instances are dealt to sessions round-robin.
         seed: RNG seed for service-time jitter; ``None`` disables jitter
             entirely (constant service times).
-        max_attempts: per-instance retry budget, from 1 to 1000 (the
-            engine tid is ``tid * 1000 + attempt``), before the run raises
-            ``RuntimeError`` (livelock guard).
-        op_time: mean simulated service time per operation (positive).
-        jitter: ± fraction of the mean drawn uniformly per operation,
-            from 0 to 1 — the only use of the RNG, so one seed fixes the
-            whole run.
-        ssi_overhead: fractional service-time surcharge (at least 0) per
-            operation of an SSI transaction, modelling the
-            conflict-tracking cost of serializability (Alomari et al. [4];
-            production SSI maintains SIREAD locks on every read).  The
-            surcharge is what a mixed allocation buys back at runtime:
-            transactions Algorithm 2 sends to RC/SI skip it — and the
-            longer SSI service times also widen concurrency windows, so
-            all-SSI additionally pays more first-committer-wins aborts
-            under contention.
-        abort_backoff: simulated delay (at least 0) before an aborted
-            instance retries (keeps deadlock cycles from re-forming
-            instantly).
+        max_attempts: per-instance retry budget, an int of at least 1,
+            before the run raises ``RuntimeError`` (livelock guard).
+        jitter: ± fraction of :data:`SERVICE_TIME` drawn uniformly per
+            operation, from 0 to 1 — the only use of the RNG, so one seed
+            fixes the whole run.
         record_trace: record :class:`TraceEvent`s; turning it off changes
             nothing but the trace (the byte-identity the tests pin).
-        compact_every: commits between ``engine.compact()`` calls, at
-            least 0 (``0`` disables compaction; long runs then grow
+        compact_every: commits between ``engine.compact()`` calls, an int
+            of at least 0 (``0`` disables compaction; long runs then grow
             unboundedly).
-        series_window: width, in simulated time, of one telemetry window
-            of the commit/abort time-series (see
-            :meth:`SimStats.series_dict`); a finite number above 0.
-        series_windows: telemetry ring size (at least 1) — windows
-            retained beyond which the oldest per-window counts are
-            recycled (cumulative totals and the latency histogram are
-            unaffected).
     """
 
     sessions: int = 8
     seed: Optional[int] = 0
     max_attempts: int = 50
-    op_time: float = 1.0
     jitter: float = 0.5
-    ssi_overhead: float = 0.25
-    abort_backoff: float = 2.0
     record_trace: bool = True
     compact_every: int = 256
-    series_window: float = 50.0
-    series_windows: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("sessions", "max_attempts", "compact_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
-        if not 1 <= self.max_attempts <= 1000:
-            raise ValueError(
-                "max_attempts must be between 1 and 1000 (engine tid scheme),"
-                f" got {self.max_attempts}"
-            )
-        if not self.op_time > 0:
-            raise ValueError(f"op_time must be > 0, got {self.op_time}")
-        # A jitter above 1, or a negative surcharge or backoff, schedules
-        # events in the past: the clock would run backwards.
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter must be between 0 and 1, got {self.jitter}")
-        if not self.ssi_overhead >= 0:
-            raise ValueError(f"ssi_overhead must be >= 0, got {self.ssi_overhead}")
-        if not self.abort_backoff >= 0:
-            raise ValueError(f"abort_backoff must be >= 0, got {self.abort_backoff}")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        # A jitter above 1 schedules events in the past: the clock would
+        # run backwards.
+        if not isinstance(self.jitter, (int, float)) or not 0 <= self.jitter <= 1:
+            raise ValueError(f"jitter must be between 0 and 1, got {self.jitter!r}")
         if self.compact_every < 0:
             raise ValueError(f"compact_every must be >= 0, got {self.compact_every}")
-        # The telemetry files each commit under window floor(t / width).
-        if not 0 < self.series_window < math.inf:
-            raise ValueError(
-                f"series_window must be a finite number > 0, got {self.series_window}"
-            )
-        if self.series_windows < 1:
-            raise ValueError(f"series_windows must be >= 1, got {self.series_windows}")
 
 
 def exploration_config(
@@ -179,7 +155,7 @@ def exploration_config(
 ) -> SimConfig:
     """The setting for runs that audit executions rather than time them.
 
-    Service times spread over the whole of ``[0, 2 * op_time]``
+    Service times spread over the whole of ``[0, 2 * SERVICE_TIME]``
     (``jitter=1.0``), so seeds reach far more interleavings than at the
     default jitter.  ``repro simulate FILE``, :func:`run_procedures
     <repro.mvcc.procedures.run_procedures>` and the execution audits of
@@ -200,6 +176,9 @@ def exploration_config(
 class SimStats:
     """Aggregate statistics of one simulated run.
 
+    Each commit and abort is recorded once, as plain numbers;
+    :meth:`series_dict` builds the time-series from them when it is read.
+
     Attributes:
         commits: instances committed.
         aborts: abort counts by reason.
@@ -210,14 +189,10 @@ class SimStats:
         sim_time: simulated clock at the end of the run.
         wall_s: real seconds the run took.
         wait_time: total simulated time spent parked in wait-queues.
-        latencies: per committed instance, arrival-to-commit simulated time.
-        commit_series: per-window commit counts and latency sums over
-            simulated time (``None`` until :meth:`enable_series`).
-        abort_series: per-window abort counts (``None`` until
-            :meth:`enable_series`).
-        latency_hist: streaming log-bucketed latency histogram (``None``
-            until :meth:`enable_series`); unlike :attr:`latencies` it is
-            bounded-memory and mergeable across runs.
+        latencies: per committed instance, arrival-to-commit simulated
+            time, in commit order.
+        commit_times: the simulated time of each commit, in commit order.
+        abort_times: the simulated time of each abort, in abort order.
     """
 
     commits: int = 0
@@ -229,9 +204,8 @@ class SimStats:
     wall_s: float = 0.0
     wait_time: float = 0.0
     latencies: List[float] = field(default_factory=list)
-    commit_series: Optional[WindowedSeries] = None
-    abort_series: Optional[WindowedSeries] = None
-    latency_hist: Optional[StreamingHistogram] = None
+    commit_times: List[float] = field(default_factory=list)
+    abort_times: List[float] = field(default_factory=list)
 
     @property
     def total_aborts(self) -> int:
@@ -249,39 +223,37 @@ class SimStats:
         attempts = self.commits + self.total_aborts
         return self.total_aborts / attempts if attempts else 0.0
 
-    def enable_series(self, width: float, windows: int) -> None:
-        """Attach the windowed telemetry aggregates (idempotent-safe)."""
-        self.commit_series = WindowedSeries(width=width, windows=windows)
-        self.abort_series = WindowedSeries(width=width, windows=windows)
-        self.latency_hist = StreamingHistogram()
-
-    def record_abort(self, reason: str, when: Optional[float] = None) -> None:
+    def record_abort(self, reason: str, when: float) -> None:
+        """Count one abort for ``reason`` at simulated time ``when``."""
         self.aborts[reason] = self.aborts.get(reason, 0) + 1
-        if when is not None and self.abort_series is not None:
-            self.abort_series.record(when)
+        self.abort_times.append(when)
 
     def record_commit(self, when: float, latency: float) -> None:
-        """Fold one commit into the counters and telemetry aggregates."""
+        """Count one commit at simulated time ``when``."""
         self.commits += 1
         self.latencies.append(latency)
-        if self.commit_series is not None:
-            self.commit_series.record(when, latency)
-        if self.latency_hist is not None:
-            self.latency_hist.record(latency)
+        self.commit_times.append(when)
 
     def series_dict(self) -> Dict[str, object]:
-        """The windowed time-series, JSON-ready (empty when disabled).
+        """The windowed time-series, JSON-ready, built from the recorded
+        commits and aborts on each call.
 
         One entry per retained window, oldest first: commit count
         (throughput is ``commits / window``), abort count, and the mean
         commit latency of the window — the over-time curves the sweep
-        JSON exports per cell.  ``latency`` summarizes the streaming
-        histogram (count/sum/extrema/quantiles).
+        JSON exports per cell.  ``latency`` summarizes a streaming
+        histogram of the commit latencies (count/sum/extrema/quantiles).
         """
-        if self.commit_series is None or self.abort_series is None:
-            return {}
-        commits = {w["start"]: w for w in self.commit_series.series()}
-        aborts = {w["start"]: w["count"] for w in self.abort_series.series()}
+        commit_series = WindowedSeries(TELEMETRY_WINDOW, TELEMETRY_WINDOWS)
+        abort_series = WindowedSeries(TELEMETRY_WINDOW, TELEMETRY_WINDOWS)
+        histogram = StreamingHistogram()
+        for when, latency in zip(self.commit_times, self.latencies):
+            commit_series.record(when, latency)
+            histogram.record(latency)
+        for when in self.abort_times:
+            abort_series.record(when)
+        commits = {w["start"]: w for w in commit_series.series()}
+        aborts = {w["start"]: w["count"] for w in abort_series.series()}
         windows = []
         for start in sorted(set(commits) | set(aborts)):
             window = commits.get(start)
@@ -295,13 +267,11 @@ class SimStats:
                     "mean_latency": total / count if count else 0.0,
                 }
             )
-        payload: Dict[str, object] = {
-            "window": self.commit_series.width,
+        return {
+            "window": TELEMETRY_WINDOW,
             "windows": windows,
+            "latency": histogram.as_dict(),
         }
-        if self.latency_hist is not None:
-            payload["latency"] = self.latency_hist.as_dict()
-        return payload
 
     def latency_percentiles(self) -> Dict[str, float]:
         """``p50``/``p95``/``p99`` of commit latency (0.0 when empty)."""
@@ -313,17 +283,6 @@ class SimStats:
             name: ordered[min(last, int(q * len(ordered)))]
             for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
         }
-
-    def latency_histogram(self, bins: int = 10) -> List[Tuple[float, int]]:
-        """Equal-width histogram of commit latencies as (upper edge, count)."""
-        if not self.latencies or bins <= 0:
-            return []
-        top = max(self.latencies)
-        width = (top / bins) or 1.0
-        counts = [0] * bins
-        for value in self.latencies:
-            counts[min(bins - 1, int(value / width))] += 1
-        return [(width * (i + 1), counts[i]) for i in range(bins)]
 
 
 @dataclass(slots=True)
@@ -346,7 +305,6 @@ class _SimSession:
     session_id: int
     queue: Deque[_Instance] = field(default_factory=deque)
     current: Optional[_Instance] = None
-    engine_tid: int = 0  # ``current.tid * 1000 + attempt``
     body: Optional[TransactionBody] = None
     pending_op: Optional[Any] = None
     last_result: Optional[Version] = None
@@ -471,9 +429,8 @@ class DiscreteEventSimulator:
         # the jitter moves it either way.
         timing = {}
         for level in IsolationLevel:
-            base = config.op_time
-            if config.ssi_overhead and level is IsolationLevel.SSI:
-                base *= 1.0 + config.ssi_overhead
+            surcharge = SSI_SURCHARGE if level is IsolationLevel.SSI else 0.0
+            base = SERVICE_TIME * (1.0 + surcharge)
             timing[level] = (base, config.jitter * base)
         count = max(1, min(config.sessions, len(workload)))
         self._sessions = [_SimSession(i) for i in range(count)]
@@ -492,7 +449,6 @@ class DiscreteEventSimulator:
         self.engine = MVCCEngine()
         self.trace = Trace()
         self.stats = SimStats()
-        self.stats.enable_series(config.series_window, config.series_windows)
         self._now = 0.0
         self._seq = 0
         self._heap: List[Tuple[float, int, int]] = []
@@ -567,41 +523,39 @@ class DiscreteEventSimulator:
             self._reset_attempt(session)
             self._tid_session[instance.tid] = session.session_id
         engine = self.engine
-        engine_tid = session.engine_tid
+        tid = instance.tid
         if not session.begun:
-            engine.begin(engine_tid, instance.level)
+            engine.begin(tid, instance.level)
             session.begun = True
             if self._tracing:
-                self._emit("begin", instance.tid, session.attempt, None, None)
+                self._emit("begin", tid, session.attempt, None, None)
         op = session.pending_op
         if op is None:
             try:
                 op = session.pending_op = session.body.send(session.last_result)
             except StopIteration:
                 raise RuntimeError(
-                    f"transaction {instance.tid} body ended without a commit"
+                    f"transaction {tid} body ended without a commit"
                 ) from None
             session.last_result = None
         self.stats.operations += 1
         try:
             if op.is_read:
-                version = session.last_result = engine.read(engine_tid, op.obj)
+                version = session.last_result = engine.read(tid, op.obj)
                 if self._tracing:
-                    writer = version.writer_tid
-                    observed = writer // 1000 if writer else 0
-                    self._emit("read", instance.tid, session.attempt, op.obj, observed)
+                    self._emit("read", tid, session.attempt, op.obj, version.writer_tid)
             elif op.is_write:
                 # A procedure's write carries its value; an operation of
                 # a static transaction has none and writes its attempt.
-                value = getattr(op, "value", (instance.tid, session.attempt))
-                engine.write(engine_tid, op.obj, value)
+                value = getattr(op, "value", (tid, session.attempt))
+                engine.write(tid, op.obj, value)
                 if self._tracing:
-                    self._emit("write", instance.tid, session.attempt, op.obj, None)
+                    self._emit("write", tid, session.attempt, op.obj, None)
                 session.held.append(op.obj)
             else:
-                engine.commit(engine_tid)
+                engine.commit(tid)
                 if self._tracing:
-                    self._emit("commit", instance.tid, session.attempt, None, None)
+                    self._emit("commit", tid, session.attempt, None, None)
                 self.stats.record_commit(self._now, self._now - session.arrival)
                 self._release(session)
                 session.current = None
@@ -619,8 +573,8 @@ class DiscreteEventSimulator:
             return
         except TransactionAborted as aborted:
             if self._tracing:
-                self._emit("abort", instance.tid, session.attempt, None, None)
-            self.stats.record_abort(aborted.reason, when=self._now)
+                self._emit("abort", tid, session.attempt, None, None)
+            self.stats.record_abort(aborted.reason, self._now)
             self._release(session)
             # A first-committer-wins abort on a freshly woken writer leaves
             # the freed intent unclaimed: pass the wake-up on, or the rest
@@ -655,8 +609,9 @@ class DiscreteEventSimulator:
         session.block_start = self._now
         self._wait_queues.setdefault(blocked.obj, deque()).append(session.session_id)
         if self._tracing:
-            holder = blocked.waiting_for // 1000
-            self._emit("block", txn.tid, session.attempt, blocked.obj, holder)
+            self._emit(
+                "block", txn.tid, session.attempt, blocked.obj, blocked.waiting_for
+            )
         cycle = self._find_cycle(session)
         if cycle is not None:
             self._break_deadlock(cycle)
@@ -716,7 +671,7 @@ class DiscreteEventSimulator:
             holder = self.engine.intent_holder(node.blocked_on)
             if holder is None:
                 return None
-            holder_sid = self._tid_session.get(holder // 1000)
+            holder_sid = self._tid_session.get(holder)
             node = self._sessions[holder_sid] if holder_sid is not None else None
         if node is None:
             return None
@@ -727,11 +682,12 @@ class DiscreteEventSimulator:
         lower session id)."""
         victim = min(cycle, key=lambda s: (s.attempt, s.session_id))
         assert victim.current is not None
-        if victim.engine_tid in self.engine.active_tids:
-            self.engine.abort(victim.engine_tid)
+        tid = victim.current.tid
+        if tid in self.engine.active_tids:
+            self.engine.abort(tid)
         if self._tracing:
-            self._emit("abort", victim.current.tid, victim.attempt, None, None)
-        self.stats.record_abort("deadlock", when=self._now)
+            self._emit("abort", tid, victim.attempt, None, None)
+        self.stats.record_abort("deadlock", self._now)
         self._unpark(victim)
         self._release(victim)
         self._retry(victim)
@@ -750,7 +706,7 @@ class DiscreteEventSimulator:
         # Linear backoff: repeat offenders wait longer, so under heavy
         # first-committer-wins contention no instance starves against the
         # retry budget.
-        backoff = self.config.abort_backoff * session.attempt
+        backoff = RETRY_BACKOFF * session.attempt
         self._schedule(session, backoff + self._service(session.current))
 
     def _reset_attempt(self, session: _SimSession) -> None:
@@ -758,7 +714,6 @@ class DiscreteEventSimulator:
         were released with the last one)."""
         instance = session.current
         assert instance is not None
-        session.engine_tid = instance.tid * 1000 + session.attempt
         session.body = self._body_factory(instance.program)
         session.pending_op = None
         session.last_result = None

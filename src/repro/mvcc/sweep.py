@@ -24,8 +24,8 @@ the machine-readable JSON the CI smoke job schema-checks, and the
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.allocation import optimal_allocation
 from ..core.isolation import Allocation, IsolationLevel
@@ -71,22 +71,8 @@ class SweepPoint:
         return f"{self.benchmark}:{self.strategy}:{self.knob}={self.value}"
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "case": self.case,
-            "benchmark": self.benchmark,
-            "knob": self.knob,
-            "value": self.value,
-            "strategy": self.strategy,
-            "commits": self.commits,
-            "aborts": dict(self.aborts),
-            "operations": self.operations,
-            "sim_time": self.sim_time,
-            "wall_s": self.wall_s,
-            "throughput": self.throughput,
-            "abort_rate": self.abort_rate,
-            "latency": dict(self.latency),
-            "series": dict(self.series),
-        }
+        """``case``, then every field in declaration order (copied)."""
+        return {"case": self.case, **asdict(self)}
 
 
 @dataclass
@@ -153,8 +139,25 @@ def _simulate_point(
         yield strategy, stats, _time.perf_counter() - started
 
 
+def _knob(knob: str, value: Any, *kinds: type) -> Any:
+    """``value`` if it is of one of ``kinds`` (a bool is of none), else a
+    ``ValueError`` naming the knob."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{knob} must be {names}, got {value!r}")
+    return value
+
+
+def _paper(value: object, build: Callable[[], Workload]) -> Workload:
+    """A paper example, whose one knob value is ``"paper"``."""
+    if value != "paper":
+        raise ValueError(f"workload must be 'paper', got {value!r}")
+    return build()
+
+
 #: benchmark name -> (knob name, default knob values hot-to-mild,
-#: base-workload builder taking (knob value, transactions, seed)).
+#: base-workload builder taking (knob value, transactions, seed); a knob
+#: value it cannot build is a ``ValueError``).
 _BENCHMARKS: Dict[
     str, Tuple[str, Tuple[object, ...], Callable[[object, int, int], Workload]]
 ] = {
@@ -163,7 +166,7 @@ _BENCHMARKS: Dict[
         (2, 4, 8, 16),
         lambda value, transactions, seed: smallbank_workload(
             transactions=transactions,
-            config=SmallBankConfig(customers=int(value)),  # type: ignore[arg-type]
+            config=SmallBankConfig(customers=_knob("customers", value, int)),
             seed=seed,
         ),
     ),
@@ -171,7 +174,9 @@ _BENCHMARKS: Dict[
         "theta",
         (1.2, 0.9, 0.5, 0.1),
         lambda value, transactions, seed: ycsb_workload(
-            transactions=transactions, theta=float(value), seed=seed  # type: ignore[arg-type]
+            transactions=transactions,
+            theta=float(_knob("theta", value, int, float)),
+            seed=seed,
         ),
     ),
     "tpcc": (
@@ -179,19 +184,19 @@ _BENCHMARKS: Dict[
         (1, 2, 4),
         lambda value, transactions, seed: tpcc_workload(
             transactions=transactions,
-            config=TpccConfig(warehouses=int(value)),  # type: ignore[arg-type]
+            config=TpccConfig(warehouses=_knob("warehouses", value, int)),
             seed=seed,
         ),
     ),
     "figure2": (
         "workload",
         ("paper",),
-        lambda value, transactions, seed: figure2_workload(),
+        lambda value, transactions, seed: _paper(value, figure2_workload),
     ),
     "example26": (
         "workload",
         ("paper",),
-        lambda value, transactions, seed: example26_workload(),
+        lambda value, transactions, seed: _paper(value, example26_workload),
     ),
 }
 
@@ -209,22 +214,24 @@ def contention_sweep(
     sessions: int = 8,
     seed: int = 0,
     strategies: Sequence[str] = STRATEGIES,
-    config: Optional[SimConfig] = None,
 ) -> SweepResult:
     """Sweep a benchmark's contention knob across allocation strategies.
+
+    Every cell runs at ``SimConfig(sessions, seed, max_attempts=1000,
+    record_trace=False)``.
 
     Args:
         benchmark: one of :func:`sweep_benchmarks`.
         points: knob values to sweep; ``None`` means the benchmark's
-            defaults, ordered hottest first.
+            defaults, ordered hottest first.  SmallBank's ``customers``
+            and TPC-C's ``warehouses`` take ints, YCSB's ``theta`` an int
+            or a float, and the paper examples only ``"paper"``.
         transactions: base-workload size the allocation is computed on.
         repeat: instance-stream multiplier — every point simulates
             ``transactions * repeat`` instances.
         sessions: concurrent simulated sessions.
         seed: workload generation and simulation seed.
         strategies: non-empty subset of :data:`STRATEGIES` to compare.
-        config: overrides the simulator knobs (``sessions``/``seed``
-            are taken from this function's arguments regardless).
 
     Returns:
         A :class:`SweepResult`; points appear strategy-major within each
@@ -232,8 +239,9 @@ def contention_sweep(
 
     Raises:
         ValueError: for an unknown benchmark or strategy, an empty
-            ``points`` or ``strategies``, or a ``transactions``,
-            ``repeat`` or ``sessions`` below 1.
+            ``points`` or ``strategies``, a ``transactions``, ``repeat``
+            or ``sessions`` below 1, or a knob value the benchmark cannot
+            build (naming the knob), all before any cell runs.
     """
     try:
         knob, default_points, build = _BENCHMARKS[benchmark]
@@ -252,19 +260,20 @@ def contention_sweep(
         raise ValueError(f"transactions must be >= 1, got {transactions}")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    sim_config = replace(
-        config or SimConfig(record_trace=False, max_attempts=1000),
-        sessions=sessions,
-        seed=seed,
+    config = SimConfig(
+        sessions=sessions, seed=seed, max_attempts=1000, record_trace=False
     )
     result = SweepResult(benchmark)
     with current_tracer().span(
         "mvcc.sweep", benchmark=benchmark, repeat=repeat
     ) as sweep_span:
-        for value in points if points is not None else default_points:
-            base = build(value, transactions, seed)
+        bases = [
+            (value, build(value, transactions, seed))
+            for value in (points if points is not None else default_points)
+        ]
+        for value, base in bases:
             for strategy, stats, wall_s in _simulate_point(
-                base, strategies, repeat, sim_config
+                base, strategies, repeat, config
             ):
                 result.points.append(
                     SweepPoint(

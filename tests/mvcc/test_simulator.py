@@ -13,7 +13,6 @@ from repro.mvcc import (
     trace_to_schedule,
 )
 from repro.mvcc.simulator import replicate_workload, transaction_coroutine
-from repro.mvcc.trace import EVENT_KINDS_V1
 
 
 class TestBasicExecution:
@@ -49,14 +48,6 @@ class TestBasicExecution:
         _, stats = simulate_workload(write_skew, Allocation.rc(write_skew))
         assert stats.sim_time > 0.0
         assert stats.throughput > 0.0
-
-    def test_max_attempts_capped_by_tid_scheme(self, write_skew):
-        with pytest.raises(ValueError, match="max_attempts"):
-            DiscreteEventSimulator(
-                write_skew,
-                Allocation.rc(write_skew),
-                SimConfig(max_attempts=1001),
-            )
 
     def test_body_must_end_with_commit(self):
         wl = workload("R1[x]")
@@ -239,19 +230,18 @@ class TestConfigValidation:
             ("jitter", 1.8),
             ("jitter", -0.5),
             ("jitter", float("nan")),
-            ("op_time", -1.0),
-            ("op_time", 0.0),
+            ("jitter", "0.5"),
             ("sessions", 0),
             ("sessions", -3),
+            ("sessions", 2.5),
+            ("sessions", True),
+            ("sessions", "8"),
             ("max_attempts", 0),
-            ("ssi_overhead", -1.5),
-            ("abort_backoff", -5.0),
-            ("series_window", 0),
-            ("series_window", -50.0),
-            ("series_window", float("nan")),
-            ("series_window", float("inf")),
-            ("series_windows", 0),
+            ("max_attempts", 1.5),
+            ("max_attempts", False),
             ("compact_every", -3),
+            ("compact_every", 16.0),
+            ("compact_every", True),
         ],
     )
     def test_rejects_values_the_simulator_cannot_honour(self, field, value):
@@ -262,6 +252,7 @@ class TestConfigValidation:
         config = exploration_config(0, seed=3)
         assert config.jitter == 1.0 and config.sessions == 1 and config.seed == 3
         assert SimConfig(jitter=0.0).jitter == 0.0
+        assert SimConfig(max_attempts=5000).max_attempts == 5000
 
     @pytest.mark.parametrize("repeat", [0, -2])
     def test_replicate_rejects_non_positive_repeat(self, write_skew, repeat):
@@ -301,17 +292,9 @@ class TestLatency:
         p = stats.latency_percentiles()
         assert p["p50"] <= p["p95"] <= p["p99"]
 
-    def test_histogram_counts_every_commit(self):
-        wl = workload(*[f"R{i}[hot] W{i}[hot]" for i in range(1, 8)])
-        _, stats = simulate_workload(wl, Allocation.si(wl), SimConfig(seed=2))
-        histogram = stats.latency_histogram(bins=5)
-        assert len(histogram) == 5
-        assert sum(count for _, count in histogram) == stats.commits
-
     def test_empty_stats_safe(self):
         _, stats = simulate_workload(workload(), Allocation({}))
         assert stats.latency_percentiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        assert stats.latency_histogram() == []
 
 
 class TestReplication:
@@ -417,11 +400,12 @@ class TestCoroutineBodies:
         )
         simulator.run()
         assert len(observed) == 1
-        assert observed[0].writer_tid == 1000  # T1's committed version
+        assert observed[0].writer_tid == 1  # T1's committed version
 
     def test_v1_projection_has_no_scheduling_events(self, write_skew):
+        kinds = ("begin", "read", "write", "commit", "abort")
         trace, _ = simulate_workload(write_skew, Allocation.si(write_skew))
-        operational = [e for e in trace if e.kind in EVENT_KINDS_V1]
-        scheduling = [e for e in trace if e.kind not in EVENT_KINDS_V1]
+        operational = [e for e in trace if e.kind in kinds]
+        scheduling = [e for e in trace if e.kind not in kinds]
         assert all(e.kind in ("block", "unblock") for e in scheduling)
-        assert {e.kind for e in operational} <= set(EVENT_KINDS_V1)
+        assert {e.kind for e in operational} <= set(kinds)

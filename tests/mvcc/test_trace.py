@@ -1,20 +1,11 @@
 """Unit tests for repro.mvcc.trace — trace/schedule round trip."""
 
-import pytest
-
 from repro.core.allowed import is_allowed
 from repro.core.isolation import Allocation
 from repro.core.operations import OP0, read, write
 from repro.core.workload import workload
 from repro.mvcc import exploration_config, simulate_workload, trace_to_schedule
-from repro.mvcc.trace import (
-    EVENT_TRACE_VERSION,
-    Trace,
-    TraceEvent,
-    trace_from_json,
-    trace_to_json,
-    validate_event_trace,
-)
+from repro.mvcc.trace import Trace, TraceEvent
 
 
 class TestTraceBasics:
@@ -47,84 +38,6 @@ class TestTraceBasics:
         )
         events = trace.committed_events()
         assert [e.attempt for e in events] == [1, 1]
-
-
-class TestEventTraceSchema:
-    def test_round_trip_preserves_events(self):
-        wl = workload("W1[a] W1[b]", "W2[b] W2[a]")
-        trace, _ = simulate_workload(
-            wl, Allocation.rc(wl), exploration_config(len(wl), seed=None)
-        )
-        assert any(e.kind == "block" for e in trace)  # v2 kinds present
-        data = trace_to_json(trace)
-        assert data["version"] == EVENT_TRACE_VERSION
-        rebuilt = trace_from_json(data)
-        assert rebuilt.events == trace.events
-
-    def test_export_omits_unset_fields(self):
-        data = trace_to_json(Trace([TraceEvent("begin", 1, 0)]))
-        assert data["events"] == [{"kind": "begin", "tid": 1, "attempt": 0}]
-
-    def test_v1_trace_stays_valid(self):
-        """The version bump is additive: old exports still validate."""
-        validate_event_trace(
-            {
-                "version": 1,
-                "events": [
-                    {"kind": "begin", "tid": 1, "attempt": 0},
-                    {"kind": "read", "tid": 1, "attempt": 0, "obj": "x", "observed": 0},
-                    {"kind": "commit", "tid": 1, "attempt": 0},
-                ],
-            }
-        )
-
-    def test_v1_rejects_block_events(self):
-        with pytest.raises(ValueError, match="not allowed at version 1"):
-            validate_event_trace(
-                {
-                    "version": 1,
-                    "events": [
-                        {"kind": "block", "tid": 1, "attempt": 0, "obj": "x", "observed": 2}
-                    ],
-                }
-            )
-
-    @pytest.mark.parametrize(
-        "document, match",
-        [
-            ([], "top level"),
-            ({"version": 3, "events": []}, "version"),
-            ({"version": 2, "events": {}}, "events must be a list"),
-            ({"version": 2, "events": [[]]}, "must be a dict"),
-            (
-                {"version": 2, "events": [{"kind": "nap", "tid": 1, "attempt": 0}]},
-                "kind",
-            ),
-            (
-                {"version": 2, "events": [{"kind": "begin", "tid": True, "attempt": 0}]},
-                "tid must be an int",
-            ),
-            (
-                {"version": 2, "events": [{"kind": "read", "tid": 1, "attempt": 0, "observed": 0}]},
-                "must carry obj",
-            ),
-            (
-                {"version": 2, "events": [{"kind": "read", "tid": 1, "attempt": 0, "obj": "x"}]},
-                "must carry observed",
-            ),
-            (
-                {"version": 2, "events": [{"kind": "block", "tid": 1, "attempt": 0, "obj": "x"}]},
-                "must carry observed",
-            ),
-            (
-                {"version": 2, "events": [{"kind": "begin", "tid": 1, "attempt": 0, "extra": 1}]},
-                "unknown keys",
-            ),
-        ],
-    )
-    def test_schema_violations_rejected(self, document, match):
-        with pytest.raises(ValueError, match=match):
-            validate_event_trace(document)
 
 
 class TestTraceToSchedule:

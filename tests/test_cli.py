@@ -763,6 +763,9 @@ class TestBadFlagValues:
             (["sweep", "--transactions", "-1"], "--transactions"),
             (["sweep", "--points", ","], "--points"),
             (["sweep", "--strategies", ","], "--strategies"),
+            (["sweep", "--points", "inf"], "customers must be int, got inf"),
+            (["sweep", "--points", "1e400"], "customers must be int, got inf"),
+            (["sweep", "--points", "2.5"], "customers must be int, got 2.5"),
         ],
     )
     def test_simulate_rejects_counts_it_cannot_run(
