@@ -21,9 +21,12 @@ daemon process:
    nested deeper than the decoder recurses, and one ``batch`` of two
    valid adds around a ``tid: 0`` add; require ``bad-request`` for
    exactly the two bad lines and the bad entry, both valid adds
-   admitted, the connection still answering after each line, and
+   admitted, the connection still answering after each line,
    ``repro_service_errors_total`` up by exactly two (the lines; a failed
-   batch entry is not a failed request); then send a ``restore`` whose
+   batch entry is not a failed request) and
+   ``repro_service_requests_total`` up by exactly the six lines sent
+   (the two hostile lines, three ``status`` probes and the batch: a
+   line that is no envelope is a request too); then send a ``restore`` whose
    ``verify`` is the string ``"false"``, require ``bad-request``, and
    require the next ``allocate`` to equal the one before it;
 5. take an explicit ``snapshot``, record the full ``allocate`` response;
@@ -72,9 +75,6 @@ QUANTILE_LINE = re.compile(
 RATE_LINE = re.compile(
     r"^repro_rate_requests_per_s [0-9][0-9.eE+-]*$", re.MULTILINE
 )
-ERRORS_LINE = re.compile(
-    r"^repro_service_errors_total ([0-9][0-9.eE+-]*)$", re.MULTILINE
-)
 
 
 def scrape_metrics(metrics_port: int) -> str:
@@ -83,9 +83,10 @@ def scrape_metrics(metrics_port: int) -> str:
     return urllib.request.urlopen(url).read().decode()
 
 
-def errors_total(metrics_port: int) -> float:
-    """``repro_service_errors_total`` (absent until the first error)."""
-    match = ERRORS_LINE.search(scrape_metrics(metrics_port))
+def counter_total(metrics_port: int, name: str) -> float:
+    """The ``repro_<name>_total`` counter (absent until its first event)."""
+    line = re.compile(rf"^repro_{name}_total ([0-9][0-9.eE+-]*)$", re.MULTILINE)
+    match = line.search(scrape_metrics(metrics_port))
     return float(match.group(1)) if match else 0.0
 
 
@@ -271,7 +272,8 @@ def main() -> int:
         print(f"[smoke] eventlog valid: {events} events, kinds {sorted(kinds)}")
 
         # -- stage 4: hostile input gets bad-request, nothing else ----
-        errors_before = errors_total(args.metrics_port)
+        errors_before = counter_total(args.metrics_port, "service_errors")
+        requests_before = counter_total(args.metrics_port, "service_requests")
         non_utf8 = b'{"op": "add", "transaction": "R[x\xff] W[y]", "tid": 9001}\n'
         # 400 kB, under the 1 MiB line cap.
         nested = b'{"op": "status", "id": ' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
@@ -299,12 +301,14 @@ def main() -> int:
         assert codes == [None, "bad-request", None], batch
         assert batch["results"][0]["admitted"] and batch["results"][2]["admitted"]
         assert client.call("status")["transactions"] == len(base) + 2
-        errors_after = errors_total(args.metrics_port)
+        errors_after = counter_total(args.metrics_port, "service_errors")
         assert errors_after == errors_before + 2, (errors_before, errors_after)
+        requests_after = counter_total(args.metrics_port, "service_requests")
+        assert requests_after == requests_before + 6, (requests_before, requests_after)
         print(
             "[smoke] hostile input: non-UTF-8 line, too deeply nested line and"
             " tid-0 batch entry got bad-request, both valid adds admitted,"
-            " 2 errors counted"
+            " 2 errors and 6 requests counted"
         )
 
         def allocated():

@@ -7,12 +7,12 @@ Three pieces the service's live observability stands on:
   the response, on the request's spans, and on every event it emits —
   the correlation key joining the event log to the trace retainer.
 * :class:`EventLog` — structured events (``{"ts", "kind",
-  "request_id", ...}``) kept in a bounded ring and, when a path is
-  given, appended as JSON lines (one object per line, append-only, safe
-  to ``tail -f``).  The schema is enforced by :func:`validate_event` /
+  "request_id", ...}``) appended as JSON lines to a file (one object
+  per line, append-only, safe to ``tail -f``); without a file, emitting
+  is a no-op.  The schema is enforced by :func:`validate_event` /
   :func:`validate_eventlog_file` (CI's eventlog validation step).
 * :class:`TraceRetainer` — the always-on flight recorder: keeps the
-  last-N and the slowest-N finished request span trees in memory, so
+  last 32 and the slowest 16 finished request span trees in memory, so
   ``repro trace dump`` can pull the span tree of a slow request *after*
   it happened from a daemon that was never started with ``--trace``.
 
@@ -46,6 +46,10 @@ __all__ = [
 _SCALARS = (str, int, float, bool, type(None))
 
 _request_counter = itertools.count(1)
+
+#: How many of the latest and of the slowest request traces
+#: :class:`TraceRetainer` keeps.
+RETAIN_LAST, RETAIN_SLOWEST = 32, 16
 
 
 def new_request_id() -> str:
@@ -125,64 +129,50 @@ def validate_eventlog_file(path: Union[str, Path]) -> int:
 
 
 class EventLog:
-    """A bounded ring of structured events, optionally mirrored to disk.
+    """Structured events appended to a JSON-lines file.
+
+    Without a ``path`` the log is off: :meth:`emit` builds nothing and
+    writes nothing.
 
     Examples:
-        >>> log = EventLog(capacity=2, clock=lambda: 42.0)
-        >>> _ = log.emit("request", request_id="r-1", op="add", latency_ms=1.5)
-        >>> _ = log.emit("alert", breached=True)
-        >>> [event["kind"] for event in log.tail()]
-        ['request', 'alert']
-        >>> log.tail(1)[0]["breached"]
-        True
+        >>> import tempfile
+        >>> with tempfile.TemporaryDirectory() as tmp:
+        ...     path = Path(tmp) / "events.jsonl"
+        ...     with EventLog(path, clock=lambda: 42.0) as log:
+        ...         log.emit("request", request_id="r-1", op="add", latency_ms=1.5)
+        ...         log.emit("alert", breached=True)
+        ...     print(path.read_text(), end="")
+        {"kind":"request","latency_ms":1.5,"op":"add","request_id":"r-1","ts":42.0}
+        {"breached":true,"kind":"alert","ts":42.0}
     """
 
     def __init__(
         self,
         path: Optional[Union[str, Path]] = None,
-        capacity: int = 1024,
         clock: Callable[[], float] = time.time,
     ):
-        if capacity <= 0:
-            raise ValueError("event-log capacity must be > 0")
         self.path = str(path) if path else None
         self._clock = clock
-        self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._handle = None
         if self.path:
             self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
 
-    @property
-    def count(self) -> int:
-        """Events currently retained in the ring."""
-        return len(self._ring)
-
-    def emit(
-        self, kind: str, request_id: Optional[str] = None, **fields: Any
-    ) -> Dict[str, Any]:
-        """Record one event; returns the event object."""
+    def emit(self, kind: str, request_id: Optional[str] = None, **fields: Any) -> None:
+        """Append one event to the file (nothing when the log is off)."""
+        if self._handle is None:
+            return
         event: Dict[str, Any] = {"ts": float(self._clock()), "kind": kind}
         if request_id is not None:
             event["request_id"] = request_id
         event.update(fields)
+        line = json.dumps(event, separators=(",", ":"), sort_keys=True) + "\n"
         with self._lock:
-            self._ring.append(event)
             if self._handle is not None:
-                self._handle.write(
-                    json.dumps(event, separators=(",", ":"), sort_keys=True)
-                    + "\n"
-                )
-        return event
-
-    def tail(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The most recent ``n`` events (all retained ones by default)."""
-        with self._lock:
-            events = list(self._ring)
-        return events if n is None else events[-n:]
+                self._handle.write(line)
 
     def close(self) -> None:
-        """Flush and close the on-disk mirror (idempotent)."""
+        """Flush and close the file (idempotent)."""
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
@@ -224,24 +214,21 @@ class RetainedTrace:
 
 
 class TraceRetainer:
-    """The always-on flight recorder: last-N and slowest-N request traces.
+    """The always-on flight recorder: the last :data:`RETAIN_LAST` and
+    the slowest :data:`RETAIN_SLOWEST` request traces.
 
     Examples:
-        >>> retainer = TraceRetainer(last=2, slowest=2)
+        >>> retainer = TraceRetainer()
         >>> for i, d in enumerate((0.5, 0.1, 0.9, 0.2)):
         ...     retainer.add(RetainedTrace(f"r-{i}", "check", 0.0, d, True))
-        >>> [t.request_id for t in retainer.last_traces()]
+        >>> [t.request_id for t in retainer.last_traces(2)]
         ['r-2', 'r-3']
-        >>> [t.request_id for t in retainer.slowest_traces()]
+        >>> [t.request_id for t in retainer.slowest_traces(2)]
         ['r-2', 'r-0']
     """
 
-    def __init__(self, last: int = 32, slowest: int = 16):
-        if last < 0 or slowest < 0:
-            raise ValueError("retention sizes must be >= 0")
-        self.last = last
-        self.slowest = slowest
-        self._last: deque = deque(maxlen=last or 1)
+    def __init__(self) -> None:
+        self._last: deque = deque(maxlen=RETAIN_LAST)
         self._heap: List = []  # min-heap of (duration_s, seq, trace)
         self._seq = 0
         self._added = 0
@@ -257,19 +244,17 @@ class TraceRetainer:
         with self._lock:
             self._added += 1
             self._seq += 1
-            if self.last:
-                self._last.append(trace)
-            if self.slowest:
-                entry = (trace.duration_s, self._seq, trace)
-                if len(self._heap) < self.slowest:
-                    heapq.heappush(self._heap, entry)
-                elif trace.duration_s > self._heap[0][0]:
-                    heapq.heapreplace(self._heap, entry)
+            self._last.append(trace)
+            entry = (trace.duration_s, self._seq, trace)
+            if len(self._heap) < RETAIN_SLOWEST:
+                heapq.heappush(self._heap, entry)
+            elif trace.duration_s > self._heap[0][0]:
+                heapq.heapreplace(self._heap, entry)
 
     def last_traces(self, n: Optional[int] = None) -> List[RetainedTrace]:
         """The most recent traces, oldest first."""
         with self._lock:
-            traces = list(self._last) if self.last else []
+            traces = list(self._last)
         return traces if n is None else traces[-n:]
 
     def slowest_traces(self, n: Optional[int] = None) -> List[RetainedTrace]:

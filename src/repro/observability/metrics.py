@@ -1,21 +1,20 @@
 """Counters and streaming histograms aggregated per phase name.
 
-The registry is the *aggregate* view of the span stream: every finished
-span records its duration under its name into a
-:class:`~repro.observability.telemetry.StreamingHistogram`, so
-``--stats`` can print a per-phase breakdown (count / total / mean /
-max) and ``/metrics`` quantiles (p50/p90/p99) without replaying the
-trace or retaining raw samples.  Counters are plain named integers —
-the tracer counts events (robustness checks, MVCC commits) that have no
-duration.
+A registry holds one
+:class:`~repro.observability.telemetry.StreamingHistogram` of durations
+per name and plain named integer counters.  A tracer's registry is a
+view of its span stream, built when read (see
+:attr:`~repro.observability.Tracer.registry`): each span's duration
+under its name, so ``--stats`` can print a per-phase breakdown (count /
+total / mean / max) and traces export quantiles (p50/p90/p99).  The
+daemon keeps a registry of its own, recording each request's latency.
+Counters count events that have no duration (robustness checks, MVCC
+commits, admissions).
 
 Registries fold into one another via :meth:`MetricsRegistry.merge`
 (the daemon copies its registry this way for every ``/metrics``
 scrape).  Histograms merge bucket-wise (see
-:meth:`StreamingHistogram.merge`), and because
-:meth:`~repro.observability.Tracer.absorb` re-records each absorbed
-span's duration, the histograms of a tracer that absorbed another equal
-those of one tracer that recorded every span itself.
+:meth:`StreamingHistogram.merge`).
 """
 
 from __future__ import annotations
@@ -70,9 +69,7 @@ class MetricsRegistry:
         for name, histogram in other._histograms.items():
             current = self._histograms.get(name)
             if current is None:
-                current = self._histograms[name] = StreamingHistogram(
-                    growth=histogram.growth
-                )
+                current = self._histograms[name] = StreamingHistogram()
             current.merge(histogram)
         self.merge_counters(other._counters)
 

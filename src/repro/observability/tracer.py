@@ -218,13 +218,14 @@ class _ActiveSpan:
                 self._attrs,
             )
         )
-        if tracer.record_metrics:
-            tracer.registry.record(self._name, duration)
         return False
 
 
 class Tracer:
-    """A recording tracer: spans, plus the aggregate metrics registry.
+    """A recording tracer: finished spans plus named event counters.
+
+    The spans are the tracer's only record of durations; :attr:`registry`
+    builds the per-phase histograms from them when it is read.
 
     Examples:
         >>> tracer = Tracer()
@@ -237,40 +238,30 @@ class Tracer:
         True
         >>> tracer.registry.counters["events"]
         1
+        >>> tracer.registry.histograms["inner"].count
+        1
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        trace_memory: bool = False,
-        max_depth: int = 0,
-        record_metrics: bool = True,
-    ):
-        #: With ``record_metrics=False`` finished spans skip the
-        #: per-span histogram update.  The service's per-request
-        #: tracer uses this: its registry is never read (the core keeps
-        #: its own, and ``absorb`` re-records durations when an outer
-        #: ``--trace`` tracer takes the spans), so updating it per span
-        #: would be pure overhead on every request.
-        self.record_metrics = bool(record_metrics)
+    def __init__(self, trace_memory: bool = False, max_depth: int = 0):
         #: With ``trace_memory`` (and :mod:`tracemalloc` started by the
         #: caller — the CLI's ``--trace-memory`` flag does both), every
         #: *top-level* span additionally records the tracemalloc peak and
         #: current deltas over its lifetime as ``mem_peak_kib`` /
         #: ``mem_current_kib`` attributes.
         self.trace_memory = bool(trace_memory)
-        #: Spans nested deeper than ``max_depth`` are skipped (recorded
-        #: neither as spans nor in histograms); ``0`` disables the cap.  The
+        #: Spans nested deeper than ``max_depth`` are skipped (not
+        #: recorded at all); ``0`` disables the cap.  The
         #: service's always-on per-request flight recorder uses a small
         #: cap so the deep analysis spans cost (almost) nothing.
         self.max_depth = max_depth
         #: Spans dropped by the depth cap (a plain count, not a counter
-        #: — incrementing the registry per skipped span would put a dict
-        #: operation back into the hot path the cap exists to protect).
+        #: — a dict update per skipped span would put work back into the
+        #: hot path the cap exists to protect).
         self.skipped = 0
         self.spans: List[SpanRecord] = []
-        self.registry = MetricsRegistry()
+        self._counters: Dict[str, int] = {}
         self._stack: List[int] = []
         self._next_id = 1
         self._skip = 0
@@ -291,15 +282,26 @@ class Tracer:
             return False
         return not (self.max_depth and len(self._stack) >= self.max_depth)
 
+    @property
+    def registry(self) -> MetricsRegistry:
+        """A fresh registry of the counters and each span's duration
+        under its name, in completion order (a read-only view)."""
+        registry = MetricsRegistry()
+        for record in self.spans:
+            registry.record(record.name, record.duration_s)
+        registry.merge_counters(self._counters)
+        return registry
+
     def reset(self) -> None:
         """Clear recorded state so the tracer can take the next request.
 
-        Keeps configuration (depth cap, flags) and the registry
-        object; drops spans, the skip count and the id/stack state.  The
-        service reuses one request tracer per core through this instead
-        of allocating a tracer per envelope.
+        Keeps configuration (depth cap, flags); drops spans, counters,
+        the skip count and the id/stack state.  The service reuses one
+        request tracer per core through this instead of allocating a
+        tracer per envelope.
         """
         self.spans.clear()
+        self._counters.clear()
         self.skipped = 0
         self._stack.clear()
         self._next_id = 1
@@ -318,15 +320,15 @@ class Tracer:
 
     def count(self, name: str, n: int = 1) -> None:
         """Count an event with no duration (robustness check, commit)."""
-        self.registry.incr(name, n)
+        self._counters[name] = self._counters.get(name, 0) + n
 
     def absorb(self, other: "Tracer", parent_id: Optional[int] = None) -> None:
         """Copy ``other``'s finished spans and counters into this tracer.
 
         The copies get fresh ids (ids are tracer-local) and keep their
         parent/child structure; ``other``'s roots are attached under
-        ``parent_id``.  ``other`` itself is left unchanged.  Durations
-        land in this registry; counters merge.
+        ``parent_id``.  ``other`` itself is left unchanged.  Counters
+        merge.
         """
         # Spans are in completion order, so a child precedes its parent:
         # every fresh id is assigned before any parent link is remapped.
@@ -346,9 +348,8 @@ class Tracer:
                     dict(record.attrs),
                 )
             )
-            if self.record_metrics:
-                self.registry.record(record.name, record.duration_s)
-        self.registry.merge_counters(other.registry.counters)
+        for name, n in other._counters.items():
+            self.count(name, n)
 
     # -- export --------------------------------------------------------
     def export(self) -> Dict[str, object]:

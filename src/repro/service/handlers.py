@@ -11,7 +11,7 @@ specs and ``RC,SI`` level classes — and parse them here.  Errors are
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core.isolation import Allocation, IsolationLevel
 from ..core.workload import Workload, parse_workload
@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CommandError",
+    "allocation_from_pairs",
     "load_templates_file",
     "load_trace_file",
     "load_workload_file",
@@ -107,22 +108,27 @@ def parse_allocation_spec(
     if spec and uniform:
         raise CommandError("use either an allocation spec or a uniform level, not both")
     if spec:
-        levels = {}
-        for part in spec.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip().lstrip("Tt")
-            if not key.isdecimal():
-                raise CommandError(
-                    f"bad allocation entry {part!r}; use T<i>=LEVEL"
-                )
-            levels[int(key)] = parse_level(value)
-        missing = set(workload.tids) - set(levels)
-        if missing:
-            raise CommandError(
-                f"allocation misses transactions {sorted(missing)}"
-            )
-        return Allocation(levels)
+        pairs = (part.partition("=")[::2] for part in spec.split(","))
+        return allocation_from_pairs(workload, pairs)
     return Allocation.uniform(workload, parse_level(uniform or "SI"))
+
+
+def allocation_from_pairs(
+    workload: Workload, pairs: Iterable[Tuple[str, str]]
+) -> Allocation:
+    """An allocation covering ``workload`` from ``(tid, level)`` pairs
+    such as ``("T1", "RC")``: the CLI's spec and the daemon's ``check``."""
+    levels = {}
+    for key, value in pairs:
+        key = key.strip()
+        tid = key.lstrip("Tt")
+        if not tid.isdecimal():
+            raise CommandError(f"bad allocation key {key!r}; use T<i>")
+        levels[int(tid)] = parse_level(value)
+    missing = set(workload.tids) - set(levels)
+    if missing:
+        raise CommandError(f"allocation misses transactions {sorted(missing)}")
+    return Allocation(levels)
 
 
 def parse_level(text: str) -> IsolationLevel:

@@ -48,7 +48,10 @@ class SmallBankConfig:
 
     def __post_init__(self) -> None:
         if self.customers < 2:
-            raise ValueError("SmallBank needs at least two customers (Amalgamate)")
+            raise ValueError(
+                "SmallBank needs at least two customers (Amalgamate),"
+                f" got {self.customers}"
+            )
 
 
 def _checking(c: int) -> str:

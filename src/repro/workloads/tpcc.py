@@ -75,13 +75,13 @@ class TpccConfig:
     max_order_items: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("warehouses", "districts", "customers", "items"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.initial_orders < 1:
-            raise ValueError("initial_orders must be at least 1")
-        if self.max_order_items < 1:
-            raise ValueError("max_order_items must be at least 1")
+        for name in (
+            "warehouses", "districts", "customers", "items",
+            "initial_orders", "max_order_items",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 class _FootprintBuilder:

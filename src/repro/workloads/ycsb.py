@@ -44,7 +44,7 @@ class ZipfianGenerator:
         if n < 1:
             raise ValueError("need at least one key")
         if not 0.0 <= theta < 1.5:
-            raise ValueError("theta out of the sensible range [0, 1.5)")
+            raise ValueError(f"theta out of the sensible range [0, 1.5), got {theta}")
         self.n = n
         self.theta = theta
         weights = [1.0 / math.pow(rank, theta) for rank in range(1, n + 1)]

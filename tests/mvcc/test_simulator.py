@@ -242,6 +242,9 @@ class TestConfigValidation:
             ("compact_every", -3),
             ("compact_every", 16.0),
             ("compact_every", True),
+            ("seed", [1]),
+            ("seed", (1, 2)),
+            ("seed", {"a": 1}),
         ],
     )
     def test_rejects_values_the_simulator_cannot_honour(self, field, value):

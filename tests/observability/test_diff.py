@@ -5,14 +5,14 @@ import math
 
 import pytest
 
-from repro.observability import DiffEntry, Tracer, diff_totals, diff_traces
+from repro.observability import DiffEntry, SpanRecord, Tracer, diff_totals, diff_traces
 
 
 def _export(seconds_by_name):
-    """A version-2 trace whose registry recorded one span per name."""
+    """A version-2 trace of one root span per name."""
     tracer = Tracer()
-    for name, seconds in seconds_by_name.items():
-        tracer.registry.record(name, seconds)
+    for span_id, (name, seconds) in enumerate(seconds_by_name.items(), start=1):
+        tracer.spans.append(SpanRecord(span_id, None, name, 0.0, seconds))
     return tracer.export()
 
 

@@ -10,7 +10,7 @@ same workload name by name.
 import json
 
 from repro.cli import main
-from repro.observability import Tracer, phase_totals, validate_trace_file
+from repro.observability import SpanRecord, Tracer, phase_totals, validate_trace_file
 
 #: The workload the fixture was recorded on (``--uniform SI``).
 WORKLOAD = "T1: R[x] W[y]\nT2: R[y] W[x]\nT3: R[p] W[p]\n"
@@ -28,8 +28,8 @@ def test_phase_totals_read_either_version(v1_trace_path):
         name: timer["total_s"] for name, timer in v1["metrics"]["timers"].items()
     }
     tracer = Tracer()
-    tracer.registry.record("scan", 0.25)
-    tracer.registry.record("scan", 0.5)
+    tracer.spans.append(SpanRecord(1, None, "scan", 0.0, 0.25))
+    tracer.spans.append(SpanRecord(2, None, "scan", 0.25, 0.5))
     assert phase_totals(tracer.export()) == {"scan": 0.75}
 
 

@@ -182,6 +182,16 @@ class TestBatchAbsorb:
         assert parent.registry.histograms["robustness.check"].count == 1
         assert parent.registry.histograms["robustness.scan_t1"].count == 2
 
+    def test_reset_clears_counters(self):
+        """A reused tracer hands each absorb only what it counted since
+        its last reset."""
+        parent, child = Tracer(), Tracer()
+        for checks in (2, 5, 2):
+            child.reset()
+            child.count("robustness.checks", checks)
+            parent.absorb(child)
+        assert parent.registry.counters["robustness.checks"] == 9
+
     def test_absorb_empty_batch_is_noop(self):
         parent = Tracer()
         parent.absorb(Tracer())

@@ -480,7 +480,16 @@ class TestReadChecks:
         rollback = core.manager.last_stats.checks
         witnessed = first + spent + 1
         assert core.registry.counters["context.checks"] == witnessed + rollback
-        assert core.series["checks"].total_value == witnessed
+        assert core.series["checks"].total_value == witnessed + rollback
+
+    def test_queue_retry_checks_reach_the_series(self):
+        core = _core(admission=AdmissionPolicy(max_promotions=0, mode="queue"))
+        _add(core, "R[x] W[y]", 1)
+        assert _add(core, "R[y] W[x]", 2)["queued"] is True
+        response = core.handle({"op": "remove", "tid": 1})
+        assert response["retried"] == [2]
+        checks = core.registry.counters["context.checks"]
+        assert core.series["checks"].total_value == checks
 
 
 class TestAdmissionControl:

@@ -28,6 +28,27 @@ def _add(core, text, tid):
     return core.handle({"op": "add", "transaction": text, "tid": tid})
 
 
+def _events(path, kind):
+    """The events of ``kind`` in the JSON-lines event log at ``path``."""
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    return [event for event in events if event["kind"] == kind]
+
+
+@pytest.fixture
+def logged(tmp_path):
+    """A factory of cores logging to ``tmp_path``/events.jsonl, closed after."""
+    path = tmp_path / "events.jsonl"
+    cores = []
+
+    def make(**kwargs):
+        cores.append(_core(eventlog_path=str(path), **kwargs))
+        return cores[-1], path
+
+    yield make
+    for core in cores:
+        core.events.close()
+
+
 class TestRequestIds:
     def test_every_response_carries_a_request_id(self):
         core = _core()
@@ -55,10 +76,10 @@ class TestRequestIds:
         assert root["attrs"]["request_id"] == rid
         assert root["attrs"]["op"] == "add"
 
-    def test_request_event_correlates(self):
-        core = _core()
+    def test_request_event_correlates(self, logged):
+        core, path = logged()
         rid = _add(core, "R[x] W[y]", 1)["request_id"]
-        event = [e for e in core.events.tail() if e["kind"] == "request"][-1]
+        event = _events(path, "request")[-1]
         assert event["request_id"] == rid
         assert event["op"] == "add" and event["ok"] is True
         assert event["latency_ms"] > 0
@@ -112,6 +133,16 @@ class TestFlightRecorder:
         assert "service.request" in names  # --trace daemon keeps seeing all
         assert core.retainer.added >= 1
 
+    def test_outer_trace_counts_each_check_once(self):
+        """``repro serve --trace`` absorbs each request's checks once."""
+        tracer = Tracer()
+        with use_tracer(tracer):
+            core = _core()
+            for tid, text in enumerate(("R[x] W[y]", "R[y] W[x]", "R[y] W[z]"), 1):
+                _add(core, text, tid)
+        checks = core.registry.counters["context.checks"]
+        assert tracer.registry.counters["robustness.checks"] == checks
+
     def test_flight_recorder_keeps_spans_the_trace_absorbed(self):
         """Absorbing a request into ``--trace`` leaves the retained tree whole."""
         tracer = Tracer()
@@ -141,6 +172,34 @@ class TestFlightRecorder:
         assert "op=add" in text
 
 
+class TestLinesThatAreNoEnvelope:
+    """A line that is no envelope is answered and observed like any request."""
+
+    def test_bad_lines_count_as_requests(self):
+        core = _core()
+        for line in ("{", "[1]", "not json", '{"op": "nope"}'):
+            response = core.handle_line(line)
+            assert response["ok"] is False and response["request_id"]
+        counters = core.registry.counters
+        assert counters["service.requests"] == counters["service.errors"] == 4
+        assert core.series["requests"].total_count == 4
+        assert core.series["errors"].total_count == 4
+        assert core.registry.histograms["service.request"].count == 4
+
+    def test_only_a_known_op_gets_a_histogram(self):
+        core = _core()
+        core.handle({"op": "nope"})
+        core.handle({"op": "hello"})
+        assert set(core.registry.histograms) == {"service.request", "service.hello"}
+
+    def test_rejected_line_is_logged(self, logged):
+        core, path = logged()
+        rid = core.handle_line("not json")["request_id"]
+        [event] = _events(path, "request")
+        assert event["request_id"] == rid
+        assert event["ok"] is False and event["error"] == "bad-request"
+
+
 class TestWindowedRatesAndGauges:
     def test_rate_gauges_exported(self):
         core = _core()
@@ -152,7 +211,6 @@ class TestWindowedRatesAndGauges:
         assert gauges["rate_requests_per_s"] > 0
         assert gauges["rate_errors_per_s"] == 0.0
         assert gauges["retained_traces"] == 4.0
-        assert gauges["eventlog_events"] >= 4.0
 
     def test_metrics_envelope_includes_histograms(self):
         core = _core()
@@ -179,28 +237,27 @@ class TestWindowedRatesAndGauges:
 
 
 class TestSloMonitor:
-    def test_breach_and_recovery_events(self):
-        core = _core(slo_p99_ms=0.0000001)  # everything breaches
+    def test_breach_and_recovery_events(self, logged):
+        core, path = logged(slo_p99_ms=0.0000001)  # everything breaches
         _add(core, "R[x] W[y]", 1)
         assert core.gauges()["slo_p99_breached"] == 1.0
-        alerts = [e for e in core.events.tail() if e["kind"] == "alert"]
+        alerts = _events(path, "alert")
         assert alerts and alerts[-1]["breached"] is True
         assert core.registry.counters["service.slo_breaches"] == 1
         # Only transitions alert: a second slow request adds no event.
         _add(core, "R[y] W[z]", 2)
-        alerts = [e for e in core.events.tail() if e["kind"] == "alert"]
-        assert len(alerts) == 1
+        assert len(_events(path, "alert")) == 1
 
     def test_no_slo_no_gauge(self):
         core = _core()
         _add(core, "R[x] W[y]", 1)
         assert "slo_p99_breached" not in core.gauges()
 
-    def test_generous_slo_never_breaches(self):
-        core = _core(slo_p99_ms=60_000.0)
+    def test_generous_slo_never_breaches(self, logged):
+        core, path = logged(slo_p99_ms=60_000.0)
         _add(core, "R[x] W[y]", 1)
         assert core.gauges()["slo_p99_breached"] == 0.0
-        assert not [e for e in core.events.tail() if e["kind"] == "alert"]
+        assert not _events(path, "alert")
 
 
 class TestEventLogWiring:
@@ -218,16 +275,18 @@ class TestEventLogWiring:
         ]
         assert "request" in kinds
 
-    def test_admission_rejection_emits_event(self):
+    def test_admission_rejection_emits_event(self, logged):
         from repro.service import AdmissionPolicy
 
-        core = _core(admission=AdmissionPolicy(max_promotions=0))
+        core, path = logged(admission=AdmissionPolicy(max_promotions=0))
         _add(core, "R[x] W[y]", 1)
         response = _add(core, "R[y] W[x]", 2)  # would promote T1
         assert not response["admitted"]
-        events = [e for e in core.events.tail() if e["kind"] == "admission"]
-        assert events and events[-1]["admitted"] is False
-        assert events[-1]["tid"] == 2
+        [event] = _events(path, "admission")
+        assert event["admitted"] is False and event["tid"] == 2
+        # The request id joins the refusal to its request.
+        assert event["request_id"] == response["request_id"]
+        assert _events(path, "request")[-1]["request_id"] == response["request_id"]
 
 
 class TestByteIdentity:

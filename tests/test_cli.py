@@ -422,6 +422,26 @@ class TestTrace:
         names = {span["name"] for span in data["spans"]}
         assert "sampling.estimate" in names
 
+    def test_trace_histograms_summarize_the_spans(self, skew_file, tmp_path, capsys):
+        """Each exported histogram folds the spans of its name, in the
+        order they completed: the spans are the only duration record."""
+        from repro.observability import validate_trace_file
+
+        trace_path = tmp_path / "trace.json"
+        assert main(["allocate", skew_file, "--trace", str(trace_path)]) == 0
+        data = validate_trace_file(str(trace_path))
+        durations = {}
+        for span in data["spans"]:
+            durations.setdefault(span["name"], []).append(span["duration_s"])
+        histograms = data["metrics"]["histograms"]
+        assert set(histograms) == set(durations)
+        for name, values in durations.items():
+            total = 0.0
+            for value in values:
+                total += value
+            assert histograms[name]["count"] == len(values)
+            assert histograms[name]["sum"] == total
+
     def test_stats_with_trace_prints_phase_timings(
         self, skew_file, tmp_path, capsys
     ):
@@ -728,10 +748,10 @@ def _daemon_check(skew_file, capsys):
 @pytest.mark.parametrize(
     "parse, expected",
     [
-        (_cli_allocation_spec, "bad allocation entry 'T²=RC'; use T<i>=LEVEL"),
+        (_cli_allocation_spec, "bad allocation key 'T²'; use T<i>"),
         (_workload_header, "line 1: bad transaction header 'T²'"),
         (_allocation_key, "bad transaction key 'T²'; use T<i>"),
-        (_daemon_check, "bad allocation key 'T²'; use a tid"),
+        (_daemon_check, "bad allocation key 'T²'; use T<i>"),
     ],
     ids=["cli-allocation-spec", "workload-header", "allocation-key", "daemon-check"],
 )
@@ -766,6 +786,12 @@ class TestBadFlagValues:
             (["sweep", "--points", "inf"], "customers must be int, got inf"),
             (["sweep", "--points", "1e400"], "customers must be int, got inf"),
             (["sweep", "--points", "2.5"], "customers must be int, got 2.5"),
+            (["sweep", "--points", "1"], "customers (Amalgamate), got 1"),
+            (["sweep", "--benchmark", "ycsb", "--points", "2"], "[0, 1.5), got 2.0"),
+            (
+                ["sweep", "--benchmark", "tpcc", "--points", "0"],
+                "warehouses must be at least 1, got 0",
+            ),
         ],
     )
     def test_simulate_rejects_counts_it_cannot_run(
