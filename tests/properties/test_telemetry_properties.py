@@ -7,7 +7,7 @@ Three promises the live service's quantiles stand on:
   directly — partitioning and merge order cannot change what
   ``/metrics`` reports;
 * a quantile estimate brackets the exact nearest-rank empirical
-  quantile within one bucket's relative error (the ``growth`` factor),
+  quantile within one bucket's relative error (the ``GROWTH`` factor),
   over the histogram's documented value range;
 * a registry assembled by absorbing other tracers holds the same
   histograms as one whose tracer recorded every span itself — the
@@ -30,9 +30,10 @@ from repro.observability import (
     Tracer,
     WindowedSeries,
 )
+from repro.observability.telemetry import GROWTH
 
 #: Values inside the histogram's loggable range (the index clamp spans
-#: roughly 1e-17..1e16 at the default growth), plus exact zeros, which
+#: roughly 1e-17..1e16 at ``GROWTH``), plus exact zeros, which
 #: take the dedicated zero bucket.
 _VALUES = st.lists(
     st.one_of(
@@ -113,7 +114,7 @@ class TestQuantileBracketing:
         rank = 1 if q == 0.0 else max(1, math.ceil(q * len(values)))
         exact = sorted(values)[rank - 1]
         assert exact <= estimate * (1.0 + 1e-12)
-        assert estimate <= exact * hist.growth * (1.0 + 1e-12)
+        assert estimate <= exact * GROWTH * (1.0 + 1e-12)
 
     @given(_VALUES.filter(bool))
     @settings(max_examples=50, deadline=None)
@@ -121,7 +122,7 @@ class TestQuantileBracketing:
         hist = _hist(values)
         assert hist.quantile(0.0) == min(values)
         top = hist.quantile(1.0)
-        assert max(values) <= top <= max(values) * hist.growth * (1.0 + 1e-12)
+        assert max(values) <= top <= max(values) * GROWTH * (1.0 + 1e-12)
 
 
 def _tracers(partition):
