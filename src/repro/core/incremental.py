@@ -92,6 +92,9 @@ class AllocationManager:
         self._workload: Optional[Workload] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = ()
         self._last_stats = ContextStats()
+        # Each live transaction's line of the save_state workload text,
+        # rendered by the first save after its add, dropped on remove.
+        self._lines: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -261,6 +264,7 @@ class AllocationManager:
                     retired.add(context.component_of[tid].tids)
                     departed[tid] = live[tid]
                 context.remove(tid)
+                self._lines.pop(tid, None)
             survivors = {
                 t for members in retired for t in members
                 if t in live and t not in newcomers
@@ -314,12 +318,17 @@ class AllocationManager:
         after a restart *warm*: the workload (text format), the current
         optimal allocation and the class of levels.  Pure data — no
         pickled objects — so snapshots survive version skew and can be
-        inspected with any JSON tool.
+        inspected with any JSON tool.  The workload text is
+        ``str(self.workload)``, joined from lines kept per transaction,
+        so a save renders only the transactions added since the last.
         """
+        live, lines = self._context.transactions, self._lines
+        for tid in live.keys() - lines.keys():
+            lines[tid] = f"T{tid}: {live[tid]}"
         return {
             "version": self.STATE_VERSION,
             "levels": [level._name_ for level in self._levels],
-            "workload": str(self.workload),
+            "workload": "\n".join([lines[tid] for tid in sorted(live)]),
             "allocation": {
                 str(tid): level._name_ for tid, level in self._allocation.items()
             },

@@ -27,10 +27,13 @@ Four service-level behaviours live on top of the manager:
   restores the exact pre-admission allocation.  The policy judges each
   admission against the state just before it, so under a policy that
   can reject, a batch holding an add runs entry by entry.
-* **Warm snapshots** — :meth:`snapshot`/:meth:`restore` wrap
+* **Warm snapshots** — the ``snapshot``/``restore`` commands wrap
   ``save_state``/``load_state`` in the atomic on-disk envelope of
-  :mod:`repro.service.snapshot`; ``snapshot_every`` auto-snapshots after
-  every N mutations.
+  :mod:`repro.service.snapshot`.  ``snapshot_every`` auto-snapshots
+  after every N mutations: the mutation captures and encodes the state
+  and answers, and a :class:`~repro.service.snapshot.SnapshotWriter`
+  thread writes the file.  ``snapshot``, ``shutdown``, ``restore`` and
+  ``status`` first wait for that write.
 * **Metrics** — every answered line, one that is no envelope included,
   is timed into a :class:`~repro.observability.MetricsRegistry`
   (``service.request``, and ``service.<op>`` for a known op); admission
@@ -79,7 +82,13 @@ from .protocol import (
     parse_request,
     validate_envelope,
 )
-from .snapshot import SnapshotError, read_snapshot, write_snapshot
+from .snapshot import (
+    SnapshotError,
+    SnapshotWrite,
+    SnapshotWriter,
+    encode_snapshot,
+    read_snapshot,
+)
 
 __all__ = ["AdmissionPolicy", "ServiceConfig", "ServiceCore"]
 
@@ -143,7 +152,7 @@ class ServiceConfig:
         snapshot_path: where ``snapshot``/auto-snapshot/shutdown persist
             the warm state; also what a starting daemon resumes from.
         snapshot_every: auto-snapshot after every N successful
-            mutations (0 disables).
+            mutations (0 disables), written in the background.
         resume: load ``snapshot_path`` at startup when it exists.
         levels: the class of levels the
             :class:`~repro.core.incremental.AllocationManager` allocates
@@ -188,7 +197,10 @@ class ServiceCore:
         self._queue: List[Dict[str, Any]] = []  # parked add envelopes
         self._started = time.monotonic()
         self._mutations = 0
-        self._since_snapshot = 0
+        # Mutation counts at the last capture and at the capture of the
+        # last snapshot file written.
+        self._captured = self._persisted = 0
+        self._writer = SnapshotWriter(self._settle_writes)
         self._stopping = False
         self.events = EventLog(config.eventlog_path)
         self.retainer = TraceRetainer()
@@ -621,25 +633,78 @@ class ServiceCore:
 
     def _record_mutation(self, n: int = 1) -> None:
         self._mutations += n
-        self._since_snapshot += n
         self.series["mutations"].record(
             time.monotonic() - self._started, count=n
         )
-        if (
-            self.config.snapshot_every
-            and self.config.snapshot_path
-            and self._since_snapshot >= self.config.snapshot_every
-        ):
-            self._write_snapshot(self.config.snapshot_path)
-            self.registry.incr("service.autosnapshots")
+        path, every = self.config.snapshot_path, self.config.snapshot_every
+        if every and path and self._mutations - self._captured >= every:
+            with current_tracer().span("service.snapshot", path=path, auto=True):
+                self._writer.submit(self._capture(path, auto=True))
+
+    def _capture(self, path: str, auto: bool = False) -> SnapshotWrite:
+        """The warm state, encoded for a write to ``path``."""
+        self._captured = self._mutations
+        return SnapshotWrite(
+            path,
+            encode_snapshot(self._manager.save_state()),
+            mark=self._mutations,
+            auto=auto,
+            request_id=self._request_id,
+        )
 
     def _write_snapshot(self, path: str) -> int:
-        """Persist the warm state at ``path``; returns its size in bytes."""
+        """Persist the warm state at ``path`` once the writes handed to
+        the writer are done; returns its size in bytes.
+
+        Raises:
+            SnapshotError: naming ``path`` when the file cannot be written.
+        """
         with current_tracer().span("service.snapshot", path=path):
-            size = write_snapshot(path, self._manager.save_state())
-        self._since_snapshot = 0
-        self.registry.incr("service.snapshots")
-        return size
+            write = self._writer.write(self._capture(path))
+            self._settle_writes()
+        if write.failure:
+            raise SnapshotError(write.failure)
+        return write.size
+
+    def _drain_writes(self) -> None:
+        """Wait for the snapshot writes handed over and record them."""
+        self._writer.drain()
+        self._settle_writes()
+
+    def _settle_writes(self) -> None:
+        """Record the finished snapshot writes, in write order.
+
+        Runs under the core lock, on the writer thread after each of
+        its writes and on a request thread after a drain.  A write that
+        failed counts in ``service.snapshot_errors`` and logs a
+        ``snapshot`` event with the error; the mutations since its
+        capture stay unpersisted.
+        """
+        with self._lock:
+            for write in self._writer.finished():
+                self.registry.record("service.snapshot_write", write.seconds)
+                if write.failure:
+                    self.registry.incr("service.snapshot_errors")
+                    self.events.emit(
+                        "snapshot",
+                        request_id=write.request_id,
+                        path=write.path,
+                        auto=write.auto,
+                        error=write.failure,
+                    )
+                    continue
+                self._persisted = write.mark
+                self.registry.incr("service.snapshots")
+                if write.auto:
+                    self.registry.incr("service.autosnapshots")
+
+    def close(self) -> None:
+        """Finish the snapshot writes handed over, join the writer thread
+        and close the event log (idempotent)."""
+        with self._lock:
+            self._drain_writes()
+        self._writer.close()
+        self.events.close()
 
     def _retry_queue(self) -> Tuple[List[int], List[int]]:
         """Re-attempt queued admissions; returns ``(admitted, dropped)``.
@@ -673,6 +738,7 @@ class ServiceCore:
         )
 
     def _cmd_status(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
+        self._drain_writes()  # so mutations_since_snapshot is settled
         sizes = [len(members) for members in self._manager.components]
         return ok_response(
             envelope,
@@ -681,7 +747,7 @@ class ServiceCore:
             shard_sizes=sizes,
             queued=list(self.queued_tids),
             mutations=self._mutations,
-            mutations_since_snapshot=self._since_snapshot,
+            mutations_since_snapshot=self._mutations - self._persisted,
             snapshot_path=self.config.snapshot_path,
             uptime_s=time.monotonic() - self._started,
             stopping=self._stopping,
@@ -797,6 +863,7 @@ class ServiceCore:
         verify = envelope.get("verify", False)
         if not isinstance(verify, bool):
             raise ProtocolError('"verify" must be true or false')
+        self._drain_writes()
         with current_tracer().span("service.restore", path=path):
             manager = _restore_manager(path)
             if verify:
@@ -810,7 +877,7 @@ class ServiceCore:
                     )
         self._manager = manager
         self._queue.clear()
-        self._since_snapshot = 0
+        self._captured = self._persisted = self._mutations
         self.registry.incr("service.restores")
         return ok_response(
             envelope,
@@ -834,7 +901,7 @@ class ServiceCore:
             "shards": float(len(self._manager.components)),
             "queue_depth": float(len(self._queue)),
             "mutations": float(self._mutations),
-            "mutations_since_snapshot": float(self._since_snapshot),
+            "mutations_since_snapshot": float(self._mutations - self._persisted),
             "uptime_s": now,
             "retained_traces": float(self.retainer.added),
         }
@@ -883,6 +950,7 @@ class ServiceCore:
         )
 
     def _cmd_shutdown(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
+        self._drain_writes()
         snapshot_path = None
         if self.config.snapshot_path and len(self._manager.workload):
             snapshot_path = self.config.snapshot_path

@@ -47,8 +47,10 @@ __all__ = ["METRIC_HELP", "ServiceServer", "serve"]
 #: :func:`~repro.observability.prometheus_text` escapes them).
 METRIC_HELP = {
     "service.request": "Per-request latency across all commands",
-    "service.requests": "Requests executed since startup",
+    "service.requests": "Request lines answered since startup",
     "service.errors": "Requests that returned an error envelope",
+    "service.snapshot_write": "Duration of each snapshot file write",
+    "service.snapshot_errors": "Snapshot writes that failed",
     "queue_depth": "Transactions parked by queue-mode admission control",
     "transactions": "Transactions currently admitted",
     "shards": "Conflict components of the live workload",
@@ -228,12 +230,16 @@ class ServiceServer:
         return self._stopped.wait(timeout)
 
     def close(self) -> None:
-        """Stop all listeners and release sockets/files (idempotent)."""
+        """Stop all listeners, log the ``stop`` event, close the core
+        (its snapshot writer and event log) and release sockets/files
+        (idempotent)."""
         if self._stopped.is_set():
             return
         for server in self._servers:
             server.shutdown()
             server.server_close()
+        self.core.events.emit("stop", transactions=len(self.core.manager.workload))
+        self.core.close()
         if self.config.socket_path:
             try:
                 os.unlink(self.config.socket_path)
@@ -288,6 +294,5 @@ def serve(config: ServiceConfig) -> ServiceCore:
     except KeyboardInterrupt:
         print("repro serve: interrupted; stopping")
         server.close()
-    server.core.events.emit("stop", transactions=len(server.core.manager.workload))
-    server.core.events.close()
+    server.core.close()
     return server.core

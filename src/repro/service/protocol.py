@@ -55,7 +55,8 @@ MAX_LINE_BYTES = 1 << 20
 #: * ``unknown-op`` — ``op`` names no command;
 #: * ``conflict`` — the mutation is impossible (duplicate tid, ...);
 #: * ``not-found`` — the named transaction/path does not exist;
-#: * ``snapshot-error`` — snapshot file missing, corrupt or incompatible;
+#: * ``snapshot-error`` — snapshot file missing, corrupt or incompatible,
+#:   or one that cannot be written;
 #: * ``too-large`` — the request line exceeds :data:`MAX_LINE_BYTES`;
 #: * ``internal`` — unexpected server-side failure (bug; check the logs).
 ERROR_CODES = (

@@ -165,6 +165,32 @@ def test_subset_robustness_monotonicity(wl):
         assert is_robust(smaller, smaller_alloc)
 
 
+def test_save_state_workload_is_the_workload_text():
+    """The per-transaction lines ``save_state`` keeps join to
+    ``str(manager.workload)`` through adds, removes, a batch that
+    removes a tid and re-adds it with another body, and a restore."""
+    manager = AllocationManager()
+
+    def saved(m):
+        state = m.save_state()
+        assert state["workload"] == str(m.workload)
+        return state
+
+    for tid, text in enumerate(("R[x] W[y]", "R[y] W[x]", "R[z]", "W[z]"), start=1):
+        manager.add(parse_transaction(text, tid=tid))
+        saved(manager)
+    manager.remove(2)
+    saved(manager)
+    manager.apply_batch([("remove", 3), ("add", parse_transaction("R[q] W[z]", tid=3))])
+    manager.apply_batch([("add", parse_transaction("R[y]", tid=2)), ("remove", 1)])
+    state = saved(manager)
+    assert "T3: R3[q] W3[z] C3" in state["workload"]
+    restored = AllocationManager.load_state(state)
+    assert saved(restored) == state
+    restored.add(parse_transaction("W[q]", tid=9))
+    saved(restored)
+
+
 class TestWitnessCachePruningOnRemoval:
     """Regression: a removed transaction leaves nothing later probes read.
 

@@ -198,7 +198,7 @@ class TestExpositionContract:
             " admission control\n"
             "# TYPE repro_queue_depth gauge\n"
             "repro_queue_depth 2.0\n"
-            "# HELP repro_service_requests_total Requests executed since startup\n"
+            "# HELP repro_service_requests_total Request lines answered since startup\n"
             "# TYPE repro_service_requests_total counter\n"
             "repro_service_requests_total 6\n"
             "# TYPE repro_service_add_seconds summary\n"

@@ -1,7 +1,11 @@
 """ServiceCore: command semantics, admission control, snapshot policy."""
 
 import hashlib
+import json
+import os
 import re
+import stat
+import threading
 from collections import deque
 
 import pytest
@@ -15,7 +19,9 @@ from repro.service import (
     read_snapshot,
     write_snapshot,
 )
+from repro.service import snapshot as snapshot_module
 from repro.service.protocol import encode_response
+from repro.service.snapshot import WRITER_THREAD
 from repro.workloads.generator import clustered_workload
 
 
@@ -597,6 +603,7 @@ class TestSnapshotCommands:
         _add(core, "R[a]", 1)
         assert not snap.exists()
         _add(core, "R[b]", 2)
+        core.close()  # the write runs in the background; drain it
         assert snap.exists()
         assert read_snapshot(snap)["allocation"] == {"1": "RC", "2": "RC"}
 
@@ -627,6 +634,138 @@ class TestSnapshotCommands:
         response = core.handle({"op": "shutdown"})
         assert response["stopping"] and core.stopping
         assert snap.exists()
+
+
+    def test_unwritable_snapshot_is_a_snapshot_error(self, tmp_path):
+        core = _core()
+        _add(core, "R[x]", 1)
+        path = str(tmp_path / "missing" / "x.json")
+        response = core.handle({"op": "snapshot", "path": path})
+        assert response["error"]["code"] == "snapshot-error", response
+        message = response["error"]["message"]
+        assert message.startswith(f"cannot write snapshot {path}: ")
+        assert ".tmp." not in message  # names the snapshot, not its temp file
+        assert core.registry.counters["service.snapshot_errors"] == 1
+        assert "service.snapshots" not in core.registry.counters
+
+    def test_failed_auto_snapshot_leaves_mutations_alone(self, tmp_path):
+        """Each mutation answers its own result; the failed writes are
+        counted and logged, and nothing counts as persisted."""
+        path = tmp_path / "missing" / "auto.json"
+        log = tmp_path / "events.jsonl"
+        core = _core(snapshot_path=str(path), snapshot_every=2, eventlog_path=str(log))
+        for tid in range(1, 5):
+            response = _add(core, f"R[x{tid}]", tid)
+            assert response["ok"] and response["admitted"], response
+        status = core.handle({"op": "status"})
+        core.close()
+        assert status["transactions"] == 4
+        assert status["mutations_since_snapshot"] == 4
+        counters = core.registry.counters
+        assert counters["service.snapshot_errors"] == 2
+        assert "service.snapshots" not in counters
+        assert "service.autosnapshots" not in counters
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        failed = [event for event in events if event["kind"] == "snapshot"]
+        assert len(failed) == 2
+        for event in failed:
+            assert event["auto"] and event["path"] == str(path)
+            assert event["error"].startswith(f"cannot write snapshot {path}: ")
+
+
+class _FsyncGate:
+    """Holds the writer thread's file fsync until ``release`` is set, and
+    records how many transactions each ``os.replace`` puts in place."""
+
+    def __init__(self, monkeypatch):
+        self.release = threading.Event()
+        self.blocked = threading.Event()  # a background write is held
+        self.replaced = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            if threading.current_thread().name == WRITER_THREAD and stat.S_ISREG(
+                os.fstat(fd).st_mode
+            ):
+                self.blocked.set()
+                self.release.wait(10)
+            real_fsync(fd)
+
+        def replace(src, dst):
+            with open(src, encoding="utf-8") as handle:
+                self.replaced.append(len(json.load(handle)["state"]["allocation"]))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(snapshot_module.os, "fsync", fsync)
+        monkeypatch.setattr(snapshot_module.os, "replace", replace)
+
+
+def _started(call):
+    """Run ``call()`` on a thread; returns the thread and its result box."""
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(response=call()), daemon=True)
+    thread.start()
+    return thread, box
+
+
+class TestBackgroundSnapshots:
+    """Auto-snapshots are written by one writer thread, off the request."""
+
+    def test_mutation_answers_while_its_snapshot_is_written(self, tmp_path, monkeypatch):
+        gate = _FsyncGate(monkeypatch)
+        snap = tmp_path / "auto.json"
+        core = _core(snapshot_path=str(snap), snapshot_every=2)
+        _add(core, "R[a]", 1)
+        thread, box = _started(lambda: _add(core, "R[b]", 2))
+        thread.join(5)
+        assert not thread.is_alive() and box["response"]["admitted"]
+        assert gate.blocked.wait(5), "no background write started"
+        assert not snap.exists()
+        gate.release.set()
+        core.close()
+        assert gate.replaced == [2]
+        assert read_snapshot(snap)["allocation"] == {"1": "RC", "2": "RC"}
+
+    def test_newest_capture_replaces_one_not_started(self, tmp_path, monkeypatch):
+        gate = _FsyncGate(monkeypatch)
+        snap = tmp_path / "auto.json"
+        core = _core(snapshot_path=str(snap), snapshot_every=2)
+        _add(core, "R[a]", 1)
+        _add(core, "R[b]", 2)  # captures 2 transactions; the write is held
+        assert gate.blocked.wait(5)
+        for tid in range(3, 7):  # captures 4, then 6 before 4 is written
+            assert _add(core, f"R[x{tid}]", tid)["ok"]
+        gate.release.set()
+        core.close()
+        assert gate.replaced == [2, 6]  # in capture order, 4 never written
+        assert len(read_snapshot(snap)["allocation"]) == 6
+        assert core.registry.counters["service.autosnapshots"] == 2
+        assert core.registry.counters["service.snapshots"] == 2
+        assert core.registry.histograms["service.snapshot_write"].count == 2
+
+    @pytest.mark.parametrize("op", ["snapshot", "restore", "shutdown", "status"])
+    def test_command_waits_for_the_write_in_flight(self, tmp_path, monkeypatch, op):
+        gate = _FsyncGate(monkeypatch)
+        snap = tmp_path / "auto.json"
+        core = _core(snapshot_path=str(snap), snapshot_every=2)
+        _add(core, "R[a]", 1)
+        _add(core, "R[b]", 2)  # captures 2 transactions; the write is held
+        assert gate.blocked.wait(5)
+        _add(core, "R[c]", 3)
+        thread, box = _started(lambda: core.handle({"op": op}))
+        thread.join(0.3)
+        assert thread.is_alive(), f"{op} answered before the write in flight ended"
+        gate.release.set()
+        thread.join(5)
+        response = box["response"]
+        assert response["ok"], response
+        if op == "restore":  # the file the writer finished, not a missing one
+            assert response["transactions"] == 2
+        elif op == "status":
+            assert response["mutations_since_snapshot"] == 1
+        else:
+            assert gate.replaced == [2, 3]
+        core.close()
 
 
 #: Valid snapshot envelopes whose manager state cannot be restored.

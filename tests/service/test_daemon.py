@@ -13,6 +13,7 @@ from repro.observability import prometheus_text
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.client import ServiceError
 from repro.service.protocol import MAX_LINE_BYTES
+from repro.service.snapshot import WRITER_THREAD, read_snapshot
 
 
 @pytest.fixture
@@ -248,6 +249,7 @@ class TestMetricsHTTP:
                 urllib.request.urlopen(
                     f"http://127.0.0.1:{srv.metrics_port}/nope"
                 )
+            excinfo.value.close()  # the error holds the response's socket
             assert excinfo.value.code == 404
 
 
@@ -299,6 +301,26 @@ class TestLifecycle:
             " the next mutation as the uninterrupted one"
         )
         assert resumed_probe["level"] == probe["level"]
+
+    def test_no_writer_thread_outlives_close(self, tmp_path):
+        snap = tmp_path / "auto.json"
+
+        def writers():
+            return {t for t in threading.enumerate() if t.name == WRITER_THREAD}
+
+        before = writers()
+        server = ServiceServer(
+            ServiceConfig(port=0, snapshot_path=str(snap), snapshot_every=1)
+        )
+        server.start()
+        with ServiceClient(port=server.port) as client:
+            client.call("add", transaction="R[x] W[y]", tid=1)
+            client.call("add", transaction="R[y] W[x]", tid=2)
+        started = writers() - before
+        assert started, "an auto-snapshot starts the writer thread"
+        server.close()
+        assert not any(thread.is_alive() for thread in started)
+        assert read_snapshot(snap)["allocation"] == {"1": "SSI", "2": "SSI"}
 
     def test_close_is_idempotent(self):
         server = ServiceServer(ServiceConfig(port=0))

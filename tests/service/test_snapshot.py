@@ -1,5 +1,6 @@
 """Snapshot files: atomicity, versioning, corruption safety."""
 
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,18 @@ class TestRoundTrip:
         write_snapshot(path, {"version": 1, "other": True})
         write_snapshot(path, state)
         assert read_snapshot(path) == state
+
+    def test_file_is_the_compact_canonical_envelope(self, tmp_path, state):
+        """One line: the envelope's canonical JSON, embedding the state's
+        canonical text, whose sha256 it carries."""
+        path = tmp_path / "snap.json"
+        write_snapshot(path, state)
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        assert f'"state":{canonical}}}' in text
+        assert document["sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_no_temp_droppings(self, tmp_path, state):
         path = tmp_path / "snap.json"

@@ -310,6 +310,7 @@ class TestByteIdentity:
             response = dict(core.handle(envelope))
             response.pop("request_id", None)  # ids are fresh per process
             responses.append(response)
+        core.close()
         return json.dumps(responses, sort_keys=True)
 
     def test_payloads_invariant_under_telemetry_knobs(self, tmp_path):
