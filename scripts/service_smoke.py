@@ -11,7 +11,8 @@ daemon process:
 1. boot ``repro serve`` on an ephemeral port with auto-snapshots;
 2. sustain a scripted 200-mutation churn (adds and remove/re-add
    cycles) through the warm re-analysis path, with periodic ``check``
-   probes;
+   probes; before the batched churn, an allocation kept from the single
+   adds' ``changed`` levels must equal ``allocate``'s;
 3. scrape the post-churn ``/metrics`` and require well-formed latency
    quantile and windowed-rate lines; pull the slowest request span tree
    with ``repro trace dump`` (the daemon was never started with
@@ -175,17 +176,21 @@ def main() -> int:
 
     with ServiceClient(port=port) as client:
         hello = client.call("hello")
-        assert hello["protocol"] == 3, hello
+        assert hello["protocol"] == 4, hello
 
         # -- stage 2: 200-mutation churn (batched envelopes) ----------
         mutations = 0
         checks = 0
         coalesced = 0
+        followed = {}  # the allocation, kept from the adds' "changed"
         for txn in base:
             response = client.call("add", transaction=str(txn), tid=txn.tid)
             assert response["admitted"], response
             mutations += 1
             checks += response["checks"]
+            followed.update(response["changed"])
+        allocated = client.call("allocate")["allocation"]
+        assert followed == allocated, (followed, allocated)
         i = 0
         while mutations < MUTATIONS:
             commands = []

@@ -35,28 +35,37 @@ mutation tracks the affected components, not ``|T|``, and builds no
 index.  :meth:`AllocationManager.check` is Algorithm 1's scan on the
 same warm context.
 
-Some bookkeeping of a mutation is still ``O(|T|)``: the manager builds a
-whole :class:`~repro.core.isolation.Allocation` and an all-transaction
-level dict.  :attr:`AllocationManager.workload` is built on first read
-after a mutation.  :attr:`AllocationManager.last_stats` reports exactly
-a mutation's work: the context's counters it moved.
+The bookkeeping follows the analysis: the manager keeps each live
+transaction's level in a map that a mutation updates for its touched
+components only, and :meth:`AllocationManager.apply_batch` returns the
+levels it changed (:data:`LevelChanges`).
+:attr:`AllocationManager.allocation` and
+:attr:`AllocationManager.workload` are built on the first read after a
+mutation.  :attr:`AllocationManager.last_stats` reports exactly a
+mutation's work: the context's counters it moved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..observability import current_tracer
 from .allocation import _refine
 from .context import AnalysisContext, ContextStats
 from .isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from .kernel import level_list
-from .robustness import RobustnessResult, _first_witness, _probe, _result, _validate
+from .robustness import RobustnessResult, _first_witness, _probe, _result
 from .transactions import Transaction
 from .workload import Workload, WorkloadError, parse_workload as _parse_workload_text
 
 #: One batch entry: ``("add", Transaction)`` or ``("remove", tid)``.
 BatchMutation = Tuple[str, Union[Transaction, int]]
+
+#: What a batch did to the levels: ``tid -> (before, after)`` for every
+#: tid whose level it changed, in ascending tid order.  ``before`` is
+#: ``None`` for a newcomer and ``after`` is ``None`` for a departed tid.
+LevelChanges = Dict[int, Tuple[Optional[IsolationLevel], Optional[IsolationLevel]]]
 
 
 class AllocationManager:
@@ -88,7 +97,12 @@ class AllocationManager:
         # One context over the live set; every mutation updates it in
         # place.
         self._context = AnalysisContext(Workload(()))
-        self._allocation = Allocation({})
+        self._live = MappingProxyType(self._context.transactions)
+        # Each live tid's level; a mutation rewrites its touched
+        # components' entries.
+        self._level_of: Dict[int, IsolationLevel] = {}
+        self._level_view = MappingProxyType(self._level_of)
+        self._allocation: Optional[Allocation] = Allocation({})
         self._workload: Optional[Workload] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = ()
         self._last_stats = ContextStats()
@@ -106,8 +120,23 @@ class AllocationManager:
         return self._workload
 
     @property
+    def live(self) -> Mapping[int, Transaction]:
+        """The live transactions by tid: a read-only view that every
+        mutation updates in place."""
+        return self._live
+
+    @property
+    def level_of(self) -> Mapping[int, IsolationLevel]:
+        """Each live tid's optimal level: a read-only view of the map the
+        mutations update for their touched components."""
+        return self._level_view
+
+    @property
     def allocation(self) -> Allocation:
-        """The current optimal robust allocation."""
+        """The current optimal robust allocation, built from the level
+        map on first read after a mutation; cached until the next."""
+        if self._allocation is None:
+            self._allocation = Allocation(self._level_of)
         return self._allocation
 
     @property
@@ -152,9 +181,9 @@ class AllocationManager:
         return self._last_stats
 
     # ------------------------------------------------------------------
-    def _finish(self, allocation: Allocation, stats: ContextStats) -> None:
-        """Commit a mutation's allocation and stats."""
-        self._allocation = allocation
+    def _finish(self, stats: ContextStats) -> None:
+        """Commit a mutation's stats; drop the views built on read."""
+        self._allocation = None
         self._workload = None
         self._components = None
         self._last_stats = stats
@@ -167,7 +196,8 @@ class AllocationManager:
         suffice with the newcomer at the top level, the floored
         refinement probes the newcomer alone.
         """
-        return self.apply_batch([("add", transaction)])
+        self.apply_batch([("add", transaction)])
+        return self.allocation
 
     def remove(self, tid: int) -> Allocation:
         """Remove a transaction; returns the new optimal allocation.
@@ -176,9 +206,10 @@ class AllocationManager:
         component's fragments are refined, downward from their previous
         levels; a departing singleton costs no robustness check at all.
         """
-        return self.apply_batch([("remove", tid)])
+        self.apply_batch([("remove", tid)])
+        return self.allocation
 
-    def apply_batch(self, mutations: Iterable[BatchMutation]) -> Allocation:
+    def apply_batch(self, mutations: Iterable[BatchMutation]) -> LevelChanges:
         """Apply a batch of mutations with one re-analysis per touched component.
 
         ``mutations`` is an ordered sequence of ``("add", Transaction)``
@@ -213,33 +244,36 @@ class AllocationManager:
         allocation is bit-identical to applying the same mutations one
         at a time — pinned by the stateful equivalence suite — while
         the delta-restricted analysis cost amortizes across the batch.
-        Returns the new optimal allocation.
+        Returns the batch's :data:`LevelChanges`: the difference between
+        :attr:`allocation` before and after it, found on the touched
+        components alone.
         """
         context = self._context
         live = context.transactions
         ops: List[BatchMutation] = []
-        present = set(live)
+        # The batch's membership so far where it differs from ``live``.
+        present: Dict[int, bool] = {}
         for entry in mutations:
             kind, value = entry
             if kind == "add":
                 if not isinstance(value, Transaction):
                     raise WorkloadError('batch "add" takes a Transaction')
-                if value.tid in present:
+                if present.get(value.tid, value.tid in live):
                     raise WorkloadError(
                         f"transaction {value.tid} already present"
                     )
-                present.add(value.tid)
+                present[value.tid] = True
             elif kind == "remove":
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise WorkloadError('batch "remove" takes a transaction id')
-                if value not in present:
+                if not present.get(value, value in live):
                     raise WorkloadError(f"no transaction with id {value}")
-                present.discard(value)
+                present[value] = False
             else:
                 raise WorkloadError(f"unknown batch mutation kind {kind!r}")
             ops.append((kind, value))
         if not ops:
-            return self._allocation
+            return {}
         before = context.stats.as_dict()
         adds = sum(1 for kind, _ in ops if kind == "add")
         tracer = current_tracer()
@@ -269,9 +303,14 @@ class AllocationManager:
                 t for members in retired for t in members
                 if t in live and t not in newcomers
             }
-            old = self._allocation
+            # Until its component is refined, a live tid's entry is its
+            # level before the batch; a tid the batch brought in afresh
+            # has none.
+            levels = self._level_of
+            changes: LevelChanges = {
+                tid: (levels.pop(tid), None) for tid in departed if tid not in live
+            }
             bottom, top = self._levels[0], self._levels[-1]
-            levels = {t: level for t, level in old.items() if t in live}
             touched = 0
             for component in context.renumber(newcomers | survivors):
                 members = component.tids
@@ -281,12 +320,12 @@ class AllocationManager:
                     continue
                 touched += 1
                 start = Allocation(
-                    {t: top if t in newcomers else old[t] for t in members}
+                    {t: top if t in newcomers else levels[t] for t in members}
                 )
                 floors = None
                 if survivors.isdisjoint(members):
                     floors = {
-                        t: bottom if t in newcomers else old[t] for t in members
+                        t: bottom if t in newcomers else levels[t] for t in members
                     }
                 if not newcomers.isdisjoint(members):
                     start_levels, ssi = level_list(start, members)
@@ -294,17 +333,20 @@ class AllocationManager:
                         context, component, start_levels, ssi, (1 << len(members)) - 1, 0
                     ):
                         start = Allocation(dict.fromkeys(members, top))
-                levels.update(
-                    _refine(context, start, self._levels, [component], floors).items()
-                )
+                refined = _refine(context, start, self._levels, [component], floors)
+                for tid, level in refined.items():
+                    old = levels.get(tid)
+                    if old is not level:
+                        changes[tid] = (old, level)
+                        levels[tid] = level
             after = context.stats.as_dict()
             stats = ContextStats(**{k: after[k] - before[k] for k in after})
-            self._finish(Allocation(levels), stats)
+            self._finish(stats)
             if tracer.recording:
                 batch_span.set(
                     checks=stats.checks, shards=len(self.components), touched=touched
                 )
-        return self._allocation
+        return dict(sorted(changes.items()))
 
     # -- warm-state export/import --------------------------------------
     #: Version stamp of the :meth:`save_state` document.  Bump on any
@@ -330,7 +372,7 @@ class AllocationManager:
             "levels": [level._name_ for level in self._levels],
             "workload": "\n".join([lines[tid] for tid in sorted(live)]),
             "allocation": {
-                str(tid): level._name_ for tid, level in self._allocation.items()
+                str(tid): level._name_ for tid, level in self.allocation.items()
             },
         }
 
@@ -387,7 +429,9 @@ class AllocationManager:
         for txn in workload:
             context.add(txn)
         context.renumber(workload.tids)
-        manager._finish(allocation, ContextStats())
+        manager._finish(ContextStats())
+        manager._level_of.update(allocation.items())
+        manager._allocation = allocation
         return manager
 
     def check(self, allocation: Allocation) -> RobustnessResult:
@@ -401,8 +445,14 @@ class AllocationManager:
         is robust.
 
         The check is counted on the tracer (``robustness.checks``) and
-        not on :attr:`last_stats`, which stays the last mutation's.
+        not on :attr:`last_stats`, which stays the last mutation's.  The
+        allocation is validated against :attr:`live`; :attr:`workload`
+        is built only to materialize a witness.
         """
-        workload = self.workload
-        _validate(workload, allocation)
-        return _result(_first_witness(self._context, allocation), workload, allocation)
+        context = self._context
+        if not context.transactions.keys() <= allocation.keys():
+            raise WorkloadError("allocation does not cover the workload")
+        spec = _first_witness(context, allocation)
+        if spec is None:
+            return RobustnessResult(True)
+        return _result(spec, self.workload, allocation)

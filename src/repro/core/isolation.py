@@ -12,7 +12,7 @@ order reflects preference only, not containment of allowed schedules.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, KeysView, Mapping, Tuple, Union
 
 from .workload import Workload, WorkloadError
 
@@ -161,6 +161,10 @@ class Allocation:
 
     def __len__(self) -> int:
         return len(self._levels)
+
+    def keys(self) -> KeysView[int]:
+        """The allocated transaction ids, ascending, as a set-like view."""
+        return self._levels.keys()
 
     def items(self) -> Iterable[Tuple[int, IsolationLevel]]:
         """``(tid, level)`` pairs in ascending tid order."""

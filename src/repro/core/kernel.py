@@ -74,6 +74,7 @@ from .transactions import Transaction
 
 __all__ = [
     "connecting_path",
+    "first_scan_pair",
     "has_witness",
     "iter_witness_triples",
     "level_list",
@@ -385,12 +386,52 @@ def has_witness(
     return False
 
 
+#: What :func:`first_scan_pair` hands the rest of ``T_1``'s scan: its
+#: row, ``T_1``'s level, the SSI mask, the ``scoped`` flag and the first
+#: ``(T_2 flag, T_m mask)`` pair.
+ScanStart = Tuple[_T1Row, IsolationLevel, int, int, Tuple[int, int]]
+
+
+def first_scan_pair(
+    context: AnalysisContext,
+    allocation: Allocation,
+    t1: Transaction,
+    ssi_masks: Dict[Component, int],
+    delta_tid: Optional[int] = None,
+) -> Optional[ScanStart]:
+    """The first pair of ``T_1``'s scan, or ``None`` when it yields nothing.
+
+    One :func:`_first_pair` on ``T_1``'s row, fetched (and counted)
+    here: a robust ``T_1`` costs no generator.  The arguments are those
+    of :func:`iter_witness_triples`, which continues the scan from the
+    result.
+    """
+    component = context.component_of[t1.tid]
+    scoped = 0
+    if delta_tid is not None and delta_tid != t1.tid:
+        if context.component_of[delta_tid] is not component:
+            return None
+        scoped = 1 << context.bit[delta_tid]
+    row = row_of(context, component, context.bit[t1.tid])
+    level1 = allocation[t1.tid]
+    ssi = 0
+    if level1 is _SSI:
+        ssi = ssi_masks.get(component)
+        if ssi is None:
+            ssi = ssi_masks[component] = level_list(allocation, component.tids)[1]
+    pair = _first_pair(row, level1, ssi, scoped)
+    if pair is None:
+        return None
+    return row, level1, ssi, scoped, pair
+
+
 def iter_witness_triples(
     context: AnalysisContext,
     allocation: Allocation,
     t1: Transaction,
     ssi_masks: Dict[Component, int],
     delta_tid: Optional[int] = None,
+    start: Optional[ScanStart] = None,
 ) -> Iterator[
     Tuple[Transaction, Transaction, Tuple[Operation, Operation, Operation, Operation]]
 ]:
@@ -407,29 +448,20 @@ def iter_witness_triples(
     With a ``delta_tid`` other than ``T_1`` only the triples having it as
     ``T_2`` or ``T_m`` are yielded, in the same order; none when it does
     not conflict with ``T_1`` (the scope of
-    :func:`~repro.core.robustness.check_robustness_delta`).
+    :func:`~repro.core.robustness.check_robustness_delta`).  ``start``
+    is :func:`first_scan_pair`'s result for the same arguments when the
+    caller has it; the row it holds is not fetched again.
     """
-    component = context.component_of[t1.tid]
-    scoped = 0
-    if delta_tid is not None and delta_tid != t1.tid:
-        if context.component_of[delta_tid] is not component:
+    if start is None:
+        start = first_scan_pair(context, allocation, t1, ssi_masks, delta_tid)
+        if start is None:
             return
-        scoped = 1 << context.bit[delta_tid]
-    transactions, tids = context.transactions, component.tids
-    row = row_of(context, component, context.bit[t1.tid])
-    level1 = allocation[t1.tid]
+    row, level1, ssi, scoped, pair = start
+    transactions = context.transactions
+    tids = context.component_of[t1.tid].tids
     rc = level1 is _RC
     reads = row.rc_reads if rc else row.si_reads
-    ssi = 0
-    if level1 is _SSI:
-        ssi = ssi_masks.get(component)
-        if ssi is None:
-            ssi = ssi_masks[component] = level_list(allocation, tids)[1]
-    low2 = 0
-    while True:
-        pair = _first_pair(row, level1, ssi, scoped, low2)
-        if pair is None:
-            return
+    while pair is not None:
         low2, tms = pair
         t2 = transactions[tids[low2.bit_length() - 1]]
         while tms:
@@ -447,3 +479,4 @@ def iter_witness_triples(
                 if rw_conflicting(bm, a1) or (rc and t1.position(a1) > pos)
             )
             yield t2, tm, (b1, t2.write_op(b1.obj), bm, a1)
+        pair = _first_pair(row, level1, ssi, scoped, low2)

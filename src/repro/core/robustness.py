@@ -42,7 +42,13 @@ from ..observability import current_tracer
 from .conflicts import ConflictQuadruple
 from .context import AnalysisContext, Component, _resolve
 from .isolation import Allocation, IsolationLevel
-from .kernel import connecting_path, has_witness, iter_witness_triples
+from .kernel import (
+    ScanStart,
+    connecting_path,
+    first_scan_pair,
+    has_witness,
+    iter_witness_triples,
+)
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
 from .split_schedule import SplitScheduleSpec, materialize, operation_order
@@ -121,6 +127,7 @@ def _scan_t1(
     t1: Transaction,
     ssi_masks: Dict[Component, int],
     delta_tid: Optional[int] = None,
+    start: Optional[ScanStart] = None,
 ) -> Iterator[SplitScheduleSpec]:
     """Algorithm 1's inner loops for a fixed split candidate ``T_1``.
 
@@ -140,10 +147,11 @@ def _scan_t1(
     ``allocation`` is one step below a robust one (the delta lemma of
     :func:`check_robustness_delta`).  Each witness's connecting chain
     comes from the kernel row the scan read.  ``ssi_masks`` is the
-    calling check's (:func:`~repro.core.kernel.iter_witness_triples`).
+    calling check's and ``start`` the scan's first pair when the caller
+    has it (:func:`~repro.core.kernel.iter_witness_triples`).
     """
     for t2, tm, ops in iter_witness_triples(
-        context, allocation, t1, ssi_masks, delta_tid
+        context, allocation, t1, ssi_masks, delta_tid, start
     ):
         path = connecting_path(context, t1.tid, t2.tid, tm.tid)
         yield _build_chain(context, t1, t2, tm, ops, path)
@@ -236,8 +244,10 @@ def _first_witness(
     scanned (:func:`check_robustness_delta`): ``T_1`` ranges over
     ``delta_tid`` and its conflict neighbours, and :func:`_scan_t1`
     skips the other triples.  One ``robustness.scan_t1`` span per
-    ``T_1`` scanned.  The incremental manager's whole-workload check is
-    this scan on its warm context.
+    ``T_1`` scanned; a ``T_1`` starts a witness generator only once
+    :func:`~repro.core.kernel.first_scan_pair` has found it a pair.  The
+    incremental manager's whole-workload check is this scan on its warm
+    context.
     """
     context.record_check()
     transactions = context.transactions
@@ -253,10 +263,12 @@ def _first_witness(
     with _check_span(tracer, len(transactions), delta_tid) as check_span:
         for tid in t1s:
             with tracer.span("robustness.scan_t1", t1=tid):
-                spec = next(
-                    _scan_t1(context, allocation, transactions[tid], ssi_masks, delta_tid),
-                    None,
-                )
+                t1 = transactions[tid]
+                start = first_scan_pair(context, allocation, t1, ssi_masks, delta_tid)
+                if start is not None:
+                    spec = next(
+                        _scan_t1(context, allocation, t1, ssi_masks, delta_tid, start)
+                    )
             if spec is not None:
                 break
         check_span.set(robust=spec is None)

@@ -55,12 +55,12 @@ import time
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.incremental import AllocationManager, BatchMutation
+from ..core.incremental import AllocationManager, BatchMutation, LevelChanges
 from ..core.isolation import Allocation, IsolationLevel, POSTGRES_LEVELS
 from ..core.split_schedule import SplitScheduleSpec
-from ..core.transactions import Transaction, TransactionError, parse_transaction
+from ..core.transactions import TransactionError, parse_transaction
 from ..core.workload import WorkloadError
 from ..observability import (
     EventLog,
@@ -410,6 +410,15 @@ class ServiceCore:
     def _allocation_payload(self, allocation: Allocation) -> Dict[str, str]:
         return {str(tid): level._name_ for tid, level in allocation.items()}
 
+    @staticmethod
+    def _changed_payload(changes: LevelChanges) -> Dict[str, str]:
+        """The ``changed`` field: each live tid's new level, ascending."""
+        return {
+            str(tid): after._name_
+            for tid, (_before, after) in sorted(changes.items())
+            if after is not None
+        }
+
     def _histogram(self, allocation: Allocation) -> Dict[str, int]:
         counts = dict.fromkeys(self._level_names, 0)
         for _tid, level in allocation.items():
@@ -439,10 +448,9 @@ class ServiceCore:
             elif value:
                 self.registry.incr(f"context.{name}", value)
 
-    def _policy_reasons(
-        self, promotions: List[int], allocation: Allocation
-    ) -> List[str]:
-        """Why the active admission policy refuses an outcome (empty: admitted)."""
+    def _policy_reasons(self, promotions: List[int]) -> List[str]:
+        """Why the active admission policy refuses an outcome (empty:
+        admitted); only a non-zero floor reads the whole allocation."""
         policy = self.config.admission
         reasons = []
         if policy.max_promotions is not None and len(promotions) > policy.max_promotions:
@@ -450,41 +458,47 @@ class ServiceCore:
                 f"admission promotes {len(promotions)} transactions"
                 f" (> max_promotions={policy.max_promotions})"
             )
-        below = sum(1 for _tid, level in allocation.items() if level < self._top)
-        fraction = below / len(allocation) if len(allocation) else 1.0
-        if fraction < policy.floor - 1e-12:
-            reasons.append(
-                f"fraction below {self._top.name} would drop to {fraction:.3f}"
-                f" (< floor={policy.floor})"
-            )
+        if policy.floor > 0.0:
+            allocation = self._manager.allocation
+            below = sum(1 for _tid, level in allocation.items() if level < self._top)
+            fraction = below / len(allocation) if len(allocation) else 1.0
+            if fraction < policy.floor - 1e-12:
+                reasons.append(
+                    f"fraction below {self._top.name} would drop to {fraction:.3f}"
+                    f" (< floor={policy.floor})"
+                )
         return reasons
 
-    def _witness_payload(self, old: Allocation, txn: Transaction) -> Optional[Dict[str, Any]]:
-        """The chain proving the pre-admission levels cannot absorb ``txn``.
+    def _witness_payload(self, changes: LevelChanges) -> Optional[Dict[str, Any]]:
+        """The chain proving the pre-admission levels cannot absorb a newcomer.
 
-        Runs while the newcomer is still admitted: robustness of ``old``
-        extended with the newcomer at the top level.  Non-robustness of
-        that candidate is exactly what forces existing transactions to
-        rise, and (delta lemma) its witness chain involves the newcomer
-        plus currently-admitted transactions only — never a retired tid,
-        extending the manager's stale-chain pruning guarantee to the
-        service boundary.
+        Runs while the newcomer is still admitted, with ``changes`` its
+        add's report: robustness of the old levels (the current ones
+        with ``changes`` undone) extended with the newcomer at the top
+        level.  Non-robustness of that candidate is exactly what forces
+        existing transactions to rise, and (delta lemma) its witness
+        chain involves the newcomer plus currently-admitted transactions
+        only — never a retired tid, extending the manager's stale-chain
+        pruning guarantee to the service boundary.
         """
-        candidate = Allocation({**dict(old.items()), txn.tid: self._top})
-        result = self._manager.check(candidate)
+        levels = dict(self._manager.allocation.items())
+        for tid, (before, _after) in changes.items():
+            levels[tid] = self._top if before is None else before
+        result = self._manager.check(Allocation(levels))
         self._tally("context.checks")
         if result.robust or result.counterexample is None:
             return None
         return _chain_payload(result.counterexample.spec)
 
     def _parse_mutation(
-        self, sub: Mapping[str, Any], present: Set[int]
+        self, sub: Mapping[str, Any], present: Dict[int, bool]
     ) -> BatchMutation:
         """One add/remove envelope as a manager mutation.
 
-        Checked against — and applied to — the evolving tid set
-        ``present``; raises exactly what the envelope would raise if it
-        were sent alone.
+        Checked against — and applied to — the evolving tid set:
+        the manager's live set overlaid with ``present``, the run's
+        adds (``True``) and removes (``False``) so far.  Raises exactly
+        what the envelope would raise if it were sent alone.
         """
         validate_envelope(sub)
         op, tid = sub["op"], sub.get("tid")
@@ -492,20 +506,21 @@ class ServiceCore:
             raise ProtocolError('"transaction" must be a string')
         if not isinstance(tid, int) and (tid is not None or op == "remove"):
             raise ProtocolError('"tid" must be an integer')
+        live = self._manager.live
         if op == "remove":
-            if tid not in present:
+            if not present.get(tid, tid in live):
                 raise ProtocolError(f"no transaction with id {tid}", code="not-found")
-            present.discard(tid)
+            present[tid] = False
             return ("remove", tid)
         txn = parse_transaction(sub["transaction"], tid=tid)
-        if txn.tid in present:
+        if present.get(txn.tid, txn.tid in live):
             raise WorkloadError(f"transaction {txn.tid} already present")
-        present.add(txn.tid)
+        present[txn.tid] = True
         return ("add", txn)
 
     def _mutate(
         self, entries: List[Mapping[str, Any]]
-    ) -> Tuple[List[Dict[str, Any]], int, int]:
+    ) -> Tuple[List[Dict[str, Any]], int, int, LevelChanges]:
         """Execute add/remove envelopes: the one path every mutation takes.
 
         Single ``add``/``remove`` envelopes, the mutation runs of a
@@ -516,9 +531,10 @@ class ServiceCore:
         and the admission policy is evaluated once on the outcome.  A
         refused add is rolled back by the inverse batch (exact: the
         optimum is unique), reported with its witness chain and, in
-        queue mode, parked.  A single mutation answers with the new
-        allocation (a remove also retries the queue); the entries of a
-        larger batch are marked ``"coalesced": true``.
+        queue mode, parked.  A single mutation answers with the levels
+        it changed, queue retries included (a remove retries the
+        queue); the entries of a larger batch are marked
+        ``"coalesced": true``.
 
         The policy judges each admission against the state just before
         it, which a coalesced outcome does not show — a later add may
@@ -527,9 +543,10 @@ class ServiceCore:
         can reject and the entries hold an add, or when the queue is
         non-empty, each entry runs alone through this method instead.
 
-        Returns the per-entry responses, the robustness checks spent and
-        the number of coalesced mutations.
+        Returns the per-entry responses, the robustness checks spent,
+        the number of coalesced mutations and the net level changes.
         """
+        changes: LevelChanges = {}
         if len(entries) > 1 and (
             self._queue
             or (
@@ -539,12 +556,13 @@ class ServiceCore:
         ):
             results, checks = [], 0
             for sub in entries:
-                (response,), spent, _ = self._mutate([sub])
+                (response,), spent, _, changed = self._mutate([sub])
                 results.append(response)
                 checks += spent
-            return results, checks, 0
+                _merge_changes(changes, changed)
+            return results, checks, 0, changes
         manager = self._manager
-        present = set(manager.allocation.tids)
+        present: Dict[int, bool] = {}
         results = [{} for _ in entries]
         ops: List[Tuple[int, BatchMutation]] = []
         for slot, sub in enumerate(entries):
@@ -553,29 +571,26 @@ class ServiceCore:
             except (ProtocolError, TransactionError, WorkloadError) as exc:
                 results[slot] = _error_for(sub, exc)
         if not ops:
-            return results, 0, 0
-        old = manager.allocation
-        new = manager.apply_batch([op for _slot, op in ops])
+            return results, 0, 0, changes
+        changes = manager.apply_batch([op for _slot, op in ops])
         checks = manager.last_check_count
         adds = [(slot, value) for slot, (kind, value) in ops if kind == "add"]
         # Only a lone add reports its promotions, and it is the only
-        # admission an active policy judges here (see above).
+        # admission an active policy judges here (see above).  An add
+        # only raises levels, so its promotions are its other changes.
         lone_add = len(ops) == 1 and len(adds) == 1
         promotions: List[int] = []
-        if lone_add:  # an add keeps every old tid; compare changed levels only
-            after = dict(new.items())
-            promotions = [
-                tid for tid, level in old.items()
-                if after[tid] is not level and after[tid] > level
-            ]
+        if lone_add:
+            newcomer = adds[0][1].tid
+            promotions = [tid for tid in changes if tid != newcomer]
         reasons: List[str] = []
         if lone_add and self.config.admission.active:
-            reasons = self._policy_reasons(promotions, new)
+            reasons = self._policy_reasons(promotions)
         if reasons:
             [(slot, txn)] = adds
             self._merge_mutation_stats()  # the add's work
-            witness = self._witness_payload(old, txn)
-            manager.apply_batch([("remove", txn.tid)])
+            witness = self._witness_payload(changes)
+            _merge_changes(changes, manager.apply_batch([("remove", txn.tid)]))
             self._merge_mutation_stats()  # the rollback's work
             queued = self.config.admission.mode == "queue"
             self._tally("service.rejected")
@@ -601,35 +616,36 @@ class ServiceCore:
                 promotions=promotions,
                 checks=checks,
                 witness=witness,
-                allocation=self._allocation_payload(manager.allocation),
+                changed=self._changed_payload(changes),
             )
-            return results, checks, 0
+            return results, checks, 0, changes
         self._merge_mutation_stats()
         self._record_mutation(len(ops))
         self.registry.incr("service.admitted", len(adds))
-        retried: Tuple[List[int], List[int]] = ([], [])
+        retried: List[int] = []
+        dropped: List[int] = []
         if len(adds) < len(ops):
-            retried = self._retry_queue()
+            retried, dropped, retry_changes = self._retry_queue()
+            _merge_changes(changes, retry_changes)
         coalesced = len(ops) if len(ops) > 1 else 0
         extra: Dict[str, Any] = {"coalesced": True}
         if not coalesced:
-            extra = {
-                "checks": checks,
-                "allocation": self._allocation_payload(manager.allocation),
-            }
+            extra = {"checks": checks, "changed": self._changed_payload(changes)}
+        level_of = manager.level_of
         for slot, (kind, value) in ops:
             if kind == "remove":
-                fields = {"tid": value, "retried": retried[0], "dropped": retried[1]}
+                fields = {"tid": value, "retried": retried, "dropped": dropped}
             else:
+                level = level_of.get(value.tid)
                 fields = {
                     "admitted": True,
                     "tid": value.tid,
-                    "level": new[value.tid].name if value.tid in new else None,
+                    "level": level.name if level is not None else None,
                 }
                 if not coalesced:
                     fields["promotions"] = promotions
             results[slot] = ok_response(entries[slot], **fields, **extra)
-        return results, checks, coalesced
+        return results, checks, coalesced, changes
 
     def _record_mutation(self, n: int = 1) -> None:
         self._mutations += n
@@ -706,8 +722,9 @@ class ServiceCore:
         self._writer.close()
         self.events.close()
 
-    def _retry_queue(self) -> Tuple[List[int], List[int]]:
-        """Re-attempt queued admissions; returns ``(admitted, dropped)``.
+    def _retry_queue(self) -> Tuple[List[int], List[int], LevelChanges]:
+        """Re-attempt queued admissions; returns ``(admitted, dropped,
+        changes)``, ``changes`` the retries' net level changes.
 
         A queued tid that was reused meanwhile is dropped; one refused
         again is parked again, in its original arrival order.
@@ -715,9 +732,11 @@ class ServiceCore:
         admitted: List[int] = []
         dropped: List[int] = []
         still: List[Dict[str, Any]] = []
+        changes: LevelChanges = {}
         pending, self._queue = self._queue, []
         for sub in pending:
-            (response,), _checks, _ = self._mutate([sub])
+            (response,), _checks, _, changed = self._mutate([sub])
+            _merge_changes(changes, changed)
             if not response["ok"]:
                 dropped.append(sub["tid"])
             elif response["admitted"]:
@@ -725,7 +744,7 @@ class ServiceCore:
             else:
                 still.append(sub)
         self._queue = still
-        return admitted, dropped
+        return admitted, dropped, changes
 
     # -- command handlers ----------------------------------------------
     def _cmd_hello(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
@@ -734,7 +753,7 @@ class ServiceCore:
             server="repro-serve",
             protocol=PROTOCOL_VERSION,
             levels=list(self._level_names),
-            transactions=len(self._manager.workload),
+            transactions=len(self._manager.live),
         )
 
     def _cmd_status(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
@@ -742,7 +761,7 @@ class ServiceCore:
         sizes = [len(members) for members in self._manager.components]
         return ok_response(
             envelope,
-            transactions=len(self._manager.workload),
+            transactions=len(self._manager.live),
             shards=len(sizes),
             shard_sizes=sizes,
             queued=list(self.queued_tids),
@@ -754,21 +773,28 @@ class ServiceCore:
         )
 
     def _cmd_mutate(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
-        (response,), _checks, _coalesced = self._mutate([envelope])
+        (response,), _checks, _coalesced, _changes = self._mutate([envelope])
         return response
 
     def _parse_check_allocation(self, envelope: Mapping[str, Any]) -> Allocation:
-        workload = self._manager.workload
+        """The ``check`` request's allocation over the live tids: its
+        ``allocation`` map, or every tid at ``uniform`` (absent or
+        ``null``: SI)."""
+        live = self._manager.live
         mapping = envelope.get("allocation")
         uniform = envelope.get("uniform")
         if mapping is not None and uniform is not None:
             raise ProtocolError('use either "allocation" or "uniform", not both')
         if mapping is None:
-            return Allocation.uniform(workload, parse_level(str(uniform or "SI")))
+            if uniform is None:
+                uniform = "SI"
+            elif not isinstance(uniform, str):
+                raise ProtocolError('"uniform" must be a level name')
+            return Allocation(dict.fromkeys(live, parse_level(uniform)))
         if not isinstance(mapping, dict):
             raise ProtocolError('"allocation" must be an object of tid -> level')
         return allocation_from_pairs(
-            workload, ((str(key), str(value)) for key, value in mapping.items())
+            live, ((str(key), str(value)) for key, value in mapping.items())
         )
 
     def _cmd_check(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
@@ -805,7 +831,7 @@ class ServiceCore:
         def flush() -> None:
             nonlocal checks, coalesced
             if run:
-                responses, spent, merged = self._mutate(run)
+                responses, spent, merged, _changes = self._mutate(run)
                 results.extend(responses)
                 checks += spent
                 coalesced += merged
@@ -855,7 +881,7 @@ class ServiceCore:
             envelope,
             path=path,
             bytes=size,
-            transactions=len(self._manager.workload),
+            transactions=len(self._manager.live),
         )
 
     def _cmd_restore(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
@@ -883,7 +909,7 @@ class ServiceCore:
             envelope,
             path=path,
             verified=verify,
-            transactions=len(manager.workload),
+            transactions=len(manager.live),
             allocation=self._allocation_payload(manager.allocation),
         )
 
@@ -897,7 +923,7 @@ class ServiceCore:
         """
         now = time.monotonic() - self._started
         gauges = {
-            "transactions": float(len(self._manager.workload)),
+            "transactions": float(len(self._manager.live)),
             "shards": float(len(self._manager.components)),
             "queue_depth": float(len(self._queue)),
             "mutations": float(self._mutations),
@@ -952,7 +978,7 @@ class ServiceCore:
     def _cmd_shutdown(self, envelope: Mapping[str, Any]) -> Dict[str, Any]:
         self._drain_writes()
         snapshot_path = None
-        if self.config.snapshot_path and len(self._manager.workload):
+        if self.config.snapshot_path and self._manager.live:
             snapshot_path = self.config.snapshot_path
             self._write_snapshot(snapshot_path)
         self._stopping = True
@@ -960,7 +986,7 @@ class ServiceCore:
             envelope,
             stopping=True,
             snapshot=snapshot_path,
-            transactions=len(self._manager.workload),
+            transactions=len(self._manager.live),
         )
 
 
@@ -973,6 +999,21 @@ def _restore_manager(path: str) -> AllocationManager:
         return AllocationManager.load_state(state)
     except ValueError as exc:
         raise SnapshotError(f"snapshot {path} cannot be restored: {exc}") from None
+
+
+def _merge_changes(changes: LevelChanges, later: LevelChanges) -> None:
+    """Fold ``later`` into ``changes``, so that it holds their net change.
+
+    A tid whose level ends where it started drops out, unless it left
+    in between: a tid admitted again counts as changed, as a newcomer
+    does.
+    """
+    for tid, (before, after) in later.items():
+        first, middle = changes.get(tid, (before, before))
+        if first is after and middle is not None:
+            changes.pop(tid, None)
+        else:
+            changes[tid] = (first, after)
 
 
 def _chain_payload(spec: SplitScheduleSpec) -> Dict[str, Any]:

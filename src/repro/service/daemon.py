@@ -238,7 +238,7 @@ class ServiceServer:
         for server in self._servers:
             server.shutdown()
             server.server_close()
-        self.core.events.emit("stop", transactions=len(self.core.manager.workload))
+        self.core.events.emit("stop", transactions=len(self.core.manager.live))
         self.core.close()
         if self.config.socket_path:
             try:
@@ -279,13 +279,13 @@ def serve(config: ServiceConfig) -> ServiceCore:
     server.core.events.emit(
         "start",
         port=server.port,
-        transactions=len(server.core.manager.workload),
+        transactions=len(server.core.manager.live),
         pid=os.getpid(),
     )
     if config.snapshot_path:
         print(
             f"repro serve: snapshot path {config.snapshot_path}"
-            f" ({len(server.core.manager.workload)} transactions resumed)"
+            f" ({len(server.core.manager.live)} transactions resumed)"
         )
     server.start()
     try:

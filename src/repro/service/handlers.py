@@ -109,15 +109,16 @@ def parse_allocation_spec(
         raise CommandError("use either an allocation spec or a uniform level, not both")
     if spec:
         pairs = (part.partition("=")[::2] for part in spec.split(","))
-        return allocation_from_pairs(workload, pairs)
+        return allocation_from_pairs(workload.tids, pairs)
     return Allocation.uniform(workload, parse_level(uniform or "SI"))
 
 
 def allocation_from_pairs(
-    workload: Workload, pairs: Iterable[Tuple[str, str]]
+    tids: Iterable[int], pairs: Iterable[Tuple[str, str]]
 ) -> Allocation:
-    """An allocation covering ``workload`` from ``(tid, level)`` pairs
-    such as ``("T1", "RC")``: the CLI's spec and the daemon's ``check``."""
+    """An allocation covering the transactions ``tids`` from
+    ``(tid, level)`` pairs such as ``("T1", "RC")``: the CLI's spec and
+    the daemon's ``check``."""
     levels = {}
     for key, value in pairs:
         key = key.strip()
@@ -125,14 +126,23 @@ def allocation_from_pairs(
         if not tid.isdecimal():
             raise CommandError(f"bad allocation key {key!r}; use T<i>")
         levels[int(tid)] = parse_level(value)
-    missing = set(workload.tids) - set(levels)
+    missing = [tid for tid in tids if tid not in levels]
     if missing:
         raise CommandError(f"allocation misses transactions {sorted(missing)}")
     return Allocation(levels)
 
 
+#: Each level by its exact name, the spelling clients send.
+_BY_NAME: Dict[str, IsolationLevel] = dict(IsolationLevel.__members__)
+
+
 def parse_level(text: str) -> IsolationLevel:
-    """One isolation level by name, e.g. ``"SI"``."""
+    """One isolation level by name, e.g. ``"SI"``: an exact name is one
+    table lookup, any other spelling goes through
+    :meth:`IsolationLevel.parse <repro.core.isolation.IsolationLevel.parse>`."""
+    level = _BY_NAME.get(text)
+    if level is not None:
+        return level
     try:
         return IsolationLevel.parse(text)
     except ValueError as exc:

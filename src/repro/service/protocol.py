@@ -41,8 +41,10 @@ __all__ = [
 #: ``hello`` reports it so clients can refuse to talk to a stranger.
 #: Version 2: ``batch`` takes ``commands`` only.  Version 3: the
 #: ``metrics`` response drops ``timers``; ``histograms`` carries every
-#: latency summary.
-PROTOCOL_VERSION = 3
+#: latency summary.  Version 4: a single ``add`` or ``remove`` answers
+#: with ``changed``, the levels it changed, instead of the whole
+#: ``allocation``.
+PROTOCOL_VERSION = 4
 
 #: The longest request line the daemon reads, newline included.  A
 #: longer line gets one ``too-large`` error and its connection closes:

@@ -38,7 +38,7 @@ class TestBasicCommands:
         response = _core().handle({"op": "hello"})
         assert response["ok"] and response["server"] == "repro-serve"
         assert response["levels"] == ["RC", "SI", "SSI"]
-        assert response["protocol"] == 3
+        assert response["protocol"] == 4
 
     def test_add_and_allocate(self):
         core = _core()
@@ -53,7 +53,8 @@ class TestBasicCommands:
         response = _add(core, "R[y] W[x]", 2)
         assert response["admitted"]
         assert response["promotions"] == [1]
-        assert response["allocation"] == {"1": "SSI", "2": "SSI"}
+        assert response["changed"] == {"1": "SSI", "2": "SSI"}
+        assert core.handle({"op": "allocate"})["allocation"] == {"1": "SSI", "2": "SSI"}
 
     def test_add_embedded_subscripts(self):
         core = _core()
@@ -73,7 +74,8 @@ class TestBasicCommands:
         _add(core, "R[y] W[x]", 2)
         response = core.handle({"op": "remove", "tid": 2})
         assert response["ok"]
-        assert response["allocation"] == {"1": "RC"}
+        assert response["changed"] == {"1": "RC"}
+        assert core.handle({"op": "allocate"})["allocation"] == {"1": "RC"}
 
     def test_remove_unknown_tid(self):
         response = _core().handle({"op": "remove", "tid": 9})
@@ -88,6 +90,28 @@ class TestBasicCommands:
         counterexample = response["counterexample"]
         assert counterexample["tids"] == [1, 2]
         assert "anomaly" in counterexample
+
+    @pytest.mark.parametrize("uniform", [False, 0, "", True, 1, ["SI"], "BOGUS"])
+    def test_check_uniform_must_name_a_level(self, uniform):
+        """Only an absent or null ``uniform`` defaults to SI: a falsy
+        non-level is refused, not read as SI."""
+        core = _core()
+        _add(core, "R[x] W[y]", 1)
+        _add(core, "R[y] W[x]", 2)
+        response = core.handle({"op": "check", "uniform": uniform})
+        assert response["error"]["code"] == "bad-request", response
+
+    @pytest.mark.parametrize("fields", [{}, {"uniform": None}], ids=["absent", "null"])
+    def test_check_uniform_defaults_to_si(self, fields):
+        core = _core()
+        _add(core, "R[x] W[y]", 1)
+        _add(core, "R[y] W[x]", 2)
+        response = core.handle({"op": "check", **fields})
+        assert response == {
+            **core.handle({"op": "check", "uniform": "SI"}),
+            "request_id": response["request_id"],
+        }
+        assert response["robust"] is False
 
     def test_check_explicit_allocation(self):
         core = _core()
@@ -506,7 +530,8 @@ class TestAdmissionControl:
         assert response["ok"] and response["admitted"] is False
         assert "max_promotions" in response["reason"]
         # rollback: the pre-admission allocation returns exactly
-        assert response["allocation"] == {"1": "RC"}
+        assert response["changed"] == {}
+        assert core.handle({"op": "allocate"})["allocation"] == {"1": "RC"}
         assert 2 not in core.manager.workload
 
     def test_rejection_carries_witness_chain(self):
@@ -887,16 +912,28 @@ class TestWarmRestoreEquivalence:
         follow_up = ("R[y] W[a]", 5)
         original = _add(core, *follow_up)
         restored = _add(survivor, *follow_up)
-        assert original["allocation"] == restored["allocation"]
+        assert original["changed"] == restored["changed"]
         assert original["checks"] == restored["checks"]
+        assert (
+            core.handle({"op": "allocate"})["allocation"]
+            == survivor.handle({"op": "allocate"})["allocation"]
+        )
 
 
 _SUBSCRIPT = re.compile(r"(?<=[RWC])\d+")
 
-#: sha256 of the response stream of :func:`_churn_stream`, per seed.
+#: sha256 of the response stream of :func:`_churn_stream`, per seed, as
+#: protocol 3 wrote it: single adds and removes answered with the whole
+#: allocation (:func:`_as_v3` rebuilds those replies).
 CHURN_DIGESTS = {
     1: "0605450a9450a8d78c70e9d711800875e8c762cdbd814a96676098817fbcd74a",
     3: "dfef6a98c724975bf379cad426e363ee56b073ea10b538e0be0232ad965eab3f",
+}
+
+#: sha256 of the same streams as protocol 4 writes them.
+CHURN_DIGESTS_V4 = {
+    1: "046eee92fd9e55fd6e6cacb6d4dab8564710a771670318babdefcbdaafffaffe",
+    3: "162d303dede230e469c10946804b5225d4006f9c8abbd40bcd113ef16b80744b",
 }
 
 
@@ -908,7 +945,9 @@ def _churn_stream(core, seed, cycles=100):
     each with the next transaction of its component, then sends a
     ``batch`` of 4 removes and 4 adds, a single ``remove``, a single
     ``add``, an ``allocate``, a ``check`` of the allocation it returned
-    and a ``status``.  Yields every response.
+    and a ``status``.  Yields every response, each with the manager's
+    allocation just before it for a single ``remove`` or ``add`` (and
+    ``None`` for the others).
     """
     components = 16
     pool = clustered_workload(
@@ -926,9 +965,13 @@ def _churn_stream(core, seed, cycles=100):
         text = _SUBSCRIPT.sub("", str(txn))
         return {"op": "add", "transaction": text, "tid": txn.tid}
 
+    def single(envelope):
+        before = core.manager.allocation
+        return core.handle(envelope), before
+
     initial = [arrival(c) for _ in range(4) for c in range(components)]
     live = deque((add["tid"], (add["tid"] - 1) % components) for add in initial)
-    yield core.handle({"op": "batch", "commands": initial})
+    yield core.handle({"op": "batch", "commands": initial}), None
     for _ in range(cycles):
         departures = [live.popleft() for _ in range(5)]
         arrivals = [arrival(component) for _tid, component in departures]
@@ -937,13 +980,33 @@ def _churn_stream(core, seed, cycles=100):
             for add, (_tid, component) in zip(arrivals, departures)
         )
         removes = [{"op": "remove", "tid": tid} for tid, _component in departures]
-        yield core.handle({"op": "batch", "commands": removes[:4] + arrivals[:4]})
-        yield core.handle(removes[4])
-        yield core.handle(arrivals[4])
+        yield core.handle({"op": "batch", "commands": removes[:4] + arrivals[:4]}), None
+        yield single(removes[4])
+        yield single(arrivals[4])
         allocated = core.handle({"op": "allocate"})
-        yield allocated
-        yield core.handle({"op": "check", "allocation": allocated["allocation"]})
-        yield core.handle({"op": "status"})
+        yield allocated, None
+        yield core.handle({"op": "check", "allocation": allocated["allocation"]}), None
+        yield core.handle({"op": "status"}), None
+
+
+def _as_v3(response, before):
+    """A single add or remove reply as protocol 3 wrote it.
+
+    The allocation ``before`` the request, minus a removed tid, plus the
+    reply's ``changed`` levels, in ascending tid order, takes
+    ``changed``'s place as ``allocation``.
+    """
+    levels = {tid: level.name for tid, level in before.items()}
+    if response["op"] == "remove":
+        del levels[response["tid"]]
+    levels.update((int(tid), name) for tid, name in response["changed"].items())
+    allocation = {str(tid): levels[tid] for tid in sorted(levels)}
+    return {
+        ("allocation" if key == "changed" else key): (
+            allocation if key == "changed" else value
+        )
+        for key, value in response.items()
+    }
 
 
 class TestChurnResponseStream:
@@ -951,19 +1014,27 @@ class TestChurnResponseStream:
 
     Everything a response carries is a function of the requests, except
     its ``request_id``, the ``uptime_s`` of ``status`` and the snapshot
-    path, which are dropped before hashing the wire encoding.
+    path, which are dropped before hashing the wire encoding.  The
+    stream is pinned as protocol 4 writes it, and with each single
+    mutation's reply rebuilt as protocol 3 wrote it, which pins that
+    ``changed`` is exactly what the whole allocation moved.
     """
 
     @pytest.mark.parametrize("seed", sorted(CHURN_DIGESTS))
     def test_digest_is_pinned(self, tmp_path, seed):
         core = _core(snapshot_path=str(tmp_path / "churn.json"), snapshot_every=64)
-        digest = hashlib.sha256()
+        v3, v4 = hashlib.sha256(), hashlib.sha256()
         responses = 0
-        for response in _churn_stream(core, seed):
+        for response, before in _churn_stream(core, seed):
             assert response["ok"], response
             for key in ("request_id", "uptime_s", "snapshot_path"):
                 response.pop(key, None)
-            digest.update(encode_response(response))
+            v4.update(encode_response(response))
+            if before is not None:
+                response = _as_v3(response, before)
+            v3.update(encode_response(response))
             responses += 1
+        core.close()
         assert responses == 1 + 6 * 100
-        assert digest.hexdigest() == CHURN_DIGESTS[seed]
+        assert v3.hexdigest() == CHURN_DIGESTS[seed]
+        assert v4.hexdigest() == CHURN_DIGESTS_V4[seed]

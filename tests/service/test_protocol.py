@@ -109,5 +109,5 @@ class TestResponses:
             ProtocolError("x", code="not-a-code")
 
 
-def test_protocol_version_is_three():
-    assert PROTOCOL_VERSION == 3
+def test_protocol_version_is_four():
+    assert PROTOCOL_VERSION == 4
