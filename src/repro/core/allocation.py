@@ -18,17 +18,20 @@ Every entry point accepts an optional
 index, so it and the kernel rows cached on it are built exactly once
 across the ``O(|T| * levels)`` robustness checks a full run issues.
 
-Every downgrade probe lowers one transaction ``t`` of a robust
-allocation, so its scan visits only the triples through ``t`` (the
-delta lemma of :func:`repro.core.robustness.check_robustness_delta`),
-with the full scan's verdict, and it asks only whether a witness
-exists: no chain is built for a verdict the refinement reads as one
-bit.  Every probe runs on the bitset kernel; the reference Algorithm 2
-is :func:`repro.core.reference.optimal_allocation`.
+Every downgrade lowers one transaction ``t`` of a robust allocation,
+so its scan visits only the triples through ``t`` (the delta lemma of
+:func:`repro.core.robustness.check_robustness_delta`), with the full
+scan's verdict, and it asks only whether a witness exists: no chain is
+built for a verdict the refinement reads as one bit.  One kernel scan
+decides every candidate level of ``t`` at once, since outside ``t``'s
+own row its level counts only through the SSI mask.  Every scan runs
+on the bitset kernel; the reference Algorithm 2 is
+:func:`repro.core.reference.optimal_allocation`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..observability import current_tracer
@@ -40,7 +43,7 @@ from .isolation import (
     POSTGRES_LEVELS,
 )
 from .kernel import level_list
-from .robustness import _first_witness, _probe, _validate, is_robust
+from .robustness import _first_witness, _lowest_robust, _validate, is_robust
 from .workload import Workload
 
 
@@ -65,40 +68,47 @@ def _refine(
 
     Each component is refined on its own level list in bit order plus
     its SSI mask (:func:`~repro.core.kernel.level_list`), its members in
-    ascending order: a probe sets one entry, and an adopted lowering
-    clears one bit of the mask.  A probe is one kernel call
-    (:func:`~repro.core.robustness._probe`) scoped to the lowered
-    member, whose split candidates are it and its conflict neighbours
-    (``nbrs[bit] | 1 << bit``), and counts one check on ``context``.
-    The per-transaction and per-probe spans are opened only under a
-    recording tracer.  Returns ``start`` with the refined levels.
+    ascending order: an adopted lowering sets one entry and clears one
+    bit of the mask.  A member's candidate levels are those of
+    ``ordered`` from its floor up to, not including, its current level,
+    and one kernel scan (:func:`~repro.core.robustness._lowest_robust`)
+    over the member and its conflict neighbours (``nbrs[bit] | 1 <<
+    bit``) adopts the lowest robust one, counting on ``context`` one
+    check per candidate it decides.  The per-transaction and
+    per-decision spans are opened only under a recording tracer.
+    Returns ``start`` with the refined levels.
     """
     ranks = [level.rank for level in ordered]
     tracer = current_tracer()
 
     def lower(component, current, bit: int, tid: int, probe_ssi: int) -> bool:
         """Adopt the lowest level that keeps the allocation robust."""
-        flag = 1 << bit
-        t1s = component.nbrs[bit] | flag
-        level_now = current[bit]
         floor = floors.get(tid) if floors is not None else None
-        low = -1 if floor is None else floor.rank
-        high = level_now.rank
-        for level, rank in zip(ordered, ranks):
-            if rank < low:
-                continue
-            if rank >= high:
-                break
-            current[bit] = level
-            if tracer.recording:
-                with tracer.span("allocation.probe", tid=tid, level=level.name):
-                    found = _probe(context, component, current, probe_ssi, t1s, flag)
-            else:
-                found = _probe(context, component, current, probe_ssi, t1s, flag)
-            if not found:
-                return True
-        current[bit] = level_now
-        return False
+        candidates = ordered[
+            0 if floor is None else bisect_left(ranks, floor.rank) :
+            bisect_left(ranks, current[bit].rank)
+        ]
+        if not candidates:
+            return False
+        if tracer.recording:
+            before = context.stats.checks
+            with tracer.span(
+                "allocation.probe",
+                tid=tid,
+                levels=[level.name for level in candidates],
+            ) as probe_span:
+                level = _lowest_robust(
+                    context, component, current, probe_ssi, bit, candidates
+                )
+                probe_span.set(checks=context.stats.checks - before)
+        else:
+            level = _lowest_robust(
+                context, component, current, probe_ssi, bit, candidates
+            )
+        if level is None:
+            return False
+        current[bit] = level
+        return True
 
     refined = dict(start.items())
     with tracer.span("allocation.refine", transactions=len(refined)):
@@ -133,11 +143,12 @@ def refine_allocation(
     independent of the iteration order and equals the unique optimal robust
     allocation below ``start`` (the test suite checks order invariance).
 
-    Each probe lowers one transaction of the current, robust allocation,
+    Each step lowers one transaction of the current, robust allocation,
     so it scans only the triples through that transaction and asks only
-    whether a witness exists: no chain and no schedule are built, and
-    every probe counts one check.  One :class:`Allocation` is built when
-    the loop ends.
+    whether a witness exists: no chain and no schedule are built.  One
+    scan decides every candidate level of the transaction and counts
+    one check per level it decides, the number of per-level probes it
+    answers for.  One :class:`Allocation` is built when the loop ends.
 
     Args:
         workload: the set of transactions.

@@ -75,8 +75,12 @@ class ContextStats:
     """Counters exposed by :class:`AnalysisContext`.
 
     Attributes:
-        checks: robustness checks executed through the context — every
-            Algorithm 2 probe is one, so this is the probe count.
+        checks: robustness verdicts reached through the context: one
+            per check or probe, and for each transaction Algorithm 2
+            refines, one per candidate level its scan decides (each
+            level up to the one adopted, or all of them), which is the
+            number of per-level probes it answers for.  The work of a
+            scan is in ``kernel_row_hits``.
         index_builds: conflict indexes built: one per context, at
             construction.  The incremental manager keeps one context and
             renumbers it in place, so a mutation builds none.
@@ -84,7 +88,8 @@ class ContextStats:
             pair of transactions; read by witness-chain assembly).
         pair_hits: those tables served from the cache.
         kernel_row_builds: per-``T_1`` kernel rows built.
-        kernel_row_hits: kernel row requests served from the cache.
+        kernel_row_hits: kernel row requests served from the cache:
+            with ``kernel_row_builds``, one per ``T_1`` a scan visits.
     """
 
     checks: int = 0
@@ -327,10 +332,11 @@ class AnalysisContext:
         return pairs
 
     # -- check accounting ----------------------------------------------
-    def record_check(self) -> None:
-        """Count one robustness check (a full check or one probe)."""
-        self.stats.checks += 1
-        current_tracer().count("robustness.checks")
+    def record_check(self, verdicts: int = 1) -> None:
+        """Count robustness verdicts: one for a check or probe, or those
+        an Algorithm 2 decision reaches."""
+        self.stats.checks += verdicts
+        current_tracer().count("robustness.checks", verdicts)
 
 
 def _resolve(workload: Workload, context: Optional[AnalysisContext]) -> AnalysisContext:

@@ -13,9 +13,6 @@ order).  Per ``T_1`` it builds one row (:class:`_T1Row`):
   a flood fill over the neighbour masks, each with
   ``att(K) = C & ∪_{v∈K} nbr[v]``, the candidates attached to it (one
   outside the conflict component touches no candidate);
-* ``reach[T_2] = (nbr[T_2] & C) | bit(T_2) | ∪_{K touched by T_2}
-  att(K)``: the ``T_m`` reachable from ``T_2`` through the graph — the
-  relation is symmetric;
 * per read ``b_1`` of ``T_1`` at position ``p``, a ``T_2`` mask and a
   ``T_m`` mask per case.  With ``prefW(p)`` the writers of the objects
   ``T_1`` writes before ``p``, ``Wall`` the writers of everything it
@@ -29,6 +26,13 @@ order).  Per ``T_1`` it builds one row (:class:`_T1Row`):
     ``R_W1`` alone.
 
   A read whose masks cannot both be non-empty is dropped at build time.
+
+A row keeps no table of reachability: :func:`_reach` derives
+``reach[T_2] = (nbr[T_2] & C) | bit(T_2) | ∪_{K touched by T_2}
+att(K)``, the ``T_m`` reachable from ``T_2`` through the graph, from
+the row's ``att`` masks and the component's neighbour masks, for the
+``T_2`` that :func:`_first_pair` is about to test.  The relation is
+symmetric.
 
 Per allocation the inputs are ``T_1``'s level and the mask ``S`` of SSI
 transactions in its component: when ``T_1`` is SSI, condition (7)
@@ -45,10 +49,15 @@ both — exactly the triples and operation choices, in exactly the order,
 of the ``components`` reference engine's scan
 (:mod:`repro.core.reference`); ``(b_m, a_1)`` is resolved only for an
 emitted triple.
-:func:`has_witness` is an Algorithm 2 probe: it asks only whether some
-``T_1`` of a mask of candidates has a first pair, on the allocation as
-one component's level list and SSI mask (:func:`level_list`), so it
-needs no :class:`~repro.core.isolation.Allocation`.
+:func:`has_witness` asks only whether some ``T_1`` of a mask of
+candidates has a first pair, on the allocation as one component's
+level list and SSI mask (:func:`level_list`), so it needs no
+:class:`~repro.core.isolation.Allocation`.  :func:`remaining_levels`
+is Algorithm 2's decision for one lowered member ``t`` on the same
+inputs: one scan of ``t``'s scope answers every candidate level of
+``t``, because in any other ``T_1``'s row the level of ``t`` enters
+Definition 3.1 only through the SSI mask, the same for every level
+below SSI.
 :func:`connecting_path` returns the same intermediates as the
 graph-backed
 :meth:`~repro.core.reference.ReachabilityOracle.connecting_path`.  The
@@ -78,6 +87,7 @@ __all__ = [
     "has_witness",
     "iter_witness_triples",
     "level_list",
+    "remaining_levels",
     "row_of",
 ]
 
@@ -94,24 +104,27 @@ class _T1Row:
 
     ``cands`` is ``C``; ``comps`` the mixed-iso-graph components inside
     ``T_1``'s conflict component as masks, in the order ``networkx``
-    finds them (by lowest member);
-    ``reach`` maps each candidate's bit to its reachable ``T_m`` mask;
+    finds them (by lowest member), and ``atts`` their ``att(K)`` masks,
+    in the same order (none is empty: the conflict component is
+    connected); ``nbrs`` is the component's neighbour masks, which
+    :func:`_reach` reads with ``atts``;
     ``rc_reads`` / ``si_reads`` hold the split reads for ``T_1`` at RC /
     at SI or SSI, with ``rc_t2s`` / ``si_t2s`` the union of their ``T_2``
     masks; ``r_w1`` and ``w_r1`` are ``C & R_W1`` and ``C & W_R1``.
     """
 
     __slots__ = (
-        "cands", "comps", "reach", "rc_reads", "rc_t2s", "si_reads",
+        "cands", "comps", "atts", "nbrs", "rc_reads", "rc_t2s", "si_reads",
         "si_t2s", "r_w1", "w_r1",
     )
 
     def __init__(
-        self, cands, comps, reach, rc_reads, rc_t2s, si_reads, si_t2s, r_w1, w_r1
+        self, cands, comps, atts, nbrs, rc_reads, rc_t2s, si_reads, si_t2s, r_w1, w_r1
     ):
         self.cands: int = cands
         self.comps: Tuple[int, ...] = comps
-        self.reach: Dict[int, int] = reach
+        self.atts: Tuple[int, ...] = atts
+        self.nbrs: List[int] = nbrs
         self.rc_reads: Tuple[SplitRead, ...] = rc_reads
         self.rc_t2s: int = rc_t2s
         self.si_reads: Tuple[SplitRead, ...] = si_reads
@@ -166,16 +179,6 @@ def _build_row(context: AnalysisContext, component: Component, t1_bit: int) -> _
         remaining &= ~comp
         comps.append(comp)
         atts.append(touched & cands)
-    reach_of: Dict[int, int] = {}
-    rest = cands
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        mask = (bit_nbrs[low.bit_length() - 1] & cands) | low
-        for att in atts:
-            if att & low:
-                mask |= att
-        reach_of[low.bit_length() - 1] = mask
     # The per-read masks of the module docstring.
     t1 = context.transactions[component.tids[t1_bit]]
     body = t1.body
@@ -211,9 +214,10 @@ def _build_row(context: AnalysisContext, component: Component, t1_bit: int) -> _
             si_reads.append((op, pos, si_t2s, si_tms))
             si_all |= si_t2s
     return _T1Row(
-        cands, tuple(comps), reach_of, tuple(rc_reads), rc_all,
+        cands, tuple(comps), tuple(atts), bit_nbrs, tuple(rc_reads), rc_all,
         tuple(si_reads), si_all, cands & r_w1, cands & w_r1,
     )
+
 
 def connecting_path(
     context: AnalysisContext, t1_tid: int, t2_tid: int, tm_tid: int
@@ -297,6 +301,20 @@ def level_list(
     return levels, ssi
 
 
+def _reach(row: _T1Row, flag: int) -> int:
+    """``reach[T_2]`` of the module docstring, for the candidate at ``flag``.
+
+    The ``T_m`` candidates that ``T_2`` reaches through ``row``'s
+    mixed-iso-graph: itself, its conflict neighbours among the
+    candidates and the ``att(K)`` of every component ``K`` it touches.
+    """
+    mask = (row.nbrs[flag.bit_length() - 1] & row.cands) | flag
+    for att in row.atts:
+        if att & flag:
+            mask |= att
+    return mask
+
+
 def _first_pair(
     row: _T1Row,
     level1: IsolationLevel,
@@ -313,17 +331,20 @@ def _first_pair(
     the allocation's SSI tid mask, read only when ``T_1`` is SSI.  With
     ``scoped`` the flag of a ``delta_tid`` other than ``T_1``, only pairs
     through it remain: ``T_2`` is it or reaches it, and every other
-    ``T_2`` keeps only it as ``T_m``; with 0 every pair counts.
+    ``T_2`` keeps only it as ``T_m``; with 0 every pair counts.  Reach
+    is derived (:func:`_reach`) once for ``scoped``, which it then
+    covers for every ``T_2`` by symmetry, and otherwise only for a
+    ``T_2`` whose other conditions leave a ``T_m``.
     """
     if level1 is _RC:
         reads, t2_set = row.rc_reads, row.rc_t2s
     else:
         reads, t2_set = row.si_reads, row.si_t2s
-    reach = row.reach
     if scoped:
         if not row.cands & scoped:
             return None
-        t2_set &= reach[scoped.bit_length() - 1]
+        scoped_reach = _reach(row, scoped)
+        t2_set &= scoped_reach
     if after:
         t2_set &= -(after << 1)
     if not t2_set:
@@ -342,9 +363,15 @@ def _first_pair(
                 tms |= read[3]
         if low & ssi_cands:
             tms &= ~ssi_cands  # (6)
-        tms &= reach[low.bit_length() - 1] & ~no_tm
-        if scoped and low != scoped:
-            tms &= scoped
+        tms &= ~no_tm
+        if not tms:
+            continue
+        if not scoped:
+            tms &= _reach(row, low)
+        elif low == scoped:
+            tms &= scoped_reach
+        else:
+            tms &= scoped  # low reaches scoped: it is in scoped_reach
         if tms:
             return low, tms
     return None
@@ -360,16 +387,17 @@ def has_witness(
 ) -> bool:
     """Whether :func:`iter_witness_triples` yields anything for some ``T_1``.
 
-    The Algorithm 2 probe, one call per probe, inside one conflict
-    ``component``: ``t1s`` is the mask of its members to scan as
-    ``T_1``, ``scoped`` the flag of the lowered member (0 when every
-    pair counts), and the allocation is the component's level list
-    ``levels`` in bit order (``levels[i]`` belongs to its ``i``-th
-    smallest member) and its SSI mask ``ssi``.  ``T_1`` ascends and
-    the scan stops at the first ``T_1`` with a witness pair, so exactly
-    the rows a scan of :func:`iter_witness_triples` would fetch are
-    fetched (and counted).  Only existence matters: no operation is
-    resolved and no chain built.
+    An existence probe inside one conflict ``component`` (the
+    incremental manager's start check): ``t1s`` is the mask of its
+    members to scan as ``T_1``, ``scoped`` the flag of a lowered
+    member (0 when every pair counts), and the allocation is the
+    component's level list ``levels`` in bit order (``levels[i]``
+    belongs to its ``i``-th smallest member) and its SSI mask
+    ``ssi``.  ``T_1`` ascends and the scan stops at the first ``T_1``
+    with a witness pair, so exactly the rows a scan of
+    :func:`iter_witness_triples` would fetch are fetched (and counted).
+    Only existence matters: no operation is resolved and no chain
+    built.
     """
     while t1s:
         low = t1s & -t1s
@@ -384,6 +412,53 @@ def has_witness(
         if pair is not None:
             return True
     return False
+
+
+def remaining_levels(
+    context: AnalysisContext,
+    component: Component,
+    levels: Sequence[IsolationLevel],
+    ssi: int,
+    t1s: int,
+    bit: int,
+    candidates: Sequence[IsolationLevel],
+) -> Sequence[IsolationLevel]:
+    """The levels of ``candidates`` for ``t`` that the scan of ``t1s`` leaves open.
+
+    Algorithm 2's decision for the member ``t`` at ``bit`` of a robust
+    allocation, given as :func:`has_witness` takes it (``levels`` in
+    bit order, ``t``'s own entry unread, and ``ssi`` without ``t``'s
+    bit), with ``candidates`` the levels below SSI to try for ``t``,
+    ascending.  ``T_1`` ascends over ``t1s`` as in a scoped
+    :func:`has_witness` and each row is fetched (and counted) once:
+
+    * at ``T_1 = t`` a candidate whose :func:`_first_pair` is not empty
+      is ruled out, and only the lowest other one stays open;
+    * at any other ``T_1`` the level of ``t`` enters only through
+      ``ssi``, so a first pair rules out every candidate at once.
+
+    The scan stops once no candidate is open.  Over ``t``'s scope
+    ``nbrs[bit] | 1 << bit`` the result is empty, or the lowest
+    candidate that keeps the allocation robust: the level the
+    per-level probes adopt, found on exactly the rows they build.
+    """
+    flag = 1 << bit
+    while t1s and candidates:
+        low = t1s & -t1s
+        t1s ^= low
+        t1_bit = low.bit_length() - 1
+        row = row_of(context, component, t1_bit)
+        if low != flag:
+            if _first_pair(row, levels[t1_bit], ssi, flag) is not None:
+                return ()
+            continue
+        for index, level in enumerate(candidates):
+            if _first_pair(row, level, ssi, 0) is None:
+                candidates = candidates[index : index + 1]
+                break
+        else:
+            return ()
+    return candidates
 
 
 #: What :func:`first_scan_pair` hands the rest of ``T_1``'s scan: its

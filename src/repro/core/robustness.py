@@ -48,6 +48,7 @@ from .kernel import (
     first_scan_pair,
     has_witness,
     iter_witness_triples,
+    remaining_levels,
 )
 from .operations import Operation
 from .schedules import MVSchedule, canonical_schedule
@@ -285,18 +286,18 @@ def _probe(
 ) -> bool:
     """Whether the kernel scan finds a witness against ``levels``.
 
-    The Algorithm 2 probe inside one conflict ``component``: the
+    An existence probe inside one conflict ``component``: the
     allocation is its level list in bit order and its SSI mask, as
     :func:`~repro.core.allocation.refine_allocation` keeps them, ``t1s``
     the mask of the split candidates ``T_1`` and ``scoped`` the flag of
-    the lowered member (0 for a scan of every pair).  The scan is one
-    :func:`~repro.core.kernel.has_witness` call: over the component's
-    members, or for a lowered member only it and its conflict
-    neighbours.  It counts one check on ``context``, and it gives the
-    verdict :func:`_first_witness` gives on the component, without
-    resolving operations or building a chain.  The check's span and its
-    per-``T_1`` spans are opened only under a recording tracer: a probe
-    is too short to pay for them otherwise.
+    a lowered member (0 for a scan of every pair, as in the incremental
+    manager's start check).  The scan is one
+    :func:`~repro.core.kernel.has_witness` call.  It counts one check on
+    ``context``, and it gives the verdict :func:`_first_witness` gives
+    on the component, without resolving operations or building a
+    chain.  The check's span and its per-``T_1`` spans are opened only
+    under a recording tracer: a probe is too short to pay for them
+    otherwise.
     """
     context.record_check()
     tracer = current_tracer()
@@ -313,6 +314,48 @@ def _probe(
                 found = has_witness(context, component, levels, ssi, low, scoped)
         check_span.set(robust=not found)
     return found
+
+
+def _lowest_robust(
+    context: AnalysisContext,
+    component: Component,
+    levels: Sequence[IsolationLevel],
+    ssi: int,
+    bit: int,
+    candidates: Sequence[IsolationLevel],
+) -> Optional[IsolationLevel]:
+    """The lowest of ``candidates`` that keeps the allocation robust, if any.
+
+    Algorithm 2's decision for the member ``t`` at ``bit`` of a robust
+    allocation, on its component's level list and SSI mask (without
+    ``t``'s bit), with ``candidates`` ascending and below SSI: one
+    :func:`~repro.core.kernel.remaining_levels` scan of ``t``'s scope
+    ``nbrs[bit] | 1 << bit``.  It answers what one delta-scoped probe
+    per candidate, ascending up to the first robust one, would answer,
+    and counts their checks on ``context``: one verdict per candidate
+    decided, that is each candidate up to the one adopted, or all of
+    them when none is.  The ``robustness.check_delta`` span and its
+    per-``T_1`` ``robustness.scan_t1`` spans are opened only under a
+    recording tracer, as :func:`_probe` opens them.
+    """
+    t1s = component.nbrs[bit] | 1 << bit
+    tracer = current_tracer()
+    if not tracer.recording:
+        left = remaining_levels(context, component, levels, ssi, t1s, bit, candidates)
+    else:
+        tids = component.tids
+        left = candidates
+        with _check_span(tracer, len(context.transactions), tids[bit]) as check_span:
+            while t1s and left:
+                low = t1s & -t1s
+                t1s ^= low
+                with tracer.span("robustness.scan_t1", t1=tids[low.bit_length() - 1]):
+                    left = remaining_levels(
+                        context, component, levels, ssi, low, bit, left
+                    )
+            check_span.set(robust=bool(left))
+    context.record_check(candidates.index(left[0]) + 1 if left else len(candidates))
+    return left[0] if left else None
 
 
 def check_robustness_delta(

@@ -1,7 +1,7 @@
 """Span-based tracing for the analysis engines.
 
 A *span* is one timed phase of work — a robustness check, one ``T_1``
-split-schedule scan, one Algorithm 2 downgrade probe, one MVCC
+split-schedule scan, one Algorithm 2 level decision, one MVCC
 simulation run.  Spans nest (each records its parent), so an exported
 trace is a forest mirroring the call structure:
 
@@ -11,8 +11,9 @@ trace is a forest mirroring the call structure:
         robustness.scan_t1 (t1=2)
       allocation.refine
         allocation.refine_txn (tid=1)
-          allocation.probe (tid=1, level=RC)
-            robustness.check_delta
+          allocation.probe (tid=1, levels=[RC, SI], checks=2)
+            robustness.check_delta (delta_tid=1)
+              robustness.scan_t1 (t1=1)
 
 The module-global *current tracer* is a :class:`NullTracer` by default:
 every instrumentation point in the hot paths costs one attribute lookup

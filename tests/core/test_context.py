@@ -5,7 +5,7 @@ import pytest
 from repro.core.allocation import optimal_allocation
 from repro.core.context import AnalysisContext, ContextStats
 from repro.core.isolation import Allocation
-from repro.core.kernel import connecting_path, row_of
+from repro.core.kernel import _reach, connecting_path, row_of
 from repro.core.reference import ReachabilityOracle, conflict_sets
 from repro.core.robustness import check_robustness, is_robust
 from repro.core.workload import WorkloadError, workload
@@ -130,7 +130,7 @@ class _KernelPaths:
     def reachable(self, tid_2, tid_m):
         row = _row(self.ctx, self.t1_tid)
         bit = self.index.bit
-        return (row.reach[bit[tid_2]] >> bit[tid_m]) & 1 == 1
+        return (_reach(row, 1 << bit[tid_2]) >> bit[tid_m]) & 1 == 1
 
 
 @pytest.fixture(params=["oracle", "kernel"])
@@ -227,8 +227,8 @@ class TestComponentNumbering:
             limit = 1 << len(ctx.component_of[tid].tids)
             row = _row(ctx, tid)
             masks = [row.cands, row.rc_t2s, row.si_t2s, row.r_w1, row.w_r1]
-            masks += [*row.comps, *row.reach.values()]
-            masks += [1 << bit for bit in row.reach]
+            flags = [1 << bit for bit in range(len(row.nbrs)) if row.cands & 1 << bit]
+            masks += [*row.comps, *row.atts, *(_reach(row, flag) for flag in flags)]
             masks += [mask for read in row.rc_reads + row.si_reads for mask in read[2:]]
             assert all(0 <= mask < limit for mask in masks), tid
 

@@ -77,10 +77,13 @@ class TestSequentialSpans:
         for txn_span in by_name["allocation.refine_txn"]:
             assert txn_span.parent_id == refine.span_id
             assert txn_span.attrs["level"] in ("RC", "SI", "SSI")
+        # One level decision per refined transaction: its verdict count
+        # is an attribute, and the counts add up to the checks.
         probes = by_name["allocation.probe"]
-        assert len(probes) == ctx.stats.checks
+        assert sorted(probe.attrs["tid"] for probe in probes) == [1, 2]
+        assert sum(probe.attrs["checks"] for probe in probes) == ctx.stats.checks
         for probe in probes:
-            assert probe.attrs["level"] in ("RC", "SI")
+            assert probe.attrs["levels"] == ["RC", "SI"]
             checks = [
                 s
                 for s in by_name["robustness.check_delta"]

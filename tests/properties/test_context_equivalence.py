@@ -12,10 +12,13 @@ Three implementations must agree everywhere:
 And :func:`~repro.core.allocation.refine_allocation` must return the
 identical allocation as the seed refinement loop (a fresh conflict
 index per robustness check), counting one check per probe the seed loop
-issues.  Its existence probes, scoped to the lowered transaction, must
+issues.  Its existence scans, scoped to the lowered transaction, must
 match a refinement whose probes scan every triple — optimum and
-counters alike.
+counters alike.  Its one scan per transaction must decide what one
+scoped probe per candidate level decides, on the same rows.
 """
+
+from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,8 +33,16 @@ from repro.core.isolation import (
     ORACLE_LEVELS,
     POSTGRES_LEVELS,
 )
-from repro.core.robustness import _first_witness, check_robustness, is_robust
+from repro.core.kernel import level_list
+from repro.core.robustness import (
+    _first_witness,
+    _lowest_robust,
+    _probe,
+    check_robustness,
+    is_robust,
+)
 from repro.core.split_schedule import is_valid_split_schedule
+from repro.observability import Tracer, use_tracer
 from repro.workloads.generator import random_workload
 
 
@@ -174,7 +185,7 @@ def test_scoped_probes_match_full_scan_refinement(wl):
 def test_checks_count_the_seed_refinement_probes(wl):
     """``checks`` after a refinement is the seed loop's probe count.
 
-    Every probe counts one check.
+    Every candidate level a scan decides counts one check.
     """
     for levels in (POSTGRES_LEVELS, ORACLE_LEVELS):
         start = Allocation.uniform(wl, max(levels))
@@ -185,3 +196,76 @@ def test_checks_count_the_seed_refinement_probes(wl):
         ctx = AnalysisContext(wl)
         assert refine_allocation(wl, start, levels, context=ctx) == expected
         assert ctx.stats.checks == len(probes)
+
+
+def _probe_each_level(ctx, component, levels, ssi, bit, candidates):
+    """The per-level loop the one scan replaces, as a reference.
+
+    One delta-scoped :func:`_probe` per candidate level of the member at
+    ``bit``, ascending, stopping at the first robust level.
+    """
+    levels = list(levels)
+    flag = 1 << bit
+    for level in candidates:
+        levels[bit] = level
+        if not _probe(ctx, component, levels, ssi, component.nbrs[bit] | flag, flag):
+            return level
+    return None
+
+
+@st.composite
+def level_decisions(draw):
+    """One transaction's decision: a workload, a level list over a class
+    ({RC, SI, SSI} or {RC, SI}), a member ``t`` above the bottom level,
+    and its candidates, from a manager-style floor (none, or a level
+    below ``t``'s) up to its level."""
+    wl = draw(
+        st.one_of(
+            sts.workloads(min_transactions=1, max_transactions=5),
+            mid_sized_workloads(),
+        )
+    )
+    ordered = tuple(sorted(draw(st.sampled_from([POSTGRES_LEVELS, ORACLE_LEVELS]))))
+    levels = {tid: draw(st.sampled_from(ordered)) for tid in wl.tids}
+    tid = draw(st.sampled_from(wl.tids))
+    top = draw(st.integers(min_value=1, max_value=len(ordered) - 1))
+    levels[tid] = ordered[top]
+    floor = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=top - 1)))
+    candidates = ordered[floor or 0 : top]
+    return wl, Allocation(levels), tid, candidates
+
+
+@given(level_decisions(), st.booleans())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_one_scan_decides_as_the_per_level_probes(case, traced):
+    """The one-scan decision ≡ one scoped probe per candidate level.
+
+    Same adopted level and the same ``checks`` (one per candidate level
+    decided), the same kernel rows built, and no more rows fetched —
+    untraced, and under a recording tracer, whose path scans ``T_1`` by
+    ``T_1``.
+    """
+    wl, allocation, tid, candidates = case
+    outcomes = []
+    for decide in (_probe_each_level, _lowest_robust):
+        ctx = AnalysisContext(wl)
+        component, bit = ctx.component_of[tid], ctx.bit[tid]
+        levels, ssi = level_list(allocation, component.tids)
+        with use_tracer(Tracer()) if traced else nullcontext():
+            level = decide(ctx, component, levels, ssi & ~(1 << bit), bit, candidates)
+        stats = ctx.stats
+        outcomes.append(
+            (
+                level,
+                stats.checks,
+                [row is not None for row in component.rows],
+                stats.kernel_row_builds,
+                stats.kernel_row_builds + stats.kernel_row_hits,
+            )
+        )
+    (want, want_checks, want_rows, want_builds, want_fetches), got = outcomes
+    level, checks, rows, builds, fetches = got
+    assert level is want
+    assert checks == want_checks
+    assert rows == want_rows and builds == want_builds
+    assert fetches <= want_fetches

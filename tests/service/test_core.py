@@ -682,6 +682,9 @@ class TestSnapshotCommands:
         for tid in range(1, 5):
             response = _add(core, f"R[x{tid}]", tid)
             assert response["ok"] and response["admitted"], response
+            # A status drains the writer, so each capture's write settles
+            # before the next add could replace it.
+            core.handle({"op": "status"})
         status = core.handle({"op": "status"})
         core.close()
         assert status["transactions"] == 4

@@ -139,7 +139,7 @@ class TestSharding:
             "  pair builds: 0",
             "  pair hits: 0",
             "  kernel row builds: 3",
-            "  kernel row hits: 6",
+            "  kernel row hits: 2",
         ]
 
     def test_check_stats_print_the_shard_line(self, skew_file, capsys):
